@@ -13,8 +13,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Extended gate: formatting, vet, race detector on the
-# concurrency-sensitive packages.
+# Extended gate (ROADMAP.md): formatting, vet, race detector on the
+# instrumented, concurrency-sensitive packages.
 fmt:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
@@ -22,9 +22,9 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/obsv ./internal/core
+	$(GO) test -race ./internal/obsv ./internal/core ./internal/simmem ./internal/apps/... ./internal/kvnode ./internal/chaos ./cmd/kvserve
 
-# Capture the root benchmark suite as BENCH_<date>.json for
-# perf-trajectory diffing (BENCHTIME=5x make bench for a longer run).
+# hrmbench: every workload and metric, checked against bench/expected
+# (bench/README.md).
 bench:
-	./scripts/bench.sh
+	$(GO) run ./bench -seed 1

@@ -1,0 +1,77 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"hrmsim/internal/core"
+)
+
+// goldenDoc is the deterministic part of a -json envelope. The metrics
+// section is left out: it carries wall-clock histograms.
+type goldenDoc struct {
+	SchemaVersion int             `json:"schema_version"`
+	Tool          string          `json:"tool"`
+	Command       string          `json:"command"`
+	Interrupted   bool            `json:"interrupted,omitempty"`
+	Result        json.RawMessage `json:"result"`
+	Shard         json.RawMessage `json:"shard,omitempty"`
+	Merged        json.RawMessage `json:"merged,omitempty"`
+}
+
+// TestGoldenWireShape pins the -json wire shape of the seeded,
+// deterministic subcommands against committed documents: every key, in
+// emission order, every value, and empty slices as [] rather than null.
+// The raw sections are re-indented, never re-keyed, so a renamed,
+// reordered, dropped or nulled field fails the byte comparison.
+func TestGoldenWireShape(t *testing.T) {
+	dir := t.TempDir()
+	shard := func(idx int) []string {
+		return []string{"characterize", "-app", "kvstore", "-size", "small",
+			"-trials", "24", "-seed", "6", "-parallelism", "2", "-shard", fmt.Sprintf("%d/2", idx),
+			"-journal", filepath.Join(dir, core.ShardJournalName(idx, 2)), "-json"}
+	}
+	// Order matters: merge consumes the two shard journals.
+	cases := []struct {
+		name string
+		args []string
+	}{
+		// Seven watchpoints leave the stack region unsampled, so the
+		// document holds both a filled and an empty safe_ratios list.
+		{"profile", []string{"profile", "-app", "kvstore", "-size", "small", "-watchpoints", "7", "-json"}},
+		{"designspace", []string{"designspace", "-json"}},
+		{"plan", []string{"plan", "-target", "0.999", "-json"}},
+		{"tables-table1", []string{"tables", "-t", "table1", "-trials", "10", "-json"}},
+		{"characterize-shard-0of2", shard(0)},
+		{"characterize-shard-1of2", shard(1)},
+		{"merge", []string{"merge", "-dir", dir, "-json"}},
+	}
+	for _, tc := range cases {
+		out := captureStdout(t, func() error { return run(tc.args) })
+		// Journal paths in the merged section name the scratch directory.
+		out = strings.ReplaceAll(out, dir, "DIR")
+		var doc goldenDoc
+		dec := json.NewDecoder(strings.NewReader(out))
+		if err := dec.Decode(&doc); err != nil {
+			t.Fatalf("%s: -json output is not valid JSON: %v\n%s", tc.name, err, out)
+		}
+		got, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, '\n')
+		path := filepath.Join("testdata", "golden", tc.name+".json")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: -json wire shape differs from %s\ngot:\n%s\nwant:\n%s", tc.name, path, got, want)
+		}
+	}
+}

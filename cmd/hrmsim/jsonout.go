@@ -41,39 +41,19 @@ type envelope struct {
 	Trace *traceJSON `json:"trace,omitempty"`
 	// Shard identifies which slice of a sharded campaign this result
 	// covers (characterize -shard; see SHARDING.md).
-	Shard *shardJSON `json:"shard,omitempty"`
+	Shard *hrmsim.ShardInfo `json:"shard,omitempty"`
 	// Merged describes the shard set a merged result was assembled from
 	// (merge, characterize -coordinator; see SHARDING.md).
 	Merged *mergedJSON `json:"merged,omitempty"`
 }
 
-// shardJSON is the envelope's shard-coordinates section.
-type shardJSON struct {
-	Index   int `json:"index"`
-	Count   int `json:"count"`
-	TrialLo int `json:"trial_lo"`
-	TrialHi int `json:"trial_hi"`
-}
-
 // mergedJSON is the envelope's merge-provenance section.
 type mergedJSON struct {
-	ConfigHash string           `json:"config_hash"`
-	Shards     []mergeShardJSON `json:"shards"`
-	Records    int              `json:"records"`
-	Duplicates int              `json:"duplicates,omitempty"`
-	Missing    int              `json:"missing,omitempty"`
-}
-
-// mergeShardJSON summarizes one input shard of a merge.
-type mergeShardJSON struct {
-	Index       int    `json:"index"`
-	Count       int    `json:"count"`
-	TrialLo     int    `json:"trial_lo"`
-	TrialHi     int    `json:"trial_hi"`
-	Journal     string `json:"journal"`
-	Completed   int    `json:"completed"`
-	Aborted     int    `json:"aborted,omitempty"`
-	Interrupted bool   `json:"interrupted,omitempty"`
+	ConfigHash string                  `json:"config_hash"`
+	Shards     []hrmsim.MergeShardInfo `json:"shards"`
+	Records    int                     `json:"records"`
+	Duplicates int                     `json:"duplicates,omitempty"`
+	Missing    int                     `json:"missing,omitempty"`
 }
 
 // envelopeOption customizes optional envelope sections.
@@ -81,12 +61,7 @@ type envelopeOption func(*envelope)
 
 // withShard attaches the shard-coordinates section (nil = no-op).
 func withShard(s *hrmsim.ShardInfo) envelopeOption {
-	return func(e *envelope) {
-		if s == nil {
-			return
-		}
-		e.Shard = &shardJSON{Index: s.Index, Count: s.Count, TrialLo: s.TrialLo, TrialHi: s.TrialHi}
-	}
+	return func(e *envelope) { e.Shard = s }
 }
 
 // withMerged attaches the merge-provenance section (nil = no-op).
@@ -95,26 +70,14 @@ func withMerged(info *hrmsim.MergeInfo) envelopeOption {
 		if info == nil {
 			return
 		}
-		m := &mergedJSON{
+		e.Merged = &mergedJSON{
 			ConfigHash: info.ConfigHash,
-			Shards:     []mergeShardJSON{},
+			// Copied onto an empty slice so no shards encodes as [].
+			Shards:     append([]hrmsim.MergeShardInfo{}, info.Shards...),
 			Records:    info.Records,
 			Duplicates: info.Duplicates,
 			Missing:    info.Missing,
 		}
-		for _, s := range info.Shards {
-			m.Shards = append(m.Shards, mergeShardJSON{
-				Index:       s.Index,
-				Count:       s.Count,
-				TrialLo:     s.TrialLo,
-				TrialHi:     s.TrialHi,
-				Journal:     s.Journal,
-				Completed:   s.Completed,
-				Aborted:     s.Aborted,
-				Interrupted: s.Interrupted,
-			})
-		}
-		e.Merged = m
 	}
 }
 
@@ -368,77 +331,9 @@ func toCharacterizeJSON(c *hrmsim.Characterization) characterizeJSON {
 	return out
 }
 
-// profileJSON is the `profile -json` result.
-type profileJSON struct {
-	App           string              `json:"app"`
-	WindowMinutes float64             `json:"window_minutes"`
-	Regions       []regionProfileJSON `json:"regions"`
-}
-
-type regionProfileJSON struct {
-	Region              string    `json:"region"`
-	UsedBytes           int       `json:"used_bytes"`
-	Watchpoints         int       `json:"watchpoints"`
-	MeanSafeRatio       float64   `json:"mean_safe_ratio"`
-	SafeRatios          []float64 `json:"safe_ratios"`
-	ImplicitRecoverable float64   `json:"implicit_recoverable"`
-	ExplicitRecoverable float64   `json:"explicit_recoverable"`
-}
-
-func toProfileJSON(rep *hrmsim.AccessProfileReport) profileJSON {
-	out := profileJSON{
-		App:           string(rep.App),
-		WindowMinutes: rep.WindowMinutes,
-		Regions:       []regionProfileJSON{},
-	}
-	for _, r := range rep.Regions {
-		out.Regions = append(out.Regions, regionProfileJSON{
-			Region:              r.Region,
-			UsedBytes:           r.UsedBytes,
-			Watchpoints:         r.Watchpoints,
-			MeanSafeRatio:       r.MeanSafeRatio,
-			SafeRatios:          nonNil(r.SafeRatios),
-			ImplicitRecoverable: r.ImplicitRecoverable,
-			ExplicitRecoverable: r.ExplicitRecoverable,
-		})
-	}
-	return out
-}
-
-// designRowJSON is one design point in `designspace -json` / `plan -json`.
-type designRowJSON struct {
-	Name                string  `json:"name"`
-	MemorySavings       float64 `json:"memory_savings"`
-	MemorySavingsLo     float64 `json:"memory_savings_lo"`
-	MemorySavingsHi     float64 `json:"memory_savings_hi"`
-	ServerSavings       float64 `json:"server_savings"`
-	ServerSavingsLo     float64 `json:"server_savings_lo"`
-	ServerSavingsHi     float64 `json:"server_savings_hi"`
-	CrashesPerMonth     float64 `json:"crashes_per_month"`
-	Availability        float64 `json:"availability"`
-	IncorrectPerMillion float64 `json:"incorrect_per_million"`
-	MeetsTarget         bool    `json:"meets_target"`
-}
-
-func toDesignRowJSON(r hrmsim.DesignRow) designRowJSON {
-	return designRowJSON{
-		Name:                r.Name,
-		MemorySavings:       r.MemorySavings,
-		MemorySavingsLo:     r.MemorySavingsLo,
-		MemorySavingsHi:     r.MemorySavingsHi,
-		ServerSavings:       r.ServerSavings,
-		ServerSavingsLo:     r.ServerSavingsLo,
-		ServerSavingsHi:     r.ServerSavingsHi,
-		CrashesPerMonth:     r.CrashesPerMonth,
-		Availability:        r.Availability,
-		IncorrectPerMillion: r.IncorrectPerMillion,
-		MeetsTarget:         r.MeetsTarget,
-	}
-}
-
 // designspaceJSON is the `designspace -json` result.
 type designspaceJSON struct {
-	Rows []designRowJSON `json:"rows"`
+	Rows []hrmsim.DesignRow `json:"rows"`
 }
 
 // planJSON is the `plan -json` result.
@@ -447,7 +342,7 @@ type planJSON struct {
 	ErrorsPerMonth     float64           `json:"errors_per_month"`
 	Considered         int               `json:"considered"`
 	Feasible           int               `json:"feasible"`
-	Best               designRowJSON     `json:"best"`
+	Best               hrmsim.DesignRow  `json:"best"`
 	BestMapping        map[string]string `json:"best_mapping"`
 }
 
@@ -485,34 +380,5 @@ type lifetimeJSON struct {
 
 // tablesJSON is the `tables -json` result.
 type tablesJSON struct {
-	Experiments []experimentJSON `json:"experiments"`
-}
-
-type experimentJSON struct {
-	ID          string           `json:"id"`
-	Title       string           `json:"title"`
-	Text        string           `json:"text"`
-	Comparisons []comparisonJSON `json:"comparisons"`
-}
-
-type comparisonJSON struct {
-	Metric   string `json:"metric"`
-	Paper    string `json:"paper"`
-	Measured string `json:"measured"`
-	Note     string `json:"note,omitempty"`
-}
-
-func toExperimentJSON(rep *hrmsim.ExperimentReport) experimentJSON {
-	out := experimentJSON{
-		ID:          rep.ID,
-		Title:       rep.Title,
-		Text:        rep.Text,
-		Comparisons: []comparisonJSON{},
-	}
-	for _, c := range rep.Comparisons {
-		out.Comparisons = append(out.Comparisons, comparisonJSON{
-			Metric: c.Metric, Paper: c.Paper, Measured: c.Measured, Note: c.Note,
-		})
-	}
-	return out
+	Experiments []*hrmsim.ExperimentReport `json:"experiments"`
 }

@@ -419,7 +419,7 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		return emitJSON("profile", false, toProfileJSON(rep), nil, nil)
+		return emitJSON("profile", false, rep, nil, nil)
 	}
 	fmt.Printf("Access profile: %s (%.1f virtual minutes observed)\n\n", rep.App, rep.WindowMinutes)
 	t := &textplot.Table{
@@ -448,11 +448,7 @@ func cmdDesignSpace(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		out := designspaceJSON{Rows: []designRowJSON{}}
-		for _, r := range rows {
-			out.Rows = append(out.Rows, toDesignRowJSON(r))
-		}
-		return emitJSON("designspace", false, out, nil, nil)
+		return emitJSON("designspace", false, designspaceJSON{Rows: rows}, nil, nil)
 	}
 	fmt.Println(renderDesignRows("Table 6 design points (paper WebSearch inputs)", rows))
 	return nil
@@ -507,7 +503,7 @@ func cmdPlan(args []string) error {
 			ErrorsPerMonth:     *errors,
 			Considered:         res.Considered,
 			Feasible:           res.Feasible,
-			Best:               toDesignRowJSON(res.Best),
+			Best:               res.Best,
 			BestMapping:        res.BestMapping,
 		}, nil, nil)
 	}
@@ -595,14 +591,14 @@ func cmdTables(args []string) error {
 	if *id != "" {
 		ids = []string{*id}
 	}
-	out := tablesJSON{Experiments: []experimentJSON{}}
+	out := tablesJSON{Experiments: []*hrmsim.ExperimentReport{}}
 	for _, x := range ids {
 		rep, err := lab.Run(x)
 		if err != nil {
 			return err
 		}
 		if *jsonOut {
-			out.Experiments = append(out.Experiments, toExperimentJSON(rep))
+			out.Experiments = append(out.Experiments, rep)
 			continue
 		}
 		fmt.Printf("==== %s: %s ====\n\n%s\n", rep.ID, rep.Title, rep.Text)

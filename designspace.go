@@ -9,20 +9,24 @@ import (
 // DesignRow is one evaluated heterogeneous-reliability design point — one
 // row of the paper's Table 6.
 type DesignRow struct {
-	Name string
+	Name string `json:"name"`
 	// MemorySavings is the memory cost saving fraction vs an all-ECC
 	// server, with the less-tested pricing band.
-	MemorySavings, MemorySavingsLo, MemorySavingsHi float64
+	MemorySavings   float64 `json:"memory_savings"`
+	MemorySavingsLo float64 `json:"memory_savings_lo"`
+	MemorySavingsHi float64 `json:"memory_savings_hi"`
 	// ServerSavings is the server hardware cost saving fraction.
-	ServerSavings, ServerSavingsLo, ServerSavingsHi float64
+	ServerSavings   float64 `json:"server_savings"`
+	ServerSavingsLo float64 `json:"server_savings_lo"`
+	ServerSavingsHi float64 `json:"server_savings_hi"`
 	// CrashesPerMonth is the expected crash rate from memory errors.
-	CrashesPerMonth float64
+	CrashesPerMonth float64 `json:"crashes_per_month"`
 	// Availability is single server availability (0..1).
-	Availability float64
+	Availability float64 `json:"availability"`
 	// IncorrectPerMillion is the incorrect-response rate while up.
-	IncorrectPerMillion float64
+	IncorrectPerMillion float64 `json:"incorrect_per_million"`
 	// MeetsTarget reports whether the 99.90% target is met.
-	MeetsTarget bool
+	MeetsTarget bool `json:"meets_target"`
 }
 
 // RegionVulnerability is a region's measured vulnerability, the input to

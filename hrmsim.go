@@ -284,29 +284,11 @@ type CharacterizeConfig struct {
 
 // ProgressInfo reports campaign progress to the Progress hook. Elapsed,
 // TrialsPerSec, and ETA are host wall-clock derived;
-// MeanTrialVirtualMinutes is the mean simulated span of finished trials
-// (from TrialResult.EndedAt).
-type ProgressInfo struct {
-	Done, Total             int
-	Elapsed                 time.Duration
-	TrialsPerSec            float64
-	ETA                     time.Duration
-	MeanTrialVirtualMinutes float64
-	// Adaptive marks an open-ended campaign (TargetCI set, stopping
-	// rule not yet fired): Total is the adaptive planner's current
-	// trial budget — the next CI evaluation boundary — not a fixed
-	// size, and may grow between calls; the ETA extrapolates to that
-	// moving budget.
-	Adaptive bool
-}
-
-// coreProgress adapts a public Progress hook to the engine's.
-func coreProgress(hook func(ProgressInfo)) func(core.ProgressInfo) {
-	if hook == nil {
-		return nil
-	}
-	return func(p core.ProgressInfo) { hook(ProgressInfo(p)) }
-}
+// MeanTrialVirtualMinutes is the mean simulated span of completed trials
+// (from TrialResult.EndedAt). Adaptive marks an open-ended campaign
+// (TargetCI set, stopping rule not yet fired), whose Total is the
+// planner's moving trial budget.
+type ProgressInfo = core.ProgressInfo
 
 // Adaptive-campaign defaults (see CharacterizeConfig.TargetCI).
 const (
@@ -386,9 +368,11 @@ type Characterization struct {
 // characterization covers (see SHARDING.md).
 type ShardInfo struct {
 	// Index / Count are the shard coordinates (the `-shard i/N` flag).
-	Index, Count int
+	Index int `json:"index"`
+	Count int `json:"count"`
 	// TrialLo / TrialHi bound the owned half-open trial index range.
-	TrialLo, TrialHi int
+	TrialLo int `json:"trial_lo"`
+	TrialHi int `json:"trial_hi"`
 }
 
 // Characterize runs an error-injection campaign (the paper's Fig. 2 loop)
@@ -452,7 +436,7 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 		Trials:        cfg.Trials,
 		Seed:          cfg.Seed,
 		Parallelism:   cfg.Parallelism,
-		Progress:      coreProgress(cfg.Progress),
+		Progress:      cfg.Progress,
 		Metrics:       cfg.Metrics,
 		Tracer:        cfg.Tracer,
 		TrialTimeout:  cfg.TrialTimeout,
@@ -699,30 +683,32 @@ type AccessProfileConfig struct {
 
 // RegionProfile summarizes one region's access behaviour.
 type RegionProfile struct {
-	Region string
+	Region string `json:"region"`
 	// UsedBytes is the region's occupied size.
-	UsedBytes int
+	UsedBytes int `json:"used_bytes"`
 	// Watchpoints is the number of sampled addresses with at least one
 	// attributed interval.
-	Watchpoints int
+	Watchpoints int `json:"watchpoints"`
 	// MeanSafeRatio averages the safe ratios (Section III-B): near 1
 	// means writes dominate (errors masked by overwrite), near 0 means
 	// reads dominate.
-	MeanSafeRatio float64
-	// SafeRatios are the per-address ratios (the Fig. 5b samples).
-	SafeRatios []float64
+	MeanSafeRatio float64 `json:"mean_safe_ratio"`
+	// SafeRatios are the per-address ratios (the Fig. 5b samples);
+	// empty, never nil, for an unsampled region.
+	SafeRatios []float64 `json:"safe_ratios"`
 	// ImplicitRecoverable and ExplicitRecoverable are the Table 5
 	// fractions of used pages.
-	ImplicitRecoverable, ExplicitRecoverable float64
+	ImplicitRecoverable float64 `json:"implicit_recoverable"`
+	ExplicitRecoverable float64 `json:"explicit_recoverable"`
 }
 
 // AccessProfileReport is the access-monitoring analysis of one application.
 type AccessProfileReport struct {
-	App App
+	App App `json:"app"`
 	// WindowMinutes is the observation window in virtual minutes.
-	WindowMinutes float64
+	WindowMinutes float64 `json:"window_minutes"`
 	// Regions holds one profile per mapped region.
-	Regions []RegionProfile
+	Regions []RegionProfile `json:"regions"`
 }
 
 // AccessProfile runs the application's full workload under the
@@ -768,9 +754,12 @@ func AccessProfile(cfg AccessProfileConfig) (*AccessProfileReport, error) {
 			return nil, fmt.Errorf("hrmsim: profiling workload request %d: %w", i, err)
 		}
 	}
-	rep := &AccessProfileReport{App: cfg.App, WindowMinutes: mon.Window().Minutes()}
+	rep := &AccessProfileReport{App: cfg.App, WindowMinutes: mon.Window().Minutes(), Regions: []RegionProfile{}}
 	for _, r := range as.Regions() {
 		ratios := mon.SafeRatios(r.Kind())
+		if ratios == nil {
+			ratios = []float64{}
+		}
 		p := RegionProfile{
 			Region:      r.Kind().String(),
 			UsedBytes:   r.Used(),

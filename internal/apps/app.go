@@ -72,10 +72,9 @@ type SnapshotApp interface {
 	Reset() (dirtyPages int, err error)
 }
 
-// SnapshotBuilder is the optional snapshot capability of a Builder.
-// Builders that implement it let campaigns reuse one instance across
-// trials; the engine type-asserts and falls back to per-trial Build
-// otherwise.
+// SnapshotBuilder is the snapshot capability of a Builder. Campaigns
+// require it: the engine reuses one instance per worker across trials
+// and rejects a builder that cannot snapshot.
 type SnapshotBuilder interface {
 	Builder
 	// BuildSnapshot materializes a fresh snapshot-capable instance.

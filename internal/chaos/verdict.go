@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -207,15 +206,4 @@ func (v *Verdict) Render() string {
 		fmt.Fprintf(&b, "\nverdict: FAIL (%d/%d objectives violated)\n", failed, len(v.Results))
 	}
 	return b.String()
-}
-
-// sortedSignalNames returns the signal keys of a window in stable order
-// (used by tests asserting the serialized shape).
-func sortedSignalNames(p PhaseReport) []string {
-	out := make([]string, 0, len(p.Signals))
-	for k := range p.Signals {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

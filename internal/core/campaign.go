@@ -19,50 +19,15 @@ import (
 	"hrmsim/internal/stats"
 )
 
-// Lifecycle selects how a campaign provisions the application instance
-// each trial runs on.
-type Lifecycle int
-
-const (
-	// LifecycleAuto reuses one instance per worker via
-	// snapshot/restore when the builder implements
-	// apps.SnapshotBuilder, and falls back to a fresh build per trial
-	// otherwise. This is the zero-value default.
-	LifecycleAuto Lifecycle = iota
-	// LifecycleFresh forces a fresh Build (and warmup) per trial —
-	// the paper's literal Fig. 2 loop. Useful as the reference side of
-	// equivalence tests and benchmarks.
-	LifecycleFresh
-	// LifecycleSnapshot requires snapshot support; Run fails if the
-	// builder does not implement apps.SnapshotBuilder.
-	LifecycleSnapshot
-)
-
-// String returns the lifecycle name.
-func (l Lifecycle) String() string {
-	switch l {
-	case LifecycleAuto:
-		return "auto"
-	case LifecycleFresh:
-		return "fresh"
-	case LifecycleSnapshot:
-		return "snapshot"
-	default:
-		return fmt.Sprintf("lifecycle(%d)", int(l))
-	}
-}
-
 // CampaignConfig describes one error-injection campaign: N independent
 // trials of the Fig. 2 loop (restart app → inject → run client workload →
 // compare against expected output).
 type CampaignConfig struct {
-	// Builder constructs one fresh application instance per trial.
+	// Builder constructs the application. It must implement
+	// apps.SnapshotBuilder: each worker builds and warms up one instance,
+	// snapshots it, and restores it before every trial — step 1 of the
+	// loop at the cost of rolling back the pages the last trial dirtied.
 	Builder apps.Builder
-	// Lifecycle selects fresh-build-per-trial versus
-	// build-once/snapshot/restore (default LifecycleAuto). The two
-	// paths produce bit-identical CampaignResults; snapshotting only
-	// changes the wall-clock cost of step 1 of the loop.
-	Lifecycle Lifecycle
 	// Spec is the error type to inject.
 	Spec faults.Spec
 	// Trials is the size of the campaign's trial index space. With the
@@ -128,11 +93,9 @@ type CampaignConfig struct {
 	// MaxRetries bounds retries of transient trial-infrastructure
 	// failures (build, warmup, snapshot-restore errors) before the trial
 	// is recorded as aborted with AbortReasonWorkerError. 0 means the
-	// default (DefaultTrialRetries); negative disables retries.
+	// default (DefaultTrialRetries); negative disables retries. The first
+	// retry waits DefaultRetryBackoff, doubling per attempt.
 	MaxRetries int
-	// RetryBackoff is the wall-clock delay before the first retry,
-	// doubling per attempt (default DefaultRetryBackoff).
-	RetryBackoff time.Duration
 	// Resume maps trial indices to results recorded by a previous,
 	// interrupted run of the same campaign (see ReadJournal). Those
 	// indices are not re-run; their results are merged in place, which
@@ -166,7 +129,7 @@ type CampaignConfig struct {
 	StatusInterval time.Duration
 }
 
-// Retry policy defaults (see CampaignConfig.MaxRetries / RetryBackoff).
+// Retry policy (see CampaignConfig.MaxRetries).
 const (
 	DefaultTrialRetries = 2
 	DefaultRetryBackoff = 5 * time.Millisecond
@@ -182,13 +145,14 @@ type ProgressInfo struct {
 	Done, Total int
 	// Elapsed is the host wall time since the campaign started.
 	Elapsed time.Duration
-	// TrialsPerSec is the completed-trial throughput (Done/Elapsed).
+	// TrialsPerSec is the throughput of the trials run by this process
+	// (Done minus the resumed ones, over Elapsed).
 	TrialsPerSec float64
 	// ETA is the projected wall time remaining at the current rate
 	// (zero when Done == Total).
 	ETA time.Duration
 	// MeanTrialVirtualMinutes is the mean simulated span of the
-	// finished trials, in virtual minutes.
+	// completed trials (resumed ones included), in virtual minutes.
 	MeanTrialVirtualMinutes float64
 	// Adaptive marks an open-ended campaign: an adaptive planner is
 	// still narrowing its CI, so Total is the planner's current budget
@@ -288,6 +252,11 @@ func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error
 	if cfg.Builder == nil {
 		return nil, fmt.Errorf("core: campaign needs a builder")
 	}
+	sb, ok := cfg.Builder.(apps.SnapshotBuilder)
+	if !ok {
+		return nil, fmt.Errorf("core: lifecycle snapshot requires an apps.SnapshotBuilder; %s builder does not implement it",
+			cfg.Builder.AppName())
+	}
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("core: trials must be positive, got %d", cfg.Trials)
 	}
@@ -329,32 +298,12 @@ func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error
 	if par > cfg.Trials {
 		par = cfg.Trials
 	}
-	sb, snapshotOK := cfg.Builder.(apps.SnapshotBuilder)
-	useSnapshot := false
-	switch cfg.Lifecycle {
-	case LifecycleAuto:
-		useSnapshot = snapshotOK
-	case LifecycleFresh:
-	case LifecycleSnapshot:
-		if !snapshotOK {
-			return nil, fmt.Errorf("core: lifecycle snapshot requires an apps.SnapshotBuilder; %s builder does not implement it",
-				cfg.Builder.AppName())
-		}
-		useSnapshot = true
-	default:
-		return nil, fmt.Errorf("core: unknown lifecycle %d", int(cfg.Lifecycle))
-	}
-
 	maxRetries := cfg.MaxRetries
 	switch {
 	case maxRetries == 0:
 		maxRetries = DefaultTrialRetries
 	case maxRetries < 0:
 		maxRetries = 0
-	}
-	backoff := cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
 	}
 
 	statusInterval := cfg.StatusInterval
@@ -366,9 +315,7 @@ func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error
 		golden:         golden,
 		par:            par,
 		sb:             sb,
-		useSnapshot:    useSnapshot,
 		maxRetries:     maxRetries,
-		backoff:        backoff,
 		statusInterval: statusInterval,
 		m:              newCampaignMetrics(cfg.Metrics),
 	}
@@ -388,7 +335,6 @@ type campaignMetrics struct {
 	resumeSkip *obsv.Counter
 	fastLoads  *obsv.Counter
 	fastWords  *obsv.Counter
-	folds      *obsv.Counter
 	tainted    *obsv.Gauge
 	taintedW   *obsv.Gauge
 	outcomes   map[Outcome]*obsv.Counter
@@ -412,7 +358,6 @@ func newCampaignMetrics(reg *obsv.Registry) *campaignMetrics {
 		resumeSkip: reg.Counter("campaign_resume_skipped_total"),
 		fastLoads:  reg.Counter("simmem_fastpath_loads_total"),
 		fastWords:  reg.Counter("simmem_fastpath_words_total"),
-		folds:      reg.Counter("campaign_metrics_folds_total"),
 		tainted:    reg.Gauge("simmem_tainted_pages"),
 		taintedW:   reg.Gauge("simmem_tainted_words"),
 		outcomes:   make(map[Outcome]*obsv.Counter, len(Outcomes())),
@@ -429,149 +374,41 @@ func newCampaignMetrics(reg *obsv.Registry) *campaignMetrics {
 	return m
 }
 
-// workerMetrics is one worker's unsynchronized shard of campaignMetrics.
-// At parallelism ≥ 8 even single-atomic-op updates contend on the shared
-// cache lines, so the trial hot path records into plain fields and
-// LocalHistograms and folds into the shared registry at trial
-// boundaries. Folding follows the MergeSnapshots aggregation policy:
-// counters sum, histogram buckets add bucket-wise, gauges take the last
-// written value. A nil shard (instrumentation off) swallows everything.
-type workerMetrics struct {
-	m *campaignMetrics // shared fold target
-
-	trials    int64
-	requests  int64
-	incorrect int64
-	restores  int64
-	fastLoads int64
-	fastWords int64
-	// Outcome values are small consecutive ints (1..5); an array beats a
-	// map on the per-trial path.
-	outcomes [8]int64
-
-	// Last-observed gauge levels, published on fold (last-writer-wins
-	// across workers, matching the previous direct-Set semantics).
-	taintedPages float64
-	taintedWords float64
-	gaugeSeen    bool
-
-	wallMs     *obsv.LocalHistogram
-	virtMin    *obsv.LocalHistogram
-	dirtyPages *obsv.LocalHistogram
-
-	pending int  // trials recorded since the last fold
-	dirty   bool // anything recorded since the last fold
+// trialStats are the harness-side figures of one trial attempt, returned
+// next to its TrialResult and recorded with the outcome.
+type trialStats struct {
+	// dirtyPages is the number of pages the pre-trial restore rolled back.
+	dirtyPages int
+	// fastLoads and fastWords are the post-injection loads and words
+	// served by the clean-word fast path.
+	fastLoads, fastWords uint64
+	// taintedPages and taintedWords are the taint levels when the trial
+	// ended (sanity-signal gauges — trials inject at most a handful of
+	// faults).
+	taintedPages, taintedWords int
 }
 
-// foldEvery bounds how stale the shared registry may run behind a
-// worker's shard: at most this many trials of counts are unpublished at
-// any instant (live /metrics observers see slightly-delayed, never
-// wrong, totals).
-const foldEvery = 16
-
-// newWorker returns a fresh shard folding into m, or nil when
-// instrumentation is off.
-func (m *campaignMetrics) newWorker() *workerMetrics {
+// recordTrial adds one completed trial to the registry. Aborted trials
+// are never recorded here, so they stay out of every completed-trial
+// counter.
+func (m *campaignMetrics) recordTrial(tr TrialResult, ts trialStats, wall time.Duration) {
 	if m == nil {
-		return nil
-	}
-	return &workerMetrics{
-		m:          m,
-		wallMs:     m.wallMs.NewLocal(),
-		virtMin:    m.virtMin.NewLocal(),
-		dirtyPages: m.dirtyPages.NewLocal(),
-	}
-}
-
-// record adds one completed trial to the shard.
-func (w *workerMetrics) record(tr TrialResult, wall time.Duration) {
-	if w == nil {
 		return
 	}
-	w.trials++
-	w.requests += int64(tr.Requests)
-	w.incorrect += int64(tr.Incorrect)
-	w.wallMs.Observe(float64(wall) / float64(time.Millisecond))
-	w.virtMin.Observe((tr.EndedAt - tr.InjectedAt).Minutes())
-	if o := int(tr.Outcome); o >= 0 && o < len(w.outcomes) {
-		w.outcomes[o]++
+	m.trials.Inc()
+	m.requests.Add(int64(tr.Requests))
+	m.incorrect.Add(int64(tr.Incorrect))
+	if c, ok := m.outcomes[tr.Outcome]; ok {
+		c.Inc()
 	}
-	w.pending++
-	w.dirty = true
-}
-
-// recordSimmem adds one trial's simulated-memory fast-path statistics:
-// the post-injection loads and words served by the clean-word fast path,
-// and the tainted page/word counts when the trial ended (sanity-signal
-// gauges — trials inject at most a handful of faults).
-func (w *workerMetrics) recordSimmem(fastLoads, fastWords uint64, taintedPages, taintedWords int) {
-	if w == nil {
-		return
-	}
-	w.fastLoads += int64(fastLoads)
-	w.fastWords += int64(fastWords)
-	w.taintedPages = float64(taintedPages)
-	w.taintedWords = float64(taintedWords)
-	w.gaugeSeen = true
-	w.dirty = true
-}
-
-// recordRestore adds one snapshot restore and its rollback size.
-func (w *workerMetrics) recordRestore(dirtyPages int) {
-	if w == nil {
-		return
-	}
-	w.restores++
-	w.dirtyPages.Observe(float64(dirtyPages))
-	w.dirty = true
-}
-
-// maybeFold folds once foldEvery trials have accumulated.
-func (w *workerMetrics) maybeFold() {
-	if w == nil || w.pending < foldEvery {
-		return
-	}
-	w.fold()
-}
-
-// fold publishes the shard into the shared registry and resets it.
-// Folding a clean shard is free; every worker folds unconditionally on
-// exit, so post-campaign registry reads are exact.
-func (w *workerMetrics) fold() {
-	if w == nil || !w.dirty {
-		return
-	}
-	addCount := func(c *obsv.Counter, n *int64) {
-		if *n != 0 {
-			c.Add(*n)
-			*n = 0
-		}
-	}
-	addCount(w.m.trials, &w.trials)
-	addCount(w.m.requests, &w.requests)
-	addCount(w.m.incorrect, &w.incorrect)
-	addCount(w.m.restores, &w.restores)
-	addCount(w.m.fastLoads, &w.fastLoads)
-	addCount(w.m.fastWords, &w.fastWords)
-	for o := range w.outcomes {
-		if w.outcomes[o] == 0 {
-			continue
-		}
-		if c, ok := w.m.outcomes[Outcome(o)]; ok {
-			c.Add(w.outcomes[o])
-		}
-		w.outcomes[o] = 0
-	}
-	w.wallMs.FoldInto()
-	w.virtMin.FoldInto()
-	w.dirtyPages.FoldInto()
-	if w.gaugeSeen {
-		w.m.tainted.Set(w.taintedPages)
-		w.m.taintedW.Set(w.taintedWords)
-		w.gaugeSeen = false
-	}
-	w.m.folds.Inc()
-	w.pending, w.dirty = 0, false
+	m.wallMs.Observe(float64(wall) / float64(time.Millisecond))
+	m.virtMin.Observe((tr.EndedAt - tr.InjectedAt).Minutes())
+	m.restores.Inc()
+	m.dirtyPages.Observe(float64(ts.dirtyPages))
+	m.fastLoads.Add(int64(ts.fastLoads))
+	m.fastWords.Add(int64(ts.fastWords))
+	m.tainted.Set(float64(ts.taintedPages))
+	m.taintedW.Set(float64(ts.taintedWords))
 }
 
 // recordAbort counts one aborted trial under its reason label. Abort is
@@ -640,13 +477,13 @@ func trialSeed(seed int64, i int) int64 {
 	return int64(x)
 }
 
-// snapshotSession is one worker's reusable application instance for the
-// build-once lifecycle: built and warmed up once, snapshotted, then
-// restored before every trial. Sessions are per-worker, never shared.
+// snapshotSession is one worker's reusable application instance: built
+// and warmed up once, snapshotted, then restored before every trial.
+// Sessions are per-worker, never shared.
 type snapshotSession struct {
 	app apps.SnapshotApp
-	// startVT is the virtual clock reading right after build — what a
-	// fresh-build trial would stamp on its trial_start event.
+	// startVT is the virtual clock reading right after build, stamped on
+	// every trial_start event.
 	startVT time.Duration
 }
 
@@ -674,52 +511,27 @@ func newSnapshotSession(sb apps.SnapshotBuilder, golden []uint64, warmup int) (*
 }
 
 // runTrial performs one pass of the Fig. 2 loop against the session's
-// restored instance. The per-trial rng is derived exactly as in the
-// fresh-build path, and restore rolls the instance back to the
-// post-warmup capture, so the trial is bit-identical to a fresh build.
-func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, wm *workerMetrics, i int) (TrialResult, error) {
+// restored instance. The per-trial rng depends only on (Seed, i), and
+// restore rolls the instance back to the post-warmup capture, so the
+// trial is bit-identical to one run on a freshly built instance.
+func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, i int) (TrialResult, trialStats, error) {
 	rng := rand.New(rand.NewSource(trialSeed(cfg.Seed, i)))
 	dirty, err := s.app.Reset()
 	if err != nil {
-		return TrialResult{}, fmt.Errorf("restoring snapshot: %w", err)
+		return TrialResult{}, trialStats{}, fmt.Errorf("restoring snapshot: %w", err)
 	}
-	wm.recordRestore(dirty)
 	tt := cfg.Tracer.Trial(i)
-	traceTrialStartAt(tt, s.startVT)
+	traceTrialStart(tt, s.startVT)
 	traceRestore(tt, s.app.Space())
-	return injectAndServe(cfg, golden, s.app, rng, tt, wm)
-}
-
-// runTrial performs one pass of the Fig. 2 loop on a freshly built
-// instance.
-func runTrial(cfg CampaignConfig, golden []uint64, wm *workerMetrics, i int) (TrialResult, error) {
-	rng := rand.New(rand.NewSource(trialSeed(cfg.Seed, i)))
-	app, err := cfg.Builder.Build()
-	if err != nil {
-		return TrialResult{}, fmt.Errorf("building app: %w", err)
-	}
-	as := app.Space()
-	tt := cfg.Tracer.Trial(i)
-	traceTrialStart(tt, as)
-
-	// Warm up (pre-injection requests must match golden exactly).
-	for q := 0; q < cfg.Warmup; q++ {
-		resp, err := app.Serve(q)
-		if err != nil {
-			return TrialResult{}, fmt.Errorf("warmup request %d crashed: %w", q, err)
-		}
-		if resp.Digest != golden[q] {
-			return TrialResult{}, fmt.Errorf("warmup request %d mismatched golden output", q)
-		}
-	}
-	return injectAndServe(cfg, golden, app, rng, tt, wm)
+	tr, ts, err := injectAndServe(cfg, golden, s.app, rng, tt)
+	ts.dirtyPages = dirty
+	return tr, ts, err
 }
 
 // injectAndServe runs steps 2–5 of the Fig. 2 loop — inject, run the
 // post-warmup client workload, classify — on an already warmed-up
-// instance. It is shared verbatim by the fresh-build and snapshot
-// lifecycles, which is what keeps the two bit-identical.
-func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, rng *rand.Rand, tt *evtrace.TrialTracer, wm *workerMetrics) (TrialResult, error) {
+// instance.
+func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, rng *rand.Rand, tt *evtrace.TrialTracer) (TrialResult, trialStats, error) {
 	as := app.Space()
 	startFast := as.FastPathLoads()
 	startWords := as.FastPathWords()
@@ -727,7 +539,7 @@ func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, rng *rand
 	// Inject (Algorithm 1(a)).
 	inj, err := inject.Random(as, rng, cfg.Spec, cfg.Filter)
 	if err != nil {
-		return TrialResult{}, fmt.Errorf("injecting: %w", err)
+		return TrialResult{}, trialStats{}, fmt.Errorf("injecting: %w", err)
 	}
 	addrs := make([]simmem.Addr, len(inj.Targets))
 	for k, t := range inj.Targets {
@@ -737,10 +549,9 @@ func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, rng *rand
 	as.AddAccessObserver(tracker)
 	traceInjection(tt, as, inj, addrs)
 	if cfg.TrialOpBudget > 0 {
-		// The budget counts post-injection operations only, and the
-		// observer is attached in the same order on both lifecycles
-		// (fresh observers are truncated by snapshot restore), so a
-		// budget large enough never to fire leaves results bit-identical.
+		// The budget counts post-injection operations only (snapshot
+		// restore truncates the previous trial's observers), so a budget
+		// large enough never to fire leaves results bit-identical.
 		as.AddAccessObserver(&opBudgetWatchdog{
 			remaining: cfg.TrialOpBudget,
 			budget:    cfg.TrialOpBudget,
@@ -760,7 +571,7 @@ func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, rng *rand
 		resp, serveErr := serveGuarded(app, q)
 		if serveErr != nil {
 			if !apps.IsCrash(serveErr) {
-				return TrialResult{}, fmt.Errorf("request %d: unexpected error: %w", q, serveErr)
+				return TrialResult{}, trialStats{}, fmt.Errorf("request %d: unexpected error: %w", q, serveErr)
 			}
 			crashed = true
 			tr.CrashReason = serveErr.Error()
@@ -796,10 +607,13 @@ func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, rng *rand
 	// The run ends at the crash instant or after the final request —
 	// either way, the virtual clock has stopped advancing.
 	tr.EndedAt = as.Clock().Now()
-	tp, tw := as.TaintStats()
-	wm.recordSimmem(as.FastPathLoads()-startFast, as.FastPathWords()-startWords, tp, tw)
+	ts := trialStats{
+		fastLoads: as.FastPathLoads() - startFast,
+		fastWords: as.FastPathWords() - startWords,
+	}
+	ts.taintedPages, ts.taintedWords = as.TaintStats()
 	traceTrialEnd(tt, tr)
-	return tr, nil
+	return tr, ts, nil
 }
 
 // serveGuarded converts panics in application code (parsing corrupted
@@ -835,7 +649,7 @@ func (e *panicCrash) Unwrap() error { return e.err }
 // sanitizeStack reduces a debug.Stack capture to its deterministic core:
 // the frames above the serveGuarded recovery point, with the goroutine
 // header, argument values, and frame offsets stripped. Campaign results
-// must stay bit-identical across lifecycles, parallelism, and resume; a
+// must stay bit-identical across parallelism, sharding, and resume; a
 // raw stack is not (goroutine ids, pointer arguments, worker frames),
 // but the panicking call chain inside the application is.
 func sanitizeStack(stack []byte) string {
@@ -846,7 +660,7 @@ func sanitizeStack(stack []byte) string {
 		}
 		if !strings.HasPrefix(line, "\t") {
 			// Function line. Below the recovery point the frames depend
-			// on lifecycle and worker scheduling — stop there.
+			// on worker scheduling — stop there.
 			if strings.HasPrefix(line, "hrmsim/internal/core.serveGuarded(") {
 				break
 			}
@@ -932,19 +746,6 @@ func (r *CampaignResult) TimesToEffect(o Outcome) []float64 {
 		if d, ok := tr.TimeToEffect(); ok {
 			out = append(out, d.Minutes())
 		}
-	}
-	return out
-}
-
-// OutcomeFractions returns each outcome's share of completed trials.
-func (r *CampaignResult) OutcomeFractions() map[Outcome]float64 {
-	completed := r.Completed()
-	out := make(map[Outcome]float64, len(r.counts))
-	if completed == 0 {
-		return out
-	}
-	for o, n := range r.counts {
-		out[o] = float64(n) / float64(completed)
 	}
 	return out
 }

@@ -5,6 +5,14 @@
 // probabilities (with 90% confidence intervals), incorrect-result rates
 // per billion queries, and time-to-outcome distributions.
 //
+// Every trial runs one way (campaign.go): a worker builds and warms up
+// one instance (apps.SnapshotBuilder), snapshots it, and then per trial
+// restores it, injects, serves the post-warmup workload and classifies —
+// snapshotSession.runTrial → injectAndServe — after which
+// supervisor.finished records the trial's metrics straight onto the
+// registry. The paper's literal restart-per-trial loop lives on the test
+// side, as the reference the equivalence suites compare against.
+//
 // Campaign execution is a two-tier supervision hierarchy:
 //
 //   - The in-process trial supervisor (supervisor.go, driven by Run)

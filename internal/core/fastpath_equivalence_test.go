@@ -35,8 +35,9 @@ func (b slowPathBuilder) BuildSnapshot() (apps.SnapshotApp, error) {
 }
 
 // TestCampaignFastSlowEquivalence pins the fast path's bit-identity at
-// full campaign scale: for every application, error type, and lifecycle,
-// a campaign run on the fast path produces trial results deeply equal to
+// full campaign scale: for every application and error type, on both the
+// snapshot/restore engine and the build-per-trial reference, a campaign
+// run on the fast path produces trial results deeply equal to
 // the same campaign forced through the slow path — same outcomes, crash
 // reasons, request counts, and virtual timestamps.
 func TestCampaignFastSlowEquivalence(t *testing.T) {
@@ -64,17 +65,23 @@ func TestCampaignFastSlowEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				warmup := len(golden) / 4
-				for _, lc := range []Lifecycle{LifecycleFresh, LifecycleSnapshot} {
-					fast := runLifecycle(t, b, spec, golden, lc, 4, warmup)
-					ref := runLifecycle(t, slow, spec, golden, lc, 4, warmup)
+				for _, tc := range []struct {
+					name         string
+					fastB, slowB apps.Builder
+				}{
+					{"snapshot", b, slow},
+					{"build-per-trial", buildPerTrial{b}, buildPerTrial{slow}},
+				} {
+					fast := runLifecycle(t, tc.fastB, spec, golden, 4, warmup)
+					ref := runLifecycle(t, tc.slowB, spec, golden, 4, warmup)
 					if !reflect.DeepEqual(fast.Trials, ref.Trials) {
 						for i := range fast.Trials {
 							if !reflect.DeepEqual(fast.Trials[i], ref.Trials[i]) {
-								t.Fatalf("lifecycle %v: trial %d diverged:\nfast: %+v\nslow: %+v",
-									lc, i, fast.Trials[i], ref.Trials[i])
+								t.Fatalf("%s: trial %d diverged:\nfast: %+v\nslow: %+v",
+									tc.name, i, fast.Trials[i], ref.Trials[i])
 							}
 						}
-						t.Fatalf("lifecycle %v: trials diverged", lc)
+						t.Fatalf("%s: trials diverged", tc.name)
 					}
 				}
 			})

@@ -27,14 +27,64 @@ func gmBuilder(t *testing.T, seed int64) apps.Builder {
 	return b
 }
 
-// runLifecycle runs one campaign with the given lifecycle and
-// parallelism, sharing a pre-computed golden run.
+// buildPerTrial is the reference side of the lifecycle equivalence
+// suites: the paper's literal Fig. 2 loop, which restarts the application
+// for every trial. It is an apps.SnapshotBuilder, so it runs through the
+// engine's one trial path, but its instances restore by doing a fresh
+// Build and replaying the warmup instead of rolling pages back.
+type buildPerTrial struct{ apps.Builder }
+
+func (b buildPerTrial) BuildSnapshot() (apps.SnapshotApp, error) {
+	app, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	return &rebuiltApp{App: app, b: b.Builder}, nil
+}
+
+// rebuiltApp is the current instance of a buildPerTrial session.
+type rebuiltApp struct {
+	apps.App
+	b apps.Builder
+	// warm holds the requests served before Snapshot — the warmup
+	// prefix Reset replays on each fresh build.
+	warm     []int
+	captured bool
+}
+
+func (a *rebuiltApp) Serve(i int) (apps.Response, error) {
+	if !a.captured {
+		a.warm = append(a.warm, i)
+	}
+	return a.App.Serve(i)
+}
+
+func (a *rebuiltApp) Snapshot() error {
+	a.captured = true
+	return nil
+}
+
+func (a *rebuiltApp) Reset() (int, error) {
+	app, err := a.b.Build()
+	if err != nil {
+		return 0, err
+	}
+	for _, q := range a.warm {
+		if _, err := app.Serve(q); err != nil {
+			return 0, err
+		}
+	}
+	a.App = app
+	return 0, nil
+}
+
+// runLifecycle runs one campaign on the given builder and parallelism,
+// sharing a pre-computed golden run.
 func runLifecycle(t *testing.T, b apps.Builder, spec faults.Spec, golden []uint64,
-	lc Lifecycle, par, warmup int) *CampaignResult {
+	par, warmup int) *CampaignResult {
 	t.Helper()
 	res, err := Run(CampaignConfig{
 		Builder:     b,
-		Lifecycle:   lc,
 		Spec:        spec,
 		Trials:      40,
 		Seed:        29,
@@ -49,9 +99,9 @@ func runLifecycle(t *testing.T, b apps.Builder, spec faults.Spec, golden []uint6
 }
 
 // TestSnapshotLifecycleMatchesFreshBuild pins the tentpole guarantee:
-// for every application, error type, warmup setting, and parallelism
-// level, a snapshot-lifecycle campaign produces trial results deeply
-// identical to the literal build-per-trial Fig. 2 loop — every outcome,
+// for every application, error type, and parallelism level, a
+// snapshot/restore campaign produces trial results deeply identical to
+// the literal build-per-trial Fig. 2 loop — every outcome,
 // region, request count, digest-mismatch count, and virtual timestamp.
 func TestSnapshotLifecycleMatchesFreshBuild(t *testing.T) {
 	builders := map[string]func(*testing.T, int64) apps.Builder{
@@ -73,9 +123,9 @@ func TestSnapshotLifecycleMatchesFreshBuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				warmup := len(golden) / 4
-				fresh := runLifecycle(t, b, spec, golden, LifecycleFresh, 1, warmup)
+				fresh := runLifecycle(t, buildPerTrial{b}, spec, golden, 1, warmup)
 				for _, par := range []int{1, 4} {
-					snap := runLifecycle(t, b, spec, golden, LifecycleSnapshot, par, warmup)
+					snap := runLifecycle(t, b, spec, golden, par, warmup)
 					if !reflect.DeepEqual(fresh.Trials, snap.Trials) {
 						for i := range fresh.Trials {
 							if !reflect.DeepEqual(fresh.Trials[i], snap.Trials[i]) {
@@ -94,7 +144,7 @@ func TestSnapshotLifecycleMatchesFreshBuild(t *testing.T) {
 // TestSnapshotLifecycleMatchesFreshWithCPUCache exercises the cache
 // model across restores: residency and stats must roll back with
 // memory, or error visibility (and therefore outcomes) would drift
-// between the two lifecycles.
+// from the build-per-trial reference.
 func TestSnapshotLifecycleMatchesFreshWithCPUCache(t *testing.T) {
 	cfg := websearch.DefaultConfig(9)
 	cfg.Docs = 256
@@ -112,8 +162,8 @@ func TestSnapshotLifecycleMatchesFreshWithCPUCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := runLifecycle(t, b, faults.SingleBitSoft, golden, LifecycleFresh, 1, 10)
-	snap := runLifecycle(t, b, faults.SingleBitSoft, golden, LifecycleSnapshot, 3, 10)
+	fresh := runLifecycle(t, buildPerTrial{b}, faults.SingleBitSoft, golden, 1, 10)
+	snap := runLifecycle(t, b, faults.SingleBitSoft, golden, 3, 10)
 	if !reflect.DeepEqual(fresh.Trials, snap.Trials) {
 		t.Fatal("cached-app snapshot campaign diverged from fresh builds")
 	}
@@ -125,85 +175,46 @@ type freshOnlyBuilder struct{ b apps.Builder }
 func (f freshOnlyBuilder) AppName() string          { return f.b.AppName() }
 func (f freshOnlyBuilder) Build() (apps.App, error) { return f.b.Build() }
 
+// TestLifecycleSnapshotRequiresSupport: a builder that cannot snapshot
+// is rejected before any trial runs.
 func TestLifecycleSnapshotRequiresSupport(t *testing.T) {
 	b := freshOnlyBuilder{b: wsBuilder(t, 3)}
 	_, err := Run(CampaignConfig{
-		Builder:   b,
-		Lifecycle: LifecycleSnapshot,
-		Spec:      faults.SingleBitSoft,
-		Trials:    2,
+		Builder: b,
+		Spec:    faults.SingleBitSoft,
+		Trials:  2,
 	})
 	if err == nil || !strings.Contains(err.Error(), "SnapshotBuilder") {
 		t.Fatalf("err = %v, want snapshot-support error", err)
 	}
 }
 
-// TestLifecycleAutoFallsBackToFresh: a builder without snapshot support
-// still runs (per-trial builds) under the default lifecycle, and matches
-// the same campaign run on the snapshot-capable builder it wraps.
-func TestLifecycleAutoFallsBackToFresh(t *testing.T) {
-	inner := wsBuilder(t, 3)
-	golden, err := GoldenRun(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := runLifecycle(t, freshOnlyBuilder{b: inner}, faults.SingleBitSoft, golden, LifecycleAuto, 2, 0)
-	snap := runLifecycle(t, inner, faults.SingleBitSoft, golden, LifecycleAuto, 2, 0)
-	if !reflect.DeepEqual(plain.Trials, snap.Trials) {
-		t.Fatal("auto lifecycle results differ between fresh-only and snapshot builders")
-	}
-}
-
-func TestLifecycleString(t *testing.T) {
-	for lc, want := range map[Lifecycle]string{
-		LifecycleAuto:     "auto",
-		LifecycleFresh:    "fresh",
-		LifecycleSnapshot: "snapshot",
-		Lifecycle(9):      "lifecycle(9)",
-	} {
-		if got := lc.String(); got != want {
-			t.Errorf("Lifecycle(%d).String() = %q, want %q", int(lc), got, want)
-		}
-	}
-}
-
 // TestSnapshotMetricsEmitted checks the restore counter and dirty-page
-// histogram reach the registry only on the snapshot path.
+// histogram reach the registry.
 func TestSnapshotMetricsEmitted(t *testing.T) {
 	b := wsBuilder(t, 4)
 	golden, err := GoldenRun(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		lc           Lifecycle
-		wantRestores int64
-	}{
-		{LifecycleSnapshot, 10},
-		{LifecycleFresh, 0},
-	} {
-		reg := obsv.NewRegistry()
-		_, err := Run(CampaignConfig{
-			Builder:     b,
-			Lifecycle:   tc.lc,
-			Spec:        faults.SingleBitSoft,
-			Trials:      10,
-			Seed:        6,
-			Parallelism: 1,
-			Golden:      golden,
-			Metrics:     reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap := reg.Snapshot()
-		if got := snap.Counters["campaign_snapshot_restores_total"]; got != tc.wantRestores {
-			t.Errorf("%v: restores = %d, want %d", tc.lc, got, tc.wantRestores)
-		}
-		if tc.lc == LifecycleSnapshot {
-			if got := snap.Histograms["campaign_snapshot_dirty_pages"].Count; got != 10 {
-				t.Errorf("dirty-page histogram count = %d, want 10", got)
-			}
-		}
+	reg := obsv.NewRegistry()
+	_, err = Run(CampaignConfig{
+		Builder:     b,
+		Spec:        faults.SingleBitSoft,
+		Trials:      10,
+		Seed:        6,
+		Parallelism: 1,
+		Golden:      golden,
+		Metrics:     reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["campaign_snapshot_restores_total"]; got != 10 {
+		t.Errorf("restores = %d, want 10", got)
+	}
+	if got := snap.Histograms["campaign_snapshot_dirty_pages"].Count; got != 10 {
+		t.Errorf("dirty-page histogram count = %d, want 10", got)
 	}
 }

@@ -240,8 +240,8 @@ type TrialResult struct {
 	// CrashStack holds the sanitized goroutine stack when the crash came
 	// from a recovered panic in application code (see sanitizeStack):
 	// the panicking call chain with goroutine ids, argument values, and
-	// frame offsets stripped, so it is deterministic across lifecycles,
-	// parallelism, and resume.
+	// frame offsets stripped, so it is deterministic across
+	// parallelism, sharding, and resume.
 	CrashStack string
 }
 

@@ -16,17 +16,15 @@ import (
 // the per-trial watchdogs (wall-clock deadline and virtual-operation
 // budget), bounded retry of transient infrastructure failures, journal
 // appends, and resume skipping. The Fig. 2 trial loop itself lives in
-// campaign.go (runTrial / injectAndServe); the supervisor only decides
-// which trials run, for how long, and what happens when they don't
-// finish.
+// campaign.go (snapshotSession.runTrial → injectAndServe); the supervisor
+// only decides which trials run, for how long, and what happens when
+// they don't finish.
 type supervisor struct {
 	cfg            CampaignConfig
 	golden         []uint64
 	par            int
 	sb             apps.SnapshotBuilder
-	useSnapshot    bool
 	maxRetries     int
-	backoff        time.Duration
 	statusInterval time.Duration
 	m              *campaignMetrics
 
@@ -94,6 +92,7 @@ func (s *supervisor) run(ctx context.Context) (*CampaignResult, error) {
 		if tr.Disposition == DispositionCompleted {
 			s.completed++
 			s.counts[tr.Outcome]++
+			s.virtSum += tr.EndedAt - tr.InjectedAt
 		} else {
 			s.aborted++
 		}
@@ -138,25 +137,20 @@ func (s *supervisor) run(ctx context.Context) (*CampaignResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker keeps one snapshot-capable instance alive
-			// across all the trials it drains; the build + warmup cost
-			// is paid once per worker instead of once per trial. Its
-			// metrics shard folds into the shared registry at trial
-			// boundaries and — via this defer, which runs before
-			// wg.Done — unconditionally on exit, so registry reads
-			// after Wait see exact totals.
-			wm := s.m.newWorker()
-			defer func() { wm.fold() }()
+			// Each worker keeps one instance alive across all the trials
+			// it drains; the build + warmup cost is paid once per worker
+			// instead of once per trial.
 			var sess *snapshotSession
 			for i := range idxCh {
 				start := time.Now()
 				var tr TrialResult
-				tr, sess, wm = s.runOne(sess, wm, i)
+				var ts trialStats
+				tr, ts, sess = s.runOne(sess, i)
 				results[i] = tr
 				have[i] = true
 				s.journalTrial(tr)
 				s.observePlanner(tr)
-				s.finished(tr, time.Since(start), wm)
+				s.finished(tr, ts, time.Since(start))
 			}
 		}()
 	}
@@ -239,15 +233,16 @@ dispatch:
 // runOne runs trial i with bounded retry of infrastructure failures.
 // It never returns an error: a trial that keeps failing is recorded as
 // aborted (AbortReasonWorkerError) and the campaign moves on.
-func (s *supervisor) runOne(sess *snapshotSession, wm *workerMetrics, i int) (TrialResult, *snapshotSession, *workerMetrics) {
-	backoff := s.backoff
+func (s *supervisor) runOne(sess *snapshotSession, i int) (TrialResult, trialStats, *snapshotSession) {
+	backoff := DefaultRetryBackoff
 	for attempt := 0; ; attempt++ {
 		var tr TrialResult
+		var ts trialStats
 		var err error
-		tr, err, sess, wm = s.attempt(sess, wm, i)
+		tr, ts, sess, err = s.attempt(sess, i)
 		if err == nil {
 			tr.Index = i
-			return tr, sess, wm
+			return tr, ts, sess
 		}
 		if attempt >= s.maxRetries {
 			detail := fmt.Sprintf("%v (after %d attempts)", err, attempt+1)
@@ -258,14 +253,14 @@ func (s *supervisor) runOne(sess *snapshotSession, wm *workerMetrics, i int) (Tr
 				Disposition: DispositionAborted,
 				AbortReason: AbortReasonWorkerError,
 				AbortDetail: detail,
-			}, sess, wm
+			}, trialStats{}, nil
 		}
-		// Transient failure (a build or restore hiccup): rebuild the
-		// worker's instance from scratch and try the same trial again.
+		// Transient failure (a build or restore hiccup): the failed
+		// attempt returned no session, so the next one rebuilds the
+		// worker's instance from scratch and tries the same trial again.
 		// The per-trial rng depends only on (Seed, i), so a retried
 		// trial is bit-identical to a first-try success.
 		s.m.recordRetry()
-		sess = nil
 		time.Sleep(backoff)
 		backoff *= 2
 	}
@@ -273,34 +268,29 @@ func (s *supervisor) runOne(sess *snapshotSession, wm *workerMetrics, i int) (Tr
 
 // attempt runs one attempt of trial i, under the wall-clock watchdog
 // when configured. On deadline the trial goroutine is abandoned (it
-// holds only its own app instance) and the worker's session AND metrics
-// shard are both discarded, since the wedged goroutine may still be
-// mutating them.
-func (s *supervisor) attempt(sess *snapshotSession, wm *workerMetrics, i int) (TrialResult, error, *snapshotSession, *workerMetrics) {
+// holds only its own app instance) and the worker's session is
+// discarded with it, since the wedged goroutine may still be mutating
+// it.
+func (s *supervisor) attempt(sess *snapshotSession, i int) (TrialResult, trialStats, *snapshotSession, error) {
 	if s.cfg.TrialTimeout <= 0 {
-		tr, err, out := s.execute(sess, wm, i)
-		return tr, err, out, wm
+		return s.execute(sess, i)
 	}
-	// Publish the shard before handing it to a goroutine we may abandon:
-	// if the deadline fires, the worker switches to a fresh shard, and
-	// only the abandoned trial's partial counts are dropped with it (by
-	// design — an aborted trial never enters the outcome statistics).
-	wm.fold()
 	type trialDone struct {
 		tr   TrialResult
-		err  error
+		ts   trialStats
 		sess *snapshotSession
+		err  error
 	}
 	ch := make(chan trialDone, 1)
 	go func() {
-		tr, err, out := s.execute(sess, wm, i)
-		ch <- trialDone{tr, err, out}
+		tr, ts, out, err := s.execute(sess, i)
+		ch <- trialDone{tr, ts, out, err}
 	}()
 	timer := time.NewTimer(s.cfg.TrialTimeout)
 	defer timer.Stop()
 	select {
 	case d := <-ch:
-		return d.tr, d.err, d.sess, wm
+		return d.tr, d.ts, d.sess, d.err
 	case <-timer.C:
 		detail := fmt.Sprintf("trial exceeded the %v wall-clock deadline", s.cfg.TrialTimeout)
 		s.m.recordAbort(AbortReasonDeadline)
@@ -310,13 +300,15 @@ func (s *supervisor) attempt(sess *snapshotSession, wm *workerMetrics, i int) (T
 			Disposition: DispositionAborted,
 			AbortReason: AbortReasonDeadline,
 			AbortDetail: detail,
-		}, nil, nil, s.m.newWorker()
+		}, trialStats{}, nil, nil
 	}
 }
 
-// execute runs one attempt of trial i on the chosen lifecycle and
-// converts the op-budget watchdog's abort panic into an aborted result.
-func (s *supervisor) execute(sess *snapshotSession, wm *workerMetrics, i int) (tr TrialResult, err error, out *snapshotSession) {
+// execute runs one attempt of trial i on the worker's session, building
+// it first when the worker has none, and converts the op-budget
+// watchdog's abort panic into an aborted result. A failed attempt
+// returns no session.
+func (s *supervisor) execute(sess *snapshotSession, i int) (tr TrialResult, ts trialStats, out *snapshotSession, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ab, ok := r.(*trialAbort)
@@ -332,24 +324,22 @@ func (s *supervisor) execute(sess *snapshotSession, wm *workerMetrics, i int) (t
 				AbortReason: ab.reason,
 				AbortDetail: ab.detail,
 			}
-			err = nil
-			out = sess
+			ts, out, err = trialStats{}, sess, nil
 			s.m.recordAbort(ab.reason)
 			ab.finishTrace()
 		}
 	}()
-	if s.useSnapshot {
-		if sess == nil {
-			sess, err = newSnapshotSession(s.sb, s.golden, s.cfg.Warmup)
-			if err != nil {
-				return TrialResult{}, err, nil
-			}
+	if sess == nil {
+		sess, err = newSnapshotSession(s.sb, s.golden, s.cfg.Warmup)
+		if err != nil {
+			return TrialResult{}, trialStats{}, nil, err
 		}
-		tr, err = sess.runTrial(s.cfg, s.golden, wm, i)
-		return tr, err, sess
 	}
-	tr, err = runTrial(s.cfg, s.golden, wm, i)
-	return tr, err, nil
+	tr, ts, err = sess.runTrial(s.cfg, s.golden, i)
+	if err != nil {
+		return TrialResult{}, trialStats{}, nil, err
+	}
+	return tr, ts, sess, nil
 }
 
 // journalTrial appends one finished trial to the journal, if any.
@@ -408,14 +398,10 @@ func (s *supervisor) notePlan(decs []PlannerDecision, total int, final bool) {
 
 // finished records metrics, progress, and heartbeat accounting for one
 // finished trial (completed or aborted).
-func (s *supervisor) finished(tr TrialResult, wall time.Duration, wm *workerMetrics) {
+func (s *supervisor) finished(tr TrialResult, ts trialStats, wall time.Duration) {
 	if tr.Disposition == DispositionCompleted {
-		wm.record(tr, wall)
+		s.m.recordTrial(tr, ts, wall)
 	}
-	// Periodic fold regardless of hooks: the registry may be served live
-	// (kvserve /metrics), so staleness must stay bounded even when the
-	// supervisor has no progress or status observers of its own.
-	wm.maybeFold()
 	if s.cfg.Progress == nil && s.cfg.StatusSink == nil {
 		return
 	}
@@ -430,33 +416,42 @@ func (s *supervisor) finished(tr TrialResult, wall time.Duration, wm *workerMetr
 	}
 	if s.cfg.Progress != nil {
 		info := ProgressInfo{
-			Done:                    s.done,
-			Total:                   s.total,
-			Elapsed:                 time.Since(s.start),
-			MeanTrialVirtualMinutes: s.virtSum.Minutes() / float64(s.done),
+			Done:    s.done,
+			Total:   s.total,
+			Elapsed: time.Since(s.start),
 			// Open-ended plan: Total is the planner's current budget
 			// estimate, not a fixed size, so the ETA extrapolates to
 			// the next evaluation boundary rather than the old fixed N.
 			Adaptive: s.adaptive && !s.planFinal,
 		}
-		if info.Elapsed > 0 {
-			info.TrialsPerSec = float64(s.done) / info.Elapsed.Seconds()
+		if s.completed > 0 {
+			info.MeanTrialVirtualMinutes = s.virtSum.Minutes() / float64(s.completed)
 		}
-		if rem := s.total - s.done; rem > 0 && info.TrialsPerSec > 0 {
-			info.ETA = time.Duration(float64(rem) / info.TrialsPerSec * float64(time.Second))
-		}
+		var eta float64
+		info.TrialsPerSec, eta = s.rateLocked(info.Elapsed.Seconds())
+		info.ETA = time.Duration(eta * float64(time.Second))
 		s.cfg.Progress(info)
 	}
 	// Heartbeat, throttled off the hot path: at most one record per
-	// statusInterval, no matter how fast trials finish. Fold this
-	// worker's shard first so the metric snapshot embedded in the
-	// status record is fresh (other workers' shards fold at their own
-	// trial boundaries — at most foldEvery trials behind each).
+	// statusInterval, no matter how fast trials finish.
 	if s.cfg.StatusSink != nil && time.Since(s.lastStatus) >= s.statusInterval {
-		wm.fold()
 		s.emitStatusLocked(true, false)
 	}
 	s.progressMu.Unlock()
+}
+
+// rateLocked returns the live trial rate and the projected seconds
+// remaining. Resumed trials count toward done but cost this process no
+// time, so the rate is over the trials run here; dividing all of done by
+// the elapsed time would overstate it and shrink the ETA.
+func (s *supervisor) rateLocked(elapsedSeconds float64) (perSec, etaSeconds float64) {
+	if elapsedSeconds > 0 {
+		perSec = float64(s.done-s.resumed) / elapsedSeconds
+	}
+	if rem := s.total - s.done; rem > 0 && perSec > 0 {
+		etaSeconds = float64(rem) / perSec
+	}
+	return perSec, etaSeconds
 }
 
 // emitStatusLocked assembles and delivers one ShardStatus under
@@ -495,11 +490,10 @@ func (s *supervisor) emitStatusLocked(running, interrupted bool) {
 			st.Outcomes[o.String()] = n
 		}
 	}
-	if st.ElapsedSeconds > 0 {
-		st.TrialsPerSec = float64(s.done) / st.ElapsedSeconds
-	}
-	if rem := s.total - s.done; rem > 0 && st.TrialsPerSec > 0 && running {
-		st.EtaSeconds = float64(rem) / st.TrialsPerSec
+	var eta float64
+	st.TrialsPerSec, eta = s.rateLocked(st.ElapsedSeconds)
+	if running {
+		st.EtaSeconds = eta
 	}
 	if s.m != nil {
 		snap := s.m.reg.Snapshot()

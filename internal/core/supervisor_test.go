@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -205,6 +206,64 @@ func TestInterruptedResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestResumedTrialsDoNotInflateRate: a run that resumes most of its
+// campaign reports the rate of the trials it ran itself, and the mean
+// virtual span of every completed trial — resumed ones cost this process
+// no time but do carry spans.
+func TestResumedTrialsDoNotInflateRate(t *testing.T) {
+	b := kvBuilder(t, 11)
+	golden, err := GoldenRun(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trials, resumed = 40, 36
+	cfg := CampaignConfig{
+		Builder: b, Spec: faults.SingleBitSoft, Trials: trials, Seed: 3,
+		Parallelism: 1, Golden: golden,
+	}
+	full, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans time.Duration
+	cfg.Resume = make(map[int]TrialResult, resumed)
+	for _, tr := range full.Trials {
+		spans += tr.EndedAt - tr.InjectedAt
+		if tr.Index < resumed {
+			cfg.Resume[tr.Index] = tr
+		}
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
+
+	var last ProgressInfo
+	var final ShardStatus
+	cfg.Progress = func(p ProgressInfo) {
+		last = p
+		if want := float64(p.Done-resumed) / p.Elapsed.Seconds(); !near(p.TrialsPerSec, want) {
+			t.Errorf("done %d: TrialsPerSec = %g, want %g (the %d trials run here)",
+				p.Done, p.TrialsPerSec, want, p.Done-resumed)
+		}
+	}
+	cfg.StatusSink = func(st ShardStatus) { final = st }
+	cfg.StatusInterval = time.Hour
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if last.Done != trials {
+		t.Fatalf("last progress call had Done = %d, want %d", last.Done, trials)
+	}
+	if want := spans.Minutes() / trials; !near(last.MeanTrialVirtualMinutes, want) {
+		t.Errorf("MeanTrialVirtualMinutes = %g, want %g over all %d completed trials",
+			last.MeanTrialVirtualMinutes, want, trials)
+	}
+	if final.Running || final.Done != trials || final.Resumed != resumed {
+		t.Fatalf("final status = %+v, want a finished %d-trial shard with %d resumed", final, trials, resumed)
+	}
+	if want := float64(trials-resumed) / final.ElapsedSeconds; !near(final.TrialsPerSec, want) {
+		t.Errorf("final status TrialsPerSec = %g, want %g", final.TrialsPerSec, want)
+	}
+}
+
 // hangApp is a tiny deterministic app whose hanging variant blocks in
 // Serve until released — the "pathological path" the wall-clock watchdog
 // exists for.
@@ -272,9 +331,10 @@ func (b *hangBuilder) Build() (apps.App, error) {
 func TestWatchdogDeadlineAbortsHungTrial(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	// Build 1 is the golden run; builds 2..6 serve trials 0..4 at
-	// parallelism 1, so hanging build 3 hangs exactly trial 1.
-	b := &hangBuilder{hangBuild: 3, release: release}
+	// Build 1 is the golden run and build 2 the worker's session; the
+	// build-per-trial reference then rebuilds per trial at parallelism 1,
+	// so hanging build 4 hangs exactly trial 1.
+	b := buildPerTrial{&hangBuilder{hangBuild: 4, release: release}}
 	golden, err := GoldenRun(b)
 	if err != nil {
 		t.Fatal(err)
@@ -327,18 +387,18 @@ func TestWatchdogDeadlineAbortsHungTrial(t *testing.T) {
 	if got := res.AbortedCount(); got != 1 {
 		t.Errorf("AbortedCount() = %d, want 1", got)
 	}
+	// The abandoned trial shows up under aborted{deadline} and in no
+	// completed-trial metric.
 	snap := reg.Snapshot()
 	if got := snap.Counters[`campaign_trials_aborted_total{reason="deadline"}`]; got != 1 {
 		t.Errorf("aborted{deadline} counter = %d, want 1", got)
 	}
-	if got := snap.Counters["campaign_trials_total"]; got != 4 {
-		t.Errorf("campaign_trials_total = %d, want 4 (completed only)", got)
-	}
+	checkMetricsMatchTrials(t, snap, res)
 }
 
 // TestOpBudgetWatchdog: a tiny virtual-operation budget aborts trials
-// deterministically (same dispositions on every run and lifecycle), and
-// a budget that never fires leaves the campaign bit-identical to an
+// deterministically (same dispositions on every run, and on the
+// build-per-trial reference), and a budget that never fires leaves the campaign bit-identical to an
 // unbudgeted one.
 func TestOpBudgetWatchdog(t *testing.T) {
 	b := wsBuilder(t, 13)
@@ -346,10 +406,10 @@ func TestOpBudgetWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWith := func(budget int64, lc Lifecycle, par int) *CampaignResult {
+	runWith := func(budget int64, b apps.Builder, par int) *CampaignResult {
 		t.Helper()
 		res, err := Run(CampaignConfig{
-			Builder: b, Lifecycle: lc, Spec: faults.SingleBitSoft,
+			Builder: b, Spec: faults.SingleBitSoft,
 			Trials: 20, Seed: 8, Parallelism: par, Golden: golden,
 			TrialOpBudget: budget,
 		})
@@ -361,16 +421,16 @@ func TestOpBudgetWatchdog(t *testing.T) {
 
 	// A budget far above any trial's operation count never perturbs
 	// the taxonomy.
-	unbudgeted := runWith(0, LifecycleFresh, 1)
-	huge := runWith(1<<40, LifecycleFresh, 1)
+	unbudgeted := runWith(0, b, 1)
+	huge := runWith(1<<40, b, 1)
 	if !reflect.DeepEqual(unbudgeted.Trials, huge.Trials) {
 		t.Fatal("a never-exceeded op budget changed trial results")
 	}
 
 	// A tiny budget aborts every trial (the workload performs far more
-	// than 25 accesses), identically across runs, lifecycles, and
-	// parallelism.
-	small := runWith(25, LifecycleFresh, 1)
+	// than 25 accesses), identically across runs, the build-per-trial
+	// reference, and parallelism.
+	small := runWith(25, b, 1)
 	if small.AbortedCount() == 0 {
 		t.Fatal("tiny op budget aborted nothing")
 	}
@@ -383,9 +443,9 @@ func TestOpBudgetWatchdog(t *testing.T) {
 		name string
 		res  *CampaignResult
 	}{
-		{"rerun", runWith(25, LifecycleFresh, 1)},
-		{"snapshot", runWith(25, LifecycleSnapshot, 1)},
-		{"parallel", runWith(25, LifecycleFresh, 4)},
+		{"rerun", runWith(25, b, 1)},
+		{"build-per-trial", runWith(25, buildPerTrial{b}, 1)},
+		{"parallel", runWith(25, b, 4)},
 	} {
 		if !reflect.DeepEqual(small.Trials, variant.res.Trials) {
 			t.Errorf("op-budget aborts not deterministic across %s", variant.name)
@@ -419,21 +479,22 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean, err := Run(CampaignConfig{
-		Builder: freshOnlyBuilder{b: inner}, Spec: faults.SingleBitSoft,
+		Builder: inner, Spec: faults.SingleBitSoft,
 		Trials: 6, Seed: 4, Parallelism: 1, Golden: golden,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Builds 1 and 2 (trial 0's first two attempts) fail; the default
-	// retry budget of 2 absorbs both.
-	flaky := &flakyBuilder{Builder: freshOnlyBuilder{b: inner}, failBuilds: map[int64]bool{1: true, 2: true}}
+	// Builds 1 and 2 (trial 0's first two attempts at building the
+	// worker's session) fail; the default retry budget of 2 absorbs both,
+	// at a backoff of 5 ms + 10 ms.
+	flaky := &flakyBuilder{Builder: inner, failBuilds: map[int64]bool{1: true, 2: true}}
 	reg := obsv.NewRegistry()
 	res, err := Run(CampaignConfig{
-		Builder: flaky, Spec: faults.SingleBitSoft,
+		Builder: buildPerTrial{flaky}, Spec: faults.SingleBitSoft,
 		Trials: 6, Seed: 4, Parallelism: 1, Golden: golden,
-		Metrics: reg, RetryBackoff: time.Millisecond,
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -456,13 +517,13 @@ func TestRetryExhaustionAbortsTrial(t *testing.T) {
 	}
 	// Every campaign build fails (the golden run above used the inner
 	// builder directly).
-	alwaysFail := &flakyBuilder{Builder: freshOnlyBuilder{b: inner}, failBuilds: map[int64]bool{}}
+	alwaysFail := &flakyBuilder{Builder: inner, failBuilds: map[int64]bool{}}
 	for i := int64(1); i <= 64; i++ {
 		alwaysFail.failBuilds[i] = true
 	}
 	reg := obsv.NewRegistry()
 	res, err := Run(CampaignConfig{
-		Builder: alwaysFail, Spec: faults.SingleBitSoft,
+		Builder: buildPerTrial{alwaysFail}, Spec: faults.SingleBitSoft,
 		Trials: 3, Seed: 4, Parallelism: 1, Golden: golden,
 		Metrics: reg, MaxRetries: -1,
 	})

@@ -101,15 +101,9 @@ func traceInjection(tt *evtrace.TrialTracer, as *simmem.AddressSpace, inj inject
 
 // traceTrialStart emits the opening event (the only events carrying host
 // wall-clock readings are trial_start and trial_end, in the segregated
-// wall_unix_ns field).
-func traceTrialStart(tt *evtrace.TrialTracer, as *simmem.AddressSpace) {
-	traceTrialStartAt(tt, time.Duration(as.Clock().Now()))
-}
-
-// traceTrialStartAt emits the opening event at an explicit virtual time —
-// snapshot-lifecycle trials stamp the post-build reading captured before
-// warmup, so their trial_start matches a fresh build's.
-func traceTrialStartAt(tt *evtrace.TrialTracer, vt time.Duration) {
+// wall_unix_ns field). vt is the post-build clock reading the session
+// captured before warmup — what a freshly built instance would show.
+func traceTrialStart(tt *evtrace.TrialTracer, vt time.Duration) {
 	if tt == nil {
 		return
 	}
@@ -120,8 +114,8 @@ func traceTrialStartAt(tt *evtrace.TrialTracer, vt time.Duration) {
 	})
 }
 
-// traceRestore emits the snapshot-restore event that opens a
-// snapshot-lifecycle trial: the virtual clock has been rolled back to
+// traceRestore emits the snapshot-restore event that opens a trial: the
+// virtual clock has been rolled back to
 // the post-warmup capture. The rollback size is excluded on purpose —
 // it depends on worker scheduling, and the trace stream must stay
 // identical across parallelism levels (the dirty-page histogram metric

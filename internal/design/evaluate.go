@@ -43,12 +43,6 @@ func techniqueCorrects(t ecc.Technique) bool {
 	}
 }
 
-// techniqueDetects reports whether a technique at least detects single-bit
-// errors.
-func techniqueDetects(t ecc.Technique) bool {
-	return t != ecc.TechNone
-}
-
 // residuals returns the fraction of a region's unprotected crash and
 // incorrect rates that survive a mapping, plus any additional crash
 // probability from detected-but-unrecoverable machine checks.

@@ -77,11 +77,6 @@ func (SECDED) CheckBytes() int { return 1 }
 // CheckBits implements simmem.Codec.
 func (SECDED) CheckBits() int { return 8 }
 
-// dataBit returns data bit k (0..63) of an 8-byte word.
-func dataBit(data []byte, k int) byte {
-	return (data[k>>3] >> (k & 7)) & 1
-}
-
 // flipDataBit flips data bit k of an 8-byte word.
 func flipDataBit(data []byte, k int) {
 	data[k>>3] ^= 1 << (k & 7)
@@ -95,11 +90,6 @@ func secdedFold(data []byte) byte {
 		secdedTab[2][data[2]] ^ secdedTab[3][data[3]] ^
 		secdedTab[4][data[4]] ^ secdedTab[5][data[5]] ^
 		secdedTab[6][data[6]] ^ secdedTab[7][data[7]]
-}
-
-// hammingChecks computes the seven Hamming check bits over the data bits.
-func hammingChecks(data []byte) byte {
-	return secdedFold(data) & 0x7f
 }
 
 // Encode implements simmem.Codec.

@@ -165,22 +165,6 @@ func (a *Accessor) StoreU32(addr Addr, v uint32) error {
 	return a.Store(addr, b[:])
 }
 
-// LoadU16 loads a 16-bit value.
-func (a *Accessor) LoadU16(addr Addr) (uint16, error) {
-	var b [2]byte
-	if err := a.Load(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b[:]), nil
-}
-
-// StoreU16 stores a 16-bit value.
-func (a *Accessor) StoreU16(addr Addr, v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	return a.Store(addr, b[:])
-}
-
 // LoadU8 loads one byte.
 func (a *Accessor) LoadU8(addr Addr) (byte, error) {
 	var b [1]byte
@@ -208,18 +192,4 @@ func (a *Accessor) LoadF64(addr Addr) (float64, error) {
 // StoreF64 stores a float64.
 func (a *Accessor) StoreF64(addr Addr, v float64) error {
 	return a.StoreU64(addr, math.Float64bits(v))
-}
-
-// LoadF32 loads a float32.
-func (a *Accessor) LoadF32(addr Addr) (float32, error) {
-	u, err := a.LoadU32(addr)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float32frombits(u), nil
-}
-
-// StoreF32 stores a float32.
-func (a *Accessor) StoreF32(addr Addr, v float32) error {
-	return a.StoreU32(addr, math.Float32bits(v))
 }

@@ -190,13 +190,6 @@ func (as *AddressSpace) TaintedPages() int {
 	return p
 }
 
-// TaintedWords returns the number of tainted granules across all
-// regions.
-func (as *AddressSpace) TaintedWords() int {
-	_, w := as.TaintStats()
-	return w
-}
-
 // TaintStats returns the tainted page and granule counts in one pass.
 func (as *AddressSpace) TaintStats() (pages, words int) {
 	for _, r := range as.regions {
@@ -400,28 +393,6 @@ type page struct {
 // wordTainted reports whether granule wi of the page is tainted.
 func (p *page) wordTainted(wi int) bool {
 	return p.anyTaint && p.taint[wi>>6]&(1<<(wi&63)) != 0
-}
-
-// cleanWords reports whether granules w0..w1 (inclusive) are all clean.
-func (p *page) cleanWords(w0, w1 int) bool {
-	if !p.anyTaint {
-		return true
-	}
-	first, last := w0>>6, w1>>6
-	lead := ^uint64(0) << (w0 & 63)
-	trail := ^uint64(0) >> (63 - (w1 & 63))
-	if first == last {
-		return p.taint[first]&lead&trail == 0
-	}
-	if p.taint[first]&lead != 0 || p.taint[last]&trail != 0 {
-		return false
-	}
-	for i := first + 1; i < last; i++ {
-		if p.taint[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // stuckInRange reports whether any stuck-at mask covers stored bytes
@@ -1092,22 +1063,6 @@ func (as *AddressSpace) StoreU32(addr Addr, v uint32) error {
 	return as.Store(addr, b[:])
 }
 
-// LoadU16 loads a 16-bit value.
-func (as *AddressSpace) LoadU16(addr Addr) (uint16, error) {
-	var b [2]byte
-	if err := as.Load(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b[:]), nil
-}
-
-// StoreU16 stores a 16-bit value.
-func (as *AddressSpace) StoreU16(addr Addr, v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	return as.Store(addr, b[:])
-}
-
 // LoadU8 loads one byte.
 func (as *AddressSpace) LoadU8(addr Addr) (byte, error) {
 	var b [1]byte
@@ -1135,20 +1090,6 @@ func (as *AddressSpace) LoadF64(addr Addr) (float64, error) {
 // StoreF64 stores a float64.
 func (as *AddressSpace) StoreF64(addr Addr, v float64) error {
 	return as.StoreU64(addr, math.Float64bits(v))
-}
-
-// LoadF32 loads a float32.
-func (as *AddressSpace) LoadF32(addr Addr) (float32, error) {
-	u, err := as.LoadU32(addr)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float32frombits(u), nil
-}
-
-// StoreF32 stores a float32.
-func (as *AddressSpace) StoreF32(addr Addr, v float32) error {
-	return as.StoreU32(addr, math.Float32bits(v))
 }
 
 // Raw access (simulator plumbing: setup, recovery, ground-truth checks).

@@ -9,22 +9,23 @@ import (
 // ComparisonRow is one paper-vs-measured data point of a regenerated
 // experiment.
 type ComparisonRow struct {
-	Metric   string
-	Paper    string
-	Measured string
-	Note     string
+	Metric   string `json:"metric"`
+	Paper    string `json:"paper"`
+	Measured string `json:"measured"`
+	Note     string `json:"note,omitempty"`
 }
 
 // ExperimentReport is one regenerated table or figure.
 type ExperimentReport struct {
 	// ID is the experiment identifier (see ExperimentIDs).
-	ID string
+	ID string `json:"id"`
 	// Title describes the experiment.
-	Title string
+	Title string `json:"title"`
 	// Text is the rendered table/figure, ready to print.
-	Text string
-	// Comparisons hold structured paper-vs-measured rows.
-	Comparisons []ComparisonRow
+	Text string `json:"text"`
+	// Comparisons hold structured paper-vs-measured rows (empty, never
+	// nil, for an experiment without any).
+	Comparisons []ComparisonRow `json:"comparisons"`
 }
 
 // ExperimentIDs lists every reproducible table and figure in paper order:
@@ -99,7 +100,7 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 		TargetCI:    cfg.TargetCI,
 		Seed:        cfg.Seed,
 		Parallelism: cfg.Parallelism,
-		Progress:    coreProgress(cfg.Progress),
+		Progress:    cfg.Progress,
 	})
 	if err != nil {
 		return nil, err
@@ -131,7 +132,7 @@ func (l *Lab) RunAll() ([]*ExperimentReport, error) {
 
 // convertReport maps the internal report type.
 func convertReport(rep *experiments.Report) *ExperimentReport {
-	out := &ExperimentReport{ID: rep.ID, Title: rep.Title, Text: rep.Text}
+	out := &ExperimentReport{ID: rep.ID, Title: rep.Title, Text: rep.Text, Comparisons: []ComparisonRow{}}
 	for _, c := range rep.Comparisons {
 		out.Comparisons = append(out.Comparisons, ComparisonRow(c))
 	}

@@ -24,16 +24,18 @@ type MergeConfig struct {
 // MergeShardInfo summarizes one input shard of a merge.
 type MergeShardInfo struct {
 	// Index / Count are the shard coordinates from its manifest.
-	Index, Count int
+	Index int `json:"index"`
+	Count int `json:"count"`
 	// TrialLo / TrialHi bound the shard's owned half-open trial range.
-	TrialLo, TrialHi int
+	TrialLo int `json:"trial_lo"`
+	TrialHi int `json:"trial_hi"`
 	// Journal is the shard's journal path.
-	Journal string
+	Journal string `json:"journal"`
 	// Completed / Aborted / Interrupted echo the shard manifest's own
 	// accounting (what the shard recorded, before cross-shard dedup).
-	Completed   int
-	Aborted     int
-	Interrupted bool
+	Completed   int  `json:"completed"`
+	Aborted     int  `json:"aborted,omitempty"`
+	Interrupted bool `json:"interrupted,omitempty"`
 }
 
 // MergeInfo reports what a merge consumed and reconciled.

@@ -86,12 +86,11 @@ func TestShardMergeEquivalence(t *testing.T) {
 // same equivalence campaigns TestShardMergeEquivalence runs — for every
 // deterministic metric. Run-shape metrics are excluded by name:
 // campaign_trial_wall_ms measures wall clocks, campaign_snapshot_dirty_pages
-// depends on how trials landed on worker sessions, the
+// depends on how trials landed on worker sessions, and the
 // simmem_tainted_pages / simmem_tainted_words gauges are
-// last-writer-wins within a process, and campaign_metrics_folds_total
-// counts per-worker shard publications (a function of the worker pool,
-// not the science). Every other counter and the virtual-time histogram
-// are deterministic and must merge to exactly the single-process values.
+// last-writer-wins within a process. Every counter and the virtual-time
+// histogram are deterministic and must merge to exactly the
+// single-process values.
 func TestShardMetricsSnapshotMergeEquivalence(t *testing.T) {
 	for _, app := range Apps() {
 		base := CharacterizeConfig{
@@ -123,9 +122,6 @@ func TestShardMetricsSnapshotMergeEquivalence(t *testing.T) {
 					snaps[i] = reg.Snapshot()
 				}
 				got := obsv.MergeSnapshots(snaps...)
-				const foldsMetric = "campaign_metrics_folds_total"
-				delete(got.Counters, foldsMetric)
-				delete(want.Counters, foldsMetric)
 				if !reflect.DeepEqual(got.Counters, want.Counters) {
 					t.Errorf("merged counters diverged from single-process run:\nmerged: %v\nsingle: %v",
 						got.Counters, want.Counters)
@@ -148,7 +144,6 @@ func TestShardMetricsSnapshotMergeEquivalence(t *testing.T) {
 					rev[shards-1-i] = snaps[i]
 				}
 				back := obsv.MergeSnapshots(rev...)
-				delete(back.Counters, foldsMetric)
 				if !reflect.DeepEqual(back.Counters, got.Counters) {
 					t.Errorf("counter merge is order-dependent:\nfwd: %v\nrev: %v",
 						got.Counters, back.Counters)
