@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify test build fmt vet race bench
+.PHONY: verify test build fmt vet race bench bench-check
 
 # Tier-1 verify (ROADMAP.md): the gate every change must pass.
 verify: build test
@@ -28,3 +28,17 @@ race:
 # (bench/README.md).
 bench:
 	$(GO) run ./bench -seed 1
+
+# The exact half of hrmbench, fast enough for CI (about 40 s): each
+# workload's traced pass at seed 1 for 2 s. The pass compares its loads,
+# stores, corrected, dirty-page and outcome counts with bench/expected and
+# exits non-zero on any difference, so a memory-path change that alters a
+# single access count fails here. Timings it prints are not a measurement.
+BENCH_WORKLOADS = camp-websearch-secded-soft camp-kvstore-none-hard camp-graphmine-none-soft serve-get-secded serve-mixed-faults-secded
+
+bench-check:
+	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && for w in $(BENCH_WORKLOADS); do \
+		echo "bench-check: $$w"; \
+		$(GO) run ./bench -seed 1 -workload $$w -seconds 2 -trace 1 -out "$$out" >"$$out/log" 2>&1 \
+			|| { cat "$$out/log"; exit 1; }; \
+	done

@@ -24,8 +24,7 @@
 // as the hard budget and -min-trials/-max-trials as guard rails. The
 // plan is deterministic and resumable exactly like a fixed campaign,
 // but incompatible with -shard/-coordinator (it needs the whole trial
-// index space). Under tables, -target-ci applies per campaign cell and
-// the cells share the worker pool widest-CI-first.
+// index space). Under tables, -target-ci applies per campaign cell.
 //
 // characterize runs a campaign whole, as one shard of a multi-process
 // campaign (-shard i/N, emitting a journal plus a shard manifest, and

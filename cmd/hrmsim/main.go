@@ -568,7 +568,7 @@ func cmdTables(args []string) error {
 	id := fs.String("t", "", "experiment ID (empty = all): "+
 		fmt.Sprint(hrmsim.ExperimentIDs())+" and extensions "+fmt.Sprint(hrmsim.ExtensionIDs()))
 	trials := fs.Int("trials", 400, "injection trials per campaign cell (with -target-ci: each cell's hard budget)")
-	targetCI := fs.Float64("target-ci", 0, "stop each campaign cell once the 90% CI half-width on its crash probability reaches this target (0 = fixed -trials per cell); cells share the worker pool widest-CI-first")
+	targetCI := fs.Float64("target-ci", 0, "stop each campaign cell once the 90% CI half-width on its crash probability reaches this target (0 = fixed -trials per cell)")
 	seed := fs.Int64("seed", 1, "random seed")
 	ext := fs.Bool("ext", false, "also run the extension experiments")
 	jsonOut := fs.Bool("json", false, "emit the results as JSON (schema: OBSERVABILITY.md)")

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sort"
@@ -28,42 +27,27 @@ import (
 )
 
 // startStatusServer serves the coordinator's live fleet view on addr:
-// /statusz (the JSON envelope `hrmsim status -json` emits), /metrics
-// (the fleet's merged obsv snapshot plus the coordinator's own
-// registry, same encoders kvserve uses), /healthz, and the standard
-// pprof handlers. fleet returns the latest aggregate (nil before the
-// first heartbeat). The returned func shuts the server down, draining
-// in-flight requests briefly.
+// /statusz (the JSON envelope `hrmsim status -json` emits) on top of the
+// shared observability sidecar (internal/obsv: /metrics — here the
+// fleet's merged obsv snapshot plus the coordinator's own registry —
+// /healthz, and the standard pprof handlers). fleet returns the latest
+// aggregate (nil before the first heartbeat). The returned func shuts
+// the server down, draining in-flight requests briefly.
 func startStatusServer(addr string, fleet func() *hrmsim.FleetStatus, reg *obsv.Registry) (shutdown func(), boundAddr string, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("status listener: %w", err)
 	}
-	// Same posture as kvserve's metrics sidecar: long-lived and
-	// unauthenticated, so a slow client must not pin a connection
-	// forever; no WriteTimeout because pprof captures stream.
-	srv := &http.Server{
-		Handler:           statusMux(fleet, reg),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	go func() {
-		if serr := srv.Serve(ln); serr != nil && serr != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "coordinator: status server: %v\n", serr)
+	mux := obsv.SidecarMux(obsv.SnapshotHandler(func() obsv.Snapshot {
+		// One scrape covers the whole fleet: the shards' heartbeat
+		// snapshots merged with the coordinator's own registry
+		// (spawn/respawn counters).
+		snaps := []obsv.Snapshot{reg.Snapshot()}
+		if fs := fleet(); fs != nil && fs.Metrics != nil {
+			snaps = append(snaps, *fs.Metrics)
 		}
-	}()
-	shutdown = func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}
-	return shutdown, ln.Addr().String(), nil
-}
-
-// statusMux builds the control-plane handler set.
-func statusMux(fleet func() *hrmsim.FleetStatus, reg *obsv.Registry) *http.ServeMux {
-	mux := http.NewServeMux()
+		return obsv.MergeSnapshots(snaps...)
+	}))
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
 		fs := fleet()
 		if fs == nil {
@@ -85,26 +69,10 @@ func statusMux(fleet func() *hrmsim.FleetStatus, reg *obsv.Registry) *http.Serve
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		_, _ = w.Write(append(b, '\n'))
 	})
-	// /metrics merges the shards' heartbeat snapshots with the
-	// coordinator's own registry (spawn/respawn counters), so one scrape
-	// covers the whole fleet with the usual text/JSON negotiation.
-	mux.Handle("/metrics", obsv.SnapshotHandler(func() obsv.Snapshot {
-		snaps := []obsv.Snapshot{reg.Snapshot()}
-		if fs := fleet(); fs != nil && fs.Metrics != nil {
-			snaps = append(snaps, *fs.Metrics)
-		}
-		return obsv.MergeSnapshots(snaps...)
-	}))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
+	shutdown = obsv.ServeSidecar(ln, mux, func(err error) {
+		fmt.Fprintf(os.Stderr, "coordinator: status server: %v\n", err)
 	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	return shutdown, ln.Addr().String(), nil
 }
 
 // fleetProgressLine renders the one-line aggregate progress of a

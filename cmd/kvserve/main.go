@@ -28,11 +28,8 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -84,27 +81,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var metrics *http.Server
+	stopMetrics := func() {}
 	if *metricsAddr != "" {
 		mln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			log.Fatalf("kvserve: metrics listener: %v", err)
 		}
-		// The sidecar is long-lived and unauthenticated, so a slow or
-		// stalled client must not be able to pin a connection (and its
-		// goroutine) forever. No WriteTimeout: pprof profile captures
-		// legitimately stream for tens of seconds.
-		metrics = &http.Server{
-			Handler:           metricsMux(srv.Registry()),
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       10 * time.Second,
-			IdleTimeout:       120 * time.Second,
-		}
-		go func() {
-			if err := metrics.Serve(mln); err != nil && err != http.ErrServerClosed {
-				log.Printf("kvserve: metrics: %v", err)
-			}
-		}()
+		stopMetrics = obsv.ServeSidecar(mln, obsv.SidecarMux(obsv.Handler(srv.Registry())),
+			func(err error) { log.Printf("kvserve: metrics: %v", err) })
 		log.Printf("kvserve: metrics on http://%s/metrics", mln.Addr())
 	}
 
@@ -119,11 +103,7 @@ func main() {
 		log.Printf("kvserve: %v", err)
 	}
 	log.Printf("kvserve: shutting down")
-	if metrics != nil {
-		sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		_ = metrics.Shutdown(sctx)
-	}
+	stopMetrics()
 }
 
 func orNone(s string) string {
@@ -131,21 +111,4 @@ func orNone(s string) string {
 		return "none"
 	}
 	return s
-}
-
-// metricsMux builds the observability sidecar: the obsv snapshot, a
-// liveness probe, and the standard pprof profiling handlers.
-func metricsMux(reg *obsv.Registry) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obsv.Handler(reg))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hrmsim/internal/kvnode"
+	"hrmsim/internal/obsv"
 )
 
 // The protocol itself is tested in internal/kvnode; here we cover the
@@ -29,7 +30,7 @@ func TestMetricsSidecarEndpoints(t *testing.T) {
 	srv.Dispatch("inject soft")
 	srv.Dispatch("bogus")
 
-	ts := httptest.NewServer(metricsMux(srv.Registry()))
+	ts := httptest.NewServer(obsv.SidecarMux(obsv.Handler(srv.Registry())))
 	defer ts.Close()
 
 	get := func(path string) (string, string) {

@@ -18,6 +18,7 @@ import (
 	"hrmsim/internal/core"
 	"hrmsim/internal/evtrace"
 	"hrmsim/internal/faults"
+	"hrmsim/internal/inject"
 	"hrmsim/internal/monitor"
 	"hrmsim/internal/obsv"
 	"hrmsim/internal/simmem"
@@ -444,7 +445,7 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 		MaxRetries:    cfg.MaxRetries,
 	}
 	if kind != 0 {
-		ccfg.Filter = func(r *simmem.Region) bool { return r.Kind() == kind }
+		ccfg.Filter = inject.KindFilter(kind)
 	}
 	if adaptive {
 		ccfg.Planner = core.NewAdaptivePlanner(stats.SequentialStopping{

@@ -185,8 +185,8 @@ type CampaignResult struct {
 	// Requested.
 	Planned int
 	// PlanFinal reports the planner reached its final verdict — false
-	// when an adaptive plan was paused (AdaptivePlanner.PauseAfterRounds)
-	// and resuming it could grow Planned further.
+	// when an adaptive campaign was interrupted before its stopping rule
+	// fired, so resuming it could grow Planned further.
 	PlanFinal bool
 	// Resumed counts trials whose results were merged from
 	// CampaignConfig.Resume instead of being re-run.

@@ -180,14 +180,6 @@ type AdaptivePlanner struct {
 	// confidence level, min/max-trials guard rails). MaxTrials is
 	// clamped to the campaign size at Start.
 	Rule stats.SequentialStopping
-	// PauseAfterRounds, if positive, pauses the plan (Next → PlanDone,
-	// Budget not final) after that many fresh "continue" verdicts
-	// instead of running to the stopping rule's own verdict. A paused
-	// campaign's partial results can be fed back via
-	// CampaignConfig.Resume to continue exactly where it left off —
-	// the batch-incremental mode the Lab's widest-CI-first scheduler
-	// uses to interleave many cells through one worker pool.
-	PauseAfterRounds int
 
 	trials    int
 	boundary  int // dispatch limit: indices < boundary may run
@@ -197,10 +189,8 @@ type AdaptivePlanner struct {
 	completed []bool // have && classified (aborted trials carry no outcome)
 	crashed   []bool
 	stopped   bool
-	paused    bool
 	exhausted bool
 	replaying bool
-	rounds    int
 	decisions []PlannerDecision
 	started   bool
 }
@@ -238,9 +228,7 @@ func (p *AdaptivePlanner) Start(lo, hi, trials int, resumed map[int]TrialResult)
 	p.completed = make([]bool, trials)
 	p.crashed = make([]bool, trials)
 	p.stopped = false
-	p.paused = false
 	p.exhausted = false
-	p.rounds = 0
 	p.decisions = nil
 	p.started = true
 
@@ -270,7 +258,7 @@ func (p *AdaptivePlanner) record(i int, tr TrialResult) {
 
 // advance evaluates every boundary the resolved prefix has reached.
 func (p *AdaptivePlanner) advance() {
-	for !p.stopped && !p.paused && p.contig >= p.boundary {
+	for !p.stopped && p.contig >= p.boundary {
 		p.evaluate()
 	}
 }
@@ -311,12 +299,6 @@ func (p *AdaptivePlanner) evaluate() {
 	default:
 		d.NextBoundary = p.Rule.NextBoundary(p.boundary)
 		p.boundary = d.NextBoundary
-		if !p.replaying {
-			p.rounds++
-			if p.PauseAfterRounds > 0 && p.rounds >= p.PauseAfterRounds {
-				p.paused = true
-			}
-		}
 	}
 	p.decisions = append(p.decisions, d)
 }
@@ -324,7 +306,7 @@ func (p *AdaptivePlanner) evaluate() {
 // Next implements TrialPlanner.
 func (p *AdaptivePlanner) Next() (int, PlanState) {
 	limit := p.boundary
-	if p.stopped || p.paused {
+	if p.stopped {
 		// No new work past what the verdict covered; anything below the
 		// boundary is already resolved (a verdict needs the full
 		// prefix), so this loop cannot dispatch after a stop.
@@ -337,7 +319,7 @@ func (p *AdaptivePlanner) Next() (int, PlanState) {
 			return i, PlanDispatch
 		}
 	}
-	if p.stopped || p.paused {
+	if p.stopped {
 		return 0, PlanDone
 	}
 	return 0, PlanWait
@@ -351,8 +333,7 @@ func (p *AdaptivePlanner) Observe(tr TrialResult) {
 
 // Budget implements TrialPlanner: the current boundary — the trial
 // count the plan has committed to so far — final once the stopping rule
-// has fired. A paused plan's budget is not final: resuming it may grow
-// the boundary further.
+// has fired.
 func (p *AdaptivePlanner) Budget() (int, bool) {
 	if !p.started {
 		return 0, false

@@ -186,57 +186,6 @@ func TestAdaptivePlannerRejectsShards(t *testing.T) {
 	}
 }
 
-// TestAdaptivePlannerPauseResumeEquivalence: a chain of paused
-// one-round plans, each resumed from the previous rounds' results, must
-// land on exactly the single-shot plan's stop boundary and index set —
-// the invariant the Lab's widest-CI-first scheduler is built on.
-func TestAdaptivePlannerPauseResumeEquivalence(t *testing.T) {
-	rule := testRule(0.1, 10, 400)
-	single := NewAdaptivePlanner(rule)
-	if err := single.Start(0, 400, 400, nil); err != nil {
-		t.Fatal(err)
-	}
-	wantDispatched, wantDecisions := drivePlanner(t, single, 4, true)
-	sort.Ints(wantDispatched)
-
-	resumed := make(map[int]TrialResult)
-	var rounds int
-	for {
-		rounds++
-		if rounds > 100 {
-			t.Fatal("paused chain did not converge")
-		}
-		p := NewAdaptivePlanner(rule)
-		p.PauseAfterRounds = 1
-		if err := p.Start(0, 400, 400, resumed); err != nil {
-			t.Fatal(err)
-		}
-		fresh, _ := drivePlanner(t, p, 4, false)
-		for _, i := range fresh {
-			resumed[i] = syntheticResult(i)
-		}
-		if total, final := p.Budget(); final {
-			wantTotal, _ := single.Budget()
-			if total != wantTotal {
-				t.Errorf("chained stop boundary %d, single-shot %d", total, wantTotal)
-			}
-			break
-		}
-	}
-	if rounds < 2 {
-		t.Fatalf("pause chain finished in %d round(s); the pause path was not exercised", rounds)
-	}
-	got := make([]int, 0, len(resumed))
-	for i := range resumed {
-		got = append(got, i)
-	}
-	sort.Ints(got)
-	if !reflect.DeepEqual(got, wantDispatched) {
-		t.Errorf("chained plan ran %d trials, single-shot ran %d", len(got), len(wantDispatched))
-	}
-	_ = wantDecisions
-}
-
 // TestAdaptiveCampaignParallelismInvariant: a real adaptive campaign
 // produces bit-identical results and planner decisions at parallelism 1
 // and 4, and its result bookkeeping matches the stop boundary.

@@ -179,17 +179,25 @@ func NewShardManifest(meta JournalMeta, spec ShardSpec, journalName string, res 
 func WriteManifest(path string, m ShardManifest) error {
 	m.SchemaVersion = ManifestSchemaVersion
 	m.Stream = ManifestStream
-	b, err := json.MarshalIndent(m, "", "  ")
+	return writeRecord(path, "shard manifest", m)
+}
+
+// writeRecord writes v to path as one indented JSON document, atomically:
+// the bytes land in a temp file that is then renamed over path, so a
+// reader scanning or tailing path never sees a torn record. what names
+// the record in errors.
+func writeRecord(path, what string, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("core: encoding shard manifest: %w", err)
+		return fmt.Errorf("core: encoding %s: %w", what, err)
 	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("core: writing shard manifest: %w", err)
+		return fmt.Errorf("core: writing %s: %w", what, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("core: writing shard manifest: %w", err)
+		return fmt.Errorf("core: writing %s: %w", what, err)
 	}
 	return nil
 }

@@ -121,19 +121,7 @@ func StatusPathFor(journalPath string) string {
 func WriteStatus(path string, st ShardStatus) error {
 	st.SchemaVersion = StatusSchemaVersion
 	st.Stream = StatusStream
-	b, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return fmt.Errorf("core: encoding shard status: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("core: writing shard status: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: writing shard status: %w", err)
-	}
-	return nil
+	return writeRecord(path, "shard status", st)
 }
 
 // ReadStatus reads and validates one shard status record: stream, schema

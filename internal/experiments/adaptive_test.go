@@ -9,8 +9,8 @@ import (
 )
 
 // TestAdaptiveCellMatchesSingleShot: a cell run through the suite's
-// round-chained widest-CI-first scheduler is bit-identical to the same
-// cell run as one uninterrupted adaptive campaign.
+// cache is bit-identical to the same cell run as a stand-alone adaptive
+// campaign under the suite's stopping rule.
 func TestAdaptiveCellMatchesSingleShot(t *testing.T) {
 	s, err := NewSuite(Scale{Trials: 80, Fig5aTrials: 80, Watchpoints: 50, TargetCI: 0.15, Seed: 1})
 	if err != nil {
@@ -21,7 +21,7 @@ func TestAdaptiveCellMatchesSingleShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.PlanFinal {
-		t.Fatal("scheduler cached a non-final plan")
+		t.Fatal("suite cached a non-final plan")
 	}
 
 	entry, err := s.app("kvstore")
@@ -40,10 +40,10 @@ func TestAdaptiveCellMatchesSingleShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Planned != want.Planned {
-		t.Errorf("scheduler stopped at %d trials, single shot at %d", got.Planned, want.Planned)
+		t.Errorf("suite cell stopped at %d trials, single shot at %d", got.Planned, want.Planned)
 	}
 	if !reflect.DeepEqual(got.Trials, want.Trials) {
-		t.Error("scheduler trials diverged from the single-shot campaign")
+		t.Error("suite cell trials diverged from the single-shot campaign")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"hrmsim/internal/core"
 	"hrmsim/internal/faults"
+	"hrmsim/internal/inject"
 	"hrmsim/internal/simmem"
 	"hrmsim/internal/stats"
 )
@@ -31,141 +32,59 @@ func (s *Suite) cellKey(r cellReq) string {
 	return fmt.Sprintf("%s|%v|%d|%d|%g", r.app, r.spec, r.kind, r.trials, s.scale.TargetCI)
 }
 
-// cellState tracks one uncached cell through the adaptive scheduler's
-// rounds: the results accumulated so far (fed back as Resume), the
-// current CI half-width (the scheduling priority), and the final result
-// once the cell's stopping rule fires.
-type cellState struct {
-	req    cellReq
-	key    string
-	entry  *appEntry
-	resume map[int]core.TrialResult
-	// halfWidth is the Wilson CI half-width over the trials resolved so
-	// far (1 before the first round, so every cell gets scheduled).
-	halfWidth float64
-	res       *core.CampaignResult
-	done      bool
-}
-
 // campaign runs (or returns the cached result of) one injection campaign
-// cell.
+// cell: a fixed plan of exactly trials trials, or — under an adaptive
+// scale (TargetCI > 0) — one campaign that stops as soon as the cell's
+// crash-probability CI reaches the target, with trials as its budget.
 func (s *Suite) campaign(app string, spec faults.Spec, kind simmem.RegionKind, trials int) (*core.CampaignResult, error) {
 	req := cellReq{app: app, spec: spec, kind: kind, trials: trials}
-	if err := s.prefetch([]cellReq{req}); err != nil {
+	key := s.cellKey(req)
+	s.mu.Lock()
+	res := s.campaigns[key]
+	s.mu.Unlock()
+	if res != nil {
+		return res, nil
+	}
+	entry, err := s.app(app)
+	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	res := s.campaigns[s.cellKey(req)]
-	s.mu.Unlock()
-	if res == nil {
-		return nil, fmt.Errorf("experiments: campaign %s: prefetch produced no result", s.cellKey(req))
+	cfg := core.CampaignConfig{
+		Builder:     entry.builder,
+		Spec:        spec,
+		Trials:      trials,
+		Seed:        s.scale.Seed,
+		Parallelism: s.scale.Parallelism,
+		Golden:      entry.golden,
+		Progress:    s.scale.Progress,
 	}
+	if kind != 0 {
+		cfg.Filter = inject.KindFilter(kind)
+	}
+	if s.scale.TargetCI > 0 {
+		cfg.Planner = core.NewAdaptivePlanner(s.cellRule(trials))
+	}
+	res, err = core.Run(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: campaign %s: %w", key, err)
+	}
+	s.mu.Lock()
+	if s.campaigns == nil {
+		s.campaigns = make(map[string]*core.CampaignResult)
+	}
+	s.campaigns[key] = res
+	s.mu.Unlock()
 	return res, nil
 }
 
-// prefetch ensures every listed cell has a cached result. Cells already
-// cached (or listed twice) are skipped. Under a fixed scale the
-// remaining cells run one after another — each one already saturates
-// the worker pool. Under an adaptive scale (TargetCI > 0) the remaining
-// cells share the pool widest-CI-first: each scheduling round, the cell
-// whose crash-probability CI is currently widest gets the whole pool
-// for one evaluation round of its stopping rule
-// (core.AdaptivePlanner.PauseAfterRounds), so the sweep spends its
-// trials where the statistics are weakest. Every cell's final result is
-// bit-identical to running that cell's adaptive campaign alone: the
-// planner's boundary schedule and verdicts depend only on the cell's
-// own trial data, never on the interleaving.
+// prefetch ensures every listed cell has a cached result, running the
+// uncached ones in listed order (each cell already saturates the worker
+// pool). Cells listed twice run once.
 func (s *Suite) prefetch(reqs []cellReq) error {
-	var todo []*cellState
-	seen := make(map[string]bool)
 	for _, req := range reqs {
-		key := s.cellKey(req)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		s.mu.Lock()
-		if s.campaigns == nil {
-			s.campaigns = make(map[string]*core.CampaignResult)
-		}
-		_, ok := s.campaigns[key]
-		s.mu.Unlock()
-		if ok {
-			continue
-		}
-		entry, err := s.app(req.app)
-		if err != nil {
+		if _, err := s.campaign(req.app, req.spec, req.kind, req.trials); err != nil {
 			return err
 		}
-		todo = append(todo, &cellState{req: req, key: key, entry: entry, halfWidth: 1})
-	}
-	if len(todo) == 0 {
-		return nil
-	}
-	if s.scale.TargetCI <= 0 {
-		for _, st := range todo {
-			res, err := core.Run(s.cellConfig(st))
-			if err != nil {
-				return fmt.Errorf("experiments: campaign %s: %w", st.key, err)
-			}
-			s.store(st.key, res)
-		}
-		return nil
-	}
-	for {
-		// Pick the open cell with the widest CI (ties: listed order).
-		var next *cellState
-		for _, st := range todo {
-			if st.done {
-				continue
-			}
-			if next == nil || st.halfWidth > next.halfWidth {
-				next = st
-			}
-		}
-		if next == nil {
-			break
-		}
-		if err := s.runCellRound(next); err != nil {
-			return fmt.Errorf("experiments: campaign %s: %w", next.key, err)
-		}
-		if next.done {
-			s.store(next.key, next.res)
-		}
-	}
-	return nil
-}
-
-// runCellRound advances one adaptive cell by a single evaluation round:
-// a fresh paused planner replays the rounds already run from the
-// accumulated Resume records (replay is deterministic, so it lands in
-// exactly the pre-pause state), dispatches one new boundary batch, and
-// pauses again — or stops for good, making the cell's result final.
-func (s *Suite) runCellRound(st *cellState) error {
-	planner := core.NewAdaptivePlanner(s.cellRule(st.req.trials))
-	planner.PauseAfterRounds = 1
-	cfg := s.cellConfig(st)
-	cfg.Planner = planner
-	cfg.Resume = st.resume
-	res, err := core.Run(cfg)
-	if err != nil {
-		return err
-	}
-	st.res = res
-	st.done = res.PlanFinal
-	st.resume = make(map[int]core.TrialResult, len(res.Trials))
-	crashes, completed := 0, 0
-	for _, tr := range res.Trials {
-		st.resume[tr.Index] = tr
-		if tr.Disposition == core.DispositionCompleted {
-			completed++
-			if tr.Outcome == core.OutcomeCrash {
-				crashes++
-			}
-		}
-	}
-	if hw, err := stats.WilsonHalfWidth(crashes, completed, adaptiveCILevel); err == nil {
-		st.halfWidth = hw
 	}
 	return nil
 }
@@ -182,35 +101,6 @@ func (s *Suite) cellRule(trials int) stats.SequentialStopping {
 		MinTrials:       min,
 		MaxTrials:       trials,
 	}
-}
-
-// cellConfig assembles the cell's campaign configuration (fixed-plan
-// unless the caller attaches a planner).
-func (s *Suite) cellConfig(st *cellState) core.CampaignConfig {
-	cfg := core.CampaignConfig{
-		Builder:     st.entry.builder,
-		Spec:        st.req.spec,
-		Trials:      st.req.trials,
-		Seed:        s.scale.Seed,
-		Parallelism: s.scale.Parallelism,
-		Golden:      st.entry.golden,
-		Progress:    s.scale.Progress,
-	}
-	if st.req.kind != 0 {
-		k := st.req.kind
-		cfg.Filter = func(r *simmem.Region) bool { return r.Kind() == k }
-	}
-	return cfg
-}
-
-// store caches one cell's final result.
-func (s *Suite) store(key string, res *core.CampaignResult) {
-	s.mu.Lock()
-	if s.campaigns == nil {
-		s.campaigns = make(map[string]*core.CampaignResult)
-	}
-	s.campaigns[key] = res
-	s.mu.Unlock()
 }
 
 // regionsOf lists the region kinds an application actually maps.

@@ -31,9 +31,7 @@ type Scale struct {
 	Watchpoints int
 	// TargetCI, when positive, runs campaign cells under the adaptive
 	// planner (Wilson CI half-width target on the crash probability at
-	// level 0.90, Trials as the hard budget) and schedules multi-cell
-	// sweeps widest-CI-first through the shared worker pool. 0 keeps
-	// fixed-N cells.
+	// level 0.90, Trials as the hard budget). 0 keeps fixed-N cells.
 	TargetCI float64
 	// Seed drives everything.
 	Seed int64

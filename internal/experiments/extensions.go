@@ -483,8 +483,7 @@ func (s *Suite) ExtCacheMasking() (*Report, error) {
 			Warmup: b.Config().Queries / 2,
 		}
 		if kind != 0 {
-			k := kind
-			ccfg.Filter = func(r *simmem.Region) bool { return r.Kind() == k }
+			ccfg.Filter = inject.KindFilter(kind)
 		}
 		return core.Run(ccfg)
 	}

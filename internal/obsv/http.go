@@ -1,8 +1,13 @@
 package obsv
 
 import (
+	"context"
+	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"strings"
+	"time"
 )
 
 // Handler serves the registry's live snapshot. Plain text (WriteText) by
@@ -42,4 +47,48 @@ func wantsJSON(req *http.Request) bool {
 		return true
 	}
 	return strings.Contains(req.Header.Get("Accept"), "application/json")
+}
+
+// SidecarMux builds the observability handler set every long-lived
+// process serves beside its real work: metrics at /metrics, a liveness
+// probe at /healthz, and the standard pprof profiling handlers. Callers
+// add their own routes on top (the hrmsim coordinator adds /statusz).
+func SidecarMux(metrics http.Handler) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", metrics)
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
+// ServeSidecar serves h on ln in the background and returns the func that
+// shuts it down, draining in-flight requests for up to 3 s. The sidecar
+// is long-lived and unauthenticated, so a slow or stalled client must not
+// be able to pin a connection (and its goroutine) forever. No
+// WriteTimeout: pprof profile captures legitimately stream for tens of
+// seconds. A serve failure is handed to onErr.
+func ServeSidecar(ln net.Listener, h http.Handler, onErr func(error)) (shutdown func()) {
+	srv := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       10 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+	go func() {
+		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			onErr(err)
+		}
+	}()
+	return func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}
 }

@@ -9,9 +9,10 @@
 // accessor, say) resolves findRegion + bounds once per consecutive
 // same-region run and then pays only a Contains check per access. The
 // span itself — however many pages and codewords it covers — is then
-// serviced in one walk against the per-word taint bitmap (senseInto /
-// loadDecoded / storeEncoded), bulk-copying clean granules and
-// decoding only dirty ones.
+// serviced in one walk against the per-word taint bitmap (loadSpan /
+// storeEncoded), bulk-copying clean granules and decoding only dirty
+// ones. The AddressSpace embeds one accessor as its own front end, so
+// as.Load and a.Load are the same code.
 //
 // Cache invalidation rule: there is none, deliberately. Regions are
 // append-only — they are never unmapped, moved, or resized after
@@ -39,6 +40,10 @@ type Accessor struct {
 	as   *AddressSpace
 	last *Region
 }
+
+// accessor lets AddressSpace embed its default Accessor unexported: the
+// methods promote, the field stays private.
+type accessor = Accessor
 
 // NewAccessor returns an accessor with a cold region cache.
 func (as *AddressSpace) NewAccessor() *Accessor {
@@ -88,14 +93,8 @@ func (a *Accessor) Load(addr Addr, buf []byte) error {
 		if err := as.cachedLoad(addr, buf); err != nil {
 			return err
 		}
-	} else if r.codec == nil {
-		if r.senseInto(buf, int(addr-r.base)) {
-			as.fastLoads++
-		}
-	} else if fast, err := as.loadDecoded(r, int(addr-r.base), buf); err != nil {
+	} else if err := as.loadSpan(r, int(addr-r.base), buf); err != nil {
 		return err
-	} else if fast {
-		as.fastLoads++
 	}
 	as.counters.Loads++
 	as.notifyAccess(AccessEvent{Addr: addr, Len: len(buf), Kind: Load, Time: as.clock.Now(), Region: r})
@@ -122,7 +121,7 @@ func (a *Accessor) Store(addr Addr, data []byte) error {
 		}
 	} else if r.codec == nil {
 		r.writeBytes(off, data)
-	} else if err := as.storeEncoded(r, off, data); err != nil {
+	} else if err := as.storeEncoded(r, off, data, false); err != nil {
 		return err
 	}
 	as.counters.Stores++
@@ -130,8 +129,7 @@ func (a *Accessor) Store(addr Addr, data []byte) error {
 	return nil
 }
 
-// Typed accessors. All use little-endian byte order, like their
-// AddressSpace counterparts.
+// Typed accessors. All use little-endian byte order.
 
 // LoadU64 loads a 64-bit value.
 func (a *Accessor) LoadU64(addr Addr) (uint64, error) {

@@ -105,14 +105,8 @@ func (as *AddressSpace) ensureLine(addr Addr) (*cacheLine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.codec == nil {
-		if r.senseInto(ln.data[:], int(base-r.base)) {
-			as.fastLoads++
-		}
-	} else if fast, err := as.loadDecoded(r, int(base-r.base), ln.data[:]); err != nil {
+	if err := as.loadSpan(r, int(base-r.base), ln.data[:]); err != nil {
 		return nil, err
-	} else if fast {
-		as.fastLoads++
 	}
 	ln.base = base
 	ln.valid = true

@@ -142,34 +142,6 @@ func TestProtectedCorrection(t *testing.T) {
 	}
 }
 
-func TestScrubOnCorrect(t *testing.T) {
-	as, err := New(Config{PageSize: 256, ScrubOnCorrect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := as.AddRegion(RegionSpec{Name: "p", Kind: RegionHeap, Size: 512, Codec: replicaCodec{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := r.Base()
-	if err := as.StoreU64(addr, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.FlipBit(addr, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := as.LoadU64(addr); err != nil {
-		t.Fatal(err)
-	}
-	// Scrubbing wrote the corrected word back; the second load is clean.
-	if _, err := as.LoadU64(addr); err != nil {
-		t.Fatal(err)
-	}
-	if c := as.Counters(); c.Corrected != 1 {
-		t.Errorf("Corrected = %d, want 1 (scrubbed after first)", c.Corrected)
-	}
-}
-
 func TestUncorrectableCrashesWithoutHandler(t *testing.T) {
 	as, r := newProtectedAS(t, parityOnlyCodec{}, nil)
 	addr := r.Base() + 8

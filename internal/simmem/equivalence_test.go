@@ -61,10 +61,11 @@ type eqSpace struct {
 // layout (private/heap/stack).
 func newEqSpace(t *testing.T, codec simmem.Codec, cacheLines int, fast bool) *eqSpace {
 	t.Helper()
-	as, err := simmem.New(simmem.Config{PageSize: 256, DisableFastPath: !fast})
+	as, err := simmem.New(simmem.Config{PageSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
+	as.SetFastPath(fast)
 	specs := []simmem.RegionSpec{
 		{Name: "private", Kind: simmem.RegionPrivate, Size: 1024, Backed: true, Codec: codec},
 		{Name: "heap", Kind: simmem.RegionHeap, Size: 1024, Codec: codec},
@@ -94,133 +95,182 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// driveEquivalence applies nOps pseudo-random operations from seed to
-// both spaces and fails on any observable divergence.
-func driveEquivalence(t *testing.T, fastS, slowS *eqSpace, seed int64, nOps int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	pair := [2]*eqSpace{fastS, slowS}
-	regions := fastS.as.Regions()
+// eqOp is one step of a differential operation stream. Streams are a pure
+// function of the region layout and a seed, so any number of memories —
+// fast, slow, or the naive oracle in oracle_test.go — replay the same one.
+type eqOp struct {
+	kind   eqOpKind
+	ri, pi int // region and page index (page-granular ops)
+	addr   simmem.Addr
+	data   []byte // store payload; for loads only its length matters
+	bit    int
+	val    int  // stuck-at value
+	wb     bool // scrub write-back
+}
 
+type eqOpKind int
+
+const (
+	opLoad eqOpKind = iota
+	opStore
+	opFlipBit
+	opFlipCheckBit
+	opStickBit
+	opScrubPage
+	opReplaceFrame
+	opFlushPage
+	opRestoreWord
+	opSnapshot
+	opRestore
+)
+
+// eqResult is everything one op lets its caller observe. restored is the
+// page count Restore reports: dirty-page tracking must agree between the
+// fast and slow paths, but a memory without tracking cannot supply it.
+type eqResult struct {
+	out      string
+	restored int
+}
+
+// genOps draws nOps pseudo-random operations from seed over the layout.
+func genOps(regions []*simmem.Region, seed int64, nOps int) []eqOp {
+	rng := rand.New(rand.NewSource(seed))
 	pickSpan := func() (simmem.Addr, int) {
 		r := regions[rng.Intn(len(regions))]
 		n := 1 + rng.Intn(48)
 		off := rng.Intn(r.Size() - n)
 		return r.Base() + simmem.Addr(off), n
 	}
-
-	for op := 0; op < nOps; op++ {
+	snapped := false
+	var ops []eqOp
+	for len(ops) < nOps {
 		switch rng.Intn(20) {
-		case 0, 1, 2, 3, 4, 5, 6: // Load
+		case 0, 1, 2, 3, 4, 5, 6:
 			addr, n := pickSpan()
-			bufs := [2][]byte{make([]byte, n), make([]byte, n)}
-			var errs [2]string
-			for i, s := range pair {
-				errs[i] = errString(s.as.Load(addr, bufs[i]))
-			}
-			if errs[0] != errs[1] {
-				t.Fatalf("op %d: Load(%#x,%d) err fast=%q slow=%q", op, addr, n, errs[0], errs[1])
-			}
-			if !bytes.Equal(bufs[0], bufs[1]) {
-				t.Fatalf("op %d: Load(%#x,%d) fast=%x slow=%x", op, addr, n, bufs[0], bufs[1])
-			}
-		case 7, 8, 9, 10, 11, 12: // Store
+			ops = append(ops, eqOp{kind: opLoad, addr: addr, data: make([]byte, n)})
+		case 7, 8, 9, 10, 11, 12:
 			addr, n := pickSpan()
 			data := make([]byte, n)
 			rng.Read(data)
-			var errs [2]string
-			for i, s := range pair {
-				errs[i] = errString(s.as.Store(addr, data))
-			}
-			if errs[0] != errs[1] {
-				t.Fatalf("op %d: Store(%#x,%d) err fast=%q slow=%q", op, addr, n, errs[0], errs[1])
-			}
-		case 13: // FlipBit (soft error)
+			ops = append(ops, eqOp{kind: opStore, addr: addr, data: data})
+		case 13: // soft error
 			addr, _ := pickSpan()
-			bit := rng.Intn(8)
-			for _, s := range pair {
-				if err := s.as.FlipBit(addr, bit); err != nil {
-					t.Fatalf("op %d: FlipBit: %v", op, err)
-				}
-			}
-		case 14: // FlipCheckBit (soft error in check storage)
-			r := regions[rng.Intn(2)] // protected regions only
+			ops = append(ops, eqOp{kind: opFlipBit, addr: addr, bit: rng.Intn(8)})
+		case 14: // soft error in check storage; protected regions only
+			r := regions[rng.Intn(2)]
 			if r.Codec() == nil {
+				nOps--
 				continue
 			}
 			addr := r.Base() + simmem.Addr(rng.Intn(r.Size()))
-			bit := rng.Intn(r.Codec().CheckBytes() * 8)
-			for _, s := range pair {
-				if err := s.as.FlipCheckBit(addr, bit); err != nil {
-					t.Fatalf("op %d: FlipCheckBit: %v", op, err)
-				}
-			}
-		case 15: // StickBit (hard error)
+			ops = append(ops, eqOp{kind: opFlipCheckBit, addr: addr, bit: rng.Intn(r.Codec().CheckBytes() * 8)})
+		case 15: // hard error
 			addr, _ := pickSpan()
 			bit, val := rng.Intn(8), rng.Intn(2)
-			for _, s := range pair {
-				if err := s.as.StickBit(addr, bit, val); err != nil {
-					t.Fatalf("op %d: StickBit: %v", op, err)
-				}
-			}
-		case 16: // ScrubPage
+			ops = append(ops, eqOp{kind: opStickBit, addr: addr, bit: bit, val: val})
+		case 16:
 			ri := rng.Intn(len(regions))
 			pi := rng.Intn(regions[ri].PageCount())
-			wb := rng.Intn(2) == 0
-			var res [2]string
-			for i, s := range pair {
-				c, u, err := s.as.Regions()[ri].ScrubPage(pi, wb)
-				res[i] = fmt.Sprintf("%d/%d/%s", c, u, errString(err))
-			}
-			if res[0] != res[1] {
-				t.Fatalf("op %d: ScrubPage(%d,%d,%v) fast=%s slow=%s", op, ri, pi, wb, res[0], res[1])
-			}
-		case 17: // ReplaceFrame / FlushPage / RestoreWord on the backed region
-			ri := 0
-			r := regions[ri]
-			pi := rng.Intn(r.PageCount())
+			ops = append(ops, eqOp{kind: opScrubPage, ri: ri, pi: pi, wb: rng.Intn(2) == 0})
+		case 17: // repair operations on the backed region
+			r := regions[0]
+			op := eqOp{pi: rng.Intn(r.PageCount())}
 			switch rng.Intn(3) {
 			case 0:
-				for _, s := range pair {
-					if err := s.as.Regions()[ri].ReplaceFrame(pi); err != nil {
-						t.Fatalf("op %d: ReplaceFrame: %v", op, err)
-					}
-				}
+				op.kind = opReplaceFrame
 			case 1:
-				for _, s := range pair {
-					if err := s.as.Regions()[ri].FlushPage(pi); err != nil {
-						t.Fatalf("op %d: FlushPage: %v", op, err)
-					}
-				}
+				op.kind = opFlushPage
 			case 2:
-				addr := r.Base() + simmem.Addr(rng.Intn(r.Size()))
-				var errs [2]string
-				for i, s := range pair {
-					errs[i] = errString(s.as.Regions()[ri].RestoreWord(addr))
-				}
-				if errs[0] != errs[1] {
-					t.Fatalf("op %d: RestoreWord err fast=%q slow=%q", op, errs[0], errs[1])
-				}
+				op.kind = opRestoreWord
+				op.addr = r.Base() + simmem.Addr(rng.Intn(r.Size()))
 			}
-		case 18: // Snapshot
-			for _, s := range pair {
-				s.snap = s.as.Snapshot()
-			}
-		case 19: // Restore (when a snapshot is armed)
-			if fastS.snap == nil {
+			ops = append(ops, op)
+		case 18:
+			snapped = true
+			ops = append(ops, eqOp{kind: opSnapshot})
+		case 19:
+			if !snapped {
+				nOps--
 				continue
 			}
-			var res [2]string
-			for i, s := range pair {
-				n, err := s.snap.Restore()
-				res[i] = fmt.Sprintf("%d/%s", n, errString(err))
-			}
-			if res[0] != res[1] {
-				t.Fatalf("op %d: Restore fast=%s slow=%s", op, res[0], res[1])
-			}
+			ops = append(ops, eqOp{kind: opRestore})
 		}
 	}
+	return ops
+}
 
+// genCrossPageOps is the partial-taint scenario: fill two pages, corrupt
+// one word adjacent to the page boundary, then stream span reads sliding
+// across that boundary — the exact shape where the single-page fast path,
+// the multi-page bulk path, and the per-word walk over a
+// partially-tainted page all meet.
+func genCrossPageOps(regions []*simmem.Region, seed int64) []eqOp {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	r := regions[int(seed&1)] // private (backed) or heap
+	const ps = 256            // page size used by newEqSpace
+	data := make([]byte, 2*ps)
+	rng.Read(data)
+	ops := []eqOp{{kind: opStore, addr: r.Base(), data: data}}
+	// The last word of page 0.
+	addr := r.Base() + simmem.Addr(ps-8+rng.Intn(8))
+	ops = append(ops, eqOp{kind: opFlipBit, addr: addr, bit: rng.Intn(8)})
+	for off := ps - 64; off <= ps+64; off += 16 {
+		ops = append(ops, eqOp{kind: opLoad, addr: r.Base() + simmem.Addr(off), data: make([]byte, 48)})
+	}
+	return ops
+}
+
+// apply runs one op against the space and renders what it observed.
+func (s *eqSpace) apply(op eqOp) eqResult {
+	as := s.as
+	switch op.kind {
+	case opLoad:
+		buf := make([]byte, len(op.data))
+		err := as.Load(op.addr, buf)
+		return eqResult{out: fmt.Sprintf("%x/%s", buf, errString(err))}
+	case opStore:
+		return eqResult{out: errString(as.Store(op.addr, op.data))}
+	case opFlipBit:
+		return eqResult{out: errString(as.FlipBit(op.addr, op.bit))}
+	case opFlipCheckBit:
+		return eqResult{out: errString(as.FlipCheckBit(op.addr, op.bit))}
+	case opStickBit:
+		return eqResult{out: errString(as.StickBit(op.addr, op.bit, op.val))}
+	case opScrubPage:
+		c, u, err := as.Regions()[op.ri].ScrubPage(op.pi, op.wb)
+		return eqResult{out: fmt.Sprintf("%d/%d/%s", c, u, errString(err))}
+	case opReplaceFrame:
+		return eqResult{out: errString(as.Regions()[op.ri].ReplaceFrame(op.pi))}
+	case opFlushPage:
+		return eqResult{out: errString(as.Regions()[op.ri].FlushPage(op.pi))}
+	case opRestoreWord:
+		return eqResult{out: errString(as.Regions()[op.ri].RestoreWord(op.addr))}
+	case opSnapshot:
+		s.snap = as.Snapshot()
+		return eqResult{}
+	case opRestore:
+		n, err := s.snap.Restore()
+		return eqResult{out: errString(err), restored: n}
+	}
+	panic("unknown op")
+}
+
+// replayPair applies ops to both spaces and fails on the first op whose
+// observable result diverges.
+func replayPair(t *testing.T, fastS, slowS *eqSpace, ops []eqOp) {
+	t.Helper()
+	for i, op := range ops {
+		if f, s := fastS.apply(op), slowS.apply(op); f != s {
+			t.Fatalf("op %d %+v: fast=%+v slow=%+v", i, op, f, s)
+		}
+	}
+}
+
+// driveEquivalence applies nOps pseudo-random operations from seed to
+// both spaces and fails on any observable divergence.
+func driveEquivalence(t *testing.T, fastS, slowS *eqSpace, seed int64, nOps int) {
+	t.Helper()
+	replayPair(t, fastS, slowS, genOps(fastS.as.Regions(), seed, nOps))
 	compareEqSpaces(t, fastS, slowS)
 }
 
@@ -271,55 +321,15 @@ func compareEqSpaces(t *testing.T, fastS, slowS *eqSpace) {
 		t.Error("fast space never took the fast path; the differential test is vacuous")
 	}
 	if n := slowS.as.FastPathLoads(); n != 0 {
-		t.Errorf("slow space took the fast path %d times; DisableFastPath is broken", n)
+		t.Errorf("slow space took the fast path %d times; SetFastPath(false) is broken", n)
 	}
 }
 
-// driveCrossPageSpan corrupts one word adjacent to a page boundary and
-// streams span reads sliding across that boundary on both spaces: the
-// exact shape where the single-page fast path, the multi-page bulk path,
-// and the per-word walk over a partially-tainted page all meet. Bytes,
-// errors, and taint state must match at every step.
+// driveCrossPageSpan replays the partial-taint scenario on both spaces:
+// bytes, errors, and taint state must match.
 func driveCrossPageSpan(t *testing.T, fastS, slowS *eqSpace, seed int64) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-	pair := [2]*eqSpace{fastS, slowS}
-	regions := fastS.as.Regions()
-	r := regions[int(seed&1)] // private (backed) or heap
-	const ps = 256            // page size used by newEqSpace
-
-	// Deterministic content across the first two pages.
-	data := make([]byte, 2*ps)
-	rng.Read(data)
-	for _, s := range pair {
-		if err := s.as.Store(r.Base(), data); err != nil {
-			t.Fatalf("Store: %v", err)
-		}
-	}
-	// Corrupt one word straddling neither page: the last word of page 0.
-	addr := r.Base() + simmem.Addr(ps-8+rng.Intn(8))
-	bit := rng.Intn(8)
-	for _, s := range pair {
-		if err := s.as.FlipBit(addr, bit); err != nil {
-			t.Fatalf("FlipBit: %v", err)
-		}
-	}
-	// Stream spans sliding across the page-0/page-1 boundary, plus spans
-	// fully inside the clean page 1.
-	for off := ps - 64; off <= ps+64; off += 16 {
-		n := 48
-		bufs := [2][]byte{make([]byte, n), make([]byte, n)}
-		var errs [2]string
-		for i, s := range pair {
-			errs[i] = errString(s.as.Load(r.Base()+simmem.Addr(off), bufs[i]))
-		}
-		if errs[0] != errs[1] {
-			t.Fatalf("span @%d: err fast=%q slow=%q", off, errs[0], errs[1])
-		}
-		if !bytes.Equal(bufs[0], bufs[1]) {
-			t.Fatalf("span @%d: fast=%x slow=%x", off, bufs[0], bufs[1])
-		}
-	}
+	replayPair(t, fastS, slowS, genCrossPageOps(fastS.as.Regions(), seed))
 	fp, fw := fastS.as.TaintStats()
 	sp, sw := slowS.as.TaintStats()
 	if fp != sp || fw != sw {
@@ -366,7 +376,8 @@ func TestAccessPathEquivalence(t *testing.T) {
 // cross-page span prologue — one corrupted word next to a page boundary,
 // then streamed span reads across it — before the random op stream, so
 // the partially-tainted-page walk is exercised on every input, not only
-// when the rng happens to produce it.
+// when the rng happens to produce it. Uncached inputs also replay
+// against the naive oracle (oracle_test.go).
 func FuzzAccessPathEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed%6), seed%2 == 0)
@@ -388,5 +399,11 @@ func FuzzAccessPathEquivalence(f *testing.F) {
 		slowS := newEqSpace(t, tc.codec(), lines, false)
 		driveCrossPageSpan(t, fastS, slowS, seed)
 		driveEquivalence(t, fastS, slowS, seed, 400)
+		if !cached {
+			// The oracle models no cache; same streams, engine-independent.
+			replayOracle(t, tc.codec, func(regions []*simmem.Region) []eqOp {
+				return append(genCrossPageOps(regions, seed), genOps(regions, seed, 400)...)
+			})
+		}
 	})
 }

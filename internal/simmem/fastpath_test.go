@@ -499,6 +499,8 @@ func TestAccessorSpanZeroAlloc(t *testing.T) {
 	pin("Load(clean page)", func() error { return acc.Load(base+512, buf) })
 	pin("Store(clean page)", func() error { return acc.Store(base+512, buf) })
 	pin("LoadU64", func() error { _, err := acc.LoadU64(base + 256); return err })
+	// The space's own typed helpers are the embedded accessor's, promoted.
+	pin("AddressSpace.LoadU64", func() error { _, err := as.LoadU64(base + 256); return err })
 	pin("StoreU64", func() error { return acc.StoreU64(base+256, 0xfeedbeef) })
 	pin("LoadF64", func() error { _, err := acc.LoadF64(base + 264); return err })
 	pin("LoadU32", func() error { _, err := acc.LoadU32(base + 272); return err })

@@ -50,9 +50,8 @@ type LabConfig struct {
 	// TargetCI, when positive, runs every campaign cell under the
 	// adaptive planner: a cell stops as soon as the Wilson CI
 	// half-width (level 0.90) of its crash probability narrows to this
-	// target, and multi-cell sweeps share the worker pool
-	// widest-CI-first, so `tables` gets faster at equal statistical
-	// quality. 0 keeps the classic fixed-N cells.
+	// target, so `tables` gets faster at equal statistical quality. 0
+	// keeps the classic fixed-N cells.
 	TargetCI float64
 	// TimingTrials is the larger count for the Fig. 5a timing
 	// distribution (default 3× Trials).
