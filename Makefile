@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify test build fmt vet race bench bench-check
+.PHONY: verify test build fmt vet race loc bench bench-check
 
 # Tier-1 verify (ROADMAP.md): the gate every change must pass.
 verify: build test
@@ -22,7 +22,11 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/obsv ./internal/core ./internal/simmem ./internal/apps/... ./internal/kvnode ./internal/chaos ./cmd/kvserve
+	$(GO) test -race ./internal/obsv ./internal/core ./internal/simmem ./internal/apps/... ./internal/kvnode ./internal/chaos ./cmd/kvserve ./cmd/hrmsim
+
+# Non-test Go lines outside bench/: the figure the simplicity PRs quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 # hrmbench: every workload and metric, checked against bench/expected
 # (bench/README.md).

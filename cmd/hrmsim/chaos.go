@@ -157,7 +157,7 @@ func cmdChaos(args []string) error {
 	}
 	if *jsonOut {
 		snap := reg.Snapshot()
-		if err := emitJSON("chaos", false, verdict, &snap, nil); err != nil {
+		if err := emitJSON(envelope{Command: "chaos", Result: verdict, Metrics: &snap}); err != nil {
 			return err
 		}
 	} else {

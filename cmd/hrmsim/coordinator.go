@@ -172,9 +172,10 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) (*coordinatorOut
 	if launch == nil {
 		launch = processLauncher(cfg, logw)
 	}
-	var spawns *obsv.Counter
+	var spawns, respawned *obsv.Counter
 	if cfg.Metrics != nil {
 		spawns = cfg.Metrics.Counter("campaign_shards_total")
+		respawned = cfg.Metrics.Counter("campaign_shard_respawns_total")
 	}
 
 	type exit struct {
@@ -239,7 +240,7 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) (*coordinatorOut
 			if e.err != nil && ctx.Err() == nil && respawns[e.shard] < cfg.MaxRespawns {
 				respawns[e.shard]++
 				if cfg.Metrics != nil {
-					cfg.Metrics.Counter("campaign_shard_respawns_total").Inc()
+					respawned.Inc()
 					cfg.Metrics.Counter(obsv.LabeledName(
 						"campaign_shard_respawns_total", "shard", strconv.Itoa(e.shard))).Inc()
 				}
@@ -283,7 +284,7 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) (*coordinatorOut
 			heartbeats := make(map[int]time.Time)
 			if fleet != nil {
 				for _, sh := range fleet.Shards {
-					heartbeats[sh.Index] = sh.UpdatedAt
+					heartbeats[sh.Index] = sh.UpdatedAt()
 				}
 			}
 			for i := 0; i < cfg.Shards; i++ {
@@ -391,7 +392,8 @@ func runCoordinatorCmd(cfg coordinatorConfig, jsonOut, progress bool) error {
 	}
 	if jsonOut {
 		snap := reg.Snapshot()
-		if err := emitJSON("characterize", c.Interrupted, toCharacterizeJSON(c), &snap, nil, withMerged(info)); err != nil {
+		if err := emitJSON(envelope{Command: "characterize", Interrupted: c.Interrupted,
+			Result: toCharacterizeJSON(c), Metrics: &snap, Merged: info}); err != nil {
 			return err
 		}
 	} else {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -23,6 +24,8 @@ type goldenDoc struct {
 	Shard         json.RawMessage `json:"shard,omitempty"`
 	Merged        json.RawMessage `json:"merged,omitempty"`
 }
+
+var ageSeconds = regexp.MustCompile(`"age_seconds": [-+.e0-9]+`)
 
 // TestGoldenWireShape pins the -json wire shape of the seeded,
 // deterministic subcommands against committed documents: every key, in
@@ -50,11 +53,20 @@ func TestGoldenWireShape(t *testing.T) {
 		{"characterize-shard-0of2", shard(0)},
 		{"characterize-shard-1of2", shard(1)},
 		{"merge", []string{"merge", "-dir", dir, "-json"}},
+		// Two hand-written schema-1 heartbeat records: a finished shard
+		// with every optional field set and an initial heartbeat.
+		{"status", []string{"status", "-dir", filepath.Join("testdata", "fleet"), "-json"}},
+		{"characterize-adaptive", []string{"characterize", "-app", "kvstore", "-size", "small",
+			"-trials", "120", "-seed", "6", "-parallelism", "2", "-target-ci", "0.1", "-json"}},
+		{"lifetime", []string{"lifetime", "-hours", "1", "-errors", "50000", "-json"}},
+		{"tolerable", []string{"tolerable", "-json"}},
 	}
 	for _, tc := range cases {
 		out := captureStdout(t, func() error { return run(tc.args) })
 		// Journal paths in the merged section name the scratch directory.
 		out = strings.ReplaceAll(out, dir, "DIR")
+		// A heartbeat's age is measured against the wall clock.
+		out = ageSeconds.ReplaceAllString(out, `"age_seconds": 0`)
 		var doc goldenDoc
 		dec := json.NewDecoder(strings.NewReader(out))
 		if err := dec.Decode(&doc); err != nil {

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"hrmsim"
 	"hrmsim/internal/evtrace"
@@ -44,161 +43,7 @@ type envelope struct {
 	Shard *hrmsim.ShardInfo `json:"shard,omitempty"`
 	// Merged describes the shard set a merged result was assembled from
 	// (merge, characterize -coordinator; see SHARDING.md).
-	Merged *mergedJSON `json:"merged,omitempty"`
-}
-
-// mergedJSON is the envelope's merge-provenance section.
-type mergedJSON struct {
-	ConfigHash string                  `json:"config_hash"`
-	Shards     []hrmsim.MergeShardInfo `json:"shards"`
-	Records    int                     `json:"records"`
-	Duplicates int                     `json:"duplicates,omitempty"`
-	Missing    int                     `json:"missing,omitempty"`
-}
-
-// envelopeOption customizes optional envelope sections.
-type envelopeOption func(*envelope)
-
-// withShard attaches the shard-coordinates section (nil = no-op).
-func withShard(s *hrmsim.ShardInfo) envelopeOption {
-	return func(e *envelope) { e.Shard = s }
-}
-
-// withMerged attaches the merge-provenance section (nil = no-op).
-func withMerged(info *hrmsim.MergeInfo) envelopeOption {
-	return func(e *envelope) {
-		if info == nil {
-			return
-		}
-		e.Merged = &mergedJSON{
-			ConfigHash: info.ConfigHash,
-			// Copied onto an empty slice so no shards encodes as [].
-			Shards:     append([]hrmsim.MergeShardInfo{}, info.Shards...),
-			Records:    info.Records,
-			Duplicates: info.Duplicates,
-			Missing:    info.Missing,
-		}
-	}
-}
-
-// fleetStatusJSON is the `status -json` (and coordinator /statusz)
-// result: the cross-shard aggregate of a campaign directory's
-// heartbeat records plus every shard's latest record.
-type fleetStatusJSON struct {
-	ConfigHash string `json:"config_hash"`
-	App        string `json:"app"`
-	Error      string `json:"error"`
-	Region     string `json:"region"` // "" = all regions
-	Trials     int    `json:"trials"`
-	Seed       int64  `json:"seed"`
-	// Done/Total and the disposition counts are sums over the shards
-	// that have reported (Total < Trials while shards are registering).
-	Done      int `json:"done"`
-	Total     int `json:"total"`
-	Completed int `json:"completed"`
-	Aborted   int `json:"aborted,omitempty"`
-	Resumed   int `json:"resumed,omitempty"`
-	// Outcomes sums the per-shard Fig. 1 taxonomy counts so far.
-	Outcomes     map[string]int `json:"outcomes"`
-	TrialsPerSec float64        `json:"trials_per_sec,omitempty"`
-	EtaSeconds   float64        `json:"eta_seconds,omitempty"`
-	// Adaptive planner telemetry (absent for fixed-plan campaigns):
-	// the widest reported CI half-width, the summed current trial
-	// budget, and the trials the stopping rules saved so far.
-	Adaptive      bool    `json:"adaptive,omitempty"`
-	CIHalfWidth   float64 `json:"ci_half_width,omitempty"`
-	PlannedTrials int     `json:"planned_trials,omitempty"`
-	TrialsSaved   int     `json:"trials_saved,omitempty"`
-	// Running / Interrupted count shards in each state.
-	Running     int               `json:"running"`
-	Interrupted int               `json:"interrupted,omitempty"`
-	Shards      []shardStatusJSON `json:"shards"`
-}
-
-// shardStatusJSON is one shard's latest heartbeat in the fleet view.
-type shardStatusJSON struct {
-	Index          int            `json:"index"`
-	Count          int            `json:"count"`
-	TrialLo        int            `json:"trial_lo"`
-	TrialHi        int            `json:"trial_hi"`
-	Done           int            `json:"done"`
-	Total          int            `json:"total"`
-	Completed      int            `json:"completed"`
-	Aborted        int            `json:"aborted,omitempty"`
-	Resumed        int            `json:"resumed,omitempty"`
-	Outcomes       map[string]int `json:"outcomes"`
-	TrialsPerSec   float64        `json:"trials_per_sec,omitempty"`
-	EtaSeconds     float64        `json:"eta_seconds,omitempty"`
-	ElapsedSeconds float64        `json:"elapsed_seconds,omitempty"`
-	// Adaptive planner telemetry, mirroring the shard's heartbeat
-	// record (absent for fixed-plan shards).
-	Adaptive      bool    `json:"adaptive,omitempty"`
-	CIHalfWidth   float64 `json:"ci_half_width,omitempty"`
-	PlannedTrials int     `json:"planned_trials,omitempty"`
-	PlanFinal     bool    `json:"plan_final,omitempty"`
-	TrialsSaved   int     `json:"trials_saved,omitempty"`
-	Running       bool    `json:"running"`
-	Interrupted   bool    `json:"interrupted,omitempty"`
-	// UpdatedUnixNs is the heartbeat instant; AgeSeconds its age at
-	// render time — the liveness signal straggler detection keys on.
-	UpdatedUnixNs int64   `json:"updated_unix_ns"`
-	AgeSeconds    float64 `json:"age_seconds"`
-}
-
-func toFleetJSON(fs *hrmsim.FleetStatus, now time.Time) fleetStatusJSON {
-	out := fleetStatusJSON{
-		ConfigHash:    fs.ConfigHash,
-		App:           string(fs.App),
-		Error:         string(fs.Error),
-		Region:        string(fs.Region),
-		Trials:        fs.Trials,
-		Seed:          fs.Seed,
-		Done:          fs.Done,
-		Total:         fs.Total,
-		Completed:     fs.Completed,
-		Aborted:       fs.Aborted,
-		Resumed:       fs.Resumed,
-		Outcomes:      fs.Outcomes,
-		TrialsPerSec:  fs.TrialsPerSec,
-		EtaSeconds:    fs.ETA.Seconds(),
-		Adaptive:      fs.Adaptive,
-		CIHalfWidth:   fs.CIHalfWidth,
-		PlannedTrials: fs.Planned,
-		TrialsSaved:   fs.TrialsSaved,
-		Running:       fs.Running,
-		Interrupted:   fs.Interrupted,
-		Shards:        []shardStatusJSON{},
-	}
-	if out.Outcomes == nil {
-		out.Outcomes = map[string]int{}
-	}
-	for _, sh := range fs.Shards {
-		out.Shards = append(out.Shards, shardStatusJSON{
-			Index:          sh.Index,
-			Count:          sh.Count,
-			TrialLo:        sh.TrialLo,
-			TrialHi:        sh.TrialHi,
-			Done:           sh.Done,
-			Total:          sh.Total,
-			Completed:      sh.Completed,
-			Aborted:        sh.Aborted,
-			Resumed:        sh.Resumed,
-			Outcomes:       sh.Outcomes,
-			TrialsPerSec:   sh.TrialsPerSec,
-			EtaSeconds:     sh.ETA.Seconds(),
-			ElapsedSeconds: sh.Elapsed.Seconds(),
-			Adaptive:       sh.Adaptive,
-			CIHalfWidth:    sh.CIHalfWidth,
-			PlannedTrials:  sh.Planned,
-			PlanFinal:      sh.PlanFinal,
-			TrialsSaved:    sh.TrialsSaved,
-			Running:        sh.Running,
-			Interrupted:    sh.Interrupted,
-			UpdatedUnixNs:  sh.UpdatedAt.UnixNano(),
-			AgeSeconds:     sh.Age(now).Seconds(),
-		})
-	}
-	return out
+	Merged *hrmsim.MergeInfo `json:"merged,omitempty"`
 }
 
 // traceJSON is the envelope's event-tracing section.
@@ -229,25 +74,25 @@ func toTraceJSON(rec *evtrace.Recorder) *traceJSON {
 	}
 }
 
-// emitJSON writes one indented envelope to stdout.
-func emitJSON(command string, interrupted bool, result any, metrics *obsv.Snapshot, trace *traceJSON, opts ...envelopeOption) error {
-	env := envelope{
-		SchemaVersion: schemaVersion,
-		Tool:          "hrmsim",
-		Command:       command,
-		Interrupted:   interrupted,
-		Result:        result,
-		Metrics:       metrics,
-		Trace:         trace,
-	}
-	for _, opt := range opts {
-		opt(&env)
-	}
+// encode stamps the schema version and tool name and renders the
+// envelope as one indented, newline-terminated document.
+func (env envelope) encode() ([]byte, error) {
+	env.SchemaVersion = schemaVersion
+	env.Tool = "hrmsim"
 	b, err := json.MarshalIndent(env, "", "  ")
 	if err != nil {
-		return fmt.Errorf("encoding %s result: %w", command, err)
+		return nil, fmt.Errorf("encoding %s result: %w", env.Command, err)
 	}
-	_, err = fmt.Fprintln(os.Stdout, string(b))
+	return append(b, '\n'), nil
+}
+
+// emitJSON writes one envelope to stdout.
+func emitJSON(env envelope) error {
+	b, err := env.encode()
+	if err != nil {
+		return err
+	}
+	_, err = os.Stdout.Write(b)
 	return err
 }
 
@@ -336,14 +181,12 @@ type designspaceJSON struct {
 	Rows []hrmsim.DesignRow `json:"rows"`
 }
 
-// planJSON is the `plan -json` result.
+// planJSON is the `plan -json` result: the echoed flags, then the
+// search's own fields.
 type planJSON struct {
-	TargetAvailability float64           `json:"target_availability"`
-	ErrorsPerMonth     float64           `json:"errors_per_month"`
-	Considered         int               `json:"considered"`
-	Feasible           int               `json:"feasible"`
-	Best               hrmsim.DesignRow  `json:"best"`
-	BestMapping        map[string]string `json:"best_mapping"`
+	TargetAvailability float64 `json:"target_availability"`
+	ErrorsPerMonth     float64 `json:"errors_per_month"`
+	*hrmsim.PlanResult
 }
 
 // tolerableJSON is the `tolerable -json` result.
@@ -362,20 +205,13 @@ type tolerableCellJSON struct {
 	TolerableErrorsPerMonth float64 `json:"tolerable_errors_per_month"`
 }
 
-// lifetimeJSON is the `lifetime -json` result.
+// lifetimeJSON is the `lifetime -json` result: the echoed flags, then
+// the simulation's own fields.
 type lifetimeJSON struct {
-	Protection          string  `json:"protection"`
-	ErrorsPerMonth      float64 `json:"errors_per_month"`
-	Hours               int     `json:"hours"`
-	ErrorsInjected      int     `json:"errors_injected"`
-	Crashes             int     `json:"crashes"`
-	DowntimeMinutes     float64 `json:"downtime_minutes"`
-	Availability        float64 `json:"availability"`
-	Requests            int     `json:"requests"`
-	Incorrect           int     `json:"incorrect"`
-	IncorrectPerMillion float64 `json:"incorrect_per_million"`
-	ScrubPasses         int     `json:"scrub_passes"`
-	ScrubCorrected      int     `json:"scrub_corrected"`
+	Protection     string  `json:"protection"`
+	ErrorsPerMonth float64 `json:"errors_per_month"`
+	Hours          int     `json:"hours"`
+	*hrmsim.LifetimeResult
 }
 
 // tablesJSON is the `tables -json` result.

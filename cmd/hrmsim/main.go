@@ -303,7 +303,8 @@ func cmdCharacterize(args []string) error {
 	}
 	if *jsonOut {
 		snap := reg.Snapshot()
-		return emitJSON("characterize", c.Interrupted, toCharacterizeJSON(c), &snap, toTraceJSON(recorder), withShard(c.Shard))
+		return emitJSON(envelope{Command: "characterize", Interrupted: c.Interrupted,
+			Result: toCharacterizeJSON(c), Metrics: &snap, Trace: toTraceJSON(recorder), Shard: c.Shard})
 	}
 	printCharacterization(c)
 	return nil
@@ -381,7 +382,8 @@ func cmdMerge(args []string) error {
 	}
 	if *jsonOut {
 		snap := reg.Snapshot()
-		return emitJSON("merge", c.Interrupted, toCharacterizeJSON(c), &snap, nil, withMerged(info))
+		return emitJSON(envelope{Command: "merge", Interrupted: c.Interrupted,
+			Result: toCharacterizeJSON(c), Metrics: &snap, Merged: info})
 	}
 	fmt.Printf("Merged %d shards (config %.12s…): %d trial records", len(info.Shards), info.ConfigHash, info.Records)
 	if info.Duplicates > 0 {
@@ -419,7 +421,7 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		return emitJSON("profile", false, rep, nil, nil)
+		return emitJSON(envelope{Command: "profile", Result: rep})
 	}
 	fmt.Printf("Access profile: %s (%.1f virtual minutes observed)\n\n", rep.App, rep.WindowMinutes)
 	t := &textplot.Table{
@@ -448,7 +450,7 @@ func cmdDesignSpace(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		return emitJSON("designspace", false, designspaceJSON{Rows: rows}, nil, nil)
+		return emitJSON(envelope{Command: "designspace", Result: designspaceJSON{Rows: rows}})
 	}
 	fmt.Println(renderDesignRows("Table 6 design points (paper WebSearch inputs)", rows))
 	return nil
@@ -498,14 +500,11 @@ func cmdPlan(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		return emitJSON("plan", false, planJSON{
+		return emitJSON(envelope{Command: "plan", Result: planJSON{
 			TargetAvailability: *target,
 			ErrorsPerMonth:     *errors,
-			Considered:         res.Considered,
-			Feasible:           res.Feasible,
-			Best:               res.Best,
-			BestMapping:        res.BestMapping,
-		}, nil, nil)
+			PlanResult:         res,
+		}})
 	}
 	fmt.Printf("Design-space search: %d points considered, %d feasible at %.3f%% availability\n\n",
 		res.Considered, res.Feasible, *target*100)
@@ -557,7 +556,7 @@ func cmdTolerable(args []string) error {
 		out.Rows = append(out.Rows, jr)
 	}
 	if *jsonOut {
-		return emitJSON("tolerable", false, out, nil, nil)
+		return emitJSON(envelope{Command: "tolerable", Result: out})
 	}
 	fmt.Println(t.Render())
 	return nil
@@ -614,7 +613,7 @@ func cmdTables(args []string) error {
 		}
 	}
 	if *jsonOut {
-		return emitJSON("tables", false, out, nil, nil)
+		return emitJSON(envelope{Command: "tables", Result: out})
 	}
 	return nil
 }
@@ -643,20 +642,12 @@ func cmdLifetime(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		return emitJSON("lifetime", false, lifetimeJSON{
-			Protection:          *protection,
-			ErrorsPerMonth:      *errors,
-			Hours:               *hours,
-			ErrorsInjected:      res.ErrorsInjected,
-			Crashes:             res.Crashes,
-			DowntimeMinutes:     res.DowntimeMinutes,
-			Availability:        res.Availability,
-			Requests:            res.Requests,
-			Incorrect:           res.Incorrect,
-			IncorrectPerMillion: res.IncorrectPerMillion,
-			ScrubPasses:         res.ScrubPasses,
-			ScrubCorrected:      res.ScrubCorrected,
-		}, nil, nil)
+		return emitJSON(envelope{Command: "lifetime", Result: lifetimeJSON{
+			Protection:     *protection,
+			ErrorsPerMonth: *errors,
+			Hours:          *hours,
+			LifetimeResult: res,
+		}})
 	}
 	fmt.Printf("Lifetime simulation: websearch, %s protection, %.0f errors/month, %dh\n\n",
 		*protection, *errors, *hours)

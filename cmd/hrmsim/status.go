@@ -9,7 +9,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -54,20 +53,13 @@ func startStatusServer(addr string, fleet func() *hrmsim.FleetStatus, reg *obsv.
 			http.Error(w, "no shard status yet", http.StatusServiceUnavailable)
 			return
 		}
-		env := envelope{
-			SchemaVersion: schemaVersion,
-			Tool:          "hrmsim",
-			Command:       "status",
-			Result:        toFleetJSON(fs, time.Now()),
-			Metrics:       fs.Metrics,
-		}
-		b, err := json.MarshalIndent(env, "", "  ")
+		b, err := envelope{Command: "status", Result: fs, Metrics: fs.Metrics}.encode()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_, _ = w.Write(append(b, '\n'))
+		_, _ = w.Write(b)
 	})
 	shutdown = obsv.ServeSidecar(ln, mux, func(err error) {
 		fmt.Fprintf(os.Stderr, "coordinator: status server: %v\n", err)
@@ -86,9 +78,14 @@ func fleetProgressLine(fs *hrmsim.FleetStatus) string {
 	line := fmt.Sprintf("characterize: %d/%d trials (%d%%) | %d shard(s) running",
 		fs.Done, fs.Trials, pct, fs.Running)
 	if fs.Running > 0 && fs.TrialsPerSec > 0 {
-		line += fmt.Sprintf(" | %.1f trials/s | ETA %s", fs.TrialsPerSec, fs.ETA.Round(time.Second))
+		line += fmt.Sprintf(" | %.1f trials/s | ETA %s", fs.TrialsPerSec, wholeSeconds(fs.EtaSeconds))
 	}
 	return line
+}
+
+// wholeSeconds renders a seconds count as a duration rounded to 1s.
+func wholeSeconds(s float64) time.Duration {
+	return time.Duration(s * float64(time.Second)).Round(time.Second)
 }
 
 // fleetProgressSink returns a FleetSink that rewrites one stderr-style
@@ -132,7 +129,7 @@ func renderFleetStatus(fs *hrmsim.FleetStatus, now time.Time) string {
 	fmt.Fprintf(&b, "  fleet: %d/%d trials (%d%%) | %d/%d shard(s) reporting, %d running",
 		fs.Done, fs.Trials, pct, len(fs.Shards), shardCount, fs.Running)
 	if fs.Running > 0 && fs.TrialsPerSec > 0 {
-		fmt.Fprintf(&b, " | %.1f trials/s | ETA %s", fs.TrialsPerSec, fs.ETA.Round(time.Second))
+		fmt.Fprintf(&b, " | %.1f trials/s | ETA %s", fs.TrialsPerSec, wholeSeconds(fs.EtaSeconds))
 	}
 	if fs.Interrupted > 0 {
 		fmt.Fprintf(&b, " | %d interrupted", fs.Interrupted)
@@ -169,12 +166,12 @@ func renderFleetStatus(fs *hrmsim.FleetStatus, now time.Time) string {
 		fmt.Fprintf(&b, "  shard %d/%d [%d,%d): %d/%d %s", sh.Index, sh.Count,
 			sh.TrialLo, sh.TrialHi, sh.Done, sh.Total, state)
 		if sh.Running && sh.TrialsPerSec > 0 {
-			fmt.Fprintf(&b, " | %.1f trials/s | ETA %s", sh.TrialsPerSec, sh.ETA.Round(time.Second))
+			fmt.Fprintf(&b, " | %.1f trials/s | ETA %s", sh.TrialsPerSec, wholeSeconds(sh.EtaSeconds))
 		}
 		if sh.Adaptive {
 			fmt.Fprintf(&b, " | CI ±%.4f", sh.CIHalfWidth)
 		}
-		fmt.Fprintf(&b, " | heartbeat %s ago\n", sh.Age(now).Round(time.Second))
+		fmt.Fprintf(&b, " | heartbeat %s ago\n", now.Sub(sh.UpdatedAt()).Round(time.Second))
 	}
 	return b.String()
 }
@@ -210,7 +207,7 @@ func cmdStatus(args []string) error {
 			return err
 		}
 		if *jsonOut {
-			return emitJSON("status", false, toFleetJSON(fleet, time.Now()), fleet.Metrics, nil)
+			return emitJSON(envelope{Command: "status", Result: fleet, Metrics: fleet.Metrics})
 		}
 		fmt.Print(renderFleetStatus(fleet, time.Now()))
 		return nil

@@ -88,9 +88,9 @@ func TestCoordinatorControlPlaneEndToEnd(t *testing.T) {
 		t.Fatalf("/statusz = %d: %s", code, body)
 	}
 	var env struct {
-		SchemaVersion int             `json:"schema_version"`
-		Command       string          `json:"command"`
-		Result        fleetStatusJSON `json:"result"`
+		SchemaVersion int                `json:"schema_version"`
+		Command       string             `json:"command"`
+		Result        hrmsim.FleetStatus `json:"result"`
 	}
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("decoding /statusz: %v", err)
@@ -236,7 +236,7 @@ func TestFleetProgressLine(t *testing.T) {
 		Done:         100,
 		Running:      3,
 		TrialsPerSec: 50,
-		ETA:          6 * time.Second,
+		EtaSeconds:   6,
 	}
 	line := fleetProgressLine(fs)
 	for _, want := range []string{"100/400 trials (25%)", "3 shard(s) running", "50.0 trials/s", "ETA 6s"} {
@@ -244,7 +244,7 @@ func TestFleetProgressLine(t *testing.T) {
 			t.Errorf("progress line missing %q: %q", want, line)
 		}
 	}
-	fs.Done, fs.Running, fs.TrialsPerSec, fs.ETA = 400, 0, 0, 0
+	fs.Done, fs.Running, fs.TrialsPerSec, fs.EtaSeconds = 400, 0, 0, 0
 	line = fleetProgressLine(fs)
 	if !strings.Contains(line, "400/400 trials (100%)") || strings.Contains(line, "ETA") {
 		t.Errorf("settled progress line = %q", line)
@@ -264,5 +264,34 @@ func TestCmdStatusValidation(t *testing.T) {
 	if err := cmdStatus([]string{t.TempDir()}); err == nil ||
 		!strings.Contains(err.Error(), "no shard status records") {
 		t.Errorf("empty-dir err = %v", err)
+	}
+}
+
+// TestStatusJSONShardOutcomesIsObject: a shard row's `outcomes` is an
+// object even for a heartbeat with no completed trial — here the
+// committed fixture's initial record, written without the key — never
+// null.
+func TestStatusJSONShardOutcomesIsObject(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return run([]string{"status", "-dir", filepath.Join("testdata", "fleet"), "-json"})
+	})
+	var env struct {
+		Result struct {
+			Shards []struct {
+				Index    int             `json:"index"`
+				Outcomes json.RawMessage `json:"outcomes"`
+			} `json:"shards"`
+		} `json:"result"`
+	}
+	if err := json.Unmarshal([]byte(out), &env); err != nil {
+		t.Fatalf("decoding status -json: %v\n%s", err, out)
+	}
+	if len(env.Result.Shards) != 2 {
+		t.Fatalf("got %d shard rows, want 2", len(env.Result.Shards))
+	}
+	for _, sh := range env.Result.Shards {
+		if !strings.HasPrefix(string(sh.Outcomes), "{") {
+			t.Errorf("shard %d outcomes = %s, want an object", sh.Index, sh.Outcomes)
+		}
 	}
 }

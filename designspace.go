@@ -8,69 +8,18 @@ import (
 
 // DesignRow is one evaluated heterogeneous-reliability design point — one
 // row of the paper's Table 6.
-type DesignRow struct {
-	Name string `json:"name"`
-	// MemorySavings is the memory cost saving fraction vs an all-ECC
-	// server, with the less-tested pricing band.
-	MemorySavings   float64 `json:"memory_savings"`
-	MemorySavingsLo float64 `json:"memory_savings_lo"`
-	MemorySavingsHi float64 `json:"memory_savings_hi"`
-	// ServerSavings is the server hardware cost saving fraction.
-	ServerSavings   float64 `json:"server_savings"`
-	ServerSavingsLo float64 `json:"server_savings_lo"`
-	ServerSavingsHi float64 `json:"server_savings_hi"`
-	// CrashesPerMonth is the expected crash rate from memory errors.
-	CrashesPerMonth float64 `json:"crashes_per_month"`
-	// Availability is single server availability (0..1).
-	Availability float64 `json:"availability"`
-	// IncorrectPerMillion is the incorrect-response rate while up.
-	IncorrectPerMillion float64 `json:"incorrect_per_million"`
-	// MeetsTarget reports whether the 99.90% target is met.
-	MeetsTarget bool `json:"meets_target"`
-}
+type DesignRow = design.Evaluation
 
 // RegionVulnerability is a region's measured vulnerability, the input to
-// design-space evaluation. Obtain one per region from Characterize (crash
-// probability and incorrect rate) or use PaperWebSearchVulnerability.
-type RegionVulnerability struct {
-	// Region is "private", "heap", or "stack".
-	Region Region
-	// Share is the region's fraction of application memory.
-	Share float64
-	// CrashProbability is P(crash | error) unprotected.
-	CrashProbability float64
-	// IncorrectPerError is incorrect responses per million queries
-	// contributed by one resident error.
-	IncorrectPerError float64
-}
+// design-space evaluation: Name is "private", "heap", or "stack". Obtain
+// one per region from Characterize (crash probability and incorrect rate)
+// or use PaperWebSearchVulnerability.
+type RegionVulnerability = design.RegionInput
 
 // PaperWebSearchVulnerability returns the WebSearch inputs derived from
 // the paper's published characterization, which reproduce Table 6.
 func PaperWebSearchVulnerability() []RegionVulnerability {
-	var out []RegionVulnerability
-	for _, in := range design.PaperWebSearchInputs() {
-		out = append(out, RegionVulnerability{
-			Region:            Region(in.Name),
-			Share:             in.Share,
-			CrashProbability:  in.CrashProb,
-			IncorrectPerError: in.IncorrectPerErr,
-		})
-	}
-	return out
-}
-
-// toInputs converts public vulnerabilities to internal inputs.
-func toInputs(vs []RegionVulnerability) []design.RegionInput {
-	out := make([]design.RegionInput, 0, len(vs))
-	for _, v := range vs {
-		out = append(out, design.RegionInput{
-			Name:            string(v.Region),
-			Share:           v.Share,
-			CrashProb:       v.CrashProbability,
-			IncorrectPerErr: v.IncorrectPerError,
-		})
-	}
-	return out
+	return design.PaperWebSearchInputs()
 }
 
 // EvaluateTable6 evaluates the paper's five design points (Typical
@@ -82,33 +31,15 @@ func EvaluateTable6(vs []RegionVulnerability) ([]DesignRow, error) {
 		return nil, fmt.Errorf("hrmsim: no region vulnerabilities supplied")
 	}
 	params := design.PaperParams()
-	inputs := toInputs(vs)
 	var rows []DesignRow
 	for _, d := range design.Table6Points() {
-		ev, err := design.Evaluate(params, inputs, d)
+		ev, err := design.Evaluate(params, vs, d)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, rowFrom(ev))
+		rows = append(rows, ev)
 	}
 	return rows, nil
-}
-
-// rowFrom converts an internal evaluation.
-func rowFrom(ev design.Evaluation) DesignRow {
-	return DesignRow{
-		Name:                ev.Name,
-		MemorySavings:       ev.MemorySavings,
-		MemorySavingsLo:     ev.MemorySavingsLo,
-		MemorySavingsHi:     ev.MemorySavingsHi,
-		ServerSavings:       ev.ServerSavings,
-		ServerSavingsLo:     ev.ServerSavingsLo,
-		ServerSavingsHi:     ev.ServerSavingsHi,
-		CrashesPerMonth:     ev.CrashesPerMonth,
-		Availability:        ev.Availability,
-		IncorrectPerMillion: ev.IncorrectPerMillion,
-		MeetsTarget:         ev.MeetsTarget,
-	}
 }
 
 // PlanConfig configures a design-space search: find the cheapest
@@ -123,16 +54,17 @@ type PlanConfig struct {
 	ErrorsPerMonth float64
 }
 
-// PlanResult is the outcome of a design-space search.
+// PlanResult is the outcome of a design-space search. Its tags are the
+// `plan -json` result fields after the echoed flags.
 type PlanResult struct {
-	// Best is the cheapest design meeting the target.
-	Best DesignRow
-	// BestMapping describes the chosen per-region techniques.
-	BestMapping map[string]string
 	// Considered is the number of design points evaluated.
-	Considered int
+	Considered int `json:"considered"`
 	// Feasible is the number meeting the target.
-	Feasible int
+	Feasible int `json:"feasible"`
+	// Best is the cheapest design meeting the target.
+	Best DesignRow `json:"best"`
+	// BestMapping describes the chosen per-region techniques.
+	BestMapping map[string]string `json:"best_mapping"`
 }
 
 // Plan exhaustively searches per-region mappings over {NoECC, Parity+
@@ -150,9 +82,8 @@ func Plan(cfg PlanConfig) (*PlanResult, error) {
 	if cfg.ErrorsPerMonth != 0 {
 		params.ErrorsPerMonth = cfg.ErrorsPerMonth
 	}
-	inputs := toInputs(cfg.Vulnerabilities)
 	var regions []string
-	for _, in := range inputs {
+	for _, in := range cfg.Vulnerabilities {
 		regions = append(regions, in.Name)
 	}
 	points := design.EnumeratePoints(regions,
@@ -160,7 +91,7 @@ func Plan(cfg PlanConfig) (*PlanResult, error) {
 	var evals []design.Evaluation
 	byName := make(map[string]design.DesignPoint, len(points))
 	for _, d := range points {
-		ev, err := design.Evaluate(params, inputs, d)
+		ev, err := design.Evaluate(params, cfg.Vulnerabilities, d)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +115,7 @@ func Plan(cfg PlanConfig) (*PlanResult, error) {
 		mapping[region] = label
 	}
 	return &PlanResult{
-		Best:        rowFrom(best),
+		Best:        best,
 		BestMapping: mapping,
 		Considered:  len(points),
 		Feasible:    len(frontier),

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"time"
 
@@ -119,26 +118,35 @@ func kindFor(r Region) (simmem.RegionKind, error) {
 	}
 }
 
+// websearchConfig is the WebSearch workload shape at a given size.
+func websearchConfig(size WorkloadSize, seed int64) (websearch.Config, error) {
+	cfg := websearch.DefaultConfig(seed)
+	cfg.RequestCost = 10 * time.Second
+	switch size {
+	case SizeSmall:
+		cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 256, 128, 4, 12
+		cfg.Queries, cfg.CacheSlots = 60, 32
+	case SizeMedium:
+		cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 1024, 512, 6, 24
+		cfg.Queries, cfg.CacheSlots = 120, 256
+	case SizeLarge:
+		cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 4096, 2048, 8, 56
+		cfg.Queries, cfg.CacheSlots = 400, 1024
+	default:
+		return cfg, fmt.Errorf("hrmsim: unknown workload size %d", size)
+	}
+	return cfg, nil
+}
+
 // NewBuilder constructs an application builder at a given size and seed.
 // The returned builder creates fresh, identical instances — one per
 // injection trial.
 func NewBuilder(app App, size WorkloadSize, seed int64) (apps.Builder, error) {
 	switch app {
 	case AppWebSearch:
-		cfg := websearch.DefaultConfig(seed)
-		cfg.RequestCost = 10 * time.Second
-		switch size {
-		case SizeSmall:
-			cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 256, 128, 4, 12
-			cfg.Queries, cfg.CacheSlots = 60, 32
-		case SizeMedium:
-			cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 1024, 512, 6, 24
-			cfg.Queries, cfg.CacheSlots = 120, 256
-		case SizeLarge:
-			cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 4096, 2048, 8, 56
-			cfg.Queries, cfg.CacheSlots = 400, 1024
-		default:
-			return nil, fmt.Errorf("hrmsim: unknown workload size %d", size)
+		cfg, err := websearchConfig(size, seed)
+		if err != nil {
+			return nil, err
 		}
 		return websearch.NewBuilder(cfg)
 	case AppKVStore:
@@ -199,7 +207,7 @@ type CharacterizeConfig struct {
 	TargetCI float64
 	// MinTrials, with TargetCI, is the first CI evaluation boundary:
 	// the campaign never stops earlier, however tight the interval
-	// (default DefaultAdaptiveMinTrials, clamped to the budget).
+	// (default 30, clamped to the budget).
 	MinTrials int
 	// MaxTrials, with TargetCI, caps the adaptive campaign's trial
 	// budget (default Trials; must not exceed Trials).
@@ -290,19 +298,6 @@ type CharacterizeConfig struct {
 // (TargetCI set, stopping rule not yet fired), whose Total is the
 // planner's moving trial budget.
 type ProgressInfo = core.ProgressInfo
-
-// Adaptive-campaign defaults (see CharacterizeConfig.TargetCI).
-const (
-	// DefaultAdaptiveMinTrials is the first CI evaluation boundary when
-	// CharacterizeConfig.MinTrials is zero: enough observations that an
-	// early all-quiet or all-crash prefix cannot stop a campaign on
-	// noise alone.
-	DefaultAdaptiveMinTrials = 30
-	// adaptiveCILevel is the confidence level of the stopping rule's
-	// Wilson interval — the paper's 90%, matching the reported
-	// CrashCILow/CrashCIHigh bounds.
-	adaptiveCILevel = 0.90
-)
 
 // Characterization is the result of one campaign: the application's
 // measured tolerance to the injected error type.
@@ -410,7 +405,7 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 			return nil, fmt.Errorf("hrmsim: MaxTrials %d outside [1,%d] (Trials is the index space)", cfg.MaxTrials, cfg.Trials)
 		}
 		if cfg.MinTrials == 0 {
-			cfg.MinTrials = DefaultAdaptiveMinTrials
+			cfg.MinTrials = core.DefaultAdaptiveMinTrials
 			if cfg.MinTrials > cfg.MaxTrials {
 				cfg.MinTrials = cfg.MaxTrials
 			}
@@ -450,7 +445,7 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 	if adaptive {
 		ccfg.Planner = core.NewAdaptivePlanner(stats.SequentialStopping{
 			TargetHalfWidth: cfg.TargetCI,
-			Level:           adaptiveCILevel,
+			Level:           core.CILevel,
 			MinTrials:       cfg.MinTrials,
 			MaxTrials:       cfg.MaxTrials,
 		})
@@ -487,7 +482,7 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 		// stop boundary. These fields also flow into the shard
 		// manifest's ConfigHash via this meta.
 		meta.TargetCI = cfg.TargetCI
-		meta.CILevel = adaptiveCILevel
+		meta.CILevel = core.CILevel
 		meta.MinTrials = cfg.MinTrials
 		meta.MaxTrials = cfg.MaxTrials
 	}
@@ -574,14 +569,7 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 		return nil, runErr
 	}
 
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > cfg.Trials {
-		par = cfg.Trials
-	}
-	out, err := newCharacterization(cfg.App, cfg.Error, cfg.Region, cfg.Trials, par, res)
+	out, err := newCharacterization(cfg.App, cfg.Error, cfg.Region, cfg.Trials, res)
 	if err != nil {
 		return nil, err
 	}
@@ -621,13 +609,13 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 // result shape. Shared between a live run (Characterize) and a
 // cross-shard merge (MergeShards), so a merged campaign's aggregates go
 // through exactly the same arithmetic as a single-process run's.
-func newCharacterization(app App, errType ErrorType, region Region, trials, par int, res *core.CampaignResult) (*Characterization, error) {
+func newCharacterization(app App, errType ErrorType, region Region, trials int, res *core.CampaignResult) (*Characterization, error) {
 	out := &Characterization{
 		App:                 app,
 		Error:               errType,
 		Region:              region,
 		Trials:              trials,
-		Parallelism:         par,
+		Parallelism:         res.Parallelism,
 		Outcomes:            make(map[string]int),
 		CrashMinutes:        res.TimesToEffect(core.OutcomeCrash),
 		IncorrectMinutes:    res.TimesToEffect(core.OutcomeIncorrect),
@@ -644,11 +632,11 @@ func newCharacterization(app App, errType ErrorType, region Region, trials, par 
 	// The probability estimates need at least one completed trial; an
 	// immediately interrupted (or fully aborted) campaign reports zeros.
 	if out.Completed > 0 {
-		crash, err := res.CrashProbability(0.90)
+		crash, err := res.CrashProbability(core.CILevel)
 		if err != nil {
 			return nil, err
 		}
-		tol, err := res.ToleratedProbability(0.90)
+		tol, err := res.ToleratedProbability(core.CILevel)
 		if err != nil {
 			return nil, err
 		}

@@ -194,6 +194,10 @@ type CampaignResult struct {
 	// Interrupted reports that the context was cancelled before every
 	// trial ran; in-flight trials were drained and are included.
 	Interrupted bool
+	// Parallelism is the number of trial workers the campaign ran with
+	// (the resolved value); 0 for a result assembled by ResultFromTrials,
+	// which has no worker pool.
+	Parallelism int
 
 	counts map[Outcome]int
 }
@@ -335,8 +339,6 @@ type campaignMetrics struct {
 	resumeSkip *obsv.Counter
 	fastLoads  *obsv.Counter
 	fastWords  *obsv.Counter
-	tainted    *obsv.Gauge
-	taintedW   *obsv.Gauge
 	outcomes   map[Outcome]*obsv.Counter
 	wallMs     *obsv.Histogram
 	virtMin    *obsv.Histogram
@@ -358,8 +360,6 @@ func newCampaignMetrics(reg *obsv.Registry) *campaignMetrics {
 		resumeSkip: reg.Counter("campaign_resume_skipped_total"),
 		fastLoads:  reg.Counter("simmem_fastpath_loads_total"),
 		fastWords:  reg.Counter("simmem_fastpath_words_total"),
-		tainted:    reg.Gauge("simmem_tainted_pages"),
-		taintedW:   reg.Gauge("simmem_tainted_words"),
 		outcomes:   make(map[Outcome]*obsv.Counter, len(Outcomes())),
 		// Trial wall-clock cost: 0.25 ms .. ~8 s.
 		wallMs: reg.Histogram("campaign_trial_wall_ms", obsv.ExpBuckets(0.25, 2, 16)),
@@ -370,6 +370,11 @@ func newCampaignMetrics(reg *obsv.Registry) *campaignMetrics {
 	}
 	for _, o := range Outcomes() {
 		m.outcomes[o] = reg.Counter("campaign_outcome_" + o.MetricName())
+	}
+	// Registered up front, so a healthy campaign reports zeros rather
+	// than no rows.
+	for _, reason := range []string{AbortReasonDeadline, AbortReasonOpBudget, AbortReasonWorkerError} {
+		reg.Counter(obsv.LabeledName("campaign_trials_aborted_total", "reason", reason))
 	}
 	return m
 }
@@ -382,10 +387,6 @@ type trialStats struct {
 	// fastLoads and fastWords are the post-injection loads and words
 	// served by the clean-word fast path.
 	fastLoads, fastWords uint64
-	// taintedPages and taintedWords are the taint levels when the trial
-	// ended (sanity-signal gauges — trials inject at most a handful of
-	// faults).
-	taintedPages, taintedWords int
 }
 
 // recordTrial adds one completed trial to the registry. Aborted trials
@@ -407,8 +408,6 @@ func (m *campaignMetrics) recordTrial(tr TrialResult, ts trialStats, wall time.D
 	m.dirtyPages.Observe(float64(ts.dirtyPages))
 	m.fastLoads.Add(int64(ts.fastLoads))
 	m.fastWords.Add(int64(ts.fastWords))
-	m.tainted.Set(float64(ts.taintedPages))
-	m.taintedW.Set(float64(ts.taintedWords))
 }
 
 // recordAbort counts one aborted trial under its reason label. Abort is
@@ -607,13 +606,11 @@ func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, rng *rand
 	// The run ends at the crash instant or after the final request —
 	// either way, the virtual clock has stopped advancing.
 	tr.EndedAt = as.Clock().Now()
-	ts := trialStats{
+	traceTrialEnd(tt, tr)
+	return tr, trialStats{
 		fastLoads: as.FastPathLoads() - startFast,
 		fastWords: as.FastPathWords() - startWords,
-	}
-	ts.taintedPages, ts.taintedWords = as.TaintStats()
-	traceTrialEnd(tt, tr)
-	return tr, ts, nil
+	}, nil
 }
 
 // serveGuarded converts panics in application code (parsing corrupted

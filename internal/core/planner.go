@@ -195,6 +195,19 @@ type AdaptivePlanner struct {
 	started   bool
 }
 
+// Defaults for the adaptive stopping rule, shared by every caller that
+// builds one (the facade's Characterize, the experiment suite's cells).
+const (
+	// CILevel is the paper's 90% confidence level: the rule's Wilson
+	// interval and every reported crash-probability bound use it.
+	CILevel = 0.90
+	// DefaultAdaptiveMinTrials is the first CI evaluation boundary when
+	// the caller names none: enough observations that an early all-quiet
+	// or all-crash prefix cannot stop a campaign on noise alone. Start
+	// clamps it to the budget.
+	DefaultAdaptiveMinTrials = 30
+)
+
 // NewAdaptivePlanner returns an adaptive plan for the given stopping
 // rule.
 func NewAdaptivePlanner(rule stats.SequentialStopping) *AdaptivePlanner {

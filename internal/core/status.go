@@ -33,25 +33,15 @@ const StatusSchemaVersion = 1
 // StatusStream is the stream identifier in every status record.
 const StatusStream = "hrmsim-shard-status"
 
-// ShardStatus is one shard's heartbeat: a point-in-time progress record
-// the supervisor emits through CampaignConfig.StatusSink. The supervisor
-// fills every campaign-engine field; the facade stamps the identity
-// fields (ConfigHash, Campaign, shard coordinates) it alone knows, then
-// persists the record.
-type ShardStatus struct {
-	SchemaVersion int    `json:"schema_version"`
-	Stream        string `json:"stream"`
-	// ConfigHash / Campaign are the same identity evidence the shard
-	// manifest carries, so status files from different campaigns cannot
-	// be silently aggregated (stamped by the facade).
-	ConfigHash string      `json:"config_hash,omitempty"`
-	Campaign   JournalMeta `json:"campaign,omitempty"`
-	// ShardIndex / ShardCount are the shard coordinates; TrialLo/TrialHi
-	// is the owned half-open trial index range.
-	ShardIndex int `json:"shard_index"`
-	ShardCount int `json:"shard_count"`
-	TrialLo    int `json:"trial_lo"`
-	TrialHi    int `json:"trial_hi"`
+// ShardProgress is the progress block of a heartbeat: what a shard
+// reports about its own run. It is declared once and embedded both in
+// the on-disk record (ShardStatus) and in the fleet view's per-shard row
+// (hrmsim.ShardStatusInfo), so the two documents share these keys, their
+// order and their omitempty rules by construction.
+type ShardProgress struct {
+	// TrialLo/TrialHi is the owned half-open trial index range.
+	TrialLo int `json:"trial_lo"`
+	TrialHi int `json:"trial_hi"`
 	// Done counts trials with a result so far (completed + aborted,
 	// including resumed records); Total is the shard's range size.
 	Done  int `json:"done"`
@@ -64,16 +54,17 @@ type ShardStatus struct {
 	Aborted   int `json:"aborted,omitempty"`
 	Resumed   int `json:"resumed,omitempty"`
 	// Outcomes counts completed trials per Fig. 1 taxonomy label
-	// (Outcome.String() keys: "crash", "masked-by-overwrite", ...).
-	Outcomes map[string]int `json:"outcomes,omitempty"`
+	// (Outcome.String() keys: "crash", "masked-by-overwrite", ...). The
+	// supervisor always sets it, so a heartbeat with no completed trial
+	// carries {}; records from earlier writers omit the key.
+	Outcomes map[string]int `json:"outcomes"`
 	// TrialsPerSec / EtaSeconds / ElapsedSeconds mirror ProgressInfo,
 	// flattened to JSON-friendly units.
 	TrialsPerSec   float64 `json:"trials_per_sec,omitempty"`
 	EtaSeconds     float64 `json:"eta_seconds,omitempty"`
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
 	// Adaptive planner telemetry, present only when the campaign runs
-	// under a non-fixed TrialPlanner (all omitempty, so fixed-campaign
-	// status records are byte-identical to earlier schema-1 writers):
+	// under a non-fixed TrialPlanner (all omitempty):
 	// CIHalfWidth is the latest Wilson CI half-width verdict on the
 	// crash probability (1 until the first evaluation boundary);
 	// PlannedTrials is the planner's current campaign-level trial
@@ -89,6 +80,25 @@ type ShardStatus struct {
 	// is set on the final record of a cancelled run.
 	Running     bool `json:"running"`
 	Interrupted bool `json:"interrupted,omitempty"`
+}
+
+// ShardStatus is one shard's heartbeat: a point-in-time progress record
+// the supervisor emits through CampaignConfig.StatusSink. The supervisor
+// fills the shard coordinates, the progress block, the timestamp and the
+// metrics; the facade stamps the identity fields (ConfigHash, Campaign)
+// it alone knows, then persists the record.
+type ShardStatus struct {
+	SchemaVersion int    `json:"schema_version"`
+	Stream        string `json:"stream"`
+	// ConfigHash / Campaign are the same identity evidence the shard
+	// manifest carries, so status files from different campaigns cannot
+	// be silently aggregated (stamped by the facade).
+	ConfigHash string      `json:"config_hash,omitempty"`
+	Campaign   JournalMeta `json:"campaign,omitempty"`
+	// ShardIndex / ShardCount are the shard coordinates.
+	ShardIndex int `json:"shard_index"`
+	ShardCount int `json:"shard_count"`
+	ShardProgress
 	// WallUnixNanos is the host wall-clock instant the record was
 	// assembled — the heartbeat timestamp observers age against.
 	WallUnixNanos int64 `json:"wall_unix_ns"`

@@ -31,23 +31,23 @@ func TestWriteReadStatusRoundTrip(t *testing.T) {
 	reg.Counter("campaign_trials_total").Add(5)
 	snap := reg.Snapshot()
 	st := ShardStatus{
-		ConfigHash:     "abc",
-		Campaign:       JournalMeta{App: "kvstore", Error: "soft-1bit", Trials: 10, Seed: 3},
-		ShardIndex:     1,
-		ShardCount:     2,
-		TrialLo:        5,
-		TrialHi:        10,
-		Done:           5,
-		Total:          5,
-		Completed:      4,
-		Aborted:        1,
-		Outcomes:       map[string]int{"crash": 1, "masked-by-overwrite": 3},
-		TrialsPerSec:   2.5,
-		EtaSeconds:     0,
-		ElapsedSeconds: 2,
-		Running:        false,
-		WallUnixNanos:  12345,
-		Metrics:        &snap,
+		ConfigHash: "abc",
+		Campaign:   JournalMeta{App: "kvstore", Error: "soft-1bit", Trials: 10, Seed: 3},
+		ShardIndex: 1,
+		ShardCount: 2,
+		ShardProgress: ShardProgress{
+			TrialLo:        5,
+			TrialHi:        10,
+			Done:           5,
+			Total:          5,
+			Completed:      4,
+			Aborted:        1,
+			Outcomes:       map[string]int{"crash": 1, "masked-by-overwrite": 3},
+			TrialsPerSec:   2.5,
+			ElapsedSeconds: 2,
+		},
+		WallUnixNanos: 12345,
+		Metrics:       &snap,
 	}
 	if err := WriteStatus(path, st); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestLoadStatusDir(t *testing.T) {
 		t.Fatalf("empty dir: %v, %v", got, err)
 	}
 	for _, idx := range []int{2, 0, 1} {
-		st := ShardStatus{ShardIndex: idx, ShardCount: 3, Done: idx}
+		st := ShardStatus{ShardIndex: idx, ShardCount: 3, ShardProgress: ShardProgress{Done: idx}}
 		if err := WriteStatus(filepath.Join(dir, ShardStatusName(idx, 3)), st); err != nil {
 			t.Fatal(err)
 		}
@@ -150,6 +150,10 @@ func TestSupervisorEmitsStatus(t *testing.T) {
 	}
 	if first.ShardCount != 1 || first.TrialLo != 0 || first.TrialHi != 20 {
 		t.Errorf("initial record coords = %+v, want unsharded full range", first)
+	}
+	// No trial has completed yet; the record still carries "outcomes": {}.
+	if first.Outcomes == nil {
+		t.Error("initial record has nil Outcomes, want an empty map")
 	}
 	if last.Running {
 		t.Error("final record still has Running=true")

@@ -216,6 +216,7 @@ dispatch:
 		PlanFinal:   planFinal,
 		Resumed:     resumed,
 		Interrupted: interrupted,
+		Parallelism: s.par,
 		counts:      make(map[Outcome]int),
 	}
 	for i := 0; i < cfg.Trials; i++ {
@@ -459,18 +460,21 @@ func (s *supervisor) rateLocked(elapsedSeconds float64) (perSec, etaSeconds floa
 // fields (ConfigHash, Campaign) are the status sink's to stamp.
 func (s *supervisor) emitStatusLocked(running, interrupted bool) {
 	st := ShardStatus{
-		ShardCount:     1,
-		TrialLo:        s.lo,
-		TrialHi:        s.hi,
-		Done:           s.done,
-		Total:          s.total,
-		Completed:      s.completed,
-		Aborted:        s.aborted,
-		Resumed:        s.resumed,
-		Running:        running,
-		Interrupted:    interrupted,
-		WallUnixNanos:  time.Now().UnixNano(),
-		ElapsedSeconds: time.Since(s.start).Seconds(),
+		ShardCount: 1,
+		ShardProgress: ShardProgress{
+			TrialLo:        s.lo,
+			TrialHi:        s.hi,
+			Done:           s.done,
+			Total:          s.total,
+			Completed:      s.completed,
+			Aborted:        s.aborted,
+			Resumed:        s.resumed,
+			Outcomes:       make(map[string]int, len(s.counts)),
+			ElapsedSeconds: time.Since(s.start).Seconds(),
+			Running:        running,
+			Interrupted:    interrupted,
+		},
+		WallUnixNanos: time.Now().UnixNano(),
 	}
 	if s.cfg.Shard != nil {
 		st.ShardIndex, st.ShardCount = s.cfg.Shard.Index, s.cfg.Shard.Count
@@ -484,11 +488,8 @@ func (s *supervisor) emitStatusLocked(running, interrupted bool) {
 			st.TrialsSaved = saved
 		}
 	}
-	if len(s.counts) > 0 {
-		st.Outcomes = make(map[string]int, len(s.counts))
-		for o, n := range s.counts {
-			st.Outcomes[o.String()] = n
-		}
+	for o, n := range s.counts {
+		st.Outcomes[o.String()] = n
 	}
 	var eta float64
 	st.TrialsPerSec, eta = s.rateLocked(st.ElapsedSeconds)

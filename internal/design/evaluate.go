@@ -11,25 +11,30 @@ import (
 )
 
 // Evaluation is one evaluated design point — one row of Table 6 (right).
+// The tags are the `designspace -json` / `plan -json` row schema.
 type Evaluation struct {
-	Name string
+	Name string `json:"name"`
 	// MemorySavings is the memory cost saving vs the all-SEC-DED
 	// baseline (mid estimate), with Lo/Hi spanning the less-tested
 	// pricing band.
-	MemorySavings, MemorySavingsLo, MemorySavingsHi float64
+	MemorySavings   float64 `json:"memory_savings"`
+	MemorySavingsLo float64 `json:"memory_savings_lo"`
+	MemorySavingsHi float64 `json:"memory_savings_hi"`
 	// ServerSavings is the server hardware cost saving (memory savings
 	// × DRAM share).
-	ServerSavings, ServerSavingsLo, ServerSavingsHi float64
+	ServerSavings   float64 `json:"server_savings"`
+	ServerSavingsLo float64 `json:"server_savings_lo"`
+	ServerSavingsHi float64 `json:"server_savings_hi"`
 	// CrashesPerMonth is the expected memory-error-induced crash rate.
-	CrashesPerMonth float64
+	CrashesPerMonth float64 `json:"crashes_per_month"`
 	// Availability is single server availability considering only
 	// memory errors.
-	Availability float64
+	Availability float64 `json:"availability"`
 	// IncorrectPerMillion is the rate of incorrect responses per
 	// million queries while operational.
-	IncorrectPerMillion float64
+	IncorrectPerMillion float64 `json:"incorrect_per_million"`
 	// MeetsTarget reports Availability >= Params.TargetAvailability.
-	MeetsTarget bool
+	MeetsTarget bool `json:"meets_target"`
 }
 
 // techniqueCorrects reports whether a technique corrects the single-bit

@@ -10,14 +10,6 @@ import (
 	"hrmsim/internal/stats"
 )
 
-// Adaptive-cell defaults, matching the facade's characterize path: the
-// paper quotes crash probabilities with 90% Wilson intervals, and 30
-// trials is the smallest sample the stopping rule may judge.
-const (
-	adaptiveCILevel   = 0.90
-	adaptiveMinTrials = 30
-)
-
 // cellReq identifies one campaign cell: an application, an error type,
 // an optional region restriction (kind 0 = all regions), and the cell's
 // trial index space (the hard budget under an adaptive scale).
@@ -89,16 +81,13 @@ func (s *Suite) prefetch(reqs []cellReq) error {
 	return nil
 }
 
-// cellRule is the stopping rule every adaptive cell runs under.
+// cellRule is the stopping rule every adaptive cell runs under (the
+// planner clamps MinTrials to the budget).
 func (s *Suite) cellRule(trials int) stats.SequentialStopping {
-	min := adaptiveMinTrials
-	if min > trials {
-		min = trials
-	}
 	return stats.SequentialStopping{
 		TargetHalfWidth: s.scale.TargetCI,
-		Level:           adaptiveCILevel,
-		MinTrials:       min,
+		Level:           core.CILevel,
+		MinTrials:       core.DefaultAdaptiveMinTrials,
 		MaxTrials:       trials,
 	}
 }

@@ -53,24 +53,26 @@ func Default() Scale {
 	return Scale{Trials: 400, Fig5aTrials: 1200, Watchpoints: 1590, Seed: 1}
 }
 
-// Report is one regenerated table or figure.
+// Report is one regenerated table or figure. The tags are the
+// `tables -json` experiment schema.
 type Report struct {
 	// ID is the experiment identifier ("table1", "fig3", ...).
-	ID string
+	ID string `json:"id"`
 	// Title describes the experiment.
-	Title string
-	// Text is the rendered table/figure.
-	Text string
-	// Comparisons hold paper-vs-measured rows for EXPERIMENTS.md.
-	Comparisons []Comparison
+	Title string `json:"title"`
+	// Text is the rendered table/figure, ready to print.
+	Text string `json:"text"`
+	// Comparisons hold paper-vs-measured rows for EXPERIMENTS.md (empty,
+	// never nil, once returned by Suite.Run).
+	Comparisons []Comparison `json:"comparisons"`
 }
 
 // Comparison is one paper-vs-measured data point.
 type Comparison struct {
-	Metric   string
-	Paper    string
-	Measured string
-	Note     string
+	Metric   string `json:"metric"`
+	Paper    string `json:"paper"`
+	Measured string `json:"measured"`
+	Note     string `json:"note,omitempty"`
 }
 
 // Suite lazily builds the three applications (with goldens) once and
@@ -203,6 +205,18 @@ func IDs() []string {
 
 // Run dispatches one experiment by ID.
 func (s *Suite) Run(id string) (*Report, error) {
+	rep, err := s.generate(id)
+	if err != nil {
+		return nil, err
+	}
+	if rep.Comparisons == nil {
+		rep.Comparisons = []Comparison{}
+	}
+	return rep, nil
+}
+
+// generate runs the experiment's generator.
+func (s *Suite) generate(id string) (*Report, error) {
 	switch id {
 	case "table1":
 		return s.Table1()

@@ -20,9 +20,9 @@ package obsv
 //     depends on argument order. Max is order-independent — merging in
 //     any order, or merging merges (associativity), yields the same
 //     snapshot — which the fleet view relies on when shard heartbeats
-//     arrive in arbitrary order. For the gauges this module exports
-//     (high-water levels like simmem_tainted_pages) max is also the
-//     operationally useful reading: the worst level seen anywhere.
+//     arrive in arbitrary order. For the one gauge a campaign exports
+//     (campaign_ci_half_width) max is also the operationally useful
+//     reading: the widest interval any shard still reports.
 //
 // Degenerate case: if two snapshots carry the same histogram name with
 // different bucket layouts (only possible when shards run different

@@ -8,25 +8,13 @@ import (
 
 // ComparisonRow is one paper-vs-measured data point of a regenerated
 // experiment.
-type ComparisonRow struct {
-	Metric   string `json:"metric"`
-	Paper    string `json:"paper"`
-	Measured string `json:"measured"`
-	Note     string `json:"note,omitempty"`
-}
+type ComparisonRow = experiments.Comparison
 
-// ExperimentReport is one regenerated table or figure.
-type ExperimentReport struct {
-	// ID is the experiment identifier (see ExperimentIDs).
-	ID string `json:"id"`
-	// Title describes the experiment.
-	Title string `json:"title"`
-	// Text is the rendered table/figure, ready to print.
-	Text string `json:"text"`
-	// Comparisons hold structured paper-vs-measured rows (empty, never
-	// nil, for an experiment without any).
-	Comparisons []ComparisonRow `json:"comparisons"`
-}
+// ExperimentReport is one regenerated table or figure: its ID (see
+// ExperimentIDs), a title, the rendered Text ready to print, and the
+// structured paper-vs-measured Comparisons (empty, never nil, for an
+// experiment without any).
+type ExperimentReport = experiments.Report
 
 // ExperimentIDs lists every reproducible table and figure in paper order:
 // table1, table3, table4, fig3, fig4, fig5a, fig5b, fig6, table5, table6,
@@ -109,11 +97,7 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 
 // Run regenerates one experiment by ID.
 func (l *Lab) Run(id string) (*ExperimentReport, error) {
-	rep, err := l.suite.Run(id)
-	if err != nil {
-		return nil, err
-	}
-	return convertReport(rep), nil
+	return l.suite.Run(id)
 }
 
 // RunAll regenerates every experiment in paper order.
@@ -127,13 +111,4 @@ func (l *Lab) RunAll() ([]*ExperimentReport, error) {
 		out = append(out, rep)
 	}
 	return out, nil
-}
-
-// convertReport maps the internal report type.
-func convertReport(rep *experiments.Report) *ExperimentReport {
-	out := &ExperimentReport{ID: rep.ID, Title: rep.Title, Text: rep.Text, Comparisons: []ComparisonRow{}}
-	for _, c := range rep.Comparisons {
-		out.Comparisons = append(out.Comparisons, ComparisonRow(c))
-	}
-	return out
 }

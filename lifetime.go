@@ -64,17 +64,20 @@ type LifetimeConfig struct {
 	Seed int64
 }
 
-// LifetimeResult summarizes a simulated lifetime.
+// LifetimeResult summarizes a simulated lifetime. Its tags are the
+// `lifetime -json` result fields after the echoed flags.
 type LifetimeResult struct {
-	ErrorsInjected      int
-	Crashes             int
-	DowntimeMinutes     float64
-	Availability        float64
-	Requests, Incorrect int
-	IncorrectPerMillion float64
+	ErrorsInjected      int     `json:"errors_injected"`
+	Crashes             int     `json:"crashes"`
+	DowntimeMinutes     float64 `json:"downtime_minutes"`
+	Availability        float64 `json:"availability"`
+	Requests            int     `json:"requests"`
+	Incorrect           int     `json:"incorrect"`
+	IncorrectPerMillion float64 `json:"incorrect_per_million"`
 	// ScrubPasses and ScrubCorrected report patrol-scrub activity (for
 	// the scrubbing presets).
-	ScrubPasses, ScrubCorrected int
+	ScrubPasses    int `json:"scrub_passes"`
+	ScrubCorrected int `json:"scrub_corrected"`
 }
 
 // SimulateLifetime runs the application continuously under a memory error
@@ -108,18 +111,10 @@ func SimulateLifetime(cfg LifetimeConfig) (*LifetimeResult, error) {
 		cfg.Seed = 1
 	}
 
-	wcfg := websearch.DefaultConfig(cfg.Seed)
-	switch cfg.Size {
-	case SizeSmall:
-		wcfg.Docs, wcfg.Vocab, wcfg.MinTerms, wcfg.MaxTerms = 256, 128, 4, 12
-		wcfg.Queries, wcfg.CacheSlots = 60, 32
-	case SizeMedium:
-		wcfg.Docs, wcfg.Vocab, wcfg.MinTerms, wcfg.MaxTerms = 1024, 512, 6, 24
-		wcfg.Queries, wcfg.CacheSlots = 120, 256
-	default:
+	wcfg, err := websearchConfig(cfg.Size, cfg.Seed)
+	if err != nil || cfg.Size == SizeLarge {
 		return nil, fmt.Errorf("hrmsim: lifetime simulation supports SizeSmall or SizeMedium")
 	}
-	wcfg.RequestCost = 10 * time.Second
 
 	var scrubbers []*recovery.PeriodicScrubber
 	var attach func(app apps.App) error

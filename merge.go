@@ -38,24 +38,27 @@ type MergeShardInfo struct {
 	Interrupted bool `json:"interrupted,omitempty"`
 }
 
-// MergeInfo reports what a merge consumed and reconciled.
+// MergeInfo reports what a merge consumed and reconciled. Its tags are
+// the -json envelope's `merged` section.
 type MergeInfo struct {
 	// ConfigHash is the campaign config hash every shard agreed on.
-	ConfigHash string
-	// Shards describes each merged shard in merge (ascending index) order.
-	Shards []MergeShardInfo
+	ConfigHash string `json:"config_hash"`
+	// Shards describes each merged shard in merge (ascending index)
+	// order; never nil.
+	Shards []MergeShardInfo `json:"shards"`
 	// Records is the number of distinct trials in the merged result;
 	// Duplicates counts records dropped by keep-first dedup; Missing
 	// counts campaign trial indices no shard recorded.
-	Records    int
-	Duplicates int
-	Missing    int
+	Records    int `json:"records"`
+	Duplicates int `json:"duplicates,omitempty"`
+	Missing    int `json:"missing,omitempty"`
 	// Metrics is the deterministic aggregate of every input shard's
 	// manifest metrics snapshot (obsv.MergeSnapshots: counters summed,
 	// fixed-bucket histograms merged, gauges by max — the same rule the
 	// live fleet view applies, so a post-hoc merge and /statusz report
-	// the same numbers). Nil when no shard recorded metrics.
-	Metrics *obsv.Snapshot
+	// the same numbers). Nil when no shard recorded metrics. Not part of
+	// the `merged` section.
+	Metrics *obsv.Snapshot `json:"-"`
 }
 
 // MergeShards merges a directory of shard journals (written by sharded
@@ -86,6 +89,7 @@ func MergeShards(cfg MergeConfig) (*Characterization, *MergeInfo, error) {
 
 	info := &MergeInfo{
 		ConfigHash: shards[0].Manifest.ConfigHash,
+		Shards:     make([]MergeShardInfo, 0, len(shards)),
 		Records:    stats.Records,
 		Duplicates: stats.Duplicates,
 		Missing:    stats.Missing,
@@ -123,8 +127,7 @@ func MergeShards(cfg MergeConfig) (*Characterization, *MergeInfo, error) {
 	}
 
 	out, err := newCharacterization(
-		App(meta.App), ErrorType(meta.Error), Region(meta.Region),
-		meta.Trials, 0, res)
+		App(meta.App), ErrorType(meta.Error), Region(meta.Region), meta.Trials, res)
 	if err != nil {
 		return nil, nil, err
 	}

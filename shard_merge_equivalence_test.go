@@ -85,12 +85,11 @@ func TestShardMergeEquivalence(t *testing.T) {
 // (obsv.MergeSnapshots) reproduces the single-process registry for the
 // same equivalence campaigns TestShardMergeEquivalence runs — for every
 // deterministic metric. Run-shape metrics are excluded by name:
-// campaign_trial_wall_ms measures wall clocks, campaign_snapshot_dirty_pages
-// depends on how trials landed on worker sessions, and the
-// simmem_tainted_pages / simmem_tainted_words gauges are
-// last-writer-wins within a process. Every counter and the virtual-time
-// histogram are deterministic and must merge to exactly the
-// single-process values.
+// campaign_trial_wall_ms measures wall clocks and
+// campaign_snapshot_dirty_pages depends on how trials landed on worker
+// sessions. Every counter and the virtual-time histogram are
+// deterministic and must merge to exactly the single-process values; a
+// fixed-plan campaign registers no gauge.
 func TestShardMetricsSnapshotMergeEquivalence(t *testing.T) {
 	for _, app := range Apps() {
 		base := CharacterizeConfig{
@@ -125,6 +124,9 @@ func TestShardMetricsSnapshotMergeEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(got.Counters, want.Counters) {
 					t.Errorf("merged counters diverged from single-process run:\nmerged: %v\nsingle: %v",
 						got.Counters, want.Counters)
+				}
+				if len(got.Gauges) != 0 || len(want.Gauges) != 0 {
+					t.Errorf("fixed-plan campaign registered gauges: merged %v, single %v", got.Gauges, want.Gauges)
 				}
 				// The virtual-time histogram's bucket counts are exact;
 				// Sum is a float accumulated in worker-completion order,

@@ -15,94 +15,75 @@ import (
 // yet", not as a failure.
 var ErrNoStatus = errors.New("hrmsim: no shard status records (*.status.json)")
 
-// ShardStatusInfo is one shard's latest heartbeat, in facade types (see
-// core.ShardStatus for the on-disk record it mirrors).
+// ShardStatusInfo is one shard's row of the fleet view: its latest
+// heartbeat under the row's own coordinate and timestamp keys. The
+// progress block is the on-disk record's (core.ShardProgress), embedded,
+// so a heartbeat field is declared once for both documents.
 type ShardStatusInfo struct {
-	// Index / Count are the shard coordinates; TrialLo/TrialHi is the
-	// owned half-open trial index range.
-	Index, Count     int
-	TrialLo, TrialHi int
-	// Done counts trials with a result so far out of Total (the range
-	// size); Completed/Aborted/Resumed break Done down by disposition.
-	Done, Total                 int
-	Completed, Aborted, Resumed int
-	// Outcomes counts completed trials per Fig. 1 taxonomy label.
-	Outcomes map[string]int
-	// TrialsPerSec, ETA, and Elapsed mirror the shard's own progress
-	// accounting at heartbeat time.
-	TrialsPerSec float64
-	ETA          time.Duration
-	Elapsed      time.Duration
-	// Adaptive marks a shard running under an adaptive trial planner;
-	// the remaining planner fields are zero otherwise. CIHalfWidth is
-	// the latest Wilson CI half-width verdict on the crash probability,
-	// Planned the planner's current trial budget, PlanFinal whether the
-	// stopping rule has fired, and TrialsSaved the requested-minus-
-	// planned count once the plan is final.
-	Adaptive    bool
-	CIHalfWidth float64
-	Planned     int
-	PlanFinal   bool
-	TrialsSaved int
-	// Running is false only on a shard's final record; Interrupted marks
-	// a cancelled shard.
-	Running     bool
-	Interrupted bool
-	// UpdatedAt is the host wall-clock instant of the heartbeat; its age
-	// is the liveness signal straggler detection keys on.
-	UpdatedAt time.Time
+	// Index / Count are the shard coordinates.
+	Index int `json:"index"`
+	Count int `json:"count"`
+	core.ShardProgress
+	// UpdatedUnixNs is the host wall-clock instant of the heartbeat;
+	// AgeSeconds its age when the view was assembled — the liveness
+	// signal straggler detection keys on.
+	UpdatedUnixNs int64   `json:"updated_unix_ns"`
+	AgeSeconds    float64 `json:"age_seconds"`
 }
 
-// Age returns how old the shard's heartbeat is at the given instant.
-func (s ShardStatusInfo) Age(now time.Time) time.Duration {
-	return now.Sub(s.UpdatedAt)
+// UpdatedAt returns the heartbeat instant as a time.Time.
+func (s ShardStatusInfo) UpdatedAt() time.Time {
+	return time.Unix(0, s.UpdatedUnixNs)
 }
 
 // FleetStatus is the cross-shard aggregate of a campaign directory's
 // heartbeats: the live (or final) fleet-wide view the coordinator serves
-// at /statusz and `hrmsim status` renders. All counts are sums over the
-// shards that have reported; Trials is the whole campaign's size, so
-// Done < Trials either because work remains or because some shard has
-// not heartbeat yet.
+// at /statusz and `hrmsim status` renders, and — through its tags — the
+// `status -json` result. All counts are sums over the shards that have
+// reported; Trials is the whole campaign's size, so Done < Trials either
+// because work remains or because some shard has not heartbeat yet.
 type FleetStatus struct {
 	// ConfigHash and the campaign identity every shard agreed on.
-	ConfigHash string
-	App        App
-	Error      ErrorType
-	Region     Region
-	Trials     int
-	Seed       int64
-	// Shards holds each shard's latest heartbeat, ascending by index.
-	Shards []ShardStatusInfo
+	ConfigHash string    `json:"config_hash"`
+	App        App       `json:"app"`
+	Error      ErrorType `json:"error"`
+	Region     Region    `json:"region"` // "" = all regions
+	Trials     int       `json:"trials"`
+	Seed       int64     `json:"seed"`
 	// Done/Total and the disposition counts are sums over Shards (Total
 	// can be less than Trials while shards are still registering).
-	Done, Total                 int
-	Completed, Aborted, Resumed int
+	Done      int `json:"done"`
+	Total     int `json:"total"`
+	Completed int `json:"completed"`
+	Aborted   int `json:"aborted,omitempty"`
+	Resumed   int `json:"resumed,omitempty"`
 	// Outcomes sums the per-shard Fig. 1 taxonomy counts.
-	Outcomes map[string]int
-	// TrialsPerSec sums the running shards' rates; ETA projects the
-	// whole campaign's remaining trials at that rate (zero when nothing
-	// is running).
-	TrialsPerSec float64
-	ETA          time.Duration
+	Outcomes map[string]int `json:"outcomes"`
+	// TrialsPerSec sums the running shards' rates; EtaSeconds projects
+	// the whole campaign's remaining trials at that rate (zero when
+	// nothing is running).
+	TrialsPerSec float64 `json:"trials_per_sec,omitempty"`
+	EtaSeconds   float64 `json:"eta_seconds,omitempty"`
 	// Adaptive reports that any shard runs under an adaptive trial
 	// planner (in practice at most one: adaptive campaigns are
 	// unsharded). CIHalfWidth is the widest reported CI half-width,
 	// Planned sums the adaptive shards' current trial budgets, and
 	// TrialsSaved sums the trials their stopping rules saved.
-	Adaptive    bool
-	CIHalfWidth float64
-	Planned     int
-	TrialsSaved int
+	Adaptive    bool    `json:"adaptive,omitempty"`
+	CIHalfWidth float64 `json:"ci_half_width,omitempty"`
+	Planned     int     `json:"planned_trials,omitempty"`
+	TrialsSaved int     `json:"trials_saved,omitempty"`
 	// Running counts shards whose latest record is live; Interrupted
 	// counts shards whose final record reports cancellation.
-	Running     int
-	Interrupted int
+	Running     int `json:"running"`
+	Interrupted int `json:"interrupted,omitempty"`
+	// Shards holds each shard's latest heartbeat, ascending by index.
+	Shards []ShardStatusInfo `json:"shards"`
 	// Metrics is the obsv.MergeSnapshots aggregate of every shard's
 	// heartbeat snapshot — the same merge rule `hrmsim merge` applies to
 	// manifests, so live and post-hoc metrics agree. Nil when no shard
-	// reported metrics.
-	Metrics *obsv.Snapshot
+	// reported metrics. It rides in the -json envelope, not the result.
+	Metrics *obsv.Snapshot `json:"-"`
 }
 
 // LoadFleetStatus reads every shard status record in dir and aggregates
@@ -110,7 +91,8 @@ type FleetStatus struct {
 // campaign (config hash equality, like MergeShards) and returns
 // ErrNoStatus when the directory holds none. The directory may be live
 // (shards still writing; each read is atomic per record) or dead (final
-// Running=false records) — the same view works for both.
+// Running=false records) — the same view works for both. Each row's
+// AgeSeconds is measured against the clock as read here.
 func LoadFleetStatus(dir string) (*FleetStatus, error) {
 	records, err := core.LoadStatusDir(dir)
 	if err != nil {
@@ -128,7 +110,9 @@ func LoadFleetStatus(dir string) (*FleetStatus, error) {
 		Trials:     ref.Campaign.Trials,
 		Seed:       ref.Campaign.Seed,
 		Outcomes:   make(map[string]int),
+		Shards:     make([]ShardStatusInfo, 0, len(records)),
 	}
+	now := time.Now()
 	var snaps []obsv.Snapshot
 	for _, st := range records {
 		if st.ConfigHash != ref.ConfigHash {
@@ -139,30 +123,18 @@ func LoadFleetStatus(dir string) (*FleetStatus, error) {
 			return nil, fmt.Errorf("hrmsim: shard %d/%d status belongs to a different campaign than shard %d/%d: %w",
 				st.ShardIndex, st.ShardCount, ref.ShardIndex, ref.ShardCount, detail)
 		}
-		info := ShardStatusInfo{
-			Index:        st.ShardIndex,
-			Count:        st.ShardCount,
-			TrialLo:      st.TrialLo,
-			TrialHi:      st.TrialHi,
-			Done:         st.Done,
-			Total:        st.Total,
-			Completed:    st.Completed,
-			Aborted:      st.Aborted,
-			Resumed:      st.Resumed,
-			Outcomes:     st.Outcomes,
-			TrialsPerSec: st.TrialsPerSec,
-			ETA:          time.Duration(st.EtaSeconds * float64(time.Second)),
-			Elapsed:      time.Duration(st.ElapsedSeconds * float64(time.Second)),
-			Adaptive:     st.Adaptive,
-			CIHalfWidth:  st.CIHalfWidth,
-			Planned:      st.PlannedTrials,
-			PlanFinal:    st.PlanFinal,
-			TrialsSaved:  st.TrialsSaved,
-			Running:      st.Running,
-			Interrupted:  st.Interrupted,
-			UpdatedAt:    time.Unix(0, st.WallUnixNanos),
+		if st.Outcomes == nil {
+			// A record from a writer that omitted the key on heartbeats
+			// with no completed trial.
+			st.Outcomes = map[string]int{}
 		}
-		fs.Shards = append(fs.Shards, info)
+		fs.Shards = append(fs.Shards, ShardStatusInfo{
+			Index:         st.ShardIndex,
+			Count:         st.ShardCount,
+			ShardProgress: st.ShardProgress,
+			UpdatedUnixNs: st.WallUnixNanos,
+			AgeSeconds:    now.Sub(time.Unix(0, st.WallUnixNanos)).Seconds(),
+		})
 		if st.Adaptive {
 			fs.Adaptive = true
 			if st.CIHalfWidth > fs.CIHalfWidth {
@@ -191,7 +163,7 @@ func LoadFleetStatus(dir string) (*FleetStatus, error) {
 		}
 	}
 	if rem := fs.Trials - fs.Done; rem > 0 && fs.TrialsPerSec > 0 {
-		fs.ETA = time.Duration(float64(rem) / fs.TrialsPerSec * float64(time.Second))
+		fs.EtaSeconds = float64(rem) / fs.TrialsPerSec
 	}
 	if len(snaps) > 0 {
 		merged := obsv.MergeSnapshots(snaps...)

@@ -84,8 +84,8 @@ func TestFleetStatusMatchesMergedCharacterization(t *testing.T) {
 		if sh.Done != sh.Total || sh.Running {
 			t.Errorf("shard %d not finished: %+v", i, sh)
 		}
-		if sh.UpdatedAt.IsZero() || time.Since(sh.UpdatedAt) > time.Hour {
-			t.Errorf("shard %d heartbeat timestamp %v implausible", i, sh.UpdatedAt)
+		if sh.UpdatedAt().IsZero() || time.Since(sh.UpdatedAt()) > time.Hour {
+			t.Errorf("shard %d heartbeat timestamp %v implausible", i, sh.UpdatedAt())
 		}
 	}
 	// The fleet metrics aggregate uses the same merge rule as the
