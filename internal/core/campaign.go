@@ -331,6 +331,7 @@ func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error
 type campaignMetrics struct {
 	reg        *obsv.Registry
 	trials     *obsv.Counter
+	decided    *obsv.Counter
 	requests   *obsv.Counter
 	incorrect  *obsv.Counter
 	restores   *obsv.Counter
@@ -352,6 +353,7 @@ func newCampaignMetrics(reg *obsv.Registry) *campaignMetrics {
 	m := &campaignMetrics{
 		reg:        reg,
 		trials:     reg.Counter("campaign_trials_total"),
+		decided:    reg.Counter("campaign_trials_decided_total"),
 		requests:   reg.Counter("campaign_requests_total"),
 		incorrect:  reg.Counter("campaign_incorrect_responses_total"),
 		restores:   reg.Counter("campaign_snapshot_restores_total"),
@@ -385,8 +387,12 @@ type trialStats struct {
 	// dirtyPages is the number of pages the pre-trial restore rolled back.
 	dirtyPages int
 	// fastLoads and fastWords are the post-injection loads and words
-	// served by the clean-word fast path.
+	// served by the clean-word fast path: zero for a decided trial, which
+	// performs no loads.
 	fastLoads, fastWords uint64
+	// decided marks a trial classified from the session's access profile
+	// without being served (decide.go).
+	decided bool
 }
 
 // recordTrial adds one completed trial to the registry. Aborted trials
@@ -397,6 +403,9 @@ func (m *campaignMetrics) recordTrial(tr TrialResult, ts trialStats, wall time.D
 		return
 	}
 	m.trials.Inc()
+	if ts.decided {
+		m.decided.Inc()
+	}
 	m.requests.Add(int64(tr.Requests))
 	m.incorrect.Add(int64(tr.Incorrect))
 	if c, ok := m.outcomes[tr.Outcome]; ok {
@@ -484,17 +493,21 @@ type snapshotSession struct {
 	// startVT is the virtual clock reading right after build, stamped on
 	// every trial_start event.
 	startVT time.Duration
+	// profile is the fault-free measured window's first-touch record
+	// (decide.go); nil when the session must simulate every trial.
+	profile *accessProfile
 }
 
 // newSnapshotSession builds one instance, replays (and validates) the
-// warmup prefix, and captures the post-warmup state as the reset point.
-func newSnapshotSession(sb apps.SnapshotBuilder, golden []uint64, warmup int) (*snapshotSession, error) {
+// warmup prefix, captures the post-warmup state as the reset point, and
+// profiles the measured window once.
+func newSnapshotSession(sb apps.SnapshotBuilder, cfg CampaignConfig, golden []uint64) (*snapshotSession, error) {
 	app, err := sb.BuildSnapshot()
 	if err != nil {
 		return nil, fmt.Errorf("building app: %w", err)
 	}
 	startVT := app.Space().Clock().Now()
-	for q := 0; q < warmup; q++ {
+	for q := 0; q < cfg.Warmup; q++ {
 		resp, err := app.Serve(q)
 		if err != nil {
 			return nil, fmt.Errorf("warmup request %d crashed: %w", q, err)
@@ -506,7 +519,11 @@ func newSnapshotSession(sb apps.SnapshotBuilder, golden []uint64, warmup int) (*
 	if err := app.Snapshot(); err != nil {
 		return nil, fmt.Errorf("snapshotting app: %w", err)
 	}
-	return &snapshotSession{app: app, startVT: startVT}, nil
+	profile, err := profileWindow(app, cfg, golden)
+	if err != nil {
+		return nil, fmt.Errorf("profiling the measured window: %w", err)
+	}
+	return &snapshotSession{app: app, startVT: startVT, profile: profile}, nil
 }
 
 // runTrial performs one pass of the Fig. 2 loop against the session's
@@ -522,21 +539,31 @@ func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, i int) (
 	tt := cfg.Tracer.Trial(i)
 	traceTrialStart(tt, s.startVT)
 	traceRestore(tt, s.app.Space())
-	tr, ts, err := injectAndServe(cfg, golden, s.app, rng, tt)
+	tr, ts, err := injectAndServe(cfg, golden, s.app, s.profile, rng, tt)
 	ts.dirtyPages = dirty
 	return tr, ts, err
 }
 
 // injectAndServe runs steps 2–5 of the Fig. 2 loop — inject, run the
 // post-warmup client workload, classify — on an already warmed-up
-// instance.
-func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, rng *rand.Rand, tt *evtrace.TrialTracer) (TrialResult, trialStats, error) {
+// instance. A trial the profile decides ends after the address draw:
+// nothing is injected and nothing served.
+func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, profile *accessProfile, rng *rand.Rand, tt *evtrace.TrialTracer) (TrialResult, trialStats, error) {
+	// Fetched per trial: Reset may have swapped the instance.
 	as := app.Space()
+
+	// Inject (Algorithm 1(a)): inject.Random's two halves, with the
+	// decision between them, so the generator stream is unchanged.
+	addr, ok := as.SampleAddr(rng, cfg.Filter)
+	if !ok {
+		return TrialResult{}, trialStats{}, fmt.Errorf("injecting: %w", inject.ErrNoTarget)
+	}
+	if tr, ok := profile.decide(addr, cfg.Spec); ok {
+		return tr, trialStats{decided: true}, nil
+	}
 	startFast := as.FastPathLoads()
 	startWords := as.FastPathWords()
-
-	// Inject (Algorithm 1(a)).
-	inj, err := inject.Random(as, rng, cfg.Spec, cfg.Filter)
+	inj, err := inject.At(as, rng, addr, cfg.Spec)
 	if err != nil {
 		return TrialResult{}, trialStats{}, fmt.Errorf("injecting: %w", err)
 	}

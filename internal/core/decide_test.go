@@ -1,0 +1,529 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"hrmsim/internal/apps"
+	"hrmsim/internal/apps/graphmine"
+	"hrmsim/internal/apps/kvstore"
+	"hrmsim/internal/apps/websearch"
+	"hrmsim/internal/ecc"
+	"hrmsim/internal/evtrace"
+	"hrmsim/internal/faults"
+	"hrmsim/internal/inject"
+	"hrmsim/internal/obsv"
+	"hrmsim/internal/simmem"
+)
+
+// replayAll is the reference side of the decide-vs-replay suites: every
+// instance it builds carries an inert access observer from before the
+// snapshot, which the engine must treat like a scrubber — a retained
+// observer — and refuse to profile. Nothing else differs, so its
+// campaigns inject and serve every trial, as the engine did before it
+// could decide any. Like buildPerTrial and slowPathBuilder it exists on
+// the test side only.
+type replayAll struct{ apps.SnapshotBuilder }
+
+type inertObserver struct{}
+
+func (inertObserver) ObserveAccess(simmem.AccessEvent) {}
+
+func (b replayAll) BuildSnapshot() (apps.SnapshotApp, error) {
+	app, err := b.SnapshotBuilder.BuildSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	app.Space().AddAccessObserver(inertObserver{})
+	return app, nil
+}
+
+// decideBuilders are the three applications at test size with every
+// region under codec (nil: unprotected).
+var decideBuilders = map[string]func(*testing.T, simmem.Codec) apps.SnapshotBuilder{
+	"websearch": func(t *testing.T, codec simmem.Codec) apps.SnapshotBuilder {
+		cfg := websearch.DefaultConfig(17)
+		cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 256, 128, 4, 12
+		cfg.Queries, cfg.CacheSlots = 24, 32
+		cfg.PrivateCodec, cfg.HeapCodec, cfg.StackCodec = codec, codec, codec
+		b, err := websearch.NewBuilder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	},
+	"kvstore": func(t *testing.T, codec simmem.Codec) apps.SnapshotBuilder {
+		cfg := kvstore.DefaultConfig(17)
+		cfg.Keys, cfg.Ops = 128, 200
+		cfg.HeapCodec, cfg.StackCodec = codec, codec
+		b, err := kvstore.NewBuilder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	},
+	"graphmine": func(t *testing.T, codec simmem.Codec) apps.SnapshotBuilder {
+		cfg := graphmine.DefaultConfig(17)
+		cfg.Nodes, cfg.AvgDeg, cfg.Iterations, cfg.ChunkNodes, cfg.TopK = 256, 4, 2, 64, 20
+		// A corrupted loop bound runs a request to its budget; keep that
+		// cheap (a fault-free request here needs a few thousand operations).
+		cfg.OpBudget = 50_000
+		cfg.HeapCodec, cfg.StackCodec = codec, codec
+		b, err := graphmine.NewBuilder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	},
+}
+
+// runMetered runs cfg with a fresh registry and returns both.
+func runMetered(t *testing.T, cfg CampaignConfig) (*CampaignResult, obsv.Snapshot) {
+	t.Helper()
+	reg := obsv.NewRegistry()
+	cfg.Metrics = reg
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, reg.Snapshot()
+}
+
+// requireSameTrials fails on the first trial that differs.
+func requireSameTrials(t *testing.T, what string, want, got []TrialResult) {
+	t.Helper()
+	if reflect.DeepEqual(want, got) {
+		return
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d trials, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Fatalf("%s: trial %d diverged:\nreplayed: %+v\ndecided:  %+v", what, i, want[i], got[i])
+		}
+	}
+}
+
+// requireSameRegistry compares a decided campaign's registry with the
+// replayed reference's. Everything the engine registers must match but:
+//
+//   - campaign_trials_decided_total, the thing being varied (returned);
+//   - simmem_fastpath_loads_total / _words_total: a decided trial serves
+//     nothing and adds nothing, and what replay adds for it is not the
+//     fault-free pass's figure either (a stuck bit in an unprotected
+//     region taints its 64-byte granule, so neighbouring loads walk);
+//   - campaign_trial_wall_ms (host clock) and
+//     campaign_snapshot_dirty_pages (a restore rolls back the previous
+//     trial on that worker, and a decided trial dirties nothing), whose
+//     observation counts alone are the results'.
+func requireSameRegistry(t *testing.T, what string, ref, dec obsv.Snapshot) (decided int64) {
+	t.Helper()
+	if got := ref.Counters["campaign_trials_decided_total"]; got != 0 {
+		t.Fatalf("%s: the replay-everything reference decided %d trials", what, got)
+	}
+	for name, want := range ref.Counters {
+		switch name {
+		case "campaign_trials_decided_total", "simmem_fastpath_loads_total", "simmem_fastpath_words_total":
+			continue
+		}
+		if got, ok := dec.Counters[name]; !ok || got != want {
+			t.Errorf("%s: %s = %d (present %v), replay has %d", what, name, got, ok, want)
+		}
+	}
+	if len(dec.Counters) != len(ref.Counters) {
+		t.Errorf("%s: %d counters registered, replay has %d", what, len(dec.Counters), len(ref.Counters))
+	}
+	if !reflect.DeepEqual(dec.Gauges, ref.Gauges) {
+		t.Errorf("%s: gauges %v, replay has %v", what, dec.Gauges, ref.Gauges)
+	}
+	if len(dec.Histograms) != len(ref.Histograms) {
+		t.Errorf("%s: %d histograms registered, replay has %d", what, len(dec.Histograms), len(ref.Histograms))
+	}
+	for name, want := range ref.Histograms {
+		got := dec.Histograms[name]
+		switch name {
+		case "campaign_trial_wall_ms", "campaign_snapshot_dirty_pages":
+			if got.Count != want.Count {
+				t.Errorf("%s: %s holds %d observations, replay has %d", what, name, got.Count, want.Count)
+			}
+		default:
+			// Buckets, not Sum: float addition follows the order trials
+			// finish in.
+			if !reflect.DeepEqual(got.Counts, want.Counts) {
+				t.Errorf("%s: %s buckets = %v, replay has %v", what, name, got.Counts, want.Counts)
+			}
+		}
+	}
+	return dec.Counters["campaign_trials_decided_total"]
+}
+
+// TestDecidedCampaignMatchesFullReplay is the correctness bar of deciding
+// trials from the access profile: over every application, error type,
+// protection, region filter and parallelism level, the campaign that
+// decides what it can produces TrialResults deeply equal to — and a
+// metrics registry equal, but for the documented exceptions, to — the
+// campaign that injects and serves every trial.
+func TestDecidedCampaignMatchesFullReplay(t *testing.T) {
+	specs := map[string]faults.Spec{
+		"soft-1bit": faults.SingleBitSoft,
+		"hard-1bit": faults.SingleBitHard,
+		"hard-2bit": {Class: faults.Hard, Bits: 2},
+	}
+	codecs := map[string]simmem.Codec{"none": nil, "secded": ecc.NewSECDED()}
+	// The unfiltered draw is weighted by region size and almost never
+	// lands on the stack, where first-touch-is-a-store lives.
+	filters := map[string]func(*simmem.Region) bool{
+		"any":   nil,
+		"stack": inject.KindFilter(simmem.RegionStack),
+	}
+	for appName, mk := range decideBuilders {
+		for codecName, codec := range codecs {
+			t.Run(appName+"/"+codecName, func(t *testing.T) {
+				t.Parallel()
+				b := mk(t, codec)
+				golden, err := GoldenRun(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var decided, total int64
+				for specName, spec := range specs {
+					for filterName, filter := range filters {
+						cfg := CampaignConfig{
+							Spec: spec, Trials: 32, Seed: 31, Filter: filter,
+							Warmup: len(golden) / 4, Golden: golden,
+						}
+						cfg.Builder, cfg.Parallelism = replayAll{b}, 1
+						ref, refReg := runMetered(t, cfg)
+						for _, par := range []int{1, 4} {
+							what := fmt.Sprintf("%s/%s/par%d", specName, filterName, par)
+							cfg.Builder, cfg.Parallelism = b, par
+							dec, decReg := runMetered(t, cfg)
+							requireSameTrials(t, what, ref.Trials, dec.Trials)
+							n := requireSameRegistry(t, what, refReg, decReg)
+							if masked := int64(dec.Count(OutcomeMaskedLatent) + dec.Count(OutcomeMaskedOverwrite)); n > masked {
+								t.Errorf("%s: %d trials decided, only %d masked-latent or -overwrite", what, n, masked)
+							}
+							decided += n
+							total += int64(len(dec.Trials))
+						}
+					}
+				}
+				if decided == 0 {
+					t.Fatal("no trial was decided: the suite compared replay with replay")
+				}
+				t.Logf("%d of %d trials decided", decided, total)
+			})
+		}
+	}
+}
+
+// TestDecidedCampaignMatchesBuildPerTrial composes the two references:
+// deciding on the instance-swapping build-per-trial lifecycle (where a
+// profile keyed to a stale space would be empty and decide everything)
+// still equals full replay on the snapshot lifecycle.
+func TestDecidedCampaignMatchesBuildPerTrial(t *testing.T) {
+	b := decideBuilders["kvstore"](t, nil)
+	golden, err := GoldenRun(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := CampaignConfig{
+		Spec: faults.SingleBitSoft, Trials: 40, Seed: 9, Parallelism: 1,
+		Warmup: len(golden) / 4, Golden: golden,
+	}
+	cfg.Builder = replayAll{b}
+	ref, refReg := runMetered(t, cfg)
+	cfg.Builder = buildPerTrial{b}
+	dec, decReg := runMetered(t, cfg)
+	requireSameTrials(t, "build-per-trial", ref.Trials, dec.Trials)
+	if n := requireSameRegistry(t, "build-per-trial", refReg, decReg); n == 0 {
+		t.Error("no trial decided on the build-per-trial lifecycle")
+	}
+}
+
+// TestDecideFallbacks: each condition under which first-touch does not
+// settle a trial keeps the profile off — nothing is decided — and the
+// observational ones (tracer, a budget that never fires) leave the
+// results equal to the deciding campaign's.
+func TestDecideFallbacks(t *testing.T) {
+	b := decideBuilders["websearch"](t, nil)
+	golden, err := GoldenRun(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := CampaignConfig{
+		Builder: b, Spec: faults.SingleBitSoft, Trials: 30, Seed: 12, Parallelism: 2,
+		Warmup: len(golden) / 4, Golden: golden,
+	}
+	plain, plainReg := runMetered(t, base)
+	if plainReg.Counters["campaign_trials_decided_total"] == 0 {
+		t.Fatal("the unencumbered campaign decided nothing; the fallbacks below would prove nothing")
+	}
+
+	t.Run("tracer", func(t *testing.T) {
+		cfg := base
+		cfg.Tracer = evtrace.New(evtrace.Options{}, evtrace.NewJSONLWriter(&bytes.Buffer{}))
+		res, reg := runMetered(t, cfg)
+		if err := cfg.Tracer.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := reg.Counters["campaign_trials_decided_total"]; n != 0 {
+			t.Errorf("%d trials decided with a tracer attached", n)
+		}
+		requireSameTrials(t, "tracer", res.Trials, plain.Trials)
+	})
+	t.Run("op-budget", func(t *testing.T) {
+		cfg := base
+		cfg.TrialOpBudget = 1 << 40
+		res, reg := runMetered(t, cfg)
+		if n := reg.Counters["campaign_trials_decided_total"]; n != 0 {
+			t.Errorf("%d trials decided under an operation budget", n)
+		}
+		requireSameTrials(t, "op-budget", res.Trials, plain.Trials)
+	})
+	t.Run("cpu-cache", func(t *testing.T) {
+		cfg := websearch.DefaultConfig(17)
+		cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 256, 128, 4, 12
+		cfg.Queries, cfg.CacheSlots, cfg.CacheLines = 40, 32, 64
+		cached, err := websearch.NewBuilder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, err := GoldenRun(cached)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := base
+		c.Builder, c.Golden, c.Warmup = cached, golden, len(golden)/4
+		_, reg := runMetered(t, c)
+		if n := reg.Counters["campaign_trials_decided_total"]; n != 0 {
+			t.Errorf("%d trials decided with the CPU cache model on", n)
+		}
+	})
+	t.Run("wrong-golden", func(t *testing.T) {
+		// A window that does not reproduce golden is not the pass the
+		// trials replay: every trial must be served (and found incorrect).
+		cfg := base
+		cfg.Golden = append([]uint64(nil), golden...)
+		cfg.Golden[len(golden)-1] ^= 1
+		res, reg := runMetered(t, cfg)
+		if n := reg.Counters["campaign_trials_decided_total"]; n != 0 {
+			t.Errorf("%d trials decided against a golden run the window does not match", n)
+		}
+		if res.Count(OutcomeIncorrect)+res.Count(OutcomeCrash) != len(res.Trials) {
+			t.Errorf("outcomes %v, want every trial incorrect or crashed", res.counts)
+		}
+	})
+}
+
+// TestDecidedCampaignJournalResumeShardMerge: a deciding campaign cut
+// into two journaled shards, one of them interrupted and resumed from
+// its journal, merges into the unsharded replay-everything result — a
+// decided trial's record is an ordinary record.
+func TestDecidedCampaignJournalResumeShardMerge(t *testing.T) {
+	b := decideBuilders["kvstore"](t, nil)
+	golden, err := GoldenRun(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trials, seed = 60, 44
+	spec := faults.SingleBitHard
+	base := CampaignConfig{
+		Spec: spec, Trials: trials, Seed: seed, Parallelism: 2,
+		Warmup: len(golden) / 4, Golden: golden,
+	}
+	ref := base
+	ref.Builder = replayAll{b}
+	whole, err := Run(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	meta := journalMetaFor(b, spec, trials, seed)
+	var decided int64
+	runShard := func(idx int, interruptAt int) {
+		t.Helper()
+		shard := ShardSpec{Index: idx, Count: 2}
+		jname := ShardJournalName(idx, 2)
+		var res *CampaignResult
+		for leg := 0; ; leg++ {
+			j, _, err := OpenJournal(filepath.Join(dir, jname), meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := base
+			cfg.Builder, cfg.Shard, cfg.Journal = b, &shard, j
+			reg := obsv.NewRegistry()
+			cfg.Metrics = reg
+			ctx, cancel := context.WithCancel(context.Background())
+			if leg == 0 && interruptAt > 0 {
+				cfg.Progress = func(p ProgressInfo) {
+					if p.Done == interruptAt {
+						cancel()
+					}
+				}
+			}
+			if leg > 0 {
+				cfg.Resume = readJournalFile(t, filepath.Join(dir, jname))
+			}
+			res, err = RunContext(ctx, cfg)
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			decided += reg.Snapshot().Counters["campaign_trials_decided_total"]
+			if !res.Interrupted {
+				break
+			}
+			if leg > 0 {
+				t.Fatal("resumed shard was interrupted again")
+			}
+		}
+		man := NewShardManifest(meta, shard, jname, res)
+		if err := WriteManifest(filepath.Join(dir, ShardManifestName(idx, 2)), man); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runShard(0, 0)
+	runShard(1, 7)
+
+	shards, err := LoadShardDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, merged, stats, err := MergeShards(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Missing != 0 || stats.Duplicates != 0 {
+		t.Fatalf("merge stats = %+v, want a complete, duplicate-free union", stats)
+	}
+	got := ResultFromTrials(b.AppName(), spec, trials, merged)
+	requireSameTrials(t, "merged shards", whole.Trials, got.Trials)
+	if decided == 0 {
+		t.Error("the sharded campaign decided nothing")
+	}
+}
+
+// readJournalFile reads back the records of a journal written earlier in
+// the test.
+func readJournalFile(t *testing.T, path string) map[int]TrialResult {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, recs, err := ReadJournal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestProfileFirstTouchStates drives the profile's per-granule state
+// machine directly: codeword granules in a protected region, byte
+// granules in an unprotected one, spans crossing granules, and only the
+// first reference counting.
+func TestProfileFirstTouchStates(t *testing.T) {
+	as, err := simmem.New(simmem.Config{PageSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prot, err := as.AddRegion(simmem.RegionSpec{Name: "prot", Kind: simmem.RegionHeap, Size: 64, Codec: ecc.NewSECDED()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := as.AddRegion(simmem.RegionSpec{Name: "bare", Kind: simmem.RegionStack, Size: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prot.SetUsed(40) // five codewords
+	bare.SetUsed(16)
+	as.Clock().Advance(time.Second)
+	p := newAccessProfile(as)
+	p.requests, p.endedAt = 3, time.Minute
+	store := func(r *simmem.Region, off, n int) {
+		p.ObserveAccess(simmem.AccessEvent{Addr: r.Base() + simmem.Addr(off), Len: n, Kind: simmem.Store, Region: r})
+	}
+	load := func(r *simmem.Region, off, n int) {
+		p.ObserveAccess(simmem.AccessEvent{Addr: r.Base() + simmem.Addr(off), Len: n, Kind: simmem.Load, Region: r})
+	}
+	// Codeword 0: whole-word store, later loaded — the store counts.
+	store(prot, 0, 8)
+	load(prot, 0, 8)
+	// Codeword 1: a partial store reads the rest back through the decoder.
+	store(prot, 10, 4)
+	store(prot, 8, 8)
+	// Codewords 2–3: one store covering 2 whole and half of 3.
+	store(prot, 16, 12)
+	// Codeword 4: never referenced. A zero-length load references nothing.
+	load(prot, 32, 0)
+	// Bytes: any store covers a byte; a load first senses it.
+	store(bare, 2, 3)
+	load(bare, 4, 2)
+	load(bare, 100, 4) // beyond the used bytes: ignored, not out of range
+
+	want := map[string][]firstTouch{
+		"prot": {touchOverwrite, touchSensed, touchOverwrite, touchSensed, touchNever},
+		"bare": {touchNever, touchNever, touchOverwrite, touchOverwrite, touchOverwrite, touchSensed,
+			touchNever, touchNever, touchNever, touchNever, touchNever, touchNever, touchNever, touchNever, touchNever, touchNever},
+	}
+	for _, rp := range p.regions {
+		if !reflect.DeepEqual(rp.first, want[rp.name]) {
+			t.Errorf("%s first touches = %v, want %v", rp.name, rp.first, want[rp.name])
+		}
+	}
+	if p.accesses != 9 {
+		t.Errorf("accesses = %d, want 9", p.accesses)
+	}
+
+	soft, hard := faults.SingleBitSoft, faults.SingleBitHard
+	for _, tc := range []struct {
+		r    *simmem.Region
+		off  int
+		spec faults.Spec
+		want Outcome // 0: simulate
+	}{
+		{prot, 3, soft, OutcomeMaskedOverwrite},
+		{prot, 3, hard, 0}, // a stuck bit outlives the store
+		{prot, 9, soft, 0}, // byte 9 itself was never stored to first, but its codeword was decoded
+		{prot, 15, hard, 0},
+		{prot, 28, soft, 0},
+		{prot, 39, soft, OutcomeMaskedLatent},
+		{prot, 39, hard, OutcomeMaskedLatent},
+		{bare, 0, hard, OutcomeMaskedLatent},
+		{bare, 3, soft, OutcomeMaskedOverwrite},
+		{bare, 3, hard, 0},
+		{bare, 5, soft, 0},
+	} {
+		tr, ok := p.decide(tc.r.Base()+simmem.Addr(tc.off), tc.spec)
+		if tc.want == 0 {
+			if ok {
+				t.Errorf("%s+%d %v: decided %v, want simulate", tc.r.Name(), tc.off, tc.spec, tr.Outcome)
+			}
+			continue
+		}
+		wantTR := TrialResult{
+			Outcome: tc.want, Region: tc.r.Name(), Kind: tc.r.Kind(),
+			InjectedAt: time.Second, Requests: 3, EndedAt: time.Minute,
+		}
+		if !ok || !reflect.DeepEqual(tr, wantTR) {
+			t.Errorf("%s+%d %v: got %+v (decided %v), want %+v", tc.r.Name(), tc.off, tc.spec, tr, ok, wantTR)
+		}
+	}
+	if _, ok := (*accessProfile)(nil).decide(prot.Base(), soft); ok {
+		t.Error("a nil profile decided a trial")
+	}
+}

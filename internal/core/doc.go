@@ -13,6 +13,13 @@
 // registry. The paper's literal restart-per-trial loop lives on the test
 // side, as the reference the equivalence suites compare against.
 //
+// A session also serves its measured window once with no fault and
+// records how each granule is first referenced (decide.go). A trial whose
+// drawn address lies in a granule that window never references — or, for
+// a soft error, first overwrites whole — is classified from that record
+// right after the address draw, without injecting or serving; its
+// TrialResult is the one the replay would have produced (DESIGN.md §9).
+//
 // Campaign execution is a two-tier supervision hierarchy:
 //
 //   - The in-process trial supervisor (supervisor.go, driven by Run)

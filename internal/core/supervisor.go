@@ -331,7 +331,7 @@ func (s *supervisor) execute(sess *snapshotSession, i int) (tr TrialResult, ts t
 		}
 	}()
 	if sess == nil {
-		sess, err = newSnapshotSession(s.sb, s.golden, s.cfg.Warmup)
+		sess, err = newSnapshotSession(s.sb, s.cfg, s.golden)
 		if err != nil {
 			return TrialResult{}, trialStats{}, nil, err
 		}

@@ -321,7 +321,10 @@ func (b *hangBuilder) Build() (apps.App, error) {
 	if err := as.WriteRaw(r.Base(), buf); err != nil {
 		return nil, err
 	}
-	r.SetUsed(128)
+	// The 11 words the eight requests load: every byte a trial can draw
+	// is read, so no trial is decided without being served (decide.go)
+	// and the hung instance's trial really hangs.
+	r.SetUsed(88)
 	return &hangApp{as: as, base: r.Base(), hang: n == b.hangBuild, release: b.release}, nil
 }
 
@@ -331,10 +334,11 @@ func (b *hangBuilder) Build() (apps.App, error) {
 func TestWatchdogDeadlineAbortsHungTrial(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	// Build 1 is the golden run and build 2 the worker's session; the
-	// build-per-trial reference then rebuilds per trial at parallelism 1,
-	// so hanging build 4 hangs exactly trial 1.
-	b := buildPerTrial{&hangBuilder{hangBuild: 4, release: release}}
+	// Build 1 is the golden run and build 2 the worker's session. The
+	// build-per-trial reference rebuilds on every Reset: builds 3 and 4
+	// are the two around the session's profile pass, and from there one
+	// per trial at parallelism 1, so hanging build 6 hangs exactly trial 1.
+	b := buildPerTrial{&hangBuilder{hangBuild: 6, release: release}}
 	golden, err := GoldenRun(b)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@
 package inject
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -84,13 +85,18 @@ func corruptByte(as *simmem.AddressSpace, rng *rand.Rand, addr simmem.Addr, spec
 	return Target{Addr: addr, Bits: bits}, nil
 }
 
+// ErrNoTarget reports that the region filter accepts no used byte.
+var ErrNoTarget = errors.New("inject: no used bytes match the region filter")
+
 // Random injects an error of the given spec at a uniformly random used
 // byte of the regions accepted by filter (all regions when nil) — the
-// getMappedAddr() of Algorithm 1(a).
+// getMappedAddr() of Algorithm 1(a). It is as.SampleAddr followed by At
+// on one generator; a caller that needs the address before it commits
+// to injecting makes the same two calls.
 func Random(as *simmem.AddressSpace, rng *rand.Rand, spec faults.Spec, filter func(*simmem.Region) bool) (Injection, error) {
 	addr, ok := as.SampleAddr(rng, filter)
 	if !ok {
-		return Injection{}, fmt.Errorf("inject: no used bytes match the region filter")
+		return Injection{}, ErrNoTarget
 	}
 	return At(as, rng, addr, spec)
 }

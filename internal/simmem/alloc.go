@@ -24,6 +24,10 @@ type Arena struct {
 	next  int
 	free  map[int][]Addr
 	sizes map[Addr]int
+	// clean is the mark the arena's state currently equals: set by Mark
+	// and Rewind, cleared by Alloc and Free. Rewinding to it is a no-op,
+	// which is every trial that allocated nothing.
+	clean *ArenaMark
 }
 
 // NewArena creates an allocator over r.
@@ -47,6 +51,7 @@ func (a *Arena) Alloc(size int) (Addr, error) {
 		return 0, fmt.Errorf("simmem: allocation size must be positive, got %d", size)
 	}
 	rounded := (size + allocAlign - 1) / allocAlign * allocAlign
+	a.clean = nil
 	if list := a.free[rounded]; len(list) > 0 {
 		addr := list[len(list)-1]
 		a.free[rounded] = list[:len(list)-1]
@@ -73,6 +78,7 @@ func (a *Arena) Free(addr Addr) error {
 	if !ok {
 		return fmt.Errorf("simmem: free of unallocated address %#x", uint64(addr))
 	}
+	a.clean = nil
 	delete(a.sizes, addr)
 	a.free[size] = append(a.free[size], addr)
 	return nil
@@ -101,12 +107,19 @@ func (a *Arena) Mark() *ArenaMark {
 	for addr, sz := range a.sizes {
 		m.sizes[addr] = sz
 	}
+	a.clean = m
 	return m
 }
 
 // Rewind restores the state captured by Mark. The mark stays valid for
-// further rewinds.
+// further rewinds. When nothing was allocated or freed since this mark
+// was taken or last rewound to, the state already equals it and the map
+// rebuild is skipped.
 func (a *Arena) Rewind(m *ArenaMark) {
+	if a.clean == m {
+		return
+	}
+	a.clean = m
 	a.next = m.next
 	a.free = make(map[int][]Addr, len(m.free))
 	for sz, list := range m.free {

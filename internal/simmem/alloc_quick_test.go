@@ -2,6 +2,7 @@ package simmem
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -58,6 +59,104 @@ func TestArenaNoOverlapProperty(t *testing.T) {
 			live = append(live, block{addr: addr, size: size})
 		}
 		return a.Live() == len(live)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// arenaState is an arena's bookkeeping in comparable form (empty free
+// lists dropped: a drained list and an absent one allocate alike).
+type arenaState struct {
+	next  int
+	free  map[int][]Addr
+	sizes map[Addr]int
+}
+
+func stateOf(a *Arena) arenaState {
+	st := arenaState{next: a.next, free: map[int][]Addr{}, sizes: map[Addr]int{}}
+	for sz, list := range a.free {
+		if len(list) > 0 {
+			st.free[sz] = append([]Addr(nil), list...)
+		}
+	}
+	for addr, sz := range a.sizes {
+		st.sizes[addr] = sz
+	}
+	return st
+}
+
+// TestArenaRewindProperty: Rewind restores the marked state exactly
+// whether or not it can skip the map rebuild — after an alloc and a free
+// that leave the live count unchanged, on repeated rewinds to one mark
+// with and without work in between, and when alternating between two
+// different marks (a rewind to a mark other than the clean one is never
+// skipped).
+func TestArenaRewindProperty(t *testing.T) {
+	f := func(seed int64, opsRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		as, err := New(Config{PageSize: 256})
+		if err != nil {
+			return false
+		}
+		r, err := as.AddRegion(RegionSpec{Name: "h", Kind: RegionHeap, Size: 16384})
+		if err != nil {
+			return false
+		}
+		a := NewArena(r)
+		var live []Addr
+		churn := func(ops int) {
+			for i := 0; i < ops; i++ {
+				if len(live) > 0 && rng.Intn(3) == 0 {
+					k := rng.Intn(len(live))
+					if a.Free(live[k]) != nil {
+						panic("free of a live block failed")
+					}
+					live = append(live[:k], live[k+1:]...)
+				} else if addr, err := a.Alloc(rng.Intn(120) + 1); err == nil {
+					live = append(live, addr)
+				}
+			}
+		}
+		ops := int(opsRaw)%60 + 10
+		churn(ops)
+		markA, wantA, liveA := a.Mark(), stateOf(a), append([]Addr(nil), live...)
+		churn(ops)
+		markB, wantB := a.Mark(), stateOf(a)
+
+		rewound := func(m *ArenaMark, want arenaState) bool {
+			a.Rewind(m)
+			return reflect.DeepEqual(stateOf(a), want)
+		}
+		// B is the clean mark; rewinding to A must not be skipped.
+		if !rewound(markA, wantA) {
+			return false
+		}
+		// Nothing happened since: the skipped rewind still leaves A.
+		if !rewound(markA, wantA) {
+			return false
+		}
+		// One alloc and one free of the same block: the live count is
+		// back where it was, the free lists are not.
+		live = append([]Addr(nil), liveA...)
+		if addr, err := a.Alloc(40); err == nil {
+			if a.Free(addr) != nil {
+				return false
+			}
+		}
+		if !rewound(markA, wantA) {
+			return false
+		}
+		// The mark survives repeated rewinds with work in between.
+		for i := 0; i < 3; i++ {
+			live = append([]Addr(nil), liveA...)
+			churn(ops)
+			if !rewound(markA, wantA) {
+				return false
+			}
+		}
+		// A is clean now; B is a different state and must be restored.
+		return rewound(markB, wantB) && rewound(markA, wantA)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -46,6 +46,10 @@ func (as *AddressSpace) EnableCache(lines int) error {
 	return nil
 }
 
+// CacheEnabled reports whether the cache model is on. With it on, what a
+// load returns depends on line residency, not only on memory contents.
+func (as *AddressSpace) CacheEnabled() bool { return as.cache != nil }
+
 // CacheStats reports cache model counters (zero when disabled).
 func (as *AddressSpace) CacheStats() (hits, misses, writeBacks uint64) {
 	if as.cache == nil {

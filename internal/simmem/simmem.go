@@ -172,6 +172,11 @@ func (as *AddressSpace) AddECCObserver(o ECCObserver) {
 	as.eccObs = append(as.eccObs, o)
 }
 
+// Observed reports whether any access or ECC observer is registered.
+// Right after a Snapshot.Restore only the observers the capture retained
+// are.
+func (as *AddressSpace) Observed() bool { return len(as.accessObs)+len(as.eccObs) > 0 }
+
 // Regions returns the mapped regions in layout order. The returned slice
 // must not be modified.
 func (as *AddressSpace) Regions() []*Region { return as.regions }
