@@ -20,43 +20,36 @@ import (
 )
 
 func cmdChaos(args []string) error {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
-	// Node (self-hosted mode; ignored with -attach).
-	eccName := fs.String("ecc", "none", "heap protection of the self-hosted node: none|parity|secded|chipkill")
-	recoverMode := fs.String("recover", "",
-		"software recovery of the self-hosted node: parr|parr-page|parr-escalate|retire (empty = none)")
-	retireThreshold := fs.Uint64("retire-threshold", 2,
-		"corrected errors per page before -recover retire replaces the frame")
-	checkpoint := fs.Duration("checkpoint", 0,
-		"virtual-time interval between heap checkpoints of the self-hosted node (needs -recover)")
-	keys := fs.Int("keys", 1024, "working-set size (must match the server's -keys with -attach)")
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	reg := obsv.NewRegistry()
+	// Node: self-hosted mode builds it; with -attach only -keys and
+	// -seed matter (they also size and seed the load).
+	node := kvnode.Config{Registry: reg}
+	node.BindFlags(fs)
 	attach := fs.String("attach", "",
-		"drive an already-running kvserve at this address instead of self-hosting (injection uses the protocol's `inject soft`)")
+		"drive an already-running kvserve at this address instead of self-hosting (injection uses the protocol's `inject soft`; -keys must match the server's)")
 
-	// Load profile.
-	conns := fs.Int("conns", 32, "concurrent load connections")
-	qps := fs.Float64("qps", 0, "aggregate target ops/s (0 = closed loop)")
-	readFraction := fs.Float64("read-fraction", 0.9, "GET share of the op mix")
-	zipfS := fs.Float64("zipf-s", 1.1, "Zipf key-popularity exponent (> 1)")
-	valueSize := fs.Int("value-size", 64, "value size in bytes (must match the server with -attach)")
-	opTimeout := fs.Duration("op-timeout", 2*time.Second, "per-op round-trip deadline")
+	load := chaos.GenConfig{Registry: reg}
+	fs.IntVar(&load.Conns, "conns", 32, "concurrent load connections")
+	fs.Float64Var(&load.QPS, "qps", 0, "aggregate target ops/s (0 = closed loop)")
+	fs.Float64Var(&load.ReadFraction, "read-fraction", 0.9, "GET share of the op mix")
+	fs.Float64Var(&load.ZipfS, "zipf-s", 1.1, "Zipf key-popularity exponent (> 1)")
+	fs.IntVar(&load.ValueSize, "value-size", 64, "value size in bytes (must match the server with -attach)")
+	fs.DurationVar(&load.OpTimeout, "op-timeout", 2*time.Second, "per-op round-trip deadline")
 
-	// Experiment shape.
-	steady := fs.Duration("steady", 2*time.Second, "steady-state baseline phase length")
-	chaosDur := fs.Duration("chaos", 3*time.Second, "fault-injection phase length")
-	recoveryDur := fs.Duration("recovery", 2*time.Second, "recovery observation phase length")
-	sampleEvery := fs.Duration("sample-every", 50*time.Millisecond, "probe sample cadence")
-	injections := fs.Int("injections", 32, "faults injected across the chaos phase")
+	exp := chaos.ExperimentConfig{Registry: reg}
+	fs.DurationVar(&exp.Steady, "steady", 2*time.Second, "steady-state baseline phase length")
+	fs.DurationVar(&exp.Chaos, "chaos", 3*time.Second, "fault-injection phase length")
+	fs.DurationVar(&exp.Recovery, "recovery", 2*time.Second, "recovery observation phase length")
+	fs.DurationVar(&exp.SampleEvery, "sample-every", 50*time.Millisecond, "probe sample cadence")
+	fs.IntVar(&exp.Injections, "injections", 32, "faults injected across the chaos phase (0 = load and wrong-value oracle only)")
 	injectMode := fs.String("inject-mode", "hot",
 		"self-hosted fault placement: hot (round-robin over popular keys' value words) | random")
 
-	// Objectives.
 	p50SLO := fs.Float64("p50-slo-us", 50_000, "steady-state p50 latency objective (µs)")
 	p99SLO := fs.Float64("p99-slo-us", 200_000, "steady-state p99 latency objective (µs)")
 	expectRecovery := fs.Bool("expect-recovery", false,
 		"require recovery activity during chaos+recovery (defaults on when -recover is set)")
-
-	seed := fs.Int64("seed", 1, "experiment seed (node population, load mix, injection placement)")
 	jsonOut := fs.Bool("json", false, "emit the verdict as a JSON envelope")
 	strict := fs.Bool("strict", false, "exit non-zero when the verdict is FAIL (output is still emitted)")
 	if err := fs.Parse(args); err != nil {
@@ -66,23 +59,11 @@ func cmdChaos(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	reg := obsv.NewRegistry()
-	addr := *attach
-	var injector chaos.Injector
-	probeInjected := false
-
+	exp.Addr = *attach
 	// Self-hosted mode: run the kvnode in-process on a loopback port so
 	// the whole experiment is one seeded command.
 	if *attach == "" {
-		srv, err := kvnode.New(kvnode.Config{
-			Keys:            *keys,
-			ECC:             *eccName,
-			Seed:            *seed,
-			Recover:         *recoverMode,
-			RetireThreshold: *retireThreshold,
-			CheckpointEvery: *checkpoint,
-			Registry:        reg,
-		})
+		srv, err := kvnode.New(node)
 		if err != nil {
 			return err
 		}
@@ -97,61 +78,41 @@ func cmdChaos(args []string) error {
 			stopSrv()
 			<-srvDone
 		}()
-		addr = ln.Addr().String()
+		exp.Addr = ln.Addr().String()
 
-		li, err := chaos.NewLocalInjector(srv, *injectMode, nil, *seed)
+		li, err := chaos.NewLocalInjector(srv, *injectMode, nil, node.Seed)
 		if err != nil {
 			return err
 		}
-		injector = li
-		probeInjected = *injectMode == "hot"
-		if *recoverMode != "" {
+		exp.Injector = li
+		exp.ProbeInjected = *injectMode == "hot"
+		if node.Recover != "" {
 			*expectRecovery = true
 		}
 	} else {
-		ri, err := chaos.NewRemoteInjector(addr)
+		ri, err := chaos.NewRemoteInjector(exp.Addr)
 		if err != nil {
-			return fmt.Errorf("attaching to %s: %w", addr, err)
+			return fmt.Errorf("attaching to %s: %w", exp.Addr, err)
 		}
 		defer ri.Close()
-		injector = ri
+		exp.Injector = ri
 	}
 
-	gen, err := chaos.NewGenerator(chaos.GenConfig{
-		Addr:         addr,
-		Conns:        *conns,
-		QPS:          *qps,
-		Keys:         *keys,
-		ValueSize:    *valueSize,
-		ReadFraction: *readFraction,
-		ZipfS:        *zipfS,
-		Seed:         *seed,
-		OpTimeout:    *opTimeout,
-		Registry:     reg,
-	})
+	load.Addr, load.Keys, load.Seed = exp.Addr, node.Keys, node.Seed
+	gen, err := chaos.NewGenerator(load)
 	if err != nil {
 		return err
 	}
-	exp, err := chaos.NewExperiment(chaos.ExperimentConfig{
-		Name:          experimentName(*eccName, *recoverMode, *attach),
-		Addr:          addr,
-		Steady:        *steady,
-		Chaos:         *chaosDur,
-		Recovery:      *recoveryDur,
-		SampleEvery:   *sampleEvery,
-		Injections:    *injections,
-		Injector:      injector,
-		ProbeInjected: probeInjected,
-		SLOs:          chaos.DefaultSLOs(*p50SLO, *p99SLO, *expectRecovery),
-		Generator:     gen,
-		Registry:      reg,
-		Seed:          *seed,
-	})
+	exp.Name = experimentName(node.ECC, node.Recover, *attach)
+	exp.SLOs = chaos.DefaultSLOs(*p50SLO, *p99SLO, *expectRecovery)
+	exp.Generator = gen
+	exp.Seed = node.Seed
+	experiment, err := chaos.NewExperiment(exp)
 	if err != nil {
 		return err
 	}
 
-	verdict, err := exp.Run(ctx)
+	verdict, err := experiment.Run(ctx)
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -28,16 +29,13 @@ import (
 	"hrmsim/internal/obsv"
 )
 
-// coordinatorConfig carries the campaign flags a coordinator forwards to
-// its shard workers, plus the supervision knobs.
+// coordinatorConfig is the campaign a coordinator hands to its shard
+// workers, plus the supervision knobs.
 type coordinatorConfig struct {
-	App, Error, Region string
-	Trials             int
-	Seed               int64
-	Size               string
-	Parallelism        int
-	TrialTimeout       time.Duration
-	TrialOpBudget      int64
+	// Campaign is the campaign as the user described it. Every worker
+	// runs it with only the coordinator-owned fields — shard, journal,
+	// manifest, status, resume — set per task (workerConfig).
+	Campaign hrmsim.CharacterizeConfig
 
 	// Shards is the number of worker processes (= shard count).
 	Shards int
@@ -91,41 +89,43 @@ type waiter interface {
 // shardLauncher starts one shard worker.
 type shardLauncher func(task shardTask) (waiter, error)
 
+// workerConfig is the campaign as one shard task's worker runs it.
+func workerConfig(campaign hrmsim.CharacterizeConfig, task shardTask) hrmsim.CharacterizeConfig {
+	campaign.ShardIndex, campaign.ShardCount = task.Index, task.Count
+	campaign.JournalPath, campaign.ManifestPath, campaign.StatusPath = task.Journal, task.Manifest, task.Status
+	if task.Resume {
+		campaign.ResumePath = task.Journal
+	}
+	return campaign
+}
+
+// workerArgs is the `hrmsim characterize` command line that reproduces
+// cfg in another process: every campaign flag whose value differs from its
+// default, read off the very flag set the worker will parse it with — so a
+// campaign flag that is registered is forwarded, by construction.
+func workerArgs(cfg hrmsim.CharacterizeConfig) []string {
+	fs := flag.NewFlagSet("characterize", flag.ContinueOnError)
+	var bound hrmsim.CharacterizeConfig
+	bindCampaignFlags(fs, &bound)
+	bound = cfg
+	args := []string{"characterize"}
+	fs.VisitAll(func(f *flag.Flag) {
+		if v := f.Value.String(); v != f.DefValue {
+			args = append(args, "-"+f.Name+"="+v)
+		}
+	})
+	return args
+}
+
 // processLauncher launches shard workers as child processes of this very
-// executable: `hrmsim characterize ... -shard i/N -journal ... -manifest ...`.
-func processLauncher(cfg coordinatorConfig, log io.Writer) shardLauncher {
+// executable: `hrmsim characterize ... -shard=i/N -journal=... -manifest=...`.
+func processLauncher(campaign hrmsim.CharacterizeConfig, log io.Writer) shardLauncher {
 	return func(task shardTask) (waiter, error) {
 		exe, err := os.Executable()
 		if err != nil {
 			return nil, fmt.Errorf("locating the hrmsim executable: %w", err)
 		}
-		args := []string{"characterize",
-			"-app", cfg.App,
-			"-error", cfg.Error,
-			"-region", cfg.Region,
-			"-trials", strconv.Itoa(cfg.Trials),
-			"-seed", strconv.FormatInt(cfg.Seed, 10),
-			"-size", cfg.Size,
-			"-shard", fmt.Sprintf("%d/%d", task.Index, task.Count),
-			"-journal", task.Journal,
-			"-manifest", task.Manifest,
-		}
-		if task.Status != "" {
-			args = append(args, "-status", task.Status)
-		}
-		if cfg.Parallelism > 0 {
-			args = append(args, "-parallelism", strconv.Itoa(cfg.Parallelism))
-		}
-		if cfg.TrialTimeout > 0 {
-			args = append(args, "-trial-timeout", cfg.TrialTimeout.String())
-		}
-		if cfg.TrialOpBudget > 0 {
-			args = append(args, "-trial-op-budget", strconv.FormatInt(cfg.TrialOpBudget, 10))
-		}
-		if task.Resume {
-			args = append(args, "-resume", task.Journal)
-		}
-		cmd := exec.Command(exe, args...)
+		cmd := exec.Command(exe, workerArgs(workerConfig(campaign, task))...)
 		cmd.Stdout = io.Discard // the shard's text report is noise; its journal is the output
 		cmd.Stderr = log
 		if err := cmd.Start(); err != nil {
@@ -170,7 +170,7 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) (*coordinatorOut
 
 	launch := cfg.Launch
 	if launch == nil {
-		launch = processLauncher(cfg, logw)
+		launch = processLauncher(cfg.Campaign, logw)
 	}
 	var spawns, respawned *obsv.Counter
 	if cfg.Metrics != nil {
@@ -217,7 +217,7 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) (*coordinatorOut
 		lastWarn[i] = time.Now()
 		running++
 	}
-	fmt.Fprintf(logw, "coordinator: %d shards of %d trials running in %s\n", cfg.Shards, cfg.Trials, dir)
+	fmt.Fprintf(logw, "coordinator: %d shards of %d trials running in %s\n", cfg.Shards, cfg.Campaign.Trials, dir)
 
 	// loadFleet tails the shard heartbeat records into the fleet
 	// aggregate. Nil means "no view this tick": before the first

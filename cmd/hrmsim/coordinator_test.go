@@ -6,11 +6,14 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hrmsim"
 	"hrmsim/internal/obsv"
@@ -31,30 +34,11 @@ func inProcessLauncher(t *testing.T, cfg coordinatorConfig, crashOnce map[int]bo
 	crashed := make(map[int]bool)
 	return func(task shardTask) (waiter, error) {
 		done := make(chanWaiter, 1)
-		sz, err := sizeFlag(cfg.Size)
-		if err != nil {
-			return nil, err
-		}
-		ccfg := hrmsim.CharacterizeConfig{
-			App:          hrmsim.App(cfg.App),
-			Error:        hrmsim.ErrorType(cfg.Error),
-			Region:       hrmsim.Region(cfg.Region),
-			Trials:       cfg.Trials,
-			Seed:         cfg.Seed,
-			Size:         sz,
-			ShardIndex:   task.Index,
-			ShardCount:   task.Count,
-			JournalPath:  task.Journal,
-			ManifestPath: task.Manifest,
-		}
+		ccfg := workerConfig(cfg.Campaign, task)
 		if task.Status != "" {
 			// Mirror the real worker: a status-writing run carries a
 			// registry so heartbeats embed metrics snapshots.
-			ccfg.StatusPath = task.Status
 			ccfg.Metrics = obsv.NewRegistry()
-		}
-		if task.Resume {
-			ccfg.ResumePath = task.Journal
 		}
 		mu.Lock()
 		simulateCrash := crashOnce[task.Index] && !crashed[task.Index]
@@ -87,11 +71,9 @@ func inProcessLauncher(t *testing.T, cfg coordinatorConfig, crashOnce map[int]bo
 
 func testCoordinatorConfig(t *testing.T) coordinatorConfig {
 	return coordinatorConfig{
-		App:         "kvstore",
-		Error:       "soft-1bit",
-		Size:        "small",
-		Trials:      24,
-		Seed:        6,
+		Campaign: hrmsim.CharacterizeConfig{
+			App: hrmsim.AppKVStore, Error: hrmsim.SoftSingleBit, Size: hrmsim.SizeSmall, Trials: 24, Seed: 6,
+		},
 		Shards:      3,
 		Dir:         t.TempDir(),
 		MaxRespawns: 2,
@@ -113,12 +95,12 @@ func TestCoordinatorMergesShards(t *testing.T) {
 	if len(out.Failed) != 0 {
 		t.Fatalf("failed shards: %v", out.Failed)
 	}
-	if out.Info.Records != cfg.Trials || out.Info.Missing != 0 {
+	if out.Info.Records != cfg.Campaign.Trials || out.Info.Missing != 0 {
 		t.Fatalf("merge info = %+v", out.Info)
 	}
 
 	want, err := hrmsim.Characterize(hrmsim.CharacterizeConfig{
-		App: hrmsim.AppKVStore, Size: hrmsim.SizeSmall, Trials: cfg.Trials, Seed: cfg.Seed,
+		App: hrmsim.AppKVStore, Size: hrmsim.SizeSmall, Trials: cfg.Campaign.Trials, Seed: cfg.Campaign.Seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +133,7 @@ func TestCoordinatorRespawnsCrashedShard(t *testing.T) {
 	if len(out.Failed) != 0 {
 		t.Fatalf("failed shards: %v", out.Failed)
 	}
-	if out.Info.Records != cfg.Trials || out.Info.Missing != 0 {
+	if out.Info.Records != cfg.Campaign.Trials || out.Info.Missing != 0 {
 		t.Fatalf("merge info after respawn = %+v", out.Info)
 	}
 
@@ -169,7 +151,7 @@ func TestCoordinatorRespawnsCrashedShard(t *testing.T) {
 	}
 
 	want, err := hrmsim.Characterize(hrmsim.CharacterizeConfig{
-		App: hrmsim.AppKVStore, Size: hrmsim.SizeSmall, Trials: cfg.Trials, Seed: cfg.Seed,
+		App: hrmsim.AppKVStore, Size: hrmsim.SizeSmall, Trials: cfg.Campaign.Trials, Seed: cfg.Campaign.Seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +188,7 @@ func TestCoordinatorGivesUpAfterMaxRespawns(t *testing.T) {
 	if !out.Result.Interrupted {
 		t.Error("partial merge not marked Interrupted")
 	}
-	lo, hi := 2*cfg.Trials/3, cfg.Trials
+	lo, hi := 2*cfg.Campaign.Trials/3, cfg.Campaign.Trials
 	if out.Info.Missing != hi-lo {
 		t.Errorf("missing = %d, want %d (shard 2's range)", out.Info.Missing, hi-lo)
 	}
@@ -214,5 +196,91 @@ func TestCoordinatorGivesUpAfterMaxRespawns(t *testing.T) {
 	if snap.Counters["campaign_shard_respawns_total"] != 1 {
 		t.Errorf("campaign_shard_respawns_total = %d, want 1 (MaxRespawns)",
 			snap.Counters["campaign_shard_respawns_total"])
+	}
+}
+
+// TestWorkerArgsRoundTrip: the worker command line generated from a
+// config parses back into that config, with every campaign flag set to a
+// non-default value — so a flag bindCampaignFlags registers cannot fail to
+// reach the workers. Hooks, registries and MaxRetries have no flag.
+func TestWorkerArgsRoundTrip(t *testing.T) {
+	want := hrmsim.CharacterizeConfig{
+		App: hrmsim.AppGraphMine, Error: hrmsim.HardDoubleBit, Region: hrmsim.RegionHeap,
+		Trials: 77, TargetCI: 0.125, MinTrials: 11, MaxTrials: 66, Seed: 9,
+		Size: hrmsim.SizeLarge, Parallelism: 3,
+		JournalPath: "j.jsonl", ResumePath: "r.jsonl", ManifestPath: "m.json", StatusPath: "s.json",
+		ShardIndex: 2, ShardCount: 5,
+	}
+	want.TrialTimeout = 90 * time.Second
+	want.TrialOpBudget = 123456
+	want.StatusInterval = 50 * time.Millisecond
+
+	args := workerArgs(want)
+	if args[0] != "characterize" {
+		t.Fatalf("argv[0] = %q", args[0])
+	}
+	fs := flag.NewFlagSet("characterize", flag.ContinueOnError)
+	var got hrmsim.CharacterizeConfig
+	bindCampaignFlags(fs, &got)
+	if err := fs.Parse(args[1:]); err != nil {
+		t.Fatalf("worker argv %v does not parse: %v", args, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip diverged:\nargv: %v\ngot:  %+v\nwant: %+v", args, got, want)
+	}
+	// The config above must exercise every registered flag; a new flag
+	// has to be added to it (and is then checked by the comparison).
+	registered := 0
+	fs.VisitAll(func(*flag.Flag) { registered++ })
+	if len(args)-1 != registered {
+		t.Errorf("%d of %d campaign flags forwarded — give the new flag a non-default value in this test: %v",
+			len(args)-1, registered, args)
+	}
+
+	// A default config forwards nothing but the subcommand.
+	var def hrmsim.CharacterizeConfig
+	bindCampaignFlags(flag.NewFlagSet("characterize", flag.ContinueOnError), &def)
+	if args := workerArgs(def); len(args) != 1 {
+		t.Errorf("default config forwards %v", args)
+	}
+}
+
+// TestCoordinatorForwardsStatusInterval: `-status-interval` given to a
+// coordinator reaches every worker, in its config and on its command
+// line (it used to be dropped on the way).
+func TestCoordinatorForwardsStatusInterval(t *testing.T) {
+	c, err := parseCharacterize([]string{"-app", "kvstore", "-size", "small", "-trials", "12",
+		"-coordinator", "-shards", "2", "-shard-dir", t.TempDir(), "-status-interval", "50ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := c.coord
+	cfg.Log = io.Discard
+	inProcess := inProcessLauncher(t, cfg, nil)
+	var mu sync.Mutex
+	var seen []hrmsim.CharacterizeConfig
+	cfg.Launch = func(task shardTask) (waiter, error) {
+		mu.Lock()
+		seen = append(seen, workerConfig(cfg.Campaign, task))
+		mu.Unlock()
+		return inProcess(task)
+	}
+	if _, err := runCoordinator(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 {
+		t.Fatalf("%d workers launched, want 2", len(seen))
+	}
+	for _, w := range seen {
+		if w.StatusInterval != 50*time.Millisecond {
+			t.Errorf("shard %d/%d runs with StatusInterval %v, want 50ms", w.ShardIndex, w.ShardCount, w.StatusInterval)
+		}
+		argv := strings.Join(workerArgs(w), " ")
+		for _, flag := range []string{"-status-interval=50ms", "-size=small", "-trials=12",
+			fmt.Sprintf("-shard=%d/2", w.ShardIndex), "-status=" + w.StatusPath} {
+			if !strings.Contains(argv, flag) {
+				t.Errorf("worker argv lacks %s: %s", flag, argv)
+			}
+		}
 	}
 }

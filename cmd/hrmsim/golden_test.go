@@ -50,6 +50,9 @@ func TestGoldenWireShape(t *testing.T) {
 		{"designspace", []string{"designspace", "-json"}},
 		{"plan", []string{"plan", "-target", "0.999", "-json"}},
 		{"tables-table1", []string{"tables", "-t", "table1", "-trials", "10", "-json"}},
+		// Region sizes per application: no campaigns, so the per-size
+		// workload geometry is pinned through the experiments path.
+		{"tables-table3", []string{"tables", "-t", "table3", "-json"}},
 		{"characterize-shard-0of2", shard(0)},
 		{"characterize-shard-1of2", shard(1)},
 		{"merge", []string{"merge", "-dir", dir, "-json"}},

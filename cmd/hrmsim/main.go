@@ -119,194 +119,200 @@ func progressFunc(label string) func(hrmsim.ProgressInfo) {
 	}
 }
 
-// sizeFlag parses a workload size.
-func sizeFlag(s string) (hrmsim.WorkloadSize, error) {
-	switch s {
-	case "small":
-		return hrmsim.SizeSmall, nil
-	case "medium":
-		return hrmsim.SizeMedium, nil
-	case "large":
-		return hrmsim.SizeLarge, nil
-	default:
-		return 0, fmt.Errorf("unknown size %q (small|medium|large)", s)
+// sizeValue is the -size flag: a hrmsim.WorkloadSize spelled
+// small|medium|large.
+type sizeValue hrmsim.WorkloadSize
+
+var sizeNames = [...]string{hrmsim.SizeSmall: "small", hrmsim.SizeMedium: "medium", hrmsim.SizeLarge: "large"}
+
+func (v *sizeValue) String() string {
+	if v == nil || *v < 0 || int(*v) >= len(sizeNames) {
+		return ""
 	}
+	return sizeNames[*v]
 }
 
-func cmdCharacterize(args []string) error {
-	fs := flag.NewFlagSet("characterize", flag.ContinueOnError)
-	app := fs.String("app", "websearch", "application: websearch|kvstore|graphmine")
-	errType := fs.String("error", "soft-1bit", "error type: soft-1bit|hard-1bit|hard-2bit")
-	region := fs.String("region", "", "region: private|heap|stack (empty = all)")
-	trials := fs.Int("trials", 400, "injection trials (with -target-ci: the hard trial budget)")
-	targetCI := fs.Float64("target-ci", 0, "adaptive stopping: end the campaign once the 90% Wilson CI half-width of the crash probability is at most this (e.g. 0.02 for ±2 points; 0 = run exactly -trials); deterministic and resumable like fixed campaigns, but incompatible with -shard/-coordinator")
-	minTrials := fs.Int("min-trials", 0, "adaptive stopping: never stop before this many trials (requires -target-ci; 0 = the default 30)")
-	maxTrials := fs.Int("max-trials", 0, "adaptive stopping: trial budget cap (requires -target-ci; 0 = -trials)")
-	seed := fs.Int64("seed", 1, "random seed")
-	size := fs.String("size", "medium", "workload size: small|medium|large")
-	parallelism := fs.Int("parallelism", 0, "concurrent trial workers (0 = GOMAXPROCS); results are identical at any value")
-	jsonOut := fs.Bool("json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
-	progress := fs.Bool("progress", false, "report live trial completion on stderr")
-	traceFile := fs.String("trace", "", "write the per-trial event trace to this file (schema: OBSERVABILITY.md)")
-	traceFormat := fs.String("trace-format", "jsonl", "event trace format: jsonl|chrome (chrome loads in ui.perfetto.dev)")
-	journalPath := fs.String("journal", "", "append one flushed JSONL record per finished trial to this file, so an interrupted campaign can be resumed with -resume (schema: OBSERVABILITY.md)")
-	resumePath := fs.String("resume", "", "skip trials already recorded in this journal (typically the same file as -journal); the merged result is bit-identical to an uninterrupted run")
-	trialTimeout := fs.Duration("trial-timeout", 0, "abort any trial exceeding this wall-clock deadline, recording it as aborted (0 = none)")
-	trialOpBudget := fs.Int64("trial-op-budget", 0, "abort any trial exceeding this many simulated memory operations after injection (0 = none)")
-	shardFlag := fs.String("shard", "", "run only shard i of N of the campaign's trials, given as \"i/N\" (i in [0,N)); the journal stays merge-compatible with the sibling shards (SHARDING.md)")
-	manifestPath := fs.String("manifest", "", "write the shard manifest (campaign identity + config hash + trial range) to this file after the run; requires -journal (default with -shard: derived from the journal path)")
-	coordinator := fs.Bool("coordinator", false, "coordinator mode: spawn -shards local worker processes, supervise them (straggler warnings, crashed-shard respawn with -resume), and merge their journals (SHARDING.md)")
-	shardCount := fs.Int("shards", 0, "number of shard worker processes to spawn (coordinator mode)")
-	shardDir := fs.String("shard-dir", "", "directory for shard journals and manifests (coordinator mode; default: a fresh temporary directory, removed on success)")
-	stragglerAfter := fs.Duration("straggler-after", 30*time.Second, "warn when a running shard's heartbeat (or, lacking one, its journal) has not advanced for this long (coordinator mode; 0 = off)")
-	shardRespawns := fs.Int("shard-respawns", 2, "respawn a crashed shard, resuming its journal, at most this many times (coordinator mode)")
-	statusPath := fs.String("status", "", "write a shard status/heartbeat record (JSON, atomically replaced) to this file: an initial record, throttled per-trial refreshes, and a final record (schema: OBSERVABILITY.md; view with `hrmsim status`)")
-	statusInterval := fs.Duration("status-interval", 0, "minimum interval between heartbeat refreshes (0 = the 1s default)")
-	statusAddr := fs.String("status-addr", "", "serve the live fleet view on this HTTP address: /statusz, merged /metrics, /healthz, /debug/pprof (coordinator mode)")
-	if err := fs.Parse(args); err != nil {
-		return err
+func (v *sizeValue) Set(s string) error {
+	for i, name := range sizeNames {
+		if name == s {
+			*v = sizeValue(i)
+			return nil
+		}
 	}
-	sz, err := sizeFlag(*size)
+	return fmt.Errorf("unknown size %q (small|medium|large)", s)
+}
+
+// shardValue is the -shard flag: "i/N" held as the config's
+// ShardIndex/ShardCount pair.
+type shardValue struct{ cfg *hrmsim.CharacterizeConfig }
+
+func (v shardValue) String() string {
+	if v.cfg == nil || v.cfg.ShardCount == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%d/%d", v.cfg.ShardIndex, v.cfg.ShardCount)
+}
+
+func (v shardValue) Set(s string) error {
+	spec, err := core.ParseShardSpec(s)
 	if err != nil {
 		return err
 	}
-	if *targetCI == 0 && (*minTrials != 0 || *maxTrials != 0) {
-		return fmt.Errorf("-min-trials and -max-trials are adaptive guard rails and require -target-ci")
+	v.cfg.ShardIndex, v.cfg.ShardCount = spec.Index, spec.Count
+	return nil
+}
+
+// bindCampaignFlags registers every flag that describes the campaign
+// itself, each bound to its CharacterizeConfig field. It is the only place
+// a campaign flag is declared: cmdCharacterize parses into it and
+// workerArgs reads the coordinator's worker command lines back out of it.
+func bindCampaignFlags(fs *flag.FlagSet, cfg *hrmsim.CharacterizeConfig) {
+	fs.StringVar((*string)(&cfg.App), "app", "websearch", "application: websearch|kvstore|graphmine")
+	fs.StringVar((*string)(&cfg.Error), "error", "soft-1bit", "error type: soft-1bit|hard-1bit|hard-2bit")
+	fs.StringVar((*string)(&cfg.Region), "region", "", "region: private|heap|stack (empty = all)")
+	fs.IntVar(&cfg.Trials, "trials", 400, "injection trials (with -target-ci: the hard trial budget)")
+	fs.Float64Var(&cfg.TargetCI, "target-ci", 0, "adaptive stopping: end the campaign once the 90% Wilson CI half-width of the crash probability is at most this (e.g. 0.02 for ±2 points; 0 = run exactly -trials); deterministic and resumable like fixed campaigns, but incompatible with -shard/-coordinator")
+	fs.IntVar(&cfg.MinTrials, "min-trials", 0, "adaptive stopping: never stop before this many trials (requires -target-ci; 0 = the default 30)")
+	fs.IntVar(&cfg.MaxTrials, "max-trials", 0, "adaptive stopping: trial budget cap (requires -target-ci; 0 = -trials)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed")
+	cfg.Size = hrmsim.SizeMedium
+	fs.Var((*sizeValue)(&cfg.Size), "size", "workload `size`: small|medium|large")
+	fs.IntVar(&cfg.Parallelism, "parallelism", 0, "concurrent trial workers (0 = GOMAXPROCS); results are identical at any value")
+	fs.DurationVar(&cfg.TrialTimeout, "trial-timeout", 0, "abort any trial exceeding this wall-clock deadline, recording it as aborted (0 = none)")
+	fs.Int64Var(&cfg.TrialOpBudget, "trial-op-budget", 0, "abort any trial exceeding this many simulated memory operations after injection (0 = none)")
+	fs.Var(shardValue{cfg}, "shard", "run only shard i of N of the campaign's trials, given as `i/N` (i in [0,N)); the journal stays merge-compatible with the sibling shards (SHARDING.md)")
+	fs.StringVar(&cfg.JournalPath, "journal", "", "append one flushed JSONL record per finished trial to this file, so an interrupted campaign can be resumed with -resume (schema: OBSERVABILITY.md)")
+	fs.StringVar(&cfg.ResumePath, "resume", "", "skip trials already recorded in this journal (typically the same file as -journal); the merged result is bit-identical to an uninterrupted run")
+	fs.StringVar(&cfg.ManifestPath, "manifest", "", "write the shard manifest (campaign identity + config hash + trial range) to this file after the run; requires -journal (default with -shard: derived from the journal path)")
+	fs.StringVar(&cfg.StatusPath, "status", "", "write a shard status/heartbeat record (JSON, atomically replaced) to this file: an initial record, throttled per-trial refreshes, and a final record (schema: OBSERVABILITY.md; view with `hrmsim status`)")
+	fs.DurationVar(&cfg.StatusInterval, "status-interval", 0, "minimum interval between heartbeat refreshes (0 = the 1s default)")
+}
+
+// characterizeCmd is a parsed `characterize` command line. The campaign
+// flags land in coord.Campaign whether or not coordinator mode is on.
+type characterizeCmd struct {
+	jsonOut, progress bool
+	traceFile         string
+	traceFormat       string
+	coordinator       bool
+	coord             coordinatorConfig
+}
+
+// parseCharacterize binds, parses and cross-checks the characterize flags.
+func parseCharacterize(args []string) (*characterizeCmd, error) {
+	fs := flag.NewFlagSet("characterize", flag.ContinueOnError)
+	c := &characterizeCmd{}
+	cfg := &c.coord.Campaign
+	bindCampaignFlags(fs, cfg)
+	fs.BoolVar(&c.jsonOut, "json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
+	fs.BoolVar(&c.progress, "progress", false, "report live trial completion on stderr")
+	fs.StringVar(&c.traceFile, "trace", "", "write the per-trial event trace to this file (schema: OBSERVABILITY.md)")
+	fs.StringVar(&c.traceFormat, "trace-format", "jsonl", "event trace format: jsonl|chrome (chrome loads in ui.perfetto.dev)")
+	fs.BoolVar(&c.coordinator, "coordinator", false, "coordinator mode: spawn -shards local worker processes, supervise them (straggler warnings, crashed-shard respawn with -resume), and merge their journals (SHARDING.md)")
+	fs.IntVar(&c.coord.Shards, "shards", 0, "number of shard worker processes to spawn (coordinator mode)")
+	fs.StringVar(&c.coord.Dir, "shard-dir", "", "directory for shard journals and manifests (coordinator mode; default: a fresh temporary directory, removed on success)")
+	fs.DurationVar(&c.coord.StragglerAfter, "straggler-after", 30*time.Second, "warn when a running shard's heartbeat (or, lacking one, its journal) has not advanced for this long (coordinator mode; 0 = off)")
+	fs.IntVar(&c.coord.MaxRespawns, "shard-respawns", 2, "respawn a crashed shard, resuming its journal, at most this many times (coordinator mode)")
+	fs.StringVar(&c.coord.StatusAddr, "status-addr", "", "serve the live fleet view on this HTTP address: /statusz, merged /metrics, /healthz, /debug/pprof (coordinator mode)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if *coordinator {
-		if *shardFlag != "" {
-			return fmt.Errorf("-coordinator and -shard are mutually exclusive (the coordinator assigns shards itself)")
-		}
-		if *targetCI != 0 {
-			return fmt.Errorf("-target-ci cannot be combined with -coordinator: an adaptive plan needs the whole trial index space, but coordinator workers each own a shard of it — run adaptive campaigns as one process (see SHARDING.md)")
-		}
-		if *journalPath != "" || *resumePath != "" || *traceFile != "" || *statusPath != "" {
-			return fmt.Errorf("-coordinator manages its own shard journals and status records; -journal, -resume, -trace, and -status apply to single-process runs")
-		}
-		if *shardCount < 1 {
-			return fmt.Errorf("-coordinator requires -shards N with N >= 1")
-		}
-		return runCoordinatorCmd(coordinatorConfig{
-			App:            *app,
-			Error:          *errType,
-			Region:         *region,
-			Trials:         *trials,
-			Seed:           *seed,
-			Size:           *size,
-			Parallelism:    *parallelism,
-			TrialTimeout:   *trialTimeout,
-			TrialOpBudget:  *trialOpBudget,
-			Shards:         *shardCount,
-			Dir:            *shardDir,
-			StragglerAfter: *stragglerAfter,
-			MaxRespawns:    *shardRespawns,
-			StatusAddr:     *statusAddr,
-		}, *jsonOut, *progress)
+	sharded := cfg.ShardCount > 0
+	switch {
+	case c.traceFormat != "jsonl" && c.traceFormat != "chrome":
+		return nil, fmt.Errorf("unknown trace format %q (jsonl|chrome)", c.traceFormat)
+	case cfg.TargetCI == 0 && (cfg.MinTrials != 0 || cfg.MaxTrials != 0):
+		return nil, fmt.Errorf("-min-trials and -max-trials are adaptive guard rails and require -target-ci")
+	case c.coordinator && sharded:
+		return nil, fmt.Errorf("-coordinator and -shard are mutually exclusive (the coordinator assigns shards itself)")
+	case c.coordinator && cfg.TargetCI != 0:
+		return nil, fmt.Errorf("-target-ci cannot be combined with -coordinator: an adaptive plan needs the whole trial index space, but coordinator workers each own a shard of it — run adaptive campaigns as one process (see SHARDING.md)")
+	case c.coordinator && (cfg.JournalPath != "" || cfg.ResumePath != "" || cfg.ManifestPath != "" || cfg.StatusPath != "" || c.traceFile != ""):
+		return nil, fmt.Errorf("-coordinator manages its own shard journals, manifests and status records; -journal, -resume, -manifest, -trace, and -status apply to single-process runs")
+	case c.coordinator && c.coord.Shards < 1:
+		return nil, fmt.Errorf("-coordinator requires -shards N with N >= 1")
+	case !c.coordinator && (c.coord.Shards != 0 || c.coord.Dir != ""):
+		return nil, fmt.Errorf("-shards and -shard-dir require -coordinator (use -shard i/N to run one shard directly)")
+	case !c.coordinator && c.coord.StatusAddr != "":
+		return nil, fmt.Errorf("-status-addr requires -coordinator (use -status to heartbeat a single-process or shard run)")
+	case sharded && cfg.TargetCI != 0:
+		return nil, fmt.Errorf("-target-ci cannot be combined with -shard: an adaptive plan needs the whole trial index space — run adaptive campaigns unsharded (see SHARDING.md)")
 	}
-	if *shardCount != 0 || *shardDir != "" {
-		return fmt.Errorf("-shards and -shard-dir require -coordinator (use -shard i/N to run one shard directly)")
+	// A shard's artifact pair is journal + manifest; derive the manifest
+	// path so `-shard i/N -journal f.jsonl` alone emits both.
+	if sharded && cfg.ManifestPath == "" && cfg.JournalPath != "" {
+		cfg.ManifestPath = core.ManifestPathFor(cfg.JournalPath)
 	}
-	if *statusAddr != "" {
-		return fmt.Errorf("-status-addr requires -coordinator (use -status to heartbeat a single-process or shard run)")
+	return c, nil
+}
+
+func cmdCharacterize(args []string) error {
+	c, err := parseCharacterize(args)
+	if err != nil {
+		return err
+	}
+	if c.coordinator {
+		return runCoordinatorCmd(c.coord, c.jsonOut, c.progress)
 	}
 	// SIGINT/SIGTERM cancel the campaign context: in-flight trials are
 	// drained and the partial result (marked interrupted) still comes
 	// out, journaled if -journal was given.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	cfg := hrmsim.CharacterizeConfig{
-		App:           hrmsim.App(*app),
-		Error:         hrmsim.ErrorType(*errType),
-		Region:        hrmsim.Region(*region),
-		Trials:        *trials,
-		TargetCI:      *targetCI,
-		MinTrials:     *minTrials,
-		MaxTrials:     *maxTrials,
-		Seed:          *seed,
-		Size:          sz,
-		Parallelism:   *parallelism,
-		Context:       ctx,
-		TrialTimeout:  *trialTimeout,
-		TrialOpBudget: *trialOpBudget,
-		JournalPath:   *journalPath,
-		ResumePath:    *resumePath,
-	}
-	if *shardFlag != "" {
-		if *targetCI != 0 {
-			return fmt.Errorf("-target-ci cannot be combined with -shard: an adaptive plan needs the whole trial index space — run adaptive campaigns unsharded (see SHARDING.md)")
-		}
-		spec, err := core.ParseShardSpec(*shardFlag)
-		if err != nil {
-			return err
-		}
-		cfg.ShardIndex, cfg.ShardCount = spec.Index, spec.Count
-		// A shard's artifact pair is journal + manifest; derive the
-		// manifest path so `-shard i/N -journal f.jsonl` alone emits both.
-		if *manifestPath == "" && *journalPath != "" {
-			*manifestPath = core.ManifestPathFor(*journalPath)
-		}
-	}
-	cfg.ManifestPath = *manifestPath
-	cfg.StatusPath = *statusPath
-	cfg.StatusInterval = *statusInterval
-	if *progress {
+	cfg := c.coord.Campaign
+	cfg.Context = ctx
+	if c.progress {
 		cfg.Progress = progressFunc("characterize")
 	}
-	var reg *obsv.Registry
 	// The manifest and the status records embed metrics snapshots, so
 	// runs writing either are instrumented even without -json.
-	if *jsonOut || cfg.ManifestPath != "" || cfg.StatusPath != "" {
-		reg = obsv.NewRegistry()
-		cfg.Metrics = reg
+	if c.jsonOut || cfg.ManifestPath != "" || cfg.StatusPath != "" {
+		cfg.Metrics = obsv.NewRegistry()
 	}
 	// Tracing: -trace streams every trial's events to a file; -json
 	// additionally arms the flight recorder, whose crash/incorrect
 	// dumps ride along in the result envelope's "trace" field.
 	var sinks []evtrace.Sink
 	var recorder *evtrace.Recorder
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
+	if c.traceFile != "" {
+		f, err := os.Create(c.traceFile)
 		if err != nil {
 			return fmt.Errorf("creating trace file: %w", err)
 		}
-		switch *traceFormat {
-		case "jsonl":
-			sinks = append(sinks, evtrace.NewJSONLWriter(f))
-		case "chrome":
+		if c.traceFormat == "chrome" {
 			sinks = append(sinks, evtrace.NewChromeWriter(f))
-		default:
-			_ = f.Close()
-			return fmt.Errorf("unknown trace format %q (jsonl|chrome)", *traceFormat)
+		} else {
+			sinks = append(sinks, evtrace.NewJSONLWriter(f))
 		}
 	}
-	if *jsonOut {
+	if c.jsonOut {
 		recorder = evtrace.NewRecorder(0, 0)
 		sinks = append(sinks, recorder)
 	}
 	if len(sinks) > 0 {
-		cfg.Tracer = evtrace.New(evtrace.Options{Metrics: reg}, sinks...)
+		cfg.Tracer = evtrace.New(evtrace.Options{Metrics: cfg.Metrics}, sinks...)
 	}
-	c, err := hrmsim.Characterize(cfg)
+	res, err := hrmsim.Characterize(cfg)
 	if cerr := cfg.Tracer.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return err
 	}
-	if c.Interrupted {
+	if res.Interrupted {
 		hint := ""
-		if *journalPath != "" {
-			hint = fmt.Sprintf("; resume with -resume %s", *journalPath)
+		if cfg.JournalPath != "" {
+			hint = fmt.Sprintf("; resume with -resume %s", cfg.JournalPath)
 		}
 		fmt.Fprintf(os.Stderr, "characterize: interrupted — %d/%d trials have results%s\n",
-			c.Completed+c.Aborted+c.Resumed, c.Trials, hint)
+			res.Completed+res.Aborted+res.Resumed, res.Trials, hint)
 	}
-	if *jsonOut {
-		snap := reg.Snapshot()
-		return emitJSON(envelope{Command: "characterize", Interrupted: c.Interrupted,
-			Result: toCharacterizeJSON(c), Metrics: &snap, Trace: toTraceJSON(recorder), Shard: c.Shard})
+	if c.jsonOut {
+		snap := cfg.Metrics.Snapshot()
+		return emitJSON(envelope{Command: "characterize", Interrupted: res.Interrupted,
+			Result: toCharacterizeJSON(res), Metrics: &snap, Trace: toTraceJSON(recorder), Shard: res.Shard})
 	}
-	printCharacterization(c)
+	printCharacterization(res)
 	return nil
 }
 
@@ -399,24 +405,16 @@ func cmdMerge(args []string) error {
 
 func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
-	app := fs.String("app", "websearch", "application: websearch|kvstore|graphmine")
-	watch := fs.Int("watchpoints", 600, "sampled addresses")
-	seed := fs.Int64("seed", 1, "random seed")
-	size := fs.String("size", "medium", "workload size: small|medium|large")
+	cfg := hrmsim.AccessProfileConfig{Size: hrmsim.SizeMedium}
+	fs.StringVar((*string)(&cfg.App), "app", "websearch", "application: websearch|kvstore|graphmine")
+	fs.IntVar(&cfg.Watchpoints, "watchpoints", 600, "sampled addresses")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed")
+	fs.Var((*sizeValue)(&cfg.Size), "size", "workload `size`: small|medium|large")
 	jsonOut := fs.Bool("json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sz, err := sizeFlag(*size)
-	if err != nil {
-		return err
-	}
-	rep, err := hrmsim.AccessProfile(hrmsim.AccessProfileConfig{
-		App:         hrmsim.App(*app),
-		Watchpoints: *watch,
-		Seed:        *seed,
-		Size:        sz,
-	})
+	rep, err := hrmsim.AccessProfile(cfg)
 	if err != nil {
 		return err
 	}
@@ -566,16 +564,16 @@ func cmdTables(args []string) error {
 	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
 	id := fs.String("t", "", "experiment ID (empty = all): "+
 		fmt.Sprint(hrmsim.ExperimentIDs())+" and extensions "+fmt.Sprint(hrmsim.ExtensionIDs()))
-	trials := fs.Int("trials", 400, "injection trials per campaign cell (with -target-ci: each cell's hard budget)")
-	targetCI := fs.Float64("target-ci", 0, "stop each campaign cell once the 90% CI half-width on its crash probability reaches this target (0 = fixed -trials per cell)")
-	seed := fs.Int64("seed", 1, "random seed")
+	var lcfg hrmsim.LabConfig
+	fs.IntVar(&lcfg.Trials, "trials", 400, "injection trials per campaign cell (with -target-ci: each cell's hard budget)")
+	fs.Float64Var(&lcfg.TargetCI, "target-ci", 0, "stop each campaign cell once the 90% CI half-width on its crash probability reaches this target (0 = fixed -trials per cell)")
+	fs.Int64Var(&lcfg.Seed, "seed", 1, "random seed")
 	ext := fs.Bool("ext", false, "also run the extension experiments")
 	jsonOut := fs.Bool("json", false, "emit the results as JSON (schema: OBSERVABILITY.md)")
 	progress := fs.Bool("progress", false, "report live trial completion on stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	lcfg := hrmsim.LabConfig{Trials: *trials, TargetCI: *targetCI, Seed: *seed}
 	if *progress {
 		lcfg.Progress = progressFunc("tables")
 	}

@@ -182,6 +182,13 @@ func TestCmdCharacterizeBadFlags(t *testing.T) {
 	if err := run([]string{"characterize", "-app", "nope", "-trials", "1"}); err == nil {
 		t.Error("bad app accepted")
 	}
+	if err := run([]string{"characterize", "-app", "kvstore", "-trials", "1", "-trace-format", "xml"}); err == nil {
+		t.Error("bad trace format accepted without -trace")
+	}
+	// A bad flag is an error from run(), not an os.Exit inside it.
+	if err := run([]string{"chaos", "-no-such-flag"}); err == nil {
+		t.Error("unknown chaos flag accepted")
+	}
 }
 
 func TestCmdProfileSmall(t *testing.T) {

@@ -104,6 +104,7 @@ func TestShardFlagValidation(t *testing.T) {
 		{"characterize", "-app", "kvstore", "-coordinator"},                                        // -coordinator without -shards
 		{"characterize", "-app", "kvstore", "-coordinator", "-shards", "2", "-shard", "0/2"},       // both modes
 		{"characterize", "-app", "kvstore", "-coordinator", "-shards", "2", "-journal", "x.jsonl"}, // coordinator owns journals
+		{"characterize", "-app", "kvstore", "-coordinator", "-shards", "2", "-manifest", "m.json"}, // coordinator owns manifests
 		{"characterize", "-app", "kvstore", "-manifest", "m.json"},                                 // manifest without journal
 		{"merge"}, // no directory
 	}

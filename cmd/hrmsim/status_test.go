@@ -44,7 +44,7 @@ func TestCoordinatorControlPlaneEndToEnd(t *testing.T) {
 	if fleet == nil {
 		t.Fatal("coordinator never delivered a fleet status")
 	}
-	if fleet.Running != 0 || fleet.Done != cfg.Trials || fleet.Total != cfg.Trials {
+	if fleet.Running != 0 || fleet.Done != cfg.Campaign.Trials || fleet.Total != cfg.Campaign.Trials {
 		t.Errorf("final fleet = running %d, %d/%d done", fleet.Running, fleet.Done, fleet.Total)
 	}
 	if fleet.Completed != merged.Completed || fleet.Aborted != merged.Aborted {
@@ -98,7 +98,7 @@ func TestCoordinatorControlPlaneEndToEnd(t *testing.T) {
 	if env.SchemaVersion != schemaVersion || env.Command != "status" {
 		t.Errorf("/statusz envelope = %+v", env)
 	}
-	if env.Result.Done != cfg.Trials || env.Result.Completed != merged.Completed ||
+	if env.Result.Done != cfg.Campaign.Trials || env.Result.Completed != merged.Completed ||
 		env.Result.Aborted != merged.Aborted || env.Result.Running != 0 {
 		t.Errorf("/statusz result = %+v, want the merged counts", env.Result)
 	}
@@ -138,7 +138,7 @@ func TestCoordinatorControlPlaneEndToEnd(t *testing.T) {
 	}
 	view := renderFleetStatus(after, time.Now())
 	for _, want := range []string{
-		fmt.Sprintf("%d/%d trials (100%%)", cfg.Trials, cfg.Trials),
+		fmt.Sprintf("%d/%d trials (100%%)", cfg.Campaign.Trials, cfg.Campaign.Trials),
 		fmt.Sprintf("%d completed, %d aborted", merged.Completed, merged.Aborted),
 		fmt.Sprintf("%d/%d shard(s) reporting, 0 running", cfg.Shards, cfg.Shards),
 	} {

@@ -40,34 +40,18 @@ import (
 )
 
 func main() {
+	var cfg kvnode.Config
+	cfg.BindFlags(flag.CommandLine)
 	addr := flag.String("addr", "127.0.0.1:11222", "listen address")
-	keys := flag.Int("keys", 1024, "pre-populated key count")
-	eccName := flag.String("ecc", "none", "heap protection: none|parity|secded|chipkill")
-	seed := flag.Int64("seed", 1, "random seed")
-	recoverMode := flag.String("recover", "",
-		"software recovery on the heap: parr|parr-page|parr-escalate|retire (empty = none)")
-	retireThreshold := flag.Uint64("retire-threshold", 2,
-		"corrected errors per page before -recover retire replaces the frame")
-	checkpoint := flag.Duration("checkpoint", 0,
-		"virtual-time interval between heap checkpoints (0 = build-time checkpoint only; needs -recover)")
-	maxLine := flag.Int("max-line", kvnode.DefaultMaxLine, "protocol line length bound in bytes")
-	drainTimeout := flag.Duration("drain-timeout", 5*time.Second,
+	flag.IntVar(&cfg.MaxLine, "max-line", kvnode.DefaultMaxLine, "protocol line length bound in bytes")
+	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", 5*time.Second,
 		"graceful-shutdown wait for in-flight connections")
 	once := flag.Bool("once", false, "serve a single connection then exit (for scripted demos)")
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve /metrics, /healthz, and /debug/pprof on this HTTP address (empty = disabled)")
 	flag.Parse()
 
-	srv, err := kvnode.New(kvnode.Config{
-		Keys:            *keys,
-		ECC:             *eccName,
-		Seed:            *seed,
-		Recover:         *recoverMode,
-		RetireThreshold: *retireThreshold,
-		CheckpointEvery: *checkpoint,
-		MaxLine:         *maxLine,
-		DrainTimeout:    *drainTimeout,
-	})
+	srv, err := kvnode.New(cfg)
 	if err != nil {
 		log.Fatalf("kvserve: %v", err)
 	}
@@ -76,7 +60,7 @@ func main() {
 		log.Fatalf("kvserve: %v", err)
 	}
 	log.Printf("kvserve: listening on %s (heap protection: %s, recovery: %s, %d keys)",
-		ln.Addr(), *eccName, orNone(*recoverMode), *keys)
+		ln.Addr(), cfg.ECC, orNone(cfg.Recover), cfg.Keys)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

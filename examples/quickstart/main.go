@@ -14,21 +14,22 @@ import (
 )
 
 func main() {
-	c, err := hrmsim.Characterize(hrmsim.CharacterizeConfig{
+	cfg := hrmsim.CharacterizeConfig{
 		App:    hrmsim.AppKVStore,
 		Error:  hrmsim.SoftSingleBit,
 		Trials: 200,
 		Size:   hrmsim.SizeSmall,
 		Seed:   42,
-		// Progress is called after every completed trial; printing to
-		// stderr keeps stdout clean for the report below.
-		Progress: func(p hrmsim.ProgressInfo) {
-			if p.Done%50 == 0 || p.Done == p.Total {
-				fmt.Fprintf(os.Stderr, "trial %d/%d (%.0f trials/s, ETA %s)\n",
-					p.Done, p.Total, p.TrialsPerSec, p.ETA.Round(time.Second))
-			}
-		},
-	})
+	}
+	// Progress is called after every completed trial; printing to
+	// stderr keeps stdout clean for the report below.
+	cfg.Progress = func(p hrmsim.ProgressInfo) {
+		if p.Done%50 == 0 || p.Done == p.Total {
+			fmt.Fprintf(os.Stderr, "trial %d/%d (%.0f trials/s, ETA %s)\n",
+				p.Done, p.Total, p.TrialsPerSec, p.ETA.Round(time.Second))
+		}
+	}
+	c, err := hrmsim.Characterize(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

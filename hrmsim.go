@@ -8,14 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"hrmsim/internal/apps"
-	"hrmsim/internal/apps/graphmine"
-	"hrmsim/internal/apps/kvstore"
-	"hrmsim/internal/apps/websearch"
 	"hrmsim/internal/core"
-	"hrmsim/internal/evtrace"
+	"hrmsim/internal/experiments"
 	"hrmsim/internal/faults"
 	"hrmsim/internal/inject"
 	"hrmsim/internal/monitor"
@@ -74,18 +70,19 @@ const (
 	RegionStack   Region = "stack"
 )
 
-// WorkloadSize selects how large the synthetic application builds are.
-type WorkloadSize int
+// WorkloadSize selects how large the synthetic application builds are;
+// each application package owns its geometry per size.
+type WorkloadSize = apps.Size
 
 // Workload sizes.
 const (
 	// SizeSmall builds tiny instances for fast iteration and tests.
-	SizeSmall WorkloadSize = iota
+	SizeSmall = apps.SizeSmall
 	// SizeMedium matches the scale used by the paper-reproduction
 	// experiments (the default).
-	SizeMedium
+	SizeMedium = apps.SizeMedium
 	// SizeLarge builds bigger instances for longer campaigns.
-	SizeLarge
+	SizeLarge = apps.SizeLarge
 )
 
 // specFor converts the public error type.
@@ -118,68 +115,15 @@ func kindFor(r Region) (simmem.RegionKind, error) {
 	}
 }
 
-// websearchConfig is the WebSearch workload shape at a given size.
-func websearchConfig(size WorkloadSize, seed int64) (websearch.Config, error) {
-	cfg := websearch.DefaultConfig(seed)
-	cfg.RequestCost = 10 * time.Second
-	switch size {
-	case SizeSmall:
-		cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 256, 128, 4, 12
-		cfg.Queries, cfg.CacheSlots = 60, 32
-	case SizeMedium:
-		cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 1024, 512, 6, 24
-		cfg.Queries, cfg.CacheSlots = 120, 256
-	case SizeLarge:
-		cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 4096, 2048, 8, 56
-		cfg.Queries, cfg.CacheSlots = 400, 1024
-	default:
-		return cfg, fmt.Errorf("hrmsim: unknown workload size %d", size)
-	}
-	return cfg, nil
-}
-
 // NewBuilder constructs an application builder at a given size and seed.
 // The returned builder creates fresh, identical instances — one per
 // injection trial.
 func NewBuilder(app App, size WorkloadSize, seed int64) (apps.Builder, error) {
-	switch app {
-	case AppWebSearch:
-		cfg, err := websearchConfig(size, seed)
-		if err != nil {
-			return nil, err
-		}
-		return websearch.NewBuilder(cfg)
-	case AppKVStore:
-		cfg := kvstore.DefaultConfig(seed)
-		cfg.RequestCost = 2 * time.Second
-		switch size {
-		case SizeSmall:
-			cfg.Keys, cfg.Ops = 128, 200
-		case SizeMedium:
-			cfg.Keys, cfg.Ops = 512, 600
-		case SizeLarge:
-			cfg.Keys, cfg.Ops = 2048, 2000
-		default:
-			return nil, fmt.Errorf("hrmsim: unknown workload size %d", size)
-		}
-		return kvstore.NewBuilder(cfg)
-	case AppGraphMine:
-		cfg := graphmine.DefaultConfig(seed)
-		cfg.RequestCost = 90 * time.Second
-		switch size {
-		case SizeSmall:
-			cfg.Nodes, cfg.AvgDeg, cfg.Iterations, cfg.ChunkNodes, cfg.TopK = 256, 4, 2, 64, 20
-		case SizeMedium:
-			cfg.Nodes, cfg.AvgDeg, cfg.Iterations, cfg.ChunkNodes, cfg.TopK = 512, 6, 3, 128, 50
-		case SizeLarge:
-			cfg.Nodes, cfg.AvgDeg, cfg.Iterations, cfg.ChunkNodes, cfg.TopK = 2048, 8, 4, 512, 100
-		default:
-			return nil, fmt.Errorf("hrmsim: unknown workload size %d", size)
-		}
-		return graphmine.NewBuilder(cfg)
-	default:
-		return nil, fmt.Errorf("hrmsim: unknown application %q", app)
+	b, err := experiments.NewBuilder(string(app), size, seed)
+	if err != nil {
+		return nil, fmt.Errorf("hrmsim: %w", err)
 	}
+	return b, nil
 }
 
 // CharacterizeConfig configures an injection campaign.
@@ -218,39 +162,22 @@ type CharacterizeConfig struct {
 	Size WorkloadSize
 	// Parallelism bounds concurrent trials (default GOMAXPROCS).
 	Parallelism int
-	// Progress, if non-nil, is called after each completed trial with
-	// the campaign's live progress, including the wall-clock trial rate
-	// and the projected time remaining. Calls are serialized; the hook
-	// must be cheap.
-	Progress func(ProgressInfo)
-	// Metrics, if non-nil, receives campaign instrumentation (trial,
-	// request, and outcome counters; per-trial wall-clock and
-	// virtual-time histograms) under the metric names documented in
-	// OBSERVABILITY.md. Instrumentation never changes results. The type
-	// lives in an internal package, so this field is settable only from
-	// inside this module (the cmd/ binaries); external users get the
-	// same data from `hrmsim <cmd> -json`.
-	Metrics *obsv.Registry
-	// Tracer, if non-nil, receives the per-trial event stream (see the
-	// "Event tracing" section of OBSERVABILITY.md). Observational only,
-	// like Metrics, and internal for the same reason: the CLI exposes it
-	// via `hrmsim characterize -trace`. The caller closes the tracer
-	// after Characterize returns.
-	Tracer *evtrace.Tracer
+	// RunOptions are the engine knobs, handed to the campaign as they
+	// are (field docs on core.RunOptions): the per-trial Progress hook
+	// (calls are serialized; it must be cheap), the TrialTimeout and
+	// TrialOpBudget watchdogs, MaxRetries, StatusInterval (the minimum
+	// spacing of StatusPath writes), and the observational Metrics
+	// registry and event Tracer, which the caller closes after
+	// Characterize returns. The block's type is internal, so outside
+	// this module set its fields by selector (cfg.Progress = …);
+	// Metrics and Tracer take internal types and are reached through the
+	// CLI's -json and -trace.
+	core.RunOptions
 	// Context, if non-nil, allows interrupting the campaign: on
 	// cancellation the engine stops dispatching trials, drains the
 	// in-flight ones, and Characterize returns the partial result with
 	// Interrupted set (not an error).
 	Context context.Context
-	// TrialTimeout, if positive, aborts any trial exceeding this
-	// wall-clock deadline (recorded as aborted, reason "deadline").
-	TrialTimeout time.Duration
-	// TrialOpBudget, if positive, aborts any trial exceeding this many
-	// simulated memory operations after injection (reason "op_budget").
-	TrialOpBudget int64
-	// MaxRetries bounds retries of transient trial-infrastructure
-	// failures (0 = default, negative = disabled).
-	MaxRetries int
 	// JournalPath, if non-empty, appends one flushed JSONL record per
 	// finished trial to this file so an interrupted campaign can resume.
 	// The file is created with a schema-versioned header identifying the
@@ -286,9 +213,6 @@ type CharacterizeConfig struct {
 	// finished campaign directory render identically to a live one. The
 	// heartbeat/status contract is documented in OBSERVABILITY.md.
 	StatusPath string
-	// StatusInterval is the minimum spacing between status writes
-	// (default core.DefaultStatusInterval, 1s).
-	StatusInterval time.Duration
 }
 
 // ProgressInfo reports campaign progress to the Progress hook. Elapsed,
@@ -374,8 +298,50 @@ type ShardInfo struct {
 // Characterize runs an error-injection campaign (the paper's Fig. 2 loop)
 // and reports the application's measured tolerance.
 func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
+	if err := cfg.resolve(); err != nil {
+		return nil, err
+	}
+	ccfg, meta, err := cfg.campaign()
+	if err != nil {
+		return nil, err
+	}
+	if err := cfg.openJournals(&ccfg, meta); err != nil {
+		return nil, err
+	}
+	if cfg.StatusPath != "" {
+		ccfg.StatusSink = statusSink(cfg.StatusPath, meta, cfg.Metrics)
+	}
+	res, runErr := core.RunContext(cfg.Context, ccfg)
+	if ccfg.Journal != nil {
+		if cerr := ccfg.Journal.Close(); cerr != nil && runErr == nil {
+			runErr = fmt.Errorf("hrmsim: trial journal: %w", cerr)
+		}
+	}
+	if runErr != nil {
+		return nil, runErr
+	}
+	out, err := newCharacterization(cfg.App, cfg.Error, cfg.Region, cfg.Trials, res)
+	if err != nil {
+		return nil, err
+	}
+	out.TargetCI = cfg.TargetCI
+	if sh := ccfg.Shard; sh != nil {
+		lo, hi := sh.Range(cfg.Trials)
+		out.Shard = &ShardInfo{Index: sh.Index, Count: sh.Count, TrialLo: lo, TrialHi: hi}
+	}
+	if cfg.ManifestPath != "" {
+		if err := cfg.writeManifest(meta, ccfg.Shard, res); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// resolve fills in the defaults and rejects inconsistent settings, leaving
+// cfg as the campaign's resolved identity.
+func (cfg *CharacterizeConfig) resolve() error {
 	if cfg.App == "" {
-		return nil, fmt.Errorf("hrmsim: CharacterizeConfig.App is required")
+		return fmt.Errorf("hrmsim: CharacterizeConfig.App is required")
 	}
 	if cfg.Error == "" {
 		cfg.Error = SoftSingleBit
@@ -389,20 +355,20 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 	adaptive := cfg.TargetCI > 0
 	switch {
 	case !adaptive && cfg.TargetCI != 0:
-		return nil, fmt.Errorf("hrmsim: TargetCI must be positive, got %g", cfg.TargetCI)
+		return fmt.Errorf("hrmsim: TargetCI must be positive, got %g", cfg.TargetCI)
 	case !adaptive && (cfg.MinTrials != 0 || cfg.MaxTrials != 0):
-		return nil, fmt.Errorf("hrmsim: MinTrials/MaxTrials are adaptive-campaign guard rails and require TargetCI")
+		return fmt.Errorf("hrmsim: MinTrials/MaxTrials are adaptive-campaign guard rails and require TargetCI")
 	case adaptive && cfg.TargetCI >= 1:
-		return nil, fmt.Errorf("hrmsim: TargetCI is a probability half-width and must be below 1, got %g", cfg.TargetCI)
+		return fmt.Errorf("hrmsim: TargetCI is a probability half-width and must be below 1, got %g", cfg.TargetCI)
 	case adaptive && cfg.ShardCount > 0:
-		return nil, fmt.Errorf("hrmsim: TargetCI cannot be combined with ShardCount — an adaptive plan needs the whole trial index space; run adaptive campaigns unsharded (see SHARDING.md)")
+		return fmt.Errorf("hrmsim: TargetCI cannot be combined with ShardCount — an adaptive plan needs the whole trial index space; run adaptive campaigns unsharded (see SHARDING.md)")
 	}
 	if adaptive {
 		if cfg.MaxTrials == 0 {
 			cfg.MaxTrials = cfg.Trials
 		}
 		if cfg.MaxTrials < 0 || cfg.MaxTrials > cfg.Trials {
-			return nil, fmt.Errorf("hrmsim: MaxTrials %d outside [1,%d] (Trials is the index space)", cfg.MaxTrials, cfg.Trials)
+			return fmt.Errorf("hrmsim: MaxTrials %d outside [1,%d] (Trials is the index space)", cfg.MaxTrials, cfg.Trials)
 		}
 		if cfg.MinTrials == 0 {
 			cfg.MinTrials = core.DefaultAdaptiveMinTrials
@@ -411,64 +377,44 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 			}
 		}
 		if cfg.MinTrials < 0 || cfg.MinTrials > cfg.MaxTrials {
-			return nil, fmt.Errorf("hrmsim: MinTrials %d outside [1,%d]", cfg.MinTrials, cfg.MaxTrials)
+			return fmt.Errorf("hrmsim: MinTrials %d outside [1,%d]", cfg.MinTrials, cfg.MaxTrials)
 		}
 	}
+	if cfg.ShardCount == 0 && cfg.ShardIndex != 0 {
+		return fmt.Errorf("hrmsim: ShardIndex %d set without ShardCount", cfg.ShardIndex)
+	}
+	if cfg.ManifestPath != "" && cfg.JournalPath == "" {
+		return fmt.Errorf("hrmsim: ManifestPath requires JournalPath (a manifest describes a journal)")
+	}
+	return nil
+}
+
+// campaign translates a resolved config into the engine's terms, plus the
+// journal header that pins the campaign identity — so resuming against a
+// journal from a different campaign fails loudly instead of merging
+// unrelated trial results.
+func (cfg *CharacterizeConfig) campaign() (ccfg core.CampaignConfig, meta core.JournalMeta, err error) {
 	spec, err := specFor(cfg.Error)
 	if err != nil {
-		return nil, err
+		return ccfg, meta, err
 	}
 	kind, err := kindFor(cfg.Region)
 	if err != nil {
-		return nil, err
+		return ccfg, meta, err
 	}
 	builder, err := NewBuilder(cfg.App, cfg.Size, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return ccfg, meta, err
 	}
-	ccfg := core.CampaignConfig{
-		Builder:       builder,
-		Spec:          spec,
-		Trials:        cfg.Trials,
-		Seed:          cfg.Seed,
-		Parallelism:   cfg.Parallelism,
-		Progress:      cfg.Progress,
-		Metrics:       cfg.Metrics,
-		Tracer:        cfg.Tracer,
-		TrialTimeout:  cfg.TrialTimeout,
-		TrialOpBudget: cfg.TrialOpBudget,
-		MaxRetries:    cfg.MaxRetries,
+	ccfg = core.CampaignConfig{
+		Builder:     builder,
+		Spec:        spec,
+		Trials:      cfg.Trials,
+		Seed:        cfg.Seed,
+		Parallelism: cfg.Parallelism,
+		RunOptions:  cfg.RunOptions,
 	}
-	if kind != 0 {
-		ccfg.Filter = inject.KindFilter(kind)
-	}
-	if adaptive {
-		ccfg.Planner = core.NewAdaptivePlanner(stats.SequentialStopping{
-			TargetHalfWidth: cfg.TargetCI,
-			Level:           core.CILevel,
-			MinTrials:       cfg.MinTrials,
-			MaxTrials:       cfg.MaxTrials,
-		})
-	}
-	var shard *core.ShardSpec
-	if cfg.ShardCount > 0 {
-		s := core.ShardSpec{Index: cfg.ShardIndex, Count: cfg.ShardCount}
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("hrmsim: %w", err)
-		}
-		shard = &s
-		ccfg.Shard = shard
-	} else if cfg.ShardIndex != 0 {
-		return nil, fmt.Errorf("hrmsim: ShardIndex %d set without ShardCount", cfg.ShardIndex)
-	}
-	if cfg.ManifestPath != "" && cfg.JournalPath == "" {
-		return nil, fmt.Errorf("hrmsim: ManifestPath requires JournalPath (a manifest describes a journal)")
-	}
-
-	// The journal header pins the campaign identity, so resuming against
-	// a journal from a different campaign fails loudly instead of merging
-	// unrelated trial results.
-	meta := core.JournalMeta{
+	meta = core.JournalMeta{
 		App:    string(cfg.App),
 		Error:  string(cfg.Error),
 		Region: string(cfg.Region),
@@ -476,133 +422,125 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 		Seed:   cfg.Seed,
 		Size:   int64(cfg.Size),
 	}
-	if adaptive {
+	if kind != 0 {
+		ccfg.Filter = inject.KindFilter(kind)
+	}
+	if cfg.TargetCI > 0 {
 		// The stopping rule is part of the campaign identity: a journal
 		// resumed under a different rule would replay to a different
 		// stop boundary. These fields also flow into the shard
 		// manifest's ConfigHash via this meta.
-		meta.TargetCI = cfg.TargetCI
-		meta.CILevel = core.CILevel
-		meta.MinTrials = cfg.MinTrials
-		meta.MaxTrials = cfg.MaxTrials
+		rule := stats.SequentialStopping{
+			TargetHalfWidth: cfg.TargetCI,
+			Level:           core.CILevel,
+			MinTrials:       cfg.MinTrials,
+			MaxTrials:       cfg.MaxTrials,
+		}
+		ccfg.Planner = core.NewAdaptivePlanner(rule)
+		meta.TargetCI, meta.CILevel = rule.TargetHalfWidth, rule.Level
+		meta.MinTrials, meta.MaxTrials = rule.MinTrials, rule.MaxTrials
 	}
+	if cfg.ShardCount > 0 {
+		ccfg.Shard = &core.ShardSpec{Index: cfg.ShardIndex, Count: cfg.ShardCount}
+		if err := ccfg.Shard.Validate(); err != nil {
+			return ccfg, meta, fmt.Errorf("hrmsim: %w", err)
+		}
+	}
+	return ccfg, meta, nil
+}
+
+// openJournals loads ResumePath into ccfg.Resume and opens JournalPath as
+// ccfg.Journal (the caller closes it).
+func (cfg *CharacterizeConfig) openJournals(ccfg *core.CampaignConfig, meta core.JournalMeta) error {
 	if cfg.ResumePath != "" {
 		f, err := os.Open(cfg.ResumePath)
 		if err != nil {
-			return nil, fmt.Errorf("hrmsim: opening resume journal: %w", err)
+			return fmt.Errorf("hrmsim: opening resume journal: %w", err)
 		}
 		m, recs, err := core.ReadJournal(f)
 		f.Close()
 		if err != nil {
-			return nil, fmt.Errorf("hrmsim: reading resume journal %s: %w", cfg.ResumePath, err)
+			return fmt.Errorf("hrmsim: reading resume journal %s: %w", cfg.ResumePath, err)
 		}
 		if err := m.Matches(meta); err != nil {
-			return nil, fmt.Errorf("hrmsim: resume journal %s belongs to a different campaign: %w", cfg.ResumePath, err)
+			return fmt.Errorf("hrmsim: resume journal %s belongs to a different campaign: %w", cfg.ResumePath, err)
 		}
 		ccfg.Resume = recs
 	}
-	var journal *core.Journal
-	if cfg.JournalPath != "" {
-		j, existed, err := core.OpenJournal(cfg.JournalPath, meta)
-		if err != nil {
-			return nil, fmt.Errorf("hrmsim: %w", err)
-		}
-		journal = j
-		if !existed && len(ccfg.Resume) > 0 {
-			// Fresh journal, foreign resume source: copy the resumed
-			// records over so this journal alone describes the whole
-			// campaign.
-			idxs := make([]int, 0, len(ccfg.Resume))
-			for i := range ccfg.Resume {
-				idxs = append(idxs, i)
-			}
-			sort.Ints(idxs)
-			for _, i := range idxs {
-				if err := j.Append(ccfg.Resume[i]); err != nil {
-					j.Close()
-					return nil, fmt.Errorf("hrmsim: copying resumed trials into journal: %w", err)
-				}
-			}
-		}
-		ccfg.Journal = journal
+	if cfg.JournalPath == "" {
+		return nil
 	}
-
-	if cfg.StatusPath != "" {
-		// The sink stamps the identity evidence only the facade knows
-		// (the supervisor fills shard coordinates and progress), then
-		// persists atomically. Write failures must never perturb the
-		// campaign — they are counted and the run moves on.
-		hash := core.ConfigHash(meta)
-		var writes, writeErrs *obsv.Counter
-		if cfg.Metrics != nil {
-			writes = cfg.Metrics.Counter("campaign_status_writes_total")
-			writeErrs = cfg.Metrics.Counter("campaign_status_write_errors_total")
-		}
-		statusPath := cfg.StatusPath
-		ccfg.StatusSink = func(st core.ShardStatus) {
-			st.ConfigHash = hash
-			st.Campaign = meta
-			if err := core.WriteStatus(statusPath, st); err != nil {
-				if writeErrs != nil {
-					writeErrs.Inc()
-				}
-				return
-			}
-			if writes != nil {
-				writes.Inc()
-			}
-		}
-		ccfg.StatusInterval = cfg.StatusInterval
-	}
-
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, runErr := core.RunContext(ctx, ccfg)
-	if journal != nil {
-		if cerr := journal.Close(); cerr != nil && runErr == nil {
-			runErr = fmt.Errorf("hrmsim: trial journal: %w", cerr)
-		}
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	out, err := newCharacterization(cfg.App, cfg.Error, cfg.Region, cfg.Trials, res)
+	j, existed, err := core.OpenJournal(cfg.JournalPath, meta)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("hrmsim: %w", err)
 	}
-	out.TargetCI = cfg.TargetCI
-	if shard != nil {
-		lo, hi := shard.Range(cfg.Trials)
-		out.Shard = &ShardInfo{
-			Index:   shard.Index,
-			Count:   shard.Count,
-			TrialLo: lo,
-			TrialHi: hi,
+	if !existed && len(ccfg.Resume) > 0 {
+		// Fresh journal, foreign resume source: copy the resumed
+		// records over so this journal alone describes the whole
+		// campaign.
+		idxs := make([]int, 0, len(ccfg.Resume))
+		for i := range ccfg.Resume {
+			idxs = append(idxs, i)
 		}
-	}
-	if cfg.ManifestPath != "" {
-		spec := core.ShardSpec{Index: 0, Count: 1}
-		if shard != nil {
-			spec = *shard
-		}
-		jref := filepath.Base(cfg.JournalPath)
-		if rel, rerr := filepath.Rel(filepath.Dir(cfg.ManifestPath), cfg.JournalPath); rerr == nil {
-			jref = rel
-		}
-		man := core.NewShardManifest(meta, spec, jref, res)
-		if cfg.Metrics != nil {
-			if raw, merr := json.Marshal(cfg.Metrics.Snapshot()); merr == nil {
-				man.Metrics = raw
+		sort.Ints(idxs)
+		for _, i := range idxs {
+			if err := j.Append(ccfg.Resume[i]); err != nil {
+				j.Close()
+				return fmt.Errorf("hrmsim: copying resumed trials into journal: %w", err)
 			}
 		}
-		if err := core.WriteManifest(cfg.ManifestPath, man); err != nil {
-			return nil, fmt.Errorf("hrmsim: writing shard manifest: %w", err)
+	}
+	ccfg.Journal = j
+	return nil
+}
+
+// statusSink persists heartbeats to path. It stamps the identity evidence
+// only the facade knows (the supervisor fills shard coordinates and
+// progress), then writes atomically. Write failures must never perturb
+// the campaign — they are counted and the run moves on.
+func statusSink(path string, meta core.JournalMeta, reg *obsv.Registry) func(core.ShardStatus) {
+	hash := core.ConfigHash(meta)
+	var writes, writeErrs *obsv.Counter
+	if reg != nil {
+		writes = reg.Counter("campaign_status_writes_total")
+		writeErrs = reg.Counter("campaign_status_write_errors_total")
+	}
+	return func(st core.ShardStatus) {
+		st.ConfigHash = hash
+		st.Campaign = meta
+		if err := core.WriteStatus(path, st); err != nil {
+			if writeErrs != nil {
+				writeErrs.Inc()
+			}
+			return
+		}
+		if writes != nil {
+			writes.Inc()
 		}
 	}
-	return out, nil
+}
+
+// writeManifest writes the shard manifest next to the journal; an
+// unsharded run describes itself as shard 0/1.
+func (cfg *CharacterizeConfig) writeManifest(meta core.JournalMeta, shard *core.ShardSpec, res *core.CampaignResult) error {
+	spec := core.ShardSpec{Index: 0, Count: 1}
+	if shard != nil {
+		spec = *shard
+	}
+	jref := filepath.Base(cfg.JournalPath)
+	if rel, rerr := filepath.Rel(filepath.Dir(cfg.ManifestPath), cfg.JournalPath); rerr == nil {
+		jref = rel
+	}
+	man := core.NewShardManifest(meta, spec, jref, res)
+	if cfg.Metrics != nil {
+		if raw, merr := json.Marshal(cfg.Metrics.Snapshot()); merr == nil {
+			man.Metrics = raw
+		}
+	}
+	if err := core.WriteManifest(cfg.ManifestPath, man); err != nil {
+		return fmt.Errorf("hrmsim: writing shard manifest: %w", err)
+	}
+	return nil
 }
 
 // newCharacterization aggregates a finished campaign into the public

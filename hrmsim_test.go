@@ -230,7 +230,7 @@ func TestTolerable(t *testing.T) {
 }
 
 func TestLabRunsOneExperiment(t *testing.T) {
-	lab, err := NewLab(LabConfig{Trials: 30, TimingTrials: 30, Watchpoints: 120})
+	lab, err := NewLab(LabConfig{Trials: 30, Fig5aTrials: 30, Watchpoints: 120})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,21 @@ import (
 	"hrmsim/internal/simmem"
 )
 
+// Size selects how large a synthetic application build is. Each
+// application package maps it to its own geometry (SizedConfig).
+type Size int
+
+// Workload sizes.
+const (
+	// SizeSmall builds tiny instances for fast iteration and tests.
+	SizeSmall Size = iota
+	// SizeMedium matches the scale used by the paper-reproduction
+	// experiments (the default).
+	SizeMedium
+	// SizeLarge builds bigger instances for longer campaigns.
+	SizeLarge
+)
+
 // Response is the digest of one request's output, compared against a
 // golden (error-free) run to detect incorrect results.
 type Response struct {

@@ -114,6 +114,24 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
+// SizedConfig is DefaultConfig at a campaign workload size, with requests
+// spread over ~20 virtual minutes at SizeMedium. SizeLarge is
+// DefaultConfig's own geometry.
+func SizedConfig(size apps.Size, seed int64) (Config, error) {
+	cfg := DefaultConfig(seed)
+	cfg.RequestCost = 90 * time.Second
+	switch size {
+	case apps.SizeSmall:
+		cfg.Nodes, cfg.AvgDeg, cfg.Iterations, cfg.ChunkNodes, cfg.TopK = 256, 4, 2, 64, 20
+	case apps.SizeMedium:
+		cfg.Nodes, cfg.AvgDeg, cfg.Iterations, cfg.ChunkNodes, cfg.TopK = 512, 6, 3, 128, 50
+	case apps.SizeLarge:
+	default:
+		return cfg, fmt.Errorf("graphmine: unknown workload size %d", size)
+	}
+	return cfg, nil
+}
+
 // Builder pre-generates the graph; Build serializes it per trial.
 type Builder struct {
 	cfg       Config

@@ -80,6 +80,24 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
+// SizedConfig is DefaultConfig at a campaign workload size, with requests
+// spread over ~20 virtual minutes at SizeMedium. SizeLarge is
+// DefaultConfig's own geometry.
+func SizedConfig(size apps.Size, seed int64) (Config, error) {
+	cfg := DefaultConfig(seed)
+	cfg.RequestCost = 2 * time.Second
+	switch size {
+	case apps.SizeSmall:
+		cfg.Keys, cfg.Ops = 128, 200
+	case apps.SizeMedium:
+		cfg.Keys, cfg.Ops = 512, 600
+	case apps.SizeLarge:
+	default:
+		return cfg, fmt.Errorf("kvstore: unknown workload size %d", size)
+	}
+	return cfg, nil
+}
+
 const entryHeaderBytes = 24 // key u64, version u32, vlen u32, next u64
 
 // Builder pre-generates the op trace; Build materializes fresh stores.

@@ -93,6 +93,27 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
+// SizedConfig is DefaultConfig at a campaign workload size, with requests
+// spread over ~20 virtual minutes at SizeMedium, comparable to the paper's
+// observation windows (Fig. 5a, the 5-minute flush rule). SizeLarge is
+// DefaultConfig's own geometry.
+func SizedConfig(size apps.Size, seed int64) (Config, error) {
+	cfg := DefaultConfig(seed)
+	cfg.RequestCost = 10 * time.Second
+	switch size {
+	case apps.SizeSmall:
+		cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 256, 128, 4, 12
+		cfg.Queries, cfg.CacheSlots = 60, 32
+	case apps.SizeMedium:
+		cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 1024, 512, 6, 24
+		cfg.Queries, cfg.CacheSlots = 120, 256
+	case apps.SizeLarge:
+	default:
+		return cfg, fmt.Errorf("websearch: unknown workload size %d", size)
+	}
+	return cfg, nil
+}
+
 const (
 	termEntryBytes  = 8
 	postingBytes    = 8

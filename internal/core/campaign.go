@@ -19,43 +19,11 @@ import (
 	"hrmsim/internal/stats"
 )
 
-// CampaignConfig describes one error-injection campaign: N independent
-// trials of the Fig. 2 loop (restart app → inject → run client workload →
-// compare against expected output).
-type CampaignConfig struct {
-	// Builder constructs the application. It must implement
-	// apps.SnapshotBuilder: each worker builds and warms up one instance,
-	// snapshots it, and restores it before every trial — step 1 of the
-	// loop at the cost of rolling back the pages the last trial dirtied.
-	Builder apps.Builder
-	// Spec is the error type to inject.
-	Spec faults.Spec
-	// Trials is the size of the campaign's trial index space. With the
-	// default fixed plan every index runs exactly once; an adaptive
-	// planner may stop earlier (Trials then acts as the hard budget).
-	Trials int
-	// Planner decides which trial indices run and when the campaign
-	// stops (see TrialPlanner). nil means NewFixedPlanner() — the
-	// classic "every owned index, ascending" fixed-N campaign, which is
-	// bit-identical to the pre-planner engine. AdaptivePlanner stops
-	// once the Wilson CI half-width of the crash probability reaches a
-	// target; it requires the whole index space, so it cannot be
-	// combined with a multi-shard Shard spec.
-	Planner TrialPlanner
-	// Seed makes the campaign deterministic; trial i derives its own
-	// generator from it, so results are independent of Parallelism.
-	Seed int64
-	// Filter restricts injection to matching regions (nil = any used
-	// byte, weighted by region size).
-	Filter func(*simmem.Region) bool
-	// Warmup is the number of requests served before injection
-	// (injected errors then land in a warmed-up application).
-	Warmup int
-	// Parallelism bounds concurrent trials (default: GOMAXPROCS).
-	Parallelism int
-	// Golden optionally supplies the expected digests, skipping the
-	// golden run (reuse across campaigns of the same builder).
-	Golden []uint64
+// RunOptions are the engine knobs that do not identify a campaign: hooks,
+// watchdogs and pacing. A front end's config (hrmsim.CharacterizeConfig)
+// embeds the same block and hands it to CampaignConfig as one value, so a
+// knob is declared here and nowhere else.
+type RunOptions struct {
 	// Progress, if non-nil, is called after every completed trial with
 	// the campaign's live progress (counts, wall-clock rate, projected
 	// time remaining). Calls are serialized, so the hook needs no
@@ -96,6 +64,50 @@ type CampaignConfig struct {
 	// default (DefaultTrialRetries); negative disables retries. The first
 	// retry waits DefaultRetryBackoff, doubling per attempt.
 	MaxRetries int
+	// StatusInterval is the minimum spacing between StatusSink
+	// heartbeats (default DefaultStatusInterval).
+	StatusInterval time.Duration
+}
+
+// CampaignConfig describes one error-injection campaign: N independent
+// trials of the Fig. 2 loop (restart app → inject → run client workload →
+// compare against expected output).
+type CampaignConfig struct {
+	// Builder constructs the application. It must implement
+	// apps.SnapshotBuilder: each worker builds and warms up one instance,
+	// snapshots it, and restores it before every trial — step 1 of the
+	// loop at the cost of rolling back the pages the last trial dirtied.
+	Builder apps.Builder
+	// Spec is the error type to inject.
+	Spec faults.Spec
+	// Trials is the size of the campaign's trial index space. With the
+	// default fixed plan every index runs exactly once; an adaptive
+	// planner may stop earlier (Trials then acts as the hard budget).
+	Trials int
+	// Planner decides which trial indices run and when the campaign
+	// stops (see TrialPlanner). nil means NewFixedPlanner() — the
+	// classic "every owned index, ascending" fixed-N campaign, which is
+	// bit-identical to the pre-planner engine. AdaptivePlanner stops
+	// once the Wilson CI half-width of the crash probability reaches a
+	// target; it requires the whole index space, so it cannot be
+	// combined with a multi-shard Shard spec.
+	Planner TrialPlanner
+	// Seed makes the campaign deterministic; trial i derives its own
+	// generator from it, so results are independent of Parallelism.
+	Seed int64
+	// Filter restricts injection to matching regions (nil = any used
+	// byte, weighted by region size).
+	Filter func(*simmem.Region) bool
+	// Warmup is the number of requests served before injection
+	// (injected errors then land in a warmed-up application).
+	Warmup int
+	// Parallelism bounds concurrent trials (default: GOMAXPROCS).
+	Parallelism int
+	// Golden optionally supplies the expected digests, skipping the
+	// golden run (reuse across campaigns of the same builder).
+	Golden []uint64
+	// RunOptions holds the knobs a front end hands through unchanged.
+	RunOptions
 	// Resume maps trial indices to results recorded by a previous,
 	// interrupted run of the same campaign (see ReadJournal). Those
 	// indices are not re-run; their results are merged in place, which
@@ -124,9 +136,6 @@ type CampaignConfig struct {
 	// the sink typically persists the record (see WriteStatus) and must
 	// not block for long, since it runs between parallel trials.
 	StatusSink func(ShardStatus)
-	// StatusInterval is the minimum spacing between StatusSink
-	// heartbeats (default DefaultStatusInterval).
-	StatusInterval time.Duration
 }
 
 // Retry policy (see CampaignConfig.MaxRetries).

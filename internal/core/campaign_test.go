@@ -400,7 +400,7 @@ func TestCampaignProgressAndMetrics(t *testing.T) {
 		Trials:      24,
 		Seed:        5,
 		Parallelism: 4,
-		Progress: func(p ProgressInfo) {
+		RunOptions: RunOptions{Metrics: reg, Progress: func(p ProgressInfo) {
 			if p.Total != 24 {
 				t.Errorf("progress total = %d", p.Total)
 			}
@@ -409,8 +409,7 @@ func TestCampaignProgressAndMetrics(t *testing.T) {
 			}
 			calls = append(calls, p.Done)
 			last = p
-		},
-		Metrics: reg,
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -469,11 +468,11 @@ func TestCampaignProgressAndMetrics(t *testing.T) {
 func TestCampaignMetricsDoNotChangeResults(t *testing.T) {
 	run := func(reg *obsv.Registry) *CampaignResult {
 		res, err := Run(CampaignConfig{
-			Builder: wsBuilder(t, 14),
-			Spec:    faults.SingleBitSoft,
-			Trials:  20,
-			Seed:    6,
-			Metrics: reg,
+			Builder:    wsBuilder(t, 14),
+			Spec:       faults.SingleBitSoft,
+			Trials:     20,
+			Seed:       6,
+			RunOptions: RunOptions{Metrics: reg},
 		})
 		if err != nil {
 			t.Fatal(err)

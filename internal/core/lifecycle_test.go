@@ -205,7 +205,7 @@ func TestSnapshotMetricsEmitted(t *testing.T) {
 		Seed:        6,
 		Parallelism: 1,
 		Golden:      golden,
-		Metrics:     reg,
+		RunOptions:  RunOptions{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -77,7 +77,8 @@ func TestMetricsArePureFunctionOfTrials(t *testing.T) {
 		reg := obsv.NewRegistry()
 		res, err := Run(CampaignConfig{
 			Builder: b, Spec: faults.SingleBitHard, Trials: 40, Seed: 5,
-			Warmup: len(golden) / 4, Parallelism: par, Golden: golden, Metrics: reg,
+			Warmup: len(golden) / 4, Parallelism: par, Golden: golden,
+			RunOptions: RunOptions{Metrics: reg},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -132,11 +132,10 @@ func TestSupervisorEmitsStatus(t *testing.T) {
 		Trials:      20,
 		Seed:        11,
 		Parallelism: 2,
-		Metrics:     reg,
 		StatusSink:  func(st ShardStatus) { got = append(got, st) },
 		// A huge interval: only the initial and final records are
 		// guaranteed, which is exactly what this test pins.
-		StatusInterval: time.Hour,
+		RunOptions: RunOptions{Metrics: reg, StatusInterval: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,14 +192,14 @@ func TestSupervisorStatusShardedAndResumed(t *testing.T) {
 	}
 	var got []ShardStatus
 	res, err := Run(CampaignConfig{
-		Builder:        kvBuilder(t, 5),
-		Spec:           faults.SingleBitSoft,
-		Trials:         20,
-		Seed:           11,
-		Shard:          &spec,
-		Resume:         resume,
-		StatusSink:     func(st ShardStatus) { got = append(got, st) },
-		StatusInterval: time.Hour,
+		Builder:    kvBuilder(t, 5),
+		Spec:       faults.SingleBitSoft,
+		Trials:     20,
+		Seed:       11,
+		Shard:      &spec,
+		Resume:     resume,
+		StatusSink: func(st ShardStatus) { got = append(got, st) },
+		RunOptions: RunOptions{StatusInterval: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)

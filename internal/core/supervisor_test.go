@@ -38,11 +38,11 @@ func TestCancellationDrainsAndReturnsPartial(t *testing.T) {
 		Golden:      golden,
 		// Progress calls are serialized, so this cancels exactly once
 		// ten trials have finished.
-		Progress: func(p ProgressInfo) {
+		RunOptions: RunOptions{Progress: func(p ProgressInfo) {
 			if p.Done == 10 {
 				cancel()
 			}
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,11 +131,11 @@ func TestInterruptedResumeEquivalence(t *testing.T) {
 				partial, err := RunContext(ctx, CampaignConfig{
 					Builder: b, Spec: spec, Trials: trials, Seed: seed,
 					Parallelism: par, Golden: golden, Journal: j,
-					Progress: func(p ProgressInfo) {
+					RunOptions: RunOptions{Progress: func(p ProgressInfo) {
 						if p.Done == 8 {
 							cancel()
 						}
-					},
+					}},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -349,14 +349,13 @@ func TestWatchdogDeadlineAbortsHungTrial(t *testing.T) {
 	go func() {
 		defer close(done)
 		res, err = Run(CampaignConfig{
-			Builder:      b,
-			Spec:         faults.SingleBitSoft,
-			Trials:       5,
-			Seed:         2,
-			Parallelism:  1,
-			Golden:       golden,
-			Metrics:      reg,
-			TrialTimeout: 50 * time.Millisecond,
+			Builder:     b,
+			Spec:        faults.SingleBitSoft,
+			Trials:      5,
+			Seed:        2,
+			Parallelism: 1,
+			Golden:      golden,
+			RunOptions:  RunOptions{Metrics: reg, TrialTimeout: 50 * time.Millisecond},
 		})
 	}()
 	select {
@@ -415,7 +414,7 @@ func TestOpBudgetWatchdog(t *testing.T) {
 		res, err := Run(CampaignConfig{
 			Builder: b, Spec: faults.SingleBitSoft,
 			Trials: 20, Seed: 8, Parallelism: par, Golden: golden,
-			TrialOpBudget: budget,
+			RunOptions: RunOptions{TrialOpBudget: budget},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -498,7 +497,7 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 	res, err := Run(CampaignConfig{
 		Builder: buildPerTrial{flaky}, Spec: faults.SingleBitSoft,
 		Trials: 6, Seed: 4, Parallelism: 1, Golden: golden,
-		Metrics: reg,
+		RunOptions: RunOptions{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -529,7 +528,7 @@ func TestRetryExhaustionAbortsTrial(t *testing.T) {
 	res, err := Run(CampaignConfig{
 		Builder: buildPerTrial{alwaysFail}, Spec: faults.SingleBitSoft,
 		Trials: 3, Seed: 4, Parallelism: 1, Golden: golden,
-		Metrics: reg, MaxRetries: -1,
+		RunOptions: RunOptions{Metrics: reg, MaxRetries: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func runTraced(t *testing.T, seed int64, parallelism int, sinks ...evtrace.Sink)
 		Trials:      30,
 		Seed:        21,
 		Parallelism: parallelism,
-		Tracer:      tracer,
+		RunOptions:  RunOptions{Tracer: tracer},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,27 +10,14 @@ import (
 	"hrmsim/internal/stats"
 )
 
-// cellReq identifies one campaign cell: an application, an error type,
-// an optional region restriction (kind 0 = all regions), and the cell's
-// trial index space (the hard budget under an adaptive scale).
-type cellReq struct {
-	app    string
-	spec   faults.Spec
-	kind   simmem.RegionKind
-	trials int
-}
-
-func (s *Suite) cellKey(r cellReq) string {
-	return fmt.Sprintf("%s|%v|%d|%d|%g", r.app, r.spec, r.kind, r.trials, s.scale.TargetCI)
-}
-
 // campaign runs (or returns the cached result of) one injection campaign
-// cell: a fixed plan of exactly trials trials, or — under an adaptive
-// scale (TargetCI > 0) — one campaign that stops as soon as the cell's
-// crash-probability CI reaches the target, with trials as its budget.
+// cell — an application, an error type, an optional region restriction
+// (kind 0 = all regions) and a trial index space: a fixed plan of exactly
+// trials trials, or — under an adaptive scale (TargetCI > 0) — one
+// campaign that stops as soon as the cell's crash-probability CI reaches
+// the target, with trials as its budget.
 func (s *Suite) campaign(app string, spec faults.Spec, kind simmem.RegionKind, trials int) (*core.CampaignResult, error) {
-	req := cellReq{app: app, spec: spec, kind: kind, trials: trials}
-	key := s.cellKey(req)
+	key := fmt.Sprintf("%s|%v|%d|%d|%g", app, spec, kind, trials, s.scale.TargetCI)
 	s.mu.Lock()
 	res := s.campaigns[key]
 	s.mu.Unlock()
@@ -48,7 +35,7 @@ func (s *Suite) campaign(app string, spec faults.Spec, kind simmem.RegionKind, t
 		Seed:        s.scale.Seed,
 		Parallelism: s.scale.Parallelism,
 		Golden:      entry.golden,
-		Progress:    s.scale.Progress,
+		RunOptions:  core.RunOptions{Progress: s.scale.Progress},
 	}
 	if kind != 0 {
 		cfg.Filter = inject.KindFilter(kind)
@@ -67,18 +54,6 @@ func (s *Suite) campaign(app string, spec faults.Spec, kind simmem.RegionKind, t
 	s.campaigns[key] = res
 	s.mu.Unlock()
 	return res, nil
-}
-
-// prefetch ensures every listed cell has a cached result, running the
-// uncached ones in listed order (each cell already saturates the worker
-// pool). Cells listed twice run once.
-func (s *Suite) prefetch(reqs []cellReq) error {
-	for _, req := range reqs {
-		if _, err := s.campaign(req.app, req.spec, req.kind, req.trials); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // cellRule is the stopping rule every adaptive cell runs under (the

@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"hrmsim/internal/apps"
 	"hrmsim/internal/apps/graphmine"
@@ -19,26 +18,36 @@ import (
 	"hrmsim/internal/core"
 )
 
-// Scale controls how much work the campaign-backed experiments do.
+// Scale controls how much work the campaign-backed experiments do. The
+// zero value of every field means its default (see NewSuite).
 type Scale struct {
-	// Trials is the number of injection trials per campaign cell.
+	// Trials is the trial index space per campaign cell (default 400).
+	// With TargetCI unset every index runs exactly once; with TargetCI
+	// set, Trials is each cell's hard budget and the adaptive planner
+	// usually stops well short of it. For quick runs either lower
+	// Trials to ~60 or set TargetCI and let cells stop themselves.
 	Trials int
-	// Fig5aTrials is the (larger) trial count for the time-to-outcome
-	// distribution, which needs many crash/incorrect samples.
+	// Fig5aTrials is the larger trial count for the Fig. 5a
+	// time-to-outcome distribution, which needs many crash/incorrect
+	// samples (default 3× Trials).
 	Fig5aTrials int
 	// Watchpoints is the address sample size for safe-ratio and
-	// recoverability analysis.
+	// recoverability analysis (default 1590, the paper's Fig. 5b sample
+	// size).
 	Watchpoints int
-	// TargetCI, when positive, runs campaign cells under the adaptive
-	// planner (Wilson CI half-width target on the crash probability at
-	// level 0.90, Trials as the hard budget). 0 keeps fixed-N cells.
+	// TargetCI, when positive, runs every campaign cell under the
+	// adaptive planner: a cell stops as soon as the Wilson CI
+	// half-width (level 0.90) of its crash probability narrows to this
+	// target, so `tables` gets faster at equal statistical quality. 0
+	// keeps the classic fixed-N cells.
 	TargetCI float64
-	// Seed drives everything.
+	// Seed drives everything (default 1).
 	Seed int64
-	// Parallelism caps concurrent trials (0 = GOMAXPROCS).
+	// Parallelism bounds concurrent trials (default GOMAXPROCS).
 	Parallelism int
-	// Progress, if non-nil, is forwarded to every campaign the suite
-	// runs (see core.CampaignConfig.Progress).
+	// Progress, if non-nil, is called after every completed injection
+	// trial of every campaign cell with that cell's live progress
+	// (counts, trial rate, ETA). Calls within one cell are serialized.
 	Progress func(core.ProgressInfo)
 }
 
@@ -46,11 +55,6 @@ type Scale struct {
 // every qualitative conclusion to be stable under the fixed seed.
 func Quick() Scale {
 	return Scale{Trials: 60, Fig5aTrials: 400, Watchpoints: 300, Seed: 1}
-}
-
-// Default returns the scale used by the CLI and benchmarks.
-func Default() Scale {
-	return Scale{Trials: 400, Fig5aTrials: 1200, Watchpoints: 1590, Seed: 1}
 }
 
 // Report is one regenerated table or figure. The tags are the
@@ -91,16 +95,25 @@ type appEntry struct {
 	golden  []uint64
 }
 
-// NewSuite creates a suite at the given scale.
+// NewSuite creates a suite at the given scale, filling in the defaults.
 func NewSuite(scale Scale) (*Suite, error) {
-	if scale.Trials <= 0 {
+	if scale.Trials < 0 {
 		return nil, fmt.Errorf("experiments: trials must be positive, got %d", scale.Trials)
 	}
+	if scale.TargetCI < 0 || scale.TargetCI >= 1 {
+		return nil, fmt.Errorf("experiments: TargetCI must be in [0, 1), got %g", scale.TargetCI)
+	}
+	if scale.Trials == 0 {
+		scale.Trials = 400
+	}
 	if scale.Fig5aTrials <= 0 {
-		scale.Fig5aTrials = scale.Trials
+		scale.Fig5aTrials = 3 * scale.Trials
 	}
 	if scale.Watchpoints <= 0 {
-		scale.Watchpoints = 300
+		scale.Watchpoints = 1590
+	}
+	if scale.Seed == 0 {
+		scale.Seed = 1
 	}
 	return &Suite{scale: scale, apps: make(map[string]*appEntry)}, nil
 }
@@ -108,64 +121,43 @@ func NewSuite(scale Scale) (*Suite, error) {
 // Scale returns the suite's scale.
 func (s *Suite) Scale() Scale { return s.scale }
 
-// wsConfig is the experiment-scale WebSearch configuration.
-func (s *Suite) wsConfig() websearch.Config {
-	cfg := websearch.DefaultConfig(s.scale.Seed)
-	cfg.Docs = 1024
-	cfg.Vocab = 512
-	cfg.MinTerms = 6
-	cfg.MaxTerms = 24
-	cfg.Queries = 120
-	cfg.CacheSlots = 256
-	// Spread the workload over ~20 virtual minutes, comparable to the
-	// paper's observation windows (Fig. 5a, the 5-minute flush rule).
-	cfg.RequestCost = 10 * time.Second
-	return cfg
+// NewBuilder constructs the builder of one case-study application (see
+// AppNames) at a workload size; each application package owns its
+// geometry per size. Errors carry no package prefix: callers add theirs.
+func NewBuilder(name string, size apps.Size, seed int64) (apps.Builder, error) {
+	switch name {
+	case "websearch":
+		cfg, err := websearch.SizedConfig(size, seed)
+		if err != nil {
+			return nil, err
+		}
+		return websearch.NewBuilder(cfg)
+	case "kvstore":
+		cfg, err := kvstore.SizedConfig(size, seed)
+		if err != nil {
+			return nil, err
+		}
+		return kvstore.NewBuilder(cfg)
+	case "graphmine":
+		cfg, err := graphmine.SizedConfig(size, seed)
+		if err != nil {
+			return nil, err
+		}
+		return graphmine.NewBuilder(cfg)
+	default:
+		return nil, fmt.Errorf("unknown application %q", name)
+	}
 }
 
-// kvConfig is the experiment-scale kvstore configuration.
-func (s *Suite) kvConfig() kvstore.Config {
-	cfg := kvstore.DefaultConfig(s.scale.Seed)
-	cfg.Keys = 512
-	cfg.Ops = 600
-	cfg.RequestCost = 2 * time.Second // ~20 virtual minutes per run
-	return cfg
-}
-
-// gmConfig is the experiment-scale graphmine configuration.
-func (s *Suite) gmConfig() graphmine.Config {
-	cfg := graphmine.DefaultConfig(s.scale.Seed)
-	cfg.Nodes = 512
-	cfg.AvgDeg = 6
-	cfg.Iterations = 3
-	cfg.ChunkNodes = 128
-	cfg.TopK = 50
-	cfg.RequestCost = 90 * time.Second // ~20 virtual minutes per run
-	return cfg
-}
-
-// app returns the cached builder+golden for one of "websearch",
-// "kvstore", "graphmine".
+// app returns the cached builder+golden for one of AppNames, built at
+// apps.SizeMedium.
 func (s *Suite) app(name string) (*appEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.apps[name]; ok {
 		return e, nil
 	}
-	var (
-		b   apps.Builder
-		err error
-	)
-	switch name {
-	case "websearch":
-		b, err = websearch.NewBuilder(s.wsConfig())
-	case "kvstore":
-		b, err = kvstore.NewBuilder(s.kvConfig())
-	case "graphmine":
-		b, err = graphmine.NewBuilder(s.gmConfig())
-	default:
-		return nil, fmt.Errorf("experiments: unknown application %q", name)
-	}
+	b, err := NewBuilder(name, apps.SizeMedium, s.scale.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building %s: %w", name, err)
 	}

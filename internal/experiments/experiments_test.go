@@ -22,15 +22,18 @@ func getSuite(t *testing.T) *Suite {
 }
 
 func TestNewSuiteValidation(t *testing.T) {
-	if _, err := NewSuite(Scale{}); err == nil {
-		t.Error("zero trials accepted")
+	if _, err := NewSuite(Scale{Trials: -1}); err == nil {
+		t.Error("negative trials accepted")
+	}
+	if _, err := NewSuite(Scale{TargetCI: 1}); err == nil {
+		t.Error("TargetCI 1 accepted")
 	}
 	s, err := NewSuite(Scale{Trials: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Scale().Fig5aTrials != 5 || s.Scale().Watchpoints == 0 {
-		t.Error("defaults not applied")
+	if sc := s.Scale(); sc.Fig5aTrials != 15 || sc.Watchpoints != 1590 || sc.Seed != 1 {
+		t.Errorf("defaults not applied: %+v", sc)
 	}
 }
 

@@ -48,11 +48,9 @@ func (s *Suite) runExtension(id string) (*Report, error) {
 
 // extWSConfig is a small sharded-search configuration.
 func (s *Suite) extWSConfig(seed int64) websearch.Config {
-	cfg := websearch.DefaultConfig(seed)
-	cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 256, 128, 4, 12
-	cfg.Queries, cfg.CacheSlots = 80, 32
+	cfg, _ := websearch.SizedConfig(apps.SizeSmall, seed) // fails only on an unknown size
+	cfg.Queries = 80
 	cfg.QuerySeed = s.scale.Seed + 7777 // shared query stream across shards
-	cfg.RequestCost = 10 * time.Second
 	return cfg
 }
 
@@ -476,7 +474,7 @@ func (s *Suite) ExtCacheMasking() (*Report, error) {
 		ccfg := core.CampaignConfig{
 			Builder: b, Spec: spec, Trials: trials, Seed: s.scale.Seed,
 			Parallelism: s.scale.Parallelism,
-			Progress:    s.scale.Progress,
+			RunOptions:  core.RunOptions{Progress: s.scale.Progress},
 			// Inject mid-run: caches only shield errors that arrive
 			// under already-hot lines, which is the realistic case for
 			// a continuously serving node.

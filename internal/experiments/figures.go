@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"hrmsim/internal/apps/websearch"
 	"hrmsim/internal/core"
 	"hrmsim/internal/faults"
 	"hrmsim/internal/monitor"
@@ -52,15 +53,6 @@ func renderVulnerability(title string, cells []cell) (string, error) {
 // single-bit soft and hard errors.
 func (s *Suite) Figure3() (*Report, error) {
 	rep := &Report{ID: "fig3", Title: "Inter-application vulnerability (Fig. 3)"}
-	var reqs []cellReq
-	for _, spec := range []faults.Spec{faults.SingleBitSoft, faults.SingleBitHard} {
-		for _, name := range AppNames() {
-			reqs = append(reqs, cellReq{app: name, spec: spec, trials: s.scale.Trials})
-		}
-	}
-	if err := s.prefetch(reqs); err != nil {
-		return nil, err
-	}
 	var cells []cell
 	for _, spec := range []faults.Spec{faults.SingleBitSoft, faults.SingleBitHard} {
 		for _, name := range AppNames() {
@@ -106,21 +98,6 @@ func (s *Suite) Figure3() (*Report, error) {
 // application, soft and hard single-bit errors.
 func (s *Suite) Figure4() (*Report, error) {
 	rep := &Report{ID: "fig4", Title: "Per-region vulnerability (Fig. 4)"}
-	var reqs []cellReq
-	for _, spec := range []faults.Spec{faults.SingleBitSoft, faults.SingleBitHard} {
-		for _, name := range AppNames() {
-			kinds, err := s.regionsOf(name)
-			if err != nil {
-				return nil, err
-			}
-			for _, k := range kinds {
-				reqs = append(reqs, cellReq{app: name, spec: spec, kind: k, trials: s.scale.Trials})
-			}
-		}
-	}
-	if err := s.prefetch(reqs); err != nil {
-		return nil, err
-	}
 	var cells []cell
 	for _, spec := range []faults.Spec{faults.SingleBitSoft, faults.SingleBitHard} {
 		for _, name := range AppNames() {
@@ -206,7 +183,11 @@ func (s *Suite) Figure5a() (*Report, error) {
 
 	// The observation horizon is the whole post-injection run, which is
 	// what the uniform ("periodically incorrect") alternative spans.
-	horizon := float64(len(res.Golden)) * s.wsConfig().RequestCost.Minutes()
+	entry, err := s.app("websearch")
+	if err != nil {
+		return nil, err
+	}
+	horizon := float64(len(res.Golden)) * entry.builder.(*websearch.Builder).Config().RequestCost.Minutes()
 
 	var b strings.Builder
 	renderDist := func(name string, xs []float64) error {
@@ -358,15 +339,6 @@ func (s *Suite) Figure6() (*Report, error) {
 	specs := []faults.Spec{faults.SingleBitSoft, faults.SingleBitHard, faults.DoubleBitHard}
 	kinds, err := s.regionsOf("websearch")
 	if err != nil {
-		return nil, err
-	}
-	var reqs []cellReq
-	for _, spec := range specs {
-		for _, k := range kinds {
-			reqs = append(reqs, cellReq{app: "websearch", spec: spec, kind: k, trials: s.scale.Trials})
-		}
-	}
-	if err := s.prefetch(reqs); err != nil {
 		return nil, err
 	}
 	var cells []cell

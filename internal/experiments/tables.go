@@ -388,13 +388,6 @@ func (s *Suite) MeasuredWebSearchInputs() ([]design.RegionInput, error) {
 	for _, r := range inst.Space().Regions() {
 		total += r.Used()
 	}
-	var reqs []cellReq
-	for _, r := range inst.Space().Regions() {
-		reqs = append(reqs, cellReq{app: "websearch", spec: faults.SingleBitHard, kind: r.Kind(), trials: s.scale.Trials})
-	}
-	if err := s.prefetch(reqs); err != nil {
-		return nil, err
-	}
 	for _, r := range inst.Space().Regions() {
 		res, err := s.campaign("websearch", faults.SingleBitHard, r.Kind(), s.scale.Trials)
 		if err != nil {
@@ -459,13 +452,6 @@ func (s *Suite) Figure8() (*Report, error) {
 		return nil
 	}
 
-	var reqs []cellReq
-	for _, name := range AppNames() {
-		reqs = append(reqs, cellReq{app: name, spec: faults.SingleBitSoft, trials: s.scale.Trials})
-	}
-	if err := s.prefetch(reqs); err != nil {
-		return nil, err
-	}
 	measured := map[string]float64{}
 	for _, name := range AppNames() {
 		res, err := s.campaign(name, faults.SingleBitSoft, 0, s.scale.Trials)

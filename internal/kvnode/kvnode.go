@@ -30,6 +30,7 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"net"
@@ -82,6 +83,20 @@ type Config struct {
 	DrainTimeout time.Duration
 	// Registry receives the kvserve_* metrics (created when nil).
 	Registry *obsv.Registry
+}
+
+// BindFlags registers the node flags on fs, bound to cfg's fields — the
+// one flag set behind `kvserve` and the self-hosted node of `hrmsim chaos`.
+func (cfg *Config) BindFlags(fs *flag.FlagSet) {
+	fs.IntVar(&cfg.Keys, "keys", 1024, "pre-populated key count (a load generator's working set must match it)")
+	fs.StringVar(&cfg.ECC, "ecc", "none", "heap protection: none|parity|secded|chipkill")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed: store population and fault placement (under hrmsim chaos also the load mix)")
+	fs.StringVar(&cfg.Recover, "recover", "",
+		"software recovery on the heap: parr|parr-page|parr-escalate|retire (empty = none)")
+	fs.Uint64Var(&cfg.RetireThreshold, "retire-threshold", 2,
+		"corrected errors per page before -recover retire replaces the frame")
+	fs.DurationVar(&cfg.CheckpointEvery, "checkpoint", 0,
+		"virtual-time interval between heap checkpoints (0 = build-time checkpoint only; needs -recover)")
 }
 
 // DefaultMaxLine is the protocol line-length bound when Config.MaxLine is

@@ -111,7 +111,7 @@ func SimulateLifetime(cfg LifetimeConfig) (*LifetimeResult, error) {
 		cfg.Seed = 1
 	}
 
-	wcfg, err := websearchConfig(cfg.Size, cfg.Seed)
+	wcfg, err := websearch.SizedConfig(cfg.Size, cfg.Seed)
 	if err != nil || cfg.Size == SizeLarge {
 		return nil, fmt.Errorf("hrmsim: lifetime simulation supports SizeSmall or SizeMedium")
 	}

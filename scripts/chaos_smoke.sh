@@ -7,14 +7,15 @@
 #      fault injection through the protocol, SLO probes — and require a
 #      PASS verdict (enforced twice: -strict makes the command itself
 #      exit non-zero on FAIL, and the envelope check below re-verifies),
-#   3. drive the same server with the standalone kvload generator and
-#      require zero wrong values in its report,
+#   3. drive the same server with the load generator alone (`hrmsim chaos
+#      -attach -injections 0`, default GET/SET mix) and require zero wrong
+#      values among its kvload_* counters,
 #   4. shut the server down.
 #
 # Ordering matters: the wrong-value oracle assumes its generator is the
 # only writer since server start, so the chaos run (read-only,
-# -read-fraction 1) goes first against the fresh server, and kvload's
-# own fresh oracle stays valid because the chaos run wrote nothing.
+# -read-fraction 1) goes first against the fresh server, and the second
+# run's fresh oracle stays valid because the chaos run wrote nothing.
 #
 #   scripts/chaos_smoke.sh             # default: 16 injections, ~4s of load
 set -eu
@@ -30,7 +31,6 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$TMP/kvserve" ./cmd/kvserve
-go build -o "$TMP/kvload" ./cmd/kvload
 go build -o "$TMP/hrmsim" ./cmd/hrmsim
 
 echo "chaos_smoke: starting kvserve (secded)" >&2
@@ -106,11 +106,12 @@ print(f"chaos_smoke: chaos verdict PASS "
       f"{counters['kvload_ops_total']} ops)")
 PY
 
-echo "chaos_smoke: running kvload against the same server" >&2
-"$TMP/kvload" -addr "$ADDR" -conns 16 -duration 2s -seed "$SEED" \
-    -json >"$TMP/kvload.json"
+echo "chaos_smoke: running the load generator alone against the same server" >&2
+"$TMP/hrmsim" chaos -attach "$ADDR" -injections 0 -conns 16 \
+    -steady 1s -chaos 500ms -recovery 500ms -seed "$SEED" \
+    -json >"$TMP/load.json"
 
-python3 - "$TMP/kvload.json" <<'PY'
+python3 - "$TMP/load.json" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -120,16 +121,18 @@ def die(msg):
     print(f"chaos_smoke: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
 
-if env.get("schema_version") != 1 or env.get("tool") != "kvload":
-    die(f"bad kvload envelope: {env.get('schema_version')}/{env.get('tool')}")
-r = env["result"]
-if r.get("ops", 0) <= 0:
-    die("kvload drove no traffic")
-if r.get("wrong_values", 0) != 0:
-    die(f"{r['wrong_values']} wrong values served by the SEC-DED node")
-if r.get("errors", 0) != 0:
-    die(f"{r['errors']} op errors against a healthy loopback server")
-print(f"chaos_smoke: kvload PASS ({r['ops']} ops, 0 wrong values)")
+if env.get("schema_version") != 1 or env.get("command") != "chaos":
+    die(f"bad load envelope: {env.get('schema_version')}/{env.get('command')}")
+c = env.get("metrics", {}).get("counters", {})
+if c.get("kvload_ops_total", 0) <= 0 or c.get("kvload_sets_total", 0) <= 0:
+    die("the load generator drove no GET/SET traffic")
+if c.get("chaos_injections_total", 0) != 0:
+    die(f"{c['chaos_injections_total']} injections in an -injections 0 run")
+if c.get("kvload_wrong_values_total", 0) != 0:
+    die(f"{c['kvload_wrong_values_total']} wrong values served by the SEC-DED node")
+if c.get("kvload_errors_total", 0) != 0:
+    die(f"{c['kvload_errors_total']} op errors against a healthy loopback server")
+print(f"chaos_smoke: load PASS ({c['kvload_ops_total']} ops, 0 wrong values)")
 PY
 
 kill "$SRV_PID"
