@@ -25,6 +25,8 @@ type goldenDoc struct {
 	Merged        json.RawMessage `json:"merged,omitempty"`
 }
 
+var profileGraphmine = []string{"profile", "-app", "graphmine", "-size", "small", "-watchpoints", "60", "-json"}
+
 var ageSeconds = regexp.MustCompile(`"age_seconds": [-+.e0-9]+`)
 
 // TestGoldenWireShape pins the -json wire shape of the seeded,
@@ -47,6 +49,8 @@ func TestGoldenWireShape(t *testing.T) {
 		// Seven watchpoints leave the stack region unsampled, so the
 		// document holds both a filled and an empty safe_ratios list.
 		{"profile", []string{"profile", "-app", "kvstore", "-size", "small", "-watchpoints", "7", "-json"}},
+		// 59 heap ratios of mixed values, in sample-draw order.
+		{"profile-graphmine", profileGraphmine},
 		{"designspace", []string{"designspace", "-json"}},
 		{"plan", []string{"plan", "-target", "0.999", "-json"}},
 		{"tables-table1", []string{"tables", "-t", "table1", "-trials", "10", "-json"}},
@@ -87,6 +91,18 @@ func TestGoldenWireShape(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: -json wire shape differs from %s\ngot:\n%s\nwant:\n%s", tc.name, path, got, want)
+		}
+	}
+}
+
+// TestProfileJSONDeterministic: three runs of one profile give the same
+// document byte for byte — safe ratios come in sample-draw order, not in
+// the iteration order of a map.
+func TestProfileJSONDeterministic(t *testing.T) {
+	first := captureStdout(t, func() error { return run(profileGraphmine) })
+	for i := 1; i < 3; i++ {
+		if out := captureStdout(t, func() error { return run(profileGraphmine) }); out != first {
+			t.Fatalf("run %d differs from the first:\n%s\nfirst:\n%s", i+1, out, first)
 		}
 	}
 }

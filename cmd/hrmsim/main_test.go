@@ -196,6 +196,9 @@ func TestCmdProfileSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := run([]string{"profile", "-app", "kvstore", "-size", "small", "-watchpoints", "-1"}); err == nil {
+		t.Error("negative watchpoint count accepted")
+	}
 }
 
 func TestCmdDesignSpaceAndPlanAndTolerable(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -599,8 +598,9 @@ func newCharacterization(app App, errType ErrorType, region Region, trials int, 
 type AccessProfileConfig struct {
 	// App is the application to profile.
 	App App
-	// Watchpoints is the number of sampled addresses (default 300),
-	// split across regions proportionally with a per-region floor.
+	// Watchpoints is the number of sampled addresses (default 300; a
+	// negative count is an error), split across regions proportionally
+	// with a per-region floor.
 	Watchpoints int
 	// Seed makes sampling deterministic (default 1).
 	Seed int64
@@ -645,6 +645,9 @@ func AccessProfile(cfg AccessProfileConfig) (*AccessProfileReport, error) {
 	if cfg.App == "" {
 		return nil, fmt.Errorf("hrmsim: AccessProfileConfig.App is required")
 	}
+	if cfg.Watchpoints < 0 {
+		return nil, fmt.Errorf("hrmsim: watchpoints must be non-negative, got %d", cfg.Watchpoints)
+	}
 	if cfg.Watchpoints == 0 {
 		cfg.Watchpoints = 300
 	}
@@ -659,34 +662,13 @@ func AccessProfile(cfg AccessProfileConfig) (*AccessProfileReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	as := inst.Space()
-	mon := monitor.New(as)
-	as.AddAccessObserver(mon)
-	total := 0
-	for _, r := range as.Regions() {
-		mon.TrackPages(r)
-		total += r.Used()
+	rec, sample, err := monitor.Observe(inst, cfg.Seed, cfg.Watchpoints)
+	if err != nil {
+		return nil, fmt.Errorf("hrmsim: profiling workload: %w", err)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for _, r := range as.Regions() {
-		k := r.Kind()
-		n := cfg.Watchpoints * r.Used() / total
-		if floor := cfg.Watchpoints / 8; n < floor {
-			n = floor
-		}
-		mon.WatchSample(as, rng, n, func(rr *simmem.Region) bool { return rr.Kind() == k })
-	}
-	for i := 0; i < inst.NumRequests(); i++ {
-		if _, err := inst.Serve(i); err != nil {
-			return nil, fmt.Errorf("hrmsim: profiling workload request %d: %w", i, err)
-		}
-	}
-	rep := &AccessProfileReport{App: cfg.App, WindowMinutes: mon.Window().Minutes(), Regions: []RegionProfile{}}
-	for _, r := range as.Regions() {
-		ratios := mon.SafeRatios(r.Kind())
-		if ratios == nil {
-			ratios = []float64{}
-		}
+	rep := &AccessProfileReport{App: cfg.App, WindowMinutes: rec.Window().Minutes(), Regions: []RegionProfile{}}
+	for _, r := range inst.Space().Regions() {
+		ratios := rec.SafeRatios(sample, r.Kind())
 		p := RegionProfile{
 			Region:      r.Kind().String(),
 			UsedBytes:   r.Used(),
@@ -700,12 +682,12 @@ func AccessProfile(cfg AccessProfileConfig) (*AccessProfileReport, error) {
 		if len(ratios) > 0 {
 			p.MeanSafeRatio = sum / float64(len(ratios))
 		}
-		rec, err := mon.RecoverabilityOf(r)
+		rv, err := rec.RecoverabilityOf(r)
 		if err != nil {
 			return nil, err
 		}
-		p.ImplicitRecoverable = rec.Implicit
-		p.ExplicitRecoverable = rec.Explicit
+		p.ImplicitRecoverable = rv.Implicit
+		p.ExplicitRecoverable = rv.Explicit
 		rep.Regions = append(rep.Regions, p)
 	}
 	return rep, nil

@@ -133,6 +133,9 @@ func TestAccessProfileValidation(t *testing.T) {
 	if _, err := AccessProfile(AccessProfileConfig{}); err == nil {
 		t.Error("missing app accepted")
 	}
+	if _, err := AccessProfile(AccessProfileConfig{App: AppKVStore, Size: SizeSmall, Watchpoints: -1}); err == nil {
+		t.Error("negative watchpoint count accepted")
+	}
 }
 
 func TestEvaluateTable6PaperInputs(t *testing.T) {

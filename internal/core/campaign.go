@@ -14,6 +14,7 @@ import (
 	"hrmsim/internal/evtrace"
 	"hrmsim/internal/faults"
 	"hrmsim/internal/inject"
+	"hrmsim/internal/monitor"
 	"hrmsim/internal/obsv"
 	"hrmsim/internal/simmem"
 	"hrmsim/internal/stats"
@@ -502,9 +503,9 @@ type snapshotSession struct {
 	// startVT is the virtual clock reading right after build, stamped on
 	// every trial_start event.
 	startVT time.Duration
-	// profile is the fault-free measured window's first-touch record
-	// (decide.go); nil when the session must simulate every trial.
-	profile *accessProfile
+	// profile is the fault-free measured window's record (decide.go); nil
+	// when the session must simulate every trial.
+	profile *monitor.Profile
 }
 
 // newSnapshotSession builds one instance, replays (and validates) the
@@ -557,7 +558,7 @@ func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, i int) (
 // post-warmup client workload, classify — on an already warmed-up
 // instance. A trial the profile decides ends after the address draw:
 // nothing is injected and nothing served.
-func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, profile *accessProfile, rng *rand.Rand, tt *evtrace.TrialTracer) (TrialResult, trialStats, error) {
+func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, profile *monitor.Profile, rng *rand.Rand, tt *evtrace.TrialTracer) (TrialResult, trialStats, error) {
 	// Fetched per trial: Reset may have swapped the instance.
 	as := app.Space()
 
@@ -567,7 +568,7 @@ func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, profile *
 	if !ok {
 		return TrialResult{}, trialStats{}, fmt.Errorf("injecting: %w", inject.ErrNoTarget)
 	}
-	if tr, ok := profile.decide(addr, cfg.Spec); ok {
+	if tr, ok := decide(profile, len(golden)-cfg.Warmup, addr, cfg.Spec); ok {
 		return tr, trialStats{decided: true}, nil
 	}
 	startFast := as.FastPathLoads()

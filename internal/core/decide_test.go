@@ -18,6 +18,7 @@ import (
 	"hrmsim/internal/evtrace"
 	"hrmsim/internal/faults"
 	"hrmsim/internal/inject"
+	"hrmsim/internal/monitor"
 	"hrmsim/internal/obsv"
 	"hrmsim/internal/simmem"
 )
@@ -432,11 +433,11 @@ func readJournalFile(t *testing.T, path string) map[int]TrialResult {
 	return recs
 }
 
-// TestProfileFirstTouchStates drives the profile's per-granule state
-// machine directly: codeword granules in a protected region, byte
-// granules in an unprotected one, spans crossing granules, and only the
-// first reference counting.
-func TestProfileFirstTouchStates(t *testing.T) {
+// TestDecideRules drives decide's two rules over a record of a protected
+// and an unprotected region: never referenced decides latent, first
+// overwritten whole decides a soft error only, anything else — or an
+// address outside the record, or no record — simulates.
+func TestDecideRules(t *testing.T) {
 	as, err := simmem.New(simmem.Config{PageSize: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -449,45 +450,18 @@ func TestProfileFirstTouchStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot.SetUsed(40) // five codewords
-	bare.SetUsed(16)
+	prot.SetUsed(24) // three codewords
+	bare.SetUsed(8)
 	as.Clock().Advance(time.Second)
-	p := newAccessProfile(as)
-	p.requests, p.endedAt = 3, time.Minute
-	store := func(r *simmem.Region, off, n int) {
-		p.ObserveAccess(simmem.AccessEvent{Addr: r.Base() + simmem.Addr(off), Len: n, Kind: simmem.Store, Region: r})
+	p := monitor.New(as)
+	p.End = time.Minute
+	access := func(kind simmem.AccessKind, r *simmem.Region, off, n int) {
+		p.ObserveAccess(simmem.AccessEvent{Addr: r.Base() + simmem.Addr(off), Len: n, Kind: kind, Region: r})
 	}
-	load := func(r *simmem.Region, off, n int) {
-		p.ObserveAccess(simmem.AccessEvent{Addr: r.Base() + simmem.Addr(off), Len: n, Kind: simmem.Load, Region: r})
-	}
-	// Codeword 0: whole-word store, later loaded — the store counts.
-	store(prot, 0, 8)
-	load(prot, 0, 8)
-	// Codeword 1: a partial store reads the rest back through the decoder.
-	store(prot, 10, 4)
-	store(prot, 8, 8)
-	// Codewords 2–3: one store covering 2 whole and half of 3.
-	store(prot, 16, 12)
-	// Codeword 4: never referenced. A zero-length load references nothing.
-	load(prot, 32, 0)
-	// Bytes: any store covers a byte; a load first senses it.
-	store(bare, 2, 3)
-	load(bare, 4, 2)
-	load(bare, 100, 4) // beyond the used bytes: ignored, not out of range
-
-	want := map[string][]firstTouch{
-		"prot": {touchOverwrite, touchSensed, touchOverwrite, touchSensed, touchNever},
-		"bare": {touchNever, touchNever, touchOverwrite, touchOverwrite, touchOverwrite, touchSensed,
-			touchNever, touchNever, touchNever, touchNever, touchNever, touchNever, touchNever, touchNever, touchNever, touchNever},
-	}
-	for _, rp := range p.regions {
-		if !reflect.DeepEqual(rp.first, want[rp.name]) {
-			t.Errorf("%s first touches = %v, want %v", rp.name, rp.first, want[rp.name])
-		}
-	}
-	if p.accesses != 9 {
-		t.Errorf("accesses = %d, want 9", p.accesses)
-	}
+	access(simmem.Store, prot, 0, 8)  // codeword 0: overwritten whole
+	access(simmem.Store, prot, 10, 4) // codeword 1: partial store, decoded
+	access(simmem.Store, bare, 2, 3)
+	access(simmem.Load, bare, 4, 2)
 
 	soft, hard := faults.SingleBitSoft, faults.SingleBitHard
 	for _, tc := range []struct {
@@ -499,16 +473,15 @@ func TestProfileFirstTouchStates(t *testing.T) {
 		{prot, 3, soft, OutcomeMaskedOverwrite},
 		{prot, 3, hard, 0}, // a stuck bit outlives the store
 		{prot, 9, soft, 0}, // byte 9 itself was never stored to first, but its codeword was decoded
-		{prot, 15, hard, 0},
-		{prot, 28, soft, 0},
-		{prot, 39, soft, OutcomeMaskedLatent},
-		{prot, 39, hard, OutcomeMaskedLatent},
+		{prot, 20, soft, OutcomeMaskedLatent},
+		{prot, 20, hard, OutcomeMaskedLatent},
+		{prot, 24, soft, 0}, // past the used bytes
 		{bare, 0, hard, OutcomeMaskedLatent},
 		{bare, 3, soft, OutcomeMaskedOverwrite},
 		{bare, 3, hard, 0},
 		{bare, 5, soft, 0},
 	} {
-		tr, ok := p.decide(tc.r.Base()+simmem.Addr(tc.off), tc.spec)
+		tr, ok := decide(p, 3, tc.r.Base()+simmem.Addr(tc.off), tc.spec)
 		if tc.want == 0 {
 			if ok {
 				t.Errorf("%s+%d %v: decided %v, want simulate", tc.r.Name(), tc.off, tc.spec, tr.Outcome)
@@ -523,7 +496,7 @@ func TestProfileFirstTouchStates(t *testing.T) {
 			t.Errorf("%s+%d %v: got %+v (decided %v), want %+v", tc.r.Name(), tc.off, tc.spec, tr, ok, wantTR)
 		}
 	}
-	if _, ok := (*accessProfile)(nil).decide(prot.Base(), soft); ok {
-		t.Error("a nil profile decided a trial")
+	if _, ok := decide(nil, 3, prot.Base(), soft); ok {
+		t.Error("a nil record decided a trial")
 	}
 }

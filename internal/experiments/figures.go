@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"hrmsim/internal/apps/websearch"
 	"hrmsim/internal/core"
 	"hrmsim/internal/faults"
-	"hrmsim/internal/monitor"
 	"hrmsim/internal/simmem"
 	"hrmsim/internal/stats"
 	"hrmsim/internal/textplot"
@@ -242,44 +240,14 @@ func (s *Suite) Figure5a() (*Report, error) {
 }
 
 // Figure5b regenerates Fig. 5b: safe-ratio distributions per WebSearch
-// memory region, measured with the watchpoint monitor.
+// memory region, read at the sampled addresses of the fault-free window.
 func (s *Suite) Figure5b() (*Report, error) {
-	entry, err := s.app("websearch")
+	w, err := s.websearchWindow()
 	if err != nil {
 		return nil, err
 	}
-	inst, err := entry.builder.Build()
-	if err != nil {
-		return nil, err
-	}
-	as := inst.Space()
-	mon := monitor.New(as)
-	as.AddAccessObserver(mon)
-	rng := rand.New(rand.NewSource(s.scale.Seed))
-	// Sample addresses roughly proportionally to region size (as the
-	// paper does), but with a floor per region so the tiny stack still
-	// produces a distribution.
-	total := 0
-	for _, r := range as.Regions() {
-		total += r.Used()
-	}
-	installed := 0
-	for _, r := range as.Regions() {
-		kind := r.Kind()
-		n := s.scale.Watchpoints * r.Used() / total
-		if floor := s.scale.Watchpoints / 8; n < floor {
-			n = floor
-		}
-		installed += mon.WatchSample(as, rng, n,
-			func(rr *simmem.Region) bool { return rr.Kind() == kind })
-	}
-	if installed == 0 {
+	if len(w.sample) == 0 {
 		return nil, fmt.Errorf("experiments: no watchpoints installed")
-	}
-	for i := 0; i < inst.NumRequests(); i++ {
-		if _, err := inst.Serve(i); err != nil {
-			return nil, fmt.Errorf("experiments: fig5b workload: %w", err)
-		}
 	}
 
 	rep := &Report{ID: "fig5b", Title: "Safe-ratio distributions (Fig. 5b)"}
@@ -288,7 +256,7 @@ func (s *Suite) Figure5b() (*Report, error) {
 	var means []float64
 	var summary []string
 	for _, kind := range []simmem.RegionKind{simmem.RegionPrivate, simmem.RegionHeap, simmem.RegionStack} {
-		ratios := mon.SafeRatios(kind)
+		ratios := w.rec.SafeRatios(w.sample, kind)
 		if len(ratios) == 0 {
 			summary = append(summary, fmt.Sprintf("%s: no accessed watchpoints", kind))
 			continue
@@ -317,7 +285,7 @@ func (s *Suite) Figure5b() (*Report, error) {
 	// Finding 4: the compiler-managed stack masks by overwrite far more
 	// than the programmer-managed read-mostly regions.
 	meanOf := func(kind simmem.RegionKind) float64 {
-		sum, err := stats.Summarize(mon.SafeRatios(kind))
+		sum, err := stats.Summarize(w.rec.SafeRatios(w.sample, kind))
 		if err != nil {
 			return 0
 		}

@@ -8,7 +8,6 @@ import (
 	"hrmsim/internal/design"
 	"hrmsim/internal/ecc"
 	"hrmsim/internal/faults"
-	"hrmsim/internal/monitor"
 	"hrmsim/internal/simmem"
 	"hrmsim/internal/textplot"
 )
@@ -213,26 +212,11 @@ var paperTable5 = map[string][2]float64{
 }
 
 // Table5 regenerates Table 5: implicitly/explicitly recoverable memory in
-// WebSearch, measured by the access-monitoring framework.
+// WebSearch, classified from the page writes of the fault-free window.
 func (s *Suite) Table5() (*Report, error) {
-	entry, err := s.app("websearch")
+	w, err := s.websearchWindow()
 	if err != nil {
 		return nil, err
-	}
-	inst, err := entry.builder.Build()
-	if err != nil {
-		return nil, err
-	}
-	as := inst.Space()
-	mon := monitor.New(as)
-	as.AddAccessObserver(mon)
-	for _, r := range as.Regions() {
-		mon.TrackPages(r)
-	}
-	for i := 0; i < inst.NumRequests(); i++ {
-		if _, err := inst.Serve(i); err != nil {
-			return nil, fmt.Errorf("experiments: table5 workload: %w", err)
-		}
 	}
 
 	t := &textplot.Table{
@@ -241,8 +225,8 @@ func (s *Suite) Table5() (*Report, error) {
 	}
 	rep := &Report{ID: "table5", Title: "Data recoverability (Table 5)"}
 	var wImp, wExp, wPages float64
-	for _, r := range as.Regions() {
-		rec, err := mon.RecoverabilityOf(r)
+	for _, r := range w.inst.Space().Regions() {
+		rec, err := w.rec.RecoverabilityOf(r)
 		if err != nil {
 			return nil, err
 		}

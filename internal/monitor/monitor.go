@@ -1,12 +1,15 @@
 // Package monitor implements the paper's memory access monitoring
-// framework (Section IV-B): watchpoints on sampled application addresses,
-// safe/unsafe duration accounting, safe-ratio computation (Section III-B,
-// Fig. 5b), per-page write-frequency tracking, and the implicit/explicit
-// data recoverability classification of Section III-C (Table 5).
+// framework (Section IV-B) as one record of a fault-free window: for every
+// sensing granule of every region, how the window first referenced it and
+// its safe and unsafe durations (Section III-B, Fig. 5b); per page, its
+// write count, the input to the implicit/explicit data recoverability
+// classification of Section III-C (Table 5). The campaign engine reads the
+// same record to decide trials without simulating them (DESIGN.md §9).
 //
-// Where the paper attaches x86 debug-register watchpoints through a
-// debugger, this package observes every access of a simulated address
-// space exactly, on its virtual clock.
+// Where the paper attaches x86 debug-register watchpoints to sampled
+// addresses through a debugger, this package observes every access of a
+// simulated address space exactly, on its virtual clock; sampling only
+// chooses which bytes a figure reports.
 package monitor
 
 import (
@@ -14,8 +17,8 @@ import (
 	"math/rand"
 	"time"
 
+	"hrmsim/internal/apps"
 	"hrmsim/internal/simmem"
-	"hrmsim/internal/stats"
 )
 
 // ExplicitThreshold is the write-interval above which data counts as
@@ -23,251 +26,184 @@ import (
 // once every five minutes as cheap to checkpoint.
 const ExplicitThreshold = 5 * time.Minute
 
-// watchRec is the per-watched-address state.
-type watchRec struct {
-	addr   simmem.Addr
-	kind   simmem.RegionKind
-	last   time.Duration // time of previous reference
-	seen   bool          // any reference observed yet
-	safe   time.Duration // Σ (write time − previous reference time)
-	unsafe time.Duration // Σ (read time − previous reference time)
-	loads  int
-	stores int
+// Touch is how the window first referenced one granule.
+type Touch uint8
+
+const (
+	// TouchNever: no load or store overlapped the granule.
+	TouchNever Touch = iota
+	// TouchOverwrite: the first overlapping access was a store covering
+	// all of it.
+	TouchOverwrite
+	// TouchSensed: anything else — a load, or a store of part of a
+	// codeword (which reads the rest back through the decoder).
+	TouchSensed
+)
+
+// cell is the record of one sensing granule.
+type cell struct {
+	first Touch
+	// last is the time of the previous reference; safe and unsafe sum the
+	// intervals since it that ended in a store and in a load.
+	last, safe, unsafe time.Duration
 }
 
-// pageTrack is per-region page write/read counting.
-type pageTrack struct {
-	region *simmem.Region
-	writes []uint64
-	reads  []uint64
+// regionRecord is one region's share of a Profile. It is keyed by base
+// address, not by *simmem.Region: a Reset may swap the instance (the
+// build-per-trial lifecycle does), and every build lays regions out alike.
+type regionRecord struct {
+	base simmem.Addr
+	name string
+	kind simmem.RegionKind
+	// granule is the unit a fault is sensed in: the codeword in a
+	// protected region (a decode covers all of it), one byte otherwise.
+	// It is not simmem's 64-byte taint granule, which only selects the
+	// access path: bytes next to a flipped or stuck one sense as stored.
+	granule int
+	// cells cover the bytes in use when the record was made, which is all
+	// that address sampling draws from.
+	cells []cell
+	// pageWrites covers every page of the region: Table 5 classifies the
+	// pages in use after the window, which may be more.
+	pageWrites []uint64
 }
 
-// Monitor observes a simulated address space. Register it with
-// simmem.AddressSpace.AddAccessObserver.
-type Monitor struct {
+// Profile is the record of one fault-free window of an address space.
+// Register it with simmem.AddressSpace.AddAccessObserver.
+type Profile struct {
+	regions  []regionRecord
 	pageSize int
-	clock    *simmem.Clock
-	start    time.Duration
-	// buckets groups watchpoints by page-granularity bucket so an access
-	// event only scans the few watchpoints near it.
-	buckets map[uint64][]*watchRec
-	watched map[simmem.Addr]*watchRec
-	pages   map[*simmem.Region]*pageTrack
+	// Accesses counts the events observed.
+	Accesses uint64
+	// Start and End are the virtual clock at both ends of the window. New
+	// sets Start; whoever ends the window sets End.
+	Start, End time.Duration
 }
 
-// New creates a monitor for the address space. The observation window
-// starts at the clock's current time.
-func New(as *simmem.AddressSpace) *Monitor {
-	return &Monitor{
-		pageSize: as.PageSize(),
-		clock:    as.Clock(),
-		start:    as.Clock().Now(),
-		buckets:  make(map[uint64][]*watchRec),
-		watched:  make(map[simmem.Addr]*watchRec),
-		pages:    make(map[*simmem.Region]*pageTrack),
-	}
-}
+var _ simmem.AccessObserver = (*Profile)(nil)
 
-// Watch installs a watchpoint on one byte address in the given region
-// kind. Watching the same address twice is a no-op.
-func (m *Monitor) Watch(addr simmem.Addr, kind simmem.RegionKind) {
-	if _, ok := m.watched[addr]; ok {
-		return
-	}
-	rec := &watchRec{addr: addr, kind: kind}
-	m.watched[addr] = rec
-	b := uint64(addr) / uint64(m.pageSize)
-	m.buckets[b] = append(m.buckets[b], rec)
-}
-
-// WatchSample installs n watchpoints on addresses sampled uniformly from
-// the used bytes of the regions accepted by filter, i.e. with per-region
-// counts proportional to region size — the paper's Fig. 5b sampling. It
-// returns the number actually installed (less than n only if the sampler
-// keeps hitting already-watched addresses or no region has used bytes).
-func (m *Monitor) WatchSample(as *simmem.AddressSpace, rng *rand.Rand, n int, filter func(*simmem.Region) bool) int {
-	installed := 0
-	attempts := 0
-	for installed < n && attempts < 20*n+100 {
-		attempts++
-		addr, ok := as.SampleAddr(rng, filter)
-		if !ok {
-			break
+// New returns an all-never record of as in its current state, ready to
+// observe it. The window starts at the clock's current time.
+func New(as *simmem.AddressSpace) *Profile {
+	p := &Profile{pageSize: as.PageSize(), Start: as.Clock().Now()}
+	for _, r := range as.Regions() {
+		rr := regionRecord{base: r.Base(), name: r.Name(), kind: r.Kind(), granule: 1}
+		if c := r.Codec(); c != nil {
+			rr.granule = c.WordBytes()
 		}
-		if _, dup := m.watched[addr]; dup {
-			continue
-		}
-		var kind simmem.RegionKind
-		for _, r := range as.Regions() {
-			if r.Contains(addr) {
-				kind = r.Kind()
-				break
-			}
-		}
-		m.Watch(addr, kind)
-		installed++
+		rr.cells = make([]cell, (r.Used()+rr.granule-1)/rr.granule)
+		rr.pageWrites = make([]uint64, r.PageCount())
+		p.regions = append(p.regions, rr)
 	}
-	return installed
+	return p
 }
-
-// TrackPages enables per-page write/read counting for a region, the input
-// to the recoverability classification.
-func (m *Monitor) TrackPages(r *simmem.Region) {
-	if _, ok := m.pages[r]; ok {
-		return
-	}
-	m.pages[r] = &pageTrack{
-		region: r,
-		writes: make([]uint64, r.PageCount()),
-		reads:  make([]uint64, r.PageCount()),
-	}
-}
-
-var _ simmem.AccessObserver = (*Monitor)(nil)
 
 // ObserveAccess implements simmem.AccessObserver.
-func (m *Monitor) ObserveAccess(ev simmem.AccessEvent) {
-	// Update watchpoints: scan the buckets the access range overlaps.
-	lo := uint64(ev.Addr) / uint64(m.pageSize)
-	hi := (uint64(ev.Addr) + uint64(ev.Len) - 1) / uint64(m.pageSize)
-	for b := lo; b <= hi; b++ {
-		for _, rec := range m.buckets[b] {
-			if rec.addr < ev.Addr || rec.addr >= ev.Addr+simmem.Addr(ev.Len) {
-				continue
-			}
-			m.touch(rec, ev)
-		}
-	}
-	// Update page counters.
-	if pt, ok := m.pages[ev.Region]; ok {
-		first := ev.Region.PageIndex(ev.Addr)
-		last := ev.Region.PageIndex(ev.Addr + simmem.Addr(ev.Len-1))
-		for p := first; p <= last; p++ {
-			if ev.Kind == simmem.Store {
-				pt.writes[p]++
-			} else {
-				pt.reads[p]++
-			}
+func (p *Profile) ObserveAccess(ev simmem.AccessEvent) {
+	p.Accesses++
+	base := ev.Region.Base()
+	for i := range p.regions {
+		if p.regions[i].base == base {
+			p.regions[i].observe(ev, p.pageSize)
+			return
 		}
 	}
 }
 
-// touch applies one reference to a watchpoint, attributing the interval
-// since the previous reference per the Section III-B definitions.
-func (m *Monitor) touch(rec *watchRec, ev simmem.AccessEvent) {
-	if rec.seen {
-		dt := ev.Time - rec.last
-		if dt > 0 {
-			if ev.Kind == simmem.Store {
-				rec.safe += dt
-			} else {
-				rec.unsafe += dt
-			}
+// observe folds one access into the region's granules and page counters,
+// attributing the interval since each granule's previous reference per
+// the Section III-B definitions.
+func (rr *regionRecord) observe(ev simmem.AccessEvent, pageSize int) {
+	store := ev.Kind == simmem.Store
+	g := rr.granule
+	off := int(ev.Addr - rr.base)
+	end := off + ev.Len
+	for gi := off / g; gi < len(rr.cells) && gi*g < end; gi++ {
+		c := &rr.cells[gi]
+		switch {
+		case c.first == TouchNever && store && gi*g >= off && (gi+1)*g <= end:
+			c.first = TouchOverwrite
+		case c.first == TouchNever:
+			c.first = TouchSensed
+		case ev.Time <= c.last:
+		case store:
+			c.safe += ev.Time - c.last
+		default:
+			c.unsafe += ev.Time - c.last
+		}
+		c.last = ev.Time
+	}
+	if store {
+		for pg := off / pageSize; pg <= (end-1)/pageSize; pg++ {
+			rr.pageWrites[pg]++
 		}
 	}
-	rec.seen = true
-	rec.last = ev.Time
-	if ev.Kind == simmem.Store {
-		rec.stores++
-	} else {
-		rec.loads++
-	}
 }
 
-// ResetTrial implements simmem.TrialResetter: it discards everything
-// accumulated since construction — watchpoint intervals and reference
-// counts, page write/read counters — and restarts the observation window
-// at the clock's current reading. A monitor retained across
-// snapshot-lifecycle trials therefore observes each trial as if freshly
-// installed. The watchpoints and tracked regions themselves stay.
-func (m *Monitor) ResetTrial() {
-	for _, rec := range m.watched {
-		rec.last = 0
-		rec.seen = false
-		rec.safe = 0
-		rec.unsafe = 0
-		rec.loads = 0
-		rec.stores = 0
-	}
-	for _, pt := range m.pages {
-		for i := range pt.writes {
-			pt.writes[i] = 0
-		}
-		for i := range pt.reads {
-			pt.reads[i] = 0
-		}
-	}
-	m.start = m.clock.Now()
+// Granule is the record of the sensing granule holding one address.
+type Granule struct {
+	Region string
+	Kind   simmem.RegionKind
+	// First is how the window first referenced the granule.
+	First Touch
+	// Safe sums the intervals between consecutive references that ended
+	// in a store — an error in them is overwritten — and Unsafe those
+	// that ended in a load.
+	Safe, Unsafe time.Duration
 }
 
-// AddressStats summarizes one watched address.
-type AddressStats struct {
-	Addr      simmem.Addr
-	Kind      simmem.RegionKind
-	Loads     int
-	Stores    int
-	SafeDur   time.Duration
-	UnsafeDur time.Duration
-	SafeRatio float64
-	HasAccess bool // at least two references (a ratio exists)
+// SafeRatio returns Safe/(Safe+Unsafe), and false when no interval was
+// attributed (fewer than two references at distinct times).
+func (g Granule) SafeRatio() (float64, bool) {
+	total := g.Safe + g.Unsafe
+	if total <= 0 {
+		return 0, false
+	}
+	return float64(g.Safe) / float64(total), true
 }
 
-// Stats returns the statistics for a watched address.
-func (m *Monitor) Stats(addr simmem.Addr) (AddressStats, error) {
-	rec, ok := m.watched[addr]
-	if !ok {
-		return AddressStats{}, fmt.Errorf("monitor: address %#x is not watched", uint64(addr))
-	}
-	return recStats(rec), nil
-}
-
-func recStats(rec *watchRec) AddressStats {
-	s := AddressStats{
-		Addr: rec.addr, Kind: rec.kind,
-		Loads: rec.loads, Stores: rec.stores,
-		SafeDur: rec.safe, UnsafeDur: rec.unsafe,
-	}
-	total := rec.safe + rec.unsafe
-	if total > 0 {
-		s.SafeRatio = float64(rec.safe) / float64(total)
-		s.HasAccess = true
-	}
-	return s
-}
-
-// SafeRatios returns the safe ratios of all watched addresses in the given
-// region kind that accumulated at least one attributed interval — the raw
-// data behind one violin of Fig. 5b.
-func (m *Monitor) SafeRatios(kind simmem.RegionKind) []float64 {
-	var out []float64
-	for _, rec := range m.watched {
-		if rec.kind != kind {
+// At returns the record of the granule holding addr, and false when addr
+// lies outside the bytes its region used when the record was made.
+func (p *Profile) At(addr simmem.Addr) (Granule, bool) {
+	for i := range p.regions {
+		rr := &p.regions[i]
+		if addr < rr.base {
 			continue
 		}
-		if s := recStats(rec); s.HasAccess {
-			out = append(out, s.SafeRatio)
+		gi := int(addr-rr.base) / rr.granule
+		if gi >= len(rr.cells) {
+			continue
+		}
+		c := rr.cells[gi]
+		return Granule{Region: rr.name, Kind: rr.kind, First: c.first, Safe: c.safe, Unsafe: c.unsafe}, true
+	}
+	return Granule{}, false
+}
+
+// SafeRatios returns the safe ratios of the sampled addresses in the given
+// region kind that accumulated at least one attributed interval, in sample
+// order — the raw data behind one violin of Fig. 5b. It is empty, never
+// nil, when there are none.
+func (p *Profile) SafeRatios(sample []simmem.Addr, kind simmem.RegionKind) []float64 {
+	out := []float64{}
+	for _, addr := range sample {
+		g, ok := p.At(addr)
+		if !ok || g.Kind != kind {
+			continue
+		}
+		if x, ok := g.SafeRatio(); ok {
+			out = append(out, x)
 		}
 	}
 	return out
 }
 
-// AllStats returns statistics for every watched address.
-func (m *Monitor) AllStats() []AddressStats {
-	out := make([]AddressStats, 0, len(m.watched))
-	for _, rec := range m.watched {
-		out = append(out, recStats(rec))
-	}
-	return out
-}
-
-// RegionSafeSummary summarizes a region kind's safe ratios.
-func (m *Monitor) RegionSafeSummary(kind simmem.RegionKind) (stats.Summary, error) {
-	return stats.Summarize(m.SafeRatios(kind))
-}
+// Window returns the length of the observation window.
+func (p *Profile) Window() time.Duration { return p.End - p.Start }
 
 // Recoverability is the Table 5 classification for one region: the
 // fraction of its used pages recoverable by each strategy. A page may be
-// both, so the fields can sum to more than 1.
+// both, so the fractions can sum to more than 1.
 type Recoverability struct {
 	// Implicit: a clean copy already exists in persistent storage and
 	// the page was never dirtied (read-only file-backed data).
@@ -276,28 +212,29 @@ type Recoverability struct {
 	// ExplicitThreshold on average) that mirroring writes to persistent
 	// storage is cheap.
 	Explicit float64
-	// Either is the fraction recoverable by at least one strategy.
-	Either float64
 	// Pages is the number of used pages considered.
 	Pages int
 }
 
-// RecoverabilityOf classifies the used pages of a tracked region over the
-// observation window [monitor start, clock now). TrackPages must have been
-// called for the region before the workload ran.
-func (m *Monitor) RecoverabilityOf(r *simmem.Region) (Recoverability, error) {
-	pt, ok := m.pages[r]
-	if !ok {
-		return Recoverability{}, fmt.Errorf("monitor: region %q pages are not tracked", r.Name())
+// RecoverabilityOf classifies the pages r uses now over the window
+// [Start, End).
+func (p *Profile) RecoverabilityOf(r *simmem.Region) (Recoverability, error) {
+	var writes []uint64
+	for i := range p.regions {
+		if p.regions[i].base == r.Base() {
+			writes = p.regions[i].pageWrites
+		}
 	}
-	span := m.clock.Now() - m.start
-	usedPages := (r.Used() + m.pageSize - 1) / m.pageSize
+	if writes == nil {
+		return Recoverability{}, fmt.Errorf("monitor: region %q is not in the record", r.Name())
+	}
+	usedPages := (r.Used() + p.pageSize - 1) / p.pageSize
 	if usedPages == 0 {
 		return Recoverability{}, nil
 	}
-	var implicit, explicit, either int
-	for p := 0; p < usedPages; p++ {
-		w := pt.writes[p]
+	span := p.Window()
+	var implicit, explicit int
+	for _, w := range writes[:usedPages] {
 		isImplicit := r.Backed() && (r.ReadOnly() || w == 0)
 		// Average write interval over the window; zero writes means
 		// an unbounded interval.
@@ -308,34 +245,67 @@ func (m *Monitor) RecoverabilityOf(r *simmem.Region) (Recoverability, error) {
 		if isExplicit {
 			explicit++
 		}
-		if isImplicit || isExplicit {
-			either++
-		}
 	}
 	n := float64(usedPages)
 	return Recoverability{
 		Implicit: float64(implicit) / n,
 		Explicit: float64(explicit) / n,
-		Either:   float64(either) / n,
 		Pages:    usedPages,
 	}, nil
 }
 
-// PageWrites returns the write count observed for page i of a tracked
-// region.
-func (m *Monitor) PageWrites(r *simmem.Region, i int) (uint64, error) {
-	pt, ok := m.pages[r]
-	if !ok {
-		return 0, fmt.Errorf("monitor: region %q pages are not tracked", r.Name())
+// Observe runs inst's whole workload under a fresh record, after drawing
+// the Fig. 5b sample of watched addresses from a generator seeded with
+// seed. It returns the record and the sample in draw order.
+func Observe(inst apps.App, seed int64, watchpoints int) (*Profile, []simmem.Addr, error) {
+	as := inst.Space()
+	p := New(as)
+	as.AddAccessObserver(p)
+	sampled := sample(as, rand.New(rand.NewSource(seed)), watchpoints)
+	for i := 0; i < inst.NumRequests(); i++ {
+		if _, err := inst.Serve(i); err != nil {
+			return nil, nil, fmt.Errorf("monitor: request %d: %w", i, err)
+		}
 	}
-	if i < 0 || i >= len(pt.writes) {
-		return 0, fmt.Errorf("monitor: page %d out of range [0,%d)", i, len(pt.writes))
-	}
-	return pt.writes[i], nil
+	p.End = as.Clock().Now()
+	return p, sampled, nil
 }
 
-// WatchedCount returns the number of installed watchpoints.
-func (m *Monitor) WatchedCount() int { return len(m.watched) }
-
-// Window returns the observation window so far.
-func (m *Monitor) Window() time.Duration { return m.clock.Now() - m.start }
+// sample draws up to watchpoints distinct addresses as the paper's Fig.
+// 5b does: per region, a share proportional to its used bytes with a
+// floor of watchpoints/8 so a tiny region still yields a distribution,
+// each drawn uniformly from the used bytes of that region's kind. A
+// region's draws stop after 20n+100 attempts, so a share larger than the
+// bytes it can land on ends short.
+func sample(as *simmem.AddressSpace, rng *rand.Rand, watchpoints int) []simmem.Addr {
+	total := 0
+	for _, r := range as.Regions() {
+		total += r.Used()
+	}
+	if total == 0 {
+		return nil
+	}
+	var out []simmem.Addr
+	drawn := make(map[simmem.Addr]bool)
+	for _, r := range as.Regions() {
+		kind := r.Kind()
+		filter := func(rr *simmem.Region) bool { return rr.Kind() == kind }
+		n := watchpoints * r.Used() / total
+		if floor := watchpoints / 8; n < floor {
+			n = floor
+		}
+		for got, attempts := 0, 0; got < n && attempts < 20*n+100; attempts++ {
+			addr, ok := as.SampleAddr(rng, filter)
+			if !ok {
+				break
+			}
+			if drawn[addr] {
+				continue
+			}
+			drawn[addr] = true
+			out = append(out, addr)
+			got++
+		}
+	}
+	return out
+}

@@ -3,16 +3,20 @@ package monitor
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"hrmsim/internal/ecc"
 	"hrmsim/internal/simmem"
+	"hrmsim/internal/stats"
 )
 
-// env is a small simulated setup for monitor tests.
+// env is a small simulated setup for monitor tests: every byte of both
+// regions in use, and a record observing the space from t=0.
 type env struct {
 	as   *simmem.AddressSpace
-	mon  *Monitor
+	rec  *Profile
 	heap *simmem.Region
 	priv *simmem.Region
 }
@@ -35,9 +39,11 @@ func newEnv(t *testing.T) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := New(as)
-	as.AddAccessObserver(mon)
-	return &env{as: as, mon: mon, heap: heap, priv: priv}
+	priv.SetUsed(4096)
+	heap.SetUsed(4096)
+	rec := New(as)
+	as.AddAccessObserver(rec)
+	return &env{as: as, rec: rec, heap: heap, priv: priv}
 }
 
 func (e *env) store(t *testing.T, addr simmem.Addr, v byte, at time.Duration) {
@@ -56,10 +62,24 @@ func (e *env) load(t *testing.T, addr simmem.Addr, at time.Duration) {
 	}
 }
 
+// end closes the window at the given time.
+func (e *env) end(at time.Duration) {
+	e.as.Clock().Set(at)
+	e.rec.End = at
+}
+
+func (e *env) at(t *testing.T, addr simmem.Addr) Granule {
+	t.Helper()
+	g, ok := e.rec.At(addr)
+	if !ok {
+		t.Fatalf("address %#x is not in the record", uint64(addr))
+	}
+	return g
+}
+
 func TestSafeUnsafeDurations(t *testing.T) {
 	e := newEnv(t)
 	a := e.heap.Base() + 100
-	e.mon.Watch(a, simmem.RegionHeap)
 
 	// t=1m store; t=3m load (unsafe += 2m); t=4m store (safe += 1m);
 	// t=10m load (unsafe += 6m).
@@ -68,41 +88,30 @@ func TestSafeUnsafeDurations(t *testing.T) {
 	e.store(t, a, 2, 4*time.Minute)
 	e.load(t, a, 10*time.Minute)
 
-	s, err := e.mon.Stats(a)
-	if err != nil {
-		t.Fatal(err)
+	g := e.at(t, a)
+	if g.Safe != 1*time.Minute {
+		t.Errorf("safe = %v, want 1m", g.Safe)
 	}
-	if s.SafeDur != 1*time.Minute {
-		t.Errorf("safe = %v, want 1m", s.SafeDur)
+	if g.Unsafe != 8*time.Minute {
+		t.Errorf("unsafe = %v, want 8m", g.Unsafe)
 	}
-	if s.UnsafeDur != 8*time.Minute {
-		t.Errorf("unsafe = %v, want 8m", s.UnsafeDur)
+	ratio, ok := g.SafeRatio()
+	if want := float64(1) / 9; !ok || math.Abs(ratio-want) > 1e-12 {
+		t.Errorf("safe ratio = %g (%v), want %g", ratio, ok, want)
 	}
-	want := float64(1) / 9
-	if math.Abs(s.SafeRatio-want) > 1e-12 {
-		t.Errorf("safe ratio = %g, want %g", s.SafeRatio, want)
-	}
-	if s.Loads != 2 || s.Stores != 2 {
-		t.Errorf("loads/stores = %d/%d, want 2/2", s.Loads, s.Stores)
-	}
-	if !s.HasAccess {
-		t.Error("HasAccess = false")
+	if g.First != TouchOverwrite || g.Region != "heap" || g.Kind != simmem.RegionHeap {
+		t.Errorf("granule = %+v, want first overwritten, in heap", g)
 	}
 }
 
 func TestWriteOnlyAddressIsFullySafe(t *testing.T) {
 	e := newEnv(t)
 	a := e.heap.Base()
-	e.mon.Watch(a, simmem.RegionHeap)
 	e.store(t, a, 1, 1*time.Minute)
 	e.store(t, a, 2, 2*time.Minute)
 	e.store(t, a, 3, 5*time.Minute)
-	s, err := e.mon.Stats(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.SafeRatio != 1 {
-		t.Errorf("safe ratio = %g, want 1", s.SafeRatio)
+	if ratio, ok := e.at(t, a).SafeRatio(); ratio != 1 || !ok {
+		t.Errorf("safe ratio = %g (%v), want 1", ratio, ok)
 	}
 }
 
@@ -112,41 +121,35 @@ func TestReadOnlyAddressIsFullyUnsafe(t *testing.T) {
 	if err := e.as.WriteRaw(a, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
-	e.mon.Watch(a, simmem.RegionPrivate)
 	e.load(t, a, 1*time.Minute)
 	e.load(t, a, 2*time.Minute)
-	s, err := e.mon.Stats(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.SafeRatio != 0 || !s.HasAccess {
-		t.Errorf("safe ratio = %g (HasAccess=%v), want 0 with access", s.SafeRatio, s.HasAccess)
+	if ratio, ok := e.at(t, a).SafeRatio(); ratio != 0 || !ok {
+		t.Errorf("safe ratio = %g (%v), want 0 with an interval", ratio, ok)
 	}
 }
 
 func TestSingleReferenceHasNoRatio(t *testing.T) {
 	e := newEnv(t)
 	a := e.heap.Base() + 8
-	e.mon.Watch(a, simmem.RegionHeap)
 	e.store(t, a, 1, time.Minute)
-	s, err := e.mon.Stats(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.HasAccess {
+	if _, ok := e.at(t, a).SafeRatio(); ok {
 		t.Error("single reference should not produce a ratio")
 	}
-	if len(e.mon.SafeRatios(simmem.RegionHeap)) != 0 {
-		t.Error("SafeRatios included an address without intervals")
+	// Nor do two references at the same instant.
+	e.load(t, a, time.Minute)
+	if _, ok := e.at(t, a).SafeRatio(); ok {
+		t.Error("two references at one instant produced a ratio")
+	}
+	if got := e.rec.SafeRatios([]simmem.Addr{a}, simmem.RegionHeap); got == nil || len(got) != 0 {
+		t.Errorf("SafeRatios = %#v, want empty and non-nil", got)
 	}
 }
 
 func TestRangeAccessTouchesWatchpoint(t *testing.T) {
 	e := newEnv(t)
 	a := e.heap.Base() + 250 // near a page boundary (page size 256)
-	e.mon.Watch(a, simmem.RegionHeap)
 
-	// A 16-byte store crossing the boundary covers the watchpoint.
+	// A 16-byte store crossing the boundary covers the byte.
 	e.as.Clock().Set(time.Minute)
 	if err := e.as.Store(e.heap.Base()+248, make([]byte, 16)); err != nil {
 		t.Fatal(err)
@@ -156,43 +159,73 @@ func TestRangeAccessTouchesWatchpoint(t *testing.T) {
 	if err := e.as.Load(e.heap.Base()+248, buf); err != nil {
 		t.Fatal(err)
 	}
-	s, err := e.mon.Stats(a)
-	if err != nil {
-		t.Fatal(err)
+	g := e.at(t, a)
+	if g.First != TouchOverwrite {
+		t.Errorf("first touch = %v, want the covering store", g.First)
 	}
-	if s.Stores != 1 || s.Loads != 1 {
-		t.Errorf("stores/loads = %d/%d, want 1/1", s.Stores, s.Loads)
-	}
-	if s.UnsafeDur != time.Minute {
-		t.Errorf("unsafe = %v, want 1m", s.UnsafeDur)
+	if g.Unsafe != time.Minute || g.Safe != 0 {
+		t.Errorf("safe/unsafe = %v/%v, want 0/1m", g.Safe, g.Unsafe)
 	}
 }
 
 func TestAccessesNotCoveringWatchpointIgnored(t *testing.T) {
 	e := newEnv(t)
 	a := e.heap.Base() + 100
-	e.mon.Watch(a, simmem.RegionHeap)
 	e.store(t, a+1, 1, time.Minute) // adjacent, not covering
 	e.load(t, a+1, 2*time.Minute)
-	s, err := e.mon.Stats(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Loads != 0 || s.Stores != 0 {
-		t.Errorf("adjacent accesses counted: %+v", s)
+	if g := e.at(t, a); g.First != TouchNever || g.Safe != 0 || g.Unsafe != 0 {
+		t.Errorf("adjacent accesses counted: %+v", g)
 	}
 }
 
-func TestWatchDuplicateAndUnknownStats(t *testing.T) {
+func TestMixedReadWriteRatioHalf(t *testing.T) {
 	e := newEnv(t)
-	a := e.heap.Base()
-	e.mon.Watch(a, simmem.RegionHeap)
-	e.mon.Watch(a, simmem.RegionHeap) // duplicate: no-op
-	if e.mon.WatchedCount() != 1 {
-		t.Errorf("WatchedCount = %d, want 1", e.mon.WatchedCount())
+	a := e.heap.Base() + 16
+	// Alternate store/load at equal intervals: safe and unsafe
+	// durations accumulate equally.
+	at := time.Minute
+	for i := 0; i < 10; i++ {
+		e.store(t, a, byte(i), at)
+		at += time.Minute
+		e.load(t, a, at)
+		at += time.Minute
 	}
-	if _, err := e.mon.Stats(a + 1); err == nil {
-		t.Error("Stats of unwatched address succeeded")
+	// First store has no prior reference; after that, 10 unsafe and 9
+	// safe one-minute intervals.
+	if g := e.at(t, a); g.Unsafe != 10*time.Minute || g.Safe != 9*time.Minute {
+		t.Errorf("safe/unsafe = %v/%v", g.Safe, g.Unsafe)
+	}
+}
+
+func TestRegionSafeSummaryAndWindow(t *testing.T) {
+	e := newEnv(t)
+	a1 := e.heap.Base()
+	a2 := e.heap.Base() + 64
+
+	// The virtual clock is monotone, so timestamps must not go backwards.
+	e.store(t, a1, 1, time.Minute)
+	e.store(t, a2, 1, time.Minute)
+	e.store(t, a1, 2, 2*time.Minute) // a1 ratio 1
+	e.load(t, a2, 2*time.Minute)     // a2 ratio 0
+	e.end(2 * time.Minute)
+
+	// Sample order, the private byte dropped by kind.
+	ratios := e.rec.SafeRatios([]simmem.Addr{a2, e.priv.Base(), a1}, simmem.RegionHeap)
+	if !reflect.DeepEqual(ratios, []float64{0, 1}) {
+		t.Fatalf("heap safe ratios = %v, want [0 1]", ratios)
+	}
+	sum, err := stats.Summarize(ratios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.N != 2 || sum.Mean != 0.5 {
+		t.Errorf("summary = %+v, want N=2 Mean=0.5", sum)
+	}
+	if e.rec.Window() != 2*time.Minute {
+		t.Errorf("Window = %v, want 2m", e.rec.Window())
+	}
+	if e.rec.Accesses != 4 {
+		t.Errorf("accesses = %d, want 4", e.rec.Accesses)
 	}
 }
 
@@ -200,32 +233,49 @@ func TestWatchSampleProportional(t *testing.T) {
 	e := newEnv(t)
 	e.priv.SetUsed(3000)
 	e.heap.SetUsed(1000)
-	rng := rand.New(rand.NewSource(1))
-
-	n := e.mon.WatchSample(e.as, rng, 400, nil)
-	if n != 400 {
-		t.Fatalf("installed %d watchpoints, want 400", n)
-	}
+	got := sample(e.as, rand.New(rand.NewSource(1)), 400)
 	var priv, heap int
-	for _, s := range e.mon.AllStats() {
-		switch s.Kind {
-		case simmem.RegionPrivate:
+	for _, a := range got {
+		switch {
+		case e.priv.Contains(a) && a < e.priv.Base()+3000:
 			priv++
-		case simmem.RegionHeap:
+		case e.heap.Contains(a) && a < e.heap.Base()+1000:
+			heap++
+		default:
+			t.Fatalf("sampled %#x, outside the used bytes", uint64(a))
+		}
+	}
+	// Shares proportional to used bytes: 400·3000/4000 and 400·1000/4000.
+	if priv != 300 || heap != 100 {
+		t.Errorf("sampled %d private, %d heap; want 300, 100", priv, heap)
+	}
+
+	// A region too small for its floor (400/8 = 50) yields each of its
+	// bytes once, then gives up; nothing is drawn twice.
+	e.heap.SetUsed(10)
+	got = sample(e.as, rand.New(rand.NewSource(1)), 400)
+	seen := map[simmem.Addr]bool{}
+	heap = 0
+	for _, a := range got {
+		if seen[a] {
+			t.Fatalf("%#x sampled twice", uint64(a))
+		}
+		seen[a] = true
+		if e.heap.Contains(a) {
 			heap++
 		}
 	}
-	ratio := float64(priv) / float64(heap)
-	if ratio < 2.0 || ratio > 4.5 {
-		t.Errorf("sampling ratio = %.2f, want about 3", ratio)
+	if heap != 10 || len(got) != 398+10 {
+		t.Errorf("sampled %d heap of %d, want 10 of 408", heap, len(got))
 	}
 }
 
 func TestWatchSampleNoUsedBytes(t *testing.T) {
 	e := newEnv(t)
-	rng := rand.New(rand.NewSource(2))
-	if n := e.mon.WatchSample(e.as, rng, 10, nil); n != 0 {
-		t.Errorf("installed %d watchpoints with no used bytes", n)
+	e.priv.SetUsed(0)
+	e.heap.SetUsed(0)
+	if got := sample(e.as, rand.New(rand.NewSource(2)), 10); len(got) != 0 {
+		t.Errorf("sampled %d addresses with no used bytes", len(got))
 	}
 }
 
@@ -233,14 +283,13 @@ func TestRecoverabilityImplicit(t *testing.T) {
 	e := newEnv(t)
 	// Private region: read-only, backed — fully implicitly recoverable.
 	e.priv.SetUsed(1024) // 4 pages
-	e.mon.TrackPages(e.priv)
-	e.as.Clock().Set(time.Hour)
-	rec, err := e.mon.RecoverabilityOf(e.priv)
+	e.end(time.Hour)
+	rec, err := e.rec.RecoverabilityOf(e.priv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Implicit != 1 || rec.Either != 1 {
-		t.Errorf("implicit = %g, either = %g, want 1,1", rec.Implicit, rec.Either)
+	if rec.Implicit != 1 || rec.Explicit != 1 {
+		t.Errorf("implicit = %g, explicit = %g, want 1,1", rec.Implicit, rec.Explicit)
 	}
 	if rec.Pages != 4 {
 		t.Errorf("pages = %d, want 4", rec.Pages)
@@ -249,40 +298,31 @@ func TestRecoverabilityImplicit(t *testing.T) {
 
 func TestRecoverabilityExplicitByWriteInterval(t *testing.T) {
 	e := newEnv(t)
-	e.heap.SetUsed(512) // 2 pages of 256
-	e.mon.TrackPages(e.heap)
+	e.heap.SetUsed(256)
+	rec := New(e.as) // made while only page 0 is in use
+	e.as.AddAccessObserver(rec)
+	e.rec = rec
 
-	// Page 0: written every minute for an hour — too hot for explicit
-	// recovery. Page 1: written twice in an hour — cold enough.
+	// Page 0: written twice in an hour — cold enough. Page 1, which comes
+	// into use during the window: written every minute — too hot for
+	// explicit recovery.
+	e.heap.SetUsed(512)
 	for i := 0; i < 60; i++ {
-		e.store(t, e.heap.Base(), byte(i), time.Duration(i+1)*time.Minute)
+		at := time.Duration(i+1) * time.Minute
+		if i == 29 {
+			e.store(t, e.heap.Base(), 1, at)
+		}
+		e.store(t, e.heap.Base()+256, byte(i), at)
 	}
-	e.store(t, e.heap.Base()+256, 1, 30*time.Minute)
-	e.as.Clock().Set(time.Hour)
-	e.store(t, e.heap.Base()+256, 2, time.Hour)
+	e.store(t, e.heap.Base(), 2, time.Hour)
+	e.end(time.Hour)
 
-	rec, err := e.mon.RecoverabilityOf(e.heap)
+	got, err := rec.RecoverabilityOf(e.heap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Explicit != 0.5 {
-		t.Errorf("explicit = %g, want 0.5", rec.Explicit)
-	}
-	if rec.Implicit != 0 {
-		t.Errorf("implicit = %g, want 0 (no backing)", rec.Implicit)
-	}
-	if rec.Either != 0.5 {
-		t.Errorf("either = %g, want 0.5", rec.Either)
-	}
-	// Page write counts are queryable.
-	if w, err := e.mon.PageWrites(e.heap, 0); err != nil || w != 60 {
-		t.Errorf("PageWrites(0) = %d, %v; want 60", w, err)
-	}
-	if _, err := e.mon.PageWrites(e.heap, 99); err == nil {
-		t.Error("out-of-range page accepted")
-	}
-	if _, err := e.mon.PageWrites(e.priv, 0); err == nil {
-		t.Error("untracked region accepted")
+	if want := (Recoverability{Implicit: 0, Explicit: 0.5, Pages: 2}); got != want {
+		t.Errorf("recoverability = %+v, want %+v", got, want)
 	}
 }
 
@@ -299,9 +339,8 @@ func TestRecoverabilityBackedWrittenPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := New(as)
-	as.AddAccessObserver(mon)
-	mon.TrackPages(r)
+	rec := New(as)
+	as.AddAccessObserver(rec)
 	r.SetUsed(512) // 2 pages
 
 	as.Clock().Set(time.Minute)
@@ -309,30 +348,31 @@ func TestRecoverabilityBackedWrittenPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	as.Clock().Set(time.Hour)
-	rec, err := mon.RecoverabilityOf(r)
+	rec.End = time.Hour
+	got, err := rec.RecoverabilityOf(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Implicit != 0.5 {
-		t.Errorf("implicit = %g, want 0.5", rec.Implicit)
+	if got.Implicit != 0.5 {
+		t.Errorf("implicit = %g, want 0.5", got.Implicit)
 	}
 	// Page 0 written once in an hour: interval 1h >= 5m, so explicit.
-	if rec.Explicit != 1 {
-		t.Errorf("explicit = %g, want 1", rec.Explicit)
-	}
-	if rec.Either != 1 {
-		t.Errorf("either = %g, want 1", rec.Either)
+	if got.Explicit != 1 {
+		t.Errorf("explicit = %g, want 1", got.Explicit)
 	}
 }
 
 func TestRecoverabilityErrorsAndEmpty(t *testing.T) {
 	e := newEnv(t)
-	if _, err := e.mon.RecoverabilityOf(e.heap); err == nil {
-		t.Error("untracked region accepted")
+	late, err := e.as.AddRegion(simmem.RegionSpec{Name: "late", Kind: simmem.RegionStack, Size: 256})
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.mon.TrackPages(e.heap)
-	e.mon.TrackPages(e.heap) // double-track is a no-op
-	rec, err := e.mon.RecoverabilityOf(e.heap)
+	if _, err := e.rec.RecoverabilityOf(late); err == nil {
+		t.Error("a region mapped after the record was made was accepted")
+	}
+	e.heap.SetUsed(0)
+	rec, err := e.rec.RecoverabilityOf(e.heap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,27 +381,67 @@ func TestRecoverabilityErrorsAndEmpty(t *testing.T) {
 	}
 }
 
-func TestRegionSafeSummaryAndWindow(t *testing.T) {
-	e := newEnv(t)
-	a1 := e.heap.Base()
-	a2 := e.heap.Base() + 64
-	e.mon.Watch(a1, simmem.RegionHeap)
-	e.mon.Watch(a2, simmem.RegionHeap)
-
-	// The virtual clock is monotone, so timestamps must not go backwards.
-	e.store(t, a1, 1, time.Minute)
-	e.store(t, a2, 1, time.Minute)
-	e.store(t, a1, 2, 2*time.Minute) // a1 ratio 1
-	e.load(t, a2, 2*time.Minute)     // a2 ratio 0
-
-	sum, err := e.mon.RegionSafeSummary(simmem.RegionHeap)
+// TestProfileFirstTouchStates drives the record's per-granule state
+// machine directly: codeword granules in a protected region, byte
+// granules in an unprotected one, spans crossing granules, and only the
+// first reference counting.
+func TestProfileFirstTouchStates(t *testing.T) {
+	as, err := simmem.New(simmem.Config{PageSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.N != 2 || sum.Mean != 0.5 {
-		t.Errorf("summary = %+v, want N=2 Mean=0.5", sum)
+	prot, err := as.AddRegion(simmem.RegionSpec{Name: "prot", Kind: simmem.RegionHeap, Size: 64, Codec: ecc.NewSECDED()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e.mon.Window() != 2*time.Minute {
-		t.Errorf("Window = %v, want 2m", e.mon.Window())
+	bare, err := as.AddRegion(simmem.RegionSpec{Name: "bare", Kind: simmem.RegionStack, Size: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prot.SetUsed(40) // five codewords
+	bare.SetUsed(16)
+	p := New(as)
+	store := func(r *simmem.Region, off, n int) {
+		p.ObserveAccess(simmem.AccessEvent{Addr: r.Base() + simmem.Addr(off), Len: n, Kind: simmem.Store, Region: r})
+	}
+	load := func(r *simmem.Region, off, n int) {
+		p.ObserveAccess(simmem.AccessEvent{Addr: r.Base() + simmem.Addr(off), Len: n, Kind: simmem.Load, Region: r})
+	}
+	// Codeword 0: whole-word store, later loaded — the store counts.
+	store(prot, 0, 8)
+	load(prot, 0, 8)
+	// Codeword 1: a partial store reads the rest back through the decoder.
+	store(prot, 10, 4)
+	store(prot, 8, 8)
+	// Codewords 2–3: one store covering 2 whole and half of 3.
+	store(prot, 16, 12)
+	// Codeword 4: never referenced. A zero-length load references nothing.
+	load(prot, 32, 0)
+	// Bytes: any store covers a byte; a load first senses it.
+	store(bare, 2, 3)
+	load(bare, 4, 2)
+	load(bare, 100, 4) // beyond the used bytes: ignored, not out of range
+
+	o, s, n := TouchOverwrite, TouchSensed, TouchNever
+	want := map[*simmem.Region][]Touch{
+		// Per codeword; every byte of one reads the same granule.
+		prot: {o, s, o, s, n},
+		bare: {n, n, o, o, o, s, n, n, n, n, n, n, n, n, n, n},
+	}
+	for r, firsts := range want {
+		unit := len(firsts)
+		granule := r.Used() / unit
+		for off := 0; off < r.Used(); off++ {
+			g, ok := p.At(r.Base() + simmem.Addr(off))
+			if !ok || g.First != firsts[off/granule] || g.Region != r.Name() || g.Kind != r.Kind() {
+				t.Errorf("%s+%d: %+v (%v), want first touch %v", r.Name(), off, g, ok, firsts[off/granule])
+			}
+		}
+		if _, ok := p.At(r.Base() + simmem.Addr(r.Used())); ok {
+			t.Errorf("%s: a byte past the used ones is in the record", r.Name())
+		}
+	}
+	if p.Accesses != 9 {
+		t.Errorf("accesses = %d, want 9", p.Accesses)
 	}
 }
