@@ -33,16 +33,23 @@ loc:
 bench:
 	$(GO) run ./bench -seed 1
 
-# The exact half of hrmbench, fast enough for CI (about 40 s): each
-# workload's traced pass at seed 1 for 2 s. The pass compares its loads,
-# stores, corrected, dirty-page and outcome counts with bench/expected and
-# exits non-zero on any difference, so a memory-path change that alters a
-# single access count fails here. Timings it prints are not a measurement.
+# The exact half of hrmbench, fast enough for CI (40 s measured on a 2-vCPU Linux host): each
+# workload's traced pass at seed 1 for 2 s, then each campaign workload's
+# end-to-end pass at seed 1 for 2 s. A traced pass compares its loads,
+# stores, corrected, dirty-page and outcome counts with bench/expected, so
+# a memory-path change that alters a single access count fails here. An
+# end-to-end pass runs campaigns that record their own golden run, and
+# compares at least four campaigns' plan, outcome histogram, requests and
+# incorrect counts. Either exits non-zero on any difference. Timings they
+# print are not a measurement.
 BENCH_WORKLOADS = camp-websearch-secded-soft camp-kvstore-none-hard camp-graphmine-none-soft serve-get-secded serve-mixed-faults-secded
+BENCH_CAMPAIGNS = camp-websearch-secded-soft camp-kvstore-none-hard camp-graphmine-none-soft
+BENCH_CHECKS = $(BENCH_WORKLOADS:%=%:1) $(BENCH_CAMPAIGNS:%=%:0)
 
 bench-check:
-	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && for w in $(BENCH_WORKLOADS); do \
-		echo "bench-check: $$w"; \
-		$(GO) run ./bench -seed 1 -workload $$w -seconds 2 -trace 1 -out "$$out" >"$$out/log" 2>&1 \
+	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && for c in $(BENCH_CHECKS); do \
+		w=$${c%:*}; t=$${c#*:}; \
+		echo "bench-check: $$w -trace $$t"; \
+		$(GO) run ./bench -seed 1 -workload $$w -seconds 2 -trace $$t -out "$$out" >"$$out/log" 2>&1 \
 			|| { cat "$$out/log"; exit 1; }; \
 	done

@@ -60,7 +60,7 @@ func main() {
 		log.Fatalf("kvserve: %v", err)
 	}
 	log.Printf("kvserve: listening on %s (heap protection: %s, recovery: %s, %d keys)",
-		ln.Addr(), cfg.ECC, orNone(cfg.Recover), cfg.Keys)
+		ln.Addr(), cfg.ECC, orNone(cfg.Recover), srv.Keys())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -87,6 +87,32 @@ type SnapshotApp interface {
 	Reset() (dirtyPages int, err error)
 }
 
+// Checkpoint is the reset point the case-study applications' Snapshot and
+// Reset share: a capture of the address space plus the simulated stack's
+// depth, the host-side state every one of them mutates.
+type Checkpoint struct {
+	mem *simmem.Snapshot
+	sp  int
+}
+
+// Capture makes the current state of as and stack the reset point.
+func (c *Checkpoint) Capture(as *simmem.AddressSpace, stack *simmem.Stack) {
+	c.mem, c.sp = as.Snapshot(), stack.Depth()
+}
+
+// Restore rolls memory and stack back to the capture and returns the
+// number of pages rolled back; app prefixes its errors.
+func (c *Checkpoint) Restore(app string, stack *simmem.Stack) (int, error) {
+	if c.mem == nil {
+		return 0, fmt.Errorf("%s: Reset before Snapshot", app)
+	}
+	n, err := c.mem.Restore()
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", app, err)
+	}
+	return n, stack.Rewind(c.sp)
+}
+
 // SnapshotBuilder is the snapshot capability of a Builder. Campaigns
 // require it: the engine reuses one instance per worker across trials
 // and rejects a builder that cannot snapshot.

@@ -140,8 +140,6 @@ type Builder struct {
 	edges     int
 }
 
-var _ apps.Builder = (*Builder)(nil)
-
 // NewBuilder generates the synthetic follower graph.
 func NewBuilder(cfg Config) (*Builder, error) {
 	switch {
@@ -202,48 +200,27 @@ type App struct {
 
 	// Snapshot state (apps.SnapshotApp): memory capture plus stack
 	// depth — the layout offsets above are immutable after Build.
-	snapMem *simmem.Snapshot
-	snapSP  int
+	snap apps.Checkpoint
 }
 
-var _ apps.App = (*App)(nil)
 var _ apps.SnapshotApp = (*App)(nil)
 
-// BuildSnapshot implements apps.SnapshotBuilder.
-func (b *Builder) BuildSnapshot() (apps.SnapshotApp, error) {
-	app, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return app.(*App), nil
-}
+// Build implements apps.Builder.
+func (b *Builder) Build() (apps.App, error) { return b.BuildSnapshot() }
 
 var _ apps.SnapshotBuilder = (*Builder)(nil)
 
 // Snapshot implements apps.SnapshotApp.
 func (a *App) Snapshot() error {
-	a.snapMem = a.as.Snapshot()
-	a.snapSP = a.stack.Depth()
+	a.snap.Capture(a.as, a.stack)
 	return nil
 }
 
 // Reset implements apps.SnapshotApp.
-func (a *App) Reset() (int, error) {
-	if a.snapMem == nil {
-		return 0, fmt.Errorf("graphmine: Reset before Snapshot")
-	}
-	n, err := a.snapMem.Restore()
-	if err != nil {
-		return 0, fmt.Errorf("graphmine: %w", err)
-	}
-	if err := a.stack.Rewind(a.snapSP); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
+func (a *App) Reset() (int, error) { return a.snap.Restore("graphmine", a.stack) }
 
-// Build implements apps.Builder.
-func (b *Builder) Build() (apps.App, error) {
+// BuildSnapshot implements apps.SnapshotBuilder.
+func (b *Builder) BuildSnapshot() (apps.SnapshotApp, error) {
 	cfg := b.cfg
 	n := cfg.Nodes
 	offsetsBytes := (n + 1) * 4

@@ -106,8 +106,6 @@ type Builder struct {
 	ops []trace.KVOp
 }
 
-var _ apps.Builder = (*Builder)(nil)
-
 // NewBuilder generates the workload for the configuration.
 func NewBuilder(cfg Config) (*Builder, error) {
 	if cfg.Buckets == 0 {
@@ -150,16 +148,14 @@ type App struct {
 	// Snapshot state (apps.SnapshotApp): memory capture plus the
 	// host-side mutable state — allocator bookkeeping (SET-miss inserts
 	// allocate) and stack depth.
-	snapMem   *simmem.Snapshot
+	snap      apps.Checkpoint
 	snapArena *simmem.ArenaMark
-	snapSP    int
 }
 
-var _ apps.App = (*App)(nil)
 var _ apps.SnapshotApp = (*App)(nil)
 
-// Build implements apps.Builder.
-func (b *Builder) Build() (apps.App, error) {
+// BuildSnapshot implements apps.SnapshotBuilder.
+func (b *Builder) BuildSnapshot() (apps.SnapshotApp, error) {
 	cfg := b.cfg
 	entrySize := entryHeaderBytes + cfg.ValueSize
 	// Region size: bucket array + all entries + slack for SET-allocated
@@ -267,14 +263,8 @@ func (a *App) insert(key uint64, version uint32) error {
 	return a.dataAcc.StoreU64(slot, uint64(addr))
 }
 
-// BuildSnapshot implements apps.SnapshotBuilder.
-func (b *Builder) BuildSnapshot() (apps.SnapshotApp, error) {
-	app, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return app.(*App), nil
-}
+// Build implements apps.Builder.
+func (b *Builder) Build() (apps.App, error) { return b.BuildSnapshot() }
 
 var _ apps.SnapshotBuilder = (*Builder)(nil)
 
@@ -282,26 +272,18 @@ var _ apps.SnapshotBuilder = (*Builder)(nil)
 // by the memory snapshot; the arena mark covers the allocator's
 // host-side free lists and size map.
 func (a *App) Snapshot() error {
-	a.snapMem = a.as.Snapshot()
+	a.snap.Capture(a.as, a.stack)
 	a.snapArena = a.arena.Mark()
-	a.snapSP = a.stack.Depth()
 	return nil
 }
 
 // Reset implements apps.SnapshotApp.
 func (a *App) Reset() (int, error) {
-	if a.snapMem == nil {
-		return 0, fmt.Errorf("kvstore: Reset before Snapshot")
+	n, err := a.snap.Restore("kvstore", a.stack)
+	if err == nil {
+		a.arena.Rewind(a.snapArena)
 	}
-	n, err := a.snapMem.Restore()
-	if err != nil {
-		return 0, fmt.Errorf("kvstore: %w", err)
-	}
-	a.arena.Rewind(a.snapArena)
-	if err := a.stack.Rewind(a.snapSP); err != nil {
-		return 0, err
-	}
-	return n, nil
+	return n, err
 }
 
 // Name implements apps.App.

@@ -130,8 +130,6 @@ type Builder struct {
 	queries []trace.Query
 }
 
-var _ apps.Builder = (*Builder)(nil)
-
 // NewBuilder generates the synthetic dataset for the given configuration.
 func NewBuilder(cfg Config) (*Builder, error) {
 	if cfg.Docs <= 0 || cfg.Queries <= 0 {
@@ -189,15 +187,13 @@ type App struct {
 	// Snapshot state (apps.SnapshotApp): the memory capture plus the
 	// only host-side mutable state, the stack depth. The layout offsets
 	// above are immutable after Build.
-	snapMem *simmem.Snapshot
-	snapSP  int
+	snap apps.Checkpoint
 }
 
-var _ apps.App = (*App)(nil)
 var _ apps.SnapshotApp = (*App)(nil)
 
-// Build implements apps.Builder.
-func (b *Builder) Build() (apps.App, error) {
+// BuildSnapshot implements apps.SnapshotBuilder.
+func (b *Builder) BuildSnapshot() (apps.SnapshotApp, error) {
 	cfg := b.cfg
 	// Serialize the inverted index.
 	numTerms := cfg.Vocab
@@ -325,38 +321,19 @@ func (b *Builder) Build() (apps.App, error) {
 	return app, nil
 }
 
-// BuildSnapshot implements apps.SnapshotBuilder.
-func (b *Builder) BuildSnapshot() (apps.SnapshotApp, error) {
-	app, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return app.(*App), nil
-}
+// Build implements apps.Builder.
+func (b *Builder) Build() (apps.App, error) { return b.BuildSnapshot() }
 
 var _ apps.SnapshotBuilder = (*Builder)(nil)
 
 // Snapshot implements apps.SnapshotApp.
 func (a *App) Snapshot() error {
-	a.snapMem = a.as.Snapshot()
-	a.snapSP = a.stack.Depth()
+	a.snap.Capture(a.as, a.stack)
 	return nil
 }
 
 // Reset implements apps.SnapshotApp.
-func (a *App) Reset() (int, error) {
-	if a.snapMem == nil {
-		return 0, fmt.Errorf("websearch: Reset before Snapshot")
-	}
-	n, err := a.snapMem.Restore()
-	if err != nil {
-		return 0, fmt.Errorf("websearch: %w", err)
-	}
-	if err := a.stack.Rewind(a.snapSP); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
+func (a *App) Reset() (int, error) { return a.snap.Restore("websearch", a.stack) }
 
 // Name implements apps.App.
 func (a *App) Name() string { return "websearch" }

@@ -104,8 +104,9 @@ type CampaignConfig struct {
 	Warmup int
 	// Parallelism bounds concurrent trials (default: GOMAXPROCS).
 	Parallelism int
-	// Golden optionally supplies the expected digests, skipping the
-	// golden run (reuse across campaigns of the same builder).
+	// Golden optionally supplies the expected digests (reuse across
+	// campaigns of the same builder): the fault-free pass then checks
+	// them instead of recording them.
 	Golden []uint64
 	// RunOptions holds the knobs a front end hands through unchanged.
 	RunOptions
@@ -231,22 +232,121 @@ func (r *CampaignResult) AbortedCount() int {
 }
 
 // GoldenRun executes the full workload on a fresh instance and returns the
-// expected response digests. It fails if the application crashes or is
-// nondeterministic under no injection.
+// expected response digests. It fails if the application crashes under no
+// injection.
 func GoldenRun(b apps.Builder) ([]uint64, error) {
 	app, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("core: building golden instance: %w", err)
 	}
-	out := make([]uint64, app.NumRequests())
-	for i := range out {
-		resp, err := app.Serve(i)
-		if err != nil {
-			return nil, fmt.Errorf("core: golden run crashed at request %d: %w", i, err)
-		}
-		out[i] = resp.Digest
+	golden := make([]uint64, app.NumRequests())
+	if q, err := serveFaultFree(app, golden, 0, len(golden), true); err != nil {
+		return nil, goldenCrash(q, err)
 	}
-	return out, nil
+	return golden, nil
+}
+
+func goldenCrash(q int, err error) error {
+	return fmt.Errorf("core: golden run crashed at request %d: %w", q, err)
+}
+
+// errOffGolden is a fault-free response whose digest differs from golden.
+var errOffGolden = errors.New("mismatched golden output")
+
+// serveFaultFree is the engine's one fault-free serve loop: it serves
+// requests [from, to) of an instance carrying no injected error and stores
+// each digest in golden[q] when record is set, or checks it against
+// golden[q]. It stops at the first request that crashes or mismatches,
+// returning its index with the crash or errOffGolden.
+func serveFaultFree(app apps.App, golden []uint64, from, to int, record bool) (int, error) {
+	for q := from; q < to; q++ {
+		resp, err := serveGuarded(app, q)
+		switch {
+		case err != nil:
+			return q, err
+		case record:
+			golden[q] = resp.Digest
+		case resp.Digest != golden[q]:
+			return q, errOffGolden
+		}
+	}
+	return to, nil
+}
+
+// faultFreePass is the campaign's one fault-free pass (DESIGN.md §9). It
+// builds worker 0's session and serves the workload on it once: requests
+// 0..Warmup, storing the golden digests when cfg.Golden is nil and checking
+// them otherwise; Snapshot; the measured window Warmup..N, under a
+// monitor.Profile unless a fallback applies; then Reset, which also
+// detaches the profile. It returns the golden digests, the window's record
+// — nil when every trial must be simulated — and the restored session.
+//
+// Recording, any failure fails the campaign. Checking, a session that
+// fails to build or warm up is dropped (worker 0 builds its own, retrying
+// as every worker does), and a window off golden leaves no record. A
+// session that fails to restore is dropped either way.
+func faultFreePass(sb apps.SnapshotBuilder, cfg CampaignConfig) ([]uint64, *monitor.Profile, *snapshotSession, error) {
+	golden, record := cfg.Golden, cfg.Golden == nil
+	fail := func(err error) ([]uint64, *monitor.Profile, *snapshotSession, error) {
+		if record {
+			return nil, nil, nil, err
+		}
+		return golden, nil, nil, nil
+	}
+	app, err := sb.BuildSnapshot()
+	if err != nil && record {
+		return nil, nil, nil, fmt.Errorf("core: building golden instance: %w", err)
+	}
+	if record {
+		golden = make([]uint64, app.NumRequests())
+	}
+	// Checked before any request is served, and even when a supplied
+	// golden run's session is dropped.
+	if cfg.Warmup < 0 || cfg.Warmup >= len(golden) {
+		return nil, nil, nil, fmt.Errorf("core: warmup %d outside [0,%d)", cfg.Warmup, len(golden))
+	}
+	if err != nil {
+		return golden, nil, nil, nil
+	}
+	as := app.Space()
+	sess := &snapshotSession{app: app, startVT: as.Clock().Now()}
+	if q, err := serveFaultFree(app, golden, 0, cfg.Warmup, record); err != nil {
+		return fail(goldenCrash(q, err))
+	}
+	if err := app.Snapshot(); err != nil {
+		return fail(fmt.Errorf("core: snapshotting golden instance: %w", err))
+	}
+
+	// No record when a fault can act other than through the first access
+	// to its granule (CPU cache model on; observers the snapshot retains,
+	// such as a scrubber), when a trial is more than its result (tracer) or
+	// may stop early (operation budget). Then, with golden supplied, there
+	// is nothing to serve the window for.
+	var p *monitor.Profile
+	if cfg.Tracer == nil && cfg.TrialOpBudget <= 0 && !as.CacheEnabled() && !as.Observed() {
+		p = monitor.New(as)
+		as.AddAccessObserver(p)
+	}
+	before := as.Counters()
+	if p != nil || record {
+		q, err := serveFaultFree(app, golden, cfg.Warmup, len(golden), record)
+		if err != nil && record {
+			return nil, nil, nil, goldenCrash(q, err)
+		}
+		// The record must be of the pass the trials replay, and hold every
+		// access the instance counted.
+		after := as.Counters()
+		if p != nil && (err != nil || p.Accesses != (after.Loads-before.Loads)+(after.Stores-before.Stores)) {
+			p = nil
+		}
+	}
+	if p != nil {
+		p.End = as.Clock().Now()
+	}
+	if _, err := app.Reset(); err != nil {
+		sess = nil
+	}
+	return golden, p, sess, nil
 }
 
 // Run executes the campaign to completion (no cancellation).
@@ -286,7 +386,7 @@ func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error
 		if err := cfg.Shard.Validate(); err != nil {
 			return nil, err
 		}
-		// Fail sharded adaptive campaigns before the golden run: the
+		// Fail sharded adaptive campaigns before the fault-free pass: the
 		// planner's own Start check would catch it, but only after the
 		// expensive build. (A 1-shard spec covers the whole index space
 		// and is allowed.)
@@ -294,16 +394,9 @@ func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error
 			return nil, fmt.Errorf("core: the adaptive planner needs the whole trial index space; shard %d/%d campaigns must use the fixed plan", cfg.Shard.Index, cfg.Shard.Count)
 		}
 	}
-	golden := cfg.Golden
-	if golden == nil {
-		var err error
-		golden, err = GoldenRun(cfg.Builder)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Warmup < 0 || cfg.Warmup >= len(golden) {
-		return nil, fmt.Errorf("core: warmup %d outside [0,%d)", cfg.Warmup, len(golden))
+	golden, profile, first, err := faultFreePass(sb, cfg)
+	if err != nil {
+		return nil, err
 	}
 	par := cfg.Parallelism
 	if par <= 0 {
@@ -327,13 +420,14 @@ func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error
 	s := &supervisor{
 		cfg:            cfg,
 		golden:         golden,
+		profile:        profile,
 		par:            par,
 		sb:             sb,
 		maxRetries:     maxRetries,
 		statusInterval: statusInterval,
 		m:              newCampaignMetrics(cfg.Metrics),
 	}
-	return s.run(ctx)
+	return s.run(ctx, first)
 }
 
 // campaignMetrics holds the pre-resolved metric handles of one campaign
@@ -503,64 +597,45 @@ type snapshotSession struct {
 	// startVT is the virtual clock reading right after build, stamped on
 	// every trial_start event.
 	startVT time.Duration
-	// profile is the fault-free measured window's record (decide.go); nil
-	// when the session must simulate every trial.
-	profile *monitor.Profile
 }
 
 // newSnapshotSession builds one instance, replays (and validates) the
-// warmup prefix, captures the post-warmup state as the reset point, and
-// profiles the measured window once.
+// warmup prefix and captures the post-warmup state as the reset point.
+// Every session but the first (faultFreePass) is built here.
 func newSnapshotSession(sb apps.SnapshotBuilder, cfg CampaignConfig, golden []uint64) (*snapshotSession, error) {
 	app, err := sb.BuildSnapshot()
 	if err != nil {
 		return nil, fmt.Errorf("building app: %w", err)
 	}
 	startVT := app.Space().Clock().Now()
-	for q := 0; q < cfg.Warmup; q++ {
-		resp, err := app.Serve(q)
-		if err != nil {
-			return nil, fmt.Errorf("warmup request %d crashed: %w", q, err)
-		}
-		if resp.Digest != golden[q] {
-			return nil, fmt.Errorf("warmup request %d mismatched golden output", q)
-		}
+	if q, err := serveFaultFree(app, golden, 0, cfg.Warmup, false); err == errOffGolden {
+		return nil, fmt.Errorf("warmup request %d %w", q, err)
+	} else if err != nil {
+		return nil, fmt.Errorf("warmup request %d crashed: %w", q, err)
 	}
 	if err := app.Snapshot(); err != nil {
 		return nil, fmt.Errorf("snapshotting app: %w", err)
 	}
-	profile, err := profileWindow(app, cfg, golden)
-	if err != nil {
-		return nil, fmt.Errorf("profiling the measured window: %w", err)
-	}
-	return &snapshotSession{app: app, startVT: startVT, profile: profile}, nil
+	return &snapshotSession{app: app, startVT: startVT}, nil
 }
 
-// runTrial performs one pass of the Fig. 2 loop against the session's
-// restored instance. The per-trial rng depends only on (Seed, i), and
-// restore rolls the instance back to the post-warmup capture, so the
-// trial is bit-identical to one run on a freshly built instance.
-func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, i int) (TrialResult, trialStats, error) {
+// runTrial performs one pass of the Fig. 2 loop on the session's instance:
+// restore, inject, run the post-warmup client workload, classify. The
+// per-trial rng depends only on (Seed, i), and restore rolls the instance
+// back to the post-warmup capture, so the trial is bit-identical to one
+// run on a freshly built instance. A trial the campaign's record decides
+// ends after the address draw: nothing is injected and nothing served.
+func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile *monitor.Profile, i int) (TrialResult, trialStats, error) {
 	rng := rand.New(rand.NewSource(trialSeed(cfg.Seed, i)))
 	dirty, err := s.app.Reset()
 	if err != nil {
 		return TrialResult{}, trialStats{}, fmt.Errorf("restoring snapshot: %w", err)
 	}
+	// Fetched per trial: Reset may have swapped the instance.
+	as := s.app.Space()
 	tt := cfg.Tracer.Trial(i)
 	traceTrialStart(tt, s.startVT)
-	traceRestore(tt, s.app.Space())
-	tr, ts, err := injectAndServe(cfg, golden, s.app, s.profile, rng, tt)
-	ts.dirtyPages = dirty
-	return tr, ts, err
-}
-
-// injectAndServe runs steps 2–5 of the Fig. 2 loop — inject, run the
-// post-warmup client workload, classify — on an already warmed-up
-// instance. A trial the profile decides ends after the address draw:
-// nothing is injected and nothing served.
-func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, profile *monitor.Profile, rng *rand.Rand, tt *evtrace.TrialTracer) (TrialResult, trialStats, error) {
-	// Fetched per trial: Reset may have swapped the instance.
-	as := app.Space()
+	traceRestore(tt, as)
 
 	// Inject (Algorithm 1(a)): inject.Random's two halves, with the
 	// decision between them, so the generator stream is unchanged.
@@ -569,7 +644,7 @@ func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, profile *
 		return TrialResult{}, trialStats{}, fmt.Errorf("injecting: %w", inject.ErrNoTarget)
 	}
 	if tr, ok := decide(profile, len(golden)-cfg.Warmup, addr, cfg.Spec); ok {
-		return tr, trialStats{decided: true}, nil
+		return tr, trialStats{decided: true, dirtyPages: dirty}, nil
 	}
 	startFast := as.FastPathLoads()
 	startWords := as.FastPathWords()
@@ -604,7 +679,7 @@ func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, profile *
 	// Run the client workload (Fig. 2 steps 3–5).
 	crashed := false
 	for q := cfg.Warmup; q < len(golden); q++ {
-		resp, serveErr := serveGuarded(app, q)
+		resp, serveErr := serveGuarded(s.app, q)
 		if serveErr != nil {
 			if !apps.IsCrash(serveErr) {
 				return TrialResult{}, trialStats{}, fmt.Errorf("request %d: unexpected error: %w", q, serveErr)
@@ -645,8 +720,9 @@ func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, profile *
 	tr.EndedAt = as.Clock().Now()
 	traceTrialEnd(tt, tr)
 	return tr, trialStats{
-		fastLoads: as.FastPathLoads() - startFast,
-		fastWords: as.FastPathWords() - startWords,
+		dirtyPages: dirty,
+		fastLoads:  as.FastPathLoads() - startFast,
+		fastWords:  as.FastPathWords() - startWords,
 	}, nil
 }
 

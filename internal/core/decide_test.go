@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -414,6 +416,144 @@ func TestDecidedCampaignJournalResumeShardMerge(t *testing.T) {
 	requireSameTrials(t, "merged shards", whole.Trials, got.Trials)
 	if decided == 0 {
 		t.Error("the sharded campaign decided nothing")
+	}
+}
+
+// countingBuilder counts the instances a campaign builds and, per request
+// index, the Serve calls they answer. So that every worker of a pool of
+// workers runs a trial, whichever finishes first, an instance's first
+// trial waits at its restore until workers instances have reached theirs.
+type countingBuilder struct {
+	apps.SnapshotBuilder
+	workers int
+	builds  atomic.Int64
+	serves  []atomic.Int64
+
+	mu      sync.Mutex
+	arrived int
+	all     chan struct{}
+}
+
+func newCountingBuilder(b apps.SnapshotBuilder, workers, requests int) *countingBuilder {
+	return &countingBuilder{SnapshotBuilder: b, workers: workers,
+		serves: make([]atomic.Int64, requests), all: make(chan struct{})}
+}
+
+func (b *countingBuilder) Build() (apps.App, error) { return b.BuildSnapshot() }
+
+func (b *countingBuilder) BuildSnapshot() (apps.SnapshotApp, error) {
+	app, err := b.SnapshotBuilder.BuildSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	// The first instance's first restore ends the fault-free pass.
+	firstTrial := 1
+	if b.builds.Add(1) == 1 {
+		firstTrial = 2
+	}
+	return &countingApp{SnapshotApp: app, b: b, firstTrial: firstTrial}, nil
+}
+
+type countingApp struct {
+	apps.SnapshotApp
+	b                  *countingBuilder
+	resets, firstTrial int
+}
+
+func (a *countingApp) Serve(q int) (apps.Response, error) {
+	a.b.serves[q].Add(1)
+	return a.SnapshotApp.Serve(q)
+}
+
+func (a *countingApp) Reset() (int, error) {
+	if a.resets++; a.resets == a.firstTrial {
+		a.b.mu.Lock()
+		if a.b.arrived++; a.b.arrived == a.b.workers {
+			close(a.b.all)
+		}
+		a.b.mu.Unlock()
+		select {
+		case <-a.b.all:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	return a.SnapshotApp.Reset()
+}
+
+// TestOneFaultFreePass: a campaign builds one instance per worker and
+// serves each request of its measured window fault-free exactly once —
+// whether it records its golden run or is handed one, at any warm-up and
+// parallelism — and each warm-up request once per instance. What the
+// trials serve is subtracted: a decided trial serves nothing, a simulated
+// one its Requests, plus the request it crashed in.
+func TestOneFaultFreePass(t *testing.T) {
+	for _, appName := range []string{"kvstore", "websearch"} {
+		b := decideBuilders[appName](t, nil)
+		golden, err := GoldenRun(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(golden)
+		for _, warmup := range []int{0, n / 4} {
+			for _, par := range []int{1, 4} {
+				for _, supplied := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/warmup%d/par%d/golden-supplied=%v", appName, warmup, par, supplied), func(t *testing.T) {
+						cb := newCountingBuilder(b, par, n)
+						cfg := CampaignConfig{
+							Builder: cb, Spec: faults.SingleBitHard, Trials: 24, Seed: 3,
+							Warmup: warmup, Parallelism: par,
+						}
+						if supplied {
+							cfg.Golden = golden
+						}
+						res, reg := runMetered(t, cfg)
+						if got := cb.builds.Load(); got != int64(par) {
+							t.Errorf("%d instances built, want %d", got, par)
+						}
+						// Every trial that did not crash served the whole
+						// window unless it was decided.
+						byTrials := make([]int64, n)
+						notCrashed := int64(0)
+						for _, tr := range res.Trials {
+							if tr.Disposition != DispositionCompleted {
+								t.Fatalf("trial %d aborted: %s", tr.Index, tr.AbortDetail)
+							}
+							if tr.Outcome != OutcomeCrash {
+								notCrashed++
+								continue
+							}
+							for q := warmup; q <= warmup+tr.Requests; q++ {
+								byTrials[q]++
+							}
+						}
+						served := notCrashed - reg.Counters["campaign_trials_decided_total"]
+						for q := range byTrials {
+							want := int64(1)
+							if q < warmup {
+								want = int64(par)
+							} else {
+								byTrials[q] += served
+							}
+							if got := cb.serves[q].Load() - byTrials[q]; got != want {
+								t.Fatalf("request %d served fault-free %d times, want %d", q, got, want)
+							}
+						}
+					})
+				}
+			}
+		}
+		t.Run(appName+"/warmup-rejected", func(t *testing.T) {
+			cb := newCountingBuilder(b, 1, n)
+			_, err := Run(CampaignConfig{Builder: cb, Spec: faults.SingleBitSoft, Trials: 4, Warmup: n})
+			if want := fmt.Sprintf("core: warmup %d outside [0,%d)", n, n); err == nil || err.Error() != want {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+			for q := range cb.serves {
+				if got := cb.serves[q].Load(); got != 0 {
+					t.Fatalf("request %d served %d times before the warm-up was rejected", q, got)
+				}
+			}
+		})
 	}
 }
 

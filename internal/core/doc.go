@@ -8,17 +8,21 @@
 // Every trial runs one way (campaign.go): a worker builds and warms up
 // one instance (apps.SnapshotBuilder), snapshots it, and then per trial
 // restores it, injects, serves the post-warmup workload and classifies —
-// snapshotSession.runTrial → injectAndServe — after which
-// supervisor.finished records the trial's metrics straight onto the
-// registry. The paper's literal restart-per-trial loop lives on the test
-// side, as the reference the equivalence suites compare against.
+// snapshotSession.runTrial — after which supervisor.finished records the
+// trial's metrics straight onto the registry. The paper's literal
+// restart-per-trial loop lives on the test side, as the reference the
+// equivalence suites compare against.
 //
-// A session also serves its measured window once with no fault and
-// records how each granule is first referenced (decide.go). A trial whose
-// drawn address lies in a granule that window never references — or, for
-// a soft error, first overwrites whole — is classified from that record
-// right after the address draw, without injecting or serving; its
-// TrialResult is the one the replay would have produced (DESIGN.md §9).
+// A campaign serves its workload fault-free exactly once (faultFreePass),
+// on the instance that becomes worker 0's session: the warm-up prefix
+// records the golden digests (or checks supplied ones), and the measured
+// window records how each granule is first referenced (decide.go). The
+// other workers only warm up. A trial whose drawn address lies in a
+// granule that window never references — or, for a soft error, first
+// overwrites whole — is classified from that one read-only record right
+// after the address draw, without injecting or serving; its TrialResult
+// is the one the replay would have produced (DESIGN.md §9). GoldenRun,
+// the pass and every warm-up go through one serve loop, serveFaultFree.
 //
 // Campaign execution is a two-tier supervision hierarchy:
 //

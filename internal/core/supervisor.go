@@ -8,6 +8,7 @@ import (
 
 	"hrmsim/internal/apps"
 	"hrmsim/internal/evtrace"
+	"hrmsim/internal/monitor"
 	"hrmsim/internal/simmem"
 )
 
@@ -16,12 +17,15 @@ import (
 // the per-trial watchdogs (wall-clock deadline and virtual-operation
 // budget), bounded retry of transient infrastructure failures, journal
 // appends, and resume skipping. The Fig. 2 trial loop itself lives in
-// campaign.go (snapshotSession.runTrial → injectAndServe); the supervisor
-// only decides which trials run, for how long, and what happens when
-// they don't finish.
+// campaign.go (snapshotSession.runTrial); the supervisor only decides
+// which trials run, for how long, and what happens when they don't
+// finish.
 type supervisor struct {
-	cfg            CampaignConfig
-	golden         []uint64
+	cfg    CampaignConfig
+	golden []uint64
+	// profile is the fault-free window's record every worker decides from
+	// (read-only; nil: every trial simulates).
+	profile        *monitor.Profile
 	par            int
 	sb             apps.SnapshotBuilder
 	maxRetries     int
@@ -58,8 +62,9 @@ type supervisor struct {
 // run executes the campaign: pre-merges resumed results, dispatches the
 // planner's indices to par workers, and stops dispatching (draining
 // in-flight trials) when ctx is cancelled or the planner's stopping
-// rule fires.
-func (s *supervisor) run(ctx context.Context) (*CampaignResult, error) {
+// rule fires. Worker 0 starts on first, the session the fault-free pass
+// left ready (nil: it builds its own).
+func (s *supervisor) run(ctx context.Context, first *snapshotSession) (*CampaignResult, error) {
 	cfg := s.cfg
 	results := make([]TrialResult, cfg.Trials)
 	have := make([]bool, cfg.Trials)
@@ -134,13 +139,14 @@ func (s *supervisor) run(ctx context.Context) (*CampaignResult, error) {
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < s.par; w++ {
+		// Each worker keeps one instance alive across all the trials it
+		// drains; the build + warmup cost is paid once per worker instead
+		// of once per trial.
+		sess := first
+		first = nil
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker keeps one instance alive across all the trials
-			// it drains; the build + warmup cost is paid once per worker
-			// instead of once per trial.
-			var sess *snapshotSession
 			for i := range idxCh {
 				start := time.Now()
 				var tr TrialResult
@@ -336,7 +342,7 @@ func (s *supervisor) execute(sess *snapshotSession, i int) (tr TrialResult, ts t
 			return TrialResult{}, trialStats{}, nil, err
 		}
 	}
-	tr, ts, err = sess.runTrial(s.cfg, s.golden, i)
+	tr, ts, err = sess.runTrial(s.cfg, s.golden, s.profile, i)
 	if err != nil {
 		return TrialResult{}, trialStats{}, nil, err
 	}

@@ -334,11 +334,12 @@ func (b *hangBuilder) Build() (apps.App, error) {
 func TestWatchdogDeadlineAbortsHungTrial(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	// Build 1 is the golden run and build 2 the worker's session. The
-	// build-per-trial reference rebuilds on every Reset: builds 3 and 4
-	// are the two around the session's profile pass, and from there one
-	// per trial at parallelism 1, so hanging build 6 hangs exactly trial 1.
-	b := buildPerTrial{&hangBuilder{hangBuild: 6, release: release}}
+	// Build 1 is the golden run below and build 2 the campaign's first
+	// session, which serves the fault-free pass. The build-per-trial
+	// reference rebuilds on every Reset: build 3 is the Reset ending that
+	// pass, and from there one per trial at parallelism 1, so hanging
+	// build 5 hangs exactly trial 1.
+	b := buildPerTrial{&hangBuilder{hangBuild: 5, release: release}}
 	golden, err := GoldenRun(b)
 	if err != nil {
 		t.Fatal(err)
@@ -489,10 +490,12 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Builds 1 and 2 (trial 0's first two attempts at building the
-	// worker's session) fail; the default retry budget of 2 absorbs both,
-	// at a backoff of 5 ms + 10 ms.
-	flaky := &flakyBuilder{Builder: inner, failBuilds: map[int64]bool{1: true, 2: true}}
+	// Build 1 is the campaign's first session, which serves the fault-free
+	// pass, and build 2 the Reset ending it (the build-per-trial reference
+	// rebuilds on every Reset). Builds 3 and 4 fail: trial 0's restore,
+	// then its retry's fresh session. The default retry budget of 2
+	// absorbs both, at a backoff of 5 ms + 10 ms.
+	flaky := &flakyBuilder{Builder: inner, failBuilds: map[int64]bool{3: true, 4: true}}
 	reg := obsv.NewRegistry()
 	res, err := Run(CampaignConfig{
 		Builder: buildPerTrial{flaky}, Spec: faults.SingleBitSoft,

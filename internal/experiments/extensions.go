@@ -92,9 +92,11 @@ func (s *Suite) ExtAggregation() (*Report, error) {
 	const trials = 24
 	const errorsPerTrial = 12
 
-	// Build the healthy shard servers and record golden leaf results.
+	// Build the healthy shard servers and record golden leaf results, and
+	// leaf 0's golden digests (to measure leaf-level incorrectness).
 	builders := make([]*websearch.Builder, leaves)
 	goldenResults := make([][][]websearch.DocScore, leaves) // [leaf][query][]
+	var leaf0Golden []uint64
 	nq := 0
 	for l := 0; l < leaves; l++ {
 		b, err := websearch.NewBuilder(s.extWSConfig(s.scale.Seed + int64(l)))
@@ -109,12 +111,18 @@ func (s *Suite) ExtAggregation() (*Report, error) {
 		ws := inst.(*websearch.App)
 		nq = ws.NumRequests()
 		goldenResults[l] = make([][]websearch.DocScore, nq)
+		if l == 0 {
+			leaf0Golden = make([]uint64, nq)
+		}
 		for q := 0; q < nq; q++ {
-			_, results, err := ws.ServeWithResults(q)
+			resp, results, err := ws.ServeWithResults(q)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: aggregation golden leaf %d: %w", l, err)
 			}
 			goldenResults[l][q] = results
+			if l == 0 {
+				leaf0Golden[q] = resp.Digest
+			}
 		}
 	}
 	// Golden aggregates per query.
@@ -125,22 +133,6 @@ func (s *Suite) ExtAggregation() (*Report, error) {
 			per[l] = goldenResults[l][q]
 		}
 		goldenAgg[q] = aggregate(per)
-	}
-	// Golden digests of leaf 0 (to measure leaf-level incorrectness).
-	leaf0Golden := make([]uint64, nq)
-	{
-		inst, err := builders[0].Build()
-		if err != nil {
-			return nil, err
-		}
-		ws := inst.(*websearch.App)
-		for q := 0; q < nq; q++ {
-			resp, _, err := ws.ServeWithResults(q)
-			if err != nil {
-				return nil, err
-			}
-			leaf0Golden[q] = resp.Digest
-		}
 	}
 
 	rng := rand.New(rand.NewSource(s.scale.Seed))

@@ -387,18 +387,11 @@ func (s *Suite) MeasuredWebSearchInputs() ([]design.RegionInput, error) {
 			Share: float64(r.Used()) / float64(total),
 			// Guard against a zero point estimate at small trial
 			// counts: use the interval's midpoint floor.
-			CrashProb:       maxf(crash.P, crash.Lo),
+			CrashProb:       max(crash.P, crash.Lo),
 			IncorrectPerErr: meanIncorrect / 1000, // per-billion -> per-million
 		})
 	}
 	return inputs, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Figure8 regenerates Fig. 8: tolerable memory errors per month for each

@@ -50,7 +50,7 @@ import (
 
 // Config parameterizes a server node.
 type Config struct {
-	// Keys is the pre-populated key count.
+	// Keys is the pre-populated key count (default 1024).
 	Keys int
 	// ECC selects the heap protection: none|parity|secded|chipkill.
 	ECC string
@@ -134,10 +134,13 @@ type Server struct {
 
 // New builds a server node: the pre-populated store plus protocol state.
 func New(cfg Config) (*Server, error) {
-	if cfg.Keys <= 0 {
+	if cfg.Keys < 0 || cfg.MaxLine < 0 {
+		return nil, fmt.Errorf("kvnode: negative key count %d or line bound %d", cfg.Keys, cfg.MaxLine)
+	}
+	if cfg.Keys == 0 {
 		cfg.Keys = 1024
 	}
-	if cfg.MaxLine <= 0 {
+	if cfg.MaxLine == 0 {
 		cfg.MaxLine = DefaultMaxLine
 	}
 	if cfg.DrainTimeout <= 0 {
@@ -247,6 +250,9 @@ func New(cfg Config) (*Server, error) {
 // App exposes the underlying store (chaos injectors resolve hot-key value
 // addresses through it; hold the gate).
 func (s *Server) App() *kvstore.App { return s.app }
+
+// Keys is the number of keys the store was populated with.
+func (s *Server) Keys() int { return s.cfg.Keys }
 
 // Space is the server's simulated memory. Any cross-goroutine access must
 // hold its exclusion gate.

@@ -126,6 +126,56 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
+	// Out-of-range settings are refused, not replaced by the defaults;
+	// zero still means the default.
+	if _, err := New(Config{Keys: -5}); err == nil {
+		t.Error("negative key count accepted")
+	}
+	if _, err := New(Config{MaxLine: -1}); err == nil {
+		t.Error("negative line bound accepted")
+	}
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.Keys() != 1024 {
+		t.Errorf("zero Keys populated %d keys, want the default 1024", srv.Keys())
+	}
+	if resp := srv.Dispatch("get 1023"); !strings.HasPrefix(resp, "VALUE ") {
+		t.Errorf("get 1023 on a default node: %q", resp)
+	}
+}
+
+// FuzzDispatch: no input line panics the server, holds its gate, or
+// answers anything but one line.
+func FuzzDispatch(f *testing.F) {
+	for _, seed := range []string{
+		"get 5", "set 5 3", "get 9999", "inject soft", "inject hard", "stats", "quit",
+		"", "   ", "get", "get abc", "get -1", "get 0x10", "set 1", "set a b",
+		"set 1 99999999999999", "inject", "inject gamma", "frobnicate", "zz 1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		srv, err := New(Config{Keys: 16, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := srv.Dispatch(line)
+		if resp == "" || strings.Contains(resp, "\n") {
+			t.Fatalf("Dispatch(%q) = %q, want one non-empty line", line, resp)
+		}
+		done := make(chan struct{})
+		go func() {
+			srv.Stats()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Dispatch(%q) left the gate held", line)
+		}
+	})
 }
 
 // TestParRRecoversUnderProtocol pins the online-recovery path: a parity
