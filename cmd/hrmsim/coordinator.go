@@ -34,12 +34,12 @@ import (
 type coordinatorConfig struct {
 	// Campaign is the campaign as the user described it. Every worker
 	// runs it with only the coordinator-owned fields — shard, journal,
-	// manifest, status, resume — set per task (workerConfig).
+	// status, resume — set per task (workerConfig).
 	Campaign hrmsim.CharacterizeConfig
 
 	// Shards is the number of worker processes (= shard count).
 	Shards int
-	// Dir receives the shard journal/manifest pairs; empty means a fresh
+	// Dir receives the shard journals and status records; empty means a fresh
 	// temporary directory, removed again after a complete merge.
 	Dir string
 	// StragglerAfter is the staleness threshold for straggler warnings
@@ -70,10 +70,11 @@ type coordinatorConfig struct {
 
 // shardTask is one worker assignment.
 type shardTask struct {
-	Index, Count      int
-	Journal, Manifest string
+	Index, Count int
+	Journal      string
 	// Status is the worker's heartbeat record path (see
-	// core.ShardStatus); the coordinator tails these into the fleet view.
+	// core.ShardStatus); the coordinator tails these into the fleet view,
+	// and the merge consumes the final ones.
 	Status string
 	// Resume makes the worker skip trials its journal already records
 	// (set on respawn after a crash).
@@ -92,7 +93,7 @@ type shardLauncher func(task shardTask) (waiter, error)
 // workerConfig is the campaign as one shard task's worker runs it.
 func workerConfig(campaign hrmsim.CharacterizeConfig, task shardTask) hrmsim.CharacterizeConfig {
 	campaign.ShardIndex, campaign.ShardCount = task.Index, task.Count
-	campaign.JournalPath, campaign.ManifestPath, campaign.StatusPath = task.Journal, task.Manifest, task.Status
+	campaign.JournalPath, campaign.StatusPath = task.Journal, task.Status
 	if task.Resume {
 		campaign.ResumePath = task.Journal
 	}
@@ -118,7 +119,7 @@ func workerArgs(cfg hrmsim.CharacterizeConfig) []string {
 }
 
 // processLauncher launches shard workers as child processes of this very
-// executable: `hrmsim characterize ... -shard=i/N -journal=... -manifest=...`.
+// executable: `hrmsim characterize ... -shard=i/N -journal=... -status=...`.
 func processLauncher(campaign hrmsim.CharacterizeConfig, log io.Writer) shardLauncher {
 	return func(task shardTask) (waiter, error) {
 		exe, err := os.Executable()
@@ -204,11 +205,10 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) (*coordinatorOut
 	var failed []int
 	for i := 0; i < cfg.Shards; i++ {
 		tasks[i] = shardTask{
-			Index:    i,
-			Count:    cfg.Shards,
-			Journal:  filepath.Join(dir, core.ShardJournalName(i, cfg.Shards)),
-			Manifest: filepath.Join(dir, core.ShardManifestName(i, cfg.Shards)),
-			Status:   filepath.Join(dir, core.ShardStatusName(i, cfg.Shards)),
+			Index:   i,
+			Count:   cfg.Shards,
+			Journal: filepath.Join(dir, core.ShardJournalName(i, cfg.Shards)),
+			Status:  filepath.Join(dir, core.ShardStatusName(i, cfg.Shards)),
 		}
 		if err := start(i, false); err != nil {
 			return nil, err

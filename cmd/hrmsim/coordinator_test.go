@@ -208,7 +208,7 @@ func TestWorkerArgsRoundTrip(t *testing.T) {
 		App: hrmsim.AppGraphMine, Error: hrmsim.HardDoubleBit, Region: hrmsim.RegionHeap,
 		Trials: 77, TargetCI: 0.125, MinTrials: 11, MaxTrials: 66, Seed: 9,
 		Size: hrmsim.SizeLarge, Parallelism: 3,
-		JournalPath: "j.jsonl", ResumePath: "r.jsonl", ManifestPath: "m.json", StatusPath: "s.json",
+		JournalPath: "j.jsonl", ResumePath: "r.jsonl", StatusPath: "s.json",
 		ShardIndex: 2, ShardCount: 5,
 	}
 	want.TrialTimeout = 90 * time.Second

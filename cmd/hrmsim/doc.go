@@ -27,17 +27,18 @@
 // index space). Under tables, -target-ci applies per campaign cell.
 //
 // characterize runs a campaign whole, as one shard of a multi-process
-// campaign (-shard i/N, emitting a journal plus a shard manifest, and
-// with -status a heartbeat record for the control plane), or as a
+// campaign (-shard i/N; with -journal it emits the journal plus a
+// heartbeat status record, whose final version names the journal), or as a
 // coordinator (-coordinator -shards N) that spawns one worker process
 // per shard, supervises them (straggler warnings by heartbeat age with
 // a journal-mtime fallback, crash respawn with -resume), aggregates the
 // heartbeats into a live fleet view (-status-addr serves it at /statusz
 // with merged /metrics, /healthz, and pprof), and auto-merges the
-// shards on completion. merge folds a directory of shard
-// journal/manifest pairs into a result bit-identical to the
-// single-process run; status renders the fleet view of a live or
-// finished campaign directory from any shell (-watch to follow).
+// shards on completion. merge folds the finished shards of a directory
+// (final status records and the journals they name) into a result
+// bit-identical to the single-process run; status renders the fleet
+// view of the same records, live or finished, from any shell (-watch to
+// follow).
 // SHARDING.md is the operator contract.
 //
 // Every subcommand accepts -json, which replaces the rendered text on

@@ -183,8 +183,7 @@ func bindCampaignFlags(fs *flag.FlagSet, cfg *hrmsim.CharacterizeConfig) {
 	fs.Var(shardValue{cfg}, "shard", "run only shard i of N of the campaign's trials, given as `i/N` (i in [0,N)); the journal stays merge-compatible with the sibling shards (SHARDING.md)")
 	fs.StringVar(&cfg.JournalPath, "journal", "", "append one flushed JSONL record per finished trial to this file, so an interrupted campaign can be resumed with -resume (schema: OBSERVABILITY.md)")
 	fs.StringVar(&cfg.ResumePath, "resume", "", "skip trials already recorded in this journal (typically the same file as -journal); the merged result is bit-identical to an uninterrupted run")
-	fs.StringVar(&cfg.ManifestPath, "manifest", "", "write the shard manifest (campaign identity + config hash + trial range) to this file after the run; requires -journal (default with -shard: derived from the journal path)")
-	fs.StringVar(&cfg.StatusPath, "status", "", "write a shard status/heartbeat record (JSON, atomically replaced) to this file: an initial record, throttled per-trial refreshes, and a final record (schema: OBSERVABILITY.md; view with `hrmsim status`)")
+	fs.StringVar(&cfg.StatusPath, "status", "", "write a shard status/heartbeat record (JSON, atomically replaced) to this file: an initial record, throttled per-trial refreshes, and a final record that names the -journal for `hrmsim merge` (schema: OBSERVABILITY.md; view with `hrmsim status`; default with -shard and -journal: the journal path with .status.json for .jsonl)")
 	fs.DurationVar(&cfg.StatusInterval, "status-interval", 0, "minimum interval between heartbeat refreshes (0 = the 1s default)")
 }
 
@@ -210,7 +209,7 @@ func parseCharacterize(args []string) (*characterizeCmd, error) {
 	fs.StringVar(&c.traceFormat, "trace-format", "jsonl", "event trace format: jsonl|chrome (chrome loads in ui.perfetto.dev)")
 	fs.BoolVar(&c.coordinator, "coordinator", false, "coordinator mode: spawn -shards local worker processes, supervise them (straggler warnings, crashed-shard respawn with -resume), and merge their journals (SHARDING.md)")
 	fs.IntVar(&c.coord.Shards, "shards", 0, "number of shard worker processes to spawn (coordinator mode)")
-	fs.StringVar(&c.coord.Dir, "shard-dir", "", "directory for shard journals and manifests (coordinator mode; default: a fresh temporary directory, removed on success)")
+	fs.StringVar(&c.coord.Dir, "shard-dir", "", "directory for shard journals and status records (coordinator mode; default: a fresh temporary directory, removed on success)")
 	fs.DurationVar(&c.coord.StragglerAfter, "straggler-after", 30*time.Second, "warn when a running shard's heartbeat (or, lacking one, its journal) has not advanced for this long (coordinator mode; 0 = off)")
 	fs.IntVar(&c.coord.MaxRespawns, "shard-respawns", 2, "respawn a crashed shard, resuming its journal, at most this many times (coordinator mode)")
 	fs.StringVar(&c.coord.StatusAddr, "status-addr", "", "serve the live fleet view on this HTTP address: /statusz, merged /metrics, /healthz, /debug/pprof (coordinator mode)")
@@ -227,8 +226,8 @@ func parseCharacterize(args []string) (*characterizeCmd, error) {
 		return nil, fmt.Errorf("-coordinator and -shard are mutually exclusive (the coordinator assigns shards itself)")
 	case c.coordinator && cfg.TargetCI != 0:
 		return nil, fmt.Errorf("-target-ci cannot be combined with -coordinator: an adaptive plan needs the whole trial index space, but coordinator workers each own a shard of it — run adaptive campaigns as one process (see SHARDING.md)")
-	case c.coordinator && (cfg.JournalPath != "" || cfg.ResumePath != "" || cfg.ManifestPath != "" || cfg.StatusPath != "" || c.traceFile != ""):
-		return nil, fmt.Errorf("-coordinator manages its own shard journals, manifests and status records; -journal, -resume, -manifest, -trace, and -status apply to single-process runs")
+	case c.coordinator && (cfg.JournalPath != "" || cfg.ResumePath != "" || cfg.StatusPath != "" || c.traceFile != ""):
+		return nil, fmt.Errorf("-coordinator manages its own shard journals and status records; -journal, -resume, -trace, and -status apply to single-process runs")
 	case c.coordinator && c.coord.Shards < 1:
 		return nil, fmt.Errorf("-coordinator requires -shards N with N >= 1")
 	case !c.coordinator && (c.coord.Shards != 0 || c.coord.Dir != ""):
@@ -238,10 +237,11 @@ func parseCharacterize(args []string) (*characterizeCmd, error) {
 	case sharded && cfg.TargetCI != 0:
 		return nil, fmt.Errorf("-target-ci cannot be combined with -shard: an adaptive plan needs the whole trial index space — run adaptive campaigns unsharded (see SHARDING.md)")
 	}
-	// A shard's artifact pair is journal + manifest; derive the manifest
-	// path so `-shard i/N -journal f.jsonl` alone emits both.
-	if sharded && cfg.ManifestPath == "" && cfg.JournalPath != "" {
-		cfg.ManifestPath = core.ManifestPathFor(cfg.JournalPath)
+	// A shard's record pair is journal + status record; derive the status
+	// path so `-shard i/N -journal f.jsonl` alone leaves both, and its
+	// final record lets `merge` consume the journal.
+	if sharded && cfg.StatusPath == "" && cfg.JournalPath != "" {
+		cfg.StatusPath = core.StatusPathFor(cfg.JournalPath)
 	}
 	return c, nil
 }
@@ -264,9 +264,9 @@ func cmdCharacterize(args []string) error {
 	if c.progress {
 		cfg.Progress = progressFunc("characterize")
 	}
-	// The manifest and the status records embed metrics snapshots, so
-	// runs writing either are instrumented even without -json.
-	if c.jsonOut || cfg.ManifestPath != "" || cfg.StatusPath != "" {
+	// The status records embed metrics snapshots, so runs writing them
+	// are instrumented even without -json.
+	if c.jsonOut || cfg.StatusPath != "" {
 		cfg.Metrics = obsv.NewRegistry()
 	}
 	// Tracing: -trace streams every trial's events to a file; -json
@@ -361,7 +361,7 @@ func printCharacterization(c *hrmsim.Characterization) {
 // bit-identical to the single-process run (see SHARDING.md).
 func cmdMerge(args []string) error {
 	fs := flag.NewFlagSet("merge", flag.ContinueOnError)
-	dir := fs.String("dir", "", "shard directory holding the *.manifest.json + journal pairs (may also be given as the positional argument)")
+	dir := fs.String("dir", "", "shard directory holding the shards' *.status.json records and the journals their final records name (may also be given as the positional argument)")
 	jsonOut := fs.Bool("json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -383,7 +383,7 @@ func cmdMerge(args []string) error {
 		return err
 	}
 	if c.Interrupted {
-		fmt.Fprintf(os.Stderr, "merge: campaign incomplete — %d of %d trials have no record in any shard (respawn or resume the missing shards and re-merge)\n",
+		fmt.Fprintf(os.Stderr, "merge: campaign incomplete — %d of %d trials have no record in any finished shard (respawn or resume the missing shards and re-merge)\n",
 			info.Missing, c.Trials)
 	}
 	if *jsonOut {

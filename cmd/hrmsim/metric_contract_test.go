@@ -74,7 +74,7 @@ func TestMetricContract(t *testing.T) {
 
 	// A two-shard coordinator run, merged: the coordinator's own registry
 	// (spawns, respawns, merge accounting), the workers' heartbeat
-	// snapshots as the fleet view merges them, and their manifest
+	// snapshots as the fleet view merges them, and their final-record
 	// snapshots as MergeShards does.
 	cfg := testCoordinatorConfig(t)
 	cfg.Shards = 2

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"hrmsim"
 	"hrmsim/internal/core"
 )
 
@@ -42,9 +44,14 @@ func TestShardMergeCLIRoundTrip(t *testing.T) {
 		if sh["index"] != float64(i) || sh["count"] != float64(2) {
 			t.Errorf("shard %s: envelope shard = %v", shard, sh)
 		}
-		// -shard with -journal derives the manifest path automatically.
-		if _, err := core.ReadManifest(core.ManifestPathFor(journal)); err != nil {
-			t.Errorf("shard %s wrote no readable manifest: %v", shard, err)
+		// -shard with -journal derives the status path automatically, and
+		// the final record names the journal.
+		st, err := core.ReadStatus(core.StatusPathFor(journal))
+		if err != nil {
+			t.Errorf("shard %s wrote no readable status record: %v", shard, err)
+		} else if st.Running || st.Journal != filepath.Base(journal) {
+			t.Errorf("shard %s final record: running=%v journal=%q, want a finished record naming %s",
+				shard, st.Running, st.Journal, filepath.Base(journal))
 		}
 	}
 
@@ -94,6 +101,81 @@ func TestMergeRejectsMismatchedShards(t *testing.T) {
 	}
 }
 
+// TestStatusAndMergeSeeSameShards: `status` and `merge` read one record
+// per shard, so they agree about a directory holding a finished shard
+// (final record plus journal) and a crashed one (a live record plus a
+// partial journal): status lists both with one still running, and merge
+// consumes only the finished shard, reporting the crashed range as
+// missing.
+func TestStatusAndMergeSeeSameShards(t *testing.T) {
+	dir := t.TempDir()
+	_ = captureStdout(t, func() error {
+		return run([]string{"characterize", "-app", "kvstore", "-size", "small", "-trials", "24", "-seed", "6",
+			"-shard", "0/2", "-journal", filepath.Join(dir, core.ShardJournalName(0, 2))})
+	})
+	// Shard 1 dies after a few journaled trials: its last heartbeat is
+	// still a running one.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	crashed := hrmsim.CharacterizeConfig{App: hrmsim.AppKVStore, Size: hrmsim.SizeSmall, Trials: 24, Seed: 6,
+		Parallelism: 1, ShardIndex: 1, ShardCount: 2, Context: ctx,
+		JournalPath: filepath.Join(dir, core.ShardJournalName(1, 2)),
+		StatusPath:  filepath.Join(dir, core.ShardStatusName(1, 2))}
+	crashed.Progress = func(p hrmsim.ProgressInfo) {
+		if p.Done == 3 {
+			cancel()
+		}
+	}
+	if _, err := hrmsim.Characterize(crashed); err != nil {
+		t.Fatal(err)
+	}
+	last, err := core.ReadStatus(crashed.StatusPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last.Running, last.Interrupted = true, false
+	if err := core.WriteStatus(crashed.StatusPath, last); err != nil {
+		t.Fatal(err)
+	}
+
+	var status struct {
+		Result struct {
+			Running int `json:"running"`
+			Shards  []struct {
+				Index   int  `json:"index"`
+				Running bool `json:"running"`
+			} `json:"shards"`
+		} `json:"result"`
+	}
+	out := captureStdout(t, func() error { return run([]string{"status", "-dir", dir, "-json"}) })
+	if err := json.Unmarshal([]byte(out), &status); err != nil {
+		t.Fatal(err)
+	}
+	if len(status.Result.Shards) != 2 || status.Result.Running != 1 || !status.Result.Shards[1].Running {
+		t.Fatalf("status = %+v, want shards 0 and 1 with shard 1 still running", status.Result)
+	}
+
+	var merge struct {
+		Interrupted bool `json:"interrupted"`
+		Merged      struct {
+			Shards []struct {
+				Index int `json:"index"`
+			} `json:"shards"`
+			Records int `json:"records"`
+			Missing int `json:"missing"`
+		} `json:"merged"`
+	}
+	out = captureStdout(t, func() error { return run([]string{"merge", "-dir", dir, "-json"}) })
+	if err := json.Unmarshal([]byte(out), &merge); err != nil {
+		t.Fatal(err)
+	}
+	m := merge.Merged
+	if len(m.Shards) != 1 || m.Shards[0].Index != 0 || m.Records != 12 || m.Missing != 12 || !merge.Interrupted {
+		t.Fatalf("merge = %+v (interrupted %v), want shard 0 alone with shard 1's 12 trials missing",
+			m, merge.Interrupted)
+	}
+}
+
 // TestShardFlagValidation: malformed or misplaced sharding flags fail
 // fast with flag-level errors.
 func TestShardFlagValidation(t *testing.T) {
@@ -104,8 +186,7 @@ func TestShardFlagValidation(t *testing.T) {
 		{"characterize", "-app", "kvstore", "-coordinator"},                                        // -coordinator without -shards
 		{"characterize", "-app", "kvstore", "-coordinator", "-shards", "2", "-shard", "0/2"},       // both modes
 		{"characterize", "-app", "kvstore", "-coordinator", "-shards", "2", "-journal", "x.jsonl"}, // coordinator owns journals
-		{"characterize", "-app", "kvstore", "-coordinator", "-shards", "2", "-manifest", "m.json"}, // coordinator owns manifests
-		{"characterize", "-app", "kvstore", "-manifest", "m.json"},                                 // manifest without journal
+		{"characterize", "-app", "kvstore", "-coordinator", "-shards", "2", "-status", "s.json"},   // coordinator owns status records
 		{"merge"}, // no directory
 	}
 	for _, args := range cases {

@@ -201,6 +201,9 @@ func cmdStatus(args []string) error {
 	if *watch && *jsonOut {
 		return fmt.Errorf("status: -watch renders text; poll `hrmsim status -json` for machine consumption")
 	}
+	if *interval <= 0 {
+		return fmt.Errorf("status: -interval must be positive, got %v", *interval)
+	}
 	if !*watch {
 		fleet, err := hrmsim.LoadFleetStatus(*dir)
 		if err != nil {

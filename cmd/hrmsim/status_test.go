@@ -260,6 +260,13 @@ func TestCmdStatusValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "-watch renders text") {
 		t.Errorf("watch+json err = %v", err)
 	}
+	// A non-positive refresh period is a usage error, not a ticker panic.
+	for _, iv := range []string{"0", "-1s"} {
+		if err := cmdStatus([]string{"-watch", "-interval", iv, t.TempDir()}); err == nil ||
+			!strings.Contains(err.Error(), "-interval must be positive") {
+			t.Errorf("-interval %s err = %v", iv, err)
+		}
+	}
 	// A directory without status records surfaces ErrNoStatus.
 	if err := cmdStatus([]string{t.TempDir()}); err == nil ||
 		!strings.Contains(err.Error(), "no shard status records") {

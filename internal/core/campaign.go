@@ -148,9 +148,7 @@ const (
 
 // ProgressInfo is the payload of the CampaignConfig.Progress hook: how
 // far the campaign has advanced and how fast it is moving. Rates and the
-// ETA are derived from the host wall clock; MeanTrialVirtualMinutes is
-// derived from the trials' virtual spans (TrialResult.EndedAt −
-// InjectedAt).
+// ETA are derived from the host wall clock.
 type ProgressInfo struct {
 	// Done and Total count completed trials and the campaign size.
 	Done, Total int
@@ -162,9 +160,6 @@ type ProgressInfo struct {
 	// ETA is the projected wall time remaining at the current rate
 	// (zero when Done == Total).
 	ETA time.Duration
-	// MeanTrialVirtualMinutes is the mean simulated span of the
-	// completed trials (resumed ones included), in virtual minutes.
-	MeanTrialVirtualMinutes float64
 	// Adaptive marks an open-ended campaign: an adaptive planner is
 	// still narrowing its CI, so Total is the planner's current budget
 	// estimate (the next evaluation boundary), not a fixed size, and
@@ -858,25 +853,4 @@ func (r *CampaignResult) TimesToEffect(o Outcome) []float64 {
 		}
 	}
 	return out
-}
-
-// MeanHorizon returns the average virtual run length after injection, used
-// as the Fig. 5a observation horizon: crashed trials are observed until the
-// crash, and every other trial for the span of the whole run (EndedAt −
-// InjectedAt). Trials without an end timestamp (hand-built results from
-// before EndedAt existed) are skipped.
-func (r *CampaignResult) MeanHorizon() time.Duration {
-	var sum time.Duration
-	n := 0
-	for _, tr := range r.Trials {
-		if tr.EndedAt == 0 {
-			continue
-		}
-		sum += tr.EndedAt - tr.InjectedAt
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / time.Duration(n)
 }

@@ -366,6 +366,14 @@ func TestDecidedCampaignJournalResumeShardMerge(t *testing.T) {
 			cfg.Builder, cfg.Shard, cfg.Journal = b, &shard, j
 			reg := obsv.NewRegistry()
 			cfg.Metrics = reg
+			// The facade's status sink: each leg's final record names
+			// the journal, and the resumed leg's replaces the first's.
+			cfg.StatusSink = func(st ShardStatus) {
+				st.ConfigHash, st.Campaign, st.Journal = ConfigHash(meta), meta, jname
+				if err := WriteStatus(filepath.Join(dir, ShardStatusName(idx, 2)), st); err != nil {
+					t.Error(err)
+				}
+			}
 			ctx, cancel := context.WithCancel(context.Background())
 			if leg == 0 && interruptAt > 0 {
 				cfg.Progress = func(p ProgressInfo) {
@@ -393,19 +401,11 @@ func TestDecidedCampaignJournalResumeShardMerge(t *testing.T) {
 				t.Fatal("resumed shard was interrupted again")
 			}
 		}
-		man := NewShardManifest(meta, shard, jname, res)
-		if err := WriteManifest(filepath.Join(dir, ShardManifestName(idx, 2)), man); err != nil {
-			t.Fatal(err)
-		}
 	}
 	runShard(0, 0)
 	runShard(1, 7)
 
-	shards, err := LoadShardDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, merged, stats, err := MergeShards(shards)
+	_, merged, stats, err := MergeShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,15 +43,17 @@
 //     processes, each running one shard of the trial index space, and
 //     watches the workers themselves: straggler detection by heartbeat
 //     age (journal mtime as the fallback), crashed-shard respawn with
-//     resume. The shard partitioning, manifest, and merge primitives it
-//     builds on live here (shard.go): ShardSpec splits [0, Trials) into
-//     contiguous ranges, ShardManifest ties a shard journal to its
-//     campaign via a config hash, and MergeShards folds a directory of
-//     shard journals back into one record set. Each worker also
-//     maintains an atomically-replaced status record (status.go:
-//     ShardStatus, written via the supervisor's StatusSink hook off the
-//     hot path) that carries live progress, outcome counts, and a
-//     metrics snapshot — the heartbeat the control plane aggregates.
+//     resume. The shard partitioning and merge primitives it builds on
+//     live here (shard.go): ShardSpec splits [0, Trials) into contiguous
+//     ranges, and MergeShards folds a directory's finished shard
+//     journals back into one record set. Each worker maintains an
+//     atomically-replaced status record (status.go: ShardStatus, written
+//     via the supervisor's StatusSink hook off the hot path) that
+//     carries live progress, outcome counts, a metrics snapshot, the
+//     campaign identity with its config hash, and the journal's name —
+//     the heartbeat the control plane aggregates. The final record
+//     (Running=false) is the one record of a finished shard: `status`
+//     renders it and MergeShards consumes it.
 //
 // Because trial i's generator derives only from (seed, i), every cut of
 // the index space — parallel workers, interrupt/resume, shards across

@@ -77,9 +77,9 @@ func TestConfigHash(t *testing.T) {
 	}
 }
 
-// writeShard writes one shard journal + manifest pair into dir and
-// returns the loaded Shard-equivalent paths.
-func writeShard(t *testing.T, dir string, meta JournalMeta, spec ShardSpec, trials []TrialResult) {
+// writeShard writes one shard into dir: its journal and its status
+// record naming it, final (Running=false) unless running is set.
+func writeShard(t *testing.T, dir string, meta JournalMeta, spec ShardSpec, trials []TrialResult, running ...bool) {
 	t.Helper()
 	jname := ShardJournalName(spec.Index, spec.Count)
 	j, _, err := OpenJournal(filepath.Join(dir, jname), meta)
@@ -94,75 +94,45 @@ func writeShard(t *testing.T, dir string, meta JournalMeta, spec ShardSpec, tria
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res := &CampaignResult{Requested: meta.Trials, counts: make(map[Outcome]int)}
-	for _, tr := range trials {
-		res.Trials = append(res.Trials, tr)
-		if tr.Disposition == DispositionCompleted {
-			res.counts[tr.Outcome]++
-		}
-	}
-	man := NewShardManifest(meta, spec, jname, res)
-	if err := WriteManifest(filepath.Join(dir, ShardManifestName(spec.Index, spec.Count)), man); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestManifestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	meta := testJournalMeta()
-	spec := ShardSpec{Index: 1, Count: 4}
-	res := &CampaignResult{Requested: meta.Trials, counts: make(map[Outcome]int)}
-	man := NewShardManifest(meta, spec, "shard-0001-of-0004.jsonl", res)
-	path := filepath.Join(dir, ShardManifestName(1, 4))
-	if err := WriteManifest(path, man); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, man) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, man)
-	}
 	lo, hi := spec.Range(meta.Trials)
-	if got.TrialLo != lo || got.TrialHi != hi {
-		t.Fatalf("manifest range [%d,%d), want [%d,%d)", got.TrialLo, got.TrialHi, lo, hi)
+	st := ShardStatus{
+		ConfigHash: ConfigHash(meta),
+		Campaign:   meta,
+		Journal:    jname,
+		ShardIndex: spec.Index,
+		ShardCount: spec.Count,
+		ShardProgress: ShardProgress{TrialLo: lo, TrialHi: hi, Done: len(trials), Total: hi - lo,
+			Running: len(running) > 0 && running[0]},
+	}
+	if err := WriteStatus(filepath.Join(dir, ShardStatusName(spec.Index, spec.Count)), st); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestManifestRejectsTampering: a manifest whose campaign identity was
-// edited after writing no longer matches its recorded config hash.
-func TestManifestRejectsTampering(t *testing.T) {
+// TestMergeShardsRejectsTamperedRecord: a final record whose campaign
+// identity was edited after writing no longer matches its recorded
+// config hash, and the merge refuses it by name.
+func TestMergeShardsRejectsTamperedRecord(t *testing.T) {
 	dir := t.TempDir()
 	meta := testJournalMeta()
-	man := NewShardManifest(meta, ShardSpec{Index: 0, Count: 1}, "j.jsonl",
-		&CampaignResult{Requested: meta.Trials, counts: make(map[Outcome]int)})
-	path := filepath.Join(dir, "shard-0000-of-0001.manifest.json")
-	if err := WriteManifest(path, man); err != nil {
-		t.Fatal(err)
-	}
+	writeShard(t, dir, meta, ShardSpec{Index: 0, Count: 1}, shardTrials(0))
+	path := filepath.Join(dir, ShardStatusName(0, 1))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	edited := strings.Replace(string(b), `"seed": 42`, `"seed": 43`, 1)
 	if edited == string(b) {
-		t.Fatal("test setup: seed field not found in manifest")
+		t.Fatal("test setup: seed field not found in the status record")
 	}
 	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifest(path); err == nil || !strings.Contains(err.Error(), "config hash") {
-		t.Fatalf("tampered manifest: got %v, want config-hash error", err)
-	}
-}
-
-func TestManifestPathFor(t *testing.T) {
-	if got := ManifestPathFor("dir/shard-0000-of-0002.jsonl"); got != "dir/shard-0000-of-0002.manifest.json" {
-		t.Fatalf("ManifestPathFor = %q", got)
-	}
-	if got := ManifestPathFor("journal"); got != "journal.manifest.json" {
-		t.Fatalf("ManifestPathFor (no suffix) = %q", got)
+	_, _, _, err = MergeShards(dir)
+	if err == nil || !strings.Contains(err.Error(), "config hash") ||
+		!strings.Contains(err.Error(), "does not match its own campaign identity") ||
+		!strings.Contains(err.Error(), "shard 0/1") {
+		t.Fatalf("tampered record: got %v, want a config-hash error naming shard 0/1", err)
 	}
 }
 
@@ -194,15 +164,11 @@ func TestMergeShardsKeepFirst(t *testing.T) {
 		{Index: 4, Outcome: OutcomeMaskedLogic, Region: "heap", Kind: simmem.RegionHeap, Requests: 999},
 		{Index: 5, Outcome: OutcomeIncorrect, Region: "heap", Kind: simmem.RegionHeap, Requests: 7},
 	})
-	shards, err := LoadShardDir(dir)
+	shards, trials, stats, err := MergeShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, trials, stats, err := MergeShards(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.Matches(meta); err != nil {
+	if err := shards[0].Campaign.Matches(meta); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Shards != 2 || stats.Records != 3 || stats.Duplicates != 1 || stats.Missing != 7 {
@@ -221,11 +187,7 @@ func TestMergeShardsEmptyShard(t *testing.T) {
 	meta := testJournalMeta()
 	writeShard(t, dir, meta, ShardSpec{Index: 0, Count: 2}, shardTrials(0, 1, 2, 3, 4))
 	writeShard(t, dir, meta, ShardSpec{Index: 1, Count: 2}, nil)
-	shards, err := LoadShardDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, trials, stats, err := MergeShards(shards)
+	_, trials, stats, err := MergeShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +206,7 @@ func TestMergeShardsAbortedOnly(t *testing.T) {
 		{Index: 5, Disposition: DispositionAborted, AbortReason: AbortReasonDeadline},
 		{Index: 6, Disposition: DispositionAborted, AbortReason: AbortReasonOpBudget},
 	})
-	shards, err := LoadShardDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, trials, stats, err := MergeShards(shards)
+	_, trials, stats, err := MergeShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +220,8 @@ func TestMergeShardsAbortedOnly(t *testing.T) {
 }
 
 // TestMergeShardsConfigMismatch: shards from different campaigns are
-// rejected before any journal is read, naming the differing field.
+// rejected while the directory is loaded, before any journal is read,
+// naming the differing field.
 func TestMergeShardsConfigMismatch(t *testing.T) {
 	dir := t.TempDir()
 	meta := testJournalMeta()
@@ -270,11 +229,7 @@ func TestMergeShardsConfigMismatch(t *testing.T) {
 	other.Seed = meta.Seed + 1
 	writeShard(t, dir, meta, ShardSpec{Index: 0, Count: 2}, shardTrials(0))
 	writeShard(t, dir, other, ShardSpec{Index: 1, Count: 2}, shardTrials(5))
-	shards, err := LoadShardDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, err = MergeShards(shards)
+	_, _, _, err := MergeShards(dir)
 	if err == nil || !strings.Contains(err.Error(), "different campaign") {
 		t.Fatalf("got %v, want different-campaign error", err)
 	}
@@ -283,10 +238,10 @@ func TestMergeShardsConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestMergeShardsJournalManifestMismatch: a journal swapped in from a
-// different campaign is caught even when its manifest is internally
-// consistent.
-func TestMergeShardsJournalManifestMismatch(t *testing.T) {
+// TestMergeShardsJournalRecordMismatch: a journal swapped in from a
+// different campaign is caught even when its status record is
+// internally consistent.
+func TestMergeShardsJournalRecordMismatch(t *testing.T) {
 	dir := t.TempDir()
 	meta := testJournalMeta()
 	writeShard(t, dir, meta, ShardSpec{Index: 0, Count: 1}, shardTrials(0))
@@ -302,21 +257,23 @@ func TestMergeShardsJournalManifestMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	shards, err := LoadShardDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, err = MergeShards(shards)
-	if err == nil || !strings.Contains(err.Error(), "does not match its manifest") {
-		t.Fatalf("got %v, want journal/manifest mismatch error", err)
+	_, _, _, err = MergeShards(dir)
+	if err == nil || !strings.Contains(err.Error(), "does not match its status record") {
+		t.Fatalf("got %v, want journal/record mismatch error", err)
 	}
 }
 
-// TestLoadShardDirEmpty: a directory without manifests is an explicit
-// error, not an empty merge.
-func TestLoadShardDirEmpty(t *testing.T) {
-	if _, err := LoadShardDir(t.TempDir()); err == nil {
+// TestMergeShardsNoFinishedShards: a directory without a finished shard
+// — no status record at all, or only live ones — is an explicit error,
+// not an empty merge.
+func TestMergeShardsNoFinishedShards(t *testing.T) {
+	if _, _, _, err := MergeShards(t.TempDir()); err == nil {
 		t.Fatal("want error for empty shard directory")
+	}
+	dir := t.TempDir()
+	writeShard(t, dir, testJournalMeta(), ShardSpec{Index: 0, Count: 1}, shardTrials(0, 1), true)
+	if _, _, _, err := MergeShards(dir); err == nil || !strings.Contains(err.Error(), "no finished shard") {
+		t.Fatalf("only a live shard: got %v, want no-finished-shard error", err)
 	}
 }
 

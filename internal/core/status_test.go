@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,6 +34,7 @@ func TestWriteReadStatusRoundTrip(t *testing.T) {
 	st := ShardStatus{
 		ConfigHash: "abc",
 		Campaign:   JournalMeta{App: "kvstore", Error: "soft-1bit", Trials: 10, Seed: 3},
+		Journal:    ShardJournalName(1, 2),
 		ShardIndex: 1,
 		ShardCount: 2,
 		ShardProgress: ShardProgress{
@@ -90,6 +92,67 @@ func TestReadStatusRejectsForeignAndMalformed(t *testing.T) {
 			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.wantErr)
 		}
 	}
+}
+
+// FuzzReadStatus: no input may panic the shard-record reader — the one
+// reader of a finished shard, for `hrmsim status` and `hrmsim merge`
+// alike — and a record it accepts, written back with WriteStatus, reads
+// back as the same record. Records compare by their encoding: JSON does
+// not tell an empty metrics map from an absent one (omitempty).
+func FuzzReadStatus(f *testing.F) {
+	fleet, err := filepath.Glob(filepath.Join("..", "..", "cmd", "hrmsim", "testdata", "fleet", "*.json"))
+	if err != nil || len(fleet) == 0 {
+		f.Fatalf("no seed records under cmd/hrmsim/testdata/fleet: %v", err)
+	}
+	for _, p := range fleet {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	meta := testJournalMeta()
+	finished, err := json.Marshal(ShardStatus{
+		SchemaVersion: StatusSchemaVersion, Stream: StatusStream,
+		ConfigHash: ConfigHash(meta), Campaign: meta, Journal: ShardJournalName(0, 2),
+		ShardCount: 2,
+		ShardProgress: ShardProgress{TrialHi: 5, Done: 5, Total: 5, Completed: 5,
+			Outcomes: map[string]int{"masked-latent": 5}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(finished)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.status.json")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ReadStatus(in)
+		if err != nil {
+			return
+		}
+		out := filepath.Join(dir, "out.status.json")
+		if err := WriteStatus(out, st); err != nil {
+			t.Fatalf("accepted record does not write back: %v", err)
+		}
+		back, err := ReadStatus(out)
+		if err != nil {
+			t.Fatalf("written-back record is refused: %v", err)
+		}
+		want, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("record changed across WriteStatus:\nread:  %s\nagain: %s", want, got)
+		}
+	})
 }
 
 func TestLoadStatusDir(t *testing.T) {

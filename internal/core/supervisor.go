@@ -47,7 +47,6 @@ type supervisor struct {
 	start      time.Time
 	total      int
 	done       int
-	virtSum    time.Duration
 	lo, hi     int
 	completed  int
 	aborted    int
@@ -97,7 +96,6 @@ func (s *supervisor) run(ctx context.Context, first *snapshotSession) (*Campaign
 		if tr.Disposition == DispositionCompleted {
 			s.completed++
 			s.counts[tr.Outcome]++
-			s.virtSum += tr.EndedAt - tr.InjectedAt
 		} else {
 			s.aborted++
 		}
@@ -417,7 +415,6 @@ func (s *supervisor) finished(tr TrialResult, ts trialStats, wall time.Duration)
 	if tr.Disposition == DispositionCompleted {
 		s.completed++
 		s.counts[tr.Outcome]++
-		s.virtSum += tr.EndedAt - tr.InjectedAt
 	} else {
 		s.aborted++
 	}
@@ -430,9 +427,6 @@ func (s *supervisor) finished(tr TrialResult, ts trialStats, wall time.Duration)
 			// estimate, not a fixed size, so the ETA extrapolates to
 			// the next evaluation boundary rather than the old fixed N.
 			Adaptive: s.adaptive && !s.planFinal,
-		}
-		if s.completed > 0 {
-			info.MeanTrialVirtualMinutes = s.virtSum.Minutes() / float64(s.completed)
 		}
 		var eta float64
 		info.TrialsPerSec, eta = s.rateLocked(info.Elapsed.Seconds())

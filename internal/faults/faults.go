@@ -194,8 +194,3 @@ func (m RateModel) Arrivals(rng *rand.Rand, horizon time.Duration) ([]Arrival, e
 		out = append(out, Arrival{At: t, Spec: m.SampleSpec(rng)})
 	}
 }
-
-// ExpectedCount returns the expected number of arrivals over a horizon.
-func (m RateModel) ExpectedCount(horizon time.Duration) float64 {
-	return m.EffectiveRate() * float64(horizon) / float64(Month)
-}

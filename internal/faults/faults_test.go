@@ -165,16 +165,6 @@ func TestArrivalsErrors(t *testing.T) {
 	}
 }
 
-func TestExpectedCount(t *testing.T) {
-	m := DefaultRates()
-	if got := m.ExpectedCount(Month); got != 2000 {
-		t.Errorf("ExpectedCount(month) = %g, want 2000", got)
-	}
-	if got := m.ExpectedCount(Month / 2); got != 1000 {
-		t.Errorf("ExpectedCount(half month) = %g, want 1000", got)
-	}
-}
-
 func TestArrivalsDeterministic(t *testing.T) {
 	m := DefaultRates()
 	a1, err := m.Arrivals(rand.New(rand.NewSource(7)), 24*time.Hour)

@@ -109,15 +109,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the exact sum of observed samples.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// LinearBuckets returns n upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExpBuckets returns n upper bounds start, start*factor, start*factor², ...
 func ExpBuckets(start, factor float64, n int) []float64 {
 	out := make([]float64, n)

@@ -98,10 +98,6 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(10, 5, 3)
-	if lin[0] != 10 || lin[1] != 15 || lin[2] != 20 {
-		t.Errorf("linear = %v", lin)
-	}
 	exp := ExpBuckets(1, 4, 3)
 	if exp[0] != 1 || exp[1] != 4 || exp[2] != 16 {
 		t.Errorf("exp = %v", exp)

@@ -155,9 +155,6 @@ func NewKDE(xs []float64, bw float64) (*KDE, error) {
 	return &KDE{xs: append([]float64(nil), xs...), bandwidth: bw}, nil
 }
 
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
 // At evaluates the density estimate at x.
 func (k *KDE) At(x float64) float64 {
 	const invSqrt2Pi = 0.3989422804014327

@@ -206,20 +206,6 @@ func (h *Histogram) BinCenter(i int) float64 {
 	return h.Min + (float64(i)+0.5)*w
 }
 
-// Fractions returns each bin's share of all in-range samples. The slice is
-// all zeros when the histogram is empty.
-func (h *Histogram) Fractions() []float64 {
-	fr := make([]float64, len(h.Counts))
-	in := h.Total - h.Overflow
-	if in == 0 {
-		return fr
-	}
-	for i, c := range h.Counts {
-		fr[i] = float64(c) / float64(in)
-	}
-	return fr
-}
-
 // ECDF is an empirical cumulative distribution function.
 type ECDF struct {
 	xs []float64 // sorted

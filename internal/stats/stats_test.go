@@ -159,14 +159,6 @@ func TestHistogram(t *testing.T) {
 			t.Errorf("bin %d = %d, want %d", i, h.Counts[i], w)
 		}
 	}
-	fr := h.Fractions()
-	var sum float64
-	for _, f := range fr {
-		sum += f
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("fractions sum to %g, want 1", sum)
-	}
 	if c := h.BinCenter(0); math.Abs(c-1) > 1e-12 {
 		t.Errorf("BinCenter(0) = %g, want 1", c)
 	}
@@ -341,7 +333,7 @@ func TestKDEDegenerateSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Bandwidth() <= 0 {
+	if k.bandwidth <= 0 {
 		t.Error("bandwidth must be positive for a degenerate sample")
 	}
 	if k.At(0.5) <= k.At(0.9) {

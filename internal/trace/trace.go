@@ -173,23 +173,3 @@ func GenGraph(rng *rand.Rand, n, avgDeg int) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// EdgeCount returns the total number of edges.
-func (g *Graph) EdgeCount() int {
-	total := 0
-	for _, e := range g.Out {
-		total += len(e)
-	}
-	return total
-}
-
-// InDegrees computes the in-degree of every node.
-func (g *Graph) InDegrees() []int {
-	in := make([]int, g.N)
-	for _, edges := range g.Out {
-		for _, v := range edges {
-			in[v]++
-		}
-	}
-	return in
-}

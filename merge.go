@@ -1,8 +1,8 @@
 package hrmsim
 
 import (
-	"encoding/json"
 	"fmt"
+	"path/filepath"
 
 	"hrmsim/internal/core"
 	"hrmsim/internal/obsv"
@@ -10,8 +10,9 @@ import (
 
 // MergeConfig configures a cross-shard merge (the CLI's `hrmsim merge`).
 type MergeConfig struct {
-	// Dir is the shard directory: every *.manifest.json in it (and the
-	// journal each names) is merged. Required.
+	// Dir is the shard directory: every finished shard's final status
+	// record (*.status.json, running false) and the journal it names are
+	// merged. Required.
 	Dir string
 	// Metrics, if non-nil, receives merge instrumentation
 	// (merge_shards_total, merge_records_total,
@@ -23,7 +24,7 @@ type MergeConfig struct {
 
 // MergeShardInfo summarizes one input shard of a merge.
 type MergeShardInfo struct {
-	// Index / Count are the shard coordinates from its manifest.
+	// Index / Count are the shard coordinates from its final record.
 	Index int `json:"index"`
 	Count int `json:"count"`
 	// TrialLo / TrialHi bound the shard's owned half-open trial range.
@@ -31,7 +32,7 @@ type MergeShardInfo struct {
 	TrialHi int `json:"trial_hi"`
 	// Journal is the shard's journal path.
 	Journal string `json:"journal"`
-	// Completed / Aborted / Interrupted echo the shard manifest's own
+	// Completed / Aborted / Interrupted echo the final record's own
 	// accounting (what the shard recorded, before cross-shard dedup).
 	Completed   int  `json:"completed"`
 	Aborted     int  `json:"aborted,omitempty"`
@@ -53,7 +54,7 @@ type MergeInfo struct {
 	Duplicates int `json:"duplicates,omitempty"`
 	Missing    int `json:"missing,omitempty"`
 	// Metrics is the deterministic aggregate of every input shard's
-	// manifest metrics snapshot (obsv.MergeSnapshots: counters summed,
+	// final-record metrics snapshot (obsv.MergeSnapshots: counters summed,
 	// fixed-bucket histograms merged, gauges by max — the same rule the
 	// live fleet view applies, so a post-hoc merge and /statusz report
 	// the same numbers). Nil when no shard recorded metrics. Not part of
@@ -62,25 +63,24 @@ type MergeInfo struct {
 }
 
 // MergeShards merges a directory of shard journals (written by sharded
-// `hrmsim characterize -shard i/N -manifest` runs) into one
-// Characterization, bit-identical to the single-process campaign except
-// for the run-shape bookkeeping: Parallelism is 0 (a merge has no worker
-// pool) and Resumed is 0 (per-shard resume counts are a property of the
-// shard runs, not the merged science). Shards must agree on the campaign
-// config hash; missing trials yield a partial result with Interrupted
-// set, not an error. The full contract is documented in SHARDING.md.
+// `hrmsim characterize -shard i/N -journal f.jsonl` runs, whose final
+// status records name them) into one Characterization, bit-identical to
+// the single-process campaign except for the run-shape bookkeeping:
+// Parallelism is 0 (a merge has no worker pool) and Resumed is 0
+// (per-shard resume counts are a property of the shard runs, not the
+// merged science). Shards must agree on the campaign config hash; live
+// or crashed shards and missing trials yield a partial result with
+// Interrupted set, not an error. The full contract is documented in
+// SHARDING.md.
 func MergeShards(cfg MergeConfig) (*Characterization, *MergeInfo, error) {
 	if cfg.Dir == "" {
 		return nil, nil, fmt.Errorf("hrmsim: MergeConfig.Dir is required")
 	}
-	shards, err := core.LoadShardDir(cfg.Dir)
+	shards, trials, stats, err := core.MergeShards(cfg.Dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("hrmsim: %w", err)
 	}
-	meta, trials, stats, err := core.MergeShards(shards)
-	if err != nil {
-		return nil, nil, fmt.Errorf("hrmsim: %w", err)
-	}
+	meta := shards[0].Campaign
 	spec, err := specFor(ErrorType(meta.Error))
 	if err != nil {
 		return nil, nil, err
@@ -88,31 +88,26 @@ func MergeShards(cfg MergeConfig) (*Characterization, *MergeInfo, error) {
 	res := core.ResultFromTrials(meta.App, spec, meta.Trials, trials)
 
 	info := &MergeInfo{
-		ConfigHash: shards[0].Manifest.ConfigHash,
+		ConfigHash: shards[0].ConfigHash,
 		Shards:     make([]MergeShardInfo, 0, len(shards)),
 		Records:    stats.Records,
 		Duplicates: stats.Duplicates,
 		Missing:    stats.Missing,
 	}
 	var shardSnaps []obsv.Snapshot
-	for _, s := range shards {
+	for _, st := range shards {
 		info.Shards = append(info.Shards, MergeShardInfo{
-			Index:       s.Manifest.ShardIndex,
-			Count:       s.Manifest.ShardCount,
-			TrialLo:     s.Manifest.TrialLo,
-			TrialHi:     s.Manifest.TrialHi,
-			Journal:     s.JournalPath,
-			Completed:   s.Manifest.Completed,
-			Aborted:     s.Manifest.Aborted,
-			Interrupted: s.Manifest.Interrupted,
+			Index:       st.ShardIndex,
+			Count:       st.ShardCount,
+			TrialLo:     st.TrialLo,
+			TrialHi:     st.TrialHi,
+			Journal:     filepath.Join(cfg.Dir, st.Journal),
+			Completed:   st.Completed,
+			Aborted:     st.Aborted,
+			Interrupted: st.Interrupted,
 		})
-		if len(s.Manifest.Metrics) > 0 {
-			var snap obsv.Snapshot
-			if err := json.Unmarshal(s.Manifest.Metrics, &snap); err != nil {
-				return nil, nil, fmt.Errorf("hrmsim: shard %d/%d manifest metrics snapshot: %w",
-					s.Manifest.ShardIndex, s.Manifest.ShardCount, err)
-			}
-			shardSnaps = append(shardSnaps, snap)
+		if st.Metrics != nil {
+			shardSnaps = append(shardSnaps, *st.Metrics)
 		}
 	}
 	if len(shardSnaps) > 0 {

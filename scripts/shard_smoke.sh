@@ -5,14 +5,16 @@
 # test binary):
 #
 #   1. run an unsharded characterize campaign as the baseline,
-#   2. run the same campaign as 2 shard worker processes, each writing
-#      a journal + manifest, and `hrmsim merge` the shard directory,
+#   2. run the same campaign as 2 shard worker processes, each given
+#      only -journal (the status record path is derived from it), and
+#      `hrmsim merge` the shard directory,
 #   3. run it once more through `-coordinator -shards 2` (spawns real
 #      worker processes, auto-merges),
 #   4. diff both merged -json results against the baseline,
-#   5. assert the control plane: the manual workers' `-status`
-#      heartbeat records exist and `hrmsim status` reports the settled
-#      fleet view (all trials done, 0 running) that matches the merge.
+#   5. assert the one shard record: each manual worker's final status
+#      record says it is no longer running and names its journal, and
+#      `hrmsim status` reports the settled fleet view (all trials done,
+#      0 running) that matches the merge.
 #
 # Both merged results must be bit-identical to the single-process run,
 # modulo the documented run-shape bookkeeping (`parallelism`,
@@ -56,18 +58,20 @@ mkdir "$TMP/shards"
 for i in 0 1; do
     "$BIN" characterize -app "$APP" -size small -trials "$TRIALS" \
         -seed "$SEED" -shard "$i/2" \
-        -journal "$TMP/shards/shard-000$i-of-0002.jsonl" \
-        -status "$TMP/shards/shard-000$i-of-0002.status.json" &
+        -journal "$TMP/shards/shard-000$i-of-0002.jsonl" &
 done
 wait
 
 for i in 0 1; do
-    if [ ! -s "$TMP/shards/shard-000$i-of-0002.manifest.json" ]; then
-        echo "shard_smoke: FAIL — shard $i wrote no manifest" >&2
+    rec="$TMP/shards/shard-000$i-of-0002.status.json"
+    if [ ! -s "$rec" ]; then
+        echo "shard_smoke: FAIL — shard $i wrote no status record" >&2
         exit 1
     fi
-    if [ ! -s "$TMP/shards/shard-000$i-of-0002.status.json" ]; then
-        echo "shard_smoke: FAIL — shard $i wrote no status record" >&2
+    if ! grep -q '"running": false' "$rec" ||
+        ! grep -q "\"journal\": \"shard-000$i-of-0002.jsonl\"" "$rec"; then
+        echo "shard_smoke: FAIL — shard $i's last status record is not a finished one naming its journal:" >&2
+        cat "$rec" >&2
         exit 1
     fi
 done

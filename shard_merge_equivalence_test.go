@@ -12,7 +12,7 @@ import (
 
 // TestShardMergeEquivalence pins the tentpole guarantee of the sharding
 // subsystem: a campaign run as N worker shards (each journaling its
-// slice and writing a manifest) and merged back with MergeShards is
+// slice and writing its status records) and merged back with MergeShards is
 // bit-identical to the single-process run, for every application, shard
 // count, and per-shard parallelism — modulo the run-shape bookkeeping
 // (Parallelism records the worker pool that happened to run, which a
@@ -39,7 +39,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 						cfg.Parallelism = par
 						cfg.ShardIndex, cfg.ShardCount = i, shards
 						cfg.JournalPath = filepath.Join(dir, core.ShardJournalName(i, shards))
-						cfg.ManifestPath = filepath.Join(dir, core.ShardManifestName(i, shards))
+						cfg.StatusPath = filepath.Join(dir, core.ShardStatusName(i, shards))
 						c, err := Characterize(cfg)
 						if err != nil {
 							t.Fatal(err)
@@ -181,26 +181,20 @@ func TestCharacterizeShardValidation(t *testing.T) {
 	if _, err := Characterize(cfg); err == nil {
 		t.Error("want error for ShardIndex without ShardCount")
 	}
-
-	cfg = base
-	cfg.ManifestPath = filepath.Join(t.TempDir(), "m.json")
-	if _, err := Characterize(cfg); err == nil {
-		t.Error("want error for ManifestPath without JournalPath")
-	}
 }
 
-// TestUnshardedManifest: a plain single-process run with a manifest
-// writes a 0/1 manifest, so its journal is consumable by MergeShards
-// like any shard set.
-func TestUnshardedManifest(t *testing.T) {
+// TestUnshardedFinalRecordMerges: a plain single-process run with a
+// journal and a status record leaves a 0/1 final record, so its journal
+// is consumable by MergeShards like any shard set.
+func TestUnshardedFinalRecordMerges(t *testing.T) {
 	dir := t.TempDir()
 	cfg := CharacterizeConfig{
-		App:          AppKVStore,
-		Size:         SizeSmall,
-		Trials:       20,
-		Seed:         4,
-		JournalPath:  filepath.Join(dir, core.ShardJournalName(0, 1)),
-		ManifestPath: filepath.Join(dir, core.ShardManifestName(0, 1)),
+		App:         AppKVStore,
+		Size:        SizeSmall,
+		Trials:      20,
+		Seed:        4,
+		JournalPath: filepath.Join(dir, core.ShardJournalName(0, 1)),
+		StatusPath:  filepath.Join(dir, core.ShardStatusName(0, 1)),
 	}
 	want, err := Characterize(cfg)
 	if err != nil {
@@ -214,11 +208,11 @@ func TestUnshardedManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.Shards[0].Index != 0 || info.Shards[0].Count != 1 {
-		t.Fatalf("manifest coordinates = %d/%d, want 0/1", info.Shards[0].Index, info.Shards[0].Count)
+		t.Fatalf("final record coordinates = %d/%d, want 0/1", info.Shards[0].Index, info.Shards[0].Count)
 	}
 	wantCmp, gotCmp := *want, *got
 	gotCmp.Parallelism = wantCmp.Parallelism
 	if !reflect.DeepEqual(wantCmp, gotCmp) {
-		t.Errorf("merge of the 0/1 manifest diverged:\nrun:    %+v\nmerged: %+v", wantCmp, gotCmp)
+		t.Errorf("merge of the 0/1 final record diverged:\nrun:    %+v\nmerged: %+v", wantCmp, gotCmp)
 	}
 }

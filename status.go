@@ -81,14 +81,14 @@ type FleetStatus struct {
 	Shards []ShardStatusInfo `json:"shards"`
 	// Metrics is the obsv.MergeSnapshots aggregate of every shard's
 	// heartbeat snapshot — the same merge rule `hrmsim merge` applies to
-	// manifests, so live and post-hoc metrics agree. Nil when no shard
+	// the final records, so live and post-hoc metrics agree. Nil when no shard
 	// reported metrics. It rides in the -json envelope, not the result.
 	Metrics *obsv.Snapshot `json:"-"`
 }
 
 // LoadFleetStatus reads every shard status record in dir and aggregates
 // it into the fleet view. It validates that all records belong to one
-// campaign (config hash equality, like MergeShards) and returns
+// campaign (core.LoadStatusDir checks, for MergeShards too) and returns
 // ErrNoStatus when the directory holds none. The directory may be live
 // (shards still writing; each read is atomic per record) or dead (final
 // Running=false records) — the same view works for both. Each row's
@@ -115,14 +115,6 @@ func LoadFleetStatus(dir string) (*FleetStatus, error) {
 	now := time.Now()
 	var snaps []obsv.Snapshot
 	for _, st := range records {
-		if st.ConfigHash != ref.ConfigHash {
-			detail := ref.Campaign.Matches(st.Campaign)
-			if detail == nil {
-				detail = fmt.Errorf("config hashes differ (%s vs %s)", ref.ConfigHash, st.ConfigHash)
-			}
-			return nil, fmt.Errorf("hrmsim: shard %d/%d status belongs to a different campaign than shard %d/%d: %w",
-				st.ShardIndex, st.ShardCount, ref.ShardIndex, ref.ShardCount, detail)
-		}
 		if st.Outcomes == nil {
 			// A record from a writer that omitted the key on heartbeats
 			// with no completed trial.
