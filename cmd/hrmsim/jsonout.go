@@ -12,13 +12,12 @@ import (
 	"os"
 
 	"hrmsim"
-	"hrmsim/internal/evtrace"
 	"hrmsim/internal/obsv"
 	"hrmsim/internal/stats"
 )
 
 // schemaVersion identifies the JSON result schema emitted by -json.
-const schemaVersion = 1
+const schemaVersion = 2
 
 // envelope wraps every -json result.
 type envelope struct {
@@ -33,45 +32,12 @@ type envelope struct {
 	// Metrics holds the obsv snapshot of instrumented commands
 	// (characterize), mirroring what kvserve serves at /metrics.
 	Metrics *obsv.Snapshot `json:"metrics,omitempty"`
-	// Trace holds the flight-recorder dumps of traced commands
-	// (characterize): the event tails of every trial that ended in
-	// crash or incorrect-response (schema: OBSERVABILITY.md, "Event
-	// tracing").
-	Trace *traceJSON `json:"trace,omitempty"`
 	// Shard identifies which slice of a sharded campaign this result
 	// covers (characterize -shard; see SHARDING.md).
 	Shard *hrmsim.ShardInfo `json:"shard,omitempty"`
 	// Merged describes the shard set a merged result was assembled from
 	// (merge, characterize -coordinator; see SHARDING.md).
 	Merged *hrmsim.MergeInfo `json:"merged,omitempty"`
-}
-
-// traceJSON is the envelope's event-tracing section.
-type traceJSON struct {
-	// SchemaVersion is the evtrace event schema version.
-	SchemaVersion int `json:"schema_version"`
-	// FlightRecorderDumps holds the last events of each crash or
-	// incorrect-response trial, in trial order.
-	FlightRecorderDumps []evtrace.Dump `json:"flight_recorder_dumps"`
-	// DumpsSkipped counts qualifying trials beyond the dump budget.
-	DumpsSkipped int `json:"dumps_skipped,omitempty"`
-}
-
-// toTraceJSON converts a flight recorder's retained dumps (nil recorder
-// or no dumps → nil, omitting the envelope field).
-func toTraceJSON(rec *evtrace.Recorder) *traceJSON {
-	if rec == nil {
-		return nil
-	}
-	dumps := rec.Dumps()
-	if len(dumps) == 0 && rec.Skipped() == 0 {
-		return nil
-	}
-	return &traceJSON{
-		SchemaVersion:       evtrace.SchemaVersion,
-		FlightRecorderDumps: dumps,
-		DumpsSkipped:        rec.Skipped(),
-	}
 }
 
 // encode stamps the schema version and tool name and renders the

@@ -7,12 +7,12 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strconv"
 	"syscall"
 	"time"
 
 	"hrmsim"
 	"hrmsim/internal/core"
-	"hrmsim/internal/evtrace"
 	"hrmsim/internal/obsv"
 	"hrmsim/internal/textplot"
 )
@@ -50,8 +50,8 @@ func run(args []string) error {
 		return cmdChaos(args[1:])
 	case "tables":
 		return cmdTables(args[1:])
-	case "traceview":
-		return cmdTraceview(args[1:])
+	case "explain":
+		return cmdExplain(args[1:])
 	case "help", "-h", "--help":
 		usage()
 		return nil
@@ -78,7 +78,8 @@ Subcommands:
   chaos         run a live-traffic chaos experiment against a kvserve node
                 (steady → chaos → recovery, SLO probes, Pass/Fail verdict)
   tables        regenerate the paper's tables and figures
-  traceview     inspect a JSONL event trace (per-trial timelines + stats)
+  explain       re-run one journaled trial and print its causal chain:
+                explain <journal> <trial>
 
 Common flags:
   -json         emit one machine-readable JSON document (schema: OBSERVABILITY.md)
@@ -191,8 +192,6 @@ func bindCampaignFlags(fs *flag.FlagSet, cfg *hrmsim.CharacterizeConfig) {
 // flags land in coord.Campaign whether or not coordinator mode is on.
 type characterizeCmd struct {
 	jsonOut, progress bool
-	traceFile         string
-	traceFormat       string
 	coordinator       bool
 	coord             coordinatorConfig
 }
@@ -205,8 +204,6 @@ func parseCharacterize(args []string) (*characterizeCmd, error) {
 	bindCampaignFlags(fs, cfg)
 	fs.BoolVar(&c.jsonOut, "json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
 	fs.BoolVar(&c.progress, "progress", false, "report live trial completion on stderr")
-	fs.StringVar(&c.traceFile, "trace", "", "write the per-trial event trace to this file (schema: OBSERVABILITY.md)")
-	fs.StringVar(&c.traceFormat, "trace-format", "jsonl", "event trace format: jsonl|chrome (chrome loads in ui.perfetto.dev)")
 	fs.BoolVar(&c.coordinator, "coordinator", false, "coordinator mode: spawn -shards local worker processes, supervise them (straggler warnings, crashed-shard respawn with -resume), and merge their journals (SHARDING.md)")
 	fs.IntVar(&c.coord.Shards, "shards", 0, "number of shard worker processes to spawn (coordinator mode)")
 	fs.StringVar(&c.coord.Dir, "shard-dir", "", "directory for shard journals and status records (coordinator mode; default: a fresh temporary directory, removed on success)")
@@ -218,16 +215,14 @@ func parseCharacterize(args []string) (*characterizeCmd, error) {
 	}
 	sharded := cfg.ShardCount > 0
 	switch {
-	case c.traceFormat != "jsonl" && c.traceFormat != "chrome":
-		return nil, fmt.Errorf("unknown trace format %q (jsonl|chrome)", c.traceFormat)
 	case cfg.TargetCI == 0 && (cfg.MinTrials != 0 || cfg.MaxTrials != 0):
 		return nil, fmt.Errorf("-min-trials and -max-trials are adaptive guard rails and require -target-ci")
 	case c.coordinator && sharded:
 		return nil, fmt.Errorf("-coordinator and -shard are mutually exclusive (the coordinator assigns shards itself)")
 	case c.coordinator && cfg.TargetCI != 0:
 		return nil, fmt.Errorf("-target-ci cannot be combined with -coordinator: an adaptive plan needs the whole trial index space, but coordinator workers each own a shard of it — run adaptive campaigns as one process (see SHARDING.md)")
-	case c.coordinator && (cfg.JournalPath != "" || cfg.ResumePath != "" || cfg.StatusPath != "" || c.traceFile != ""):
-		return nil, fmt.Errorf("-coordinator manages its own shard journals and status records; -journal, -resume, -trace, and -status apply to single-process runs")
+	case c.coordinator && (cfg.JournalPath != "" || cfg.ResumePath != "" || cfg.StatusPath != ""):
+		return nil, fmt.Errorf("-coordinator manages its own shard journals and status records; -journal, -resume, and -status apply to single-process runs")
 	case c.coordinator && c.coord.Shards < 1:
 		return nil, fmt.Errorf("-coordinator requires -shards N with N >= 1")
 	case !c.coordinator && (c.coord.Shards != 0 || c.coord.Dir != ""):
@@ -269,33 +264,7 @@ func cmdCharacterize(args []string) error {
 	if c.jsonOut || cfg.StatusPath != "" {
 		cfg.Metrics = obsv.NewRegistry()
 	}
-	// Tracing: -trace streams every trial's events to a file; -json
-	// additionally arms the flight recorder, whose crash/incorrect
-	// dumps ride along in the result envelope's "trace" field.
-	var sinks []evtrace.Sink
-	var recorder *evtrace.Recorder
-	if c.traceFile != "" {
-		f, err := os.Create(c.traceFile)
-		if err != nil {
-			return fmt.Errorf("creating trace file: %w", err)
-		}
-		if c.traceFormat == "chrome" {
-			sinks = append(sinks, evtrace.NewChromeWriter(f))
-		} else {
-			sinks = append(sinks, evtrace.NewJSONLWriter(f))
-		}
-	}
-	if c.jsonOut {
-		recorder = evtrace.NewRecorder(0, 0)
-		sinks = append(sinks, recorder)
-	}
-	if len(sinks) > 0 {
-		cfg.Tracer = evtrace.New(evtrace.Options{Metrics: cfg.Metrics}, sinks...)
-	}
 	res, err := hrmsim.Characterize(cfg)
-	if cerr := cfg.Tracer.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
 	if err != nil {
 		return err
 	}
@@ -310,7 +279,7 @@ func cmdCharacterize(args []string) error {
 	if c.jsonOut {
 		snap := cfg.Metrics.Snapshot()
 		return emitJSON(envelope{Command: "characterize", Interrupted: res.Interrupted,
-			Result: toCharacterizeJSON(res), Metrics: &snap, Trace: toTraceJSON(recorder), Shard: res.Shard})
+			Result: toCharacterizeJSON(res), Metrics: &snap, Shard: res.Shard})
 	}
 	printCharacterization(res)
 	return nil
@@ -401,6 +370,19 @@ func cmdMerge(args []string) error {
 	fmt.Print("\n\n")
 	printCharacterization(c)
 	return nil
+}
+
+// cmdExplain re-runs one journaled trial and prints its causal chain
+// (OBSERVABILITY.md, "Explaining a trial").
+func cmdExplain(args []string) error {
+	if len(args) != 2 {
+		return fmt.Errorf("usage: hrmsim explain <journal> <trial>")
+	}
+	trial, err := strconv.Atoi(args[1])
+	if err != nil {
+		return fmt.Errorf("explain: trial %q is not an index", args[1])
+	}
+	return hrmsim.Explain(os.Stdout, args[0], trial)
 }
 
 func cmdProfile(args []string) error {

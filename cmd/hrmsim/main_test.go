@@ -38,8 +38,8 @@ func captureStdout(t *testing.T, fn func() error) string {
 }
 
 // decodeEnvelope parses one -json document and checks the envelope
-// contract: schema_version 1, tool hrmsim, the expected command, and a
-// result object.
+// contract: the current schema_version, tool hrmsim, the expected
+// command, and a result object.
 func decodeEnvelope(t *testing.T, out, command string) map[string]any {
 	t.Helper()
 	var env map[string]any
@@ -181,9 +181,6 @@ func TestCmdCharacterizeBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"characterize", "-app", "nope", "-trials", "1"}); err == nil {
 		t.Error("bad app accepted")
-	}
-	if err := run([]string{"characterize", "-app", "kvstore", "-trials", "1", "-trace-format", "xml"}); err == nil {
-		t.Error("bad trace format accepted without -trace")
 	}
 	// A bad flag is an error from run(), not an os.Exit inside it.
 	if err := run([]string{"chaos", "-no-such-flag"}); err == nil {

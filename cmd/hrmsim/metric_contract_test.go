@@ -64,9 +64,8 @@ func TestMetricContract(t *testing.T) {
 	registered := make(map[string]bool)
 	dir := t.TempDir()
 
-	// A journaled adaptive campaign with a status sink and (under -json)
-	// a tracer: the campaign, adaptive-planner, status-write and evtrace
-	// families.
+	// A journaled adaptive campaign with a status sink: the campaign,
+	// adaptive-planner and status-write families.
 	addSnapshotNames(registered, envelopeMetrics(t, "characterize", "-app", "kvstore", "-size", "small",
 		"-trials", "120", "-seed", "6", "-parallelism", "2", "-target-ci", "0.1",
 		"-journal", filepath.Join(dir, "adaptive.jsonl"),

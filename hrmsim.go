@@ -165,11 +165,9 @@ type CharacterizeConfig struct {
 	// (calls are serialized; it must be cheap), the TrialTimeout and
 	// TrialOpBudget watchdogs, MaxRetries, StatusInterval (the minimum
 	// spacing of StatusPath writes), and the observational Metrics
-	// registry and event Tracer, which the caller closes after
-	// Characterize returns. The block's type is internal, so outside
-	// this module set its fields by selector (cfg.Progress = …);
-	// Metrics and Tracer take internal types and are reached through the
-	// CLI's -json and -trace.
+	// registry. The block's type is internal, so outside this module set
+	// its fields by selector (cfg.Progress = …); Metrics takes an
+	// internal type and is reached through the CLI's -json and -status.
 	core.RunOptions
 	// Context, if non-nil, allows interrupting the campaign: on
 	// cancellation the engine stops dispatching trials, drains the

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hrmsim/internal/apps"
-	"hrmsim/internal/evtrace"
 	"hrmsim/internal/faults"
 	"hrmsim/internal/inject"
 	"hrmsim/internal/monitor"
@@ -34,18 +33,9 @@ type RunOptions struct {
 	// Metrics, if non-nil, receives campaign instrumentation: trial and
 	// outcome counters plus per-trial wall-clock and virtual-time
 	// histograms. The metric names are documented in OBSERVABILITY.md.
-	// Instrumentation never affects results — campaigns stay
-	// bit-identical with or without it.
+	// Instrumentation never affects results or which trials are decided
+	// — campaigns stay bit-identical with or without it.
 	Metrics *obsv.Registry
-	// Tracer, if non-nil, receives the per-trial event stream (trial
-	// boundaries, injection, faulty-word accesses, ECC activity,
-	// crashes, outcome classification — see internal/evtrace and the
-	// "Event tracing" section of OBSERVABILITY.md). Like Metrics it is
-	// observational only: campaign results are bit-identical with or
-	// without it, and a nil tracer adds no work and no allocations on
-	// the access hot path. The caller closes the tracer after Run
-	// returns.
-	Tracer *evtrace.Tracer
 	// TrialTimeout, if positive, is the per-trial wall-clock watchdog
 	// deadline: a trial still running after this long (a corrupted
 	// pointer driving the application into an unbounded path) is
@@ -304,7 +294,10 @@ func faultFreePass(sb apps.SnapshotBuilder, cfg CampaignConfig) ([]uint64, *moni
 		return golden, nil, nil, nil
 	}
 	as := app.Space()
-	sess := &snapshotSession{app: app, startVT: as.Clock().Now()}
+	if err := checkFilter(as, cfg); err != nil {
+		return nil, nil, nil, err
+	}
+	sess := &snapshotSession{app: app}
 	if q, err := serveFaultFree(app, golden, 0, cfg.Warmup, record); err != nil {
 		return fail(goldenCrash(q, err))
 	}
@@ -314,11 +307,11 @@ func faultFreePass(sb apps.SnapshotBuilder, cfg CampaignConfig) ([]uint64, *moni
 
 	// No record when a fault can act other than through the first access
 	// to its granule (CPU cache model on; observers the snapshot retains,
-	// such as a scrubber), when a trial is more than its result (tracer) or
-	// may stop early (operation budget). Then, with golden supplied, there
-	// is nothing to serve the window for.
+	// such as a scrubber) or when a trial may stop early (operation
+	// budget). Then, with golden supplied, there is nothing to serve the
+	// window for.
 	var p *monitor.Profile
-	if cfg.Tracer == nil && cfg.TrialOpBudget <= 0 && !as.CacheEnabled() && !as.Observed() {
+	if cfg.TrialOpBudget <= 0 && !as.CacheEnabled() && !as.Observed() {
 		p = monitor.New(as)
 		as.AddAccessObserver(p)
 	}
@@ -344,6 +337,36 @@ func faultFreePass(sb apps.SnapshotBuilder, cfg CampaignConfig) ([]uint64, *moni
 	return golden, p, sess, nil
 }
 
+// snapshotBuilder returns the campaign's builder as the
+// apps.SnapshotBuilder every session is built from.
+func snapshotBuilder(cfg CampaignConfig) (apps.SnapshotBuilder, error) {
+	if cfg.Builder == nil {
+		return nil, fmt.Errorf("core: campaign needs a builder")
+	}
+	sb, ok := cfg.Builder.(apps.SnapshotBuilder)
+	if !ok {
+		return nil, fmt.Errorf("core: lifecycle snapshot requires an apps.SnapshotBuilder; %s builder does not implement it",
+			cfg.Builder.AppName())
+	}
+	return sb, nil
+}
+
+// checkFilter fails a campaign whose region filter accepts no used byte
+// of the built instance, naming the regions the application maps: every
+// trial would otherwise draw no address (inject.ErrNoTarget), and the
+// campaign would report probabilities over zero completed trials.
+func checkFilter(as *simmem.AddressSpace, cfg CampaignConfig) error {
+	var kinds []string
+	for _, r := range as.Regions() {
+		if r.Used() > 0 && (cfg.Filter == nil || cfg.Filter(r)) {
+			return nil
+		}
+		kinds = append(kinds, r.Kind().String())
+	}
+	return fmt.Errorf("core: %s maps %s, and no used byte of them passes the campaign's region filter: %w",
+		cfg.Builder.AppName(), strings.Join(kinds, ", "), inject.ErrNoTarget)
+}
+
 // Run executes the campaign to completion (no cancellation).
 func Run(cfg CampaignConfig) (*CampaignResult, error) {
 	return RunContext(context.Background(), cfg)
@@ -358,13 +381,9 @@ func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Builder == nil {
-		return nil, fmt.Errorf("core: campaign needs a builder")
-	}
-	sb, ok := cfg.Builder.(apps.SnapshotBuilder)
-	if !ok {
-		return nil, fmt.Errorf("core: lifecycle snapshot requires an apps.SnapshotBuilder; %s builder does not implement it",
-			cfg.Builder.AppName())
+	sb, err := snapshotBuilder(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("core: trials must be positive, got %d", cfg.Trials)
@@ -589,9 +608,6 @@ func trialSeed(seed int64, i int) int64 {
 // Sessions are per-worker, never shared.
 type snapshotSession struct {
 	app apps.SnapshotApp
-	// startVT is the virtual clock reading right after build, stamped on
-	// every trial_start event.
-	startVT time.Duration
 }
 
 // newSnapshotSession builds one instance, replays (and validates) the
@@ -602,7 +618,6 @@ func newSnapshotSession(sb apps.SnapshotBuilder, cfg CampaignConfig, golden []ui
 	if err != nil {
 		return nil, fmt.Errorf("building app: %w", err)
 	}
-	startVT := app.Space().Clock().Now()
 	if q, err := serveFaultFree(app, golden, 0, cfg.Warmup, false); err == errOffGolden {
 		return nil, fmt.Errorf("warmup request %d %w", q, err)
 	} else if err != nil {
@@ -611,7 +626,7 @@ func newSnapshotSession(sb apps.SnapshotBuilder, cfg CampaignConfig, golden []ui
 	if err := app.Snapshot(); err != nil {
 		return nil, fmt.Errorf("snapshotting app: %w", err)
 	}
-	return &snapshotSession{app: app, startVT: startVT}, nil
+	return &snapshotSession{app: app}, nil
 }
 
 // runTrial performs one pass of the Fig. 2 loop on the session's instance:
@@ -620,7 +635,9 @@ func newSnapshotSession(sb apps.SnapshotBuilder, cfg CampaignConfig, golden []ui
 // back to the post-warmup capture, so the trial is bit-identical to one
 // run on a freshly built instance. A trial the campaign's record decides
 // ends after the address draw: nothing is injected and nothing served.
-func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile *monitor.Profile, i int) (TrialResult, trialStats, error) {
+// A non-nil log (explain's; a campaign passes nil) records the draw and
+// what the injected error met.
+func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile *monitor.Profile, i int, log *trialLog) (TrialResult, trialStats, error) {
 	rng := rand.New(rand.NewSource(trialSeed(cfg.Seed, i)))
 	dirty, err := s.app.Reset()
 	if err != nil {
@@ -628,15 +645,15 @@ func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile 
 	}
 	// Fetched per trial: Reset may have swapped the instance.
 	as := s.app.Space()
-	tt := cfg.Tracer.Trial(i)
-	traceTrialStart(tt, s.startVT)
-	traceRestore(tt, as)
 
 	// Inject (Algorithm 1(a)): inject.Random's two halves, with the
 	// decision between them, so the generator stream is unchanged.
 	addr, ok := as.SampleAddr(rng, cfg.Filter)
 	if !ok {
 		return TrialResult{}, trialStats{}, fmt.Errorf("injecting: %w", inject.ErrNoTarget)
+	}
+	if log != nil {
+		log.Addr = addr
 	}
 	if tr, ok := decide(profile, len(golden)-cfg.Warmup, addr, cfg.Spec); ok {
 		return tr, trialStats{decided: true, dirtyPages: dirty}, nil
@@ -653,7 +670,11 @@ func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile 
 	}
 	tracker := newAccessTracker(addrs)
 	as.AddAccessObserver(tracker)
-	traceInjection(tt, as, inj, addrs)
+	if log != nil {
+		log.Injection = inj
+		as.AddAccessObserver(log)
+		as.AddECCObserver(log)
+	}
 	if cfg.TrialOpBudget > 0 {
 		// The budget counts post-injection operations only (snapshot
 		// restore truncates the previous trial's observers), so a budget
@@ -661,7 +682,6 @@ func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile 
 		as.AddAccessObserver(&opBudgetWatchdog{
 			remaining: cfg.TrialOpBudget,
 			budget:    cfg.TrialOpBudget,
-			tt:        tt,
 		})
 	}
 
@@ -688,14 +708,6 @@ func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile 
 			if tr.EffectAt == 0 {
 				tr.EffectAt = as.Clock().Now()
 			}
-			if tt != nil {
-				tt.Emit(evtrace.Event{
-					Kind:    evtrace.KindCrash,
-					VTNanos: int64(as.Clock().Now()),
-					Detail:  tr.CrashReason,
-					Stack:   tr.CrashStack,
-				})
-			}
 			break
 		}
 		tr.Requests++
@@ -713,7 +725,6 @@ func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile 
 	// The run ends at the crash instant or after the final request —
 	// either way, the virtual clock has stopped advancing.
 	tr.EndedAt = as.Clock().Now()
-	traceTrialEnd(tt, tr)
 	return tr, trialStats{
 		dirtyPages: dirty,
 		fastLoads:  as.FastPathLoads() - startFast,

@@ -325,6 +325,30 @@ func TestAccessTracker(t *testing.T) {
 	}
 }
 
+func TestAccessTrackerLoadDoesNotAllocate(t *testing.T) {
+	// Every simulated trial's hot path: a Load through the observer
+	// fan-out with the classification accessTracker registered. It must
+	// not allocate.
+	as, err := simmem.New(simmem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := as.AddRegion(simmem.RegionSpec{Name: "heap", Kind: simmem.RegionHeap, Size: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	as.AddAccessObserver(newAccessTracker([]simmem.Addr{r.Base() + 128}))
+	buf := make([]byte, 8)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := as.Load(r.Base()+64, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Load with an accessTracker allocates %.1f times per op, want 0", allocs)
+	}
+}
+
 func TestTrialSeedDecorrelated(t *testing.T) {
 	seen := map[int64]bool{}
 	for i := 0; i < 1000; i++ {

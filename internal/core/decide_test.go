@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -17,7 +16,6 @@ import (
 	"hrmsim/internal/apps/kvstore"
 	"hrmsim/internal/apps/websearch"
 	"hrmsim/internal/ecc"
-	"hrmsim/internal/evtrace"
 	"hrmsim/internal/faults"
 	"hrmsim/internal/inject"
 	"hrmsim/internal/monitor"
@@ -253,8 +251,8 @@ func TestDecidedCampaignMatchesBuildPerTrial(t *testing.T) {
 
 // TestDecideFallbacks: each condition under which first-touch does not
 // settle a trial keeps the profile off — nothing is decided — and the
-// observational ones (tracer, a budget that never fires) leave the
-// results equal to the deciding campaign's.
+// observational one (a budget that never fires) leaves the results equal
+// to the deciding campaign's.
 func TestDecideFallbacks(t *testing.T) {
 	b := decideBuilders["websearch"](t, nil)
 	golden, err := GoldenRun(b)
@@ -270,18 +268,6 @@ func TestDecideFallbacks(t *testing.T) {
 		t.Fatal("the unencumbered campaign decided nothing; the fallbacks below would prove nothing")
 	}
 
-	t.Run("tracer", func(t *testing.T) {
-		cfg := base
-		cfg.Tracer = evtrace.New(evtrace.Options{}, evtrace.NewJSONLWriter(&bytes.Buffer{}))
-		res, reg := runMetered(t, cfg)
-		if err := cfg.Tracer.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if n := reg.Counters["campaign_trials_decided_total"]; n != 0 {
-			t.Errorf("%d trials decided with a tracer attached", n)
-		}
-		requireSameTrials(t, "tracer", res.Trials, plain.Trials)
-	})
 	t.Run("op-budget", func(t *testing.T) {
 		cfg := base
 		cfg.TrialOpBudget = 1 << 40

@@ -181,8 +181,8 @@ func (d Disposition) String() string {
 	}
 }
 
-// Abort reason labels, used as the {reason} metric label, the journal
-// abort_reason field, and the trace event reason field.
+// Abort reason labels, used as the {reason} metric label and the journal
+// abort_reason field.
 const (
 	// AbortReasonDeadline: the trial exceeded CampaignConfig.TrialTimeout
 	// of host wall-clock time.

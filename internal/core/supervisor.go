@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hrmsim/internal/apps"
-	"hrmsim/internal/evtrace"
 	"hrmsim/internal/monitor"
 	"hrmsim/internal/simmem"
 )
@@ -252,7 +251,6 @@ func (s *supervisor) runOne(sess *snapshotSession, i int) (TrialResult, trialSta
 		if attempt >= s.maxRetries {
 			detail := fmt.Sprintf("%v (after %d attempts)", err, attempt+1)
 			s.m.recordAbort(AbortReasonWorkerError)
-			traceAbort(s.cfg.Tracer, i, AbortReasonWorkerError, detail)
 			return TrialResult{
 				Index:       i,
 				Disposition: DispositionAborted,
@@ -299,7 +297,6 @@ func (s *supervisor) attempt(sess *snapshotSession, i int) (TrialResult, trialSt
 	case <-timer.C:
 		detail := fmt.Sprintf("trial exceeded the %v wall-clock deadline", s.cfg.TrialTimeout)
 		s.m.recordAbort(AbortReasonDeadline)
-		traceAbort(s.cfg.Tracer, i, AbortReasonDeadline, detail)
 		return TrialResult{
 			Index:       i,
 			Disposition: DispositionAborted,
@@ -331,7 +328,6 @@ func (s *supervisor) execute(sess *snapshotSession, i int) (tr TrialResult, ts t
 			}
 			ts, out, err = trialStats{}, sess, nil
 			s.m.recordAbort(ab.reason)
-			ab.finishTrace()
 		}
 	}()
 	if sess == nil {
@@ -340,7 +336,7 @@ func (s *supervisor) execute(sess *snapshotSession, i int) (tr TrialResult, ts t
 			return TrialResult{}, trialStats{}, nil, err
 		}
 	}
-	tr, ts, err = sess.runTrial(s.cfg, s.golden, s.profile, i)
+	tr, ts, err = sess.runTrial(s.cfg, s.golden, s.profile, i, nil)
 	if err != nil {
 		return TrialResult{}, trialStats{}, nil, err
 	}
@@ -510,30 +506,6 @@ func (s *supervisor) emitStatusLocked(running, interrupted bool) {
 type trialAbort struct {
 	reason string
 	detail string
-	tt     *evtrace.TrialTracer
-	vt     time.Duration
-}
-
-// finishTrace closes out the aborted trial's own event stream: the
-// abort instant, then trial_end, on the tracer handle the trial was
-// already emitting to — so the stream stays deterministic.
-func (ab *trialAbort) finishTrace() {
-	if ab.tt == nil {
-		return
-	}
-	ab.tt.Emit(evtrace.Event{
-		Kind:    evtrace.KindAbort,
-		VTNanos: int64(ab.vt),
-		Reason:  ab.reason,
-		Detail:  ab.detail,
-	})
-	ab.tt.Emit(evtrace.Event{
-		Kind:          evtrace.KindTrialEnd,
-		VTNanos:       int64(ab.vt),
-		Dropped:       ab.tt.DroppedCount(),
-		WallUnixNanos: time.Now().UnixNano(),
-	})
-	ab.tt.Finish()
 }
 
 // opBudgetWatchdog aborts a trial that performs more simulated memory
@@ -544,20 +516,17 @@ func (ab *trialAbort) finishTrace() {
 type opBudgetWatchdog struct {
 	remaining int64
 	budget    int64
-	tt        *evtrace.TrialTracer
 }
 
 var _ simmem.AccessObserver = (*opBudgetWatchdog)(nil)
 
 // ObserveAccess implements simmem.AccessObserver.
-func (w *opBudgetWatchdog) ObserveAccess(ev simmem.AccessEvent) {
+func (w *opBudgetWatchdog) ObserveAccess(simmem.AccessEvent) {
 	w.remaining--
 	if w.remaining < 0 {
 		panic(&trialAbort{
 			reason: AbortReasonOpBudget,
 			detail: fmt.Sprintf("trial exceeded the %d-operation budget", w.budget),
-			tt:     w.tt,
-			vt:     ev.Time,
 		})
 	}
 }

@@ -74,7 +74,7 @@ def die(msg):
     print(f"chaos_smoke: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
 
-if env.get("schema_version") != 1 or env.get("tool") != "hrmsim":
+if env.get("schema_version") != 2 or env.get("tool") != "hrmsim":
     die(f"bad envelope header: {env.get('schema_version')}/{env.get('tool')}")
 if env.get("command") != "chaos":
     die(f"command = {env.get('command')}")
@@ -121,7 +121,7 @@ def die(msg):
     print(f"chaos_smoke: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
 
-if env.get("schema_version") != 1 or env.get("command") != "chaos":
+if env.get("schema_version") != 2 or env.get("command") != "chaos":
     die(f"bad load envelope: {env.get('schema_version')}/{env.get('command')}")
 c = env.get("metrics", {}).get("counters", {})
 if c.get("kvload_ops_total", 0) <= 0 or c.get("kvload_sets_total", 0) <= 0:
