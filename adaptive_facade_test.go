@@ -121,11 +121,6 @@ func TestCharacterizeAdaptiveValidation(t *testing.T) {
 		t.Error("MinTrials without TargetCI accepted")
 	}
 	bad = base
-	bad.MaxTrials = 10
-	if _, err := Characterize(bad); err == nil {
-		t.Error("MaxTrials without TargetCI accepted")
-	}
-	bad = base
 	bad.TargetCI = 0.05
 	bad.ShardIndex, bad.ShardCount = 0, 2
 	if _, err := Characterize(bad); err == nil {
@@ -136,8 +131,7 @@ func TestCharacterizeAdaptiveValidation(t *testing.T) {
 	bad = base
 	bad.TargetCI = 0.05
 	bad.MinTrials = 50
-	bad.MaxTrials = 30
 	if _, err := Characterize(bad); err == nil {
-		t.Error("MinTrials above MaxTrials accepted")
+		t.Error("MinTrials above Trials accepted")
 	}
 }

@@ -27,7 +27,7 @@ func cmdChaos(args []string) error {
 	node := kvnode.Config{Registry: reg}
 	node.BindFlags(fs)
 	attach := fs.String("attach", "",
-		"drive an already-running kvserve at this address instead of self-hosting (injection uses the protocol's `inject soft`; -keys must match the server's)")
+		"drive an already-running kvserve at this `addr` instead of self-hosting (injection uses the protocol's inject soft command; -keys must match the server's)")
 
 	load := chaos.GenConfig{Registry: reg}
 	fs.IntVar(&load.Conns, "conns", 32, "concurrent load connections")

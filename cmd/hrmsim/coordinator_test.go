@@ -202,11 +202,11 @@ func TestCoordinatorGivesUpAfterMaxRespawns(t *testing.T) {
 // TestWorkerArgsRoundTrip: the worker command line generated from a
 // config parses back into that config, with every campaign flag set to a
 // non-default value — so a flag bindCampaignFlags registers cannot fail to
-// reach the workers. Hooks, registries and MaxRetries have no flag.
+// reach the workers. Hooks and registries have no flag.
 func TestWorkerArgsRoundTrip(t *testing.T) {
 	want := hrmsim.CharacterizeConfig{
 		App: hrmsim.AppGraphMine, Error: hrmsim.HardDoubleBit, Region: hrmsim.RegionHeap,
-		Trials: 77, TargetCI: 0.125, MinTrials: 11, MaxTrials: 66, Seed: 9,
+		Trials: 77, TargetCI: 0.125, MinTrials: 11, Seed: 9,
 		Size: hrmsim.SizeLarge, Parallelism: 3,
 		JournalPath: "j.jsonl", ResumePath: "r.jsonl", StatusPath: "s.json",
 		ShardIndex: 2, ShardCount: 5,

@@ -21,8 +21,8 @@
 // Campaigns run either a fixed trial count (-trials) or, with
 // -target-ci, an adaptive plan: stop as soon as the 90% Wilson CI
 // half-width on the crash probability reaches the target, with -trials
-// as the hard budget and -min-trials/-max-trials as guard rails. The
-// plan is deterministic and resumable exactly like a fixed campaign,
+// as the hard budget and -min-trials as the guard rail. The plan is
+// deterministic and resumable exactly like a fixed campaign,
 // but incompatible with -shard/-coordinator (it needs the whole trial
 // index space). Under tables, -target-ci applies per campaign cell.
 //

@@ -8,6 +8,7 @@ import (
 	"os/signal"
 	"sort"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -19,7 +20,12 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "hrmsim:", err)
+		// The facade's errors already carry the prefix.
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "hrmsim: ") {
+			msg = "hrmsim: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }
@@ -92,10 +98,10 @@ Run 'hrmsim <subcommand> -h' for flags.`)
 // stderr status line — done/total plus the live wall-clock trial rate
 // and projected time remaining — throttled to 5% steps so heavy
 // campaigns are not slowed by terminal writes. Core serializes the
-// calls. The Total (and hence the ETA) is planner-aware: under an
-// adaptive plan it is the planner's current trial budget — the next CI
-// evaluation boundary — so the line carries an "adaptive" marker while
-// the plan is still open-ended and the budget can grow.
+// calls. The Total (and hence the ETA) is plan-aware: under an
+// adaptive plan it is the next CI evaluation boundary, so the line
+// carries an "adaptive" marker while the plan is still open-ended and
+// the total can grow.
 func progressFunc(label string) func(hrmsim.ProgressInfo) {
 	last := -1
 	return func(p hrmsim.ProgressInfo) {
@@ -174,7 +180,6 @@ func bindCampaignFlags(fs *flag.FlagSet, cfg *hrmsim.CharacterizeConfig) {
 	fs.IntVar(&cfg.Trials, "trials", 400, "injection trials (with -target-ci: the hard trial budget)")
 	fs.Float64Var(&cfg.TargetCI, "target-ci", 0, "adaptive stopping: end the campaign once the 90% Wilson CI half-width of the crash probability is at most this (e.g. 0.02 for ±2 points; 0 = run exactly -trials); deterministic and resumable like fixed campaigns, but incompatible with -shard/-coordinator")
 	fs.IntVar(&cfg.MinTrials, "min-trials", 0, "adaptive stopping: never stop before this many trials (requires -target-ci; 0 = the default 30)")
-	fs.IntVar(&cfg.MaxTrials, "max-trials", 0, "adaptive stopping: trial budget cap (requires -target-ci; 0 = -trials)")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed")
 	cfg.Size = hrmsim.SizeMedium
 	fs.Var((*sizeValue)(&cfg.Size), "size", "workload `size`: small|medium|large")
@@ -184,7 +189,7 @@ func bindCampaignFlags(fs *flag.FlagSet, cfg *hrmsim.CharacterizeConfig) {
 	fs.Var(shardValue{cfg}, "shard", "run only shard i of N of the campaign's trials, given as `i/N` (i in [0,N)); the journal stays merge-compatible with the sibling shards (SHARDING.md)")
 	fs.StringVar(&cfg.JournalPath, "journal", "", "append one flushed JSONL record per finished trial to this file, so an interrupted campaign can be resumed with -resume (schema: OBSERVABILITY.md)")
 	fs.StringVar(&cfg.ResumePath, "resume", "", "skip trials already recorded in this journal (typically the same file as -journal); the merged result is bit-identical to an uninterrupted run")
-	fs.StringVar(&cfg.StatusPath, "status", "", "write a shard status/heartbeat record (JSON, atomically replaced) to this file: an initial record, throttled per-trial refreshes, and a final record that names the -journal for `hrmsim merge` (schema: OBSERVABILITY.md; view with `hrmsim status`; default with -shard and -journal: the journal path with .status.json for .jsonl)")
+	fs.StringVar(&cfg.StatusPath, "status", "", "write a shard status/heartbeat record (JSON, atomically replaced) to this `file`: an initial record, throttled per-trial refreshes, and a final record that names the -journal for hrmsim merge (schema: OBSERVABILITY.md; view with hrmsim status; default with -shard and -journal: the journal path with .status.json for .jsonl)")
 	fs.DurationVar(&cfg.StatusInterval, "status-interval", 0, "minimum interval between heartbeat refreshes (0 = the 1s default)")
 }
 
@@ -215,8 +220,8 @@ func parseCharacterize(args []string) (*characterizeCmd, error) {
 	}
 	sharded := cfg.ShardCount > 0
 	switch {
-	case cfg.TargetCI == 0 && (cfg.MinTrials != 0 || cfg.MaxTrials != 0):
-		return nil, fmt.Errorf("-min-trials and -max-trials are adaptive guard rails and require -target-ci")
+	case cfg.TargetCI == 0 && cfg.MinTrials != 0:
+		return nil, fmt.Errorf("-min-trials is an adaptive guard rail and requires -target-ci")
 	case c.coordinator && sharded:
 		return nil, fmt.Errorf("-coordinator and -shard are mutually exclusive (the coordinator assigns shards itself)")
 	case c.coordinator && cfg.TargetCI != 0:
@@ -229,8 +234,6 @@ func parseCharacterize(args []string) (*characterizeCmd, error) {
 		return nil, fmt.Errorf("-shards and -shard-dir require -coordinator (use -shard i/N to run one shard directly)")
 	case !c.coordinator && c.coord.StatusAddr != "":
 		return nil, fmt.Errorf("-status-addr requires -coordinator (use -status to heartbeat a single-process or shard run)")
-	case sharded && cfg.TargetCI != 0:
-		return nil, fmt.Errorf("-target-ci cannot be combined with -shard: an adaptive plan needs the whole trial index space — run adaptive campaigns unsharded (see SHARDING.md)")
 	}
 	// A shard's record pair is journal + status record; derive the status
 	// path so `-shard i/N -journal f.jsonl` alone leaves both, and its

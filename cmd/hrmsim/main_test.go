@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -280,5 +282,73 @@ func TestCmdCharacterizeWatchdogFlags(t *testing.T) {
 	}
 	if _, ok := res["aborted_trials"]; ok {
 		t.Errorf("aborted_trials = %v, want omitted (zero)", res["aborted_trials"])
+	}
+}
+
+// TestMain lets the test binary stand in for hrmsim: with
+// HRMSIM_TEST_MAIN set it runs main on its arguments, so a test can see
+// what the command itself prints.
+func TestMain(m *testing.M) {
+	if os.Getenv("HRMSIM_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs hrmsim with args in a child process and returns its
+// stderr and whether it exited with status 1.
+func runMain(t *testing.T, args ...string) (string, bool) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "HRMSIM_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	exit, ok := err.(*exec.ExitError)
+	return stderr.String(), ok && exit.ExitCode() == 1
+}
+
+// TestErrorsCarryOnePrefix: a failed command prints its error with one
+// "hrmsim: " prefix, whether the facade or the command made the error.
+func TestErrorsCarryOnePrefix(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, args := range [][]string{
+		{"merge", "-dir", missing},
+		{"status", "-dir", missing},
+		{"explain", missing, "1"},
+		{"characterize", "-app", "nope"},
+		{"frobnicate"},
+	} {
+		stderr, failed := runMain(t, args...)
+		lines := strings.Split(strings.TrimSpace(stderr), "\n")
+		last := lines[len(lines)-1]
+		if !failed || !strings.HasPrefix(last, "hrmsim: ") || strings.HasPrefix(last, "hrmsim: hrmsim:") {
+			t.Errorf("hrmsim %s: exit 1 %v, error line %q", strings.Join(args, " "), failed, last)
+		}
+	}
+}
+
+// TestHelpValueNames: no subcommand's -h shows a value name with a space
+// in it. The flag package names a flag's value by the first back-quoted
+// word of its usage, so a quoted phrase there reads as the value name.
+func TestHelpValueNames(t *testing.T) {
+	help, _ := runMain(t, "help")
+	subs := regexp.MustCompile(`(?m)^  ([a-z]+)  `).FindAllStringSubmatch(help, -1)
+	if len(subs) < 10 {
+		t.Fatalf("help lists %d subcommands:\n%s", len(subs), help)
+	}
+	for _, sub := range subs {
+		out, _ := runMain(t, sub[1], "-h")
+		for _, line := range strings.Split(out, "\n") {
+			flagLine, ok := strings.CutPrefix(line, "  -")
+			if !ok {
+				continue
+			}
+			flagLine, _, _ = strings.Cut(flagLine, "\t")
+			if _, value, ok := strings.Cut(flagLine, " "); ok && strings.Contains(value, " ") {
+				t.Errorf("%s -h: value name %q has a space", sub[1], value)
+			}
+		}
 	}
 }

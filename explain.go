@@ -57,7 +57,7 @@ func explainTrial(journalPath string, i int) (core.JournalMeta, *core.Explanatio
 	cfg := CharacterizeConfig{
 		App: App(meta.App), Error: ErrorType(meta.Error), Region: Region(meta.Region),
 		Trials: meta.Trials, Seed: meta.Seed, Size: WorkloadSize(meta.Size),
-		TargetCI: meta.TargetCI, MinTrials: meta.MinTrials, MaxTrials: meta.MaxTrials,
+		TargetCI: meta.TargetCI, MinTrials: meta.MinTrials,
 	}
 	if err := cfg.resolve(); err != nil {
 		return meta, nil, err

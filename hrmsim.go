@@ -136,24 +136,21 @@ type CharacterizeConfig struct {
 	// Trials is the size of the campaign's trial index space (default
 	// 200). With TargetCI unset every index runs exactly once (the
 	// classic fixed-N campaign); with TargetCI set, Trials is the hard
-	// budget the adaptive planner may stop short of.
+	// budget the adaptive plan may stop short of.
 	Trials int
 	// TargetCI, if positive, switches the campaign from the fixed plan
-	// to the adaptive planner: trials run in deterministic batches
-	// until the 90% Wilson confidence interval on the crash probability
-	// has half-width at most TargetCI (e.g. 0.02 for ±2 points), within
-	// the MinTrials/MaxTrials guard rails. Results are bit-identical
-	// across Parallelism and across interrupt/resume, exactly like
-	// fixed campaigns. Incompatible with ShardCount (an adaptive plan
-	// needs the whole trial index space — see SHARDING.md).
+	// to the adaptive one: trials run in deterministic segments until
+	// the 90% Wilson confidence interval on the crash probability has
+	// half-width at most TargetCI (e.g. 0.02 for ±2 points), or until
+	// all Trials have run. Results are bit-identical across Parallelism
+	// and across interrupt/resume, exactly like fixed campaigns.
+	// Incompatible with ShardCount (an adaptive plan needs the whole
+	// trial index space — see SHARDING.md).
 	TargetCI float64
 	// MinTrials, with TargetCI, is the first CI evaluation boundary:
 	// the campaign never stops earlier, however tight the interval
-	// (default 30, clamped to the budget).
+	// (default 30, clamped to Trials).
 	MinTrials int
-	// MaxTrials, with TargetCI, caps the adaptive campaign's trial
-	// budget (default Trials; must not exceed Trials).
-	MaxTrials int
 	// Seed makes the campaign deterministic (default 1).
 	Seed int64
 	// Size selects the workload scale (default SizeMedium).
@@ -163,7 +160,7 @@ type CharacterizeConfig struct {
 	// RunOptions are the engine knobs, handed to the campaign as they
 	// are (field docs on core.RunOptions): the per-trial Progress hook
 	// (calls are serialized; it must be cheap), the TrialTimeout and
-	// TrialOpBudget watchdogs, MaxRetries, StatusInterval (the minimum
+	// TrialOpBudget watchdogs, StatusInterval (the minimum
 	// spacing of StatusPath writes), and the observational Metrics
 	// registry. The block's type is internal, so outside this module set
 	// its fields by selector (cfg.Progress = …); Metrics takes an
@@ -211,7 +208,7 @@ type CharacterizeConfig struct {
 // ProgressInfo reports campaign progress to the Progress hook. Elapsed,
 // TrialsPerSec, and ETA are host wall-clock derived. Adaptive marks an
 // open-ended campaign (TargetCI set, stopping rule not yet fired), whose
-// Total is the planner's moving trial budget.
+// Total is the plan's moving extent, the next evaluation boundary.
 type ProgressInfo = core.ProgressInfo
 
 // Characterization is the result of one campaign: the application's
@@ -261,7 +258,7 @@ type Characterization struct {
 	Aborted   int
 	Resumed   int
 	// TargetCI echoes CharacterizeConfig.TargetCI (zero for fixed
-	// campaigns). Planned is the trial count the planner settled on —
+	// campaigns). Planned is the trial count the plan settled on —
 	// Trials under the fixed plan, the adaptive stopping boundary
 	// otherwise — and TrialsSaved is Trials − Planned once the adaptive
 	// rule fired: the trials the requested CI made unnecessary.
@@ -347,28 +344,17 @@ func (cfg *CharacterizeConfig) resolve() error {
 	switch {
 	case !adaptive && cfg.TargetCI != 0:
 		return fmt.Errorf("hrmsim: TargetCI must be positive, got %g", cfg.TargetCI)
-	case !adaptive && (cfg.MinTrials != 0 || cfg.MaxTrials != 0):
-		return fmt.Errorf("hrmsim: MinTrials/MaxTrials are adaptive-campaign guard rails and require TargetCI")
+	case !adaptive && cfg.MinTrials != 0:
+		return fmt.Errorf("hrmsim: MinTrials is an adaptive-campaign guard rail and requires TargetCI")
 	case adaptive && cfg.TargetCI >= 1:
 		return fmt.Errorf("hrmsim: TargetCI is a probability half-width and must be below 1, got %g", cfg.TargetCI)
-	case adaptive && cfg.ShardCount > 0:
-		return fmt.Errorf("hrmsim: TargetCI cannot be combined with ShardCount — an adaptive plan needs the whole trial index space; run adaptive campaigns unsharded (see SHARDING.md)")
 	}
 	if adaptive {
-		if cfg.MaxTrials == 0 {
-			cfg.MaxTrials = cfg.Trials
-		}
-		if cfg.MaxTrials < 0 || cfg.MaxTrials > cfg.Trials {
-			return fmt.Errorf("hrmsim: MaxTrials %d outside [1,%d] (Trials is the index space)", cfg.MaxTrials, cfg.Trials)
-		}
 		if cfg.MinTrials == 0 {
-			cfg.MinTrials = core.DefaultAdaptiveMinTrials
-			if cfg.MinTrials > cfg.MaxTrials {
-				cfg.MinTrials = cfg.MaxTrials
-			}
+			cfg.MinTrials = min(core.DefaultAdaptiveMinTrials, cfg.Trials)
 		}
-		if cfg.MinTrials < 0 || cfg.MinTrials > cfg.MaxTrials {
-			return fmt.Errorf("hrmsim: MinTrials %d outside [1,%d]", cfg.MinTrials, cfg.MaxTrials)
+		if cfg.MinTrials < 0 || cfg.MinTrials > cfg.Trials {
+			return fmt.Errorf("hrmsim: MinTrials %d outside [1,%d]", cfg.MinTrials, cfg.Trials)
 		}
 	}
 	if cfg.ShardCount == 0 && cfg.ShardIndex != 0 {
@@ -422,7 +408,7 @@ func (cfg *CharacterizeConfig) campaign() (ccfg core.CampaignConfig, meta core.J
 			TargetHalfWidth: cfg.TargetCI,
 			Level:           core.CILevel,
 			MinTrials:       cfg.MinTrials,
-			MaxTrials:       cfg.MaxTrials,
+			MaxTrials:       cfg.Trials,
 		}
 		ccfg.Planner = core.NewAdaptivePlanner(rule)
 		meta.TargetCI, meta.CILevel = rule.TargetHalfWidth, rule.Level

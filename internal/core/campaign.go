@@ -26,9 +26,10 @@ import (
 type RunOptions struct {
 	// Progress, if non-nil, is called after every completed trial with
 	// the campaign's live progress (counts, wall-clock rate, projected
-	// time remaining). Calls are serialized, so the hook needs no
-	// locking of its own; it must be cheap, since it sits between
-	// parallel trials.
+	// time remaining), and once more when an adaptive plan stops, so the
+	// last call carries the final plan. Calls are serialized, so the
+	// hook needs no locking of its own; it must be cheap, since it sits
+	// between parallel trials.
 	Progress func(ProgressInfo)
 	// Metrics, if non-nil, receives campaign instrumentation: trial and
 	// outcome counters plus per-trial wall-clock and virtual-time
@@ -49,12 +50,6 @@ type RunOptions struct {
 	// virtual work, so it is deterministic: the same trial aborts at the
 	// same operation on every run.
 	TrialOpBudget int64
-	// MaxRetries bounds retries of transient trial-infrastructure
-	// failures (build, warmup, snapshot-restore errors) before the trial
-	// is recorded as aborted with AbortReasonWorkerError. 0 means the
-	// default (DefaultTrialRetries); negative disables retries. The first
-	// retry waits DefaultRetryBackoff, doubling per attempt.
-	MaxRetries int
 	// StatusInterval is the minimum spacing between StatusSink
 	// heartbeats (default DefaultStatusInterval).
 	StatusInterval time.Duration
@@ -72,17 +67,16 @@ type CampaignConfig struct {
 	// Spec is the error type to inject.
 	Spec faults.Spec
 	// Trials is the size of the campaign's trial index space. With the
-	// default fixed plan every index runs exactly once; an adaptive
-	// planner may stop earlier (Trials then acts as the hard budget).
+	// default fixed plan every index runs exactly once; an adaptive plan
+	// may stop earlier (Trials then acts as the hard budget).
 	Trials int
-	// Planner decides which trial indices run and when the campaign
-	// stops (see TrialPlanner). nil means NewFixedPlanner() — the
-	// classic "every owned index, ascending" fixed-N campaign, which is
-	// bit-identical to the pre-planner engine. AdaptivePlanner stops
-	// once the Wilson CI half-width of the crash probability reaches a
-	// target; it requires the whole index space, so it cannot be
-	// combined with a multi-shard Shard spec.
-	Planner TrialPlanner
+	// Planner, if non-nil, selects the adaptive plan: trials run segment
+	// by segment, and the campaign stops once the Wilson CI half-width
+	// of the crash probability reaches the rule's target (planner.go).
+	// nil means the fixed plan: every owned index runs, ascending. An
+	// adaptive plan needs the whole index space, so it cannot be
+	// combined with a Shard spec.
+	Planner *AdaptivePlanner
 	// Seed makes the campaign deterministic; trial i derives its own
 	// generator from it, so results are independent of Parallelism.
 	Seed int64
@@ -130,7 +124,10 @@ type CampaignConfig struct {
 	StatusSink func(ShardStatus)
 }
 
-// Retry policy (see CampaignConfig.MaxRetries).
+// Retry policy: a transient trial-infrastructure failure (build, warmup,
+// snapshot-restore error) is retried DefaultTrialRetries times before the
+// trial is recorded as aborted with AbortReasonWorkerError. The first
+// retry waits DefaultRetryBackoff, doubling per attempt.
 const (
 	DefaultTrialRetries = 2
 	DefaultRetryBackoff = 5 * time.Millisecond
@@ -150,10 +147,10 @@ type ProgressInfo struct {
 	// ETA is the projected wall time remaining at the current rate
 	// (zero when Done == Total).
 	ETA time.Duration
-	// Adaptive marks an open-ended campaign: an adaptive planner is
-	// still narrowing its CI, so Total is the planner's current budget
-	// estimate (the next evaluation boundary), not a fixed size, and
-	// may grow between calls until the stopping rule fires.
+	// Adaptive marks an open-ended campaign: an adaptive plan is still
+	// narrowing its CI, so Total is the end of the running segment (the
+	// next evaluation boundary), not a fixed size, and may grow between
+	// calls until the stopping rule fires.
 	Adaptive bool
 }
 
@@ -174,13 +171,13 @@ type CampaignResult struct {
 	// Requested is the configured campaign size (cfg.Trials);
 	// len(Trials) < Requested when the campaign was interrupted.
 	Requested int
-	// Planned is the trial count the campaign's planner settled on:
+	// Planned is the trial count the campaign's plan settled on:
 	// Requested under the fixed plan, the stopping boundary under an
 	// adaptive one (Requested − Planned is the trials the adaptive rule
 	// saved). For a worker shard it is always the whole campaign's
 	// Requested.
 	Planned int
-	// PlanFinal reports the planner reached its final verdict — false
+	// PlanFinal reports the plan reached its final verdict — false
 	// when an adaptive campaign was interrupted before its stopping rule
 	// fired, so resuming it could grow Planned further.
 	PlanFinal bool
@@ -400,12 +397,17 @@ func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error
 		if err := cfg.Shard.Validate(); err != nil {
 			return nil, err
 		}
-		// Fail sharded adaptive campaigns before the fault-free pass: the
-		// planner's own Start check would catch it, but only after the
-		// expensive build. (A 1-shard spec covers the whole index space
-		// and is allowed.)
-		if _, adaptive := cfg.Planner.(*AdaptivePlanner); adaptive && cfg.Shard.Count > 1 {
-			return nil, fmt.Errorf("core: the adaptive planner needs the whole trial index space; shard %d/%d campaigns must use the fixed plan", cfg.Shard.Index, cfg.Shard.Count)
+		// Fail sharded adaptive campaigns before the expensive fault-free
+		// pass. A 1-shard spec is refused too: merge expects a record
+		// for every index, and an adaptive plan stops short of them.
+		if cfg.Planner != nil {
+			return nil, fmt.Errorf("core: an adaptive plan needs the whole trial index space; shard %d/%d campaigns must use the fixed plan — run adaptive campaigns unsharded (see SHARDING.md)", cfg.Shard.Index, cfg.Shard.Count)
+		}
+	}
+	var rule stats.SequentialStopping
+	if cfg.Planner != nil {
+		if rule, err = clampRule(cfg.Planner.Rule, cfg.Trials); err != nil {
+			return nil, err
 		}
 	}
 	golden, profile, first, err := faultFreePass(sb, cfg)
@@ -419,14 +421,6 @@ func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error
 	if par > cfg.Trials {
 		par = cfg.Trials
 	}
-	maxRetries := cfg.MaxRetries
-	switch {
-	case maxRetries == 0:
-		maxRetries = DefaultTrialRetries
-	case maxRetries < 0:
-		maxRetries = 0
-	}
-
 	statusInterval := cfg.StatusInterval
 	if statusInterval <= 0 {
 		statusInterval = DefaultStatusInterval
@@ -437,7 +431,8 @@ func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error
 		profile:        profile,
 		par:            par,
 		sb:             sb,
-		maxRetries:     maxRetries,
+		adaptive:       cfg.Planner != nil,
+		rule:           rule,
 		statusInterval: statusInterval,
 		m:              newCampaignMetrics(cfg.Metrics),
 	}
@@ -547,22 +542,22 @@ func (m *campaignMetrics) recordAbort(reason string) {
 	m.reg.Counter(obsv.LabeledName("campaign_trials_aborted_total", "reason", reason)).Inc()
 }
 
-// recordDecision meters one planner stop/continue verdict. The handles
-// are resolved lazily through the registry (decisions are a cold path —
-// one per evaluation boundary) so fixed campaigns, which make no
-// decisions, expose no adaptive metric rows at all.
-func (m *campaignMetrics) recordDecision(d PlannerDecision, requested int) {
+// recordVerdict meters one adaptive stop/continue verdict. The handles
+// are resolved lazily through the registry (verdicts are a cold path —
+// one per evaluation boundary) so fixed campaigns, which make none,
+// expose no adaptive metric rows at all.
+func (m *campaignMetrics) recordVerdict(v verdict, requested int) {
 	if m == nil {
 		return
 	}
-	m.reg.Gauge("campaign_ci_half_width").Set(d.HalfWidth)
-	if d.Replayed || !d.Stop {
+	m.reg.Gauge("campaign_ci_half_width").Set(v.halfWidth)
+	if v.replayed || !v.stop {
 		return
 	}
-	if !d.Exhausted {
+	if !v.exhausted {
 		m.reg.Counter("campaign_adaptive_stopped_total").Inc()
 	}
-	if saved := requested - d.Boundary; saved > 0 {
+	if saved := requested - v.boundary; saved > 0 {
 		m.reg.Counter("campaign_trials_saved_total").Add(int64(saved))
 	}
 }

@@ -27,17 +27,18 @@
 // Campaign execution is a two-tier supervision hierarchy:
 //
 //   - The in-process trial supervisor (supervisor.go, driven by Run)
-//     dispatches the trials a TrialPlanner (planner.go) releases to a
-//     worker pool, bounds each trial with wall-clock and
-//     virtual-operation watchdogs, retries transient worker failures,
-//     checkpoints every finished trial to an append-only journal
-//     (journal.go), and fills resumed trials from a prior journal
-//     instead of re-running them. FixedPlanner releases the classic
-//     0..Trials-1 sequence; AdaptivePlanner implements CI-targeted
-//     sequential stopping (stats.SequentialStopping): it evaluates the
-//     Wilson half-width on the crash probability at deterministic
-//     boundaries and ends the campaign at the target, journaling every
-//     verdict so a resumed plan replays bit-identically.
+//     runs the campaign's plan segment by segment on a worker pool,
+//     bounds each trial with wall-clock and virtual-operation
+//     watchdogs, retries transient worker failures, checkpoints every
+//     finished trial to an append-only journal (journal.go), and fills
+//     resumed trials from a prior journal instead of re-running them.
+//     The fixed plan is one segment, every owned index; the adaptive
+//     plan (planner.go) implements CI-targeted sequential stopping
+//     (stats.SequentialStopping): its segments end at deterministic
+//     boundaries, where the supervisor evaluates the Wilson half-width
+//     on the crash probability over the complete prefix and stops at the
+//     target. A resumed run re-derives every verdict from the journaled
+//     trials, so the plan replays bit-identically.
 //
 //   - The process-level coordinator (cmd/hrmsim) spawns N worker
 //     processes, each running one shard of the trial index space, and

@@ -57,7 +57,9 @@ type JournalMeta struct {
 	// same trial sequence if they would also stop at the same boundary.
 	// All zero (and omitted from JSON) for fixed campaigns, so the
 	// fixed-campaign identity — and ConfigHash — is unchanged from
-	// schema version 1 readers' and writers' point of view.
+	// schema version 1 readers' and writers' point of view. The facade
+	// writes MaxTrials equal to Trials; Matches refuses a journal that
+	// an earlier build wrote with a lower cap.
 	TargetCI  float64 `json:"target_ci,omitempty"`
 	CILevel   float64 `json:"ci_level,omitempty"`
 	MinTrials int     `json:"min_trials,omitempty"`
@@ -104,33 +106,6 @@ type journalRecord struct {
 	AbortReason string            `json:"abort_reason,omitempty"`
 	AbortDetail string            `json:"abort_detail,omitempty"`
 	Result      *journalTrialJSON `json:"result,omitempty"`
-	// Planner carries an adaptive planner's stop/continue verdict
-	// instead of a trial result. Decision records use the sentinel
-	// Trial index −1 (plannerDecisionTrial), which every schema-1
-	// reader already drops from the trial map — the decision stream
-	// rides along without a schema bump and without perturbing resume.
-	Planner *plannerDecisionJSON `json:"planner,omitempty"`
-}
-
-// plannerDecisionTrial is the sentinel trial index of a planner
-// decision record (outside [0, Trials), so trial readers skip it).
-const plannerDecisionTrial = -1
-
-// plannerDecisionName is the disposition tag of a decision record.
-const plannerDecisionName = "planner-decision"
-
-// plannerDecisionJSON mirrors PlannerDecision (see planner.go) on the
-// journal wire.
-type plannerDecisionJSON struct {
-	Boundary     int     `json:"boundary"`
-	Completed    int     `json:"completed"`
-	Crashes      int     `json:"crashes"`
-	HalfWidth    float64 `json:"half_width"`
-	Target       float64 `json:"target"`
-	Stop         bool    `json:"stop,omitempty"`
-	Exhausted    bool    `json:"exhausted,omitempty"`
-	NextBoundary int     `json:"next_boundary,omitempty"`
-	Replayed     bool    `json:"replayed,omitempty"`
 }
 
 type journalTrialJSON struct {
@@ -309,32 +284,7 @@ func OpenJournal(path string, meta JournalMeta) (*Journal, bool, error) {
 
 // Append writes one trial record and flushes it.
 func (j *Journal) Append(tr TrialResult) error {
-	return j.appendRecord(toJournalRecord(tr))
-}
-
-// AppendDecision writes one planner decision record and flushes it.
-// Decision records document the adaptive stop/continue stream (under
-// the sentinel trial index −1) so a resumed campaign's replay is
-// auditable against the original run; trial readers skip them.
-func (j *Journal) AppendDecision(d PlannerDecision) error {
-	return j.appendRecord(journalRecord{
-		Trial:       plannerDecisionTrial,
-		Disposition: plannerDecisionName,
-		Planner: &plannerDecisionJSON{
-			Boundary:     d.Boundary,
-			Completed:    d.Completed,
-			Crashes:      d.Crashes,
-			HalfWidth:    d.HalfWidth,
-			Target:       d.Target,
-			Stop:         d.Stop,
-			Exhausted:    d.Exhausted,
-			NextBoundary: d.NextBoundary,
-			Replayed:     d.Replayed,
-		},
-	})
-}
-
-func (j *Journal) appendRecord(rec journalRecord) error {
+	rec := toJournalRecord(tr)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
@@ -397,7 +347,9 @@ const journalMaxLine = 4 << 20
 // or validate — the torn tail of a killed writer — are skipped, reading
 // continues, and duplicate records for one trial keep the first, so a
 // resume never double-counts a trial. Records whose index falls outside
-// [0, meta.Trials) are likewise dropped.
+// [0, meta.Trials) are likewise dropped, among them the index −1
+// planner-decision records earlier builds wrote, so their journals still
+// resume.
 func ReadJournal(r io.Reader) (JournalMeta, map[int]TrialResult, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), journalMaxLine)
@@ -443,43 +395,6 @@ func ReadJournal(r io.Reader) (JournalMeta, map[int]TrialResult, error) {
 	// A scanner error here (an over-long torn tail) is tolerated the
 	// same way a corrupted line is: keep what parsed.
 	return meta, out, nil
-}
-
-// ReadJournalDecisions parses the planner decision stream of a journal
-// (records under the sentinel trial index −1), in append order, with
-// the same tolerance as ReadJournal: unparseable lines are skipped. A
-// fixed campaign's journal yields none.
-func ReadJournalDecisions(r io.Reader) ([]PlannerDecision, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), journalMaxLine)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("reading journal header: %w", err)
-		}
-		return nil, fmt.Errorf("journal is empty")
-	}
-	var out []PlannerDecision
-	for sc.Scan() {
-		var rec journalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			continue
-		}
-		if rec.Trial != plannerDecisionTrial || rec.Planner == nil {
-			continue
-		}
-		out = append(out, PlannerDecision{
-			Boundary:     rec.Planner.Boundary,
-			Completed:    rec.Planner.Completed,
-			Crashes:      rec.Planner.Crashes,
-			HalfWidth:    rec.Planner.HalfWidth,
-			Target:       rec.Planner.Target,
-			Stop:         rec.Planner.Stop,
-			Exhausted:    rec.Planner.Exhausted,
-			NextBoundary: rec.Planner.NextBoundary,
-			Replayed:     rec.Planner.Replayed,
-		})
-	}
-	return out, nil
 }
 
 // outcomeFromName is the inverse of Outcome.String for journal decoding.

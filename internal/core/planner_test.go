@@ -3,10 +3,11 @@ package core
 import (
 	"bytes"
 	"reflect"
-	"sort"
+	"strings"
 	"testing"
 
 	"hrmsim/internal/faults"
+	"hrmsim/internal/obsv"
 	"hrmsim/internal/stats"
 )
 
@@ -14,175 +15,64 @@ func testRule(target float64, min, max int) stats.SequentialStopping {
 	return stats.SequentialStopping{TargetHalfWidth: target, Level: 0.90, MinTrials: min, MaxTrials: max}
 }
 
-// syntheticResult fabricates a deterministic completed trial: every
-// fifth index crashes.
-func syntheticResult(i int) TrialResult {
-	tr := TrialResult{Index: i, Disposition: DispositionCompleted, Outcome: OutcomeMaskedOverwrite}
-	if i%5 == 0 {
-		tr.Outcome = OutcomeCrash
-	}
-	return tr
-}
-
-// drivePlanner runs a planner to completion against syntheticResult with
-// the given number of in-flight slots, completing trials newest-first
-// when lifo is set — the adversarial arrival order for a planner that
-// must be order-independent. It returns the dispatched indices (in
-// dispatch order) and the accumulated decision stream.
-func drivePlanner(t *testing.T, p TrialPlanner, par int, lifo bool) ([]int, []PlannerDecision) {
-	t.Helper()
-	var dispatched []int
-	var inflight []int
-	var decisions []PlannerDecision
-	decisions = append(decisions, p.TakeDecisions()...)
-	for step := 0; ; step++ {
-		if step > 100000 {
-			t.Fatal("planner did not terminate")
-		}
-		state := PlanWait
-		for len(inflight) < par {
-			i, st := p.Next()
-			state = st
-			if st != PlanDispatch {
-				break
-			}
-			dispatched = append(dispatched, i)
-			inflight = append(inflight, i)
-		}
-		if len(inflight) == 0 {
-			if state == PlanDone {
-				return dispatched, decisions
-			}
-			if state == PlanWait {
-				t.Fatal("planner waits with nothing in flight")
-			}
-		}
-		k := 0
-		if lifo {
-			k = len(inflight) - 1
-		}
-		i := inflight[k]
-		inflight = append(inflight[:k], inflight[k+1:]...)
-		p.Observe(syntheticResult(i))
-		decisions = append(decisions, p.TakeDecisions()...)
-	}
-}
-
-func TestFixedPlannerSequence(t *testing.T) {
-	p := NewFixedPlanner()
-	resumed := map[int]TrialResult{3: syntheticResult(3), 5: syntheticResult(5)}
-	if err := p.Start(2, 7, 10, resumed); err != nil {
-		t.Fatal(err)
-	}
-	if total, final := p.Budget(); total != 5 || !final {
-		t.Errorf("Budget = (%d, %v), want (5, true)", total, final)
-	}
-	var got []int
-	for {
-		i, st := p.Next()
-		if st == PlanDone {
-			break
-		}
-		if st != PlanDispatch {
-			t.Fatalf("fixed planner returned %v", st)
-		}
-		got = append(got, i)
-	}
-	if want := []int{2, 4, 6}; !reflect.DeepEqual(got, want) {
-		t.Errorf("dispatch sequence %v, want %v", got, want)
-	}
-	if d := p.TakeDecisions(); d != nil {
-		t.Errorf("fixed planner produced decisions %v", d)
-	}
-}
-
-// TestAdaptivePlannerOrderIndependent: the dispatched index set and the
-// decision stream are identical at parallelism 1 (in-order completion)
-// and parallelism 4 (newest-first completion).
-func TestAdaptivePlannerOrderIndependent(t *testing.T) {
-	run := func(par int, lifo bool) ([]int, []PlannerDecision) {
-		p := NewAdaptivePlanner(testRule(0.12, 10, 300))
-		if err := p.Start(0, 300, 300, nil); err != nil {
+// TestAdaptivePlannerGuardRails: a target wider than any first verdict
+// stops at MinTrials; an unreachable target exhausts the budget, which
+// a rule naming more trials than the campaign has is clamped to.
+func TestAdaptivePlannerGuardRails(t *testing.T) {
+	run := func(trials int, rule stats.SequentialStopping) (*CampaignResult, obsv.Snapshot) {
+		reg := obsv.NewRegistry()
+		res, err := Run(CampaignConfig{
+			Builder: kvBuilder(t, 3), Spec: faults.SingleBitSoft, Trials: trials, Seed: 5,
+			Parallelism: 3, Planner: NewAdaptivePlanner(rule), RunOptions: RunOptions{Metrics: reg},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return drivePlanner(t, p, par, lifo)
+		return res, reg.Snapshot()
 	}
-	d1, dec1 := run(1, false)
-	d4, dec4 := run(4, true)
-	sort.Ints(d1)
-	sort.Ints(d4)
-	if !reflect.DeepEqual(d1, d4) {
-		t.Errorf("dispatched sets differ: %d trials vs %d trials", len(d1), len(d4))
+	loose, snap := run(300, testRule(0.9, 20, 300))
+	if len(loose.Trials) != 20 || loose.Planned != 20 || !loose.PlanFinal {
+		t.Errorf("loose target ran %d trials, planned %d (final %v), want the 20-trial minimum",
+			len(loose.Trials), loose.Planned, loose.PlanFinal)
 	}
-	if !reflect.DeepEqual(dec1, dec4) {
-		t.Errorf("decision streams differ:\npar 1: %+v\npar 4: %+v", dec1, dec4)
+	if got := snap.Counters["campaign_adaptive_stopped_total"]; got != 1 {
+		t.Errorf("loose target: campaign_adaptive_stopped_total = %d, want 1", got)
 	}
-	if len(dec1) == 0 || !dec1[len(dec1)-1].Stop {
-		t.Fatalf("final decision is not a stop: %+v", dec1)
+	if got := snap.Counters["campaign_trials_saved_total"]; got != 280 {
+		t.Errorf("loose target: campaign_trials_saved_total = %d, want 280", got)
 	}
-	if len(d1) != dec1[len(dec1)-1].Boundary {
-		t.Errorf("dispatched %d trials, stop boundary %d", len(d1), dec1[len(dec1)-1].Boundary)
+
+	tight, snap := run(120, testRule(0.0001, 10, 300))
+	if len(tight.Trials) != 120 || tight.Planned != 120 || !tight.PlanFinal {
+		t.Errorf("unreachable target ran %d trials, planned %d (final %v), want the whole 120-trial budget",
+			len(tight.Trials), tight.Planned, tight.PlanFinal)
+	}
+	// An exhausted budget is no stop at the target and saves nothing.
+	for _, name := range []string{"campaign_adaptive_stopped_total", "campaign_trials_saved_total"} {
+		if got := snap.Counters[name]; got != 0 {
+			t.Errorf("unreachable target: %s = %d, want 0", name, got)
+		}
 	}
 }
 
-// TestAdaptivePlannerGuardRails: a target wider than any first verdict
-// stops at MinTrials; an unreachable target exhausts MaxTrials.
-func TestAdaptivePlannerGuardRails(t *testing.T) {
-	loose := NewAdaptivePlanner(testRule(0.9, 20, 300))
-	if err := loose.Start(0, 300, 300, nil); err != nil {
-		t.Fatal(err)
-	}
-	dispatched, decisions := drivePlanner(t, loose, 3, false)
-	if len(dispatched) != 20 {
-		t.Errorf("loose target ran %d trials, want the 20-trial minimum", len(dispatched))
-	}
-	if len(decisions) != 1 || !decisions[0].Stop || decisions[0].Exhausted {
-		t.Errorf("loose-target decisions = %+v", decisions)
-	}
-	if total, final := loose.Budget(); total != 20 || !final {
-		t.Errorf("Budget = (%d, %v), want (20, true)", total, final)
-	}
-
-	tight := NewAdaptivePlanner(testRule(0.0001, 10, 120))
-	if err := tight.Start(0, 120, 120, nil); err != nil {
-		t.Fatal(err)
-	}
-	dispatched, decisions = drivePlanner(t, tight, 3, false)
-	if len(dispatched) != 120 {
-		t.Errorf("unreachable target ran %d trials, want the whole 120-trial budget", len(dispatched))
-	}
-	last := decisions[len(decisions)-1]
-	if !last.Stop || !last.Exhausted || last.Boundary != 120 {
-		t.Errorf("final decision = %+v, want an exhausted stop at 120", last)
-	}
-}
-
-// TestAdaptivePlannerRejectsShards: an adaptive plan over a strict
-// sub-range must fail at Start, and RunContext must reject the
-// combination before doing any work.
+// TestAdaptivePlannerRejectsShards: RunContext rejects an adaptive plan
+// under a shard spec, even a 1-shard one whose journal merge would count
+// the trials past the stop as missing, and explains why.
 func TestAdaptivePlannerRejectsShards(t *testing.T) {
-	p := NewAdaptivePlanner(testRule(0.05, 10, 100))
-	if err := p.Start(0, 50, 100, nil); err == nil {
-		t.Error("Start accepted shard [0,50) of 100")
-	}
-	if err := p.Start(50, 100, 100, nil); err == nil {
-		t.Error("Start accepted shard [50,100) of 100")
-	}
-	// The whole index space as a 1-shard spec is fine.
-	if err := p.Start(0, 100, 100, nil); err != nil {
-		t.Errorf("Start rejected the whole index space: %v", err)
-	}
-
-	_, err := Run(CampaignConfig{
-		Builder: wsBuilder(t, 2),
-		Spec:    faults.SingleBitSoft,
-		Trials:  40,
-		Seed:    7,
-		Planner: NewAdaptivePlanner(testRule(0.05, 10, 40)),
-		Shard:   &ShardSpec{Index: 0, Count: 2},
-	})
-	if err == nil {
-		t.Fatal("Run accepted a sharded adaptive campaign")
+	for _, shard := range []ShardSpec{{Index: 0, Count: 2}, {Index: 0, Count: 1}} {
+		_, err := Run(CampaignConfig{
+			Builder: wsBuilder(t, 2),
+			Spec:    faults.SingleBitSoft,
+			Trials:  40,
+			Seed:    7,
+			Planner: NewAdaptivePlanner(testRule(0.05, 10, 40)),
+			Shard:   &shard,
+		})
+		if err == nil {
+			t.Errorf("Run accepted adaptive shard %v", shard)
+		} else if !strings.Contains(err.Error(), "index space") {
+			t.Errorf("shard rejection %v does not explain the conflict", err)
+		}
 	}
 }
 
@@ -227,10 +117,10 @@ func TestAdaptiveCampaignParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCampaignJournalsDecisions: an adaptive campaign journals
-// its decision stream; trial readers skip it, decision readers recover
-// it, and a resumed run replays rather than re-runs.
-func TestAdaptiveCampaignJournalsDecisions(t *testing.T) {
+// TestAdaptiveCampaignReplaysJournal: an adaptive campaign journals its
+// trials and nothing else, and a run resumed from that journal replays
+// rather than re-runs.
+func TestAdaptiveCampaignReplaysJournal(t *testing.T) {
 	meta := JournalMeta{App: "websearch", Error: "soft-1bit", Trials: 120, Seed: 7,
 		TargetCI: 0.15, CILevel: 0.90, MinTrials: 10, MaxTrials: 120}
 	var buf bytes.Buffer
@@ -264,21 +154,8 @@ func TestAdaptiveCampaignJournalsDecisions(t *testing.T) {
 	if len(trials) != len(res.Trials) {
 		t.Errorf("journal holds %d trials, campaign ran %d", len(trials), len(res.Trials))
 	}
-	for i := range trials {
-		if i < 0 {
-			t.Errorf("trial reader surfaced planner sentinel index %d", i)
-		}
-	}
-	decisions, err := ReadJournalDecisions(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decisions) == 0 {
-		t.Fatal("no planner decisions journaled")
-	}
-	last := decisions[len(decisions)-1]
-	if !last.Stop || last.Boundary != res.Planned {
-		t.Errorf("journaled stop %+v does not match Planned %d", last, res.Planned)
+	if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != 1+len(res.Trials) {
+		t.Errorf("journal has %d lines, want the header and %d trial records", lines, len(res.Trials))
 	}
 
 	// Resuming from the complete journal replays every trial and reaches
@@ -296,6 +173,97 @@ func TestAdaptiveCampaignJournalsDecisions(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Trials, res2.Trials) || res2.Planned != res.Planned {
 		t.Error("replayed adaptive campaign diverged")
+	}
+}
+
+// TestAdaptiveResumeAcrossBoundary: an adaptive campaign resumed from a
+// journal prefix that crosses an evaluation boundary and ends inside the
+// next segment finishes with the uninterrupted run's trials and plan; a
+// resume from the complete journal replays the stop without counting it.
+func TestAdaptiveResumeAcrossBoundary(t *testing.T) {
+	rule := testRule(0.1, 10, 120)
+	meta := JournalMeta{App: "graphmine", Error: "hard-1bit", Trials: 120, Seed: 7,
+		TargetCI: rule.TargetHalfWidth, CILevel: rule.Level, MinTrials: rule.MinTrials, MaxTrials: rule.MaxTrials}
+	var buf bytes.Buffer
+	j, err := NewJournal(&buf, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := CampaignConfig{
+		Builder:     gmBuilder(t, 2),
+		Spec:        faults.SingleBitHard,
+		Trials:      120,
+		Seed:        7,
+		Parallelism: 2,
+	}
+	run := func(resume map[int]TrialResult, journal *Journal) (*CampaignResult, obsv.Snapshot) {
+		cfg := base
+		cfg.Planner = NewAdaptivePlanner(rule)
+		cfg.Resume = resume
+		cfg.Journal = journal
+		cfg.Metrics = obsv.NewRegistry()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, cfg.Metrics.Snapshot()
+	}
+	full, fullSnap := run(nil, j)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Boundaries 10, 18, ...: a prefix of 14 trials crosses the first
+	// and ends inside the second segment.
+	const prefix = 14
+	if !full.PlanFinal || full.Planned <= 18 || full.Planned >= full.Requested {
+		t.Fatalf("uninterrupted plan %d (final %v) does not cross the second boundary and stop early",
+			full.Planned, full.PlanFinal)
+	}
+	saved := int64(full.Requested - full.Planned)
+	if got := fullSnap.Counters["campaign_adaptive_stopped_total"]; got != 1 {
+		t.Errorf("uninterrupted campaign_adaptive_stopped_total = %d, want 1", got)
+	}
+	if got := fullSnap.Counters["campaign_trials_saved_total"]; got != saved {
+		t.Errorf("uninterrupted campaign_trials_saved_total = %d, want %d", got, saved)
+	}
+	_, records, err := ReadJournal(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != len(full.Trials) {
+		t.Fatalf("journal holds %d trials, campaign ran %d", len(records), len(full.Trials))
+	}
+
+	partial := make(map[int]TrialResult, prefix)
+	for i := 0; i < prefix; i++ {
+		partial[i] = records[i]
+	}
+	resumed, snap := run(partial, nil)
+	if resumed.Resumed != prefix {
+		t.Errorf("resumed %d trials, want %d", resumed.Resumed, prefix)
+	}
+	if !reflect.DeepEqual(resumed.Trials, full.Trials) {
+		t.Error("resumed adaptive campaign's trials differ from the uninterrupted run's")
+	}
+	if resumed.Planned != full.Planned || resumed.PlanFinal != full.PlanFinal {
+		t.Errorf("resumed plan %d (final %v), uninterrupted %d (final %v)",
+			resumed.Planned, resumed.PlanFinal, full.Planned, full.PlanFinal)
+	}
+	if got := snap.Counters["campaign_adaptive_stopped_total"]; got != 1 {
+		t.Errorf("mid-segment resume: campaign_adaptive_stopped_total = %d, want 1", got)
+	}
+
+	replayed, snap := run(records, nil)
+	if !reflect.DeepEqual(replayed.Trials, full.Trials) || replayed.Planned != full.Planned || !replayed.PlanFinal {
+		t.Errorf("replayed plan %d (final %v) diverged from %d", replayed.Planned, replayed.PlanFinal, full.Planned)
+	}
+	for _, name := range []string{"campaign_adaptive_stopped_total", "campaign_trials_saved_total"} {
+		if got := snap.Counters[name]; got != 0 {
+			t.Errorf("replayed stop: %s = %d, want 0", name, got)
+		}
+	}
+	if _, ok := snap.Gauges["campaign_ci_half_width"]; !ok {
+		t.Error("replayed stop did not report campaign_ci_half_width")
 	}
 }
 

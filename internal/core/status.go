@@ -65,12 +65,12 @@ type ShardProgress struct {
 	TrialsPerSec   float64 `json:"trials_per_sec,omitempty"`
 	EtaSeconds     float64 `json:"eta_seconds,omitempty"`
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
-	// Adaptive planner telemetry, present only when the campaign runs
-	// under a non-fixed TrialPlanner (all omitempty):
+	// Adaptive-plan telemetry, present only when the campaign runs
+	// under an adaptive plan (all omitempty):
 	// CIHalfWidth is the latest Wilson CI half-width verdict on the
 	// crash probability (1 until the first evaluation boundary);
-	// PlannedTrials is the planner's current campaign-level trial
-	// budget (Total tracks it, so done/total stays meaningful);
+	// PlannedTrials is the plan's current extent, the end of the
+	// running segment (Total tracks it, so done/total stays meaningful);
 	// PlanFinal marks the stopping rule has fired; TrialsSaved is the
 	// requested-minus-planned trial count once the plan is final.
 	Adaptive      bool    `json:"adaptive,omitempty"`

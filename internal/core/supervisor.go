@@ -9,6 +9,7 @@ import (
 	"hrmsim/internal/apps"
 	"hrmsim/internal/monitor"
 	"hrmsim/internal/simmem"
+	"hrmsim/internal/stats"
 )
 
 // supervisor drives one campaign's worker pool with the resilience
@@ -27,24 +28,18 @@ type supervisor struct {
 	profile        *monitor.Profile
 	par            int
 	sb             apps.SnapshotBuilder
-	maxRetries     int
 	statusInterval time.Duration
 	m              *campaignMetrics
-
-	// plannerMu serializes all TrialPlanner calls (the planner needs no
-	// locking of its own); resultEv wakes the dispatch loop out of
-	// PlanWait after a result has been fed back. Lock order: plannerMu
-	// before progressMu, never the reverse.
-	plannerMu sync.Mutex
-	planner   TrialPlanner
-	resultEv  chan struct{}
-	adaptive  bool // planner is not the fixed plan: surface CI/budget fields
+	// adaptive selects the adaptive plan, run under rule (clamped to
+	// the campaign size); otherwise the fixed plan runs.
+	adaptive bool
+	rule     stats.SequentialStopping
 
 	// progressMu serializes the progress/status accounting below; the
 	// Progress and StatusSink hooks are both called under it.
 	progressMu sync.Mutex
 	start      time.Time
-	total      int
+	total      int // the plan's current extent: the segment end, or the owned range
 	done       int
 	lo, hi     int
 	completed  int
@@ -52,16 +47,19 @@ type supervisor struct {
 	resumed    int
 	counts     map[Outcome]int
 	lastStatus time.Time
-	planned    int     // planner's current campaign-level trial budget
-	planFinal  bool    // the budget is the plan's last word
+	planFinal  bool    // total is the plan's last word
 	halfWidth  float64 // latest CI half-width verdict (adaptive only)
 }
 
-// run executes the campaign: pre-merges resumed results, dispatches the
-// planner's indices to par workers, and stops dispatching (draining
-// in-flight trials) when ctx is cancelled or the planner's stopping
-// rule fires. Worker 0 starts on first, the session the fault-free pass
-// left ready (nil: it builds its own).
+// run executes the campaign: pre-merges resumed results, then runs the
+// plan segment by segment on par workers. The fixed plan is one
+// segment, the owned range; an adaptive plan's segments end at the
+// stopping rule's boundaries. For each segment run sends every owned
+// index without a result to the pool, waits for the segment's trials,
+// and, on the adaptive plan, evaluates the rule over the complete
+// prefix to stop or open the next segment. Cancellation stops the
+// dispatch and drains the in-flight trials. Worker 0 starts on first,
+// the session the fault-free pass left ready (nil: it builds its own).
 func (s *supervisor) run(ctx context.Context, first *snapshotSession) (*CampaignResult, error) {
 	cfg := s.cfg
 	results := make([]TrialResult, cfg.Trials)
@@ -76,7 +74,6 @@ func (s *supervisor) run(ctx context.Context, first *snapshotSession) (*Campaign
 	}
 	resumed := 0
 	s.counts = make(map[Outcome]int)
-	var resumedInRange map[int]TrialResult
 	for i, tr := range cfg.Resume {
 		if i < lo || i >= hi {
 			continue
@@ -85,10 +82,6 @@ func (s *supervisor) run(ctx context.Context, first *snapshotSession) (*Campaign
 		results[i] = tr
 		have[i] = true
 		resumed++
-		if resumedInRange == nil {
-			resumedInRange = make(map[int]TrialResult)
-		}
-		resumedInRange[i] = tr
 		s.m.recordResumeSkip()
 		// Resumed trials count toward the shard's dispositions so the
 		// status record's totals always describe the whole range.
@@ -100,41 +93,19 @@ func (s *supervisor) run(ctx context.Context, first *snapshotSession) (*Campaign
 		}
 	}
 
-	// The planner decides which indices run and when the campaign
-	// stops; the default fixed plan is bit-identical to the classic
-	// "every owned index, ascending" engine. Resumed results replay
-	// through the planner so an adaptive plan continues exactly where
-	// the interrupted run stopped.
-	planner := cfg.Planner
-	if planner == nil {
-		planner = NewFixedPlanner()
-	}
-	if err := planner.Start(lo, hi, cfg.Trials, resumedInRange); err != nil {
-		return nil, err
-	}
-	_, fixed := planner.(*FixedPlanner)
-	s.planner = planner
-	s.adaptive = !fixed
-	s.resultEv = make(chan struct{}, 1)
-	s.halfWidth = 1
-
 	s.start = time.Now()
 	s.lo, s.hi = lo, hi
 	s.done = resumed
 	s.resumed = resumed
-	total, final := planner.Budget()
-	s.notePlan(planner.TakeDecisions(), total, final)
-
-	// Announce the shard before the first trial finishes: observers learn
-	// the shard exists (and how much is resumed) even if trials are slow.
-	if cfg.StatusSink != nil {
-		s.progressMu.Lock()
-		s.emitStatusLocked(true, false)
-		s.progressMu.Unlock()
+	// end closes the current segment.
+	end := hi
+	if s.adaptive {
+		end = s.rule.FirstBoundary()
 	}
+	s.total, s.planFinal, s.halfWidth = end-lo, !s.adaptive, 1
 
 	idxCh := make(chan int)
-	var wg sync.WaitGroup
+	var wg, pending sync.WaitGroup
 	for w := 0; w < s.par; w++ {
 		// Each worker keeps one instance alive across all the trials it
 		// drains; the build + warmup cost is paid once per worker instead
@@ -152,37 +123,59 @@ func (s *supervisor) run(ctx context.Context, first *snapshotSession) (*Campaign
 				results[i] = tr
 				have[i] = true
 				s.journalTrial(tr)
-				s.observePlanner(tr)
 				s.finished(tr, ts, time.Since(start))
+				pending.Done()
 			}
 		}()
 	}
-	interrupted := false
+	// ran: this run has dispatched a trial of its own. Until then every
+	// verdict replays the resumed records, and the first status record
+	// (announcing the shard before its first trial finishes) waits for
+	// the plan those records lead to.
+	ran, interrupted := false, false
+	next := lo
 dispatch:
 	for {
-		s.plannerMu.Lock()
-		i, state := planner.Next()
-		s.plannerMu.Unlock()
-		switch state {
-		case PlanDone:
-			break dispatch
-		case PlanWait:
-			// The planner is holding at an evaluation boundary; an
-			// in-flight trial's Observe will either advance it or stop
-			// the campaign, and signals resultEv either way.
+		for ; next < end; next++ {
+			if have[next] {
+				continue
+			}
+			if !ran {
+				s.emitStatus(true, false)
+				ran = true
+			}
+			pending.Add(1)
 			select {
-			case <-s.resultEv:
+			case idxCh <- next:
 			case <-ctx.Done():
+				pending.Done()
 				interrupted = true
 				break dispatch
 			}
-		default:
-			select {
-			case idxCh <- i:
-			case <-ctx.Done():
-				interrupted = true
-				break dispatch
+		}
+		pending.Wait()
+		if !s.adaptive {
+			break
+		}
+		v := evaluate(s.rule, results[:end], have[:end])
+		v.replayed = !ran
+		s.m.recordVerdict(v, cfg.Trials)
+		s.progressMu.Lock()
+		s.halfWidth = v.halfWidth
+		if v.stop {
+			// The segment's last trial reported the plan open; a
+			// final call reports it closed.
+			s.planFinal = true
+			if ran && cfg.Progress != nil {
+				s.progressLocked()
 			}
+		} else {
+			end = s.rule.NextBoundary(end)
+			s.total = end
+		}
+		s.progressMu.Unlock()
+		if v.stop || ctx.Err() != nil {
+			break
 		}
 	}
 	close(idxCh)
@@ -193,22 +186,17 @@ dispatch:
 		interrupted = true
 	}
 
-	// The final status record: Running=false marks the shard done (or
-	// interrupted), so a dead campaign directory still renders.
-	if cfg.StatusSink != nil {
-		s.progressMu.Lock()
-		s.emitStatusLocked(false, interrupted)
-		s.progressMu.Unlock()
+	// A run with nothing of its own to dispatch still announces the
+	// shard. The final status record: Running=false marks the shard done
+	// (or interrupted), so a dead campaign directory still renders.
+	if !ran {
+		s.emitStatus(true, false)
 	}
+	s.emitStatus(false, interrupted)
 
-	s.plannerMu.Lock()
-	finalTotal, finalDone := planner.Budget()
-	s.plannerMu.Unlock()
-	planned, planFinal := cfg.Trials, true
-	if lo == 0 && hi == cfg.Trials {
-		// Unsharded: the planner's budget is the campaign's. A shard's
-		// budget is only its slice, and shards run fixed plans anyway.
-		planned, planFinal = finalTotal, finalDone
+	planned := cfg.Trials
+	if s.adaptive {
+		planned = end
 	}
 	res := &CampaignResult{
 		App:         cfg.Builder.AppName(),
@@ -216,7 +204,7 @@ dispatch:
 		Golden:      s.golden,
 		Requested:   cfg.Trials,
 		Planned:     planned,
-		PlanFinal:   planFinal,
+		PlanFinal:   s.planFinal,
 		Resumed:     resumed,
 		Interrupted: interrupted,
 		Parallelism: s.par,
@@ -248,7 +236,7 @@ func (s *supervisor) runOne(sess *snapshotSession, i int) (TrialResult, trialSta
 			tr.Index = i
 			return tr, ts, sess
 		}
-		if attempt >= s.maxRetries {
+		if attempt >= DefaultTrialRetries {
 			detail := fmt.Sprintf("%v (after %d attempts)", err, attempt+1)
 			s.m.recordAbort(AbortReasonWorkerError)
 			return TrialResult{
@@ -356,47 +344,6 @@ func (s *supervisor) journalTrial(tr TrialResult) {
 	}
 }
 
-// observePlanner feeds one finished trial back to the planner, records
-// any stop/continue verdicts it produced, and wakes the dispatch loop
-// (which may be parked in PlanWait at an evaluation boundary).
-func (s *supervisor) observePlanner(tr TrialResult) {
-	s.plannerMu.Lock()
-	s.planner.Observe(tr)
-	decs := s.planner.TakeDecisions()
-	total, final := s.planner.Budget()
-	s.plannerMu.Unlock()
-	s.notePlan(decs, total, final)
-	select {
-	case s.resultEv <- struct{}{}:
-	default: // a wakeup is already pending; Next() re-reads planner state
-	}
-}
-
-// notePlan journals and meters drained planner decisions and refreshes
-// the budget-derived progress state. decs must already be drained (the
-// caller holds no planner lock here).
-func (s *supervisor) notePlan(decs []PlannerDecision, total int, final bool) {
-	for _, d := range decs {
-		if s.cfg.Journal != nil {
-			if err := s.cfg.Journal.AppendDecision(d); err == nil {
-				s.m.recordJournal()
-			}
-		}
-		s.m.recordDecision(d, s.cfg.Trials)
-	}
-	s.progressMu.Lock()
-	s.total = total
-	s.planFinal = final
-	s.planned = s.cfg.Trials
-	if s.lo == 0 && s.hi == s.cfg.Trials {
-		s.planned = total
-	}
-	if n := len(decs); n > 0 {
-		s.halfWidth = decs[n-1].HalfWidth
-	}
-	s.progressMu.Unlock()
-}
-
 // finished records metrics, progress, and heartbeat accounting for one
 // finished trial (completed or aborted).
 func (s *supervisor) finished(tr TrialResult, ts trialStats, wall time.Duration) {
@@ -415,19 +362,7 @@ func (s *supervisor) finished(tr TrialResult, ts trialStats, wall time.Duration)
 		s.aborted++
 	}
 	if s.cfg.Progress != nil {
-		info := ProgressInfo{
-			Done:    s.done,
-			Total:   s.total,
-			Elapsed: time.Since(s.start),
-			// Open-ended plan: Total is the planner's current budget
-			// estimate, not a fixed size, so the ETA extrapolates to
-			// the next evaluation boundary rather than the old fixed N.
-			Adaptive: s.adaptive && !s.planFinal,
-		}
-		var eta float64
-		info.TrialsPerSec, eta = s.rateLocked(info.Elapsed.Seconds())
-		info.ETA = time.Duration(eta * float64(time.Second))
-		s.cfg.Progress(info)
+		s.progressLocked()
 	}
 	// Heartbeat, throttled off the hot path: at most one record per
 	// statusInterval, no matter how fast trials finish.
@@ -435,6 +370,23 @@ func (s *supervisor) finished(tr TrialResult, ts trialStats, wall time.Duration)
 		s.emitStatusLocked(true, false)
 	}
 	s.progressMu.Unlock()
+}
+
+// progressLocked calls the Progress hook under progressMu.
+func (s *supervisor) progressLocked() {
+	info := ProgressInfo{
+		Done:    s.done,
+		Total:   s.total,
+		Elapsed: time.Since(s.start),
+		// Open-ended plan: Total is the current segment's end, not a
+		// fixed size, so the ETA extrapolates to the next evaluation
+		// boundary rather than to Trials.
+		Adaptive: !s.planFinal,
+	}
+	var eta float64
+	info.TrialsPerSec, eta = s.rateLocked(info.Elapsed.Seconds())
+	info.ETA = time.Duration(eta * float64(time.Second))
+	s.cfg.Progress(info)
 }
 
 // rateLocked returns the live trial rate and the projected seconds
@@ -449,6 +401,16 @@ func (s *supervisor) rateLocked(elapsedSeconds float64) (perSec, etaSeconds floa
 		etaSeconds = float64(rem) / perSec
 	}
 	return perSec, etaSeconds
+}
+
+// emitStatus delivers one ShardStatus, if the campaign has a sink.
+func (s *supervisor) emitStatus(running, interrupted bool) {
+	if s.cfg.StatusSink == nil {
+		return
+	}
+	s.progressMu.Lock()
+	s.emitStatusLocked(running, interrupted)
+	s.progressMu.Unlock()
 }
 
 // emitStatusLocked assembles and delivers one ShardStatus under
@@ -478,9 +440,9 @@ func (s *supervisor) emitStatusLocked(running, interrupted bool) {
 	if s.adaptive {
 		st.Adaptive = true
 		st.CIHalfWidth = s.halfWidth
-		st.PlannedTrials = s.planned
+		st.PlannedTrials = s.total
 		st.PlanFinal = s.planFinal
-		if saved := s.cfg.Trials - s.planned; s.planFinal && saved > 0 {
+		if saved := s.cfg.Trials - s.total; s.planFinal && saved > 0 {
 			st.TrialsSaved = saved
 		}
 	}

@@ -521,7 +521,7 @@ func TestRetryExhaustionAbortsTrial(t *testing.T) {
 	res, err := Run(CampaignConfig{
 		Builder: buildPerTrial{alwaysFail}, Spec: faults.SingleBitSoft,
 		Trials: 3, Seed: 4, Parallelism: 1, Golden: golden,
-		RunOptions: RunOptions{Metrics: reg, MaxRetries: -1},
+		RunOptions: RunOptions{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -542,8 +542,9 @@ func TestRetryExhaustionAbortsTrial(t *testing.T) {
 	if got := snap.Counters[`campaign_trials_aborted_total{reason="worker_error"}`]; got != 3 {
 		t.Errorf("aborted{worker_error} = %d, want 3", got)
 	}
-	if got := snap.Counters["campaign_trials_retried_total"]; got != 0 {
-		t.Errorf("retried = %d, want 0 with MaxRetries=-1", got)
+	// Each of the 3 trials is retried DefaultTrialRetries times.
+	if got := snap.Counters["campaign_trials_retried_total"]; got != 2*3 {
+		t.Errorf("retried = %d, want 2×3 (DefaultTrialRetries per trial)", got)
 	}
 }
 
