@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify test build fmt vet race fuzz loc bench bench-check
+.PHONY: verify test build fmt vet race fuzz loc examples bench bench-check
 
 # Tier-1 verify (ROADMAP.md): the gate every change must pass.
 verify: build test
@@ -36,6 +36,13 @@ fuzz:
 			echo "fuzz: $$(dirname $$f) $$fn"; \
 			$(GO) test "$$(dirname $$f)" -run '^$$' -fuzz "^$$fn\$$" -fuzztime 10s -fuzzminimizetime 1s -parallel 2 || exit 1; \
 		done; \
+	done
+
+# Run every example program end to end; `build` only compiles them.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run "./$$d" >/dev/null || exit 1; \
 	done
 
 # Non-test Go lines outside bench/: the figure the simplicity PRs quote.

@@ -67,6 +67,9 @@ func TestGoldenWireShape(t *testing.T) {
 			"-trials", "120", "-seed", "6", "-parallelism", "2", "-target-ci", "0.1", "-json"}},
 		{"lifetime", []string{"lifetime", "-hours", "1", "-errors", "50000", "-json"}},
 		{"tolerable", []string{"tolerable", "-json"}},
+		// Every experiment ID at 20 trials per cell: the grid-level
+		// reference for each cell's numbers.
+		{"tables-grid", []string{"tables", "-trials", "20", "-json"}},
 	}
 	for _, tc := range cases {
 		out := captureStdout(t, func() error { return run(tc.args) })

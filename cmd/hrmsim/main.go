@@ -94,33 +94,34 @@ Common flags:
 Run 'hrmsim <subcommand> -h' for flags.`)
 }
 
-// progressFunc returns a core campaign Progress hook that rewrites one
+// progressFunc returns a campaign Progress hook that rewrites one
 // stderr status line — done/total plus the live wall-clock trial rate
 // and projected time remaining — throttled to 5% steps so heavy
 // campaigns are not slowed by terminal writes. Core serializes the
 // calls. The Total (and hence the ETA) is plan-aware: under an
 // adaptive plan it is the next CI evaluation boundary, so the line
 // carries an "adaptive" marker while the plan is still open-ended and
-// the total can grow.
+// the total can grow. The run's final record ends the line.
 func progressFunc(label string) func(hrmsim.ProgressInfo) {
 	last := -1
 	return func(p hrmsim.ProgressInfo) {
-		step := p.Total / 20
-		if step == 0 {
-			step = 1
-		}
-		if p.Done != p.Total && p.Done/step == last {
+		step := max(p.Total/20, 1)
+		if p.Running && p.Done != p.Total && p.Done/step == last {
 			return
 		}
 		last = p.Done / step
+		pct := 100
+		if p.Total > 0 { // an empty shard owns no trials
+			pct = 100 * p.Done / p.Total
+		}
 		marker := ""
-		if p.Adaptive {
+		if p.Adaptive && !p.PlanFinal {
 			marker = " (adaptive)"
 		}
+		eta := time.Duration(p.EtaSeconds * float64(time.Second)).Round(time.Second)
 		fmt.Fprintf(os.Stderr, "\r%s: %d/%d trials (%d%%) | %.1f trials/s | ETA %s%s",
-			label, p.Done, p.Total, 100*p.Done/p.Total,
-			p.TrialsPerSec, p.ETA.Round(time.Second), marker)
-		if p.Done == p.Total && !p.Adaptive {
+			label, p.Done, p.Total, pct, p.TrialsPerSec, eta, marker)
+		if !p.Running {
 			fmt.Fprintln(os.Stderr)
 		}
 	}
@@ -234,6 +235,10 @@ func parseCharacterize(args []string) (*characterizeCmd, error) {
 		return nil, fmt.Errorf("-shards and -shard-dir require -coordinator (use -shard i/N to run one shard directly)")
 	case !c.coordinator && c.coord.StatusAddr != "":
 		return nil, fmt.Errorf("-status-addr requires -coordinator (use -status to heartbeat a single-process or shard run)")
+	case c.coord.MaxRespawns < 0:
+		return nil, fmt.Errorf("-shard-respawns must not be negative, got %d", c.coord.MaxRespawns)
+	case c.coord.StragglerAfter < 0:
+		return nil, fmt.Errorf("-straggler-after must not be negative, got %v", c.coord.StragglerAfter)
 	}
 	// A shard's record pair is journal + status record; derive the status
 	// path so `-shard i/N -journal f.jsonl` alone leaves both, and its
@@ -310,11 +315,17 @@ func printCharacterization(c *hrmsim.Characterization) {
 			c.TargetCI, c.Planned, saved)
 	}
 	fmt.Println()
-	fmt.Printf("  crash probability:     %.2f%%  (90%% CI [%.2f%%, %.2f%%])\n",
-		c.CrashProbability*100, c.CrashCILow*100, c.CrashCIHigh*100)
-	fmt.Printf("  tolerated (masked):    %.2f%%\n", c.ToleratedProbability*100)
-	fmt.Printf("  incorrect per billion: %.3g  (worst trial %.3g)\n\n",
-		c.IncorrectPerBillion, c.MaxIncorrectPerBillion)
+	if c.Completed == 0 {
+		// An empty shard, or a run interrupted before its first trial
+		// completed: there is no estimate to print.
+		fmt.Print("  no completed trials\n\n")
+	} else {
+		fmt.Printf("  crash probability:     %.2f%%  (90%% CI [%.2f%%, %.2f%%])\n",
+			c.CrashProbability*100, c.CrashCILow*100, c.CrashCIHigh*100)
+		fmt.Printf("  tolerated (masked):    %.2f%%\n", c.ToleratedProbability*100)
+		fmt.Printf("  incorrect per billion: %.3g  (worst trial %.3g)\n\n",
+			c.IncorrectPerBillion, c.MaxIncorrectPerBillion)
+	}
 
 	var keys []string
 	for k := range c.Outcomes {

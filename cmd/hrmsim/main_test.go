@@ -285,6 +285,57 @@ func TestCmdCharacterizeWatchdogFlags(t *testing.T) {
 	}
 }
 
+// TestNegativeValuesRefused: a negative count, duration or budget is an
+// error that names its flag, never a silent "unset"; zero keeps its
+// documented meaning.
+func TestNegativeValuesRefused(t *testing.T) {
+	small := func(extra ...string) []string {
+		return append([]string{"characterize", "-app", "kvstore", "-size", "small", "-trials", "2"}, extra...)
+	}
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-parallelism", small("-parallelism", "-3")},
+		{"-trial-timeout", small("-trial-timeout", "-1s")},
+		{"-trial-op-budget", small("-trial-op-budget", "-7")},
+		{"-status-interval", small("-status-interval", "-1s")},
+		{"-recovery", []string{"lifetime", "-hours", "1", "-recovery", "-5"}},
+	} {
+		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s: err = %v, want an error naming %s", strings.Join(c.args, " "), err, c.flag)
+		}
+	}
+	// The coordinator flags are checked at parse time, before any
+	// worker process is spawned.
+	for flag, value := range map[string]string{"-shard-respawns": "-1", "-straggler-after": "-1s"} {
+		_, err := parseCharacterize([]string{"-app", "kvstore", "-coordinator", "-shards", "2", flag, value})
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("%s %s: err = %v, want an error naming the flag", flag, value, err)
+		}
+	}
+}
+
+// TestNoCompletedTrials: a campaign whose every trial aborted fails and
+// names the abort reasons instead of reporting a 0 % crash probability,
+// and a result with no completed trial (an empty shard) prints no
+// estimate.
+func TestNoCompletedTrials(t *testing.T) {
+	err := run([]string{"characterize", "-app", "kvstore", "-size", "small", "-trials", "10",
+		"-trial-op-budget", "1", "-json"})
+	if err == nil || !strings.Contains(err.Error(), "no trial completed") || !strings.Contains(err.Error(), "op_budget:10") {
+		t.Errorf("all-aborted campaign: err = %v, want a no-trial-completed error naming op_budget:10", err)
+	}
+	// -trials 1 -shard 0/2 owns [0,0); -progress sees a zero Total.
+	out := captureStdout(t, func() error {
+		return run([]string{"characterize", "-app", "kvstore", "-size", "small", "-trials", "1",
+			"-shard", "0/2", "-progress"})
+	})
+	if !strings.Contains(out, "no completed trials") || strings.Contains(out, "crash probability") {
+		t.Errorf("empty shard report:\n%s\nwant \"no completed trials\" and no estimate", out)
+	}
+}
+
 // TestMain lets the test binary stand in for hrmsim: with
 // HRMSIM_TEST_MAIN set it runs main on its arguments, so a test can see
 // what the command itself prints.

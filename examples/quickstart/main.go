@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"hrmsim"
 )
@@ -21,12 +20,13 @@ func main() {
 		Size:   hrmsim.SizeSmall,
 		Seed:   42,
 	}
-	// Progress is called after every completed trial; printing to
-	// stderr keeps stdout clean for the report below.
+	// Progress receives an initial record, one per finished trial and a
+	// final one (Running false); printing to stderr keeps stdout clean
+	// for the report below.
 	cfg.Progress = func(p hrmsim.ProgressInfo) {
-		if p.Done%50 == 0 || p.Done == p.Total {
-			fmt.Fprintf(os.Stderr, "trial %d/%d (%.0f trials/s, ETA %s)\n",
-				p.Done, p.Total, p.TrialsPerSec, p.ETA.Round(time.Second))
+		if p.Running && p.Done > 0 && p.Done%50 == 0 {
+			fmt.Fprintf(os.Stderr, "trial %d/%d (%.0f trials/s, ETA %.0fs)\n",
+				p.Done, p.Total, p.TrialsPerSec, p.EtaSeconds)
 		}
 	}
 	c, err := hrmsim.Characterize(cfg)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"hrmsim/internal/apps"
 	"hrmsim/internal/core"
@@ -158,13 +159,13 @@ type CharacterizeConfig struct {
 	// Parallelism bounds concurrent trials (default GOMAXPROCS).
 	Parallelism int
 	// RunOptions are the engine knobs, handed to the campaign as they
-	// are (field docs on core.RunOptions): the per-trial Progress hook
-	// (calls are serialized; it must be cheap), the TrialTimeout and
-	// TrialOpBudget watchdogs, StatusInterval (the minimum
-	// spacing of StatusPath writes), and the observational Metrics
-	// registry. The block's type is internal, so outside this module set
-	// its fields by selector (cfg.Progress = …); Metrics takes an
-	// internal type and is reached through the CLI's -json and -status.
+	// are (field docs on core.RunOptions): the Progress hook (calls are
+	// serialized; it must be cheap), the TrialTimeout and TrialOpBudget
+	// watchdogs, and the observational Metrics registry. The block's
+	// type is internal, so outside this module set its fields by
+	// selector (cfg.Progress = …); Metrics takes an internal type and is
+	// reached through the CLI's -json and -status. Negative values of
+	// Parallelism and the watchdogs are errors.
 	core.RunOptions
 	// Context, if non-nil, allows interrupting the campaign: on
 	// cancellation the engine stops dispatching trials, drains the
@@ -203,13 +204,17 @@ type CharacterizeConfig struct {
 	// merges too; a failed write of that final record fails Characterize.
 	// The heartbeat/status contract is documented in OBSERVABILITY.md.
 	StatusPath string
+	// StatusInterval is the minimum spacing of running StatusPath
+	// records (default DefaultStatusInterval); the initial and the final
+	// record are always written.
+	StatusInterval time.Duration
 }
 
-// ProgressInfo reports campaign progress to the Progress hook. Elapsed,
-// TrialsPerSec, and ETA are host wall-clock derived. Adaptive marks an
-// open-ended campaign (TargetCI set, stopping rule not yet fired), whose
-// Total is the plan's moving extent, the next evaluation boundary.
-type ProgressInfo = core.ProgressInfo
+// ProgressInfo is the Progress hook's record, a status record's progress
+// block; its rates are host wall-clock derived. While an adaptive plan is
+// open-ended (Adaptive && !PlanFinal), Total is its next evaluation
+// boundary.
+type ProgressInfo = core.ShardProgress
 
 // Characterization is the result of one campaign: the application's
 // measured tolerance to the injected error type.
@@ -298,8 +303,14 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 	}
 	var status *statusWriter
 	if cfg.StatusPath != "" {
-		status = newStatusWriter(cfg.StatusPath, cfg.JournalPath, ccfg.Journal, meta, cfg.Metrics)
-		ccfg.StatusSink = status.write
+		status = newStatusWriter(&cfg, ccfg.Journal, meta)
+		user := cfg.Progress
+		ccfg.Progress = func(p ProgressInfo) {
+			status.write(p)
+			if user != nil {
+				user(p)
+			}
+		}
 	}
 	res, runErr := core.RunContext(cfg.Context, ccfg)
 	if ccfg.Journal != nil {
@@ -359,6 +370,16 @@ func (cfg *CharacterizeConfig) resolve() error {
 	}
 	if cfg.ShardCount == 0 && cfg.ShardIndex != 0 {
 		return fmt.Errorf("hrmsim: ShardIndex %d set without ShardCount", cfg.ShardIndex)
+	}
+	switch {
+	case cfg.Parallelism < 0:
+		return fmt.Errorf("hrmsim: Parallelism (-parallelism) must not be negative, got %d", cfg.Parallelism)
+	case cfg.TrialTimeout < 0:
+		return fmt.Errorf("hrmsim: TrialTimeout (-trial-timeout) must not be negative, got %v", cfg.TrialTimeout)
+	case cfg.TrialOpBudget < 0:
+		return fmt.Errorf("hrmsim: TrialOpBudget (-trial-op-budget) must not be negative, got %d", cfg.TrialOpBudget)
+	case cfg.StatusInterval < 0:
+		return fmt.Errorf("hrmsim: StatusInterval (-status-interval) must not be negative, got %v", cfg.StatusInterval)
 	}
 	return nil
 }
@@ -468,44 +489,67 @@ func (cfg *CharacterizeConfig) openJournals(ccfg *core.CampaignConfig, meta core
 	return nil
 }
 
-// statusWriter persists heartbeats to path. It stamps the identity
-// evidence and the journal reference only the facade knows (the
-// supervisor fills shard coordinates and progress), then writes
-// atomically. A failed heartbeat must never perturb the campaign — it
-// is counted and the run moves on — but the final record
-// (Running=false) is the one merge reads, so its write error is kept in
-// finalErr for Characterize to return. A journal with a sticky write
-// error holds only a prefix of the shard's trials, so the final record
-// then leaves it unnamed and says interrupted: status and merge both
-// treat the shard as incomplete.
+// statusWriter persists the Progress hook's records as heartbeats: the
+// initial and final records and at most one running record per interval,
+// stamped with the shard coordinates, timestamp, metrics snapshot,
+// identity evidence and journal reference, written atomically. A failed
+// heartbeat must never perturb the campaign — it is counted and the run
+// moves on — but the final record (Running=false) is the one merge reads,
+// so its write error is kept in finalErr for Characterize to return. A
+// journal with a sticky write error holds only a prefix of the shard's
+// trials, so the final record then leaves it unnamed and says
+// interrupted: status and merge both treat the shard as incomplete.
 type statusWriter struct {
 	path, journalRel string
 	hash             string
 	meta             core.JournalMeta
 	journal          *core.Journal
+	index, count     int
+	interval         time.Duration
+	last             time.Time
+	reg              *obsv.Registry
 	writes, errs     *obsv.Counter
 	finalErr         error
 }
 
-func newStatusWriter(path, journalPath string, j *core.Journal, meta core.JournalMeta, reg *obsv.Registry) *statusWriter {
-	w := &statusWriter{path: path, hash: core.ConfigHash(meta), meta: meta, journal: j}
-	if journalPath != "" {
-		w.journalRel = filepath.Base(journalPath)
-		if rel, err := filepath.Rel(filepath.Dir(path), journalPath); err == nil {
+func newStatusWriter(cfg *CharacterizeConfig, j *core.Journal, meta core.JournalMeta) *statusWriter {
+	w := &statusWriter{path: cfg.StatusPath, hash: core.ConfigHash(meta), meta: meta, journal: j,
+		index: cfg.ShardIndex, count: max(cfg.ShardCount, 1), interval: cfg.StatusInterval, reg: cfg.Metrics}
+	if w.interval == 0 {
+		w.interval = core.DefaultStatusInterval
+	}
+	if cfg.JournalPath != "" {
+		w.journalRel = filepath.Base(cfg.JournalPath)
+		if rel, err := filepath.Rel(filepath.Dir(cfg.StatusPath), cfg.JournalPath); err == nil {
 			w.journalRel = rel
 		}
 	}
-	if reg != nil {
-		w.writes = reg.Counter("campaign_status_writes_total")
-		w.errs = reg.Counter("campaign_status_write_errors_total")
+	if w.reg != nil {
+		w.writes = w.reg.Counter("campaign_status_writes_total")
+		w.errs = w.reg.Counter("campaign_status_write_errors_total")
 	}
 	return w
 }
 
-func (w *statusWriter) write(st core.ShardStatus) {
-	st.ConfigHash = w.hash
-	st.Campaign = w.meta
-	st.Journal = w.journalRel
+func (w *statusWriter) write(p ProgressInfo) {
+	now := time.Now()
+	if p.Running && now.Sub(w.last) < w.interval {
+		return
+	}
+	w.last = now
+	st := core.ShardStatus{
+		ConfigHash:    w.hash,
+		Campaign:      w.meta,
+		Journal:       w.journalRel,
+		ShardIndex:    w.index,
+		ShardCount:    w.count,
+		ShardProgress: p,
+		WallUnixNanos: now.UnixNano(),
+	}
+	if w.reg != nil {
+		snap := w.reg.Snapshot()
+		st.Metrics = &snap
+	}
 	if !st.Running && w.journal.Err() != nil {
 		st.Journal = ""
 		st.Interrupted = true
@@ -546,8 +590,18 @@ func newCharacterization(app App, errType ErrorType, region Region, trials int, 
 	if res.PlanFinal && res.Planned > 0 && res.Planned < res.Requested {
 		out.TrialsSaved = res.Requested - res.Planned
 	}
+	// A finished run whose every trial aborted has no estimate to report;
+	// 0 % would read as a measurement.
+	if out.Completed == 0 && len(res.Trials) > 0 && !res.Interrupted {
+		reasons := map[string]int{}
+		for _, tr := range res.Trials {
+			reasons[tr.AbortReason]++
+		}
+		return nil, fmt.Errorf("hrmsim: no trial completed: all %d aborted, by reason %v", len(res.Trials), reasons)
+	}
 	// The probability estimates need at least one completed trial; an
-	// immediately interrupted (or fully aborted) campaign reports zeros.
+	// empty shard, or a run interrupted before its first trial completed,
+	// reports zeros.
 	if out.Completed > 0 {
 		crash, err := res.CrashProbability(core.CILevel)
 		if err != nil {

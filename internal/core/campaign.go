@@ -19,18 +19,18 @@ import (
 	"hrmsim/internal/stats"
 )
 
-// RunOptions are the engine knobs that do not identify a campaign: hooks,
-// watchdogs and pacing. A front end's config (hrmsim.CharacterizeConfig)
-// embeds the same block and hands it to CampaignConfig as one value, so a
-// knob is declared here and nowhere else.
+// RunOptions are the engine knobs that do not identify a campaign: hooks
+// and watchdogs. A front end's config (hrmsim.CharacterizeConfig) embeds
+// the same block and hands it to CampaignConfig as one value, so a knob
+// is declared here and nowhere else.
 type RunOptions struct {
-	// Progress, if non-nil, is called after every completed trial with
-	// the campaign's live progress (counts, wall-clock rate, projected
-	// time remaining), and once more when an adaptive plan stops, so the
-	// last call carries the final plan. Calls are serialized, so the
-	// hook needs no locking of its own; it must be cheap, since it sits
+	// Progress, if non-nil, receives the progress record: once before the
+	// first dispatch, after every finished trial, and once with Running
+	// false when the run ends, carrying the final plan. Calls are
+	// serialized, so the hook needs no locking of its own; each Outcomes
+	// map is fresh, the hook's to keep. It must be cheap, since it sits
 	// between parallel trials.
-	Progress func(ProgressInfo)
+	Progress func(ShardProgress)
 	// Metrics, if non-nil, receives campaign instrumentation: trial and
 	// outcome counters plus per-trial wall-clock and virtual-time
 	// histograms. The metric names are documented in OBSERVABILITY.md.
@@ -50,9 +50,6 @@ type RunOptions struct {
 	// virtual work, so it is deterministic: the same trial aborts at the
 	// same operation on every run.
 	TrialOpBudget int64
-	// StatusInterval is the minimum spacing between StatusSink
-	// heartbeats (default DefaultStatusInterval).
-	StatusInterval time.Duration
 }
 
 // CampaignConfig describes one error-injection campaign: N independent
@@ -113,15 +110,6 @@ type CampaignConfig struct {
 	// (flushed per record), so an interrupted campaign can resume.
 	// Resumed trials are not re-journaled.
 	Journal *Journal
-	// StatusSink, if non-nil, periodically receives a ShardStatus
-	// heartbeat: progress, dispositions, outcome counts so far, rate and
-	// ETA, and the full Metrics snapshot. Emission is throttled to
-	// StatusInterval off the trial hot path — at most one record per
-	// interval, plus one initial record when the run starts and one
-	// final record (Running=false) when it ends. Calls are serialized;
-	// the sink typically persists the record (see WriteStatus) and must
-	// not block for long, since it runs between parallel trials.
-	StatusSink func(ShardStatus)
 }
 
 // Retry policy: a transient trial-infrastructure failure (build, warmup,
@@ -132,27 +120,6 @@ const (
 	DefaultTrialRetries = 2
 	DefaultRetryBackoff = 5 * time.Millisecond
 )
-
-// ProgressInfo is the payload of the CampaignConfig.Progress hook: how
-// far the campaign has advanced and how fast it is moving. Rates and the
-// ETA are derived from the host wall clock.
-type ProgressInfo struct {
-	// Done and Total count completed trials and the campaign size.
-	Done, Total int
-	// Elapsed is the host wall time since the campaign started.
-	Elapsed time.Duration
-	// TrialsPerSec is the throughput of the trials run by this process
-	// (Done minus the resumed ones, over Elapsed).
-	TrialsPerSec float64
-	// ETA is the projected wall time remaining at the current rate
-	// (zero when Done == Total).
-	ETA time.Duration
-	// Adaptive marks an open-ended campaign: an adaptive plan is still
-	// narrowing its CI, so Total is the end of the running segment (the
-	// next evaluation boundary), not a fixed size, and may grow between
-	// calls until the stopping rule fires.
-	Adaptive bool
-}
 
 // CampaignResult aggregates a campaign.
 type CampaignResult struct {
@@ -421,20 +388,15 @@ func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error
 	if par > cfg.Trials {
 		par = cfg.Trials
 	}
-	statusInterval := cfg.StatusInterval
-	if statusInterval <= 0 {
-		statusInterval = DefaultStatusInterval
-	}
 	s := &supervisor{
-		cfg:            cfg,
-		golden:         golden,
-		profile:        profile,
-		par:            par,
-		sb:             sb,
-		adaptive:       cfg.Planner != nil,
-		rule:           rule,
-		statusInterval: statusInterval,
-		m:              newCampaignMetrics(cfg.Metrics),
+		cfg:      cfg,
+		golden:   golden,
+		profile:  profile,
+		par:      par,
+		sb:       sb,
+		adaptive: cfg.Planner != nil,
+		rule:     rule,
+		m:        newCampaignMetrics(cfg.Metrics),
 	}
 	return s.run(ctx, first)
 }

@@ -352,20 +352,20 @@ func TestDecidedCampaignJournalResumeShardMerge(t *testing.T) {
 			cfg.Builder, cfg.Shard, cfg.Journal = b, &shard, j
 			reg := obsv.NewRegistry()
 			cfg.Metrics = reg
-			// The facade's status sink: each leg's final record names
+			// The facade's status writer: each leg's final record names
 			// the journal, and the resumed leg's replaces the first's.
-			cfg.StatusSink = func(st ShardStatus) {
-				st.ConfigHash, st.Campaign, st.Journal = ConfigHash(meta), meta, jname
+			ctx, cancel := context.WithCancel(context.Background())
+			cfg.Progress = func(p ShardProgress) {
+				if leg == 0 && interruptAt > 0 && p.Done == interruptAt {
+					cancel()
+				}
+				if p.Running {
+					return
+				}
+				st := ShardStatus{ConfigHash: ConfigHash(meta), Campaign: meta, Journal: jname,
+					ShardIndex: idx, ShardCount: 2, ShardProgress: p}
 				if err := WriteStatus(filepath.Join(dir, ShardStatusName(idx, 2)), st); err != nil {
 					t.Error(err)
-				}
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			if leg == 0 && interruptAt > 0 {
-				cfg.Progress = func(p ProgressInfo) {
-					if p.Done == interruptAt {
-						cancel()
-					}
 				}
 			}
 			if leg > 0 {

@@ -48,11 +48,12 @@
 //     live here (shard.go): ShardSpec splits [0, Trials) into contiguous
 //     ranges, and MergeShards folds a directory's finished shard
 //     journals back into one record set. Each worker maintains an
-//     atomically-replaced status record (status.go: ShardStatus, written
-//     via the supervisor's StatusSink hook off the hot path) that
-//     carries live progress, outcome counts, a metrics snapshot, the
-//     campaign identity with its config hash, and the journal's name —
-//     the heartbeat the control plane aggregates. The final record
+//     atomically-replaced status record (status.go: ShardStatus, which
+//     the facade's status writer builds from the supervisor's Progress
+//     records, throttled to its status interval) that carries live
+//     progress, outcome counts, a metrics snapshot, the campaign
+//     identity with its config hash, and the journal's name — the
+//     heartbeat the control plane aggregates. The final record
 //     (Running=false) is the one record of a finished shard: `status`
 //     renders it and MergeShards consumes it.
 //

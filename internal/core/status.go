@@ -1,13 +1,15 @@
 // Shard heartbeat/status records: the campaign control plane's on-disk
-// contract. While a shard runs, its supervisor periodically emits a
-// ShardStatus — shard coordinates, trials done/total, dispositions,
-// throughput, ETA, outcome taxonomy counts so far, and a full obsv
-// registry snapshot — through the CampaignConfig.StatusSink hook. The
-// facade writes each record to a well-known file next to the shard's
-// journal (atomic temp-file + rename), so any observer — the
-// coordinator's live /statusz, `hrmsim status`, or a human with cat —
-// can read a consistent view of a live or dead campaign without
-// touching the journal. The final record of a run has Running=false: it
+// contract. The supervisor reports a campaign's progress as one record,
+// ShardProgress (trials done/total, dispositions, throughput, ETA,
+// outcome taxonomy counts so far), through the RunOptions.Progress hook.
+// The facade's status writer consumes that hook: at most once per
+// status interval, and always for the initial and final records, it
+// wraps the record in a ShardStatus — shard coordinates, identity,
+// timestamp and a full obsv registry snapshot — and writes it to a
+// well-known file next to the shard's journal (atomic temp-file +
+// rename), so any observer — the coordinator's live /statusz, `hrmsim
+// status`, or a human with cat — can read a consistent view of a live or
+// dead campaign without touching the journal. The final record of a run has Running=false: it
 // lets `hrmsim status` render a finished campaign directory identically
 // to a live one, and, when it names the shard's journal, it is the
 // record `hrmsim merge` consumes (shard.go) — one record of a finished
@@ -35,17 +37,19 @@ const StatusSchemaVersion = 1
 // StatusStream is the stream identifier in every status record.
 const StatusStream = "hrmsim-shard-status"
 
-// ShardProgress is the progress block of a heartbeat: what a shard
-// reports about its own run. It is declared once and embedded both in
-// the on-disk record (ShardStatus) and in the fleet view's per-shard row
-// (hrmsim.ShardStatusInfo), so the two documents share these keys, their
-// order and their omitempty rules by construction.
+// ShardProgress is a campaign's progress record: what the supervisor
+// passes to the RunOptions.Progress hook about its own run. It is
+// declared once and embedded both in the on-disk record (ShardStatus) and
+// in the fleet view's per-shard row (hrmsim.ShardStatusInfo), so the two
+// documents share these keys, their order and their omitempty rules by
+// construction.
 type ShardProgress struct {
 	// TrialLo/TrialHi is the owned half-open trial index range.
 	TrialLo int `json:"trial_lo"`
 	TrialHi int `json:"trial_hi"`
 	// Done counts trials with a result so far (completed + aborted,
-	// including resumed records); Total is the shard's range size.
+	// including resumed records); Total is the shard's range size, or
+	// an adaptive plan's current extent.
 	Done  int `json:"done"`
 	Total int `json:"total"`
 	// Dispositions: Completed trials reached Fig. 1 classification,
@@ -60,13 +64,16 @@ type ShardProgress struct {
 	// supervisor always sets it, so a heartbeat with no completed trial
 	// carries {}; records from earlier writers omit the key.
 	Outcomes map[string]int `json:"outcomes"`
-	// TrialsPerSec / EtaSeconds / ElapsedSeconds mirror ProgressInfo,
-	// flattened to JSON-friendly units.
+	// TrialsPerSec is the rate of the trials run by this process (Done
+	// minus Resumed, over ElapsedSeconds, the host wall time since the
+	// run started); EtaSeconds projects Total−Done at that rate (zero on
+	// the final record).
 	TrialsPerSec   float64 `json:"trials_per_sec,omitempty"`
 	EtaSeconds     float64 `json:"eta_seconds,omitempty"`
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
 	// Adaptive-plan telemetry, present only when the campaign runs
-	// under an adaptive plan (all omitempty):
+	// under an adaptive plan (all omitempty; the plan is still open-ended
+	// while Adaptive && !PlanFinal):
 	// CIHalfWidth is the latest Wilson CI half-width verdict on the
 	// crash probability (1 until the first evaluation boundary);
 	// PlannedTrials is the plan's current extent, the end of the
@@ -86,10 +93,10 @@ type ShardProgress struct {
 }
 
 // ShardStatus is one shard's heartbeat: a point-in-time progress record
-// the supervisor emits through CampaignConfig.StatusSink. The supervisor
-// fills the shard coordinates, the progress block, the timestamp and the
-// metrics; the facade stamps the identity fields (ConfigHash, Campaign)
-// it alone knows, then persists the record.
+// as the facade's status writer persists it. The supervisor fills the
+// progress block; the writer stamps the shard coordinates, the
+// timestamp, the metrics snapshot and the identity fields (ConfigHash,
+// Campaign, Journal).
 type ShardStatus struct {
 	SchemaVersion int    `json:"schema_version"`
 	Stream        string `json:"stream"`
@@ -118,7 +125,7 @@ type ShardStatus struct {
 }
 
 // DefaultStatusInterval is the heartbeat period when
-// CampaignConfig.StatusInterval is zero.
+// hrmsim.CharacterizeConfig.StatusInterval is zero.
 const DefaultStatusInterval = 1 * time.Second
 
 // ShardStatusName returns the canonical status file name of shard i of

@@ -25,18 +25,17 @@ type supervisor struct {
 	golden []uint64
 	// profile is the fault-free window's record every worker decides from
 	// (read-only; nil: every trial simulates).
-	profile        *monitor.Profile
-	par            int
-	sb             apps.SnapshotBuilder
-	statusInterval time.Duration
-	m              *campaignMetrics
+	profile *monitor.Profile
+	par     int
+	sb      apps.SnapshotBuilder
+	m       *campaignMetrics
 	// adaptive selects the adaptive plan, run under rule (clamped to
 	// the campaign size); otherwise the fixed plan runs.
 	adaptive bool
 	rule     stats.SequentialStopping
 
-	// progressMu serializes the progress/status accounting below; the
-	// Progress and StatusSink hooks are both called under it.
+	// progressMu serializes the progress accounting below; the Progress
+	// hook is called under it.
 	progressMu sync.Mutex
 	start      time.Time
 	total      int // the plan's current extent: the segment end, or the owned range
@@ -46,7 +45,6 @@ type supervisor struct {
 	aborted    int
 	resumed    int
 	counts     map[Outcome]int
-	lastStatus time.Time
 	planFinal  bool    // total is the plan's last word
 	halfWidth  float64 // latest CI half-width verdict (adaptive only)
 }
@@ -72,7 +70,6 @@ func (s *supervisor) run(ctx context.Context, first *snapshotSession) (*Campaign
 	if cfg.Shard != nil {
 		lo, hi = cfg.Shard.Range(cfg.Trials)
 	}
-	resumed := 0
 	s.counts = make(map[Outcome]int)
 	for i, tr := range cfg.Resume {
 		if i < lo || i >= hi {
@@ -81,22 +78,15 @@ func (s *supervisor) run(ctx context.Context, first *snapshotSession) (*Campaign
 		tr.Index = i
 		results[i] = tr
 		have[i] = true
-		resumed++
+		s.resumed++
 		s.m.recordResumeSkip()
 		// Resumed trials count toward the shard's dispositions so the
-		// status record's totals always describe the whole range.
-		if tr.Disposition == DispositionCompleted {
-			s.completed++
-			s.counts[tr.Outcome]++
-		} else {
-			s.aborted++
-		}
+		// progress record's totals always describe the whole range.
+		s.tally(tr)
 	}
 
 	s.start = time.Now()
 	s.lo, s.hi = lo, hi
-	s.done = resumed
-	s.resumed = resumed
 	// end closes the current segment.
 	end := hi
 	if s.adaptive {
@@ -129,9 +119,9 @@ func (s *supervisor) run(ctx context.Context, first *snapshotSession) (*Campaign
 		}()
 	}
 	// ran: this run has dispatched a trial of its own. Until then every
-	// verdict replays the resumed records, and the first status record
-	// (announcing the shard before its first trial finishes) waits for
-	// the plan those records lead to.
+	// verdict replays the resumed records, and the initial progress
+	// record (announcing the shard before its first trial finishes)
+	// waits for the plan those records lead to.
 	ran, interrupted := false, false
 	next := lo
 dispatch:
@@ -141,7 +131,9 @@ dispatch:
 				continue
 			}
 			if !ran {
-				s.emitStatus(true, false)
+				s.progressMu.Lock()
+				s.report(true, false)
+				s.progressMu.Unlock()
 				ran = true
 			}
 			pending.Add(1)
@@ -163,12 +155,7 @@ dispatch:
 		s.progressMu.Lock()
 		s.halfWidth = v.halfWidth
 		if v.stop {
-			// The segment's last trial reported the plan open; a
-			// final call reports it closed.
 			s.planFinal = true
-			if ran && cfg.Progress != nil {
-				s.progressLocked()
-			}
 		} else {
 			end = s.rule.NextBoundary(end)
 			s.total = end
@@ -187,12 +174,14 @@ dispatch:
 	}
 
 	// A run with nothing of its own to dispatch still announces the
-	// shard. The final status record: Running=false marks the shard done
-	// (or interrupted), so a dead campaign directory still renders.
+	// shard. The final record, Running=false, marks the shard done (or
+	// interrupted) and carries the final plan.
+	s.progressMu.Lock()
 	if !ran {
-		s.emitStatus(true, false)
+		s.report(true, false)
 	}
-	s.emitStatus(false, interrupted)
+	s.report(false, interrupted)
+	s.progressMu.Unlock()
 
 	planned := cfg.Trials
 	if s.adaptive {
@@ -205,7 +194,7 @@ dispatch:
 		Requested:   cfg.Trials,
 		Planned:     planned,
 		PlanFinal:   s.planFinal,
-		Resumed:     resumed,
+		Resumed:     s.resumed,
 		Interrupted: interrupted,
 		Parallelism: s.par,
 		counts:      make(map[Outcome]int),
@@ -344,16 +333,23 @@ func (s *supervisor) journalTrial(tr TrialResult) {
 	}
 }
 
-// finished records metrics, progress, and heartbeat accounting for one
-// finished trial (completed or aborted).
+// finished records metrics and progress for one finished trial
+// (completed or aborted).
 func (s *supervisor) finished(tr TrialResult, ts trialStats, wall time.Duration) {
 	if tr.Disposition == DispositionCompleted {
 		s.m.recordTrial(tr, ts, wall)
 	}
-	if s.cfg.Progress == nil && s.cfg.StatusSink == nil {
+	if s.cfg.Progress == nil {
 		return
 	}
 	s.progressMu.Lock()
+	s.tally(tr)
+	s.report(true, false)
+	s.progressMu.Unlock()
+}
+
+// tally counts one trial with a result toward the progress record.
+func (s *supervisor) tally(tr TrialResult) {
 	s.done++
 	if tr.Disposition == DispositionCompleted {
 		s.completed++
@@ -361,105 +357,47 @@ func (s *supervisor) finished(tr TrialResult, ts trialStats, wall time.Duration)
 	} else {
 		s.aborted++
 	}
-	if s.cfg.Progress != nil {
-		s.progressLocked()
-	}
-	// Heartbeat, throttled off the hot path: at most one record per
-	// statusInterval, no matter how fast trials finish.
-	if s.cfg.StatusSink != nil && time.Since(s.lastStatus) >= s.statusInterval {
-		s.emitStatusLocked(true, false)
-	}
-	s.progressMu.Unlock()
 }
 
-// progressLocked calls the Progress hook under progressMu.
-func (s *supervisor) progressLocked() {
-	info := ProgressInfo{
-		Done:    s.done,
-		Total:   s.total,
-		Elapsed: time.Since(s.start),
-		// Open-ended plan: Total is the current segment's end, not a
-		// fixed size, so the ETA extrapolates to the next evaluation
-		// boundary rather than to Trials.
-		Adaptive: !s.planFinal,
-	}
-	var eta float64
-	info.TrialsPerSec, eta = s.rateLocked(info.Elapsed.Seconds())
-	info.ETA = time.Duration(eta * float64(time.Second))
-	s.cfg.Progress(info)
-}
-
-// rateLocked returns the live trial rate and the projected seconds
-// remaining. Resumed trials count toward done but cost this process no
-// time, so the rate is over the trials run here; dividing all of done by
-// the elapsed time would overstate it and shrink the ETA.
-func (s *supervisor) rateLocked(elapsedSeconds float64) (perSec, etaSeconds float64) {
-	if elapsedSeconds > 0 {
-		perSec = float64(s.done-s.resumed) / elapsedSeconds
-	}
-	if rem := s.total - s.done; rem > 0 && perSec > 0 {
-		etaSeconds = float64(rem) / perSec
-	}
-	return perSec, etaSeconds
-}
-
-// emitStatus delivers one ShardStatus, if the campaign has a sink.
-func (s *supervisor) emitStatus(running, interrupted bool) {
-	if s.cfg.StatusSink == nil {
+// report delivers one progress record to the Progress hook, if any;
+// progressMu must be held. Resumed trials count toward Done but cost
+// this process no time, so the rate is over the trials run here;
+// dividing all of Done by the elapsed time would overstate it and
+// shrink the ETA.
+func (s *supervisor) report(running, interrupted bool) {
+	if s.cfg.Progress == nil {
 		return
 	}
-	s.progressMu.Lock()
-	s.emitStatusLocked(running, interrupted)
-	s.progressMu.Unlock()
-}
-
-// emitStatusLocked assembles and delivers one ShardStatus under
-// progressMu. The supervisor fills the campaign-engine fields; identity
-// fields (ConfigHash, Campaign) are the status sink's to stamp.
-func (s *supervisor) emitStatusLocked(running, interrupted bool) {
-	st := ShardStatus{
-		ShardCount: 1,
-		ShardProgress: ShardProgress{
-			TrialLo:        s.lo,
-			TrialHi:        s.hi,
-			Done:           s.done,
-			Total:          s.total,
-			Completed:      s.completed,
-			Aborted:        s.aborted,
-			Resumed:        s.resumed,
-			Outcomes:       make(map[string]int, len(s.counts)),
-			ElapsedSeconds: time.Since(s.start).Seconds(),
-			Running:        running,
-			Interrupted:    interrupted,
-		},
-		WallUnixNanos: time.Now().UnixNano(),
-	}
-	if s.cfg.Shard != nil {
-		st.ShardIndex, st.ShardCount = s.cfg.Shard.Index, s.cfg.Shard.Count
-	}
-	if s.adaptive {
-		st.Adaptive = true
-		st.CIHalfWidth = s.halfWidth
-		st.PlannedTrials = s.total
-		st.PlanFinal = s.planFinal
-		if saved := s.cfg.Trials - s.total; s.planFinal && saved > 0 {
-			st.TrialsSaved = saved
-		}
+	p := ShardProgress{
+		TrialLo:        s.lo,
+		TrialHi:        s.hi,
+		Done:           s.done,
+		Total:          s.total,
+		Completed:      s.completed,
+		Aborted:        s.aborted,
+		Resumed:        s.resumed,
+		Outcomes:       make(map[string]int, len(s.counts)),
+		ElapsedSeconds: time.Since(s.start).Seconds(),
+		Running:        running,
+		Interrupted:    interrupted,
 	}
 	for o, n := range s.counts {
-		st.Outcomes[o.String()] = n
+		p.Outcomes[o.String()] = n
 	}
-	var eta float64
-	st.TrialsPerSec, eta = s.rateLocked(st.ElapsedSeconds)
-	if running {
-		st.EtaSeconds = eta
+	if p.ElapsedSeconds > 0 {
+		p.TrialsPerSec = float64(s.done-s.resumed) / p.ElapsedSeconds
 	}
-	if s.m != nil {
-		snap := s.m.reg.Snapshot()
-		st.Metrics = &snap
+	if rem := s.total - s.done; running && rem > 0 && p.TrialsPerSec > 0 {
+		p.EtaSeconds = float64(rem) / p.TrialsPerSec
 	}
-	s.lastStatus = time.Now()
-	s.cfg.StatusSink(st)
+	if s.adaptive {
+		p.Adaptive, p.CIHalfWidth = true, s.halfWidth
+		p.PlannedTrials, p.PlanFinal = s.total, s.planFinal
+		if saved := s.cfg.Trials - s.total; s.planFinal && saved > 0 {
+			p.TrialsSaved = saved
+		}
+	}
+	s.cfg.Progress(p)
 }
 
 // trialAbort is the sentinel the in-trial watchdogs panic with; it

@@ -38,7 +38,7 @@ func TestCancellationDrainsAndReturnsPartial(t *testing.T) {
 		Golden:      golden,
 		// Progress calls are serialized, so this cancels exactly once
 		// ten trials have finished.
-		RunOptions: RunOptions{Progress: func(p ProgressInfo) {
+		RunOptions: RunOptions{Progress: func(p ShardProgress) {
 			if p.Done == 10 {
 				cancel()
 			}
@@ -131,7 +131,7 @@ func TestInterruptedResumeEquivalence(t *testing.T) {
 				partial, err := RunContext(ctx, CampaignConfig{
 					Builder: b, Spec: spec, Trials: trials, Seed: seed,
 					Parallelism: par, Golden: golden, Journal: j,
-					RunOptions: RunOptions{Progress: func(p ProgressInfo) {
+					RunOptions: RunOptions{Progress: func(p ShardProgress) {
 						if p.Done == 8 {
 							cancel()
 						}
@@ -229,28 +229,23 @@ func TestResumedTrialsDoNotInflateRate(t *testing.T) {
 	}
 	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
 
-	var last ProgressInfo
-	var final ShardStatus
-	cfg.Progress = func(p ProgressInfo) {
-		last = p
-		if want := float64(p.Done-resumed) / p.Elapsed.Seconds(); !near(p.TrialsPerSec, want) {
-			t.Errorf("done %d: TrialsPerSec = %g, want %g (the %d trials run here)",
-				p.Done, p.TrialsPerSec, want, p.Done-resumed)
-		}
-	}
-	cfg.StatusSink = func(st ShardStatus) { final = st }
-	cfg.StatusInterval = time.Hour
+	var records []ShardProgress
+	cfg.Progress = func(p ShardProgress) { records = append(records, p) }
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if last.Done != trials {
-		t.Fatalf("last progress call had Done = %d, want %d", last.Done, trials)
+	// The initial record, one per trial run here, and the final record.
+	if len(records) != 1+trials-resumed+1 {
+		t.Fatalf("got %d progress records, want %d", len(records), 1+trials-resumed+1)
 	}
-	if final.Running || final.Done != trials || final.Resumed != resumed {
-		t.Fatalf("final status = %+v, want a finished %d-trial shard with %d resumed", final, trials, resumed)
+	for _, p := range records {
+		if want := float64(p.Done-resumed) / p.ElapsedSeconds; !near(p.TrialsPerSec, want) {
+			t.Errorf("done %d (running %v): TrialsPerSec = %g, want %g (the %d trials run here)",
+				p.Done, p.Running, p.TrialsPerSec, want, p.Done-resumed)
+		}
 	}
-	if want := float64(trials-resumed) / final.ElapsedSeconds; !near(final.TrialsPerSec, want) {
-		t.Errorf("final status TrialsPerSec = %g, want %g", final.TrialsPerSec, want)
+	if final := records[len(records)-1]; final.Running || final.Done != trials || final.Resumed != resumed {
+		t.Fatalf("final record = %+v, want a finished %d-trial run with %d resumed", final, trials, resumed)
 	}
 }
 

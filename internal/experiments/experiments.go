@@ -47,10 +47,10 @@ type Scale struct {
 	Seed int64
 	// Parallelism bounds concurrent trials (default GOMAXPROCS).
 	Parallelism int
-	// Progress, if non-nil, is called after every completed injection
-	// trial of every campaign cell with that cell's live progress
-	// (counts, trial rate, ETA). Calls within one cell are serialized.
-	Progress func(core.ProgressInfo)
+	// Progress, if non-nil, receives every campaign cell's progress
+	// records (core.RunOptions.Progress: an initial record, one per
+	// finished trial, a final one). Calls within one cell are serialized.
+	Progress func(core.ShardProgress)
 }
 
 // Quick returns a scale suitable for tests: small but large enough for

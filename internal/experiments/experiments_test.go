@@ -44,25 +44,6 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestAllExperimentsProduceReports(t *testing.T) {
-	s := getSuite(t)
-	for _, id := range IDs() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			rep, err := s.Run(id)
-			if err != nil {
-				t.Fatalf("Run(%q): %v", id, err)
-			}
-			if rep.ID != id {
-				t.Errorf("report ID = %q", rep.ID)
-			}
-			if strings.TrimSpace(rep.Text) == "" {
-				t.Error("empty report text")
-			}
-		})
-	}
-}
-
 func TestTable1Content(t *testing.T) {
 	rep, err := getSuite(t).Table1()
 	if err != nil {

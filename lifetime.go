@@ -104,6 +104,9 @@ func SimulateLifetime(cfg LifetimeConfig) (*LifetimeResult, error) {
 	if cfg.Hours == 0 {
 		cfg.Hours = 24
 	}
+	if cfg.RecoveryMinutes < 0 {
+		return nil, fmt.Errorf("hrmsim: RecoveryMinutes (-recovery) must not be negative, got %d", cfg.RecoveryMinutes)
+	}
 	if cfg.RecoveryMinutes == 0 {
 		cfg.RecoveryMinutes = 10
 	}

@@ -197,16 +197,16 @@ func TestFinalStatusRecordDropsFailedJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	statusPath := filepath.Join(dir, core.ShardStatusName(0, 1))
-	w := newStatusWriter(statusPath, filepath.Join(dir, core.ShardJournalName(0, 1)), j, meta, nil)
+	w := newStatusWriter(&CharacterizeConfig{StatusPath: statusPath, JournalPath: filepath.Join(dir, core.ShardJournalName(0, 1))}, j, meta)
 
-	w.write(core.ShardStatus{ShardCount: 1, ShardProgress: core.ShardProgress{TrialHi: 4, Running: true}})
+	w.write(ProgressInfo{TrialHi: 4, Running: true})
 	if st, err := core.ReadStatus(statusPath); err != nil || st.Journal != core.ShardJournalName(0, 1) {
 		t.Fatalf("running heartbeat: journal %q, err %v", st.Journal, err)
 	}
 	if err := j.Append(core.TrialResult{}); err == nil {
 		t.Fatal("append to a failing writer succeeded")
 	}
-	w.write(core.ShardStatus{ShardCount: 1, ShardProgress: core.ShardProgress{TrialHi: 4, Done: 4, Completed: 4}})
+	w.write(ProgressInfo{TrialHi: 4, Done: 4, Completed: 4})
 	st, err := core.ReadStatus(statusPath)
 	if err != nil {
 		t.Fatal(err)
