@@ -8,7 +8,6 @@
 //	hrmsim characterize -app websearch -error hard-1bit -region stack -trials 400
 //	hrmsim characterize -app websearch -trials 2000 -target-ci 0.02
 //	hrmsim characterize -app kvstore -trials 1000000 -shard 3/8 -journal shards/shard-0003-of-0008.jsonl
-//	hrmsim characterize -app kvstore -trials 1000000 -coordinator -shards 8 -status-addr :8080
 //	hrmsim merge -dir shards/
 //	hrmsim status shards/ -watch
 //	hrmsim profile -app websearch -watchpoints 600
@@ -23,18 +22,15 @@
 // half-width on the crash probability reaches the target, with -trials
 // as the hard budget and -min-trials as the guard rail. The plan is
 // deterministic and resumable exactly like a fixed campaign,
-// but incompatible with -shard/-coordinator (it needs the whole trial
+// but incompatible with -shard (it needs the whole trial
 // index space). Under tables, -target-ci applies per campaign cell.
 //
-// characterize runs a campaign whole, as one shard of a multi-process
+// characterize runs a campaign whole or as one shard of a multi-process
 // campaign (-shard i/N; with -journal it emits the journal plus a
-// heartbeat status record, whose final version names the journal), or as a
-// coordinator (-coordinator -shards N) that spawns one worker process
-// per shard, supervises them (straggler warnings by heartbeat age with
-// a journal-mtime fallback, crash respawn with -resume), aggregates the
-// heartbeats into a live fleet view (-status-addr serves it at /statusz
-// with merged /metrics, /healthz, and pprof), and auto-merges the
-// shards on completion. merge folds the finished shards of a directory
+// heartbeat status record, whose final version names the journal). A
+// shard worker that dies is run again with the same flags plus -resume
+// on its own journal, which re-runs only the trials it had not recorded.
+// merge folds the finished shards of a directory
 // (final status records and the journals they name) into a result
 // bit-identical to the single-process run; status renders the fleet
 // view of the same records, live or finished, from any shell (-watch to

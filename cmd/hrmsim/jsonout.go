@@ -36,7 +36,7 @@ type envelope struct {
 	// covers (characterize -shard; see SHARDING.md).
 	Shard *hrmsim.ShardInfo `json:"shard,omitempty"`
 	// Merged describes the shard set a merged result was assembled from
-	// (merge, characterize -coordinator; see SHARDING.md).
+	// (merge; see SHARDING.md).
 	Merged *hrmsim.MergeInfo `json:"merged,omitempty"`
 }
 

@@ -72,7 +72,7 @@ func usage() {
 
 Subcommands:
   characterize  run an error-injection campaign against an application
-                (whole, one shard of it, or as a multi-process coordinator)
+                (whole, or one shard of it: -shard i/N)
   merge         merge a directory of shard journals into one campaign result
   status        render the live (or final) fleet view from a campaign
                 directory's shard heartbeat records
@@ -170,16 +170,22 @@ func (v shardValue) Set(s string) error {
 	return nil
 }
 
-// bindCampaignFlags registers every flag that describes the campaign
-// itself, each bound to its CharacterizeConfig field. It is the only place
-// a campaign flag is declared: cmdCharacterize parses into it and
-// workerArgs reads the coordinator's worker command lines back out of it.
-func bindCampaignFlags(fs *flag.FlagSet, cfg *hrmsim.CharacterizeConfig) {
+// characterizeCmd is a parsed `characterize` command line.
+type characterizeCmd struct {
+	jsonOut, progress bool
+	cfg               hrmsim.CharacterizeConfig
+}
+
+// parseCharacterize binds, parses and cross-checks the characterize flags.
+func parseCharacterize(args []string) (*characterizeCmd, error) {
+	fs := flag.NewFlagSet("characterize", flag.ContinueOnError)
+	c := &characterizeCmd{}
+	cfg := &c.cfg
 	fs.StringVar((*string)(&cfg.App), "app", "websearch", "application: websearch|kvstore|graphmine")
 	fs.StringVar((*string)(&cfg.Error), "error", "soft-1bit", "error type: soft-1bit|hard-1bit|hard-2bit")
 	fs.StringVar((*string)(&cfg.Region), "region", "", "region: private|heap|stack (empty = all)")
 	fs.IntVar(&cfg.Trials, "trials", 400, "injection trials (with -target-ci: the hard trial budget)")
-	fs.Float64Var(&cfg.TargetCI, "target-ci", 0, "adaptive stopping: end the campaign once the 90% Wilson CI half-width of the crash probability is at most this (e.g. 0.02 for ±2 points; 0 = run exactly -trials); deterministic and resumable like fixed campaigns, but incompatible with -shard/-coordinator")
+	fs.Float64Var(&cfg.TargetCI, "target-ci", 0, "adaptive stopping: end the campaign once the 90% Wilson CI half-width of the crash probability is at most this (e.g. 0.02 for ±2 points; 0 = run exactly -trials); deterministic and resumable like fixed campaigns, but incompatible with -shard")
 	fs.IntVar(&cfg.MinTrials, "min-trials", 0, "adaptive stopping: never stop before this many trials (requires -target-ci; 0 = the default 30)")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed")
 	cfg.Size = hrmsim.SizeMedium
@@ -192,58 +198,18 @@ func bindCampaignFlags(fs *flag.FlagSet, cfg *hrmsim.CharacterizeConfig) {
 	fs.StringVar(&cfg.ResumePath, "resume", "", "skip trials already recorded in this journal (typically the same file as -journal); the merged result is bit-identical to an uninterrupted run")
 	fs.StringVar(&cfg.StatusPath, "status", "", "write a shard status/heartbeat record (JSON, atomically replaced) to this `file`: an initial record, throttled per-trial refreshes, and a final record that names the -journal for hrmsim merge (schema: OBSERVABILITY.md; view with hrmsim status; default with -shard and -journal: the journal path with .status.json for .jsonl)")
 	fs.DurationVar(&cfg.StatusInterval, "status-interval", 0, "minimum interval between heartbeat refreshes (0 = the 1s default)")
-}
-
-// characterizeCmd is a parsed `characterize` command line. The campaign
-// flags land in coord.Campaign whether or not coordinator mode is on.
-type characterizeCmd struct {
-	jsonOut, progress bool
-	coordinator       bool
-	coord             coordinatorConfig
-}
-
-// parseCharacterize binds, parses and cross-checks the characterize flags.
-func parseCharacterize(args []string) (*characterizeCmd, error) {
-	fs := flag.NewFlagSet("characterize", flag.ContinueOnError)
-	c := &characterizeCmd{}
-	cfg := &c.coord.Campaign
-	bindCampaignFlags(fs, cfg)
 	fs.BoolVar(&c.jsonOut, "json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
 	fs.BoolVar(&c.progress, "progress", false, "report live trial completion on stderr")
-	fs.BoolVar(&c.coordinator, "coordinator", false, "coordinator mode: spawn -shards local worker processes, supervise them (straggler warnings, crashed-shard respawn with -resume), and merge their journals (SHARDING.md)")
-	fs.IntVar(&c.coord.Shards, "shards", 0, "number of shard worker processes to spawn (coordinator mode)")
-	fs.StringVar(&c.coord.Dir, "shard-dir", "", "directory for shard journals and status records (coordinator mode; default: a fresh temporary directory, removed on success)")
-	fs.DurationVar(&c.coord.StragglerAfter, "straggler-after", 30*time.Second, "warn when a running shard's heartbeat (or, lacking one, its journal) has not advanced for this long (coordinator mode; 0 = off)")
-	fs.IntVar(&c.coord.MaxRespawns, "shard-respawns", 2, "respawn a crashed shard, resuming its journal, at most this many times (coordinator mode)")
-	fs.StringVar(&c.coord.StatusAddr, "status-addr", "", "serve the live fleet view on this HTTP address: /statusz, merged /metrics, /healthz, /debug/pprof (coordinator mode)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	sharded := cfg.ShardCount > 0
-	switch {
-	case cfg.TargetCI == 0 && cfg.MinTrials != 0:
+	if cfg.TargetCI == 0 && cfg.MinTrials != 0 {
 		return nil, fmt.Errorf("-min-trials is an adaptive guard rail and requires -target-ci")
-	case c.coordinator && sharded:
-		return nil, fmt.Errorf("-coordinator and -shard are mutually exclusive (the coordinator assigns shards itself)")
-	case c.coordinator && cfg.TargetCI != 0:
-		return nil, fmt.Errorf("-target-ci cannot be combined with -coordinator: an adaptive plan needs the whole trial index space, but coordinator workers each own a shard of it — run adaptive campaigns as one process (see SHARDING.md)")
-	case c.coordinator && (cfg.JournalPath != "" || cfg.ResumePath != "" || cfg.StatusPath != ""):
-		return nil, fmt.Errorf("-coordinator manages its own shard journals and status records; -journal, -resume, and -status apply to single-process runs")
-	case c.coordinator && c.coord.Shards < 1:
-		return nil, fmt.Errorf("-coordinator requires -shards N with N >= 1")
-	case !c.coordinator && (c.coord.Shards != 0 || c.coord.Dir != ""):
-		return nil, fmt.Errorf("-shards and -shard-dir require -coordinator (use -shard i/N to run one shard directly)")
-	case !c.coordinator && c.coord.StatusAddr != "":
-		return nil, fmt.Errorf("-status-addr requires -coordinator (use -status to heartbeat a single-process or shard run)")
-	case c.coord.MaxRespawns < 0:
-		return nil, fmt.Errorf("-shard-respawns must not be negative, got %d", c.coord.MaxRespawns)
-	case c.coord.StragglerAfter < 0:
-		return nil, fmt.Errorf("-straggler-after must not be negative, got %v", c.coord.StragglerAfter)
 	}
 	// A shard's record pair is journal + status record; derive the status
 	// path so `-shard i/N -journal f.jsonl` alone leaves both, and its
 	// final record lets `merge` consume the journal.
-	if sharded && cfg.StatusPath == "" && cfg.JournalPath != "" {
+	if cfg.ShardCount > 0 && cfg.StatusPath == "" && cfg.JournalPath != "" {
 		cfg.StatusPath = core.StatusPathFor(cfg.JournalPath)
 	}
 	return c, nil
@@ -254,15 +220,12 @@ func cmdCharacterize(args []string) error {
 	if err != nil {
 		return err
 	}
-	if c.coordinator {
-		return runCoordinatorCmd(c.coord, c.jsonOut, c.progress)
-	}
 	// SIGINT/SIGTERM cancel the campaign context: in-flight trials are
 	// drained and the partial result (marked interrupted) still comes
 	// out, journaled if -journal was given.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	cfg := c.coord.Campaign
+	cfg := c.cfg
 	cfg.Context = ctx
 	if c.progress {
 		cfg.Progress = progressFunc("characterize")
@@ -294,7 +257,7 @@ func cmdCharacterize(args []string) error {
 }
 
 // printCharacterization renders a campaign result as text — shared by
-// characterize (whole or one shard), merge, and coordinator runs.
+// characterize (whole or one shard) and merge.
 func printCharacterization(c *hrmsim.Characterization) {
 	regionLabel := string(c.Region)
 	if regionLabel == "" {
@@ -366,7 +329,7 @@ func cmdMerge(args []string) error {
 		return err
 	}
 	if c.Interrupted {
-		fmt.Fprintf(os.Stderr, "merge: campaign incomplete — %d of %d trials have no record in any finished shard (respawn or resume the missing shards and re-merge)\n",
+		fmt.Fprintf(os.Stderr, "merge: campaign incomplete — %d of %d trials have no record in any finished shard (re-run the missing shards with -resume and re-merge)\n",
 			info.Missing, c.Trials)
 	}
 	if *jsonOut {

@@ -306,14 +306,6 @@ func TestNegativeValuesRefused(t *testing.T) {
 			t.Errorf("%s: err = %v, want an error naming %s", strings.Join(c.args, " "), err, c.flag)
 		}
 	}
-	// The coordinator flags are checked at parse time, before any
-	// worker process is spawned.
-	for flag, value := range map[string]string{"-shard-respawns": "-1", "-straggler-after": "-1s"} {
-		_, err := parseCharacterize([]string{"-app", "kvstore", "-coordinator", "-shards", "2", flag, value})
-		if err == nil || !strings.Contains(err.Error(), flag) {
-			t.Errorf("%s %s: err = %v, want an error naming the flag", flag, value, err)
-		}
-	}
 }
 
 // TestNoCompletedTrials: a campaign whose every trial aborted fails and

@@ -1,8 +1,8 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hrmsim"
+	"hrmsim/internal/core"
 	"hrmsim/internal/obsv"
 )
 
@@ -71,21 +72,21 @@ func TestMetricContract(t *testing.T) {
 		"-journal", filepath.Join(dir, "adaptive.jsonl"),
 		"-status", filepath.Join(dir, "adaptive.status.json"), "-json"))
 
-	// A two-shard coordinator run, merged: the coordinator's own registry
-	// (spawns, respawns, merge accounting), the workers' heartbeat
-	// snapshots as the fleet view merges them, and their final-record
-	// snapshots as MergeShards does.
-	cfg := testCoordinatorConfig(t)
-	cfg.Shards = 2
-	cfg.Launch = inProcessLauncher(t, cfg, nil)
-	out, err := runCoordinator(context.Background(), cfg)
-	if err != nil {
+	// A campaign run as two shards, merged: the shard runs' own
+	// registries, their heartbeat snapshots as the fleet view merges
+	// them, and the merge accounting.
+	shards := filepath.Join(dir, "shards")
+	if err := os.Mkdir(shards, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	snap := cfg.Metrics.Snapshot()
-	addSnapshotNames(registered, &snap)
-	addSnapshotNames(registered, out.Info.Metrics)
-	fleet, err := hrmsim.LoadFleetStatus(cfg.Dir)
+	for i := 0; i < 2; i++ {
+		journal := filepath.Join(shards, core.ShardJournalName(i, 2))
+		addSnapshotNames(registered, envelopeMetrics(t, "characterize", "-app", "kvstore", "-size", "small",
+			"-trials", "24", "-seed", "6", "-shard", fmt.Sprintf("%d/2", i),
+			"-journal", journal, "-status", core.StatusPathFor(journal), "-json"))
+	}
+	addSnapshotNames(registered, envelopeMetrics(t, "merge", "-dir", shards, "-json"))
+	fleet, err := hrmsim.LoadFleetStatus(shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,13 +180,9 @@ func TestStatusAndMergeSeeSameShards(t *testing.T) {
 // fast with flag-level errors.
 func TestShardFlagValidation(t *testing.T) {
 	cases := [][]string{
-		{"characterize", "-app", "kvstore", "-shard", "2/2"},                                       // index out of range
-		{"characterize", "-app", "kvstore", "-shard", "banana"},                                    // not i/N
-		{"characterize", "-app", "kvstore", "-shards", "2"},                                        // -shards without -coordinator
-		{"characterize", "-app", "kvstore", "-coordinator"},                                        // -coordinator without -shards
-		{"characterize", "-app", "kvstore", "-coordinator", "-shards", "2", "-shard", "0/2"},       // both modes
-		{"characterize", "-app", "kvstore", "-coordinator", "-shards", "2", "-journal", "x.jsonl"}, // coordinator owns journals
-		{"characterize", "-app", "kvstore", "-coordinator", "-shards", "2", "-status", "s.json"},   // coordinator owns status records
+		{"characterize", "-app", "kvstore", "-shard", "2/2"},    // index out of range
+		{"characterize", "-app", "kvstore", "-shard", "banana"}, // not i/N
+		{"characterize", "-app", "kvstore", "-shard", "0/2x"},   // trailing text
 		{"merge"}, // no directory
 	}
 	for _, args := range cases {

@@ -1,10 +1,9 @@
-// The campaign control plane's CLI surface: the coordinator's status
-// HTTP server (/statusz, merged /metrics, /healthz, pprof), the fleet
-// progress line, and the `hrmsim status` subcommand that renders the
-// same fleet view from any shell — against a live campaign (workers
-// still heartbeating) or a dead one (final records only). The on-disk
-// heartbeat contract the view is built from is documented in
-// OBSERVABILITY.md; the operator workflow in SHARDING.md.
+// `hrmsim status`, the campaign control plane's CLI surface: it renders
+// the fleet view of a campaign directory's shard heartbeat records from
+// any shell, against a live campaign (workers still heartbeating) or a
+// dead one (final records only). The on-disk heartbeat contract the view
+// is built from is documented in OBSERVABILITY.md; the operator workflow
+// in SHARDING.md.
 package main
 
 import (
@@ -12,8 +11,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -22,94 +19,18 @@ import (
 	"time"
 
 	"hrmsim"
-	"hrmsim/internal/obsv"
 )
-
-// startStatusServer serves the coordinator's live fleet view on addr:
-// /statusz (the JSON envelope `hrmsim status -json` emits) on top of the
-// shared observability sidecar (internal/obsv: /metrics — here the
-// fleet's merged obsv snapshot plus the coordinator's own registry —
-// /healthz, and the standard pprof handlers). fleet returns the latest
-// aggregate (nil before the first heartbeat). The returned func shuts
-// the server down, draining in-flight requests briefly.
-func startStatusServer(addr string, fleet func() *hrmsim.FleetStatus, reg *obsv.Registry) (shutdown func(), boundAddr string, err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("status listener: %w", err)
-	}
-	mux := obsv.SidecarMux(obsv.SnapshotHandler(func() obsv.Snapshot {
-		// One scrape covers the whole fleet: the shards' heartbeat
-		// snapshots merged with the coordinator's own registry
-		// (spawn/respawn counters).
-		snaps := []obsv.Snapshot{reg.Snapshot()}
-		if fs := fleet(); fs != nil && fs.Metrics != nil {
-			snaps = append(snaps, *fs.Metrics)
-		}
-		return obsv.MergeSnapshots(snaps...)
-	}))
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
-		fs := fleet()
-		if fs == nil {
-			http.Error(w, "no shard status yet", http.StatusServiceUnavailable)
-			return
-		}
-		b, err := envelope{Command: "status", Result: fs, Metrics: fs.Metrics}.encode()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_, _ = w.Write(b)
-	})
-	shutdown = obsv.ServeSidecar(ln, mux, func(err error) {
-		fmt.Fprintf(os.Stderr, "coordinator: status server: %v\n", err)
-	})
-	return shutdown, ln.Addr().String(), nil
-}
-
-// fleetProgressLine renders the one-line aggregate progress of a
-// sharded campaign, the coordinator-mode counterpart of progressFunc's
-// per-process line.
-func fleetProgressLine(fs *hrmsim.FleetStatus) string {
-	pct := 0
-	if fs.Trials > 0 {
-		pct = 100 * fs.Done / fs.Trials
-	}
-	line := fmt.Sprintf("characterize: %d/%d trials (%d%%) | %d shard(s) running",
-		fs.Done, fs.Trials, pct, fs.Running)
-	if fs.Running > 0 && fs.TrialsPerSec > 0 {
-		line += fmt.Sprintf(" | %.1f trials/s | ETA %s", fs.TrialsPerSec, wholeSeconds(fs.EtaSeconds))
-	}
-	return line
-}
 
 // wholeSeconds renders a seconds count as a duration rounded to 1s.
 func wholeSeconds(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second)).Round(time.Second)
 }
 
-// fleetProgressSink returns a FleetSink that rewrites one stderr-style
-// progress line per delivery and finishes it with a newline when the
-// last shard's final record lands.
-func fleetProgressSink(w *os.File) func(*hrmsim.FleetStatus) {
-	finished := false
-	return func(fs *hrmsim.FleetStatus) {
-		if finished {
-			return
-		}
-		fmt.Fprintf(w, "\r%s", fleetProgressLine(fs))
-		if fs.Running == 0 {
-			fmt.Fprintln(w)
-			finished = true
-		}
-	}
-}
-
 // renderFleetStatus renders the full fleet view `hrmsim status` (and
 // -watch) prints: campaign identity, aggregate progress, dispositions,
 // the Fig. 1 outcome taxonomy so far, and one line per reporting shard
-// with its heartbeat age — the liveness signal straggler detection
-// keys on.
+// with its heartbeat age — the liveness signal that tells a straggling
+// shard from a slow one.
 func renderFleetStatus(fs *hrmsim.FleetStatus, now time.Time) string {
 	var b strings.Builder
 	region := string(fs.Region)
@@ -178,15 +99,15 @@ func renderFleetStatus(fs *hrmsim.FleetStatus, now time.Time) string {
 
 // cmdStatus implements `hrmsim status <shard-dir>`: load the campaign
 // directory's shard heartbeat records, aggregate them, and render the
-// fleet view — once, or repeatedly with -watch until no shard is
-// running. It works identically against a live campaign (the workers
-// replace their records atomically, so every read is consistent) and a
-// finished or crashed one (final records, or whatever the last
-// heartbeats were).
+// fleet view — once, or repeatedly with -watch until every shard has
+// reported and none is running. It works identically against a live
+// campaign (the workers replace their records atomically, so every read
+// is consistent) and a finished or crashed one (final records, or
+// whatever the last heartbeats were).
 func cmdStatus(args []string) error {
 	fs := flag.NewFlagSet("status", flag.ContinueOnError)
 	dir := fs.String("dir", "", "campaign shard directory holding the *.status.json heartbeat records (may also be given as the positional argument)")
-	watch := fs.Bool("watch", false, "re-render every -interval until no shard is running (Ctrl-C to stop)")
+	watch := fs.Bool("watch", false, "re-render every -interval until every shard has reported and none is running (Ctrl-C to stop)")
 	interval := fs.Duration("interval", time.Second, "refresh period with -watch")
 	jsonOut := fs.Bool("json", false, "emit the fleet status as JSON (schema: OBSERVABILITY.md)")
 	if err := fs.Parse(args); err != nil {
@@ -228,7 +149,13 @@ func cmdStatus(args []string) error {
 			return err
 		default:
 			fmt.Print(renderFleetStatus(fleet, time.Now()))
-			if fleet.Running == 0 {
+			// A shard that has not started yet has no record: the campaign
+			// is settled only once every index has reported.
+			reported := make(map[int]bool)
+			for _, sh := range fleet.Shards {
+				reported[sh.Index] = true
+			}
+			if fleet.Running == 0 && len(reported) == fleet.Shards[0].Count {
 				return nil
 			}
 			fmt.Println()

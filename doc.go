@@ -49,5 +49,5 @@
 // deterministic slice of the trial sequence, and MergeShards folds a
 // directory of shard journals back into a Characterization bit-identical
 // to the single-process run. SHARDING.md documents the shard/merge
-// contract and the coordinator that operates it.
+// contract and how to run, retry and follow the shard workers.
 package hrmsim

@@ -196,12 +196,12 @@ type CharacterizeConfig struct {
 	// core.WriteStatus): shard coordinates, trials done/total,
 	// dispositions, rate and ETA, outcome counts so far, and the full
 	// Metrics snapshot; with JournalPath, every record names the journal
-	// (relative to the record's directory). The coordinator's live
-	// /statusz and `hrmsim status` read these records; the final one
-	// (Running=false) makes a finished campaign directory render
-	// identically to a live one, and is the record MergeShards consumes —
-	// an unsharded run's describes shard 0/1, so a single-process journal
-	// merges too; a failed write of that final record fails Characterize.
+	// (relative to the record's directory). `hrmsim status` reads these
+	// records; the final one (Running=false) makes a finished campaign
+	// directory render identically to a live one, and is the record
+	// MergeShards consumes — an unsharded run's describes shard 0/1, so a
+	// single-process journal merges too; a failed write of that final
+	// record fails Characterize.
 	// The heartbeat/status contract is documented in OBSERVABILITY.md.
 	StatusPath string
 	// StatusInterval is the minimum spacing of running StatusPath

@@ -40,14 +40,13 @@
 //     target. A resumed run re-derives every verdict from the journaled
 //     trials, so the plan replays bit-identically.
 //
-//   - The process-level coordinator (cmd/hrmsim) spawns N worker
-//     processes, each running one shard of the trial index space, and
-//     watches the workers themselves: straggler detection by heartbeat
-//     age (journal mtime as the fallback), crashed-shard respawn with
-//     resume. The shard partitioning and merge primitives it builds on
-//     live here (shard.go): ShardSpec splits [0, Trials) into contiguous
-//     ranges, and MergeShards folds a directory's finished shard
-//     journals back into one record set. Each worker maintains an
+//   - A campaign scales across processes as N shard workers, each
+//     running one shard of the trial index space; a worker that dies is
+//     run again with resume on its own journal (SHARDING.md). The shard
+//     partitioning and merge primitives live here (shard.go): ShardSpec
+//     splits [0, Trials) into contiguous ranges, and MergeShards folds
+//     a directory's finished shard journals back into one record set.
+//     Each worker maintains an
 //     atomically-replaced status record (status.go: ShardStatus, which
 //     the facade's status writer builds from the supervisor's Progress
 //     records, throttled to its status interval) that carries live

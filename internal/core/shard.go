@@ -63,10 +63,12 @@ func (s ShardSpec) Range(trials int) (lo, hi int) {
 // String renders the spec in the CLI's "i/N" form.
 func (s ShardSpec) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
 
-// ParseShardSpec parses the CLI's "i/N" shard syntax.
+// ParseShardSpec parses the CLI's "i/N" shard syntax. The text must be
+// exactly the spec's String form: no padding, sign, leading zero or
+// trailing text.
 func ParseShardSpec(text string) (ShardSpec, error) {
 	var s ShardSpec
-	if _, err := fmt.Sscanf(text, "%d/%d", &s.Index, &s.Count); err != nil {
+	if _, err := fmt.Sscanf(text, "%d/%d", &s.Index, &s.Count); err != nil || s.String() != text {
 		return ShardSpec{}, fmt.Errorf("core: shard spec %q is not of the form i/N", text)
 	}
 	if err := s.Validate(); err != nil {

@@ -46,7 +46,7 @@ func TestParseShardSpec(t *testing.T) {
 	if s.String() != "3/8" {
 		t.Fatalf("String() = %q, want 3/8", s.String())
 	}
-	for _, bad := range []string{"", "3", "3/", "/8", "8/8", "-1/4", "0/0", "x/y"} {
+	for _, bad := range []string{"", "3", "3/", "/8", "8/8", "-1/4", "0/0", "x/y", "0/2x", "1/2/3", " 0/2", "01/2"} {
 		if _, err := ParseShardSpec(bad); err == nil {
 			t.Errorf("ParseShardSpec(%q): want error", bad)
 		}

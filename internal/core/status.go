@@ -7,9 +7,9 @@
 // wraps the record in a ShardStatus — shard coordinates, identity,
 // timestamp and a full obsv registry snapshot — and writes it to a
 // well-known file next to the shard's journal (atomic temp-file +
-// rename), so any observer — the coordinator's live /statusz, `hrmsim
-// status`, or a human with cat — can read a consistent view of a live or
-// dead campaign without touching the journal. The final record of a run has Running=false: it
+// rename), so any observer — `hrmsim status`, or a human with cat — can
+// read a consistent view of a live or dead campaign without touching the
+// journal. The final record of a run has Running=false: it
 // lets `hrmsim status` render a finished campaign directory identically
 // to a live one, and, when it names the shard's journal, it is the
 // record `hrmsim merge` consumes (shard.go) — one record of a finished

@@ -43,6 +43,29 @@ func TestExtCorrelatedMoreSevere(t *testing.T) {
 	}
 }
 
+// TestCorrelatedVerdict: ext-correlated's finding is derived from the
+// per-domain crash estimates, and a domain that ties or falls below the
+// single-cell baseline is named instead of counted as higher.
+func TestCorrelatedVerdict(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		single  float64
+		domains []domainCrash
+		want    string
+	}{
+		{"all higher", 0.1, []domainCrash{{"row", 0.2}, {"chip", 0.5}},
+			"single-cell crash 10.0%; multi-address domain faults all higher (see chart)"},
+		{"one ties", 0.1, []domainCrash{{"row", 0.1}, {"chip", 0.5}},
+			"single-cell crash 10.0%; not higher for row 10.0% (see chart)"},
+		{"two lower", 0.3, []domainCrash{{"row", 0.2}, {"column", 0.4}, {"bank", 0}},
+			"single-cell crash 30.0%; not higher for row 20.0%, bank 0.0% (see chart)"},
+	} {
+		if got := correlatedVerdict(c.single, c.domains); got != c.want {
+			t.Errorf("%s: got %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
 func TestExtScrubbingMonotone(t *testing.T) {
 	s := getSuite(t)
 	rep, err := s.Run("ext-scrub")

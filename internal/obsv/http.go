@@ -15,17 +15,8 @@ import (
 // preferring application/json. Used by the kvserve -metrics-addr sidecar;
 // the same encoders back `hrmsim -json`.
 func Handler(r *Registry) http.Handler {
-	return SnapshotHandler(r.Snapshot)
-}
-
-// SnapshotHandler serves whatever snapshot the callback returns, through
-// the same text/JSON content negotiation as Handler. The callback runs
-// once per request, so it can compute derived views — the hrmsim
-// coordinator uses it to serve the merged fleet snapshot (its own
-// registry plus every shard heartbeat's metrics) at /metrics.
-func SnapshotHandler(snap func() Snapshot) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		s := snap()
+		s := r.Snapshot()
 		if wantsJSON(req) {
 			b, err := s.MarshalJSONIndent()
 			if err != nil {
@@ -52,7 +43,7 @@ func wantsJSON(req *http.Request) bool {
 // SidecarMux builds the observability handler set every long-lived
 // process serves beside its real work: metrics at /metrics, a liveness
 // probe at /healthz, and the standard pprof profiling handlers. Callers
-// add their own routes on top (the hrmsim coordinator adds /statusz).
+// add their own routes on top.
 func SidecarMux(metrics http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", metrics)

@@ -2,10 +2,10 @@ package obsv
 
 // Snapshot merge: deterministic aggregation of N registry snapshots into
 // one. This is the single aggregation rule shared by every consumer that
-// combines metrics from more than one process — the coordinator's live
-// /statusz and /metrics fleet view, `hrmsim status`, and `hrmsim merge`'s
-// post-hoc shard aggregation — so a live fleet readout and a post-hoc
-// merge of the same shards report the same numbers.
+// combines metrics from more than one process — `hrmsim status`'s fleet
+// view and `hrmsim merge`'s post-hoc shard aggregation — so a live fleet
+// readout and a post-hoc merge of the same shards report the same
+// numbers.
 //
 // Per-kind policy (documented per metric in OBSERVABILITY.md):
 //

@@ -56,9 +56,9 @@ type MergeInfo struct {
 	// Metrics is the deterministic aggregate of every input shard's
 	// final-record metrics snapshot (obsv.MergeSnapshots: counters summed,
 	// fixed-bucket histograms merged, gauges by max — the same rule the
-	// live fleet view applies, so a post-hoc merge and /statusz report
-	// the same numbers). Nil when no shard recorded metrics. Not part of
-	// the `merged` section.
+	// live fleet view applies, so a post-hoc merge and `hrmsim status`
+	// report the same numbers). Nil when no shard recorded metrics. Not
+	// part of the `merged` section.
 	Metrics *obsv.Snapshot `json:"-"`
 }
 

@@ -1,20 +1,23 @@
 #!/bin/sh
 # End-to-end smoke test of the sharding subsystem with real worker
-# processes (what the in-process tests cannot cover — under `go test`
-# the coordinator's launcher is stubbed because os.Executable() is the
-# test binary):
+# processes and real signals (what the in-process tests cannot cover):
 #
 #   1. run an unsharded characterize campaign as the baseline,
 #   2. run the same campaign as 2 shard worker processes, each given
 #      only -journal (the status record path is derived from it), and
 #      `hrmsim merge` the shard directory,
-#   3. run it once more through `-coordinator -shards 2` (spawns real
-#      worker processes, auto-merges),
-#   4. diff both merged -json results against the baseline,
+#   3. kill-and-resume pass: run a second campaign (websearch, 600
+#      trials, slow enough to be caught mid-flight) as 2 workers, each in
+#      the bounded -resume retry loop SHARDING.md documents; SIGKILL
+#      worker 1 once its journal holds at least 20 records, let its loop's
+#      -resume attempt finish the shard, and merge,
+#   4. diff both merged -json results against their campaign's
+#      single-process baseline,
 #   5. assert the one shard record: each manual worker's final status
 #      record says it is no longer running and names its journal, and
 #      `hrmsim status` reports the settled fleet view (all trials done,
-#      0 running) that matches the merge.
+#      0 running) that matches the merge; the killed worker's record said
+#      it was still running, and its final record counts resumed trials.
 #
 # Both merged results must be bit-identical to the single-process run,
 # modulo the documented run-shape bookkeeping (`parallelism`,
@@ -39,19 +42,16 @@ echo "shard_smoke: baseline ($APP, $TRIALS trials)" >&2
     -seed "$SEED" -json >"$TMP/baseline.json"
 
 echo "shard_smoke: adaptive campaigns must refuse worker-shard mode" >&2
-for reject in "-shard 0/2" "-coordinator -shards 2"; do
-    # shellcheck disable=SC2086  # $reject is intentionally word-split
-    if "$BIN" characterize -app "$APP" -size small -trials "$TRIALS" \
-        -seed "$SEED" -target-ci 0.05 $reject 2>"$TMP/reject.err"; then
-        echo "shard_smoke: FAIL — -target-ci with $reject was accepted" >&2
-        exit 1
-    fi
-    grep -q 'index space' "$TMP/reject.err" || {
-        echo "shard_smoke: FAIL — rejection of -target-ci with $reject does not explain the conflict:" >&2
-        cat "$TMP/reject.err" >&2
-        exit 1
-    }
-done
+if "$BIN" characterize -app "$APP" -size small -trials "$TRIALS" \
+    -seed "$SEED" -target-ci 0.05 -shard 0/2 2>"$TMP/reject.err"; then
+    echo "shard_smoke: FAIL — -target-ci with -shard 0/2 was accepted" >&2
+    exit 1
+fi
+grep -q 'index space' "$TMP/reject.err" || {
+    echo "shard_smoke: FAIL — rejection of -target-ci with -shard 0/2 does not explain the conflict:" >&2
+    cat "$TMP/reject.err" >&2
+    exit 1
+}
 
 echo "shard_smoke: running 2 shard worker processes" >&2
 mkdir "$TMP/shards"
@@ -88,20 +88,69 @@ grep -q '(100%)' "$TMP/status.txt" || {
     exit 1
 }
 
-echo "shard_smoke: coordinator run (-coordinator -shards 2)" >&2
-"$BIN" characterize -app "$APP" -size small -trials "$TRIALS" \
-    -seed "$SEED" -coordinator -shards 2 -json >"$TMP/coordinated.json"
+# retry_shard DIR I N ARGS...: worker I of N of the campaign ARGS
+# describe, journaling into DIR, in SHARDING.md's bounded retry loop: an
+# attempt that fails is retried with -resume on the shard's journal, at
+# most 3 attempts in all. Two additions serve the checks below: each
+# attempt runs in the background so its pid can be recorded for the
+# kill, and a failed attempt's status record is copied aside before the
+# next attempt replaces it.
+retry_shard() {
+    dir="$1"; i="$2"; n="$3"; shift 3
+    j="$dir/shard-000$i-of-000$n.jsonl"
+    for attempt in 1 2 3; do
+        resume=""
+        [ -s "$j" ] && resume="-resume $j"
+        # shellcheck disable=SC2086  # $resume is intentionally word-split
+        "$BIN" characterize "$@" -shard "$i/$n" -journal "$j" $resume >/dev/null &
+        echo $! >"$dir/worker-$i.pid"
+        wait $! && return 0
+        cp "$dir/shard-000$i-of-000$n.status.json" "$dir/worker-$i.attempt-$attempt.status.json" || true
+    done
+    return 1
+}
+
+KILL_CAMPAIGN="-app websearch -size small -trials 600 -seed 9"
+echo "shard_smoke: kill-and-resume baseline ($KILL_CAMPAIGN)" >&2
+# shellcheck disable=SC2086  # $KILL_CAMPAIGN is intentionally word-split
+"$BIN" characterize $KILL_CAMPAIGN -json >"$TMP/kill-baseline.json"
+
+echo "shard_smoke: 2 workers in the retry loop, SIGKILL of worker 1 mid-flight" >&2
+mkdir "$TMP/killed"
+# shellcheck disable=SC2086
+retry_shard "$TMP/killed" 0 2 $KILL_CAMPAIGN &
+W0=$!
+# shellcheck disable=SC2086
+retry_shard "$TMP/killed" 1 2 $KILL_CAMPAIGN &
+W1=$!
+J1="$TMP/killed/shard-0001-of-0002.jsonl"
+# The journal's first line is its header; each further line is a trial.
+while [ ! -f "$J1" ] || [ "$(wc -l <"$J1")" -le 20 ]; do
+    kill -0 "$W1" 2>/dev/null || break
+    sleep 0.02
+done
+kill -KILL "$(cat "$TMP/killed/worker-1.pid")" 2>/dev/null || true
+wait "$W0" || { echo "shard_smoke: FAIL — worker 0's retry loop gave up" >&2; exit 1; }
+wait "$W1" || { echo "shard_smoke: FAIL — worker 1's retry loop gave up" >&2; exit 1; }
+killed="$TMP/killed/worker-1.attempt-1.status.json"
+if [ ! -s "$killed" ]; then
+    echo "shard_smoke: FAIL — worker 1's first attempt was not killed (it finished first, or left no status record)" >&2
+    exit 1
+fi
+"$BIN" merge -dir "$TMP/killed" -json >"$TMP/killed-merged.json"
 
 echo "shard_smoke: comparing merged results to baseline" >&2
-python3 - "$TMP/baseline.json" "$TMP/merged.json" "$TMP/coordinated.json" \
-    "$TMP/status.json" <<'PY'
+python3 - "$TMP/baseline.json" "$TMP/merged.json" "$TMP/status.json" \
+    "$TMP/kill-baseline.json" "$TMP/killed-merged.json" "$killed" \
+    "$TMP/killed/shard-0001-of-0002.status.json" <<'PY'
 import json, sys
 
 docs = []
 for path in sys.argv[1:]:
     with open(path) as f:
         docs.append((json.load(f), path))
-(base, _), merged, coordinated, (status, status_path) = docs
+(base, _), merged, (status, status_path), (kill_base, _), killed_merged, \
+    (killed_rec, killed_path), (final_rec, final_path) = docs
 
 # Everything except the run-shape bookkeeping must match bit-for-bit
 # (SHARDING.md: a merge has no worker pool, so `parallelism` is 0).
@@ -114,8 +163,8 @@ KEYS = [
 ]
 
 failed = False
-for got, path in (merged, coordinated):
-    res, want = got["result"], base["result"]
+for want_doc, (got, path) in ((base, merged), (kill_base, killed_merged)):
+    res, want = got["result"], want_doc["result"]
     bad = [k for k in KEYS if want.get(k) != res.get(k)]
     for k in bad:
         failed = True
@@ -155,9 +204,22 @@ if fleet.get("outcomes") != want.get("outcomes"):
     print(f"shard_smoke: status outcomes {fleet.get('outcomes')}"
           f" != baseline {want.get('outcomes')}", file=sys.stderr)
 
+# The SIGKILLed attempt never wrote its final record, and the -resume
+# attempt that finished the shard kept the killed attempt's trials.
+if killed_rec.get("running") is not True:
+    failed = True
+    print(f"shard_smoke: killed worker's record {killed_path} does not say running: "
+          f"{killed_rec.get('running')}", file=sys.stderr)
+if final_rec.get("running") is not False or not final_rec.get("resumed", 0) > 0:
+    failed = True
+    print(f"shard_smoke: worker 1's final record {final_path} is not a finished, "
+          f"resumed one: running={final_rec.get('running')} resumed={final_rec.get('resumed')}",
+          file=sys.stderr)
+
 if failed:
     sys.exit(1)
-print("shard_smoke: PASS — manual 2-shard merge and coordinator run both "
-      "bit-identical to the single-process baseline, and the status "
+print("shard_smoke: PASS — manual 2-shard merge and the killed-and-resumed "
+      "2-shard run both bit-identical to their single-process baselines "
+      f"(worker 1 resumed {final_rec['resumed']} trials), and the status "
       "heartbeats settle to the same counts")
 PY

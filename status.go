@@ -11,8 +11,8 @@ import (
 
 // ErrNoStatus reports a campaign directory with no shard status records
 // — either the campaign runs without a status sink, or no shard has
-// heartbeat yet. Pollers (the coordinator's tick loop) treat it as "not
-// yet", not as a failure.
+// heartbeat yet. Pollers (`hrmsim status -watch`) treat it as "not yet",
+// not as a failure.
 var ErrNoStatus = errors.New("hrmsim: no shard status records (*.status.json)")
 
 // ShardStatusInfo is one shard's row of the fleet view: its latest
@@ -26,7 +26,7 @@ type ShardStatusInfo struct {
 	core.ShardProgress
 	// UpdatedUnixNs is the host wall-clock instant of the heartbeat;
 	// AgeSeconds its age when the view was assembled — the liveness
-	// signal straggler detection keys on.
+	// signal that tells a straggling shard from a slow one.
 	UpdatedUnixNs int64   `json:"updated_unix_ns"`
 	AgeSeconds    float64 `json:"age_seconds"`
 }
@@ -37,8 +37,8 @@ func (s ShardStatusInfo) UpdatedAt() time.Time {
 }
 
 // FleetStatus is the cross-shard aggregate of a campaign directory's
-// heartbeats: the live (or final) fleet-wide view the coordinator serves
-// at /statusz and `hrmsim status` renders, and — through its tags — the
+// heartbeats: the live (or final) fleet-wide view `hrmsim status`
+// renders, and — through its tags — the
 // `status -json` result. All counts are sums over the shards that have
 // reported; Trials is the whole campaign's size, so Done < Trials either
 // because work remains or because some shard has not heartbeat yet.

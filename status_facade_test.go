@@ -135,8 +135,8 @@ func TestLoadFleetStatusRejectsMixedCampaigns(t *testing.T) {
 }
 
 // TestCharacterizeFailsWhenFinalStatusWriteFails: the final record is
-// what merge reads, so a failed final write must fail the run (a
-// coordinator then respawns the shard) rather than leave a running
+// what merge reads, so a failed final write must fail the run (the
+// worker's retry loop then runs the shard again) rather than leave a running
 // record behind a successful exit.
 func TestCharacterizeFailsWhenFinalStatusWriteFails(t *testing.T) {
 	dir := t.TempDir()
