@@ -1,18 +1,13 @@
-// The chaos subcommand: a live-traffic chaos experiment against a kvserve
-// node — self-hosted in-process by default, or an external process via
-// -attach. See internal/chaos for the experiment model and EXPERIMENTS.md
-// ("Chaos: errors under live traffic") for a walkthrough.
+// The chaos subcommand: a seeded chaos run against a kvserve node —
+// self-hosted in-process by default, or an external process via -attach.
+// See internal/chaos for the run model and EXPERIMENTS.md ("Chaos: errors
+// under live traffic") for a walkthrough.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
+	"strings"
 
 	"hrmsim/internal/chaos"
 	"hrmsim/internal/kvnode"
@@ -22,97 +17,66 @@ import (
 func cmdChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	reg := obsv.NewRegistry()
-	// Node: self-hosted mode builds it; with -attach only -keys and
-	// -seed matter (they also size and seed the load).
+	// The self-hosted node. With -attach the node is the server's, so its
+	// flags are refused, except -seed, which also seeds the op stream.
 	node := kvnode.Config{Registry: reg}
-	node.BindFlags(fs)
+	nodeFlags := flag.NewFlagSet("node", flag.ContinueOnError)
+	node.BindFlags(nodeFlags)
+	nodeFlags.VisitAll(func(f *flag.Flag) { fs.Var(f.Value, f.Name, f.Usage) })
 	attach := fs.String("attach", "",
-		"drive an already-running kvserve at this `addr` instead of self-hosting (injection uses the protocol's inject soft command; -keys must match the server's)")
+		"drive an already-running kvserve at this `addr` over one TCP connection instead of self-hosting (node flags other than -seed are refused; injection is random)")
 
-	load := chaos.GenConfig{Registry: reg}
-	fs.IntVar(&load.Conns, "conns", 32, "concurrent load connections")
-	fs.Float64Var(&load.QPS, "qps", 0, "aggregate target ops/s (0 = closed loop)")
-	fs.Float64Var(&load.ReadFraction, "read-fraction", 0.9, "GET share of the op mix")
-	fs.Float64Var(&load.ZipfS, "zipf-s", 1.1, "Zipf key-popularity exponent (> 1)")
-	fs.IntVar(&load.ValueSize, "value-size", 64, "value size in bytes (must match the server with -attach)")
-	fs.DurationVar(&load.OpTimeout, "op-timeout", 2*time.Second, "per-op round-trip deadline")
-
-	exp := chaos.ExperimentConfig{Registry: reg}
-	fs.DurationVar(&exp.Steady, "steady", 2*time.Second, "steady-state baseline phase length")
-	fs.DurationVar(&exp.Chaos, "chaos", 3*time.Second, "fault-injection phase length")
-	fs.DurationVar(&exp.Recovery, "recovery", 2*time.Second, "recovery observation phase length")
-	fs.DurationVar(&exp.SampleEvery, "sample-every", 50*time.Millisecond, "probe sample cadence")
-	fs.IntVar(&exp.Injections, "injections", 32, "faults injected across the chaos phase (0 = load and wrong-value oracle only)")
-	injectMode := fs.String("inject-mode", "hot",
-		"self-hosted fault placement: hot (round-robin over popular keys' value words) | random")
-
-	p50SLO := fs.Float64("p50-slo-us", 50_000, "steady-state p50 latency objective (µs)")
-	p99SLO := fs.Float64("p99-slo-us", 200_000, "steady-state p99 latency objective (µs)")
-	expectRecovery := fs.Bool("expect-recovery", false,
-		"require recovery activity during chaos+recovery (defaults on when -recover is set)")
+	run := chaos.Config{Registry: reg}
+	fs.IntVar(&run.Steady, "steady", 5000, "operations in the steady baseline phase")
+	fs.IntVar(&run.Chaos, "chaos", 10000, "operations in the fault-injection phase")
+	fs.IntVar(&run.Recovery, "recovery", 5000, "operations in the recovery phase")
+	fs.IntVar(&run.Injections, "injections", 32, "faults, evenly spaced over the chaos phase's operations (0 = op stream and wrong-value oracle only)")
+	fs.Float64Var(&run.ReadFraction, "read-fraction", 0.9, "GET share of the op stream (0 = SETs only, apart from hot-mode read-backs)")
+	injectMode := fs.String("inject-mode", "",
+		"fault placement: hot (round-robin over popular keys' value words, each read back; the self-hosted default) | random (the node's own inject soft; the only mode with -attach)")
 	jsonOut := fs.Bool("json", false, "emit the verdict as a JSON envelope")
 	strict := fs.Bool("strict", false, "exit non-zero when the verdict is FAIL (output is still emitted)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *injectMode != "" && *injectMode != "hot" && *injectMode != "random" {
+		return fmt.Errorf("chaos: unknown -inject-mode %q (hot|random)", *injectMode)
+	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	exp.Addr = *attach
-	// Self-hosted mode: run the kvnode in-process on a loopback port so
-	// the whole experiment is one seeded command.
-	if *attach == "" {
+	if *attach != "" {
+		var refused []string
+		fs.Visit(func(f *flag.Flag) {
+			if nodeFlags.Lookup(f.Name) != nil && f.Name != "seed" {
+				refused = append(refused, "-"+f.Name)
+			}
+		})
+		if len(refused) > 0 { // Visit goes in lexical order
+			return fmt.Errorf("chaos: %s configure a self-hosted node; with -attach the node is the server's", strings.Join(refused, ", "))
+		}
+		if *injectMode == "hot" {
+			return fmt.Errorf("chaos: -inject-mode hot needs a self-hosted node; -attach injects with the node's inject command")
+		}
+		conn, err := chaos.Dial(*attach)
+		if err != nil {
+			return fmt.Errorf("attaching to %s: %w", *attach, err)
+		}
+		defer conn.Close()
+		run.Do = conn.Do
+	} else {
 		srv, err := kvnode.New(node)
 		if err != nil {
 			return err
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
+		run.Do = func(line string) (string, error) { return srv.Dispatch(line), nil }
+		if *injectMode != "random" {
+			if run.Injector, err = chaos.NewLocalInjector(srv, "hot", nil, node.Seed); err != nil {
+				return err
+			}
 		}
-		srvCtx, stopSrv := context.WithCancel(context.Background())
-		srvDone := make(chan error, 1)
-		go func() { srvDone <- srv.Serve(srvCtx, ln) }()
-		defer func() {
-			stopSrv()
-			<-srvDone
-		}()
-		exp.Addr = ln.Addr().String()
-
-		li, err := chaos.NewLocalInjector(srv, *injectMode, nil, node.Seed)
-		if err != nil {
-			return err
-		}
-		exp.Injector = li
-		exp.ProbeInjected = *injectMode == "hot"
-		if node.Recover != "" {
-			*expectRecovery = true
-		}
-	} else {
-		ri, err := chaos.NewRemoteInjector(exp.Addr)
-		if err != nil {
-			return fmt.Errorf("attaching to %s: %w", exp.Addr, err)
-		}
-		defer ri.Close()
-		exp.Injector = ri
 	}
+	run.Seed = node.Seed
 
-	load.Addr, load.Keys, load.Seed = exp.Addr, node.Keys, node.Seed
-	gen, err := chaos.NewGenerator(load)
-	if err != nil {
-		return err
-	}
-	exp.Name = experimentName(node.ECC, node.Recover, *attach)
-	exp.SLOs = chaos.DefaultSLOs(*p50SLO, *p99SLO, *expectRecovery)
-	exp.Generator = gen
-	exp.Seed = node.Seed
-	experiment, err := chaos.NewExperiment(exp)
-	if err != nil {
-		return err
-	}
-
-	verdict, err := experiment.Run(ctx)
+	verdict, err := chaos.Run(run)
 	if err != nil {
 		return err
 	}
@@ -128,16 +92,4 @@ func cmdChaos(args []string) error {
 		return fmt.Errorf("chaos: verdict FAIL (-strict)")
 	}
 	return nil
-}
-
-// experimentName derives the verdict label from the configuration.
-func experimentName(eccName, recoverMode, attach string) string {
-	if attach != "" {
-		return "kvserve-attached"
-	}
-	name := "kvserve-" + eccName
-	if recoverMode != "" {
-		name += "+" + recoverMode
-	}
-	return name
 }

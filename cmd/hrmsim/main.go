@@ -81,8 +81,8 @@ Subcommands:
   plan          search for the cheapest design meeting an availability target
   tolerable     tolerable error rates per availability target (Fig. 8)
   lifetime      simulate continuous operation under an error arrival process
-  chaos         run a live-traffic chaos experiment against a kvserve node
-                (steady → chaos → recovery, SLO probes, Pass/Fail verdict)
+  chaos         run a seeded chaos experiment against a kvserve node
+                (steady → chaos → recovery op stream, Pass/Fail verdict)
   tables        regenerate the paper's tables and figures
   explain       re-run one journaled trial and print its causal chain:
                 explain <journal> <trial>

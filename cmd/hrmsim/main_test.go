@@ -301,6 +301,12 @@ func TestNegativeValuesRefused(t *testing.T) {
 		{"-trial-op-budget", small("-trial-op-budget", "-7")},
 		{"-status-interval", small("-status-interval", "-1s")},
 		{"-recovery", []string{"lifetime", "-hours", "1", "-recovery", "-5"}},
+		{"-injections", []string{"chaos", "-injections", "-3"}},
+		{"-steady", []string{"chaos", "-steady", "-1"}},
+		{"-chaos", []string{"chaos", "-chaos", "-1"}},
+		{"-recovery", []string{"chaos", "-recovery", "-1"}},
+		{"-checkpoint", []string{"chaos", "-checkpoint", "-1s"}},
+		{"-read-fraction", []string{"chaos", "-read-fraction", "-0.5"}},
 	} {
 		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.flag) {
 			t.Errorf("%s: err = %v, want an error naming %s", strings.Join(c.args, " "), err, c.flag)

@@ -8,9 +8,9 @@
 //
 // Connections are served concurrently: per-connection goroutines
 // interleave at command granularity on the shared simulated memory
-// (serialized by its exclusion gate), which is what lets a chaos
-// experiment (`hrmsim chaos`, internal/chaos) inject faults into the live
-// server while hundreds of clients are talking to it.
+// (serialized by its exclusion gate), so an `inject` command lands between
+// other clients' commands, never mid-access. `hrmsim chaos -attach`
+// (internal/chaos) drives a running kvserve that way over one connection.
 //
 // Flags select the protection technique and software recovery response, so
 // the same session can be run with -ecc secded to watch the errors

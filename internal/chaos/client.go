@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"net"
@@ -13,31 +14,36 @@ import (
 	"hrmsim/internal/trace"
 )
 
-// client is one kvserve protocol connection with per-op deadlines.
-type client struct {
-	conn    net.Conn
-	sc      *bufio.Scanner
-	w       *bufio.Writer
-	timeout time.Duration
+// RoundTripTimeout bounds one command on an attached connection, dial
+// included.
+const RoundTripTimeout = 5 * time.Second
+
+// Conn is one kvserve protocol connection: the transport of a run against
+// an external node (`hrmsim chaos -attach`).
+type Conn struct {
+	conn net.Conn
+	sc   *bufio.Scanner
+	w    *bufio.Writer
 }
 
-func dialClient(addr string, timeout time.Duration) (*client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// Dial connects to the kvserve node at addr.
+func Dial(addr string) (*Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, RoundTripTimeout)
 	if err != nil {
 		return nil, err
 	}
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	return &client{conn: conn, sc: sc, w: bufio.NewWriter(conn), timeout: timeout}, nil
+	return &Conn{conn: conn, sc: sc, w: bufio.NewWriter(conn)}, nil
 }
 
-// roundTrip sends one command line and reads one response line, bounded by
-// the client's op timeout.
-func (c *client) roundTrip(cmd string) (string, error) {
-	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
+// Do sends one command line and reads its one-line reply, both within
+// RoundTripTimeout.
+func (c *Conn) Do(line string) (string, error) {
+	if err := c.conn.SetDeadline(time.Now().Add(RoundTripTimeout)); err != nil {
 		return "", err
 	}
-	if _, err := c.w.WriteString(cmd + "\n"); err != nil {
+	if _, err := c.w.WriteString(line + "\n"); err != nil {
 		return "", err
 	}
 	if err := c.w.Flush(); err != nil {
@@ -52,103 +58,88 @@ func (c *client) roundTrip(cmd string) (string, error) {
 	return c.sc.Text(), nil
 }
 
-func (c *client) close() { _ = c.conn.Close() }
+// Close closes the connection.
+func (c *Conn) Close() error { return c.conn.Close() }
 
-// isTimeout reports whether err is a network deadline expiry.
-func isTimeout(err error) bool {
-	ne, ok := err.(net.Error)
-	return ok && ne.Timeout()
-}
-
-// ServerStats is the parsed `stats` protocol response — the server-side
-// half of a probe sample.
+// ServerStats is the parsed `stats` protocol reply. Keys, ValueSize, ECC
+// and Recover describe the node itself: the driver sizes its oracle and
+// names the run from them.
 type ServerStats struct {
 	Ops, Injected, Faults               int64
 	Corrected, Uncorrectable, Recovered int64
 	Retired                             int64
 	VNowMs                              int64
 	Conns                               int64
+	Keys, ValueSize                     int64
+	ECC, Recover                        string
 }
 
-// fetchStats issues a `stats` command and parses the k=v response.
-func fetchStats(c *client) (ServerStats, error) {
-	resp, err := c.roundTrip("stats")
-	if err != nil {
-		return ServerStats{}, err
-	}
-	return parseStats(resp)
-}
-
+// parseStats reads a `STATS k=v ...` reply. Unknown keys are skipped, so
+// a newer node's extra fields do not break an older driver.
 func parseStats(resp string) (ServerStats, error) {
 	fields := strings.Fields(resp)
 	if len(fields) == 0 || fields[0] != "STATS" {
 		return ServerStats{}, fmt.Errorf("chaos: unexpected stats response %q", resp)
 	}
 	var st ServerStats
+	ints := map[string]*int64{
+		"ops": &st.Ops, "injected": &st.Injected, "faults": &st.Faults,
+		"corrected": &st.Corrected, "uncorrectable": &st.Uncorrectable,
+		"recovered": &st.Recovered, "retired": &st.Retired,
+		"vnow_ms": &st.VNowMs, "conns": &st.Conns,
+		"keys": &st.Keys, "value_size": &st.ValueSize,
+	}
 	for _, f := range fields[1:] {
 		k, v, ok := strings.Cut(f, "=")
 		if !ok {
 			return ServerStats{}, fmt.Errorf("chaos: malformed stats field %q", f)
 		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return ServerStats{}, fmt.Errorf("chaos: stats field %q: %v", f, err)
-		}
 		switch k {
-		case "ops":
-			st.Ops = n
-		case "injected":
-			st.Injected = n
-		case "faults":
-			st.Faults = n
-		case "corrected":
-			st.Corrected = n
-		case "uncorrectable":
-			st.Uncorrectable = n
-		case "recovered":
-			st.Recovered = n
-		case "retired":
-			st.Retired = n
-		case "vnow_ms":
-			st.VNowMs = n
-		case "conns":
-			st.Conns = n
+		case "ecc":
+			st.ECC = v
+		case "recover":
+			st.Recover = v
+		default:
+			dst, known := ints[k]
+			if !known {
+				continue
+			}
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return ServerStats{}, fmt.Errorf("chaos: stats field %q: %v", f, err)
+			}
+			*dst = n
 		}
 	}
 	return st, nil
 }
 
-// counters bundles the kvload_* metric handles shared by every generator
-// worker and the experiment's probe reads.
+// counters bundles the kvload_* metric handles the driver's op stream
+// feeds; phase reports are their deltas between boundaries.
 type counters struct {
-	ops, gets, sets  *obsv.Counter
-	errors, timeouts *obsv.Counter
-	wrong, stale     *obsv.Counter
-	reconnects       *obsv.Counter
-	latUs            *obsv.Histogram
-	connsOpen        *obsv.Gauge
+	ops, gets, sets *obsv.Counter
+	errors          *obsv.Counter
+	wrong, stale    *obsv.Counter
+	latUs           *obsv.Histogram
 }
 
 func newCounters(reg *obsv.Registry) counters {
 	return counters{
-		ops:        reg.Counter("kvload_ops_total"),
-		gets:       reg.Counter("kvload_gets_total"),
-		sets:       reg.Counter("kvload_sets_total"),
-		errors:     reg.Counter("kvload_errors_total"),
-		timeouts:   reg.Counter("kvload_timeouts_total"),
-		wrong:      reg.Counter("kvload_wrong_values_total"),
-		stale:      reg.Counter("kvload_stale_values_total"),
-		reconnects: reg.Counter("kvload_reconnects_total"),
+		ops:    reg.Counter("kvload_ops_total"),
+		gets:   reg.Counter("kvload_gets_total"),
+		sets:   reg.Counter("kvload_sets_total"),
+		errors: reg.Counter("kvload_errors_total"),
+		wrong:  reg.Counter("kvload_wrong_values_total"),
+		stale:  reg.Counter("kvload_stale_values_total"),
 		// 1µs … ~1s in quarter-decade steps.
-		latUs:     reg.Histogram("kvload_op_latency_us", obsv.ExpBuckets(1, 4, 11)),
-		connsOpen: reg.Gauge("kvload_conns_open"),
+		latUs: reg.Histogram("kvload_op_latency_us", obsv.ExpBuckets(1, 4, 11)),
 	}
 }
 
 // classifyGet checks a GET response against the deterministic value oracle
-// (trace.ValueFor) and the shadow version ceiling, and bumps the wrong- or
-// stale-value counters accordingly. maxVersion is the highest version the
-// generator has assigned to the key (0 = only the pre-populated value).
+// (trace.ValueFor) and the key's current version, and bumps the wrong- or
+// stale-value counters accordingly. maxVersion is the version the driver
+// last wrote to the key (0 = only the pre-populated value).
 func (ct *counters) classifyGet(key uint64, maxVersion int64, valueSize int, resp string) {
 	switch {
 	case resp == "MISS":
@@ -169,7 +160,7 @@ func (ct *counters) classifyGet(key uint64, maxVersion int64, valueSize int, res
 		}
 		want := trace.ValueFor(key, uint32(ver), valueSize)
 		got, err := hex.DecodeString(parts[2])
-		if err != nil || !bytesEqual(got, want) {
+		if err != nil || !bytes.Equal(got, want) {
 			ct.wrong.Inc()
 			return
 		}
@@ -180,16 +171,4 @@ func (ct *counters) classifyGet(key uint64, maxVersion int64, valueSize int, res
 		// SERVER_ERROR or garbage: the serving path itself failed.
 		ct.errors.Inc()
 	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

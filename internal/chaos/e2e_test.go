@@ -1,62 +1,20 @@
 package chaos
 
 import (
-	"context"
-	"net"
 	"testing"
-	"time"
 
 	"hrmsim/internal/kvnode"
-	"hrmsim/internal/obsv"
 )
 
-// e2eSeed keeps the node population, load mix, and injection schedule
+// e2eSeed keeps the node population, op stream, and injection schedule
 // identical across the runs being compared.
 const e2eSeed = 42
 
 // runE2E hosts a kvnode in-process and runs the full steady → chaos →
-// recovery experiment against it over real TCP.
-func runE2E(t *testing.T, ecc, recoverMode string, expectRecovery bool) *Verdict {
+// recovery op stream against it through Dispatch, with hot injection.
+func runE2E(t *testing.T, ecc, recoverMode string) *Verdict {
 	t.Helper()
-	reg := obsv.NewRegistry()
-	srv, err := kvnode.New(kvnode.Config{
-		Keys:     128,
-		ECC:      ecc,
-		Seed:     e2eSeed,
-		Recover:  recoverMode,
-		Registry: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvCtx, stopSrv := context.WithCancel(context.Background())
-	srvDone := make(chan error, 1)
-	go func() { srvDone <- srv.Serve(srvCtx, ln) }()
-	defer func() {
-		stopSrv()
-		if err := <-srvDone; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	}()
-
-	// ReadFraction 1 keeps the run deterministic two ways: the oracle
-	// version ceiling never moves, and (for Par+R) restored words are
-	// never stale.
-	gen, err := NewGenerator(GenConfig{
-		Addr:         ln.Addr().String(),
-		Conns:        4,
-		Keys:         128,
-		ValueSize:    64,
-		ReadFraction: 1,
-		ZipfS:        1.1,
-		Seed:         e2eSeed,
-		OpTimeout:    5 * time.Second,
-		Registry:     reg,
-	})
+	srv, err := kvnode.New(kvnode.Config{Keys: 128, ECC: ecc, Seed: e2eSeed, Recover: recoverMode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,27 +22,17 @@ func runE2E(t *testing.T, ecc, recoverMode string, expectRecovery bool) *Verdict
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := NewExperiment(ExperimentConfig{
-		Name:        "e2e-" + ecc,
-		Addr:        ln.Addr().String(),
-		Steady:      150 * time.Millisecond,
-		Chaos:       300 * time.Millisecond,
-		Recovery:    150 * time.Millisecond,
-		SampleEvery: 50 * time.Millisecond,
-		Injections:  8,
-		Injector:    inj,
-		// The verification read right after each flip is what makes the
-		// verdict deterministic: corruption is always witnessed.
-		ProbeInjected: true,
-		SLOs:          DefaultSLOs(1e6, 1e6, expectRecovery),
-		Generator:     gen,
-		Registry:      reg,
-		Seed:          e2eSeed,
+	v, err := Run(Config{
+		Do:     func(line string) (string, error) { return srv.Dispatch(line), nil },
+		Steady: 300, Chaos: 600, Recovery: 300,
+		Injections: 8,
+		// The read-back right after each flip witnesses the corruption.
+		Injector: inj,
+		// ReadFraction 1 keeps Par+R's restored words from being stale
+		// (they come from the build-time backing copy).
+		ReadFraction: 1,
+		Seed:         e2eSeed,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := exp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +60,13 @@ func findResult(v *Verdict, name, phase string) (SLOResult, bool) {
 }
 
 // TestE2EUnprotectedVsSECDED is the discriminating experiment the harness
-// exists for: the same seed, load profile, and injection schedule driven
+// exists for: the same seed, op stream, and injection schedule driven
 // against an unprotected node and a SEC-DED node. The unprotected node
 // must fail the no-wrong-values objective during chaos; SEC-DED must
 // correct every fault and pass everything.
 func TestE2EUnprotectedVsSECDED(t *testing.T) {
-	none := runE2E(t, "none", "", false)
-	secded := runE2E(t, "secded", "", false)
+	none := runE2E(t, "none", "")
+	secded := runE2E(t, "secded", "")
 
 	if none.Pass {
 		t.Error("unprotected node passed under injection; wrong values went unwitnessed")
@@ -159,9 +107,10 @@ func TestE2EUnprotectedVsSECDED(t *testing.T) {
 // TestE2EParRRecoversUnderLoad runs parity detection with Par+R word
 // restore: faults are detected at read time and repaired online while
 // traffic continues, so the run passes including the recovery-active
-// objective, with repairs landing in the chaos window.
+// objective (implied by the node's recovery mode), with repairs landing
+// in the chaos window.
 func TestE2EParRRecoversUnderLoad(t *testing.T) {
-	v := runE2E(t, "parity", "parr", true)
+	v := runE2E(t, "parity", "parr")
 	if !v.Pass {
 		t.Fatalf("parity+parr run failed: %+v", v.Failed())
 	}

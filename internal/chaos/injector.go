@@ -2,77 +2,47 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
-	"strings"
-	"time"
 
-	"hrmsim/internal/faults"
-	"hrmsim/internal/inject"
 	"hrmsim/internal/kvnode"
 	"hrmsim/internal/simmem"
 )
 
 // ErrScheduleExhausted is returned by an Injector whose deterministic
-// fault schedule has no more distinct targets; the experiment stops
-// injecting early rather than piling faults onto already-hit words.
+// fault schedule has no more distinct targets; the run stops injecting
+// early rather than piling faults onto already-hit words.
 var ErrScheduleExhausted = fmt.Errorf("chaos: injection schedule exhausted")
-
-// Injector applies the k-th fault of a schedule to the system under test.
-// Implementations must serialize against the serving path themselves
-// (exclusion gate locally, the protocol's own serialization remotely).
-type Injector interface {
-	// Inject applies fault number k (0-based). The returned key is the
-	// working-set key whose value was targeted, or -1 when the target is
-	// not key-addressable (random placement).
-	Inject(k int) (key int64, err error)
-}
 
 // LocalInjector corrupts an in-process kvnode's address space directly,
 // taking the exclusion gate for each flip so injection lands between
 // protocol commands, never mid-access.
 //
-// Mode "hot" walks a deterministic round-robin over (hot key × value
-// word): fault k hits word (k / len(keys)) of key keys[k % len(keys)],
-// so no 8-byte ECC codeword is ever hit twice — single-bit protection is
-// never accidentally escalated into an uncorrectable double-bit error by
-// the schedule itself. Mode "random" samples uniform addresses like the
-// campaign engine does.
+// It places faults "hot": a deterministic round-robin over (hot key ×
+// value word), where fault k hits word (k / len(keys)) of key
+// keys[k % len(keys)], so no 8-byte ECC codeword is ever hit twice —
+// single-bit protection is never accidentally escalated into an
+// uncorrectable double-bit error by the schedule itself. Random placement
+// is not an injector: the driver sends the node's own `inject soft`.
 type LocalInjector struct {
 	srv  *kvnode.Server
-	mode string
 	keys []uint64
-	rng  *rand.Rand
 }
 
-// NewLocalInjector builds an injector for a self-hosted node. For mode
-// "hot", hotKeys defaults to the 8 most popular Zipf keys (0..7).
+// NewLocalInjector builds a hot injector for a self-hosted node; mode must
+// be "hot", and hotKeys defaults to the 8 most popular Zipf keys (0..7).
+// The placement is a fixed round-robin, so seed is unused.
 func NewLocalInjector(srv *kvnode.Server, mode string, hotKeys []uint64, seed int64) (*LocalInjector, error) {
-	switch mode {
-	case "hot":
-		if len(hotKeys) == 0 {
-			hotKeys = []uint64{0, 1, 2, 3, 4, 5, 6, 7}
-		}
-	case "random":
-	default:
-		return nil, fmt.Errorf("chaos: unknown injection mode %q (hot|random)", mode)
+	if mode != "hot" {
+		return nil, fmt.Errorf("chaos: unknown local injection mode %q (hot; random placement is the node's inject command)", mode)
 	}
-	return &LocalInjector{
-		srv:  srv,
-		mode: mode,
-		keys: hotKeys,
-		rng:  rand.New(rand.NewSource(seed)),
-	}, nil
+	if len(hotKeys) == 0 {
+		hotKeys = []uint64{0, 1, 2, 3, 4, 5, 6, 7}
+	}
+	return &LocalInjector{srv: srv, keys: hotKeys}, nil
 }
 
-// Inject applies fault k under the exclusion gate.
+// Inject applies fault k (0-based) under the exclusion gate and returns
+// the key whose value it hit.
 func (li *LocalInjector) Inject(k int) (int64, error) {
-	if li.mode == "random" {
-		err := li.srv.Space().Exclusive(func() error {
-			_, err := inject.Random(li.srv.Space(), li.rng, faults.SingleBitSoft, nil)
-			return err
-		})
-		return -1, err
-	}
 	wordsPerValue := li.srv.App().ValueSize() / 8
 	if wordsPerValue < 1 {
 		wordsPerValue = 1
@@ -93,34 +63,3 @@ func (li *LocalInjector) Inject(k int) (int64, error) {
 	})
 	return int64(key), err
 }
-
-// RemoteInjector drives an external kvserve process through its own
-// `inject soft` protocol command (random placement, serialized by the
-// server's gate). Used by `hrmsim chaos -attach`.
-type RemoteInjector struct {
-	c *client
-}
-
-// NewRemoteInjector dials a dedicated injection connection.
-func NewRemoteInjector(addr string) (*RemoteInjector, error) {
-	c, err := dialClient(addr, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	return &RemoteInjector{c: c}, nil
-}
-
-// Inject asks the server to place one soft error.
-func (ri *RemoteInjector) Inject(int) (int64, error) {
-	resp, err := ri.c.roundTrip("inject soft")
-	if err != nil {
-		return -1, err
-	}
-	if !strings.HasPrefix(resp, "INJECTED") {
-		return -1, fmt.Errorf("chaos: inject rejected: %q", resp)
-	}
-	return -1, nil
-}
-
-// Close releases the injection connection.
-func (ri *RemoteInjector) Close() { ri.c.close() }

@@ -7,14 +7,18 @@ import (
 
 // VerdictSchemaVersion identifies the JSON layout of Verdict. Bump on any
 // breaking change to the serialized shape.
-const VerdictSchemaVersion = 1
+const VerdictSchemaVersion = 2
 
-// PhaseReport is the measured window for one lifecycle phase: client-side
-// traffic deltas, server-side protection deltas, and the derived signal
-// values the SLOs are evaluated against.
+// PhaseReport is the measured window for one phase: client-side traffic
+// deltas, server-side protection deltas, and the derived signal values
+// the SLOs are evaluated against.
 type PhaseReport struct {
-	Phase      string `json:"phase"`
-	DurationMs int64  `json:"duration_ms"` // wall-clock phase length
+	Phase string `json:"phase"`
+	// Wall-clock measurements: reported, never in Signals, never gating,
+	// and the only fields that differ between two runs of one seed.
+	DurationMs int64   `json:"duration_ms"`
+	WallP50Us  float64 `json:"wall_p50_us,omitempty"`
+	WallP99Us  float64 `json:"wall_p99_us,omitempty"`
 	// Virtual-clock positions of the phase boundaries (server vnow).
 	StartVirtualMs int64 `json:"start_virtual_ms"`
 	EndVirtualMs   int64 `json:"end_virtual_ms"`
@@ -24,7 +28,6 @@ type PhaseReport struct {
 	Gets        int64 `json:"gets"`
 	Sets        int64 `json:"sets"`
 	Errors      int64 `json:"errors"`
-	Timeouts    int64 `json:"timeouts"`
 	WrongValues int64 `json:"wrong_values"`
 	StaleValues int64 `json:"stale_values"`
 
@@ -49,8 +52,8 @@ type SLOResult struct {
 	Comparison Comparison `json:"comparison"`
 	Threshold  float64    `json:"threshold"`
 	// Observed is nil when the signal was not measurable in the window
-	// (no traffic, or a percentile beyond the histogram bounds); Reason
-	// then says why, and the result is a failure.
+	// (no traffic, or no reads); Reason then says why, and the result is
+	// a failure.
 	Observed *float64 `json:"observed,omitempty"`
 	Pass     bool     `json:"pass"`
 	Reason   string   `json:"reason,omitempty"`
@@ -66,8 +69,6 @@ type Verdict struct {
 	Phases        []PhaseReport `json:"phases"`
 	Results       []SLOResult   `json:"results"`
 	Pass          bool          `json:"pass"`
-	// Samples is the number of probe samples taken across the run.
-	Samples int `json:"samples"`
 }
 
 // Failed returns the failing results, in evaluation order.
@@ -135,7 +136,7 @@ func evalOne(s SLO, p PhaseReport) SLOResult {
 // missingReason explains why a signal was absent from a phase window.
 func missingReason(signal string, p PhaseReport) string {
 	switch signal {
-	case SignalErrorRate, SignalTimeoutRate:
+	case SignalErrorRate:
 		if p.Ops == 0 {
 			return "no traffic in window"
 		}
@@ -143,18 +144,13 @@ func missingReason(signal string, p PhaseReport) string {
 		if p.Gets == 0 {
 			return "no reads in window"
 		}
-	case SignalP50LatencyUs, SignalP99LatencyUs:
-		if p.Ops == 0 {
-			return "no traffic in window"
-		}
-		return "percentile beyond histogram bounds"
 	}
 	return "signal not measured in window"
 }
 
 func formatSignal(signal string, v float64) string {
 	switch signal {
-	case SignalErrorRate, SignalWrongValueRate, SignalTimeoutRate:
+	case SignalErrorRate, SignalWrongValueRate:
 		return fmt.Sprintf("%.4f", v)
 	default:
 		return fmt.Sprintf("%.1f", v)
@@ -171,8 +167,8 @@ func (v *Verdict) Render() string {
 		"PHASE", "OPS", "ERRORS", "WRONG", "INJECT", "CORR", "RECOV", "RETIRE", "P99us")
 	for _, p := range v.Phases {
 		p99 := "-"
-		if x, ok := p.Signals[SignalP99LatencyUs]; ok {
-			p99 = fmt.Sprintf("%.0f", x)
+		if p.WallP99Us > 0 {
+			p99 = fmt.Sprintf("%.0f", p.WallP99Us)
 		}
 		fmt.Fprintf(&b, "%-10s %9d %8d %8d %8d %8d %7d %6d %6s\n",
 			p.Phase, p.Ops, p.Errors, p.WrongValues, p.Injections,

@@ -2,14 +2,17 @@
 // cmd/kvserve runs and the chaos harness (internal/chaos, `hrmsim chaos`)
 // experiments on: the simulated in-memory store of internal/apps/kvstore
 // behind a memcached-like TCP text protocol, serving many concurrent
-// connections while memory errors land in its address space.
+// connections while memory errors land in its address space. The chaos
+// harness drives a self-hosted node through Dispatch alone, with no
+// socket, and an external one over one TCP connection.
 //
 // Protocol (one command per line, responses one line each):
 //
 //	get <key>            -> VALUE <version> <hex bytes> | MISS | SERVER_ERROR ...
 //	set <key> <version>  -> STORED | SERVER_ERROR ...
 //	inject <soft|hard>   -> INJECTED <region> (one random error now)
-//	stats                -> STATS k=v ... (ops, faults, recoveries, vnow_ms, conns)
+//	stats                -> STATS k=v ... (ops, faults, recoveries, vnow_ms, conns,
+//	                        and the node itself: keys, value_size, ecc, recover)
 //	quit                 -> closes the connection
 //
 // Malformed input is answered defensively: blank commands, unknown verbs,
@@ -88,9 +91,9 @@ type Config struct {
 // BindFlags registers the node flags on fs, bound to cfg's fields — the
 // one flag set behind `kvserve` and the self-hosted node of `hrmsim chaos`.
 func (cfg *Config) BindFlags(fs *flag.FlagSet) {
-	fs.IntVar(&cfg.Keys, "keys", 1024, "pre-populated key count (a load generator's working set must match it)")
+	fs.IntVar(&cfg.Keys, "keys", 1024, "pre-populated key count")
 	fs.StringVar(&cfg.ECC, "ecc", "none", "heap protection: none|parity|secded|chipkill")
-	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed: store population and fault placement (under hrmsim chaos also the load mix)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed: store population and fault placement (under hrmsim chaos also the op stream)")
 	fs.StringVar(&cfg.Recover, "recover", "",
 		"software recovery on the heap: parr|parr-page|parr-escalate|retire (empty = none)")
 	fs.Uint64Var(&cfg.RetireThreshold, "retire-threshold", 2,
@@ -136,6 +139,9 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Keys < 0 || cfg.MaxLine < 0 {
 		return nil, fmt.Errorf("kvnode: negative key count %d or line bound %d", cfg.Keys, cfg.MaxLine)
+	}
+	if cfg.CheckpointEvery < 0 {
+		return nil, fmt.Errorf("kvnode: -checkpoint must not be negative, got %v", cfg.CheckpointEvery)
 	}
 	if cfg.Keys == 0 {
 		cfg.Keys = 1024
@@ -472,10 +478,15 @@ func (s *Server) execute(line string) string {
 			inj.Region.Name(), uint64(inj.Targets[0].Addr), inj.Targets[0].Bits[0])
 	case "stats":
 		st := s.statsLocked()
+		recov := s.cfg.Recover
+		if recov == "" {
+			recov = "none"
+		}
 		return fmt.Sprintf(
-			"STATS ops=%d injected=%d faults=%d corrected=%d uncorrectable=%d recovered=%d retired=%d vnow_ms=%d conns=%d",
+			"STATS ops=%d injected=%d faults=%d corrected=%d uncorrectable=%d recovered=%d retired=%d vnow_ms=%d conns=%d keys=%d value_size=%d ecc=%s recover=%s",
 			st.Ops, st.Injected, st.Faults, st.Corrected, st.Uncorrectable,
-			st.Recovered, st.Retired, st.VNow.Milliseconds(), st.Conns)
+			st.Recovered, st.Retired, st.VNow.Milliseconds(), st.Conns,
+			s.cfg.Keys, s.app.ValueSize(), s.cfg.ECC, recov)
 	default:
 		return "CLIENT_ERROR unknown command"
 	}

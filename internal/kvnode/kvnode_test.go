@@ -64,7 +64,8 @@ func TestDispatchInjectAndStats(t *testing.T) {
 		t.Fatalf("inject: %q", resp)
 	}
 	resp = srv.Dispatch("stats")
-	for _, want := range []string{"injected=1", "vnow_ms=", "conns=0", "recovered=0"} {
+	for _, want := range []string{"injected=1", "vnow_ms=", "conns=0", "recovered=0",
+		"keys=64", "value_size=64", "ecc=none", "recover=none"} {
 		if !strings.Contains(resp, want) {
 			t.Errorf("stats missing %q: %q", want, resp)
 		}
@@ -133,6 +134,9 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{MaxLine: -1}); err == nil {
 		t.Error("negative line bound accepted")
+	}
+	if _, err := New(Config{Recover: "parr", CheckpointEvery: -time.Second}); err == nil || !strings.Contains(err.Error(), "-checkpoint") {
+		t.Errorf("negative checkpoint interval: err = %v, want one naming -checkpoint", err)
 	}
 	srv, err := New(Config{})
 	if err != nil {

@@ -19,9 +19,9 @@ import (
 )
 
 // Stats is a point-in-time summary of a recovery handler's activity,
-// reported uniformly so a live server (internal/kvnode) or a chaos probe
-// (internal/chaos) can publish any handler's counters without knowing its
-// concrete type.
+// reported uniformly so a live server (internal/kvnode) can publish any
+// handler's counters, in its metrics and its `stats` reply, without
+// knowing its concrete type.
 type Stats struct {
 	// Recoveries counts successful data repairs (word or page restores).
 	Recoveries int

@@ -1,23 +1,28 @@
 #!/bin/sh
-# End-to-end smoke test of the live-traffic chaos harness against a real
-# kvserve process over real TCP (what the in-process tests cannot cover):
+# End-to-end smoke test of the chaos harness against a real kvserve
+# process over real TCP (what the in-process tests cannot cover):
 #
 #   1. start a fresh SEC-DED kvserve,
-#   2. run `hrmsim chaos -attach -strict` against it — live load, real
-#      fault injection through the protocol, SLO probes — and require a
-#      PASS verdict (enforced twice: -strict makes the command itself
-#      exit non-zero on FAIL, and the envelope check below re-verifies),
-#   3. drive the same server with the load generator alone (`hrmsim chaos
-#      -attach -injections 0`, default GET/SET mix) and require zero wrong
-#      values among its kvload_* counters,
-#   4. shut the server down.
+#   2. run `hrmsim chaos -attach -strict` against it — the seeded op
+#      stream over one connection, faults placed by the protocol's own
+#      `inject soft` — and require a PASS verdict (enforced twice: -strict
+#      makes the command itself exit non-zero on FAIL, and the envelope
+#      check below re-verifies),
+#   3. run the same seed and op counts self-hosted (`-ecc secded
+#      -inject-mode random`, in-process through Dispatch) and require the
+#      same verdict on every field but the wall-clock ones: one driver,
+#      two transports,
+#   4. drive the attached server with the op stream alone (`-injections
+#      0`, default GET/SET mix) and require zero wrong values among its
+#      kvload_* counters,
+#   5. shut the server down.
 #
-# Ordering matters: the wrong-value oracle assumes its generator is the
-# only writer since server start, so the chaos run (read-only,
-# -read-fraction 1) goes first against the fresh server, and the second
+# Ordering matters: the wrong-value oracle assumes the driver is the only
+# writer since server start, so the chaos run (read-only,
+# -read-fraction 1) goes first against the fresh server, and the last
 # run's fresh oracle stays valid because the chaos run wrote nothing.
 #
-#   scripts/chaos_smoke.sh             # default: 16 injections, ~4s of load
+#   scripts/chaos_smoke.sh             # 16 injections over 8 000 ops, ~1 s
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -56,19 +61,25 @@ fi
 echo "chaos_smoke: kvserve on $ADDR" >&2
 
 echo "chaos_smoke: running hrmsim chaos -attach -strict" >&2
-"$TMP/hrmsim" chaos -attach "$ADDR" -read-fraction 1 -conns 8 \
-    -steady 1s -chaos 2s -recovery 1s -injections 16 -seed "$SEED" \
-    -json -strict >"$TMP/chaos.json" || {
+RUN="-read-fraction 1 -steady 2000 -chaos 4000 -recovery 2000 -injections 16 -seed $SEED -json"
+# shellcheck disable=SC2086 # $RUN is a flag list
+"$TMP/hrmsim" chaos -attach "$ADDR" $RUN -strict >"$TMP/chaos.json" || {
     echo "chaos_smoke: hrmsim chaos -strict exited non-zero" >&2
     cat "$TMP/chaos.json" >&2
     exit 1
 }
 
-python3 - "$TMP/chaos.json" <<'PY'
+echo "chaos_smoke: running the same op stream self-hosted" >&2
+# shellcheck disable=SC2086
+"$TMP/hrmsim" chaos -ecc secded -inject-mode random $RUN >"$TMP/self.json"
+
+python3 - "$TMP/chaos.json" "$TMP/self.json" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
     env = json.load(f)
+with open(sys.argv[2]) as f:
+    self_hosted = json.load(f)["result"]
 
 def die(msg):
     print(f"chaos_smoke: FAIL: {msg}", file=sys.stderr)
@@ -79,7 +90,7 @@ if env.get("schema_version") != 2 or env.get("tool") != "hrmsim":
 if env.get("command") != "chaos":
     die(f"command = {env.get('command')}")
 v = env["result"]
-if v.get("schema_version") != 1:
+if v.get("schema_version") != 2:
     die(f"verdict schema_version = {v.get('schema_version')}")
 phases = [p["phase"] for p in v.get("phases", [])]
 if phases != ["steady", "chaos", "recovery"]:
@@ -100,15 +111,22 @@ if counters.get("chaos_injections_total", 0) <= 0:
     die("chaos_injections_total missing from the metrics snapshot")
 if counters.get("kvload_ops_total", 0) <= 0:
     die("kvload_ops_total missing from the metrics snapshot")
+WALL = ("duration_ms", "wall_p50_us", "wall_p99_us")
+def deterministic(verdict):
+    return {**verdict, "phases": [{k: x for k, x in p.items() if k not in WALL}
+                                  for p in verdict["phases"]]}
+if deterministic(v) != deterministic(self_hosted):
+    print(json.dumps(deterministic(v), sort_keys=True), file=sys.stderr)
+    print(json.dumps(deterministic(self_hosted), sort_keys=True), file=sys.stderr)
+    die("attached and self-hosted verdicts differ outside the wall-clock fields")
 print(f"chaos_smoke: chaos verdict PASS "
       f"({len(v['results'])} objectives, "
       f"{chaos_phase['injections']} injections, "
-      f"{counters['kvload_ops_total']} ops)")
+      f"{counters['kvload_ops_total']} ops, equal to the self-hosted run)")
 PY
 
-echo "chaos_smoke: running the load generator alone against the same server" >&2
-"$TMP/hrmsim" chaos -attach "$ADDR" -injections 0 -conns 16 \
-    -steady 1s -chaos 500ms -recovery 500ms -seed "$SEED" \
+echo "chaos_smoke: running the op stream alone against the same server" >&2
+"$TMP/hrmsim" chaos -attach "$ADDR" -injections 0 -seed "$SEED" \
     -json >"$TMP/load.json"
 
 python3 - "$TMP/load.json" <<'PY'
@@ -125,7 +143,7 @@ if env.get("schema_version") != 2 or env.get("command") != "chaos":
     die(f"bad load envelope: {env.get('schema_version')}/{env.get('command')}")
 c = env.get("metrics", {}).get("counters", {})
 if c.get("kvload_ops_total", 0) <= 0 or c.get("kvload_sets_total", 0) <= 0:
-    die("the load generator drove no GET/SET traffic")
+    die("the op stream sent no GET/SET traffic")
 if c.get("chaos_injections_total", 0) != 0:
     die(f"{c['chaos_injections_total']} injections in an -injections 0 run")
 if c.get("kvload_wrong_values_total", 0) != 0:
