@@ -45,9 +45,11 @@ examples:
 		$(GO) run "./$$d" >/dev/null || exit 1; \
 	done
 
-# Non-test Go lines outside bench/: the figure the simplicity PRs quote.
+# Non-test Go lines outside bench/, the figure the simplicity PRs quote;
+# then the _test.go lines outside bench/ under a label.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@echo "test: $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 
 # hrmbench: every workload and metric, checked against bench/expected
 # (bench/README.md).

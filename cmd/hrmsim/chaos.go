@@ -36,7 +36,7 @@ func cmdChaos(args []string) error {
 		"fault placement: hot (round-robin over popular keys' value words, each read back; the self-hosted default) | random (the node's own inject soft; the only mode with -attach)")
 	jsonOut := fs.Bool("json", false, "emit the verdict as a JSON envelope")
 	strict := fs.Bool("strict", false, "exit non-zero when the verdict is FAIL (output is still emitted)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, 0); err != nil {
 		return err
 	}
 	if *injectMode != "" && *injectMode != "hot" && *injectMode != "random" {

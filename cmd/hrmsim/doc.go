@@ -9,7 +9,7 @@
 //	hrmsim characterize -app websearch -trials 2000 -target-ci 0.02
 //	hrmsim characterize -app kvstore -trials 1000000 -shard 3/8 -journal shards/shard-0003-of-0008.jsonl
 //	hrmsim merge -dir shards/
-//	hrmsim status shards/ -watch
+//	hrmsim status -watch shards/
 //	hrmsim profile -app websearch -watchpoints 600
 //	hrmsim designspace
 //	hrmsim plan -target 0.999

@@ -127,6 +127,48 @@ func progressFunc(label string) func(hrmsim.ProgressInfo) {
 	}
 }
 
+// parseFlags parses a subcommand's flags and refuses any positional
+// argument past the first maxArgs, naming what it refuses. Flag parsing
+// stops at the first argument that is not a flag, so without this check
+// a stray word would silently drop every flag after it.
+func parseFlags(fs *flag.FlagSet, args []string, maxArgs int) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > maxArgs {
+		return unexpectedArgs(fs.Name(), fs.Args()[maxArgs:])
+	}
+	return nil
+}
+
+// unexpectedArgs is the error refusing a command's stray arguments.
+func unexpectedArgs(cmd string, stray []string) error {
+	quoted := make([]string, len(stray))
+	for i, a := range stray {
+		quoted[i] = strconv.Quote(a)
+	}
+	return fmt.Errorf("%s: unexpected argument(s) %s (flags must come before positional arguments)",
+		cmd, strings.Join(quoted, " "))
+}
+
+// dirFlagOrArg parses the flags of a command that reads one directory,
+// given either as -dir or as the one positional argument, not both; what
+// names the directory in the error when neither is given.
+func dirFlagOrArg(fs *flag.FlagSet, args []string, dir *string, what string) error {
+	if err := parseFlags(fs, args, 1); err != nil {
+		return err
+	}
+	switch {
+	case fs.NArg() == 1 && *dir != "":
+		return fmt.Errorf("%s: unexpected argument(s) %q beside -dir %s", fs.Name(), fs.Arg(0), *dir)
+	case fs.NArg() == 1:
+		*dir = fs.Arg(0)
+	case *dir == "":
+		return fmt.Errorf("%s: a %s is required (-dir or positional)", fs.Name(), what)
+	}
+	return nil
+}
+
 // sizeValue is the -size flag: a hrmsim.WorkloadSize spelled
 // small|medium|large.
 type sizeValue hrmsim.WorkloadSize
@@ -191,8 +233,6 @@ func parseCharacterize(args []string) (*characterizeCmd, error) {
 	cfg.Size = hrmsim.SizeMedium
 	fs.Var((*sizeValue)(&cfg.Size), "size", "workload `size`: small|medium|large")
 	fs.IntVar(&cfg.Parallelism, "parallelism", 0, "concurrent trial workers (0 = GOMAXPROCS); results are identical at any value")
-	fs.DurationVar(&cfg.TrialTimeout, "trial-timeout", 0, "abort any trial exceeding this wall-clock deadline, recording it as aborted (0 = none)")
-	fs.Int64Var(&cfg.TrialOpBudget, "trial-op-budget", 0, "abort any trial exceeding this many simulated memory operations after injection (0 = none)")
 	fs.Var(shardValue{cfg}, "shard", "run only shard i of N of the campaign's trials, given as `i/N` (i in [0,N)); the journal stays merge-compatible with the sibling shards (SHARDING.md)")
 	fs.StringVar(&cfg.JournalPath, "journal", "", "append one flushed JSONL record per finished trial to this file, so an interrupted campaign can be resumed with -resume (schema: OBSERVABILITY.md)")
 	fs.StringVar(&cfg.ResumePath, "resume", "", "skip trials already recorded in this journal (typically the same file as -journal); the merged result is bit-identical to an uninterrupted run")
@@ -200,7 +240,7 @@ func parseCharacterize(args []string) (*characterizeCmd, error) {
 	fs.DurationVar(&cfg.StatusInterval, "status-interval", 0, "minimum interval between heartbeat refreshes (0 = the 1s default)")
 	fs.BoolVar(&c.jsonOut, "json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
 	fs.BoolVar(&c.progress, "progress", false, "report live trial completion on stderr")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, 0); err != nil {
 		return nil, err
 	}
 	if cfg.TargetCI == 0 && cfg.MinTrials != 0 {
@@ -309,14 +349,8 @@ func cmdMerge(args []string) error {
 	fs := flag.NewFlagSet("merge", flag.ContinueOnError)
 	dir := fs.String("dir", "", "shard directory holding the shards' *.status.json records and the journals their final records name (may also be given as the positional argument)")
 	jsonOut := fs.Bool("json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
-	if err := fs.Parse(args); err != nil {
+	if err := dirFlagOrArg(fs, args, dir, "shard directory"); err != nil {
 		return err
-	}
-	if *dir == "" && fs.NArg() == 1 {
-		*dir = fs.Arg(0)
-	}
-	if *dir == "" {
-		return fmt.Errorf("merge: a shard directory is required (-dir or positional)")
 	}
 	var reg *obsv.Registry
 	mcfg := hrmsim.MergeConfig{Dir: *dir}
@@ -352,6 +386,9 @@ func cmdMerge(args []string) error {
 // cmdExplain re-runs one journaled trial and prints its causal chain
 // (OBSERVABILITY.md, "Explaining a trial").
 func cmdExplain(args []string) error {
+	if len(args) > 2 {
+		return unexpectedArgs("explain", args[2:])
+	}
 	if len(args) != 2 {
 		return fmt.Errorf("usage: hrmsim explain <journal> <trial>")
 	}
@@ -370,7 +407,7 @@ func cmdProfile(args []string) error {
 	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed")
 	fs.Var((*sizeValue)(&cfg.Size), "size", "workload `size`: small|medium|large")
 	jsonOut := fs.Bool("json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, 0); err != nil {
 		return err
 	}
 	rep, err := hrmsim.AccessProfile(cfg)
@@ -399,7 +436,7 @@ func cmdProfile(args []string) error {
 func cmdDesignSpace(args []string) error {
 	fs := flag.NewFlagSet("designspace", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, 0); err != nil {
 		return err
 	}
 	rows, err := hrmsim.EvaluateTable6(hrmsim.PaperWebSearchVulnerability())
@@ -445,7 +482,7 @@ func cmdPlan(args []string) error {
 	target := fs.Float64("target", 0.999, "single server availability target")
 	errors := fs.Float64("errors", 2000, "memory errors per server per month")
 	jsonOut := fs.Bool("json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, 0); err != nil {
 		return err
 	}
 	res, err := hrmsim.Plan(hrmsim.PlanConfig{
@@ -481,7 +518,7 @@ func cmdPlan(args []string) error {
 func cmdTolerable(args []string) error {
 	fs := flag.NewFlagSet("tolerable", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, 0); err != nil {
 		return err
 	}
 	probs := hrmsim.PaperCrashProbabilities()
@@ -530,7 +567,7 @@ func cmdTables(args []string) error {
 	ext := fs.Bool("ext", false, "also run the extension experiments")
 	jsonOut := fs.Bool("json", false, "emit the results as JSON (schema: OBSERVABILITY.md)")
 	progress := fs.Bool("progress", false, "report live trial completion on stderr")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, 0); err != nil {
 		return err
 	}
 	if *progress {
@@ -584,7 +621,7 @@ func cmdLifetime(args []string) error {
 	recovery := fs.Int("recovery", 10, "minutes of downtime per crash")
 	seed := fs.Int64("seed", 1, "random seed")
 	jsonOut := fs.Bool("json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, 0); err != nil {
 		return err
 	}
 	res, err := hrmsim.SimulateLifetime(hrmsim.LifetimeConfig{

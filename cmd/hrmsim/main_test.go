@@ -11,6 +11,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"hrmsim"
+	"hrmsim/internal/core"
 )
 
 // captureStdout runs fn with os.Stdout redirected and returns what it
@@ -269,19 +272,50 @@ func TestCmdCharacterizeJournalResume(t *testing.T) {
 	}
 }
 
-// TestCmdCharacterizeWatchdogFlags: the watchdog flags parse and a
-// generous budget leaves results untouched.
-func TestCmdCharacterizeWatchdogFlags(t *testing.T) {
-	out := captureStdout(t, func() error {
-		return run([]string{"characterize", "-app", "kvstore", "-size", "small",
-			"-trials", "10", "-trial-timeout", "1m", "-trial-op-budget", "1000000000", "-json"})
-	})
-	res := decodeEnvelope(t, out, "characterize")
-	if res["completed_trials"] != float64(10) {
-		t.Errorf("completed_trials = %v, want 10", res["completed_trials"])
+// TestStrayArgumentsRefused: every subcommand refuses an argument its
+// flags leave over and names it, before doing any work. Flag parsing
+// stops at the first non-flag, so unchecked, `profile kvstore -size
+// small` would profile websearch at the default size, and a trailing
+// word would be dropped.
+func TestStrayArgumentsRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args  []string
+		stray string
+	}{
+		{[]string{"characterize", "-app", "kvstore", "-size", "small", "-trials", "2", "stray"}, `"stray"`},
+		{[]string{"characterize", "kvstore", "-size", "small"}, `"kvstore" "-size" "small"`},
+		{[]string{"merge", dir, "stray"}, `"stray"`},
+		{[]string{"merge", "-dir", dir, "stray"}, `"stray"`},
+		{[]string{"status", dir, "stray"}, `"stray"`},
+		{[]string{"status", "-dir", dir, "stray"}, `"stray"`},
+		{[]string{"profile", "kvstore", "-size", "small", "-watchpoints", "10"}, `"kvstore"`},
+		{[]string{"designspace", "stray"}, `"stray"`},
+		{[]string{"plan", "stray"}, `"stray"`},
+		{[]string{"tolerable", "stray"}, `"stray"`},
+		{[]string{"lifetime", "-hours", "1", "stray"}, `"stray"`},
+		{[]string{"chaos", "-steady", "10", "-chaos", "10", "-recovery", "10", "stray"}, `"stray"`},
+		{[]string{"tables", "-t", "table1", "-trials", "10", "stray"}, `"stray"`},
+		{[]string{"explain", "journal.jsonl", "1", "stray"}, `"stray"`},
+	} {
+		out := captureStdout(t, func() error {
+			err := run(c.args)
+			if err == nil || !strings.Contains(err.Error(), "unexpected argument(s) "+c.stray) {
+				t.Errorf("%s: err = %v, want one naming %s", strings.Join(c.args, " "), err, c.stray)
+			}
+			return nil
+		})
+		if out != "" {
+			t.Errorf("%s: printed %q before refusing", strings.Join(c.args, " "), out)
+		}
 	}
-	if _, ok := res["aborted_trials"]; ok {
-		t.Errorf("aborted_trials = %v, want omitted (zero)", res["aborted_trials"])
+	// The watchdog flags are gone: each trial has one attempt, and a
+	// runaway request ends as a crash through its app's request budget.
+	for _, f := range []string{"-trial-timeout", "-trial-op-budget"} {
+		err := run([]string{"characterize", f, "1"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+f) {
+			t.Errorf("characterize %s: err = %v, want an undefined-flag error", f, err)
+		}
 	}
 }
 
@@ -297,8 +331,6 @@ func TestNegativeValuesRefused(t *testing.T) {
 		args []string
 	}{
 		{"-parallelism", small("-parallelism", "-3")},
-		{"-trial-timeout", small("-trial-timeout", "-1s")},
-		{"-trial-op-budget", small("-trial-op-budget", "-7")},
 		{"-status-interval", small("-status-interval", "-1s")},
 		{"-recovery", []string{"lifetime", "-hours", "1", "-recovery", "-5"}},
 		{"-injections", []string{"chaos", "-injections", "-3"}},
@@ -317,12 +349,39 @@ func TestNegativeValuesRefused(t *testing.T) {
 // TestNoCompletedTrials: a campaign whose every trial aborted fails and
 // names the abort reasons instead of reporting a 0 % crash probability,
 // and a result with no completed trial (an empty shard) prints no
-// estimate.
+// estimate. The all-aborted campaign is a shard journal of the kind
+// earlier builds wrote, whose watchdogs aborted trials as "deadline" and
+// "op_budget": merge still reads those records and names both reasons.
 func TestNoCompletedTrials(t *testing.T) {
-	err := run([]string{"characterize", "-app", "kvstore", "-size", "small", "-trials", "10",
-		"-trial-op-budget", "1", "-json"})
-	if err == nil || !strings.Contains(err.Error(), "no trial completed") || !strings.Contains(err.Error(), "op_budget:10") {
-		t.Errorf("all-aborted campaign: err = %v, want a no-trial-completed error naming op_budget:10", err)
+	dir := t.TempDir()
+	meta := core.JournalMeta{App: "kvstore", Error: "soft-1bit", Trials: 4, Seed: 1, Size: int64(hrmsim.SizeSmall)}
+	name := core.ShardJournalName(0, 1)
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := core.NewJournal(f, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, reason := range []string{"deadline", "op_budget", "op_budget", "deadline"} {
+		if err := j.Append(core.TrialResult{Index: i, Disposition: core.DispositionAborted, AbortReason: reason}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteStatus(filepath.Join(dir, core.ShardStatusName(0, 1)), core.ShardStatus{
+		ConfigHash: core.ConfigHash(meta), Campaign: meta, Journal: name,
+		ShardCount: 1, ShardProgress: core.ShardProgress{TrialHi: 4, Done: 4, Total: 4, Aborted: 4},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"merge", "-dir", dir, "-json"})
+	if err == nil || !strings.Contains(err.Error(), "no trial completed") ||
+		!strings.Contains(err.Error(), "deadline:2") || !strings.Contains(err.Error(), "op_budget:2") {
+		t.Errorf("all-aborted merge: err = %v, want a no-trial-completed error naming deadline:2 and op_budget:2", err)
 	}
 	// -trials 1 -shard 0/2 owns [0,0); -progress sees a zero Total.
 	out := captureStdout(t, func() error {

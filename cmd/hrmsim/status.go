@@ -110,14 +110,8 @@ func cmdStatus(args []string) error {
 	watch := fs.Bool("watch", false, "re-render every -interval until every shard has reported and none is running (Ctrl-C to stop)")
 	interval := fs.Duration("interval", time.Second, "refresh period with -watch")
 	jsonOut := fs.Bool("json", false, "emit the fleet status as JSON (schema: OBSERVABILITY.md)")
-	if err := fs.Parse(args); err != nil {
+	if err := dirFlagOrArg(fs, args, dir, "campaign directory"); err != nil {
 		return err
-	}
-	if *dir == "" && fs.NArg() == 1 {
-		*dir = fs.Arg(0)
-	}
-	if *dir == "" {
-		return fmt.Errorf("status: a campaign directory is required (-dir or positional)")
 	}
 	if *watch && *jsonOut {
 		return fmt.Errorf("status: -watch renders text; poll `hrmsim status -json` for machine consumption")

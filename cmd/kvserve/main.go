@@ -50,6 +50,11 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve /metrics, /healthz, and /debug/pprof on this HTTP address (empty = disabled)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// Flag parsing stops at the first non-flag; what follows would be
+		// dropped unread.
+		log.Fatalf("kvserve: unexpected argument(s) %q (flags must come before positional arguments)", flag.Args())
+	}
 
 	srv, err := kvnode.New(cfg)
 	if err != nil {

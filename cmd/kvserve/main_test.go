@@ -1,19 +1,58 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
+	"time"
 
 	"hrmsim/internal/kvnode"
 	"hrmsim/internal/obsv"
 )
 
 // The protocol itself is tested in internal/kvnode; here we cover the
-// pieces this command adds on top — the observability sidecar.
+// pieces this command adds on top — the observability sidecar and the
+// command line.
+
+// TestMain lets the test binary stand in for kvserve: with
+// KVSERVE_TEST_MAIN set it runs main on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("KVSERVE_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestStrayArgumentRefused: an argument the flags leave over stops
+// kvserve before it listens, naming the argument. Flag parsing stops at
+// the first non-flag, so `kvserve secded -ecc none` would otherwise
+// serve with every flag after the stray word dropped.
+func TestStrayArgumentRefused(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-addr", "127.0.0.1:0", "stray", "-ecc", "none")
+	cmd.Env = append(os.Environ(), "KVSERVE_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 || ctx.Err() != nil {
+		t.Fatalf("kvserve with a stray argument: %v, want exit status 1\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `unexpected argument(s) ["stray" "-ecc" "none"]`) {
+		t.Errorf("stderr = %q, want the stray arguments named", stderr.String())
+	}
+	if strings.Contains(stderr.String(), "listening") {
+		t.Errorf("kvserve listened before refusing:\n%s", stderr.String())
+	}
+}
 
 // TestMetricsSidecarEndpoints starts the observability mux on a real
 // loopback listener — exactly what `-metrics-addr 127.0.0.1:0` does — and

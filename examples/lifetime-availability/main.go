@@ -23,6 +23,7 @@ func main() {
 		res, err := hrmsim.SimulateLifetime(hrmsim.LifetimeConfig{
 			Protection:     p,
 			ErrorsPerMonth: errorsPerMonth,
+			SoftFraction:   1,
 			Hours:          24,
 			Seed:           7,
 		})

@@ -91,7 +91,7 @@ func TestExplainRefusals(t *testing.T) {
 		return path
 	}
 	path := write(meta,
-		core.TrialResult{Index: 0, Disposition: core.DispositionAborted, AbortReason: core.AbortReasonOpBudget},
+		core.TrialResult{Index: 0, Disposition: core.DispositionAborted, AbortReason: "op_budget"},
 		core.TrialResult{Index: 1, Outcome: core.OutcomeCrash, Region: "heap", Kind: simmem.RegionHeap, Requests: 1})
 	for trial, want := range map[int]error{0: ErrTrialAborted, 1: ErrExplainMismatch, 2: ErrTrialNotJournaled, 4: ErrTrialNotJournaled} {
 		if _, _, err := explainTrial(path, trial); !errors.Is(err, want) {

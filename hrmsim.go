@@ -156,16 +156,15 @@ type CharacterizeConfig struct {
 	Seed int64
 	// Size selects the workload scale (default SizeMedium).
 	Size WorkloadSize
-	// Parallelism bounds concurrent trials (default GOMAXPROCS).
+	// Parallelism bounds concurrent trials (default GOMAXPROCS; a
+	// negative value is an error).
 	Parallelism int
 	// RunOptions are the engine knobs, handed to the campaign as they
 	// are (field docs on core.RunOptions): the Progress hook (calls are
-	// serialized; it must be cheap), the TrialTimeout and TrialOpBudget
-	// watchdogs, and the observational Metrics registry. The block's
-	// type is internal, so outside this module set its fields by
-	// selector (cfg.Progress = …); Metrics takes an internal type and is
-	// reached through the CLI's -json and -status. Negative values of
-	// Parallelism and the watchdogs are errors.
+	// serialized; it must be cheap) and the observational Metrics
+	// registry. The block's type is internal, so outside this module set
+	// its fields by selector (cfg.Progress = …); Metrics takes an
+	// internal type and is reached through the CLI's -json and -status.
 	core.RunOptions
 	// Context, if non-nil, allows interrupting the campaign: on
 	// cancellation the engine stops dispatching trials, drains the
@@ -255,8 +254,8 @@ type Characterization struct {
 	// trials that did run.
 	Interrupted bool
 	// Completed, Aborted, and Resumed break down the trials that have
-	// results: ran to Fig. 1 classification, given up by the watchdog or
-	// retry policy (never part of the probability denominators), and
+	// results: ran to Fig. 1 classification, given up because their
+	// worker failed (never part of the probability denominators), and
 	// merged from a resume journal instead of re-run. Completed+Aborted
 	// can be less than Trials when Interrupted.
 	Completed int
@@ -374,10 +373,6 @@ func (cfg *CharacterizeConfig) resolve() error {
 	switch {
 	case cfg.Parallelism < 0:
 		return fmt.Errorf("hrmsim: Parallelism (-parallelism) must not be negative, got %d", cfg.Parallelism)
-	case cfg.TrialTimeout < 0:
-		return fmt.Errorf("hrmsim: TrialTimeout (-trial-timeout) must not be negative, got %v", cfg.TrialTimeout)
-	case cfg.TrialOpBudget < 0:
-		return fmt.Errorf("hrmsim: TrialOpBudget (-trial-op-budget) must not be negative, got %d", cfg.TrialOpBudget)
 	case cfg.StatusInterval < 0:
 		return fmt.Errorf("hrmsim: StatusInterval (-status-interval) must not be negative, got %v", cfg.StatusInterval)
 	}

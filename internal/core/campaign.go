@@ -19,10 +19,10 @@ import (
 	"hrmsim/internal/stats"
 )
 
-// RunOptions are the engine knobs that do not identify a campaign: hooks
-// and watchdogs. A front end's config (hrmsim.CharacterizeConfig) embeds
-// the same block and hands it to CampaignConfig as one value, so a knob
-// is declared here and nowhere else.
+// RunOptions are the engine knobs that do not identify a campaign: its
+// hooks. A front end's config (hrmsim.CharacterizeConfig) embeds the same
+// block and hands it to CampaignConfig as one value, so a knob is
+// declared here and nowhere else.
 type RunOptions struct {
 	// Progress, if non-nil, receives the progress record: once before the
 	// first dispatch, after every finished trial, and once with Running
@@ -37,19 +37,6 @@ type RunOptions struct {
 	// Instrumentation never affects results or which trials are decided
 	// — campaigns stay bit-identical with or without it.
 	Metrics *obsv.Registry
-	// TrialTimeout, if positive, is the per-trial wall-clock watchdog
-	// deadline: a trial still running after this long (a corrupted
-	// pointer driving the application into an unbounded path) is
-	// abandoned and recorded with DispositionAborted /
-	// AbortReasonDeadline. Normal trials are unaffected — the watchdog
-	// never perturbs the Fig. 1 taxonomy of trials that finish in time.
-	TrialTimeout time.Duration
-	// TrialOpBudget, if positive, bounds the simulated memory operations
-	// a trial may perform after injection; exceeding it aborts the trial
-	// with AbortReasonOpBudget. Unlike TrialTimeout it is measured in
-	// virtual work, so it is deterministic: the same trial aborts at the
-	// same operation on every run.
-	TrialOpBudget int64
 }
 
 // CampaignConfig describes one error-injection campaign: N independent
@@ -111,15 +98,6 @@ type CampaignConfig struct {
 	// Resumed trials are not re-journaled.
 	Journal *Journal
 }
-
-// Retry policy: a transient trial-infrastructure failure (build, warmup,
-// snapshot-restore error) is retried DefaultTrialRetries times before the
-// trial is recorded as aborted with AbortReasonWorkerError. The first
-// retry waits DefaultRetryBackoff, doubling per attempt.
-const (
-	DefaultTrialRetries = 2
-	DefaultRetryBackoff = 5 * time.Millisecond
-)
 
 // CampaignResult aggregates a campaign.
 type CampaignResult struct {
@@ -231,9 +209,9 @@ func serveFaultFree(app apps.App, golden []uint64, from, to int, record bool) (i
 // — nil when every trial must be simulated — and the restored session.
 //
 // Recording, any failure fails the campaign. Checking, a session that
-// fails to build or warm up is dropped (worker 0 builds its own, retrying
-// as every worker does), and a window off golden leaves no record. A
-// session that fails to restore is dropped either way.
+// fails to build or warm up is dropped (worker 0 builds its own, as every
+// worker does), and a window off golden leaves no record. A session that
+// fails to restore is dropped either way.
 func faultFreePass(sb apps.SnapshotBuilder, cfg CampaignConfig) ([]uint64, *monitor.Profile, *snapshotSession, error) {
 	golden, record := cfg.Golden, cfg.Golden == nil
 	fail := func(err error) ([]uint64, *monitor.Profile, *snapshotSession, error) {
@@ -271,11 +249,10 @@ func faultFreePass(sb apps.SnapshotBuilder, cfg CampaignConfig) ([]uint64, *moni
 
 	// No record when a fault can act other than through the first access
 	// to its granule (CPU cache model on; observers the snapshot retains,
-	// such as a scrubber) or when a trial may stop early (operation
-	// budget). Then, with golden supplied, there is nothing to serve the
-	// window for.
+	// such as a scrubber). Then, with golden supplied, there is nothing to
+	// serve the window for.
 	var p *monitor.Profile
-	if cfg.TrialOpBudget <= 0 && !as.CacheEnabled() && !as.Observed() {
+	if !as.CacheEnabled() && !as.Observed() {
 		p = monitor.New(as)
 		as.AddAccessObserver(p)
 	}
@@ -410,7 +387,7 @@ type campaignMetrics struct {
 	requests   *obsv.Counter
 	incorrect  *obsv.Counter
 	restores   *obsv.Counter
-	retried    *obsv.Counter
+	aborted    *obsv.Counter
 	journal    *obsv.Counter
 	resumeSkip *obsv.Counter
 	fastLoads  *obsv.Counter
@@ -432,7 +409,7 @@ func newCampaignMetrics(reg *obsv.Registry) *campaignMetrics {
 		requests:   reg.Counter("campaign_requests_total"),
 		incorrect:  reg.Counter("campaign_incorrect_responses_total"),
 		restores:   reg.Counter("campaign_snapshot_restores_total"),
-		retried:    reg.Counter("campaign_trials_retried_total"),
+		aborted:    reg.Counter(obsv.LabeledName("campaign_trials_aborted_total", "reason", AbortReasonWorkerError)),
 		journal:    reg.Counter("campaign_journal_records_total"),
 		resumeSkip: reg.Counter("campaign_resume_skipped_total"),
 		fastLoads:  reg.Counter("simmem_fastpath_loads_total"),
@@ -448,15 +425,10 @@ func newCampaignMetrics(reg *obsv.Registry) *campaignMetrics {
 	for _, o := range Outcomes() {
 		m.outcomes[o] = reg.Counter("campaign_outcome_" + o.MetricName())
 	}
-	// Registered up front, so a healthy campaign reports zeros rather
-	// than no rows.
-	for _, reason := range []string{AbortReasonDeadline, AbortReasonOpBudget, AbortReasonWorkerError} {
-		reg.Counter(obsv.LabeledName("campaign_trials_aborted_total", "reason", reason))
-	}
 	return m
 }
 
-// trialStats are the harness-side figures of one trial attempt, returned
+// trialStats are the harness-side figures of one trial, returned
 // next to its TrialResult and recorded with the outcome.
 type trialStats struct {
 	// dirtyPages is the number of pages the pre-trial restore rolled back.
@@ -494,14 +466,12 @@ func (m *campaignMetrics) recordTrial(tr TrialResult, ts trialStats, wall time.D
 	m.fastWords.Add(int64(ts.fastWords))
 }
 
-// recordAbort counts one aborted trial under its reason label. Abort is
-// a cold path, so resolving the labeled counter through the registry
-// (a mutex) per call is fine.
-func (m *campaignMetrics) recordAbort(reason string) {
+// recordAbort counts one aborted trial (AbortReasonWorkerError).
+func (m *campaignMetrics) recordAbort() {
 	if m == nil {
 		return
 	}
-	m.reg.Counter(obsv.LabeledName("campaign_trials_aborted_total", "reason", reason)).Inc()
+	m.aborted.Inc()
 }
 
 // recordVerdict meters one adaptive stop/continue verdict. The handles
@@ -522,14 +492,6 @@ func (m *campaignMetrics) recordVerdict(v verdict, requested int) {
 	if saved := requested - v.boundary; saved > 0 {
 		m.reg.Counter("campaign_trials_saved_total").Add(int64(saved))
 	}
-}
-
-// recordRetry counts one retried trial attempt.
-func (m *campaignMetrics) recordRetry() {
-	if m == nil {
-		return
-	}
-	m.retried.Inc()
 }
 
 // recordJournal counts one appended journal record.
@@ -632,15 +594,6 @@ func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile 
 		as.AddAccessObserver(log)
 		as.AddECCObserver(log)
 	}
-	if cfg.TrialOpBudget > 0 {
-		// The budget counts post-injection operations only (snapshot
-		// restore truncates the previous trial's observers), so a budget
-		// large enough never to fire leaves results bit-identical.
-		as.AddAccessObserver(&opBudgetWatchdog{
-			remaining: cfg.TrialOpBudget,
-			budget:    cfg.TrialOpBudget,
-		})
-	}
 
 	tr := TrialResult{
 		Region:     inj.Region.Name(),
@@ -691,15 +644,10 @@ func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile 
 
 // serveGuarded converts panics in application code (parsing corrupted
 // bytes) into crash-worthy errors, like a segfault handler would, keeping
-// the sanitized panic stack so crash outcomes are debuggable. The
-// watchdog's own abort panic is not an application crash and passes
-// through.
+// the sanitized panic stack so crash outcomes are debuggable.
 func serveGuarded(app apps.App, q int) (resp apps.Response, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if ab, ok := r.(*trialAbort); ok {
-				panic(ab)
-			}
 			err = &panicCrash{
 				err:   apps.Assertf("panic serving request %d: %v", q, r),
 				stack: sanitizeStack(debug.Stack()),

@@ -28,10 +28,13 @@
 //
 //   - The in-process trial supervisor (supervisor.go, driven by Run)
 //     runs the campaign's plan segment by segment on a worker pool,
-//     bounds each trial with wall-clock and virtual-operation
-//     watchdogs, retries transient worker failures, checkpoints every
-//     finished trial to an append-only journal (journal.go), and fills
-//     resumed trials from a prior journal instead of re-running them.
+//     runs each trial once (a trial whose build, restore or injection
+//     fails is aborted, and its worker rebuilds its session for the
+//     next), checkpoints every finished trial to an append-only journal
+//     (journal.go), and fills resumed trials from a prior journal
+//     instead of re-running them. A runaway request needs no per-trial
+//     watchdog: the application's per-request budget (apps.Budget)
+//     ends it as a crash.
 //     The fixed plan is one segment, every owned index; the adaptive
 //     plan (planner.go) implements CI-targeted sequential stopping
 //     (stats.SequentialStopping): its segments end at deterministic

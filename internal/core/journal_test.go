@@ -47,7 +47,7 @@ func testJournalTrials() []TrialResult {
 		},
 		{
 			Index: 3, Disposition: DispositionAborted,
-			AbortReason: AbortReasonDeadline, AbortDetail: "trial exceeded the 1s wall-clock deadline",
+			AbortReason: "deadline", AbortDetail: "trial exceeded the 1s wall-clock deadline",
 		},
 	}
 }

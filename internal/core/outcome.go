@@ -154,8 +154,8 @@ func classify(crashed bool, incorrect int, first firstAccessKind) Outcome {
 // Disposition records how the supervisor disposed of a trial: ran to
 // classification, or was given up on. It is orthogonal to the Fig. 1
 // taxonomy — Outcome is only meaningful for completed trials, and
-// aborted trials never enter the outcome counts, so the watchdog and
-// retry machinery cannot perturb the paper's statistics.
+// aborted trials never enter the outcome counts, so a failing worker
+// cannot perturb the paper's statistics.
 type Disposition int
 
 const (
@@ -163,9 +163,12 @@ const (
 	// The zero value, so results from before dispositions existed stay
 	// valid.
 	DispositionCompleted Disposition = iota
-	// DispositionAborted: the supervisor gave the trial up — watchdog
-	// deadline, virtual-operation budget, or exhausted retries — and it
-	// carries an AbortReason instead of an Outcome.
+	// DispositionAborted: the supervisor gave the trial up because its
+	// build, restore or injection failed, and it carries an AbortReason
+	// instead of an Outcome. Journals written by earlier builds also hold
+	// trials aborted by the since-deleted watchdogs, under the reasons
+	// "deadline" and "op_budget"; they read back as aborted like any
+	// other.
 	DispositionAborted
 )
 
@@ -181,20 +184,11 @@ func (d Disposition) String() string {
 	}
 }
 
-// Abort reason labels, used as the {reason} metric label and the journal
-// abort_reason field.
-const (
-	// AbortReasonDeadline: the trial exceeded CampaignConfig.TrialTimeout
-	// of host wall-clock time.
-	AbortReasonDeadline = "deadline"
-	// AbortReasonOpBudget: the trial exceeded
-	// CampaignConfig.TrialOpBudget simulated memory operations after
-	// injection.
-	AbortReasonOpBudget = "op_budget"
-	// AbortReasonWorkerError: trial infrastructure (build, warmup,
-	// snapshot restore, injection) kept failing after the retry budget.
-	AbortReasonWorkerError = "worker_error"
-)
+// AbortReasonWorkerError is the abort reason label, used as the
+// {reason} metric label and the journal abort_reason field, of a trial
+// whose infrastructure (build, warmup, snapshot restore, injection)
+// failed.
+const AbortReasonWorkerError = "worker_error"
 
 // TrialResult records one injection experiment (one pass around the
 // paper's Fig. 2 loop).
@@ -207,8 +201,8 @@ type TrialResult struct {
 	// are set).
 	Disposition Disposition
 	// AbortReason is the machine-readable reason label of an aborted
-	// trial: AbortReasonDeadline, AbortReasonOpBudget, or
-	// AbortReasonWorkerError.
+	// trial: AbortReasonWorkerError, or in an earlier build's journal
+	// "deadline" or "op_budget".
 	AbortReason string
 	// AbortDetail is the free-form abort description.
 	AbortDetail string

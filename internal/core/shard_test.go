@@ -203,8 +203,8 @@ func TestMergeShardsAbortedOnly(t *testing.T) {
 	meta := testJournalMeta()
 	writeShard(t, dir, meta, ShardSpec{Index: 0, Count: 2}, shardTrials(0, 1, 2, 3, 4))
 	writeShard(t, dir, meta, ShardSpec{Index: 1, Count: 2}, []TrialResult{
-		{Index: 5, Disposition: DispositionAborted, AbortReason: AbortReasonDeadline},
-		{Index: 6, Disposition: DispositionAborted, AbortReason: AbortReasonOpBudget},
+		{Index: 5, Disposition: DispositionAborted, AbortReason: "deadline"},
+		{Index: 6, Disposition: DispositionAborted, AbortReason: "op_budget"},
 	})
 	_, trials, stats, err := MergeShards(dir)
 	if err != nil {

@@ -2,24 +2,21 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
 	"hrmsim/internal/apps"
 	"hrmsim/internal/monitor"
-	"hrmsim/internal/simmem"
 	"hrmsim/internal/stats"
 )
 
-// supervisor drives one campaign's worker pool with the resilience
-// machinery around it: context cancellation with in-flight draining,
-// the per-trial watchdogs (wall-clock deadline and virtual-operation
-// budget), bounded retry of transient infrastructure failures, journal
-// appends, and resume skipping. The Fig. 2 trial loop itself lives in
-// campaign.go (snapshotSession.runTrial); the supervisor only decides
-// which trials run, for how long, and what happens when they don't
-// finish.
+// supervisor drives one campaign's worker pool: context cancellation
+// with in-flight draining, journal appends, resume skipping, and the
+// abort of a trial whose infrastructure fails. The Fig. 2 trial loop
+// itself lives in campaign.go (snapshotSession.runTrial); the supervisor
+// only decides which trials run and records what became of each. A
+// runaway request needs no per-trial watchdog: each app's per-request
+// apps.Budget ends it as a crash.
 type supervisor struct {
 	cfg    CampaignConfig
 	golden []uint64
@@ -211,113 +208,33 @@ dispatch:
 	return res, nil
 }
 
-// runOne runs trial i with bounded retry of infrastructure failures.
-// It never returns an error: a trial that keeps failing is recorded as
-// aborted (AbortReasonWorkerError) and the campaign moves on.
+// runOne runs trial i once on the worker's session, building the
+// session first when the worker has none. It never returns an error: a
+// trial whose build, restore or injection fails is recorded as aborted
+// (AbortReasonWorkerError) and returns no session, so the worker
+// rebuilds its instance for its next trial. The trial gets no second
+// attempt, since building and restoring an instance are deterministic
+// and would fail the same way again.
 func (s *supervisor) runOne(sess *snapshotSession, i int) (TrialResult, trialStats, *snapshotSession) {
-	backoff := DefaultRetryBackoff
-	for attempt := 0; ; attempt++ {
+	var err error
+	if sess == nil {
+		sess, err = newSnapshotSession(s.sb, s.cfg, s.golden)
+	}
+	if err == nil {
 		var tr TrialResult
 		var ts trialStats
-		var err error
-		tr, ts, sess, err = s.attempt(sess, i)
-		if err == nil {
+		if tr, ts, err = sess.runTrial(s.cfg, s.golden, s.profile, i, nil); err == nil {
 			tr.Index = i
 			return tr, ts, sess
 		}
-		if attempt >= DefaultTrialRetries {
-			detail := fmt.Sprintf("%v (after %d attempts)", err, attempt+1)
-			s.m.recordAbort(AbortReasonWorkerError)
-			return TrialResult{
-				Index:       i,
-				Disposition: DispositionAborted,
-				AbortReason: AbortReasonWorkerError,
-				AbortDetail: detail,
-			}, trialStats{}, nil
-		}
-		// Transient failure (a build or restore hiccup): the failed
-		// attempt returned no session, so the next one rebuilds the
-		// worker's instance from scratch and tries the same trial again.
-		// The per-trial rng depends only on (Seed, i), so a retried
-		// trial is bit-identical to a first-try success.
-		s.m.recordRetry()
-		time.Sleep(backoff)
-		backoff *= 2
 	}
-}
-
-// attempt runs one attempt of trial i, under the wall-clock watchdog
-// when configured. On deadline the trial goroutine is abandoned (it
-// holds only its own app instance) and the worker's session is
-// discarded with it, since the wedged goroutine may still be mutating
-// it.
-func (s *supervisor) attempt(sess *snapshotSession, i int) (TrialResult, trialStats, *snapshotSession, error) {
-	if s.cfg.TrialTimeout <= 0 {
-		return s.execute(sess, i)
-	}
-	type trialDone struct {
-		tr   TrialResult
-		ts   trialStats
-		sess *snapshotSession
-		err  error
-	}
-	ch := make(chan trialDone, 1)
-	go func() {
-		tr, ts, out, err := s.execute(sess, i)
-		ch <- trialDone{tr, ts, out, err}
-	}()
-	timer := time.NewTimer(s.cfg.TrialTimeout)
-	defer timer.Stop()
-	select {
-	case d := <-ch:
-		return d.tr, d.ts, d.sess, d.err
-	case <-timer.C:
-		detail := fmt.Sprintf("trial exceeded the %v wall-clock deadline", s.cfg.TrialTimeout)
-		s.m.recordAbort(AbortReasonDeadline)
-		return TrialResult{
-			Index:       i,
-			Disposition: DispositionAborted,
-			AbortReason: AbortReasonDeadline,
-			AbortDetail: detail,
-		}, trialStats{}, nil, nil
-	}
-}
-
-// execute runs one attempt of trial i on the worker's session, building
-// it first when the worker has none, and converts the op-budget
-// watchdog's abort panic into an aborted result. A failed attempt
-// returns no session.
-func (s *supervisor) execute(sess *snapshotSession, i int) (tr TrialResult, ts trialStats, out *snapshotSession, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			ab, ok := r.(*trialAbort)
-			if !ok {
-				panic(r)
-			}
-			// The app unwound mid-request; snapshot restore rolls any
-			// partial mutation back before the next trial, so the
-			// session stays usable.
-			tr = TrialResult{
-				Index:       i,
-				Disposition: DispositionAborted,
-				AbortReason: ab.reason,
-				AbortDetail: ab.detail,
-			}
-			ts, out, err = trialStats{}, sess, nil
-			s.m.recordAbort(ab.reason)
-		}
-	}()
-	if sess == nil {
-		sess, err = newSnapshotSession(s.sb, s.cfg, s.golden)
-		if err != nil {
-			return TrialResult{}, trialStats{}, nil, err
-		}
-	}
-	tr, ts, err = sess.runTrial(s.cfg, s.golden, s.profile, i, nil)
-	if err != nil {
-		return TrialResult{}, trialStats{}, nil, err
-	}
-	return tr, ts, sess, nil
+	s.m.recordAbort()
+	return TrialResult{
+		Index:       i,
+		Disposition: DispositionAborted,
+		AbortReason: AbortReasonWorkerError,
+		AbortDetail: err.Error(),
+	}, trialStats{}, nil
 }
 
 // journalTrial appends one finished trial to the journal, if any.
@@ -398,35 +315,4 @@ func (s *supervisor) report(running, interrupted bool) {
 		}
 	}
 	s.cfg.Progress(p)
-}
-
-// trialAbort is the sentinel the in-trial watchdogs panic with; it
-// unwinds through serveGuarded (which re-panics it rather than calling
-// it an application crash) and is recovered in supervisor.execute.
-type trialAbort struct {
-	reason string
-	detail string
-}
-
-// opBudgetWatchdog aborts a trial that performs more simulated memory
-// operations than budgeted — the deterministic complement to the
-// wall-clock deadline. It panics with a *trialAbort sentinel from
-// inside the access-notification path; serveGuarded re-panics it and
-// supervisor.execute converts it into an aborted disposition.
-type opBudgetWatchdog struct {
-	remaining int64
-	budget    int64
-}
-
-var _ simmem.AccessObserver = (*opBudgetWatchdog)(nil)
-
-// ObserveAccess implements simmem.AccessObserver.
-func (w *opBudgetWatchdog) ObserveAccess(simmem.AccessEvent) {
-	w.remaining--
-	if w.remaining < 0 {
-		panic(&trialAbort{
-			reason: AbortReasonOpBudget,
-			detail: fmt.Sprintf("trial exceeded the %d-operation budget", w.budget),
-		})
-	}
 }

@@ -9,12 +9,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"hrmsim/internal/apps"
 	"hrmsim/internal/faults"
 	"hrmsim/internal/obsv"
-	"hrmsim/internal/simmem"
 )
 
 // TestCancellationDrainsAndReturnsPartial: cancelling mid-campaign stops
@@ -249,201 +247,8 @@ func TestResumedTrialsDoNotInflateRate(t *testing.T) {
 	}
 }
 
-// hangApp is a tiny deterministic app whose hanging variant blocks in
-// Serve until released — the "pathological path" the wall-clock watchdog
-// exists for.
-type hangApp struct {
-	as      *simmem.AddressSpace
-	base    simmem.Addr
-	hang    bool
-	release <-chan struct{}
-}
-
-func (a *hangApp) Name() string                { return "hang" }
-func (a *hangApp) Space() *simmem.AddressSpace { return a.as }
-func (a *hangApp) NumRequests() int            { return 8 }
-func (a *hangApp) Serve(i int) (apps.Response, error) {
-	if a.hang {
-		<-a.release
-		return apps.Response{}, apps.Assertf("hung request released")
-	}
-	a.as.Clock().Advance(time.Second)
-	d := apps.NewDigest()
-	for k := 0; k < 4; k++ {
-		v, err := a.as.LoadU64(a.base + simmem.Addr(8*((i+k)%16)))
-		if err != nil {
-			return apps.Response{}, err
-		}
-		d.AddU64(v)
-	}
-	return d.Response(), nil
-}
-
-// hangBuilder hangs the instance of one specific Build call (1-based),
-// counted atomically because watchdog-abandoned goroutines may overlap
-// the next build.
-type hangBuilder struct {
-	hangBuild int64
-	builds    atomic.Int64
-	release   chan struct{}
-}
-
-func (b *hangBuilder) AppName() string { return "hang" }
-func (b *hangBuilder) Build() (apps.App, error) {
-	n := b.builds.Add(1)
-	as, err := simmem.New(simmem.Config{PageSize: 64})
-	if err != nil {
-		return nil, err
-	}
-	r, err := as.AddRegion(simmem.RegionSpec{Name: "data", Kind: simmem.RegionHeap, Size: 128})
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 128)
-	for i := range buf {
-		buf[i] = byte(i * 7)
-	}
-	if err := as.WriteRaw(r.Base(), buf); err != nil {
-		return nil, err
-	}
-	// The 11 words the eight requests load: every byte a trial can draw
-	// is read, so no trial is decided without being served (decide.go)
-	// and the hung instance's trial really hangs.
-	r.SetUsed(88)
-	return &hangApp{as: as, base: r.Base(), hang: n == b.hangBuild, release: b.release}, nil
-}
-
-// TestWatchdogDeadlineAbortsHungTrial: a deliberately hung application
-// must not wedge the campaign — the trial is recorded as aborted
-// (reason "deadline") and every other trial completes normally.
-func TestWatchdogDeadlineAbortsHungTrial(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	// Build 1 is the golden run below and build 2 the campaign's first
-	// session, which serves the fault-free pass. The build-per-trial
-	// reference rebuilds on every Reset: build 3 is the Reset ending that
-	// pass, and from there one per trial at parallelism 1, so hanging
-	// build 5 hangs exactly trial 1.
-	b := buildPerTrial{&hangBuilder{hangBuild: 5, release: release}}
-	golden, err := GoldenRun(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obsv.NewRegistry()
-	done := make(chan struct{})
-	var res *CampaignResult
-	go func() {
-		defer close(done)
-		res, err = Run(CampaignConfig{
-			Builder:     b,
-			Spec:        faults.SingleBitSoft,
-			Trials:      5,
-			Seed:        2,
-			Parallelism: 1,
-			Golden:      golden,
-			RunOptions:  RunOptions{Metrics: reg, TrialTimeout: 50 * time.Millisecond},
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("campaign wedged despite the watchdog")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trials) != 5 {
-		t.Fatalf("got %d trials, want 5", len(res.Trials))
-	}
-	for _, tr := range res.Trials {
-		if tr.Index == 1 {
-			if tr.Disposition != DispositionAborted || tr.AbortReason != AbortReasonDeadline {
-				t.Errorf("trial 1: disposition %v reason %q, want aborted/deadline",
-					tr.Disposition, tr.AbortReason)
-			}
-			if !strings.Contains(tr.AbortDetail, "deadline") {
-				t.Errorf("trial 1 detail = %q, want a deadline mention", tr.AbortDetail)
-			}
-			continue
-		}
-		if tr.Disposition != DispositionCompleted {
-			t.Errorf("trial %d: disposition %v, want completed", tr.Index, tr.Disposition)
-		}
-	}
-	if got := res.Completed(); got != 4 {
-		t.Errorf("Completed() = %d, want 4", got)
-	}
-	if got := res.AbortedCount(); got != 1 {
-		t.Errorf("AbortedCount() = %d, want 1", got)
-	}
-	// The abandoned trial shows up under aborted{deadline} and in no
-	// completed-trial metric.
-	snap := reg.Snapshot()
-	if got := snap.Counters[`campaign_trials_aborted_total{reason="deadline"}`]; got != 1 {
-		t.Errorf("aborted{deadline} counter = %d, want 1", got)
-	}
-	checkMetricsMatchTrials(t, snap, res)
-}
-
-// TestOpBudgetWatchdog: a tiny virtual-operation budget aborts trials
-// deterministically (same dispositions on every run, and on the
-// build-per-trial reference), and a budget that never fires leaves the campaign bit-identical to an
-// unbudgeted one.
-func TestOpBudgetWatchdog(t *testing.T) {
-	b := wsBuilder(t, 13)
-	golden, err := GoldenRun(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runWith := func(budget int64, b apps.Builder, par int) *CampaignResult {
-		t.Helper()
-		res, err := Run(CampaignConfig{
-			Builder: b, Spec: faults.SingleBitSoft,
-			Trials: 20, Seed: 8, Parallelism: par, Golden: golden,
-			RunOptions: RunOptions{TrialOpBudget: budget},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	// A budget far above any trial's operation count never perturbs
-	// the taxonomy.
-	unbudgeted := runWith(0, b, 1)
-	huge := runWith(1<<40, b, 1)
-	if !reflect.DeepEqual(unbudgeted.Trials, huge.Trials) {
-		t.Fatal("a never-exceeded op budget changed trial results")
-	}
-
-	// A tiny budget aborts every trial (the workload performs far more
-	// than 25 accesses), identically across runs, the build-per-trial
-	// reference, and parallelism.
-	small := runWith(25, b, 1)
-	if small.AbortedCount() == 0 {
-		t.Fatal("tiny op budget aborted nothing")
-	}
-	for _, tr := range small.Trials {
-		if tr.Disposition == DispositionAborted && tr.AbortReason != AbortReasonOpBudget {
-			t.Errorf("trial %d abort reason %q, want %q", tr.Index, tr.AbortReason, AbortReasonOpBudget)
-		}
-	}
-	for _, variant := range []struct {
-		name string
-		res  *CampaignResult
-	}{
-		{"rerun", runWith(25, b, 1)},
-		{"build-per-trial", runWith(25, buildPerTrial{b}, 1)},
-		{"parallel", runWith(25, b, 4)},
-	} {
-		if !reflect.DeepEqual(small.Trials, variant.res.Trials) {
-			t.Errorf("op-budget aborts not deterministic across %s", variant.name)
-		}
-	}
-}
-
-// flakyBuilder fails specific Build calls (1-based) to exercise the
-// retry policy.
+// flakyBuilder fails specific Build calls (1-based), standing in for a
+// worker whose infrastructure fails.
 type flakyBuilder struct {
 	apps.Builder
 	failBuilds map[int64]bool
@@ -458,10 +263,11 @@ func (b *flakyBuilder) Build() (apps.App, error) {
 	return b.Builder.Build()
 }
 
-// TestRetryRecoversTransientFailures: transient build failures are
-// retried with backoff and the campaign's results are bit-identical to
-// an unperturbed run.
-func TestRetryRecoversTransientFailures(t *testing.T) {
+// TestFailedTrialAbortsOnce: a trial whose restore fails is aborted
+// (reason "worker_error") on its one attempt, and its worker rebuilds
+// the session for the next trial, whose results are bit-identical to an
+// unperturbed run's.
+func TestFailedTrialAbortsOnce(t *testing.T) {
 	inner := kvBuilder(t, 5)
 	golden, err := GoldenRun(inner)
 	if err != nil {
@@ -477,10 +283,11 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 
 	// Build 1 is the campaign's first session, which serves the fault-free
 	// pass, and build 2 the Reset ending it (the build-per-trial reference
-	// rebuilds on every Reset). Builds 3 and 4 fail: trial 0's restore,
-	// then its retry's fresh session. The default retry budget of 2
-	// absorbs both, at a backoff of 5 ms + 10 ms.
-	flaky := &flakyBuilder{Builder: inner, failBuilds: map[int64]bool{3: true, 4: true}}
+	// rebuilds on every Reset). Build 3, trial 0's restore, fails. Trial 1
+	// then builds a fresh session (build 4) and restores it (build 5), and
+	// trials 2..5 restore once each: 9 builds, none of them a second
+	// attempt at trial 0.
+	flaky := &flakyBuilder{Builder: inner, failBuilds: map[int64]bool{3: true}}
 	reg := obsv.NewRegistry()
 	res, err := Run(CampaignConfig{
 		Builder: buildPerTrial{flaky}, Spec: faults.SingleBitSoft,
@@ -490,16 +297,26 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(clean.Trials, res.Trials) {
-		t.Fatal("retried campaign diverged from the unperturbed run")
+	if tr := res.Trials[0]; tr.Disposition != DispositionAborted || tr.AbortReason != AbortReasonWorkerError ||
+		!strings.Contains(tr.AbortDetail, "transient build failure 3") {
+		t.Errorf("trial 0 = %+v, want aborted/worker_error naming build 3", tr)
 	}
-	if got := reg.Snapshot().Counters["campaign_trials_retried_total"]; got != 2 {
-		t.Errorf("campaign_trials_retried_total = %d, want 2", got)
+	if !reflect.DeepEqual(clean.Trials[1:], res.Trials[1:]) {
+		t.Error("the trials after the failed one diverged from the unperturbed run")
 	}
+	if got := flaky.builds.Load(); got != 9 {
+		t.Errorf("%d builds, want 9", got)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters[`campaign_trials_aborted_total{reason="worker_error"}`]; got != 1 {
+		t.Errorf("aborted{worker_error} = %d, want 1", got)
+	}
+	checkMetricsMatchTrials(t, snap, res)
 }
 
 // TestRetryExhaustionAbortsTrial: a permanently failing worker aborts
-// the trial (reason "worker_error") without failing the campaign.
+// every trial (reason "worker_error") on its one attempt without failing
+// the campaign.
 func TestRetryExhaustionAbortsTrial(t *testing.T) {
 	inner := kvBuilder(t, 5)
 	golden, err := GoldenRun(inner)
@@ -537,9 +354,9 @@ func TestRetryExhaustionAbortsTrial(t *testing.T) {
 	if got := snap.Counters[`campaign_trials_aborted_total{reason="worker_error"}`]; got != 3 {
 		t.Errorf("aborted{worker_error} = %d, want 3", got)
 	}
-	// Each of the 3 trials is retried DefaultTrialRetries times.
-	if got := snap.Counters["campaign_trials_retried_total"]; got != 2*3 {
-		t.Errorf("retried = %d, want 2×3 (DefaultTrialRetries per trial)", got)
+	// The fault-free pass's build, then one build per trial.
+	if got := alwaysFail.builds.Load(); got != 1+3 {
+		t.Errorf("%d builds, want 1+3 (one attempt per trial)", got)
 	}
 }
 

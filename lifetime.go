@@ -47,11 +47,13 @@ type LifetimeConfig struct {
 	App App
 	// Protection is the reliability preset (default ProtectNone).
 	Protection Protection
-	// ErrorsPerMonth is the arrival rate (default 2000). Remember the
-	// simulated applications are ~10^6x smaller than production ones,
-	// so observable effects need amplified rates.
+	// ErrorsPerMonth is the arrival rate; zero injects no errors.
+	// Remember the simulated applications are ~10^6x smaller than
+	// production ones, so observable effects need amplified rates (the
+	// field rate of Table 6 is 2000).
 	ErrorsPerMonth float64
-	// SoftFraction is the share of transient errors (default 1.0).
+	// SoftFraction is the share of transient errors, in [0,1]: 1 makes
+	// every error soft, zero makes every error hard.
 	SoftFraction float64
 	// Hours is the simulated operation period (default 24).
 	Hours int
@@ -94,12 +96,6 @@ func SimulateLifetime(cfg LifetimeConfig) (*LifetimeResult, error) {
 	}
 	if cfg.Protection == "" {
 		cfg.Protection = ProtectNone
-	}
-	if cfg.ErrorsPerMonth == 0 {
-		cfg.ErrorsPerMonth = 2000
-	}
-	if cfg.SoftFraction == 0 {
-		cfg.SoftFraction = 1
 	}
 	if cfg.Hours == 0 {
 		cfg.Hours = 24

@@ -7,8 +7,7 @@ func TestSimulateLifetimeDefaultsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2000 errors/month over 2 hours on a tiny app: most likely a
-	// handful of errors at most, and availability stays high.
+	// No error rate set: no error arrives, and availability stays high.
 	if res.Availability < 0.9 {
 		t.Errorf("availability = %g", res.Availability)
 	}
@@ -61,5 +60,33 @@ func TestSimulateLifetimeValidation(t *testing.T) {
 	}
 	if _, err := SimulateLifetime(LifetimeConfig{Size: SizeLarge}); err == nil {
 		t.Error("unsupported size accepted")
+	}
+}
+
+// TestSimulateLifetimeZeroMeansZero: a zero rate injects no error and a
+// zero soft fraction makes every error hard. Neither zero may be read as
+// "unset": -errors 0 and -soft 0 pass them through unchanged.
+func TestSimulateLifetimeZeroMeansZero(t *testing.T) {
+	res, err := SimulateLifetime(LifetimeConfig{ErrorsPerMonth: 0, SoftFraction: 1, Hours: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ErrorsInjected != 0 || res.Crashes != 0 || res.Incorrect != 0 || res.Requests == 0 {
+		t.Errorf("zero error rate: %+v, want requests served and no error, crash or incorrect response", res)
+	}
+	run := func(soft float64) *LifetimeResult {
+		t.Helper()
+		res, err := SimulateLifetime(LifetimeConfig{ErrorsPerMonth: 150000, SoftFraction: soft, Hours: 2, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	hard, soft := run(0), run(1)
+	if hard.ErrorsInjected == 0 {
+		t.Fatal("no error arrived; the soft/hard comparison would prove nothing")
+	}
+	if *hard == *soft {
+		t.Errorf("SoftFraction 0 ran the all-soft simulation: %+v", hard)
 	}
 }
