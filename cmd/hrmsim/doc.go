@@ -26,16 +26,14 @@
 // index space). Under tables, -target-ci applies per campaign cell.
 //
 // characterize runs a campaign whole or as one shard of a multi-process
-// campaign (-shard i/N; with -journal it emits the journal plus a
-// heartbeat status record, whose final version names the journal). A
-// shard worker that dies is run again with the same flags plus -resume
-// on its own journal, which re-runs only the trials it had not recorded.
-// merge folds the finished shards of a directory
-// (final status records and the journals they name) into a result
+// campaign (-shard i/N; with -journal the shard's one file is its
+// journal, which ends in a trailer once the run is over). A shard worker
+// that dies is run again with the same flags plus -resume on its own
+// journal, which re-runs only the trials it had not recorded. merge
+// folds the finished journals of a directory into a result
 // bit-identical to the single-process run; status renders the fleet
-// view of the same records, live or finished, from any shell (-watch to
-// follow).
-// SHARDING.md is the operator contract.
+// view of the same journals, live or finished, from any shell (-watch
+// to follow). SHARDING.md is the operator contract.
 //
 // Every subcommand accepts -json, which replaces the rendered text on
 // stdout with one machine-readable JSON document under the versioned

@@ -61,18 +61,19 @@ func TestCharacterizeRefusesRegionWithoutBytes(t *testing.T) {
 
 // TestCharacterizeJSONKeepsDeciding: -json adds a metrics registry and
 // nothing else, so the campaign decides as many trials as a run with only
-// -status, and its result is an uninstrumented run's.
+// -journal, whose trailer carries its metrics, and its result is an
+// uninstrumented run's.
 func TestCharacterizeJSONKeepsDeciding(t *testing.T) {
 	args := []string{"characterize", "-app", "websearch", "-size", "small", "-trials", "200", "-seed", "1"}
-	status := filepath.Join(t.TempDir(), "run.status.json")
-	captureStdout(t, func() error { return run(append(args, "-status", status)) })
-	st, err := core.ReadStatus(status)
+	dir := t.TempDir()
+	captureStdout(t, func() error { return run(append(args, "-journal", filepath.Join(dir, "run.jsonl"))) })
+	shards, err := core.LoadShardDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := st.Metrics.Counters["campaign_trials_decided_total"]
+	want := shards[0].Final.Metrics.Counters["campaign_trials_decided_total"]
 	if want == 0 {
-		t.Fatal("the -status run decided nothing; the comparison below would prove nothing")
+		t.Fatal("the -journal run decided nothing; the comparison below would prove nothing")
 	}
 
 	out := captureStdout(t, func() error { return run(append(args, "-json")) })
@@ -86,7 +87,7 @@ func TestCharacterizeJSONKeepsDeciding(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := env.Metrics.Counters["campaign_trials_decided_total"]; got != want {
-		t.Errorf("-json decided %d trials, -status alone %d", got, want)
+		t.Errorf("-json decided %d trials, -journal alone %d", got, want)
 	}
 
 	plain, err := hrmsim.Characterize(hrmsim.CharacterizeConfig{

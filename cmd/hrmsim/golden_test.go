@@ -60,8 +60,9 @@ func TestGoldenWireShape(t *testing.T) {
 		{"characterize-shard-0of2", shard(0)},
 		{"characterize-shard-1of2", shard(1)},
 		{"merge", []string{"merge", "-dir", dir, "-json"}},
-		// Two hand-written schema-1 heartbeat records: a finished shard
-		// with every optional field set and an initial heartbeat.
+		// Two hand-written shard journals: a finished shard whose
+		// records and trailer set every optional field of a fixed
+		// campaign's row, and the header of a shard just started.
 		{"status", []string{"status", "-dir", filepath.Join("testdata", "fleet"), "-json"}},
 		{"characterize-adaptive", []string{"characterize", "-app", "kvstore", "-size", "small",
 			"-trials", "120", "-seed", "6", "-parallelism", "2", "-target-ci", "0.1", "-json"}},
@@ -75,7 +76,7 @@ func TestGoldenWireShape(t *testing.T) {
 		out := captureStdout(t, func() error { return run(tc.args) })
 		// Journal paths in the merged section name the scratch directory.
 		out = strings.ReplaceAll(out, dir, "DIR")
-		// A heartbeat's age is measured against the wall clock.
+		// A journal's age is measured against the wall clock.
 		out = ageSeconds.ReplaceAllString(out, `"age_seconds": 0`)
 		var doc goldenDoc
 		dec := json.NewDecoder(strings.NewReader(out))

@@ -75,7 +75,7 @@ Subcommands:
                 (whole, or one shard of it: -shard i/N)
   merge         merge a directory of shard journals into one campaign result
   status        render the live (or final) fleet view from a campaign
-                directory's shard heartbeat records
+                directory's shard journals
   profile       measure safe ratios and data recoverability
   designspace   evaluate the paper's five design points (Table 6)
   plan          search for the cheapest design meeting an availability target
@@ -234,10 +234,8 @@ func parseCharacterize(args []string) (*characterizeCmd, error) {
 	fs.Var((*sizeValue)(&cfg.Size), "size", "workload `size`: small|medium|large")
 	fs.IntVar(&cfg.Parallelism, "parallelism", 0, "concurrent trial workers (0 = GOMAXPROCS); results are identical at any value")
 	fs.Var(shardValue{cfg}, "shard", "run only shard i of N of the campaign's trials, given as `i/N` (i in [0,N)); the journal stays merge-compatible with the sibling shards (SHARDING.md)")
-	fs.StringVar(&cfg.JournalPath, "journal", "", "append one flushed JSONL record per finished trial to this file, so an interrupted campaign can be resumed with -resume (schema: OBSERVABILITY.md)")
+	fs.StringVar(&cfg.JournalPath, "journal", "", "append one flushed JSONL record per finished trial to this file, so an interrupted campaign can be resumed with -resume, and a trailer line when the run ends; hrmsim status and hrmsim merge read it (schema: OBSERVABILITY.md)")
 	fs.StringVar(&cfg.ResumePath, "resume", "", "skip trials already recorded in this journal (typically the same file as -journal); the merged result is bit-identical to an uninterrupted run")
-	fs.StringVar(&cfg.StatusPath, "status", "", "write a shard status/heartbeat record (JSON, atomically replaced) to this `file`: an initial record, throttled per-trial refreshes, and a final record that names the -journal for hrmsim merge (schema: OBSERVABILITY.md; view with hrmsim status; default with -shard and -journal: the journal path with .status.json for .jsonl)")
-	fs.DurationVar(&cfg.StatusInterval, "status-interval", 0, "minimum interval between heartbeat refreshes (0 = the 1s default)")
 	fs.BoolVar(&c.jsonOut, "json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
 	fs.BoolVar(&c.progress, "progress", false, "report live trial completion on stderr")
 	if err := parseFlags(fs, args, 0); err != nil {
@@ -245,12 +243,6 @@ func parseCharacterize(args []string) (*characterizeCmd, error) {
 	}
 	if cfg.TargetCI == 0 && cfg.MinTrials != 0 {
 		return nil, fmt.Errorf("-min-trials is an adaptive guard rail and requires -target-ci")
-	}
-	// A shard's record pair is journal + status record; derive the status
-	// path so `-shard i/N -journal f.jsonl` alone leaves both, and its
-	// final record lets `merge` consume the journal.
-	if cfg.ShardCount > 0 && cfg.StatusPath == "" && cfg.JournalPath != "" {
-		cfg.StatusPath = core.StatusPathFor(cfg.JournalPath)
 	}
 	return c, nil
 }
@@ -270,9 +262,9 @@ func cmdCharacterize(args []string) error {
 	if c.progress {
 		cfg.Progress = progressFunc("characterize")
 	}
-	// The status records embed metrics snapshots, so runs writing them
-	// are instrumented even without -json.
-	if c.jsonOut || cfg.StatusPath != "" {
+	// The journal's trailer embeds a metrics snapshot, so journaled
+	// runs are instrumented even without -json.
+	if c.jsonOut || cfg.JournalPath != "" {
 		cfg.Metrics = obsv.NewRegistry()
 	}
 	res, err := hrmsim.Characterize(cfg)
@@ -347,7 +339,7 @@ func printCharacterization(c *hrmsim.Characterization) {
 // bit-identical to the single-process run (see SHARDING.md).
 func cmdMerge(args []string) error {
 	fs := flag.NewFlagSet("merge", flag.ContinueOnError)
-	dir := fs.String("dir", "", "shard directory holding the shards' *.status.json records and the journals their final records name (may also be given as the positional argument)")
+	dir := fs.String("dir", "", "shard directory holding the shards' *.jsonl journals; those ending in a trailer are merged (may also be given as the positional argument)")
 	jsonOut := fs.Bool("json", false, "emit the result as JSON (schema: OBSERVABILITY.md)")
 	if err := dirFlagOrArg(fs, args, dir, "shard directory"); err != nil {
 		return err

@@ -311,7 +311,9 @@ func TestStrayArgumentsRefused(t *testing.T) {
 	}
 	// The watchdog flags are gone: each trial has one attempt, and a
 	// runaway request ends as a crash through its app's request budget.
-	for _, f := range []string{"-trial-timeout", "-trial-op-budget"} {
+	// The status-record flags are gone too: a shard's journal is its
+	// one file.
+	for _, f := range []string{"-trial-timeout", "-trial-op-budget", "-status", "-status-interval"} {
 		err := run([]string{"characterize", f, "1"})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+f) {
 			t.Errorf("characterize %s: err = %v, want an undefined-flag error", f, err)
@@ -331,7 +333,6 @@ func TestNegativeValuesRefused(t *testing.T) {
 		args []string
 	}{
 		{"-parallelism", small("-parallelism", "-3")},
-		{"-status-interval", small("-status-interval", "-1s")},
 		{"-recovery", []string{"lifetime", "-hours", "1", "-recovery", "-5"}},
 		{"-injections", []string{"chaos", "-injections", "-3"}},
 		{"-steady", []string{"chaos", "-steady", "-1"}},
@@ -349,9 +350,10 @@ func TestNegativeValuesRefused(t *testing.T) {
 // TestNoCompletedTrials: a campaign whose every trial aborted fails and
 // names the abort reasons instead of reporting a 0 % crash probability,
 // and a result with no completed trial (an empty shard) prints no
-// estimate. The all-aborted campaign is a shard journal of the kind
-// earlier builds wrote, whose watchdogs aborted trials as "deadline" and
-// "op_budget": merge still reads those records and names both reasons.
+// estimate. The all-aborted campaign is a finished shard journal holding
+// records of the kind earlier builds wrote, whose watchdogs aborted
+// trials as "deadline" and "op_budget": merge still reads those records
+// and names both reasons.
 func TestNoCompletedTrials(t *testing.T) {
 	dir := t.TempDir()
 	meta := core.JournalMeta{App: "kvstore", Error: "soft-1bit", Trials: 4, Seed: 1, Size: int64(hrmsim.SizeSmall)}
@@ -369,13 +371,10 @@ func TestNoCompletedTrials(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Close(); err != nil {
+	if err := j.Finish(core.JournalFinal{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := core.WriteStatus(filepath.Join(dir, core.ShardStatusName(0, 1)), core.ShardStatus{
-		ConfigHash: core.ConfigHash(meta), Campaign: meta, Journal: name,
-		ShardCount: 1, ShardProgress: core.ShardProgress{TrialHi: 4, Done: 4, Total: 4, Aborted: 4},
-	}); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	err = run([]string{"merge", "-dir", dir, "-json"})

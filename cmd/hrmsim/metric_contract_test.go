@@ -65,16 +65,15 @@ func TestMetricContract(t *testing.T) {
 	registered := make(map[string]bool)
 	dir := t.TempDir()
 
-	// A journaled adaptive campaign with a status sink: the campaign,
-	// adaptive-planner and status-write families.
+	// A journaled adaptive campaign: the campaign and adaptive-planner
+	// families.
 	addSnapshotNames(registered, envelopeMetrics(t, "characterize", "-app", "kvstore", "-size", "small",
 		"-trials", "120", "-seed", "6", "-parallelism", "2", "-target-ci", "0.1",
-		"-journal", filepath.Join(dir, "adaptive.jsonl"),
-		"-status", filepath.Join(dir, "adaptive.status.json"), "-json"))
+		"-journal", filepath.Join(dir, "adaptive.jsonl"), "-json"))
 
 	// A campaign run as two shards, merged: the shard runs' own
-	// registries, their heartbeat snapshots as the fleet view merges
-	// them, and the merge accounting.
+	// registries, their trailer snapshots as the fleet view merges them,
+	// and the merge accounting.
 	shards := filepath.Join(dir, "shards")
 	if err := os.Mkdir(shards, 0o755); err != nil {
 		t.Fatal(err)
@@ -83,7 +82,7 @@ func TestMetricContract(t *testing.T) {
 		journal := filepath.Join(shards, core.ShardJournalName(i, 2))
 		addSnapshotNames(registered, envelopeMetrics(t, "characterize", "-app", "kvstore", "-size", "small",
 			"-trials", "24", "-seed", "6", "-shard", fmt.Sprintf("%d/2", i),
-			"-journal", journal, "-status", core.StatusPathFor(journal), "-json"))
+			"-journal", journal, "-json"))
 	}
 	addSnapshotNames(registered, envelopeMetrics(t, "merge", "-dir", shards, "-json"))
 	fleet, err := hrmsim.LoadFleetStatus(shards)

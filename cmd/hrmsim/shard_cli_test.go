@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -44,15 +46,18 @@ func TestShardMergeCLIRoundTrip(t *testing.T) {
 		if sh["index"] != float64(i) || sh["count"] != float64(2) {
 			t.Errorf("shard %s: envelope shard = %v", shard, sh)
 		}
-		// -shard with -journal derives the status path automatically, and
-		// the final record names the journal.
-		st, err := core.ReadStatus(core.StatusPathFor(journal))
-		if err != nil {
-			t.Errorf("shard %s wrote no readable status record: %v", shard, err)
-		} else if st.Running || st.Journal != filepath.Base(journal) {
-			t.Errorf("shard %s final record: running=%v journal=%q, want a finished record naming %s",
-				shard, st.Running, st.Journal, filepath.Base(journal))
-		}
+	}
+	// Each shard leaves one file, its journal, ending in its trailer.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := core.LoadShardDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || len(shards) != 2 || shards[0].Final == nil || shards[1].Final == nil {
+		t.Errorf("shard directory holds %d files, %d journals; want the two finished journals alone", len(entries), len(shards))
 	}
 
 	merged := captureStdout(t, func() error {
@@ -101,11 +106,11 @@ func TestMergeRejectsMismatchedShards(t *testing.T) {
 	}
 }
 
-// TestStatusAndMergeSeeSameShards: `status` and `merge` read one record
-// per shard, so they agree about a directory holding a finished shard
-// (final record plus journal) and a crashed one (a live record plus a
-// partial journal): status lists both with one still running, and merge
-// consumes only the finished shard, reporting the crashed range as
+// TestStatusAndMergeSeeSameShards: `status` and `merge` read the same
+// journals, so they agree about a directory holding a finished shard
+// (a journal ending in its trailer) and a killed one (a partial journal
+// without a trailer): status lists both with one still running, and
+// merge consumes only the finished shard, reporting the killed range as
 // missing.
 func TestStatusAndMergeSeeSameShards(t *testing.T) {
 	dir := t.TempDir()
@@ -113,28 +118,27 @@ func TestStatusAndMergeSeeSameShards(t *testing.T) {
 		return run([]string{"characterize", "-app", "kvstore", "-size", "small", "-trials", "24", "-seed", "6",
 			"-shard", "0/2", "-journal", filepath.Join(dir, core.ShardJournalName(0, 2))})
 	})
-	// Shard 1 dies after a few journaled trials: its last heartbeat is
-	// still a running one.
+	// Shard 1 dies after a few journaled trials: its journal has no
+	// trailer.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	crashed := hrmsim.CharacterizeConfig{App: hrmsim.AppKVStore, Size: hrmsim.SizeSmall, Trials: 24, Seed: 6,
+	killed := hrmsim.CharacterizeConfig{App: hrmsim.AppKVStore, Size: hrmsim.SizeSmall, Trials: 24, Seed: 6,
 		Parallelism: 1, ShardIndex: 1, ShardCount: 2, Context: ctx,
-		JournalPath: filepath.Join(dir, core.ShardJournalName(1, 2)),
-		StatusPath:  filepath.Join(dir, core.ShardStatusName(1, 2))}
-	crashed.Progress = func(p hrmsim.ProgressInfo) {
+		JournalPath: filepath.Join(dir, core.ShardJournalName(1, 2))}
+	killed.Progress = func(p hrmsim.ProgressInfo) {
 		if p.Done == 3 {
 			cancel()
 		}
 	}
-	if _, err := hrmsim.Characterize(crashed); err != nil {
+	if _, err := hrmsim.Characterize(killed); err != nil {
 		t.Fatal(err)
 	}
-	last, err := core.ReadStatus(crashed.StatusPath)
+	b, err := os.ReadFile(killed.JournalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last.Running, last.Interrupted = true, false
-	if err := core.WriteStatus(crashed.StatusPath, last); err != nil {
+	cut := bytes.LastIndexByte(b[:len(b)-1], '\n') + 1
+	if err := os.WriteFile(killed.JournalPath, b[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
 

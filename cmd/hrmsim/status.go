@@ -1,9 +1,9 @@
 // `hrmsim status`, the campaign control plane's CLI surface: it renders
-// the fleet view of a campaign directory's shard heartbeat records from
-// any shell, against a live campaign (workers still heartbeating) or a
-// dead one (final records only). The on-disk heartbeat contract the view
-// is built from is documented in OBSERVABILITY.md; the operator workflow
-// in SHARDING.md.
+// the fleet view of a campaign directory's shard journals from any
+// shell, against a live campaign (workers still appending) or a dead one
+// (journals ending in their trailers, or killed without one). How the
+// view is derived from the journals is documented in OBSERVABILITY.md;
+// the operator workflow in SHARDING.md.
 package main
 
 import (
@@ -29,9 +29,9 @@ func wholeSeconds(s float64) time.Duration {
 // renderFleetStatus renders the full fleet view `hrmsim status` (and
 // -watch) prints: campaign identity, aggregate progress, dispositions,
 // the Fig. 1 outcome taxonomy so far, and one line per reporting shard
-// with its heartbeat age — the liveness signal that tells a straggling
-// shard from a slow one.
-func renderFleetStatus(fs *hrmsim.FleetStatus, now time.Time) string {
+// with the age of its journal's last write — the liveness signal that
+// tells a straggling shard from a slow one.
+func renderFleetStatus(fs *hrmsim.FleetStatus) string {
 	var b strings.Builder
 	region := string(fs.Region)
 	if region == "" {
@@ -92,22 +92,20 @@ func renderFleetStatus(fs *hrmsim.FleetStatus, now time.Time) string {
 		if sh.Adaptive {
 			fmt.Fprintf(&b, " | CI ±%.4f", sh.CIHalfWidth)
 		}
-		fmt.Fprintf(&b, " | heartbeat %s ago\n", now.Sub(sh.UpdatedAt()).Round(time.Second))
+		fmt.Fprintf(&b, " | written %s ago\n", wholeSeconds(sh.AgeSeconds))
 	}
 	return b.String()
 }
 
 // cmdStatus implements `hrmsim status <shard-dir>`: load the campaign
-// directory's shard heartbeat records, aggregate them, and render the
-// fleet view — once, or repeatedly with -watch until every shard has
-// reported and none is running. It works identically against a live
-// campaign (the workers replace their records atomically, so every read
-// is consistent) and a finished or crashed one (final records, or
-// whatever the last heartbeats were).
+// directory's shard journals, aggregate them, and render the fleet view
+// — once, or repeatedly with -watch until every shard's journal ends in
+// its trailer. A journal holds no rate, so only -watch shows one for a
+// running shard, measured between its own polls.
 func cmdStatus(args []string) error {
 	fs := flag.NewFlagSet("status", flag.ContinueOnError)
-	dir := fs.String("dir", "", "campaign shard directory holding the *.status.json heartbeat records (may also be given as the positional argument)")
-	watch := fs.Bool("watch", false, "re-render every -interval until every shard has reported and none is running (Ctrl-C to stop)")
+	dir := fs.String("dir", "", "campaign shard directory holding the shards' *.jsonl journals (may also be given as the positional argument)")
+	watch := fs.Bool("watch", false, "re-render every -interval until every shard's journal ends in its trailer (Ctrl-C to stop)")
 	interval := fs.Duration("interval", time.Second, "refresh period with -watch")
 	jsonOut := fs.Bool("json", false, "emit the fleet status as JSON (schema: OBSERVABILITY.md)")
 	if err := dirFlagOrArg(fs, args, dir, "campaign directory"); err != nil {
@@ -127,24 +125,45 @@ func cmdStatus(args []string) error {
 		if *jsonOut {
 			return emitJSON(envelope{Command: "status", Result: fleet, Metrics: fleet.Metrics})
 		}
-		fmt.Print(renderFleetStatus(fleet, time.Now()))
+		fmt.Print(renderFleetStatus(fleet))
 		return nil
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	tick := time.NewTicker(*interval)
 	defer tick.Stop()
+	// A running shard's rate: record count growth since its first poll.
+	type sighting struct {
+		done int
+		at   time.Time
+	}
+	first := make(map[int]sighting)
 	for {
 		fleet, err := hrmsim.LoadFleetStatus(*dir)
 		switch {
 		case errors.Is(err, hrmsim.ErrNoStatus):
-			fmt.Printf("status: waiting for the first shard heartbeat in %s\n", *dir)
+			fmt.Printf("status: waiting for the first shard journal in %s\n", *dir)
 		case err != nil:
 			return err
 		default:
-			fmt.Print(renderFleetStatus(fleet, time.Now()))
-			// A shard that has not started yet has no record: the campaign
-			// is settled only once every index has reported.
+			now := time.Now()
+			for i := range fleet.Shards {
+				sh := &fleet.Shards[i]
+				f, ok := first[sh.Index]
+				if !ok || sh.Done < f.done {
+					first[sh.Index] = sighting{sh.Done, now}
+				} else if sh.Running && sh.Done > f.done {
+					sh.TrialsPerSec = float64(sh.Done-f.done) / now.Sub(f.at).Seconds()
+					sh.EtaSeconds = float64(max(sh.Total-sh.Done, 0)) / sh.TrialsPerSec
+					fleet.TrialsPerSec += sh.TrialsPerSec
+				}
+			}
+			if rem := fleet.Trials - fleet.Done; rem > 0 && fleet.TrialsPerSec > 0 {
+				fleet.EtaSeconds = float64(rem) / fleet.TrialsPerSec
+			}
+			fmt.Print(renderFleetStatus(fleet))
+			// A shard that has not started yet has no journal: the
+			// campaign is settled only once every index has reported.
 			reported := make(map[int]bool)
 			for _, sh := range fleet.Shards {
 				reported[sh.Index] = true

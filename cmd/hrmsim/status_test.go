@@ -17,14 +17,13 @@ import (
 )
 
 // TestStatusWatchWaitsForEveryShard: -watch keeps polling while a shard
-// of the campaign has not reported yet, although every record present
-// is final, and returns once the last shard's final record lands.
+// of the campaign has not started yet, although every journal present
+// ends in its trailer, and returns once the last shard's trailer lands.
 func TestStatusWatchWaitsForEveryShard(t *testing.T) {
 	dir := t.TempDir()
 	shard := func(i int) hrmsim.CharacterizeConfig {
-		journal := filepath.Join(dir, core.ShardJournalName(i, 2))
 		return hrmsim.CharacterizeConfig{App: hrmsim.AppKVStore, Size: hrmsim.SizeSmall, Trials: 40, Seed: 3,
-			ShardIndex: i, ShardCount: 2, JournalPath: journal, StatusPath: core.StatusPathFor(journal)}
+			ShardIndex: i, ShardCount: 2, JournalPath: filepath.Join(dir, core.ShardJournalName(i, 2))}
 	}
 	if _, err := hrmsim.Characterize(shard(0)); err != nil {
 		t.Fatal(err)
@@ -91,17 +90,16 @@ func TestCmdStatusValidation(t *testing.T) {
 			t.Errorf("-interval %s err = %v", iv, err)
 		}
 	}
-	// A directory without status records surfaces ErrNoStatus.
+	// A directory without journals surfaces ErrNoStatus.
 	if err := cmdStatus([]string{t.TempDir()}); err == nil ||
-		!strings.Contains(err.Error(), "no shard status records") {
+		!strings.Contains(err.Error(), "no shard journals") {
 		t.Errorf("empty-dir err = %v", err)
 	}
 }
 
 // TestStatusJSONShardOutcomesIsObject: a shard row's `outcomes` is an
-// object even for a heartbeat with no completed trial — here the
-// committed fixture's initial record, written without the key — never
-// null.
+// object even for a shard with no completed trial — here the committed
+// fixture's header-only journal — never null.
 func TestStatusJSONShardOutcomesIsObject(t *testing.T) {
 	out := captureStdout(t, func() error {
 		return run([]string{"status", "-dir", filepath.Join("testdata", "fleet"), "-json"})

@@ -21,11 +21,12 @@ func main() {
 		"protection", "errors", "crashes", "availability", "incorrect", "scrub fixes")
 	for _, p := range hrmsim.Protections() {
 		res, err := hrmsim.SimulateLifetime(hrmsim.LifetimeConfig{
-			Protection:     p,
-			ErrorsPerMonth: errorsPerMonth,
-			SoftFraction:   1,
-			Hours:          24,
-			Seed:           7,
+			Protection:      p,
+			ErrorsPerMonth:  errorsPerMonth,
+			SoftFraction:    1,
+			Hours:           24,
+			RecoveryMinutes: 10,
+			Seed:            7,
 		})
 		if err != nil {
 			log.Fatal(err)

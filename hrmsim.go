@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"time"
 
 	"hrmsim/internal/apps"
 	"hrmsim/internal/core"
@@ -14,7 +11,6 @@ import (
 	"hrmsim/internal/faults"
 	"hrmsim/internal/inject"
 	"hrmsim/internal/monitor"
-	"hrmsim/internal/obsv"
 	"hrmsim/internal/simmem"
 	"hrmsim/internal/stats"
 )
@@ -164,7 +160,7 @@ type CharacterizeConfig struct {
 	// serialized; it must be cheap) and the observational Metrics
 	// registry. The block's type is internal, so outside this module set
 	// its fields by selector (cfg.Progress = …); Metrics takes an
-	// internal type and is reached through the CLI's -json and -status.
+	// internal type and is reached through the CLI's -json and -journal.
 	core.RunOptions
 	// Context, if non-nil, allows interrupting the campaign: on
 	// cancellation the engine stops dispatching trials, drains the
@@ -174,7 +170,9 @@ type CharacterizeConfig struct {
 	// JournalPath, if non-empty, appends one flushed JSONL record per
 	// finished trial to this file so an interrupted campaign can resume.
 	// The file is created with a schema-versioned header identifying the
-	// campaign; re-using a file from a different campaign is an error.
+	// campaign and shard (re-using another's is an error); when the run
+	// ends, a trailer line marks the shard finished for `hrmsim status`
+	// and MergeShards (SHARDING.md). An unsharded journal is shard 0/1.
 	JournalPath string
 	// ResumePath, if non-empty, reads a journal written by a previous
 	// interrupted run of this same campaign and skips the trial indices
@@ -190,26 +188,9 @@ type CharacterizeConfig struct {
 	// SHARDING.md. ShardCount == 0 means unsharded.
 	ShardIndex int
 	ShardCount int
-	// StatusPath, if non-empty, periodically writes a schema-versioned
-	// shard heartbeat/status record to this file (atomic replace, see
-	// core.WriteStatus): shard coordinates, trials done/total,
-	// dispositions, rate and ETA, outcome counts so far, and the full
-	// Metrics snapshot; with JournalPath, every record names the journal
-	// (relative to the record's directory). `hrmsim status` reads these
-	// records; the final one (Running=false) makes a finished campaign
-	// directory render identically to a live one, and is the record
-	// MergeShards consumes — an unsharded run's describes shard 0/1, so a
-	// single-process journal merges too; a failed write of that final
-	// record fails Characterize.
-	// The heartbeat/status contract is documented in OBSERVABILITY.md.
-	StatusPath string
-	// StatusInterval is the minimum spacing of running StatusPath
-	// records (default DefaultStatusInterval); the initial and the final
-	// record are always written.
-	StatusInterval time.Duration
 }
 
-// ProgressInfo is the Progress hook's record, a status record's progress
+// ProgressInfo is the Progress hook's record, a status row's progress
 // block; its rates are host wall-clock derived. While an adaptive plan is
 // open-ended (Adaptive && !PlanFinal), Total is its next evaluation
 // boundary.
@@ -300,12 +281,11 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 	if err := cfg.openJournals(&ccfg, meta); err != nil {
 		return nil, err
 	}
-	var status *statusWriter
-	if cfg.StatusPath != "" {
-		status = newStatusWriter(&cfg, ccfg.Journal, meta)
+	var final ProgressInfo // the trailer's source
+	if ccfg.Journal != nil {
 		user := cfg.Progress
 		ccfg.Progress = func(p ProgressInfo) {
-			status.write(p)
+			final = p
 			if user != nil {
 				user(p)
 			}
@@ -313,12 +293,19 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 	}
 	res, runErr := core.RunContext(cfg.Context, ccfg)
 	if ccfg.Journal != nil {
+		if runErr == nil {
+			// A write error is sticky, so Close returns it.
+			trailer := core.JournalFinal{ElapsedSeconds: final.ElapsedSeconds, TrialsPerSec: final.TrialsPerSec,
+				Resumed: final.Resumed, Interrupted: final.Interrupted}
+			if cfg.Metrics != nil {
+				snap := cfg.Metrics.Snapshot()
+				trailer.Metrics = &snap
+			}
+			_ = ccfg.Journal.Finish(trailer)
+		}
 		if cerr := ccfg.Journal.Close(); cerr != nil && runErr == nil {
 			runErr = fmt.Errorf("hrmsim: trial journal: %w", cerr)
 		}
-	}
-	if status != nil && status.finalErr != nil && runErr == nil {
-		runErr = fmt.Errorf("hrmsim: final status record: %w", status.finalErr)
 	}
 	if runErr != nil {
 		return nil, runErr
@@ -370,11 +357,8 @@ func (cfg *CharacterizeConfig) resolve() error {
 	if cfg.ShardCount == 0 && cfg.ShardIndex != 0 {
 		return fmt.Errorf("hrmsim: ShardIndex %d set without ShardCount", cfg.ShardIndex)
 	}
-	switch {
-	case cfg.Parallelism < 0:
+	if cfg.Parallelism < 0 {
 		return fmt.Errorf("hrmsim: Parallelism (-parallelism) must not be negative, got %d", cfg.Parallelism)
-	case cfg.StatusInterval < 0:
-		return fmt.Errorf("hrmsim: StatusInterval (-status-interval) must not be negative, got %v", cfg.StatusInterval)
 	}
 	return nil
 }
@@ -418,8 +402,8 @@ func (cfg *CharacterizeConfig) campaign() (ccfg core.CampaignConfig, meta core.J
 	if cfg.TargetCI > 0 {
 		// The stopping rule is part of the campaign identity: a journal
 		// resumed under a different rule would replay to a different
-		// stop boundary. These fields also flow into the status
-		// records' ConfigHash via this meta.
+		// stop boundary. These fields also flow into the journal's
+		// ConfigHash via this meta.
 		rule := stats.SequentialStopping{
 			TargetHalfWidth: cfg.TargetCI,
 			Level:           core.CILevel,
@@ -435,13 +419,27 @@ func (cfg *CharacterizeConfig) campaign() (ccfg core.CampaignConfig, meta core.J
 		if err := ccfg.Shard.Validate(); err != nil {
 			return ccfg, meta, fmt.Errorf("hrmsim: %w", err)
 		}
+		meta.ShardIndex, meta.ShardCount = cfg.ShardIndex, cfg.ShardCount
 	}
 	return ccfg, meta, nil
 }
 
-// openJournals loads ResumePath into ccfg.Resume and opens JournalPath as
-// ccfg.Journal (the caller closes it).
-func (cfg *CharacterizeConfig) openJournals(ccfg *core.CampaignConfig, meta core.JournalMeta) error {
+// openJournals opens JournalPath as ccfg.Journal (the caller closes it)
+// and loads ResumePath into ccfg.Resume. The journal opens first: when
+// both name one file, OpenJournal has already restarted a header its
+// killed writer tore, and the resume reads that fresh header.
+func (cfg *CharacterizeConfig) openJournals(ccfg *core.CampaignConfig, meta core.JournalMeta) (err error) {
+	existed := false
+	if cfg.JournalPath != "" {
+		if ccfg.Journal, existed, err = core.OpenJournal(cfg.JournalPath, meta); err != nil {
+			return fmt.Errorf("hrmsim: %w", err)
+		}
+		defer func() {
+			if err != nil {
+				ccfg.Journal.Close()
+			}
+		}()
+	}
 	if cfg.ResumePath != "" {
 		f, err := os.Open(cfg.ResumePath)
 		if err != nil {
@@ -457,108 +455,19 @@ func (cfg *CharacterizeConfig) openJournals(ccfg *core.CampaignConfig, meta core
 		}
 		ccfg.Resume = recs
 	}
-	if cfg.JournalPath == "" {
-		return nil
-	}
-	j, existed, err := core.OpenJournal(cfg.JournalPath, meta)
-	if err != nil {
-		return fmt.Errorf("hrmsim: %w", err)
-	}
-	if !existed && len(ccfg.Resume) > 0 {
+	if ccfg.Journal != nil && !existed {
 		// Fresh journal, foreign resume source: copy the resumed
-		// records over so this journal alone describes the whole
-		// campaign.
-		idxs := make([]int, 0, len(ccfg.Resume))
-		for i := range ccfg.Resume {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		for _, i := range idxs {
-			if err := j.Append(ccfg.Resume[i]); err != nil {
-				j.Close()
-				return fmt.Errorf("hrmsim: copying resumed trials into journal: %w", err)
+		// records over, in index order, so this journal alone describes
+		// the whole campaign.
+		for i := 0; i < cfg.Trials; i++ {
+			if tr, ok := ccfg.Resume[i]; ok {
+				if err := ccfg.Journal.Append(tr); err != nil {
+					return fmt.Errorf("hrmsim: copying resumed trials into journal: %w", err)
+				}
 			}
 		}
 	}
-	ccfg.Journal = j
 	return nil
-}
-
-// statusWriter persists the Progress hook's records as heartbeats: the
-// initial and final records and at most one running record per interval,
-// stamped with the shard coordinates, timestamp, metrics snapshot,
-// identity evidence and journal reference, written atomically. A failed
-// heartbeat must never perturb the campaign — it is counted and the run
-// moves on — but the final record (Running=false) is the one merge reads,
-// so its write error is kept in finalErr for Characterize to return. A
-// journal with a sticky write error holds only a prefix of the shard's
-// trials, so the final record then leaves it unnamed and says
-// interrupted: status and merge both treat the shard as incomplete.
-type statusWriter struct {
-	path, journalRel string
-	hash             string
-	meta             core.JournalMeta
-	journal          *core.Journal
-	index, count     int
-	interval         time.Duration
-	last             time.Time
-	reg              *obsv.Registry
-	writes, errs     *obsv.Counter
-	finalErr         error
-}
-
-func newStatusWriter(cfg *CharacterizeConfig, j *core.Journal, meta core.JournalMeta) *statusWriter {
-	w := &statusWriter{path: cfg.StatusPath, hash: core.ConfigHash(meta), meta: meta, journal: j,
-		index: cfg.ShardIndex, count: max(cfg.ShardCount, 1), interval: cfg.StatusInterval, reg: cfg.Metrics}
-	if w.interval == 0 {
-		w.interval = core.DefaultStatusInterval
-	}
-	if cfg.JournalPath != "" {
-		w.journalRel = filepath.Base(cfg.JournalPath)
-		if rel, err := filepath.Rel(filepath.Dir(cfg.StatusPath), cfg.JournalPath); err == nil {
-			w.journalRel = rel
-		}
-	}
-	if w.reg != nil {
-		w.writes = w.reg.Counter("campaign_status_writes_total")
-		w.errs = w.reg.Counter("campaign_status_write_errors_total")
-	}
-	return w
-}
-
-func (w *statusWriter) write(p ProgressInfo) {
-	now := time.Now()
-	if p.Running && now.Sub(w.last) < w.interval {
-		return
-	}
-	w.last = now
-	st := core.ShardStatus{
-		ConfigHash:    w.hash,
-		Campaign:      w.meta,
-		Journal:       w.journalRel,
-		ShardIndex:    w.index,
-		ShardCount:    w.count,
-		ShardProgress: p,
-		WallUnixNanos: now.UnixNano(),
-	}
-	if w.reg != nil {
-		snap := w.reg.Snapshot()
-		st.Metrics = &snap
-	}
-	if !st.Running && w.journal.Err() != nil {
-		st.Journal = ""
-		st.Interrupted = true
-	}
-	err := core.WriteStatus(w.path, st)
-	if !st.Running {
-		w.finalErr = err
-	}
-	switch {
-	case err != nil && w.errs != nil:
-		w.errs.Inc()
-	case err == nil && w.writes != nil:
-		w.writes.Inc()
-	}
 }
 
 // newCharacterization aggregates a finished campaign into the public

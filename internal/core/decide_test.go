@@ -331,9 +331,11 @@ func TestDecidedCampaignJournalResumeShardMerge(t *testing.T) {
 		t.Helper()
 		shard := ShardSpec{Index: idx, Count: 2}
 		jname := ShardJournalName(idx, 2)
+		shardMeta := meta
+		shardMeta.ShardIndex, shardMeta.ShardCount = idx, 2
 		var res *CampaignResult
 		for leg := 0; ; leg++ {
-			j, _, err := OpenJournal(filepath.Join(dir, jname), meta)
+			j, _, err := OpenJournal(filepath.Join(dir, jname), shardMeta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,20 +343,10 @@ func TestDecidedCampaignJournalResumeShardMerge(t *testing.T) {
 			cfg.Builder, cfg.Shard, cfg.Journal = b, &shard, j
 			reg := obsv.NewRegistry()
 			cfg.Metrics = reg
-			// The facade's status writer: each leg's final record names
-			// the journal, and the resumed leg's replaces the first's.
 			ctx, cancel := context.WithCancel(context.Background())
 			cfg.Progress = func(p ShardProgress) {
 				if leg == 0 && interruptAt > 0 && p.Done == interruptAt {
 					cancel()
-				}
-				if p.Running {
-					return
-				}
-				st := ShardStatus{ConfigHash: ConfigHash(meta), Campaign: meta, Journal: jname,
-					ShardIndex: idx, ShardCount: 2, ShardProgress: p}
-				if err := WriteStatus(filepath.Join(dir, ShardStatusName(idx, 2)), st); err != nil {
-					t.Error(err)
 				}
 			}
 			if leg > 0 {
@@ -363,6 +355,11 @@ func TestDecidedCampaignJournalResumeShardMerge(t *testing.T) {
 			res, err = RunContext(ctx, cfg)
 			cancel()
 			if err != nil {
+				t.Fatal(err)
+			}
+			// The facade's trailer: each leg ends the journal with one,
+			// and the resumed leg's follows its own records.
+			if err := j.Finish(JournalFinal{Resumed: res.Resumed, Interrupted: res.Interrupted}); err != nil {
 				t.Fatal(err)
 			}
 			if err := j.Close(); err != nil {
@@ -380,12 +377,12 @@ func TestDecidedCampaignJournalResumeShardMerge(t *testing.T) {
 	runShard(0, 0)
 	runShard(1, 7)
 
-	_, merged, stats, err := MergeShards(dir)
+	_, merged, dups, err := MergeShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Missing != 0 || stats.Duplicates != 0 {
-		t.Fatalf("merge stats = %+v, want a complete, duplicate-free union", stats)
+	if len(merged) != trials || dups != 0 {
+		t.Fatalf("merged %d records, %d duplicates; want a complete, duplicate-free union", len(merged), dups)
 	}
 	got := ResultFromTrials(b.AppName(), spec, trials, merged)
 	requireSameTrials(t, "merged shards", whole.Trials, got.Trials)

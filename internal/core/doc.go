@@ -49,15 +49,12 @@
 //     partitioning and merge primitives live here (shard.go): ShardSpec
 //     splits [0, Trials) into contiguous ranges, and MergeShards folds
 //     a directory's finished shard journals back into one record set.
-//     Each worker maintains an
-//     atomically-replaced status record (status.go: ShardStatus, which
-//     the facade's status writer builds from the supervisor's Progress
-//     records, throttled to its status interval) that carries live
-//     progress, outcome counts, a metrics snapshot, the campaign
-//     identity with its config hash, and the journal's name — the
-//     heartbeat the control plane aggregates. The final record
-//     (Running=false) is the one record of a finished shard: `status`
-//     renders it and MergeShards consumes it.
+//     A worker leaves one file, its journal: the header names the
+//     campaign and the shard, and a trailer written when the run ends
+//     marks the shard finished. LoadShardDir reads a directory's
+//     journals for `status` and MergeShards alike, and
+//     ShardJournal.Progress re-derives each shard's progress record
+//     from its journal.
 //
 // Because trial i's generator derives only from (seed, i), every cut of
 // the index space — parallel workers, interrupt/resume, shards across

@@ -7,23 +7,27 @@
 // engine's own "explicit recoverability" checkpoint.
 //
 // Format: one JSON header line (JournalMeta: stream id, schema version,
-// and the campaign identity used to reject resuming a different
-// campaign), then one JSON record per trial. The reader is deliberately
-// tolerant of the failure modes of an interrupted writer: a torn or
-// corrupted trailing line is skipped, and duplicate records for one
-// trial keep the first occurrence, so a resume never double-counts.
+// the campaign identity used to reject resuming a different campaign,
+// and the shard), one JSON record per trial, and, when the run ends, a
+// trailer (JournalFinal) that marks the shard finished. The reader is
+// deliberately tolerant of the failure modes of an interrupted writer:
+// a torn or corrupted trailing line is skipped, and duplicate records
+// for one trial keep the first occurrence, so a resume never
+// double-counts.
 
 package core
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 	"time"
 
+	"hrmsim/internal/obsv"
 	"hrmsim/internal/simmem"
 )
 
@@ -64,6 +68,20 @@ type JournalMeta struct {
 	CILevel   float64 `json:"ci_level,omitempty"`
 	MinTrials int     `json:"min_trials,omitempty"`
 	MaxTrials int     `json:"max_trials,omitempty"`
+	// ShardIndex / ShardCount are the writer's shard coordinates (both
+	// zero for an unsharded run, which reads as shard 0/1). ConfigHash
+	// leaves them out; Matches compares them, so a resume never
+	// crosses shards.
+	ShardIndex int `json:"shard_index,omitempty"`
+	ShardCount int `json:"shard_count,omitempty"`
+}
+
+// Shard returns the header's shard coordinates.
+func (m JournalMeta) Shard() ShardSpec {
+	if m.ShardCount == 0 {
+		return ShardSpec{Index: 0, Count: 1}
+	}
+	return ShardSpec{Index: m.ShardIndex, Count: m.ShardCount}
 }
 
 // Matches reports (as an error) any identity difference between the
@@ -92,9 +110,26 @@ func (m JournalMeta) Matches(other JournalMeta) error {
 		return fmt.Errorf("journal min trials %d, campaign min trials %d", m.MinTrials, other.MinTrials)
 	case m.MaxTrials != other.MaxTrials:
 		return fmt.Errorf("journal max trials %d, campaign max trials %d", m.MaxTrials, other.MaxTrials)
+	case m.Shard() != other.Shard():
+		return fmt.Errorf("journal is shard %s, campaign runs shard %s", m.Shard(), other.Shard())
 	}
 	return nil
 }
+
+// JournalFinal is the trailer's body: what its records cannot say about
+// the run that ended — its final ShardProgress record's timing, resume
+// count and interrupt, and its metrics snapshot, when it had one.
+type JournalFinal struct {
+	ElapsedSeconds float64        `json:"elapsed_seconds,omitempty"`
+	TrialsPerSec   float64        `json:"trials_per_sec,omitempty"`
+	Resumed        int            `json:"resumed,omitempty"`
+	Interrupted    bool           `json:"interrupted,omitempty"`
+	Metrics        *obsv.Snapshot `json:"metrics,omitempty"`
+}
+
+// dispositionFinal marks the trailer, whose trial index −1 older
+// readers drop as out of range.
+const dispositionFinal = "final"
 
 // journalRecord is one journal line. Aborted trials carry the abort
 // fields and no result; completed trials carry the full result with
@@ -106,6 +141,7 @@ type journalRecord struct {
 	AbortReason string            `json:"abort_reason,omitempty"`
 	AbortDetail string            `json:"abort_detail,omitempty"`
 	Result      *journalTrialJSON `json:"result,omitempty"`
+	Final       *JournalFinal     `json:"final,omitempty"`
 }
 
 type journalTrialJSON struct {
@@ -228,63 +264,68 @@ func NewJournal(w io.Writer, meta JournalMeta) (*Journal, error) {
 }
 
 // OpenJournal opens path for journaling, creating it (with a header) if
-// missing or empty. If the file already holds a journal, its header must
-// match meta's campaign identity; the file is then repaired for
-// appending — a torn trailing line from a killed writer is terminated so
-// the next record starts clean (the tolerant reader skips the torn
+// missing, empty, or holding only part of a header line: a writer killed
+// before its header landed left no campaign to match and no record to
+// keep. If the file already holds a journal, its header must match
+// meta's campaign identity and shard; the file is then repaired for
+// appending — a torn trailing line from a killed writer is terminated
+// so the next record starts clean (the tolerant reader skips the torn
 // line). The second return reports whether prior records existed.
 func OpenJournal(path string, meta JournalMeta) (*Journal, bool, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, false, fmt.Errorf("core: opening journal: %w", err)
 	}
-	st, err := f.Stat()
+	j, existed, err := openJournal(f, meta)
 	if err != nil {
 		f.Close()
-		return nil, false, fmt.Errorf("core: opening journal: %w", err)
+		return nil, false, fmt.Errorf("core: journal %s: %w", path, err)
 	}
-	if st.Size() == 0 {
-		j, err := NewJournal(f, meta)
-		if err != nil {
-			f.Close()
-			return nil, false, err
-		}
-		return j, false, nil
-	}
+	return j, existed, nil
+}
 
-	existing, _, err := ReadJournal(f)
-	if err != nil {
-		f.Close()
-		return nil, false, fmt.Errorf("core: journal %s: %w", path, err)
-	}
-	if err := existing.Matches(meta); err != nil {
-		f.Close()
-		return nil, false, fmt.Errorf("core: journal %s belongs to a different campaign: %w", path, err)
-	}
-	// Terminate a torn trailing line before appending.
-	last := make([]byte, 1)
-	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
-		f.Close()
-		return nil, false, fmt.Errorf("core: journal %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, false, fmt.Errorf("core: journal %s: %w", path, err)
-	}
-	j := &Journal{w: f, bw: bufio.NewWriter(f)}
-	if last[0] != '\n' {
-		j.bw.WriteByte('\n')
-		if err := j.bw.Flush(); err != nil {
-			f.Close()
-			return nil, false, fmt.Errorf("core: journal %s: %w", path, err)
+func openJournal(f *os.File, meta JournalMeta) (*Journal, bool, error) {
+	st, err := f.Stat()
+	if err == nil && st.Size() > 0 {
+		var existing JournalMeta
+		if existing, _, err = ReadJournal(f); err == nil {
+			if err := existing.Matches(meta); err != nil {
+				return nil, false, fmt.Errorf("belongs to a different campaign: %w", err)
+			}
+			// Terminate a torn trailing line before appending.
+			last := make([]byte, 1)
+			if _, err = f.ReadAt(last, st.Size()-1); err == nil {
+				_, err = f.Seek(0, io.SeekEnd)
+			}
+			if err == nil && last[0] != '\n' {
+				_, err = f.Write([]byte{'\n'})
+			}
+			return &Journal{w: f, bw: bufio.NewWriter(f)}, true, err
+		}
+		if errors.Is(err, errTornHeader) {
+			if err = f.Truncate(0); err == nil {
+				_, err = f.Seek(0, io.SeekStart)
+			}
 		}
 	}
-	return j, true, nil
+	if err != nil {
+		return nil, false, err
+	}
+	j, err := NewJournal(f, meta)
+	return j, false, err
 }
 
 // Append writes one trial record and flushes it.
 func (j *Journal) Append(tr TrialResult) error {
-	rec := toJournalRecord(tr)
+	return j.write(toJournalRecord(tr))
+}
+
+// Finish writes and flushes the trailer: the run has ended.
+func (j *Journal) Finish(final JournalFinal) error {
+	return j.write(journalRecord{Trial: -1, Disposition: dispositionFinal, Final: &final})
+}
+
+func (j *Journal) write(rec journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
@@ -341,43 +382,72 @@ func (j *Journal) Close() error {
 // 256-sample incorrect-time list and a crash stack fits well within it).
 const journalMaxLine = 4 << 20
 
+// errTornHeader: the first line has no newline, its writer died first.
+var errTornHeader = errors.New("journal header line is incomplete")
+
 // ReadJournal parses a trial journal for resuming. The header must be
 // intact (a journal whose identity cannot be established is useless for
 // resume), but the records are read tolerantly: lines that do not parse
 // or validate — the torn tail of a killed writer — are skipped, reading
 // continues, and duplicate records for one trial keep the first, so a
 // resume never double-counts a trial. Records whose index falls outside
-// [0, meta.Trials) are likewise dropped, among them the index −1
-// planner-decision records earlier builds wrote, so their journals still
-// resume.
+// [0, meta.Trials) are likewise dropped: trailers (index −1), and the
+// index −1 planner-decision records earlier builds wrote, so their
+// journals still resume.
 func ReadJournal(r io.Reader) (JournalMeta, map[int]TrialResult, error) {
+	meta, out, _, err := readJournal(r)
+	return meta, out, err
+}
+
+// readJournal is ReadJournal that also returns the trailer when it is
+// the journal's last complete line (nil otherwise: the run that wrote
+// the records has not ended, or was killed).
+func readJournal(r io.Reader) (JournalMeta, map[int]TrialResult, *JournalFinal, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), journalMaxLine)
+	complete := false // the last line scanned ended in a newline
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if tok != nil {
+			complete = data[adv-1] == '\n'
+		}
+		return adv, tok, err
+	})
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
-			return JournalMeta{}, nil, fmt.Errorf("reading journal header: %w", err)
+			return JournalMeta{}, nil, nil, fmt.Errorf("reading journal header: %w", err)
 		}
-		return JournalMeta{}, nil, fmt.Errorf("journal is empty")
+		return JournalMeta{}, nil, nil, fmt.Errorf("journal is empty")
+	}
+	if !complete {
+		return JournalMeta{}, nil, nil, errTornHeader
 	}
 	var meta JournalMeta
 	if err := json.Unmarshal(sc.Bytes(), &meta); err != nil {
-		return JournalMeta{}, nil, fmt.Errorf("parsing journal header: %w", err)
+		return JournalMeta{}, nil, nil, fmt.Errorf("parsing journal header: %w", err)
 	}
 	if meta.Stream != JournalStream {
-		return JournalMeta{}, nil, fmt.Errorf("not a trial journal (stream %q)", meta.Stream)
+		return JournalMeta{}, nil, nil, fmt.Errorf("not a trial journal (stream %q)", meta.Stream)
 	}
 	if meta.SchemaVersion != JournalSchemaVersion {
-		return JournalMeta{}, nil, fmt.Errorf("unsupported journal schema version %d (want %d)",
+		return JournalMeta{}, nil, nil, fmt.Errorf("unsupported journal schema version %d (want %d)",
 			meta.SchemaVersion, JournalSchemaVersion)
 	}
 	out := make(map[int]TrialResult)
+	var final *JournalFinal
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+		var rec journalRecord
+		err := json.Unmarshal(sc.Bytes(), &rec)
+		if complete {
+			final = nil
+		}
+		if err != nil {
 			continue
 		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if rec.Disposition == dispositionFinal && rec.Final != nil {
+			if complete {
+				final = rec.Final
+			}
 			continue
 		}
 		if rec.Trial < 0 || rec.Trial >= meta.Trials {
@@ -393,8 +463,12 @@ func ReadJournal(r io.Reader) (JournalMeta, map[int]TrialResult, error) {
 		out[rec.Trial] = tr
 	}
 	// A scanner error here (an over-long torn tail) is tolerated the
-	// same way a corrupted line is: keep what parsed.
-	return meta, out, nil
+	// same way a corrupted line is: keep what parsed. The last complete
+	// line is then unknown, so the run reads as not ended.
+	if sc.Err() != nil {
+		final = nil
+	}
+	return meta, out, final, nil
 }
 
 // outcomeFromName is the inverse of Outcome.String for journal decoding.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hrmsim/internal/obsv"
 	"hrmsim/internal/simmem"
 )
 
@@ -128,9 +130,9 @@ func TestJournalTruncationTolerance(t *testing.T) {
 			}
 			continue
 		}
-		// A successful read — possible from headerLen-1 on (the cut that
-		// drops only the header's newline still parses) — must return
-		// the true identity and a faithful subset of the records.
+		// A successful read — possible from headerLen on (a header
+		// without its newline is a torn one) — must return the true
+		// identity and a faithful subset of the records.
 		if err := meta.Matches(testJournalMeta()); err != nil {
 			t.Errorf("cut %d: meta diverged: %v", cut, err)
 		}
@@ -285,6 +287,40 @@ func TestOpenJournalResumesAfterKill(t *testing.T) {
 	}
 }
 
+// TestOpenJournalRestartsTornHeader: a file holding only part of a
+// header line — its writer killed before the header landed — opens as a
+// fresh journal, for every cut of the header.
+func TestOpenJournalRestartsTornHeader(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewJournal(&buf, testJournalMeta()); err != nil {
+		t.Fatal(err)
+	}
+	header := buf.Bytes()
+	for cut := 1; cut < len(header); cut++ {
+		path := filepath.Join(t.TempDir(), "trials.jsonl")
+		if err := os.WriteFile(path, header[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, existed, err := OpenJournal(path, testJournalMeta())
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if existed {
+			t.Errorf("cut %d: a torn header reported prior records", cut)
+		}
+		if err := j.Append(testJournalTrials()[2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got := readJournalFile(t, path)
+		if len(got) != 1 || !reflect.DeepEqual(got[2], testJournalTrials()[2]) {
+			t.Errorf("cut %d: restarted journal reads back %v", cut, got)
+		}
+	}
+}
+
 // TestOpenJournalRejectsDifferentCampaign: a journal from a different
 // campaign identity cannot be appended to.
 func TestOpenJournalRejectsDifferentCampaign(t *testing.T) {
@@ -322,7 +358,12 @@ func TestReadJournalRejectsBadHeaders(t *testing.T) {
 }
 
 // FuzzJournalReader: no input may panic the reader, and every record it
-// does return must be in range with a valid disposition.
+// does return must be in range with a valid disposition — completed or
+// aborted, so a trailer ("final") never becomes a trial. Appending a
+// trailer, as a journal writer does after terminating a torn last line,
+// never changes the trial map, and the reader then sees the trailer as
+// the last complete line unless the input holds a line too long to
+// scan.
 func FuzzJournalReader(f *testing.F) {
 	var buf bytes.Buffer
 	j, err := NewJournal(&buf, testJournalMeta())
@@ -340,10 +381,44 @@ func FuzzJournalReader(f *testing.F) {
 	f.Add([]byte(`{"stream":"hrmsim-trial-journal","schema_version":1,"trials":3}` + "\n" +
 		`{"trial":1,"disposition":"aborted","abort_reason":"deadline"}` + "\n"))
 	f.Add([]byte("{}\n{}\n"))
+	trailer := func(final JournalFinal) []byte {
+		var tb bytes.Buffer
+		tj := &Journal{w: &tb, bw: bufio.NewWriter(&tb)}
+		if err := tj.Finish(final); err != nil {
+			f.Fatal(err)
+		}
+		return tb.Bytes()
+	}
+	// A metrics snapshot too large for one journal line.
+	reg := obsv.NewRegistry()
+	reg.Counter(strings.Repeat("x", journalMaxLine)).Inc()
+	big := reg.Snapshot()
+	valid := trailer(JournalFinal{ElapsedSeconds: 1.5, TrialsPerSec: 2, Resumed: 1, Interrupted: true})
+	f.Add(append(append([]byte(nil), full...), valid...))
+	f.Add(append(append([]byte(nil), full...), valid[:len(valid)/2]...))
+	f.Add(append(append([]byte(nil), full...), trailer(JournalFinal{Metrics: &big})...))
+	f.Add(append(append(append([]byte(nil), full...), valid...), full[bytes.IndexByte(full, '\n')+1:]...))
+	f.Add([]byte(`{"stream":"hrmsim-trial-journal","schema_version":1,"trials":3}` + "\n" +
+		`{"trial":1,"disposition":"final","final":{}}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		meta, recs, err := ReadJournal(bytes.NewReader(data))
+		meta, recs, _, err := readJournal(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		appended := append([]byte(nil), data...)
+		if len(appended) > 0 && appended[len(appended)-1] != '\n' {
+			appended = append(appended, '\n')
+		}
+		appended = append(appended, valid...)
+		_, again, final, err := readJournal(bytes.NewReader(appended))
+		if err != nil {
+			t.Fatalf("appending a trailer made the journal unreadable: %v", err)
+		}
+		if !reflect.DeepEqual(again, recs) {
+			t.Fatalf("appending a trailer changed the trial map:\nbefore: %v\nafter:  %v", recs, again)
+		}
+		if final == nil && len(appended) <= journalMaxLine {
+			t.Fatal("a trailer appended as the last complete line was not read as one")
 		}
 		for idx, tr := range recs {
 			if idx < 0 || idx >= meta.Trials {

@@ -93,3 +93,31 @@ func evaluate(rule stats.SequentialStopping, results []TrialResult, have []bool)
 	}
 	return v
 }
+
+// replayPlan re-derives an adaptive plan from trial records, boundary by
+// boundary as the supervisor evaluates it: the plan's current extent,
+// the latest CI half-width verdict (1 before the first boundary) and
+// whether the rule has stopped.
+func replayPlan(rule stats.SequentialStopping, trials int, recs map[int]TrialResult) (end int, halfWidth float64, stop bool) {
+	rule, err := clampRule(rule, trials)
+	if err != nil {
+		return trials, 1, false
+	}
+	results := make([]TrialResult, trials)
+	have := make([]bool, trials)
+	for i, tr := range recs {
+		results[i], have[i] = tr, true
+	}
+	end, halfWidth = rule.FirstBoundary(), 1
+	for next := 0; ; end = rule.NextBoundary(end) {
+		for ; next < end; next++ {
+			if !have[next] {
+				return end, halfWidth, false
+			}
+		}
+		v := evaluate(rule, results[:end], have[:end])
+		if halfWidth = v.halfWidth; v.stop {
+			return end, halfWidth, true
+		}
+	}
+}

@@ -8,30 +8,30 @@
 //     index ranges; shard i owns [i*T/N, (i+1)*T/N). Because trial j's
 //     generator depends only on (Seed, j), a shard needs no coordination
 //     with its siblings — it just runs its indices.
-//  2. The shard record pair. Each shard emits the ordinary trial
-//     journal (journal.go) restricted to its range, plus its status
-//     record (status.go), whose final heartbeat (Running=false) names
-//     the journal and carries the campaign identity, its config hash,
-//     the shard coordinates, the trial range and a metrics snapshot. The
-//     journal carries the science; the final record says the shard
-//     finished and carries the compatibility evidence.
-//  3. Merging. MergeShards validates that every record of the directory
-//     hashes to the same campaign config, reads each finished shard's
-//     journal (whose own header must match the record), and unions the
-//     records keep-first in shard order — the same dedup rule the resume
-//     reader applies within one journal, extended across journals.
+//  2. One file per shard: the ordinary trial journal (journal.go),
+//     restricted to the shard's range. Its header carries the campaign
+//     identity and the shard coordinates; its trailer says the shard
+//     finished. A status view re-derives the rest from the records.
+//  3. Merging. MergeShards checks that every journal of the directory
+//     hashes to the same campaign config and unions the finished ones'
+//     records keep-first in shard order — the resume reader's dedup
+//     rule, extended across journals.
 package core
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
+	"time"
 
 	"hrmsim/internal/faults"
+	"hrmsim/internal/stats"
 )
 
 // ShardSpec selects one slice of a sharded campaign: shard Index of
@@ -79,11 +79,13 @@ func ParseShardSpec(text string) (ShardSpec, error) {
 
 // ConfigHash returns the canonical hash of a campaign identity: sha256
 // over the JSON encoding of the meta with the stream and schema version
-// stamped to their current values. Two campaigns hash equal exactly when
-// JournalMeta.Matches finds no difference.
+// stamped to their current values and the shard coordinates left out.
+// Two campaigns hash equal exactly when JournalMeta.Matches finds no
+// difference but the shard.
 func ConfigHash(meta JournalMeta) string {
 	meta.SchemaVersion = JournalSchemaVersion
 	meta.Stream = JournalStream
+	meta.ShardIndex, meta.ShardCount = 0, 0
 	b, err := json.Marshal(meta)
 	if err != nil {
 		// JournalMeta is a flat struct of strings and ints; Marshal
@@ -101,94 +103,136 @@ func ShardJournalName(index, count int) string {
 	return fmt.Sprintf("shard-%04d-of-%04d.jsonl", index, count)
 }
 
-// MergeStats summarizes one merge for operators and metrics.
-type MergeStats struct {
-	// Shards is the number of shard journals merged.
-	Shards int
-	// Records is the number of distinct trials in the merged result.
-	Records int
-	// Duplicates counts records dropped by keep-first dedup — the same
-	// trial index recorded by more than one shard (e.g. overlapping
-	// re-runs dropped into one directory).
-	Duplicates int
-	// Missing counts trial indices of the campaign with no record in any
-	// finished shard (live or crashed shards, and interrupted ones that
-	// were never resumed).
-	Missing int
+// ShardJournal is one shard as its journal records it. Name is the
+// file name within its directory, Written its modification time (the
+// last line flushed), and Final the trailer when it is the journal's
+// last complete line: nil while a run is writing it, or was killed.
+type ShardJournal struct {
+	Name    string
+	Meta    JournalMeta
+	Trials  map[int]TrialResult
+	Final   *JournalFinal
+	Written time.Time
 }
 
-// MergeShards merges the finished shards of a campaign directory. It
-// loads every status record (LoadStatusDir, which refuses a directory
-// whose records belong to more than one campaign) and consumes
-// each final record (Running=false) that names a journal: the record's
-// config hash must be the hash of its own campaign identity, and the
-// journal's header must match that identity. Records are merged
-// keep-first in LoadStatusDir's order (shard index, then file name), so
-// a trial index recorded by more than one shard keeps the earliest
-// shard's record — the cross-journal extension of the resume reader's
-// within-journal rule. It returns the consumed records in merge order
-// and the merged trials keyed by index.
-//
-// A live or crashed shard (its last record still Running) contributes
-// nothing: its range counts as Missing, exactly as if it had never run.
-// Missing trials are not an error — merging the shards of an interrupted
-// campaign yields a partial (resumable) result, like reading the journal
-// of an interrupted single-process run.
-func MergeShards(dir string) ([]ShardStatus, map[int]TrialResult, MergeStats, error) {
-	records, err := LoadStatusDir(dir)
-	if err != nil {
-		return nil, nil, MergeStats{}, err
-	}
-	var finished []ShardStatus
-	merged := make(map[int]TrialResult)
-	var stats MergeStats
-	for _, st := range records {
-		if st.Running || st.Journal == "" {
+// Progress re-derives the shard's progress record: the range from the
+// header, dispositions and outcomes from the records, resume count,
+// timing and interrupt from the trailer. An adaptive plan is replayed
+// from the records under the header's stopping rule, the way a resumed
+// run re-derives its verdicts. EtaSeconds stays zero: a journal holds
+// no rate for a running shard.
+func (s *ShardJournal) Progress() ShardProgress {
+	lo, hi := s.Meta.Shard().Range(s.Meta.Trials)
+	p := ShardProgress{TrialLo: lo, TrialHi: hi, Total: hi - lo,
+		Outcomes: make(map[string]int), Running: s.Final == nil}
+	for i, tr := range s.Trials {
+		if i < lo || i >= hi {
 			continue
 		}
-		if got := ConfigHash(st.Campaign); got != st.ConfigHash {
-			return nil, nil, MergeStats{}, fmt.Errorf(
-				"core: shard %d/%d record in %s: config hash %s does not match its own campaign identity (%s)",
-				st.ShardIndex, st.ShardCount, dir, st.ConfigHash, got)
+		p.Done++
+		if tr.Disposition == DispositionCompleted {
+			p.Completed++
+			p.Outcomes[tr.Outcome.String()]++
+		} else {
+			p.Aborted++
 		}
-		path := filepath.Join(dir, st.Journal)
-		f, err := os.Open(path)
+	}
+	if f := s.Final; f != nil {
+		p.Resumed, p.Interrupted = f.Resumed, f.Interrupted
+		p.ElapsedSeconds, p.TrialsPerSec = f.ElapsedSeconds, f.TrialsPerSec
+	}
+	if m := s.Meta; m.TargetCI > 0 {
+		rule := stats.SequentialStopping{TargetHalfWidth: m.TargetCI, Level: m.CILevel,
+			MinTrials: m.MinTrials, MaxTrials: m.MaxTrials}
+		p.Adaptive = true
+		p.Total, p.CIHalfWidth, p.PlanFinal = replayPlan(rule, m.Trials, s.Trials)
+		p.PlannedTrials = p.Total
+		if saved := m.Trials - p.Total; p.PlanFinal && saved > 0 {
+			p.TrialsSaved = saved
+		}
+	}
+	return p
+}
+
+// LoadShardDir reads every *.jsonl journal in dir, sorted by shard
+// index, then file name (MergeShards' keep-first order). Every journal
+// must have the first one's config hash, so `hrmsim status` and `hrmsim
+// merge` refuse the same mixed-campaign directories, naming the first
+// differing field. A journal with an incomplete header line (its worker
+// died, or is caught, before the header landed) is skipped like a shard
+// that has not started.
+func LoadShardDir(dir string) ([]ShardJournal, error) {
+	entries, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		return nil, fmt.Errorf("core: reading shard directory: %w", err)
+	}
+	var out []ShardJournal
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil || info.IsDir() || !strings.HasSuffix(e.Name(), ".jsonl") {
+			continue // a file removed since the listing is skipped too
+		}
+		sh := ShardJournal{Name: e.Name(), Written: info.ModTime()}
+		f, err := os.Open(filepath.Join(dir, e.Name()))
+		if err == nil {
+			sh.Meta, sh.Trials, sh.Final, err = readJournal(f)
+			f.Close()
+		}
+		if err == nil {
+			err = sh.Meta.Shard().Validate()
+		}
+		if errors.Is(err, errTornHeader) {
+			continue
+		}
 		if err != nil {
-			return nil, nil, MergeStats{}, fmt.Errorf("core: opening shard journal: %w", err)
+			return nil, fmt.Errorf("core: shard journal %s: %w", filepath.Join(dir, e.Name()), err)
 		}
-		meta, recs, err := ReadJournal(f)
-		f.Close()
-		if err != nil {
-			return nil, nil, MergeStats{}, fmt.Errorf("core: shard journal %s: %w", path, err)
+		if len(out) > 0 && ConfigHash(sh.Meta) != ConfigHash(out[0].Meta) {
+			return nil, fmt.Errorf("core: %s belongs to a different campaign than %s: %w",
+				sh.Name, out[0].Name, out[0].Meta.Matches(sh.Meta))
 		}
-		if err := meta.Matches(st.Campaign); err != nil {
-			return nil, nil, MergeStats{}, fmt.Errorf(
-				"core: shard journal %s does not match its status record: %w", path, err)
+		out = append(out, sh)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Meta.Shard().Index < out[j].Meta.Shard().Index })
+	return out, nil
+}
+
+// MergeShards merges the finished shards of a campaign directory: each
+// journal LoadShardDir reads whose last complete line is a trailer.
+// Records merge keep-first in LoadShardDir's order, so a trial recorded
+// by more than one shard keeps the earliest shard's record — the
+// cross-journal extension of the resume reader's rule. It returns the
+// consumed journals in merge order, the merged trials keyed by index,
+// and the count of duplicate records dropped.
+//
+// A live or killed shard (no trailer) contributes nothing: its range is
+// missing, exactly as if it had never run. That is not an error —
+// merging the shards of an interrupted campaign yields a partial
+// (resumable) result, like the journal of an interrupted
+// single-process run.
+func MergeShards(dir string) (finished []ShardJournal, merged map[int]TrialResult, duplicates int, err error) {
+	shards, err := LoadShardDir(dir)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	merged = make(map[int]TrialResult)
+	for _, sh := range shards {
+		if sh.Final == nil {
+			continue
 		}
-		// Deterministic keep-first: apply each journal's records in
-		// ascending trial order.
-		idxs := make([]int, 0, len(recs))
-		for i := range recs {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		for _, i := range idxs {
+		for i, tr := range sh.Trials {
 			if _, dup := merged[i]; dup {
-				stats.Duplicates++
+				duplicates++
 				continue
 			}
-			merged[i] = recs[i]
+			merged[i] = tr
 		}
-		finished = append(finished, st)
+		finished = append(finished, sh)
 	}
 	if len(finished) == 0 {
-		return nil, nil, MergeStats{}, fmt.Errorf(
-			"core: no finished shard records (*.status.json with running false and a journal) in %s", dir)
+		return nil, nil, 0, fmt.Errorf("core: no finished shard journals (*.jsonl ending in a trailer) in %s", dir)
 	}
-	stats.Shards = len(finished)
-	stats.Records = len(merged)
-	stats.Missing = finished[0].Campaign.Trials - stats.Records
-	return finished, merged, stats, nil
+	return finished, merged, duplicates, nil
 }
 
 // ResultFromTrials reconstructs a CampaignResult from journaled trial
@@ -207,13 +251,11 @@ func ResultFromTrials(app string, spec faults.Spec, requested int, trials map[in
 		PlanFinal: true,
 		counts:    make(map[Outcome]int),
 	}
-	idxs := make([]int, 0, len(trials))
-	for i := range trials {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		tr := trials[i]
+	for i := 0; i < requested; i++ {
+		tr, ok := trials[i]
+		if !ok {
+			continue
+		}
 		tr.Index = i
 		res.Trials = append(res.Trials, tr)
 		if tr.Disposition == DispositionCompleted {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"hrmsim/internal/faults"
+	"hrmsim/internal/obsv"
 	"hrmsim/internal/simmem"
 )
 
@@ -77,12 +79,12 @@ func TestConfigHash(t *testing.T) {
 	}
 }
 
-// writeShard writes one shard into dir: its journal and its status
-// record naming it, final (Running=false) unless running is set.
+// writeShard writes one shard's journal into dir, ending in a trailer
+// unless running is set (a worker still writing, or killed).
 func writeShard(t *testing.T, dir string, meta JournalMeta, spec ShardSpec, trials []TrialResult, running ...bool) {
 	t.Helper()
-	jname := ShardJournalName(spec.Index, spec.Count)
-	j, _, err := OpenJournal(filepath.Join(dir, jname), meta)
+	meta.ShardIndex, meta.ShardCount = spec.Index, spec.Count
+	j, _, err := OpenJournal(filepath.Join(dir, ShardJournalName(spec.Index, spec.Count)), meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,48 +93,38 @@ func writeShard(t *testing.T, dir string, meta JournalMeta, spec ShardSpec, tria
 			t.Fatal(err)
 		}
 	}
+	if len(running) == 0 || !running[0] {
+		if err := j.Finish(JournalFinal{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := spec.Range(meta.Trials)
-	st := ShardStatus{
-		ConfigHash: ConfigHash(meta),
-		Campaign:   meta,
-		Journal:    jname,
-		ShardIndex: spec.Index,
-		ShardCount: spec.Count,
-		ShardProgress: ShardProgress{TrialLo: lo, TrialHi: hi, Done: len(trials), Total: hi - lo,
-			Running: len(running) > 0 && running[0]},
-	}
-	if err := WriteStatus(filepath.Join(dir, ShardStatusName(spec.Index, spec.Count)), st); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestMergeShardsRejectsTamperedRecord: a final record whose campaign
-// identity was edited after writing no longer matches its recorded
-// config hash, and the merge refuses it by name.
+// TestMergeShardsRejectsTamperedRecord: a journal whose header was
+// edited after writing to name a shard outside its count is refused by
+// name, by merge and status alike.
 func TestMergeShardsRejectsTamperedRecord(t *testing.T) {
 	dir := t.TempDir()
-	meta := testJournalMeta()
-	writeShard(t, dir, meta, ShardSpec{Index: 0, Count: 1}, shardTrials(0))
-	path := filepath.Join(dir, ShardStatusName(0, 1))
+	writeShard(t, dir, testJournalMeta(), ShardSpec{Index: 1, Count: 2}, shardTrials(5))
+	path := filepath.Join(dir, ShardJournalName(1, 2))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edited := strings.Replace(string(b), `"seed": 42`, `"seed": 43`, 1)
+	edited := strings.Replace(string(b), `"shard_index":1`, `"shard_index":4`, 1)
 	if edited == string(b) {
-		t.Fatal("test setup: seed field not found in the status record")
+		t.Fatal("test setup: shard_index not found in the journal header")
 	}
 	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, _, err = MergeShards(dir)
-	if err == nil || !strings.Contains(err.Error(), "config hash") ||
-		!strings.Contains(err.Error(), "does not match its own campaign identity") ||
-		!strings.Contains(err.Error(), "shard 0/1") {
-		t.Fatalf("tampered record: got %v, want a config-hash error naming shard 0/1", err)
+	if err == nil || !strings.Contains(err.Error(), ShardJournalName(1, 2)) ||
+		!strings.Contains(err.Error(), "shard index 4") {
+		t.Fatalf("tampered header: got %v, want an error naming the journal and its shard index", err)
 	}
 }
 
@@ -164,15 +156,15 @@ func TestMergeShardsKeepFirst(t *testing.T) {
 		{Index: 4, Outcome: OutcomeMaskedLogic, Region: "heap", Kind: simmem.RegionHeap, Requests: 999},
 		{Index: 5, Outcome: OutcomeIncorrect, Region: "heap", Kind: simmem.RegionHeap, Requests: 7},
 	})
-	shards, trials, stats, err := MergeShards(dir)
+	shards, trials, dups, err := MergeShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := shards[0].Campaign.Matches(meta); err != nil {
-		t.Fatal(err)
+	if ConfigHash(shards[0].Meta) != ConfigHash(meta) {
+		t.Fatalf("merged shard header %+v is not the campaign's", shards[0].Meta)
 	}
-	if stats.Shards != 2 || stats.Records != 3 || stats.Duplicates != 1 || stats.Missing != 7 {
-		t.Fatalf("stats = %+v", stats)
+	if len(shards) != 2 || len(trials) != 3 || dups != 1 {
+		t.Fatalf("merged %d shards into %d records, %d duplicates", len(shards), len(trials), dups)
 	}
 	if trials[4].Outcome != OutcomeCrash || trials[4].Requests != 1 {
 		t.Fatalf("keep-first violated: trial 4 = %+v", trials[4])
@@ -187,12 +179,12 @@ func TestMergeShardsEmptyShard(t *testing.T) {
 	meta := testJournalMeta()
 	writeShard(t, dir, meta, ShardSpec{Index: 0, Count: 2}, shardTrials(0, 1, 2, 3, 4))
 	writeShard(t, dir, meta, ShardSpec{Index: 1, Count: 2}, nil)
-	_, trials, stats, err := MergeShards(dir)
+	shards, trials, _, err := MergeShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Records != 5 || stats.Missing != 5 || len(trials) != 5 {
-		t.Fatalf("stats = %+v, len(trials) = %d", stats, len(trials))
+	if len(shards) != 2 || len(trials) != 5 {
+		t.Fatalf("merged %d shards into %d records", len(shards), len(trials))
 	}
 }
 
@@ -206,12 +198,12 @@ func TestMergeShardsAbortedOnly(t *testing.T) {
 		{Index: 5, Disposition: DispositionAborted, AbortReason: "deadline"},
 		{Index: 6, Disposition: DispositionAborted, AbortReason: "op_budget"},
 	})
-	_, trials, stats, err := MergeShards(dir)
+	_, trials, _, err := MergeShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Records != 7 {
-		t.Fatalf("records = %d, want 7", stats.Records)
+	if len(trials) != 7 {
+		t.Fatalf("records = %d, want 7", len(trials))
 	}
 	res := ResultFromTrials(meta.App, faults.SingleBitSoft, meta.Trials, trials)
 	if res.Completed() != 5 || res.AbortedCount() != 2 || !res.Interrupted {
@@ -238,34 +230,9 @@ func TestMergeShardsConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestMergeShardsJournalRecordMismatch: a journal swapped in from a
-// different campaign is caught even when its status record is
-// internally consistent.
-func TestMergeShardsJournalRecordMismatch(t *testing.T) {
-	dir := t.TempDir()
-	meta := testJournalMeta()
-	writeShard(t, dir, meta, ShardSpec{Index: 0, Count: 1}, shardTrials(0))
-	// Overwrite the journal with one from a different campaign.
-	other := meta
-	other.Seed = meta.Seed + 7
-	jpath := filepath.Join(dir, ShardJournalName(0, 1))
-	if err := os.Remove(jpath); err != nil {
-		t.Fatal(err)
-	}
-	j, _, err := OpenJournal(jpath, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	_, _, _, err = MergeShards(dir)
-	if err == nil || !strings.Contains(err.Error(), "does not match its status record") {
-		t.Fatalf("got %v, want journal/record mismatch error", err)
-	}
-}
-
 // TestMergeShardsNoFinishedShards: a directory without a finished shard
-// — no status record at all, or only live ones — is an explicit error,
-// not an empty merge.
+// — no journal at all, or only ones without a trailer — is an explicit
+// error, not an empty merge.
 func TestMergeShardsNoFinishedShards(t *testing.T) {
 	if _, _, _, err := MergeShards(t.TempDir()); err == nil {
 		t.Fatal("want error for empty shard directory")
@@ -368,5 +335,172 @@ func TestCampaignShardInvalid(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("want error for out-of-range shard index")
+	}
+}
+
+// TestLoadShardDir: a directory's journals load sorted by shard index;
+// other files — status records of earlier builds among them — and a
+// journal whose header line is still incomplete are skipped.
+func TestLoadShardDir(t *testing.T) {
+	dir := t.TempDir()
+	got, err := LoadShardDir(dir)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("empty dir: %v, %v", got, err)
+	}
+	for _, idx := range []int{2, 0, 1} {
+		writeShard(t, dir, testJournalMeta(), ShardSpec{Index: idx, Count: 4}, shardTrials(idx))
+	}
+	for name, body := range map[string]string{
+		"notes.txt":                      "x",
+		"shard-0000-of-0004.status.json": `{"stream":"hrmsim-shard-status","schema_version":1}`,
+		ShardJournalName(3, 4):           `{"schema_version":1,"stream":"hrmsim-tri`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err = LoadShardDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("loaded %d journals, want 3", len(got))
+	}
+	for i, sh := range got {
+		if sh.Meta.Shard() != (ShardSpec{Index: i, Count: 4}) || sh.Name != ShardJournalName(i, 4) {
+			t.Errorf("journal %d is %s, shard %s (want sorted)", i, sh.Name, sh.Meta.Shard())
+		}
+		if sh.Final == nil || len(sh.Trials) != 1 || sh.Written.IsZero() {
+			t.Errorf("journal %d: final %v, %d trials, written %v", i, sh.Final, len(sh.Trials), sh.Written)
+		}
+	}
+}
+
+// TestLoadShardDirRejectsMalformed: a journal with a foreign stream, an
+// unknown schema version or impossible shard coordinates fails the
+// load, naming the file.
+func TestLoadShardDirRejectsMalformed(t *testing.T) {
+	for _, c := range []struct{ header, wantErr string }{
+		{`{"stream":"other","schema_version":1,"trials":10}`, "not a trial journal"},
+		{`{"stream":"hrmsim-trial-journal","schema_version":99,"trials":10}`, "schema version"},
+		{`{"stream":"hrmsim-trial-journal","schema_version":1,"trials":10,"shard_index":4,"shard_count":2}`, "shard index"},
+		{`{"stream":"hrmsim-trial-journal","schema_version":1,"trials":10,"shard_count":-2}`, "shard count"},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "x.jsonl"), []byte(c.header+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadShardDir(dir); err == nil || !strings.Contains(err.Error(), c.wantErr) ||
+			!strings.Contains(err.Error(), "x.jsonl") {
+			t.Errorf("%s: err = %v, want one naming x.jsonl and containing %q", c.header, err, c.wantErr)
+		}
+	}
+}
+
+// TestJournalTrailerRoundTrip: the trailer reads back as written, and
+// it is neither a trial nor a change to the trial map.
+func TestJournalTrailerRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, ShardJournalName(1, 2))
+	meta := testJournalMeta()
+	meta.ShardIndex, meta.ShardCount = 1, 2
+	j, _, err := OpenJournal(path, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range testJournalTrials() {
+		if err := j.Append(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obsv.NewRegistry()
+	reg.Counter("campaign_trials_total").Add(5)
+	snap := reg.Snapshot()
+	want := JournalFinal{ElapsedSeconds: 2, TrialsPerSec: 2.5, Resumed: 1, Interrupted: true, Metrics: &snap}
+	if err := j.Finish(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, `{"trial":-1,"disposition":"final","final":{`) {
+		t.Errorf("trailer line = %s", last)
+	}
+	shards, err := LoadShardDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := shards[0]
+	if sh.Final == nil || !reflect.DeepEqual(*sh.Final, want) {
+		t.Errorf("trailer round trip: got %+v, want %+v", sh.Final, want)
+	}
+	_, without, err := ReadJournal(strings.NewReader(strings.Join(lines[:len(lines)-1], "\n") + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sh.Trials, without) {
+		t.Errorf("the trailer changed the trial map:\nwith:    %v\nwithout: %v", sh.Trials, without)
+	}
+}
+
+// TestShardProgressFromJournal: a shard's state is read off its journal.
+// A journal without a trailer is a running (or killed) shard, one whose
+// last complete line is a trailer a finished one — a torn line after
+// the trailer does not count — and records after a trailer make the
+// shard running again. Done, dispositions and outcomes come from the
+// records in the shard's range.
+func TestShardProgressFromJournal(t *testing.T) {
+	meta := testJournalMeta()
+	meta.ShardIndex, meta.ShardCount = 0, 2 // owns [0,5)
+	var buf bytes.Buffer
+	j, err := NewJournal(&buf, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range testJournalTrials() {
+		if err := j.Append(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records := buf.String()
+	if err := j.Finish(JournalFinal{Resumed: 2, ElapsedSeconds: 3, TrialsPerSec: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	finished := buf.String()
+	extra := `{"trial":4,"disposition":"aborted","abort_reason":"worker_error"}` + "\n"
+	for _, c := range []struct {
+		name    string
+		journal string
+		running bool
+		done    int
+	}{
+		{"killed", records, true, 4},
+		{"finished", finished, false, 4},
+		{"finished-torn-tail", finished + extra[:20], false, 4},
+		{"records-after-trailer", finished + extra, true, 5},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "s.jsonl"), []byte(c.journal), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		shards, err := LoadShardDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := shards[0].Progress()
+		if p.Running != c.running || p.Done != c.done || p.TrialLo != 0 || p.TrialHi != 5 || p.Total != 5 {
+			t.Errorf("%s: %+v, want running %v, %d/5 done over [0,5)", c.name, p, c.running, c.done)
+		}
+		if p.Completed != 3 || p.Aborted != c.done-3 || p.Outcomes["crash"] != 1 || p.Adaptive {
+			t.Errorf("%s: dispositions %+v", c.name, p)
+		}
+		if finishedRun := !c.running; finishedRun != (p.Resumed == 2 && p.TrialsPerSec == 0.5 && p.ElapsedSeconds == 3) {
+			t.Errorf("%s: trailer fields %+v", c.name, p)
+		}
 	}
 }

@@ -316,3 +316,56 @@ func (s *supervisor) report(running, interrupted bool) {
 	}
 	s.cfg.Progress(p)
 }
+
+// ShardProgress is a campaign's progress record: what the supervisor
+// passes to the RunOptions.Progress hook about its own run, and what
+// ShardJournal.Progress re-derives from a shard's journal. The fleet
+// view's per-shard row (hrmsim.ShardStatusInfo) embeds it, so a hook
+// record and a status row share these keys, their order and their
+// omitempty rules by construction.
+type ShardProgress struct {
+	// TrialLo/TrialHi is the owned half-open trial index range.
+	TrialLo int `json:"trial_lo"`
+	TrialHi int `json:"trial_hi"`
+	// Done counts trials with a result so far (completed + aborted,
+	// including resumed records); Total is the shard's range size, or
+	// an adaptive plan's current extent.
+	Done  int `json:"done"`
+	Total int `json:"total"`
+	// Dispositions: Completed trials reached Fig. 1 classification,
+	// Aborted ones were given up on, Resumed ones were merged from a
+	// previous run's journal (Resumed trials also count under their
+	// disposition).
+	Completed int `json:"completed"`
+	Aborted   int `json:"aborted,omitempty"`
+	Resumed   int `json:"resumed,omitempty"`
+	// Outcomes counts completed trials per Fig. 1 taxonomy label
+	// (Outcome.String() keys: "crash", "masked-by-overwrite", ...). It is
+	// always set, so a record with no completed trial carries {}.
+	Outcomes map[string]int `json:"outcomes"`
+	// TrialsPerSec is the rate of the trials run by this process (Done
+	// minus Resumed, over ElapsedSeconds, the host wall time since the
+	// run started); EtaSeconds projects Total−Done at that rate (zero on
+	// the final record).
+	TrialsPerSec   float64 `json:"trials_per_sec,omitempty"`
+	EtaSeconds     float64 `json:"eta_seconds,omitempty"`
+	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
+	// Adaptive-plan telemetry, present only when the campaign runs
+	// under an adaptive plan (all omitempty; the plan is still open-ended
+	// while Adaptive && !PlanFinal):
+	// CIHalfWidth is the latest Wilson CI half-width verdict on the
+	// crash probability (1 until the first evaluation boundary);
+	// PlannedTrials is the plan's current extent, the end of the
+	// running segment (Total tracks it, so done/total stays meaningful);
+	// PlanFinal marks the stopping rule has fired; TrialsSaved is the
+	// requested-minus-planned trial count once the plan is final.
+	Adaptive      bool    `json:"adaptive,omitempty"`
+	CIHalfWidth   float64 `json:"ci_half_width,omitempty"`
+	PlannedTrials int     `json:"planned_trials,omitempty"`
+	PlanFinal     bool    `json:"plan_final,omitempty"`
+	TrialsSaved   int     `json:"trials_saved,omitempty"`
+	// Running is true on every record but the final one; Interrupted
+	// is set on the final record of a cancelled run.
+	Running     bool `json:"running"`
+	Interrupted bool `json:"interrupted,omitempty"`
+}

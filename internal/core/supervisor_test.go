@@ -389,3 +389,170 @@ func TestCrashStackCaptured(t *testing.T) {
 		t.Errorf("sanitizeStack:\ngot:\n%s\nwant:\n%s", stack, want)
 	}
 }
+
+// TestProgressRecordSequence pins the Progress hook's contract: an
+// initial record before the first trial, one record per finished trial,
+// and a final record (Running false) that nothing follows — for a fixed
+// plan, an adaptive plan, a run with only resumed trials and a cancelled
+// run.
+func TestProgressRecordSequence(t *testing.T) {
+	// record runs cfg, keeping every record; cancelAt, if positive,
+	// cancels the run once that many trials are done.
+	record := func(t *testing.T, cfg CampaignConfig, cancelAt int) (*CampaignResult, []ShardProgress) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var got []ShardProgress
+		cfg.Progress = func(p ShardProgress) {
+			got = append(got, p)
+			if cancelAt > 0 && p.Done == cancelAt {
+				cancel()
+			}
+		}
+		res, err := RunContext(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) < 2 {
+			t.Fatalf("got %d records, want at least an initial and a final one", len(got))
+		}
+		for i, p := range got {
+			if p.Running != (i < len(got)-1) {
+				t.Fatalf("record %d of %d has Running %v: only the last one is final", i, len(got), p.Running)
+			}
+			if p.TrialsPerSec < 0 || p.EtaSeconds < 0 || p.ElapsedSeconds < 0 {
+				t.Errorf("record %d has negative rate fields: %+v", i, p)
+			}
+			// Outcomes is a fresh map per record: a kept record still
+			// sums to its own Completed.
+			sum := 0
+			for _, n := range p.Outcomes {
+				sum += n
+			}
+			if p.Outcomes == nil || sum != p.Completed {
+				t.Errorf("record %d outcomes %v sum to %d, want Completed %d", i, p.Outcomes, sum, p.Completed)
+			}
+		}
+		final := got[len(got)-1]
+		if final.EtaSeconds != 0 {
+			t.Errorf("final EtaSeconds = %g, want 0", final.EtaSeconds)
+		}
+		if final.Completed != res.Completed() || final.Aborted != res.AbortedCount() || final.Done != len(res.Trials) {
+			t.Errorf("final record %+v, want done %d completed %d aborted %d",
+				final, len(res.Trials), res.Completed(), res.AbortedCount())
+		}
+		for _, o := range Outcomes() {
+			if final.Outcomes[o.String()] != res.Count(o) {
+				t.Errorf("final outcome %s = %d, want %d", o, final.Outcomes[o.String()], res.Count(o))
+			}
+		}
+		return res, got
+	}
+	base := CampaignConfig{Builder: kvBuilder(t, 13), Spec: faults.SingleBitSoft, Trials: 24, Seed: 5, Parallelism: 4}
+
+	t.Run("fixed", func(t *testing.T) {
+		res, got := record(t, base, 0)
+		if len(got) != 24+2 {
+			t.Fatalf("got %d records, want initial + 24 + final", len(got))
+		}
+		for i, p := range got {
+			want := min(i, 24)
+			if p.Done != want || p.Total != 24 || p.TrialLo != 0 || p.TrialHi != 24 {
+				t.Errorf("record %d: done %d/%d range [%d,%d), want %d/24 over [0,24)",
+					i, p.Done, p.Total, p.TrialLo, p.TrialHi, want)
+			}
+			if p.Adaptive || p.Interrupted {
+				t.Errorf("record %d of a fixed, uncancelled run: %+v", i, p)
+			}
+		}
+		if res.Interrupted {
+			t.Error("the run was interrupted")
+		}
+	})
+	t.Run("adaptive", func(t *testing.T) {
+		cfg := base
+		cfg.Trials = 120
+		cfg.Planner = NewAdaptivePlanner(testRule(0.15, 10, 120))
+		res, got := record(t, cfg, 0)
+		if !res.PlanFinal || res.Planned >= cfg.Trials {
+			t.Fatalf("plan final %v at %d of %d: the rule must stop early for this case", res.PlanFinal, res.Planned, cfg.Trials)
+		}
+		final := got[len(got)-1]
+		if !final.Adaptive || !final.PlanFinal || final.PlannedTrials != res.Planned || final.Total != res.Planned ||
+			final.TrialsSaved != cfg.Trials-res.Planned {
+			t.Errorf("final record %+v, want the final plan of %d trials", final, res.Planned)
+		}
+		for i, p := range got[:len(got)-1] {
+			if !p.Adaptive || p.PlanFinal || p.PlannedTrials != p.Total || p.Done > p.Total {
+				t.Errorf("record %d of the open plan: %+v", i, p)
+			}
+		}
+	})
+	t.Run("resumed-only", func(t *testing.T) {
+		full, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := base
+		cfg.Resume = make(map[int]TrialResult, len(full.Trials))
+		for _, tr := range full.Trials {
+			cfg.Resume[tr.Index] = tr
+		}
+		_, got := record(t, cfg, 0)
+		if len(got) != 2 {
+			t.Fatalf("got %d records, want the initial and the final one", len(got))
+		}
+		for i, p := range got {
+			if p.Done != 24 || p.Resumed != 24 || p.TrialsPerSec != 0 {
+				t.Errorf("record %d = %+v, want 24 done, all resumed, no rate", i, p)
+			}
+		}
+	})
+	t.Run("cancelled", func(t *testing.T) {
+		res, got := record(t, base, 6)
+		if !res.Interrupted || !got[len(got)-1].Interrupted {
+			t.Errorf("result interrupted %v, final record %+v: want both interrupted", res.Interrupted, got[len(got)-1])
+		}
+		for i, p := range got[:len(got)-1] {
+			if p.Interrupted {
+				t.Errorf("running record %d says interrupted", i)
+			}
+		}
+	})
+}
+
+func TestSupervisorStatusShardedAndResumed(t *testing.T) {
+	spec := ShardSpec{Index: 1, Count: 2}
+	resume := map[int]TrialResult{
+		// Trial 10 falls inside shard 1's range [10, 20) of 20 trials.
+		10: {Disposition: DispositionCompleted, Outcome: OutcomeMaskedLatent},
+		// Trial 0 belongs to shard 0 and must be ignored.
+		0: {Disposition: DispositionCompleted, Outcome: OutcomeCrash},
+	}
+	var got []ShardProgress
+	res, err := Run(CampaignConfig{
+		Builder:    kvBuilder(t, 5),
+		Spec:       faults.SingleBitSoft,
+		Trials:     20,
+		Seed:       11,
+		Shard:      &spec,
+		Resume:     resume,
+		RunOptions: RunOptions{Progress: func(p ShardProgress) { got = append(got, p) }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := got[0], got[len(got)-1]
+	if first.TrialLo != 10 || first.TrialHi != 20 || first.Total != 10 {
+		t.Errorf("initial record = %+v, want shard 1/2's range [10,20)", first)
+	}
+	if first.Done != 1 || first.Resumed != 1 || first.Outcomes["masked-latent"] != 1 {
+		t.Errorf("initial record = %+v, want one resumed masked-latent trial", first)
+	}
+	if last.Done != 10 || last.Total != 10 || last.Completed != res.Completed() {
+		t.Errorf("final record = %+v, want 10/10 done, completed=%d", last, res.Completed())
+	}
+	if last.Outcomes["crash"] != res.Count(OutcomeCrash) {
+		t.Errorf("final crash count = %d, want %d", last.Outcomes["crash"], res.Count(OutcomeCrash))
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"hrmsim/internal/apps"
 	"hrmsim/internal/apps/websearch"
 	"hrmsim/internal/core"
+	"hrmsim/internal/design"
 	"hrmsim/internal/dram"
 	"hrmsim/internal/ecc"
 	"hrmsim/internal/faults"
@@ -374,10 +375,11 @@ func (s *Suite) ExtScrubbing() (*Report, error) {
 		// to aggregate counters across the whole lifetime.
 		var scrubbers []*recovery.PeriodicScrubber
 		lcfg := lifetime.Config{
-			Builder: b,
-			Rates:   rates,
-			Horizon: 12 * time.Hour,
-			Seed:    s.scale.Seed,
+			Builder:      b,
+			Rates:        rates,
+			Horizon:      12 * time.Hour,
+			RecoveryTime: design.PaperParams().CrashRecovery,
+			Seed:         s.scale.Seed,
 		}
 		if c.interval > 0 {
 			interval := c.interval
@@ -434,10 +436,11 @@ func (s *Suite) ExtRetirement() (*Report, error) {
 		var scrubbers []*recovery.PeriodicScrubber
 		threshold := th
 		res, err := lifetime.Simulate(lifetime.Config{
-			Builder: b,
-			Rates:   rates,
-			Horizon: 12 * time.Hour,
-			Seed:    s.scale.Seed,
+			Builder:      b,
+			Rates:        rates,
+			Horizon:      12 * time.Hour,
+			RecoveryTime: design.PaperParams().CrashRecovery,
+			Seed:         s.scale.Seed,
 			Attach: func(app apps.App) error {
 				priv := app.Space().RegionByName("private")
 				sc, err := recovery.NewPeriodicScrubber(10*time.Minute, priv)

@@ -35,7 +35,8 @@ type Config struct {
 	Rates faults.RateModel
 	// Horizon is the simulated operation period (default one month).
 	Horizon time.Duration
-	// RecoveryTime is the downtime per crash (Table 6: 10 minutes).
+	// RecoveryTime is the downtime per crash (Table 6: 10 minutes); zero
+	// means a crash costs no downtime.
 	RecoveryTime time.Duration
 	// Seed drives arrivals and injection placement.
 	Seed int64
@@ -85,8 +86,8 @@ func Simulate(cfg Config) (Result, error) {
 	if cfg.Horizon <= 0 {
 		return Result{}, fmt.Errorf("lifetime: horizon must be positive")
 	}
-	if cfg.RecoveryTime <= 0 {
-		cfg.RecoveryTime = 10 * time.Minute
+	if cfg.RecoveryTime < 0 {
+		return Result{}, fmt.Errorf("lifetime: recovery time must not be negative")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

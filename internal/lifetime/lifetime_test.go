@@ -156,7 +156,7 @@ func TestSimulateMatchesAnalyticModelShape(t *testing.T) {
 	// high hard-error rates both degrade; at zero errors both are 1.
 	rates := faults.RateModel{ErrorsPerMonth: 600000, SoftFraction: 0, LessTestedMultiplier: 1}
 	res, err := Simulate(Config{
-		Builder: wsBuilder(t, false), Rates: rates, Horizon: day, Seed: 4,
+		Builder: wsBuilder(t, false), Rates: rates, Horizon: day, Seed: 4, RecoveryTime: 10 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +232,9 @@ func TestSimulateValidation(t *testing.T) {
 	}
 	if _, err := Simulate(Config{Builder: wsBuilder(t, false), Horizon: -time.Hour}); err == nil {
 		t.Error("negative horizon accepted")
+	}
+	if _, err := Simulate(Config{Builder: wsBuilder(t, false), RecoveryTime: -time.Minute}); err == nil {
+		t.Error("negative recovery time accepted")
 	}
 }
 

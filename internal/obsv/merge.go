@@ -19,8 +19,8 @@ package obsv
 //     levels from different processes is meaningless, and "last writer"
 //     depends on argument order. Max is order-independent — merging in
 //     any order, or merging merges (associativity), yields the same
-//     snapshot — which the fleet view relies on when shard heartbeats
-//     arrive in arbitrary order. For the one gauge a campaign exports
+//     snapshot — which the fleet view relies on when shard journals
+//     are read in arbitrary order. For the one gauge a campaign exports
 //     (campaign_ci_half_width) max is also the operationally useful
 //     reading: the widest interval any shard still reports.
 //

@@ -55,9 +55,10 @@ type LifetimeConfig struct {
 	// SoftFraction is the share of transient errors, in [0,1]: 1 makes
 	// every error soft, zero makes every error hard.
 	SoftFraction float64
-	// Hours is the simulated operation period (default 24).
+	// Hours is the simulated operation period; it must be positive.
 	Hours int
-	// RecoveryMinutes is the downtime per crash (default 10).
+	// RecoveryMinutes is the downtime per crash (Table 6 uses 10); zero
+	// means a crash costs no downtime.
 	RecoveryMinutes int
 	// Size selects the workload scale (default SizeSmall — lifetime
 	// runs serve tens of thousands of requests).
@@ -97,14 +98,11 @@ func SimulateLifetime(cfg LifetimeConfig) (*LifetimeResult, error) {
 	if cfg.Protection == "" {
 		cfg.Protection = ProtectNone
 	}
-	if cfg.Hours == 0 {
-		cfg.Hours = 24
+	if cfg.Hours <= 0 {
+		return nil, fmt.Errorf("hrmsim: Hours (-hours) must be positive, got %d", cfg.Hours)
 	}
 	if cfg.RecoveryMinutes < 0 {
 		return nil, fmt.Errorf("hrmsim: RecoveryMinutes (-recovery) must not be negative, got %d", cfg.RecoveryMinutes)
-	}
-	if cfg.RecoveryMinutes == 0 {
-		cfg.RecoveryMinutes = 10
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1

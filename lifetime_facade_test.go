@@ -1,6 +1,9 @@
 package hrmsim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSimulateLifetimeDefaultsClean(t *testing.T) {
 	res, err := SimulateLifetime(LifetimeConfig{Hours: 2})
@@ -52,20 +55,22 @@ func TestSimulateLifetimeProtectionOrdering(t *testing.T) {
 }
 
 func TestSimulateLifetimeValidation(t *testing.T) {
-	if _, err := SimulateLifetime(LifetimeConfig{App: AppKVStore}); err == nil {
+	if _, err := SimulateLifetime(LifetimeConfig{App: AppKVStore, Hours: 1}); err == nil {
 		t.Error("non-idempotent app accepted")
 	}
-	if _, err := SimulateLifetime(LifetimeConfig{Protection: "asbestos"}); err == nil {
+	if _, err := SimulateLifetime(LifetimeConfig{Protection: "asbestos", Hours: 1}); err == nil {
 		t.Error("unknown protection accepted")
 	}
-	if _, err := SimulateLifetime(LifetimeConfig{Size: SizeLarge}); err == nil {
+	if _, err := SimulateLifetime(LifetimeConfig{Size: SizeLarge, Hours: 1}); err == nil {
 		t.Error("unsupported size accepted")
 	}
 }
 
-// TestSimulateLifetimeZeroMeansZero: a zero rate injects no error and a
-// zero soft fraction makes every error hard. Neither zero may be read as
-// "unset": -errors 0 and -soft 0 pass them through unchanged.
+// TestSimulateLifetimeZeroMeansZero: a zero rate injects no error, a
+// zero soft fraction makes every error hard, and a zero recovery time
+// costs a crash no downtime. No zero may be read as "unset": -errors 0,
+// -soft 0 and -recovery 0 pass them through unchanged. Zero hours
+// simulates nothing, so it is refused by name rather than run as a day.
 func TestSimulateLifetimeZeroMeansZero(t *testing.T) {
 	res, err := SimulateLifetime(LifetimeConfig{ErrorsPerMonth: 0, SoftFraction: 1, Hours: 2})
 	if err != nil {
@@ -88,5 +93,21 @@ func TestSimulateLifetimeZeroMeansZero(t *testing.T) {
 	}
 	if *hard == *soft {
 		t.Errorf("SoftFraction 0 ran the all-soft simulation: %+v", hard)
+	}
+	for _, recovery := range []int{0, 10} {
+		res, err := SimulateLifetime(LifetimeConfig{ErrorsPerMonth: 600000, SoftFraction: 0, Hours: 2, Seed: 4,
+			RecoveryMinutes: recovery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Crashes == 0 {
+			t.Fatalf("RecoveryMinutes %d: no crash; the downtime check would prove nothing", recovery)
+		}
+		if want := float64(recovery * res.Crashes); res.DowntimeMinutes != want {
+			t.Errorf("RecoveryMinutes %d: %d crashes cost %g minutes, want %g", recovery, res.Crashes, res.DowntimeMinutes, want)
+		}
+	}
+	if _, err := SimulateLifetime(LifetimeConfig{Hours: 0}); err == nil || !strings.Contains(err.Error(), "Hours") {
+		t.Errorf("Hours 0: err = %v, want a refusal naming Hours", err)
 	}
 }

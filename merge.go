@@ -10,9 +10,9 @@ import (
 
 // MergeConfig configures a cross-shard merge (the CLI's `hrmsim merge`).
 type MergeConfig struct {
-	// Dir is the shard directory: every finished shard's final status
-	// record (*.status.json, running false) and the journal it names are
-	// merged. Required.
+	// Dir is the shard directory: every finished shard journal in it
+	// (*.jsonl whose last complete line is a trailer) is merged.
+	// Required.
 	Dir string
 	// Metrics, if non-nil, receives merge instrumentation
 	// (merge_shards_total, merge_records_total,
@@ -22,18 +22,14 @@ type MergeConfig struct {
 	Metrics *obsv.Registry
 }
 
-// MergeShardInfo summarizes one input shard of a merge.
+// MergeShardInfo summarizes one input shard of a merge: its
+// coordinates and range from its journal header, then its journal.
 type MergeShardInfo struct {
-	// Index / Count are the shard coordinates from its final record.
-	Index int `json:"index"`
-	Count int `json:"count"`
-	// TrialLo / TrialHi bound the shard's owned half-open trial range.
-	TrialLo int `json:"trial_lo"`
-	TrialHi int `json:"trial_hi"`
+	ShardInfo
 	// Journal is the shard's journal path.
 	Journal string `json:"journal"`
-	// Completed / Aborted / Interrupted echo the final record's own
-	// accounting (what the shard recorded, before cross-shard dedup).
+	// Completed / Aborted count the shard's own records in its range
+	// (before cross-shard dedup); Interrupted echoes its trailer.
 	Completed   int  `json:"completed"`
 	Aborted     int  `json:"aborted,omitempty"`
 	Interrupted bool `json:"interrupted,omitempty"`
@@ -54,7 +50,7 @@ type MergeInfo struct {
 	Duplicates int `json:"duplicates,omitempty"`
 	Missing    int `json:"missing,omitempty"`
 	// Metrics is the deterministic aggregate of every input shard's
-	// final-record metrics snapshot (obsv.MergeSnapshots: counters summed,
+	// trailer metrics snapshot (obsv.MergeSnapshots: counters summed,
 	// fixed-bucket histograms merged, gauges by max — the same rule the
 	// live fleet view applies, so a post-hoc merge and `hrmsim status`
 	// report the same numbers). Nil when no shard recorded metrics. Not
@@ -63,8 +59,8 @@ type MergeInfo struct {
 }
 
 // MergeShards merges a directory of shard journals (written by sharded
-// `hrmsim characterize -shard i/N -journal f.jsonl` runs, whose final
-// status records name them) into one Characterization, bit-identical to
+// `hrmsim characterize -shard i/N -journal f.jsonl` runs, finished ones
+// ending in a trailer) into one Characterization, bit-identical to
 // the single-process campaign except for the run-shape bookkeeping:
 // Parallelism is 0 (a merge has no worker pool) and Resumed is 0
 // (per-shard resume counts are a property of the shard runs, not the
@@ -76,11 +72,11 @@ func MergeShards(cfg MergeConfig) (*Characterization, *MergeInfo, error) {
 	if cfg.Dir == "" {
 		return nil, nil, fmt.Errorf("hrmsim: MergeConfig.Dir is required")
 	}
-	shards, trials, stats, err := core.MergeShards(cfg.Dir)
+	shards, trials, duplicates, err := core.MergeShards(cfg.Dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("hrmsim: %w", err)
 	}
-	meta := shards[0].Campaign
+	meta := shards[0].Meta
 	spec, err := specFor(ErrorType(meta.Error))
 	if err != nil {
 		return nil, nil, err
@@ -88,26 +84,25 @@ func MergeShards(cfg MergeConfig) (*Characterization, *MergeInfo, error) {
 	res := core.ResultFromTrials(meta.App, spec, meta.Trials, trials)
 
 	info := &MergeInfo{
-		ConfigHash: shards[0].ConfigHash,
+		ConfigHash: core.ConfigHash(meta),
 		Shards:     make([]MergeShardInfo, 0, len(shards)),
-		Records:    stats.Records,
-		Duplicates: stats.Duplicates,
-		Missing:    stats.Missing,
+		Records:    len(trials),
+		Duplicates: duplicates,
+		Missing:    meta.Trials - len(trials),
 	}
 	var shardSnaps []obsv.Snapshot
-	for _, st := range shards {
+	for _, sh := range shards {
+		p := sh.Progress()
 		info.Shards = append(info.Shards, MergeShardInfo{
-			Index:       st.ShardIndex,
-			Count:       st.ShardCount,
-			TrialLo:     st.TrialLo,
-			TrialHi:     st.TrialHi,
-			Journal:     filepath.Join(cfg.Dir, st.Journal),
-			Completed:   st.Completed,
-			Aborted:     st.Aborted,
-			Interrupted: st.Interrupted,
+			ShardInfo: ShardInfo{Index: sh.Meta.Shard().Index, Count: sh.Meta.Shard().Count,
+				TrialLo: p.TrialLo, TrialHi: p.TrialHi},
+			Journal:     filepath.Join(cfg.Dir, sh.Name),
+			Completed:   p.Completed,
+			Aborted:     p.Aborted,
+			Interrupted: p.Interrupted,
 		})
-		if st.Metrics != nil {
-			shardSnaps = append(shardSnaps, *st.Metrics)
+		if sh.Final.Metrics != nil {
+			shardSnaps = append(shardSnaps, *sh.Final.Metrics)
 		}
 	}
 	if len(shardSnaps) > 0 {
@@ -115,10 +110,10 @@ func MergeShards(cfg MergeConfig) (*Characterization, *MergeInfo, error) {
 		info.Metrics = &merged
 	}
 	if cfg.Metrics != nil {
-		cfg.Metrics.Counter("merge_shards_total").Add(int64(stats.Shards))
-		cfg.Metrics.Counter("merge_records_total").Add(int64(stats.Records))
-		cfg.Metrics.Counter("merge_duplicate_trials_total").Add(int64(stats.Duplicates))
-		cfg.Metrics.Counter("merge_missing_trials_total").Add(int64(stats.Missing))
+		cfg.Metrics.Counter("merge_shards_total").Add(int64(len(info.Shards)))
+		cfg.Metrics.Counter("merge_records_total").Add(int64(info.Records))
+		cfg.Metrics.Counter("merge_duplicate_trials_total").Add(int64(info.Duplicates))
+		cfg.Metrics.Counter("merge_missing_trials_total").Add(int64(info.Missing))
 	}
 
 	out, err := newCharacterization(

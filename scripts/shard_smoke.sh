@@ -4,8 +4,8 @@
 #
 #   1. run an unsharded characterize campaign as the baseline,
 #   2. run the same campaign as 2 shard worker processes, each given
-#      only -journal (the status record path is derived from it), and
-#      `hrmsim merge` the shard directory,
+#      -journal (a shard's one file), and `hrmsim merge` the shard
+#      directory,
 #   3. kill-and-resume pass: run a second campaign (websearch, 600
 #      trials, slow enough to be caught mid-flight) as 2 workers, each in
 #      the bounded -resume retry loop SHARDING.md documents; SIGKILL
@@ -13,11 +13,11 @@
 #      -resume attempt finish the shard, and merge,
 #   4. diff both merged -json results against their campaign's
 #      single-process baseline,
-#   5. assert the one shard record: each manual worker's final status
-#      record says it is no longer running and names its journal, and
-#      `hrmsim status` reports the settled fleet view (all trials done,
-#      0 running) that matches the merge; the killed worker's record said
-#      it was still running, and its final record counts resumed trials.
+#   5. assert the one shard file: the shard directory holds only the two
+#      journals, each ending in its trailer, and `hrmsim status` reports
+#      the settled fleet view (all trials done, 0 running) that matches
+#      the merge; the killed attempt's journal has no trailer, and worker
+#      1's final trailer counts resumed trials.
 #
 # Both merged results must be bit-identical to the single-process run,
 # modulo the documented run-shape bookkeeping (`parallelism`,
@@ -62,16 +62,14 @@ for i in 0 1; do
 done
 wait
 
+if [ "$(ls "$TMP/shards")" != "$(printf 'shard-0000-of-0002.jsonl\nshard-0001-of-0002.jsonl')" ]; then
+    echo "shard_smoke: FAIL — the shard directory holds more than the two journals:" >&2
+    ls "$TMP/shards" >&2
+    exit 1
+fi
 for i in 0 1; do
-    rec="$TMP/shards/shard-000$i-of-0002.status.json"
-    if [ ! -s "$rec" ]; then
-        echo "shard_smoke: FAIL — shard $i wrote no status record" >&2
-        exit 1
-    fi
-    if ! grep -q '"running": false' "$rec" ||
-        ! grep -q "\"journal\": \"shard-000$i-of-0002.jsonl\"" "$rec"; then
-        echo "shard_smoke: FAIL — shard $i's last status record is not a finished one naming its journal:" >&2
-        cat "$rec" >&2
+    if ! tail -n 1 "$TMP/shards/shard-000$i-of-0002.jsonl" | grep -q '^{"trial":-1,"disposition":"final"'; then
+        echo "shard_smoke: FAIL — shard $i's journal does not end in a trailer" >&2
         exit 1
     fi
 done
@@ -79,8 +77,8 @@ done
 echo "shard_smoke: merging the shard directory" >&2
 "$BIN" merge -dir "$TMP/shards" -json >"$TMP/merged.json"
 
-echo "shard_smoke: reading the final heartbeats back (hrmsim status)" >&2
-"$BIN" status -json "$TMP/shards" >"$TMP/status.json"
+echo "shard_smoke: reading the journals back (hrmsim status)" >&2
+"$BIN" status -json "$TMP/shards" >"$TMP/fleet.json"
 "$BIN" status "$TMP/shards" >"$TMP/status.txt"
 grep -q '(100%)' "$TMP/status.txt" || {
     echo "shard_smoke: FAIL — status view does not show 100%:" >&2
@@ -93,8 +91,8 @@ grep -q '(100%)' "$TMP/status.txt" || {
 # attempt that fails is retried with -resume on the shard's journal, at
 # most 3 attempts in all. Two additions serve the checks below: each
 # attempt runs in the background so its pid can be recorded for the
-# kill, and a failed attempt's status record is copied aside before the
-# next attempt replaces it.
+# kill, and a failed attempt's journal is copied aside before the next
+# attempt appends to it.
 retry_shard() {
     dir="$1"; i="$2"; n="$3"; shift 3
     j="$dir/shard-000$i-of-000$n.jsonl"
@@ -105,7 +103,7 @@ retry_shard() {
         "$BIN" characterize "$@" -shard "$i/$n" -journal "$j" $resume >/dev/null &
         echo $! >"$dir/worker-$i.pid"
         wait $! && return 0
-        cp "$dir/shard-000$i-of-000$n.status.json" "$dir/worker-$i.attempt-$attempt.status.json" || true
+        cp "$j" "$dir/worker-$i.attempt-$attempt.copy" || true
     done
     return 1
 }
@@ -132,25 +130,38 @@ done
 kill -KILL "$(cat "$TMP/killed/worker-1.pid")" 2>/dev/null || true
 wait "$W0" || { echo "shard_smoke: FAIL — worker 0's retry loop gave up" >&2; exit 1; }
 wait "$W1" || { echo "shard_smoke: FAIL — worker 1's retry loop gave up" >&2; exit 1; }
-killed="$TMP/killed/worker-1.attempt-1.status.json"
+killed="$TMP/killed/worker-1.attempt-1.copy"
 if [ ! -s "$killed" ]; then
-    echo "shard_smoke: FAIL — worker 1's first attempt was not killed (it finished first, or left no status record)" >&2
+    echo "shard_smoke: FAIL — worker 1's first attempt was not killed (it finished first, or left no journal)" >&2
     exit 1
 fi
 "$BIN" merge -dir "$TMP/killed" -json >"$TMP/killed-merged.json"
 
 echo "shard_smoke: comparing merged results to baseline" >&2
-python3 - "$TMP/baseline.json" "$TMP/merged.json" "$TMP/status.json" \
+python3 - "$TMP/baseline.json" "$TMP/merged.json" "$TMP/fleet.json" \
     "$TMP/kill-baseline.json" "$TMP/killed-merged.json" "$killed" \
-    "$TMP/killed/shard-0001-of-0002.status.json" <<'PY'
+    "$TMP/killed/shard-0001-of-0002.jsonl" <<'PY'
 import json, sys
 
 docs = []
-for path in sys.argv[1:]:
+for path in sys.argv[1:6]:
     with open(path) as f:
         docs.append((json.load(f), path))
-(base, _), merged, (status, status_path), (kill_base, _), killed_merged, \
-    (killed_rec, killed_path), (final_rec, final_path) = docs
+(base, _), merged, (status, status_path), (kill_base, _), killed_merged = docs
+
+
+def trailer(path):
+    """The journal's trailer, when its last complete line is one."""
+    with open(path) as f:
+        lines = f.read().split("\n")[:-1]  # a torn tail is not a line
+    try:
+        rec = json.loads(lines[-1])
+    except (ValueError, IndexError):
+        return None
+    return rec.get("final") if rec.get("disposition") == "final" else None
+
+
+killed_path, final_path = sys.argv[6], sys.argv[7]
 
 # Everything except the run-shape bookkeeping must match bit-for-bit
 # (SHARDING.md: a merge has no worker pool, so `parallelism` is 0).
@@ -204,22 +215,22 @@ if fleet.get("outcomes") != want.get("outcomes"):
     print(f"shard_smoke: status outcomes {fleet.get('outcomes')}"
           f" != baseline {want.get('outcomes')}", file=sys.stderr)
 
-# The SIGKILLed attempt never wrote its final record, and the -resume
-# attempt that finished the shard kept the killed attempt's trials.
-if killed_rec.get("running") is not True:
+# The SIGKILLed attempt never wrote its trailer, and the -resume attempt
+# that finished the shard kept the killed attempt's trials.
+if trailer(killed_path) is not None:
     failed = True
-    print(f"shard_smoke: killed worker's record {killed_path} does not say running: "
-          f"{killed_rec.get('running')}", file=sys.stderr)
-if final_rec.get("running") is not False or not final_rec.get("resumed", 0) > 0:
-    failed = True
-    print(f"shard_smoke: worker 1's final record {final_path} is not a finished, "
-          f"resumed one: running={final_rec.get('running')} resumed={final_rec.get('resumed')}",
+    print(f"shard_smoke: killed attempt's journal {killed_path} ends in a trailer",
           file=sys.stderr)
+final_rec = trailer(final_path) or {}
+if not final_rec.get("resumed", 0) > 0:
+    failed = True
+    print(f"shard_smoke: worker 1's journal {final_path} does not end in a trailer "
+          f"counting resumed trials: {final_rec}", file=sys.stderr)
 
 if failed:
     sys.exit(1)
 print("shard_smoke: PASS — manual 2-shard merge and the killed-and-resumed "
       "2-shard run both bit-identical to their single-process baselines "
       f"(worker 1 resumed {final_rec['resumed']} trials), and the status "
-      "heartbeats settle to the same counts")
+      "view of the journals settles to the same counts")
 PY

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"hrmsim/internal/core"
@@ -16,11 +15,12 @@ import (
 // its journal leaves a state that one -resume run and a merge turn into
 // the single-process result, bit for bit. Shard 1 of a 2-shard campaign
 // is cut back to its header plus k records, for every k, once at the
-// record boundary and once with the next record torn in half, beside the
-// "running": true status record a killed worker leaves. Before the
-// resume, merge counts that shard's range missing; after it, the merge
-// equals the baseline and the worker reports k resumed trials. A journal
-// killed inside its header is refused with an error naming it.
+// record boundary and once with the next record torn in half; a killed
+// worker writes no trailer. Before the resume, merge counts that shard's
+// range missing; after it, the merge equals the baseline and the worker
+// reports k resumed trials. A journal killed inside its header holds
+// nothing to resume: the retry starts it afresh and runs the whole
+// range.
 func TestKillAtEveryRecordBoundary(t *testing.T) {
 	base := CharacterizeConfig{App: AppKVStore, Size: SizeSmall, Trials: 16, Seed: 6}
 	want, err := Characterize(base)
@@ -31,7 +31,6 @@ func TestKillAtEveryRecordBoundary(t *testing.T) {
 		cfg := base
 		cfg.ShardIndex, cfg.ShardCount = i, 2
 		cfg.JournalPath = filepath.Join(dir, core.ShardJournalName(i, 2))
-		cfg.StatusPath = filepath.Join(dir, core.ShardStatusName(i, 2))
 		return cfg
 	}
 	full := t.TempDir()
@@ -42,50 +41,65 @@ func TestKillAtEveryRecordBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	read := func(cfg CharacterizeConfig) (journal, status []byte) {
+	read := func(cfg CharacterizeConfig) []byte {
 		t.Helper()
 		journal, err := os.ReadFile(cfg.JournalPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		status, err = os.ReadFile(cfg.StatusPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return journal, status
+		return journal
 	}
-	journal0, status0 := read(shardCfg(full, 0))
-	journal1, _ := read(shardCfg(full, 1))
-	final1, err := core.ReadStatus(shardCfg(full, 1).StatusPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	journal0, journal1 := read(shardCfg(full, 0)), read(shardCfg(full, 1))
+	// The last split is the empty tail, the one before it the trailer.
 	lines := bytes.SplitAfter(journal1, []byte("\n"))
-	header, records := lines[0], lines[1:len(lines)-1] // the last split is the empty tail
-	lo, hi := final1.TrialLo, final1.TrialHi
+	header, records := lines[0], lines[1:len(lines)-2]
+	lo, hi := (core.ShardSpec{Index: 1, Count: 2}).Range(base.Trials)
 	if len(records) != hi-lo {
 		t.Fatalf("shard 1 journal holds %d records, want %d", len(records), hi-lo)
 	}
 
-	// killed lays out a campaign directory whose shard 1 died with the
-	// given journal bytes on disk and returns shard 1's config.
-	killed := func(t *testing.T, journal []byte, done int) CharacterizeConfig {
+	// resume lays out a campaign directory whose shard 1 died with the
+	// given journal bytes on disk, checks that merge counts its range
+	// missing, runs the retry, and checks it resumed k trials and that
+	// the merge equals the single-process run.
+	resume := func(t *testing.T, journal []byte, k int) {
 		t.Helper()
 		dir := t.TempDir()
 		c0, c1 := shardCfg(dir, 0), shardCfg(dir, 1)
-		for path, b := range map[string][]byte{
-			c0.JournalPath: journal0, c0.StatusPath: status0, c1.JournalPath: journal,
-		} {
+		for path, b := range map[string][]byte{c0.JournalPath: journal0, c1.JournalPath: journal} {
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		running := final1
-		running.Running, running.Done = true, done
-		if err := core.WriteStatus(c1.StatusPath, running); err != nil {
+		partial, info, err := MergeShards(MergeConfig{Dir: dir})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return c1
+		if !partial.Interrupted || info.Missing != hi-lo || len(info.Shards) != 1 {
+			t.Fatalf("merge beside the killed shard: interrupted %v, %d missing, %d shards; want shard 1's %d trials missing",
+				partial.Interrupted, info.Missing, len(info.Shards), hi-lo)
+		}
+
+		c1.ResumePath = c1.JournalPath
+		c, err := Characterize(c1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Resumed != k {
+			t.Errorf("resumed %d trials, want the %d whole records", c.Resumed, k)
+		}
+		got, info, err := MergeShards(MergeConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Records != base.Trials || info.Missing != 0 || info.Duplicates != 0 {
+			t.Fatalf("merge info = %+v", info)
+		}
+		gotCmp := *got
+		gotCmp.Parallelism = want.Parallelism
+		if !reflect.DeepEqual(*want, gotCmp) {
+			t.Errorf("merged result diverged from the single-process run:\nsingle: %+v\nmerged: %+v", *want, gotCmp)
+		}
 	}
 
 	for k := 0; k <= len(records); k++ {
@@ -101,49 +115,12 @@ func TestKillAtEveryRecordBoundary(t *testing.T) {
 				if torn {
 					journal = append(journal, records[k][:len(records[k])/2]...)
 				}
-				cfg := killed(t, journal, k)
-				dir := filepath.Dir(cfg.JournalPath)
-
-				partial, info, err := MergeShards(MergeConfig{Dir: dir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !partial.Interrupted || info.Missing != hi-lo || len(info.Shards) != 1 {
-					t.Fatalf("merge beside the running record: interrupted %v, %d missing, %d shards; want shard 1's %d trials missing",
-						partial.Interrupted, info.Missing, len(info.Shards), hi-lo)
-				}
-
-				cfg.ResumePath = cfg.JournalPath
-				c, err := Characterize(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if c.Resumed != k {
-					t.Errorf("resumed %d trials, want the %d whole records", c.Resumed, k)
-				}
-				got, info, err := MergeShards(MergeConfig{Dir: dir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if info.Records != base.Trials || info.Missing != 0 || info.Duplicates != 0 {
-					t.Fatalf("merge info = %+v", info)
-				}
-				gotCmp := *got
-				gotCmp.Parallelism = want.Parallelism
-				if !reflect.DeepEqual(*want, gotCmp) {
-					t.Errorf("merged result diverged from the single-process run:\nsingle: %+v\nmerged: %+v", *want, gotCmp)
-				}
+				resume(t, journal, k)
 			})
 		}
 	}
 
 	t.Run("torn-header", func(t *testing.T) {
-		cfg := killed(t, header[:len(header)/2], 0)
-		cfg.ResumePath = cfg.JournalPath
-		_, err := Characterize(cfg)
-		if err == nil || !strings.Contains(err.Error(), "reading resume journal "+cfg.JournalPath) ||
-			!strings.Contains(err.Error(), "parsing journal header") {
-			t.Errorf("resume of a torn header: err = %v, want a refusal naming the journal and its header", err)
-		}
+		resume(t, header[:len(header)/2], 0)
 	})
 }

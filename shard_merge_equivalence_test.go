@@ -12,7 +12,7 @@ import (
 
 // TestShardMergeEquivalence pins the tentpole guarantee of the sharding
 // subsystem: a campaign run as N worker shards (each journaling its
-// slice and writing its status records) and merged back with MergeShards is
+// slice, its trailer marking it finished) and merged back with MergeShards is
 // bit-identical to the single-process run, for every application, shard
 // count, and per-shard parallelism — modulo the run-shape bookkeeping
 // (Parallelism records the worker pool that happened to run, which a
@@ -39,7 +39,6 @@ func TestShardMergeEquivalence(t *testing.T) {
 						cfg.Parallelism = par
 						cfg.ShardIndex, cfg.ShardCount = i, shards
 						cfg.JournalPath = filepath.Join(dir, core.ShardJournalName(i, shards))
-						cfg.StatusPath = filepath.Join(dir, core.ShardStatusName(i, shards))
 						c, err := Characterize(cfg)
 						if err != nil {
 							t.Fatal(err)
@@ -183,9 +182,9 @@ func TestCharacterizeShardValidation(t *testing.T) {
 	}
 }
 
-// TestUnshardedFinalRecordMerges: a plain single-process run with a
-// journal and a status record leaves a 0/1 final record, so its journal
-// is consumable by MergeShards like any shard set.
+// TestUnshardedFinalRecordMerges: a plain single-process run's journal
+// ends in a trailer and its header names no shard, so it reads as a
+// finished shard 0/1, consumable by MergeShards like any shard set.
 func TestUnshardedFinalRecordMerges(t *testing.T) {
 	dir := t.TempDir()
 	cfg := CharacterizeConfig{
@@ -193,8 +192,7 @@ func TestUnshardedFinalRecordMerges(t *testing.T) {
 		Size:        SizeSmall,
 		Trials:      20,
 		Seed:        4,
-		JournalPath: filepath.Join(dir, core.ShardJournalName(0, 1)),
-		StatusPath:  filepath.Join(dir, core.ShardStatusName(0, 1)),
+		JournalPath: filepath.Join(dir, "run.jsonl"),
 	}
 	want, err := Characterize(cfg)
 	if err != nil {
@@ -208,11 +206,11 @@ func TestUnshardedFinalRecordMerges(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.Shards[0].Index != 0 || info.Shards[0].Count != 1 {
-		t.Fatalf("final record coordinates = %d/%d, want 0/1", info.Shards[0].Index, info.Shards[0].Count)
+		t.Fatalf("unsharded journal coordinates = %d/%d, want 0/1", info.Shards[0].Index, info.Shards[0].Count)
 	}
 	wantCmp, gotCmp := *want, *got
 	gotCmp.Parallelism = wantCmp.Parallelism
 	if !reflect.DeepEqual(wantCmp, gotCmp) {
-		t.Errorf("merge of the 0/1 final record diverged:\nrun:    %+v\nmerged: %+v", wantCmp, gotCmp)
+		t.Errorf("merge of the 0/1 journal diverged:\nrun:    %+v\nmerged: %+v", wantCmp, gotCmp)
 	}
 }

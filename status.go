@@ -9,39 +9,28 @@ import (
 	"hrmsim/internal/obsv"
 )
 
-// ErrNoStatus reports a campaign directory with no shard status records
-// — either the campaign runs without a status sink, or no shard has
-// heartbeat yet. Pollers (`hrmsim status -watch`) treat it as "not yet",
-// not as a failure.
-var ErrNoStatus = errors.New("hrmsim: no shard status records (*.status.json)")
+// ErrNoStatus reports a campaign directory with no shard journal yet.
+// Pollers (`hrmsim status -watch`) treat it as "not yet", not a failure.
+var ErrNoStatus = errors.New("hrmsim: no shard journals (*.jsonl)")
 
-// ShardStatusInfo is one shard's row of the fleet view: its latest
-// heartbeat under the row's own coordinate and timestamp keys. The
-// progress block is the on-disk record's (core.ShardProgress), embedded,
-// so a heartbeat field is declared once for both documents.
+// ShardStatusInfo is one shard's row of the fleet view: its coordinates,
+// its progress as its journal records it (the Progress hook's record,
+// embedded, so a field is declared once for both), and AgeSeconds, the
+// age of the journal's last write when the view was assembled — the
+// liveness signal that tells a straggling shard from a slow one.
 type ShardStatusInfo struct {
-	// Index / Count are the shard coordinates.
 	Index int `json:"index"`
 	Count int `json:"count"`
 	core.ShardProgress
-	// UpdatedUnixNs is the host wall-clock instant of the heartbeat;
-	// AgeSeconds its age when the view was assembled — the liveness
-	// signal that tells a straggling shard from a slow one.
-	UpdatedUnixNs int64   `json:"updated_unix_ns"`
-	AgeSeconds    float64 `json:"age_seconds"`
-}
-
-// UpdatedAt returns the heartbeat instant as a time.Time.
-func (s ShardStatusInfo) UpdatedAt() time.Time {
-	return time.Unix(0, s.UpdatedUnixNs)
+	AgeSeconds float64 `json:"age_seconds"`
 }
 
 // FleetStatus is the cross-shard aggregate of a campaign directory's
-// heartbeats: the live (or final) fleet-wide view `hrmsim status`
-// renders, and — through its tags — the
-// `status -json` result. All counts are sums over the shards that have
-// reported; Trials is the whole campaign's size, so Done < Trials either
-// because work remains or because some shard has not heartbeat yet.
+// journals: the live (or final) fleet-wide view `hrmsim status`
+// renders, and — through its tags — the `status -json` result. All
+// counts are sums over the shards that have written a journal; Trials
+// is the whole campaign's size, so Done < Trials either because work
+// remains or because some shard has not started yet.
 type FleetStatus struct {
 	// ConfigHash and the campaign identity every shard agreed on.
 	ConfigHash string    `json:"config_hash"`
@@ -51,7 +40,7 @@ type FleetStatus struct {
 	Trials     int       `json:"trials"`
 	Seed       int64     `json:"seed"`
 	// Done/Total and the disposition counts are sums over Shards (Total
-	// can be less than Trials while shards are still registering).
+	// can be less than Trials while shards are still starting).
 	Done      int `json:"done"`
 	Total     int `json:"total"`
 	Completed int `json:"completed"`
@@ -59,103 +48,87 @@ type FleetStatus struct {
 	Resumed   int `json:"resumed,omitempty"`
 	// Outcomes sums the per-shard Fig. 1 taxonomy counts.
 	Outcomes map[string]int `json:"outcomes"`
-	// TrialsPerSec sums the running shards' rates; EtaSeconds projects
-	// the whole campaign's remaining trials at that rate (zero when
-	// nothing is running).
+	// TrialsPerSec sums the running shards' rates, as a poller measured
+	// them (`status -watch`; a journal holds none); EtaSeconds projects
+	// the campaign's remaining trials at that rate.
 	TrialsPerSec float64 `json:"trials_per_sec,omitempty"`
 	EtaSeconds   float64 `json:"eta_seconds,omitempty"`
-	// Adaptive reports that any shard runs under an adaptive trial
-	// planner (in practice at most one: adaptive campaigns are
-	// unsharded). CIHalfWidth is the widest reported CI half-width,
-	// Planned sums the adaptive shards' current trial budgets, and
-	// TrialsSaved sums the trials their stopping rules saved.
+	// Adaptive reports an adaptive trial plan (campaigns with one are
+	// unsharded). CIHalfWidth is the widest re-derived CI half-width;
+	// Planned and TrialsSaved sum the shards' plan sizes and savings.
 	Adaptive    bool    `json:"adaptive,omitempty"`
 	CIHalfWidth float64 `json:"ci_half_width,omitempty"`
 	Planned     int     `json:"planned_trials,omitempty"`
 	TrialsSaved int     `json:"trials_saved,omitempty"`
-	// Running counts shards whose latest record is live; Interrupted
-	// counts shards whose final record reports cancellation.
+	// Running counts shards whose journal has no trailer yet;
+	// Interrupted counts shards whose trailer reports cancellation.
 	Running     int `json:"running"`
 	Interrupted int `json:"interrupted,omitempty"`
-	// Shards holds each shard's latest heartbeat, ascending by index.
+	// Shards holds each shard's row, ascending by index.
 	Shards []ShardStatusInfo `json:"shards"`
-	// Metrics is the obsv.MergeSnapshots aggregate of every shard's
-	// heartbeat snapshot — the same merge rule `hrmsim merge` applies to
-	// the final records, so live and post-hoc metrics agree. Nil when no shard
-	// reported metrics. It rides in the -json envelope, not the result.
+	// Metrics is the obsv.MergeSnapshots aggregate of the trailers'
+	// snapshots, as `hrmsim merge` computes it (nil when none has one).
+	// It rides in the -json envelope, not the result.
 	Metrics *obsv.Snapshot `json:"-"`
 }
 
-// LoadFleetStatus reads every shard status record in dir and aggregates
-// it into the fleet view. It validates that all records belong to one
-// campaign (core.LoadStatusDir checks, for MergeShards too) and returns
-// ErrNoStatus when the directory holds none. The directory may be live
-// (shards still writing; each read is atomic per record) or dead (final
-// Running=false records) — the same view works for both. Each row's
-// AgeSeconds is measured against the clock as read here.
+// LoadFleetStatus reads every shard journal in dir and aggregates it
+// into the fleet view, live or dead alike. It validates that all
+// journals belong to one campaign (core.LoadShardDir checks, for
+// MergeShards too) and returns ErrNoStatus when the directory holds
+// none.
 func LoadFleetStatus(dir string) (*FleetStatus, error) {
-	records, err := core.LoadStatusDir(dir)
+	shards, err := core.LoadShardDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("hrmsim: %w", err)
 	}
-	if len(records) == 0 {
+	if len(shards) == 0 {
 		return nil, fmt.Errorf("%w in %s", ErrNoStatus, dir)
 	}
-	ref := records[0]
+	ref := shards[0].Meta
 	fs := &FleetStatus{
-		ConfigHash: ref.ConfigHash,
-		App:        App(ref.Campaign.App),
-		Error:      ErrorType(ref.Campaign.Error),
-		Region:     Region(ref.Campaign.Region),
-		Trials:     ref.Campaign.Trials,
-		Seed:       ref.Campaign.Seed,
+		ConfigHash: core.ConfigHash(ref),
+		App:        App(ref.App),
+		Error:      ErrorType(ref.Error),
+		Region:     Region(ref.Region),
+		Trials:     ref.Trials,
+		Seed:       ref.Seed,
 		Outcomes:   make(map[string]int),
-		Shards:     make([]ShardStatusInfo, 0, len(records)),
+		Shards:     make([]ShardStatusInfo, 0, len(shards)),
 	}
 	now := time.Now()
 	var snaps []obsv.Snapshot
-	for _, st := range records {
-		if st.Outcomes == nil {
-			// A record from a writer that omitted the key on heartbeats
-			// with no completed trial.
-			st.Outcomes = map[string]int{}
-		}
+	for _, sh := range shards {
+		p := sh.Progress()
 		fs.Shards = append(fs.Shards, ShardStatusInfo{
-			Index:         st.ShardIndex,
-			Count:         st.ShardCount,
-			ShardProgress: st.ShardProgress,
-			UpdatedUnixNs: st.WallUnixNanos,
-			AgeSeconds:    now.Sub(time.Unix(0, st.WallUnixNanos)).Seconds(),
+			Index:         sh.Meta.Shard().Index,
+			Count:         sh.Meta.Shard().Count,
+			ShardProgress: p,
+			AgeSeconds:    now.Sub(sh.Written).Seconds(),
 		})
-		if st.Adaptive {
+		if p.Adaptive {
 			fs.Adaptive = true
-			if st.CIHalfWidth > fs.CIHalfWidth {
-				fs.CIHalfWidth = st.CIHalfWidth
-			}
-			fs.Planned += st.PlannedTrials
-			fs.TrialsSaved += st.TrialsSaved
+			fs.CIHalfWidth = max(fs.CIHalfWidth, p.CIHalfWidth)
+			fs.Planned += p.PlannedTrials
+			fs.TrialsSaved += p.TrialsSaved
 		}
-		fs.Done += st.Done
-		fs.Total += st.Total
-		fs.Completed += st.Completed
-		fs.Aborted += st.Aborted
-		fs.Resumed += st.Resumed
-		for o, n := range st.Outcomes {
+		fs.Done += p.Done
+		fs.Total += p.Total
+		fs.Completed += p.Completed
+		fs.Aborted += p.Aborted
+		fs.Resumed += p.Resumed
+		for o, n := range p.Outcomes {
 			fs.Outcomes[o] += n
 		}
-		if st.Running {
+		if p.Running {
 			fs.Running++
-			fs.TrialsPerSec += st.TrialsPerSec
 		}
-		if st.Interrupted {
+		if p.Interrupted {
 			fs.Interrupted++
 		}
-		if st.Metrics != nil {
-			snaps = append(snaps, *st.Metrics)
+		if sh.Final != nil && sh.Final.Metrics != nil {
+			snaps = append(snaps, *sh.Final.Metrics)
 		}
-	}
-	if rem := fs.Trials - fs.Done; rem > 0 && fs.TrialsPerSec > 0 {
-		fs.EtaSeconds = float64(rem) / fs.TrialsPerSec
 	}
 	if len(snaps) > 0 {
 		merged := obsv.MergeSnapshots(snaps...)

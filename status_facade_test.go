@@ -1,12 +1,14 @@
 package hrmsim
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,8 +18,8 @@ import (
 
 // TestFleetStatusMatchesMergedCharacterization pins the acceptance
 // criterion of the control plane: after a sharded campaign, the fleet
-// aggregate read from the shard directory's status records reports
-// exactly the trial counts of the merged Characterization.
+// aggregate read from the shard directory's journals reports exactly
+// the trial counts of the merged Characterization.
 func TestFleetStatusMatchesMergedCharacterization(t *testing.T) {
 	dir := t.TempDir()
 	const shards = 3
@@ -32,7 +34,6 @@ func TestFleetStatusMatchesMergedCharacterization(t *testing.T) {
 		cfg := base
 		cfg.ShardIndex, cfg.ShardCount = i, shards
 		cfg.JournalPath = filepath.Join(dir, core.ShardJournalName(i, shards))
-		cfg.StatusPath = filepath.Join(dir, core.ShardStatusName(i, shards))
 		cfg.Metrics = obsv.NewRegistry()
 		if _, err := Characterize(cfg); err != nil {
 			t.Fatal(err)
@@ -85,12 +86,12 @@ func TestFleetStatusMatchesMergedCharacterization(t *testing.T) {
 		if sh.Done != sh.Total || sh.Running {
 			t.Errorf("shard %d not finished: %+v", i, sh)
 		}
-		if sh.UpdatedAt().IsZero() || time.Since(sh.UpdatedAt()) > time.Hour {
-			t.Errorf("shard %d heartbeat timestamp %v implausible", i, sh.UpdatedAt())
+		if sh.AgeSeconds < 0 || sh.AgeSeconds > 3600 {
+			t.Errorf("shard %d journal age %gs implausible", i, sh.AgeSeconds)
 		}
 	}
 	// The fleet metrics aggregate uses the same merge rule as the
-	// post-hoc merge of the final records, so the deterministic counters
+	// post-hoc merge of the trailers, so the deterministic counters
 	// agree.
 	if fs.Metrics == nil || info.Metrics == nil {
 		t.Fatal("missing metrics aggregate (status or merge)")
@@ -115,14 +116,13 @@ func TestLoadFleetStatusRejectsMixedCampaigns(t *testing.T) {
 	dir := t.TempDir()
 	write := func(idx int, seed int64) {
 		t.Helper()
-		meta := core.JournalMeta{App: "kvstore", Error: "soft-1bit", Trials: 10, Seed: seed}
-		st := core.ShardStatus{
-			ConfigHash: core.ConfigHash(meta),
-			Campaign:   meta,
-			ShardIndex: idx,
-			ShardCount: 2,
+		meta := core.JournalMeta{App: "kvstore", Error: "soft-1bit", Trials: 10, Seed: seed,
+			ShardIndex: idx, ShardCount: 2}
+		j, _, err := core.OpenJournal(filepath.Join(dir, core.ShardJournalName(idx, 2)), meta)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := core.WriteStatus(filepath.Join(dir, core.ShardStatusName(idx, 2)), st); err != nil {
+		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,91 +134,142 @@ func TestLoadFleetStatusRejectsMixedCampaigns(t *testing.T) {
 	}
 }
 
-// TestCharacterizeFailsWhenFinalStatusWriteFails: the final record is
-// what merge reads, so a failed final write must fail the run (the
-// worker's retry loop then runs the shard again) rather than leave a running
-// record behind a successful exit.
-func TestCharacterizeFailsWhenFinalStatusWriteFails(t *testing.T) {
-	dir := t.TempDir()
-	statusPath := filepath.Join(dir, core.ShardStatusName(0, 1))
-	cfg := CharacterizeConfig{
-		App:         AppKVStore,
-		Error:       SoftSingleBit,
-		Size:        SizeSmall,
-		Trials:      8,
-		Seed:        3,
-		JournalPath: filepath.Join(dir, core.ShardJournalName(0, 1)),
-		StatusPath:  statusPath,
-	}
-	// The first heartbeat is written before any trial runs; after the
-	// first trial, a directory in the way of WriteStatus's temporary
-	// file makes every later write fail, the final one included.
-	var once sync.Once
-	cfg.Progress = func(ProgressInfo) {
-		once.Do(func() {
-			if err := os.Mkdir(statusPath+".tmp", 0o755); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-	_, err := Characterize(cfg)
-	if err == nil || !strings.Contains(err.Error(), "final status record") {
-		t.Fatalf("Characterize err = %v, want a final status record error", err)
-	}
-	st, err := core.ReadStatus(statusPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Running {
-		t.Errorf("on-disk record is final, want the last running heartbeat")
-	}
-}
-
 // failingWriter accepts the journal header, then fails every write.
-type failingWriter struct{ wrote bool }
+type failingWriter struct{ strings.Builder }
 
 func (w *failingWriter) Write(p []byte) (int, error) {
-	if w.wrote {
+	if w.Len() > 0 {
 		return 0, errors.New("disk full")
 	}
-	w.wrote = true
-	return len(p), nil
+	return w.Builder.Write(p)
 }
 
-// TestFinalStatusRecordDropsFailedJournal: a journal with a sticky write
-// error holds only a prefix of the shard's trials, so the final record
-// names no journal and says interrupted — status and merge then agree
-// the shard is incomplete — while running heartbeats keep naming it.
-func TestFinalStatusRecordDropsFailedJournal(t *testing.T) {
-	dir := t.TempDir()
+// TestFailedJournalGetsNoTrailer: a journal with a sticky write error
+// holds only a prefix of the shard's trials, so its trailer is refused
+// with that error (Characterize returns it from Close) and the journal
+// reads as a shard that never finished (TestShardProgressFromJournal).
+func TestFailedJournalGetsNoTrailer(t *testing.T) {
 	meta := core.JournalMeta{App: "kvstore", Error: "soft-1bit", Trials: 4, Seed: 1}
-	j, err := core.NewJournal(&failingWriter{}, meta)
+	w := &failingWriter{}
+	j, err := core.NewJournal(w, meta)
 	if err != nil {
 		t.Fatal(err)
-	}
-	statusPath := filepath.Join(dir, core.ShardStatusName(0, 1))
-	w := newStatusWriter(&CharacterizeConfig{StatusPath: statusPath, JournalPath: filepath.Join(dir, core.ShardJournalName(0, 1))}, j, meta)
-
-	w.write(ProgressInfo{TrialHi: 4, Running: true})
-	if st, err := core.ReadStatus(statusPath); err != nil || st.Journal != core.ShardJournalName(0, 1) {
-		t.Fatalf("running heartbeat: journal %q, err %v", st.Journal, err)
 	}
 	if err := j.Append(core.TrialResult{}); err == nil {
 		t.Fatal("append to a failing writer succeeded")
 	}
-	w.write(ProgressInfo{TrialHi: 4, Done: 4, Completed: 4})
-	st, err := core.ReadStatus(statusPath)
+	if err := j.Finish(core.JournalFinal{}); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("trailer after a failed write: err = %v, want the sticky write error", err)
+	}
+	if err := j.Close(); err == nil {
+		t.Error("Close of a failed journal returned no error")
+	}
+	if strings.Count(w.String(), "\n") != 1 {
+		t.Errorf("the failed journal holds more than its header:\n%s", w)
+	}
+}
+
+// TestFleetStatusKilledThenResumed: a killed attempt leaves a journal
+// without a trailer, which the fleet view shows running with the age of
+// its last write; the -resume attempt that finishes the shard shows it
+// finished, with the resumed trials its trailer counts.
+func TestFleetStatusKilledThenResumed(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := CharacterizeConfig{App: AppKVStore, Size: SizeSmall, Trials: 24, Seed: 6, Parallelism: 1,
+		ShardIndex: 1, ShardCount: 2, Context: ctx, JournalPath: filepath.Join(dir, core.ShardJournalName(1, 2))}
+	cfg.Progress = func(p ProgressInfo) {
+		if p.Done == 3 {
+			cancel()
+		}
+	}
+	if _, err := Characterize(cfg); err != nil {
+		t.Fatal(err)
+	}
+	// A killed worker writes no trailer: cut it off, and date the last
+	// write an hour back.
+	b, err := os.ReadFile(cfg.JournalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Journal != "" || !st.Interrupted {
-		t.Errorf("final record after a journal failure: journal %q, interrupted %v; want none, true",
-			st.Journal, st.Interrupted)
+	cut := bytes.LastIndexByte(b[:len(b)-1], '\n') + 1
+	if err := os.WriteFile(cfg.JournalPath, b[:cut], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if w.finalErr != nil {
-		t.Errorf("finalErr = %v, the final write itself succeeded", w.finalErr)
+	hourAgo := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(cfg.JournalPath, hourAgo, hourAgo); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := MergeShards(MergeConfig{Dir: dir}); err == nil {
-		t.Error("merge consumed a shard whose journal failed a write")
+	fs, err := LoadFleetStatus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := fs.Shards[0]
+	if !sh.Running || sh.Interrupted || sh.Done < 3 || sh.Total != 12 || fs.Running != 1 {
+		t.Errorf("killed attempt: %+v, want running with at least 3/12 done", sh)
+	}
+	if sh.AgeSeconds < 3590 || sh.AgeSeconds > 3700 {
+		t.Errorf("killed attempt's age %gs, want the journal's hour", sh.AgeSeconds)
+	}
+
+	cfg.Context, cfg.Progress, cfg.ResumePath = nil, nil, cfg.JournalPath
+	if _, err := Characterize(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if fs, err = LoadFleetStatus(dir); err != nil {
+		t.Fatal(err)
+	}
+	sh = fs.Shards[0]
+	if sh.Running || sh.Interrupted || sh.Done != 12 || sh.Resumed < 3 || fs.Running != 0 || fs.Resumed != sh.Resumed {
+		t.Errorf("resumed attempt: %+v, want finished, 12/12 done, at least 3 resumed", sh)
+	}
+	if sh.AgeSeconds > 60 {
+		t.Errorf("finished journal's age %gs, want its fresh trailer's", sh.AgeSeconds)
+	}
+}
+
+// TestFleetStatusReplaysAdaptivePlan: the plan of an adaptive campaign,
+// re-derived from its journal under the header's stopping rule, is the
+// one the supervisor reported last — after a full run and after one
+// cancelled mid-plan.
+func TestFleetStatusReplaysAdaptivePlan(t *testing.T) {
+	for _, cancelAt := range []int{0, 45} {
+		t.Run(fmt.Sprintf("cancel-at=%d", cancelAt), func(t *testing.T) {
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var final ProgressInfo
+			cfg := CharacterizeConfig{App: AppKVStore, Size: SizeSmall, Trials: 120, Seed: 6, Parallelism: 2,
+				TargetCI: 0.04, Context: ctx, JournalPath: filepath.Join(dir, "adaptive.jsonl")}
+			cfg.Progress = func(p ProgressInfo) {
+				final = p
+				if cancelAt > 0 && p.Done == cancelAt {
+					cancel()
+				}
+			}
+			if _, err := Characterize(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if final.Interrupted != (cancelAt > 0) || final.PlanFinal == (cancelAt > 0) {
+				t.Fatalf("test setup: the supervisor's final record %+v", final)
+			}
+			fs, err := LoadFleetStatus(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fs.Shards[0].ShardProgress
+			// Host timing and the ETA are the only fields a journal does
+			// not replay.
+			got.TrialsPerSec, got.ElapsedSeconds = final.TrialsPerSec, final.ElapsedSeconds
+			got.EtaSeconds = final.EtaSeconds
+			if !reflect.DeepEqual(got, final) {
+				t.Errorf("re-derived progress differs from the supervisor's final record:\njournal:    %+v\nsupervisor: %+v", got, final)
+			}
+			if fs.CIHalfWidth != final.CIHalfWidth || fs.Planned != final.PlannedTrials {
+				t.Errorf("fleet plan: CI ±%g over %d, want ±%g over %d", fs.CIHalfWidth, fs.Planned,
+					final.CIHalfWidth, final.PlannedTrials)
+			}
+		})
 	}
 }
