@@ -58,6 +58,7 @@ func explainTrial(journalPath string, i int) (core.JournalMeta, *core.Explanatio
 		App: App(meta.App), Error: ErrorType(meta.Error), Region: Region(meta.Region),
 		Trials: meta.Trials, Seed: meta.Seed, Size: WorkloadSize(meta.Size),
 		TargetCI: meta.TargetCI, MinTrials: meta.MinTrials,
+		ShardIndex: meta.ShardIndex, ShardCount: meta.ShardCount,
 	}
 	if err := cfg.resolve(); err != nil {
 		return meta, nil, err

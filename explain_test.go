@@ -2,6 +2,7 @@ package hrmsim
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -10,31 +11,55 @@ import (
 )
 
 // TestExplainReplaysEveryJournaledTrial: for one small seeded campaign per
-// application, holding decided, crash and incorrect trials, every trial
-// re-runs through explain to its journaled record bit for bit (explainTrial
-// refuses otherwise), and its log agrees with its outcome: a decided trial
+// application, and for both shards of one kvstore campaign, holding
+// decided, crash and incorrect trials, every trial re-runs through
+// explain to its journaled record bit for bit (explainTrial refuses
+// otherwise), and its log agrees with its outcome: a decided trial
 // injects nothing, a masked-by-overwrite or -logic trial's first
 // consumption is a store or a load, and a latent one has none.
 func TestExplainReplaysEveryJournaledTrial(t *testing.T) {
 	for _, c := range []struct {
-		app App
-		err ErrorType
-	}{{AppWebSearch, HardSingleBit}, {AppKVStore, SoftSingleBit}, {AppGraphMine, SoftSingleBit}} {
-		t.Run(string(c.app), func(t *testing.T) {
+		app    App
+		err    ErrorType
+		shards int // 0: unsharded
+	}{{AppWebSearch, HardSingleBit, 0}, {AppKVStore, SoftSingleBit, 0}, {AppGraphMine, SoftSingleBit, 0}, {AppKVStore, HardSingleBit, 2}} {
+		name := string(c.app)
+		if c.shards > 0 {
+			name += fmt.Sprintf("/shards%d", c.shards)
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			const trials = 30
-			path := filepath.Join(t.TempDir(), "campaign.jsonl")
-			res, err := Characterize(CharacterizeConfig{App: c.app, Error: c.err, Size: SizeSmall,
-				Trials: trials, Seed: 1, JournalPath: path})
-			if err != nil {
-				t.Fatal(err)
+			dir := t.TempDir()
+			// journal[i] is the journal that records trial i.
+			journal := make([]string, trials)
+			completed, outcomes := 0, map[string]int{}
+			for k := 0; k < max(c.shards, 1); k++ {
+				cfg := CharacterizeConfig{App: c.app, Error: c.err, Size: SizeSmall,
+					Trials: trials, Seed: 1, JournalPath: filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", k))}
+				lo, hi := 0, trials
+				if c.shards > 0 {
+					cfg.ShardIndex, cfg.ShardCount = k, c.shards
+					lo, hi = core.ShardSpec{Index: k, Count: c.shards}.Range(trials)
+				}
+				res, err := Characterize(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				completed += res.Completed
+				for o, n := range res.Outcomes {
+					outcomes[o] += n
+				}
+				for i := lo; i < hi; i++ {
+					journal[i] = cfg.JournalPath
+				}
 			}
-			if res.Completed != trials || res.Outcomes["crash"] == 0 || res.Outcomes["incorrect-response"] == 0 {
-				t.Fatalf("campaign lacks a crash or an incorrect trial: %d completed, %v", res.Completed, res.Outcomes)
+			if completed != trials || outcomes["crash"] == 0 || outcomes["incorrect-response"] == 0 {
+				t.Fatalf("campaign lacks a crash or an incorrect trial: %d completed, %v", completed, outcomes)
 			}
 			decided := 0
 			for i := 0; i < trials; i++ {
-				_, ex, err := explainTrial(path, i)
+				_, ex, err := explainTrial(journal[i], i)
 				if err != nil {
 					t.Fatalf("trial %d: %v", i, err)
 				}

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"hrmsim/internal/apps"
@@ -72,9 +74,9 @@ type CampaignConfig struct {
 	Warmup int
 	// Parallelism bounds concurrent trials (default: GOMAXPROCS).
 	Parallelism int
-	// Golden optionally supplies the expected digests (reuse across
-	// campaigns of the same builder): the fault-free pass then checks
-	// them instead of recording them.
+	// Golden, if non-nil, asserts the expected digests: the campaign
+	// fails, naming the first request that differs, unless they equal the
+	// golden run the build's fault-free pass records.
 	Golden []uint64
 	// RunOptions holds the knobs a front end hands through unchanged.
 	RunOptions
@@ -110,9 +112,6 @@ type CampaignResult struct {
 	// When the campaign was interrupted this is a prefix-biased subset
 	// of the requested trials.
 	Trials []TrialResult
-	// Golden holds the expected digests (reusable for further
-	// campaigns over the same builder).
-	Golden []uint64
 	// Requested is the configured campaign size (cfg.Trials);
 	// len(Trials) < Requested when the campaign was interrupted.
 	Requested int
@@ -153,6 +152,23 @@ func (r *CampaignResult) Completed() int {
 	return n
 }
 
+// fold sets Trials to the trials of [0, n) with a result, in index order,
+// and counts outcomes: the result assembly a run and a merge share.
+func (r *CampaignResult) fold(n int, trial func(i int) (TrialResult, bool)) {
+	r.counts = make(map[Outcome]int)
+	for i := 0; i < n; i++ {
+		tr, ok := trial(i)
+		if !ok {
+			continue
+		}
+		tr.Index = i
+		r.Trials = append(r.Trials, tr)
+		if tr.Disposition == DispositionCompleted {
+			r.counts[tr.Outcome]++
+		}
+	}
+}
+
 // AbortedCount returns the number of trials the supervisor gave up on.
 func (r *CampaignResult) AbortedCount() int {
 	return len(r.Trials) - r.Completed()
@@ -160,7 +176,7 @@ func (r *CampaignResult) AbortedCount() int {
 
 // GoldenRun executes the full workload on a fresh instance and returns the
 // expected response digests. It fails if the application crashes under no
-// injection.
+// injection. It serves callers that assert CampaignConfig.Golden.
 func GoldenRun(b apps.Builder) ([]uint64, error) {
 	app, err := b.Build()
 	if err != nil {
@@ -200,112 +216,200 @@ func serveFaultFree(app apps.App, golden []uint64, from, to int, record bool) (i
 	return to, nil
 }
 
-// faultFreePass is the campaign's one fault-free pass (DESIGN.md §9). It
-// builds worker 0's session and serves the workload on it once: requests
-// 0..Warmup, storing the golden digests when cfg.Golden is nil and checking
-// them otherwise; Snapshot; the measured window Warmup..N, under a
-// monitor.Profile unless a fallback applies; then Reset, which also
-// detaches the profile. It returns the golden digests, the window's record
-// — nil when every trial must be simulated — and the restored session.
-//
-// Recording, any failure fails the campaign. Checking, a session that
-// fails to build or warm up is dropped (worker 0 builds its own, as every
-// worker does), and a window off golden leaves no record. A session that
-// fails to restore is dropped either way.
-func faultFreePass(sb apps.SnapshotBuilder, cfg CampaignConfig) ([]uint64, *monitor.Profile, *snapshotSession, error) {
-	golden, record := cfg.Golden, cfg.Golden == nil
-	fail := func(err error) ([]uint64, *monitor.Profile, *snapshotSession, error) {
-		if record {
-			return nil, nil, nil, err
-		}
-		return golden, nil, nil, nil
-	}
-	app, err := sb.BuildSnapshot()
-	if err != nil && record {
-		return nil, nil, nil, fmt.Errorf("core: building golden instance: %w", err)
-	}
-	if record {
-		golden = make([]uint64, app.NumRequests())
-	}
-	// Checked before any request is served, and even when a supplied
-	// golden run's session is dropped.
-	if cfg.Warmup < 0 || cfg.Warmup >= len(golden) {
-		return nil, nil, nil, fmt.Errorf("core: warmup %d outside [0,%d)", cfg.Warmup, len(golden))
-	}
-	if err != nil {
-		return golden, nil, nil, nil
-	}
-	as := app.Space()
-	if err := checkFilter(as, cfg); err != nil {
-		return nil, nil, nil, err
-	}
-	sess := &snapshotSession{app: app}
-	if q, err := serveFaultFree(app, golden, 0, cfg.Warmup, record); err != nil {
-		return fail(goldenCrash(q, err))
-	}
-	if err := app.Snapshot(); err != nil {
-		return fail(fmt.Errorf("core: snapshotting golden instance: %w", err))
-	}
+// Prepared is one application build made ready for campaigns (DESIGN.md
+// §9): the golden run and window record of its one fault-free pass, and a
+// pool of sessions (instances built, warmed up and snapshotted) that every
+// campaign Run on it shares, concurrent ones too. A grid of cells over one
+// build thus serves its window fault-free once.
+type Prepared struct {
+	sb      apps.SnapshotBuilder
+	warmup  int
+	golden  []uint64
+	profile *monitor.Profile // read-only; nil: every trial simulates
+	// used are the built instance's regions holding a used byte, and
+	// kinds the kinds of all its regions: Run checks filters against them.
+	used  []*simmem.Region
+	kinds []string
 
-	// No record when a fault can act other than through the first access
-	// to its granule (CPU cache model on; observers the snapshot retains,
-	// such as a scrubber). Then, with golden supplied, there is nothing to
-	// serve the window for.
-	var p *monitor.Profile
-	if !as.CacheEnabled() && !as.Observed() {
-		p = monitor.New(as)
-		as.AddAccessObserver(p)
-	}
-	before := as.Counters()
-	if p != nil || record {
-		q, err := serveFaultFree(app, golden, cfg.Warmup, len(golden), record)
-		if err != nil && record {
-			return nil, nil, nil, goldenCrash(q, err)
-		}
-		// The record must be of the pass the trials replay, and hold every
-		// access the instance counted.
-		after := as.Counters()
-		if p != nil && (err != nil || p.Accesses != (after.Loads-before.Loads)+(after.Stores-before.Stores)) {
-			p = nil
-		}
-	}
-	if p != nil {
-		p.End = as.Clock().Now()
-	}
-	if _, err := app.Reset(); err != nil {
-		sess = nil
-	}
-	return golden, p, sess, nil
+	mu   sync.Mutex
+	pool []apps.SnapshotApp
 }
 
-// snapshotBuilder returns the campaign's builder as the
-// apps.SnapshotBuilder every session is built from.
-func snapshotBuilder(cfg CampaignConfig) (apps.SnapshotBuilder, error) {
-	if cfg.Builder == nil {
+// Prepare builds one instance and serves its workload fault-free once,
+// recording the golden digests: 0..warmup; Snapshot; the window under a
+// monitor.Profile; Reset, which leaves the instance as the pool's first
+// session. The profile is dropped when a fault can act other than through
+// the first access to its granule (CPU cache model on; observers the
+// snapshot retains) or when it missed an access the instance counted.
+func Prepare(b apps.Builder, warmup int) (*Prepared, error) {
+	sb, err := snapshotBuilder(b)
+	if err != nil {
+		return nil, err
+	}
+	app, err := sb.BuildSnapshot()
+	if err != nil {
+		return nil, fmt.Errorf("core: building golden instance: %w", err)
+	}
+	p := &Prepared{sb: sb, warmup: warmup, golden: make([]uint64, app.NumRequests())}
+	// Checked before any request is served.
+	if warmup < 0 || warmup >= len(p.golden) {
+		return nil, fmt.Errorf("core: warmup %d outside [0,%d)", warmup, len(p.golden))
+	}
+	as := app.Space()
+	for _, r := range as.Regions() {
+		if r.Used() > 0 {
+			p.used = append(p.used, r)
+		}
+		p.kinds = append(p.kinds, r.Kind().String())
+	}
+	if q, err := serveFaultFree(app, p.golden, 0, warmup, true); err != nil {
+		return nil, goldenCrash(q, err)
+	}
+	if err := app.Snapshot(); err != nil {
+		return nil, fmt.Errorf("core: snapshotting golden instance: %w", err)
+	}
+	var prof *monitor.Profile
+	if !as.CacheEnabled() && !as.Observed() {
+		prof = monitor.New(as)
+		as.AddAccessObserver(prof)
+	}
+	before := as.Counters()
+	if q, err := serveFaultFree(app, p.golden, warmup, len(p.golden), true); err != nil {
+		return nil, goldenCrash(q, err)
+	}
+	if after := as.Counters(); prof != nil && prof.Accesses == (after.Loads-before.Loads)+(after.Stores-before.Stores) {
+		prof.End = as.Clock().Now()
+		p.profile = prof
+	}
+	if _, err := app.Reset(); err != nil {
+		return nil, fmt.Errorf("core: restoring golden instance: %w", err)
+	}
+	p.pool = []apps.SnapshotApp{app}
+	return p, nil
+}
+
+// Golden returns the golden run's digests; callers must not modify them.
+func (p *Prepared) Golden() []uint64 { return p.golden }
+
+// Run runs one campaign on the prepared build, under the same checks and
+// cancellation contract as RunContext. It refuses a cfg whose Builder or
+// Warmup is not the prepared one, or whose non-nil Golden differs from
+// the recorded run.
+func (p *Prepared) Run(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
+	rule, err := checkCampaign(cfg)
+	switch {
+	case err != nil:
+		return nil, err
+	case cfg.Builder != p.sb:
+		return nil, fmt.Errorf("core: the campaign's %s builder is not the one the build was prepared from", cfg.Builder.AppName())
+	case cfg.Warmup != p.warmup:
+		return nil, fmt.Errorf("core: campaign warmup %d, but the build was prepared at warmup %d", cfg.Warmup, p.warmup)
+	case cfg.Golden != nil && !slices.Equal(cfg.Golden, p.golden):
+		q := 0
+		for q < min(len(cfg.Golden), len(p.golden)) && cfg.Golden[q] == p.golden[q] {
+			q++
+		}
+		return nil, fmt.Errorf("core: the supplied golden run differs from the recorded one at request %d", q)
+	}
+	// Else every trial would draw no address, and no trial complete.
+	if !slices.ContainsFunc(p.used, func(r *simmem.Region) bool { return cfg.Filter == nil || cfg.Filter(r) }) {
+		return nil, fmt.Errorf("core: %s maps %s, and no used byte of them passes the campaign's region filter: %w",
+			p.sb.AppName(), strings.Join(p.kinds, ", "), inject.ErrNoTarget)
+	}
+	par := cfg.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	s := &supervisor{cfg: cfg, prep: p, par: min(par, cfg.Trials), adaptive: cfg.Planner != nil,
+		rule: rule, m: newCampaignMetrics(cfg.Metrics)}
+	return s.run(ctx), nil
+}
+
+// take hands a worker a pooled session, or nil when the pool is empty.
+func (p *Prepared) take() (sess apps.SnapshotApp) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.pool); n > 0 {
+		sess, p.pool = p.pool[n-1], p.pool[:n-1]
+	}
+	return sess
+}
+
+// put returns a worker's session, if it has one, to the pool.
+func (p *Prepared) put(sess apps.SnapshotApp) {
+	if sess != nil {
+		p.mu.Lock()
+		p.pool = append(p.pool, sess)
+		p.mu.Unlock()
+	}
+}
+
+// newSession builds, warms up (checked against golden) and snapshots one
+// session: every session but the pass's is built here.
+func (p *Prepared) newSession() (apps.SnapshotApp, error) {
+	app, err := p.sb.BuildSnapshot()
+	if err != nil {
+		return nil, fmt.Errorf("building app: %w", err)
+	}
+	if q, err := serveFaultFree(app, p.golden, 0, p.warmup, false); err == errOffGolden {
+		return nil, fmt.Errorf("warmup request %d %w", q, err)
+	} else if err != nil {
+		return nil, fmt.Errorf("warmup request %d crashed: %w", q, err)
+	}
+	if err := app.Snapshot(); err != nil {
+		return nil, fmt.Errorf("snapshotting app: %w", err)
+	}
+	return app, nil
+}
+
+// snapshotBuilder returns b as the apps.SnapshotBuilder sessions build from.
+func snapshotBuilder(b apps.Builder) (apps.SnapshotBuilder, error) {
+	if b == nil {
 		return nil, fmt.Errorf("core: campaign needs a builder")
 	}
-	sb, ok := cfg.Builder.(apps.SnapshotBuilder)
+	sb, ok := b.(apps.SnapshotBuilder)
 	if !ok {
 		return nil, fmt.Errorf("core: lifecycle snapshot requires an apps.SnapshotBuilder; %s builder does not implement it",
-			cfg.Builder.AppName())
+			b.AppName())
 	}
 	return sb, nil
 }
 
-// checkFilter fails a campaign whose region filter accepts no used byte
-// of the built instance, naming the regions the application maps: every
-// trial would otherwise draw no address (inject.ErrNoTarget), and the
-// campaign would report probabilities over zero completed trials.
-func checkFilter(as *simmem.AddressSpace, cfg CampaignConfig) error {
-	var kinds []string
-	for _, r := range as.Regions() {
-		if r.Used() > 0 && (cfg.Filter == nil || cfg.Filter(r)) {
-			return nil
-		}
-		kinds = append(kinds, r.Kind().String())
+// checkCampaign makes the checks that need no build, and returns an
+// adaptive plan's rule clamped to the campaign size.
+func checkCampaign(cfg CampaignConfig) (rule stats.SequentialStopping, err error) {
+	if _, err := snapshotBuilder(cfg.Builder); err != nil {
+		return rule, err
 	}
-	return fmt.Errorf("core: %s maps %s, and no used byte of them passes the campaign's region filter: %w",
-		cfg.Builder.AppName(), strings.Join(kinds, ", "), inject.ErrNoTarget)
+	if cfg.Trials <= 0 {
+		return rule, fmt.Errorf("core: trials must be positive, got %d", cfg.Trials)
+	}
+	if err := cfg.Spec.Validate(); err != nil {
+		return rule, err
+	}
+	for i := range cfg.Resume {
+		if i < 0 || i >= cfg.Trials {
+			return rule, fmt.Errorf("core: resume record for trial %d outside [0,%d)", i, cfg.Trials)
+		}
+	}
+	if cfg.Shard != nil {
+		if err := cfg.Shard.Validate(); err != nil {
+			return rule, err
+		}
+		// Fail sharded adaptive campaigns before the expensive fault-free
+		// pass. A 1-shard spec is refused too: merge expects a record
+		// for every index, and an adaptive plan stops short of them.
+		if cfg.Planner != nil {
+			return rule, fmt.Errorf("core: an adaptive plan needs the whole trial index space; shard %d/%d campaigns must use the fixed plan — run adaptive campaigns unsharded (see SHARDING.md)", cfg.Shard.Index, cfg.Shard.Count)
+		}
+	}
+	if cfg.Planner != nil {
+		return clampRule(cfg.Planner.Rule, cfg.Trials)
+	}
+	return rule, nil
 }
 
 // Run executes the campaign to completion (no cancellation).
@@ -313,69 +417,20 @@ func Run(cfg CampaignConfig) (*CampaignResult, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// RunContext executes the campaign under a context. Cancelling the
-// context stops dispatching new trials, drains the in-flight ones, and
-// returns the partial result with Interrupted set — never an error —
-// so a SIGINT still yields every finished trial (and, with a Journal,
-// a resumable record of them).
+// RunContext executes the campaign under a context: the checks that need
+// no build, Prepare, then one Prepared.Run. Cancelling the context stops
+// dispatching new trials, drains the in-flight ones, and returns the
+// partial result with Interrupted set — never an error — so a SIGINT still
+// yields every finished trial (and, with a Journal, a resumable record).
 func RunContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if _, err := checkCampaign(cfg); err != nil {
+		return nil, err
 	}
-	sb, err := snapshotBuilder(cfg)
+	p, err := Prepare(cfg.Builder, cfg.Warmup)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Trials <= 0 {
-		return nil, fmt.Errorf("core: trials must be positive, got %d", cfg.Trials)
-	}
-	if err := cfg.Spec.Validate(); err != nil {
-		return nil, err
-	}
-	for i := range cfg.Resume {
-		if i < 0 || i >= cfg.Trials {
-			return nil, fmt.Errorf("core: resume record for trial %d outside [0,%d)", i, cfg.Trials)
-		}
-	}
-	if cfg.Shard != nil {
-		if err := cfg.Shard.Validate(); err != nil {
-			return nil, err
-		}
-		// Fail sharded adaptive campaigns before the expensive fault-free
-		// pass. A 1-shard spec is refused too: merge expects a record
-		// for every index, and an adaptive plan stops short of them.
-		if cfg.Planner != nil {
-			return nil, fmt.Errorf("core: an adaptive plan needs the whole trial index space; shard %d/%d campaigns must use the fixed plan — run adaptive campaigns unsharded (see SHARDING.md)", cfg.Shard.Index, cfg.Shard.Count)
-		}
-	}
-	var rule stats.SequentialStopping
-	if cfg.Planner != nil {
-		if rule, err = clampRule(cfg.Planner.Rule, cfg.Trials); err != nil {
-			return nil, err
-		}
-	}
-	golden, profile, first, err := faultFreePass(sb, cfg)
-	if err != nil {
-		return nil, err
-	}
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > cfg.Trials {
-		par = cfg.Trials
-	}
-	s := &supervisor{
-		cfg:      cfg,
-		golden:   golden,
-		profile:  profile,
-		par:      par,
-		sb:       sb,
-		adaptive: cfg.Planner != nil,
-		rule:     rule,
-		m:        newCampaignMetrics(cfg.Metrics),
-	}
-	return s.run(ctx, first)
+	return p.Run(ctx, cfg)
 }
 
 // campaignMetrics holds the pre-resolved metric handles of one campaign
@@ -522,33 +577,7 @@ func trialSeed(seed int64, i int) int64 {
 	return int64(x)
 }
 
-// snapshotSession is one worker's reusable application instance: built
-// and warmed up once, snapshotted, then restored before every trial.
-// Sessions are per-worker, never shared.
-type snapshotSession struct {
-	app apps.SnapshotApp
-}
-
-// newSnapshotSession builds one instance, replays (and validates) the
-// warmup prefix and captures the post-warmup state as the reset point.
-// Every session but the first (faultFreePass) is built here.
-func newSnapshotSession(sb apps.SnapshotBuilder, cfg CampaignConfig, golden []uint64) (*snapshotSession, error) {
-	app, err := sb.BuildSnapshot()
-	if err != nil {
-		return nil, fmt.Errorf("building app: %w", err)
-	}
-	if q, err := serveFaultFree(app, golden, 0, cfg.Warmup, false); err == errOffGolden {
-		return nil, fmt.Errorf("warmup request %d %w", q, err)
-	} else if err != nil {
-		return nil, fmt.Errorf("warmup request %d crashed: %w", q, err)
-	}
-	if err := app.Snapshot(); err != nil {
-		return nil, fmt.Errorf("snapshotting app: %w", err)
-	}
-	return &snapshotSession{app: app}, nil
-}
-
-// runTrial performs one pass of the Fig. 2 loop on the session's instance:
+// runTrial performs one pass of the Fig. 2 loop on a session of the build:
 // restore, inject, run the post-warmup client workload, classify. The
 // per-trial rng depends only on (Seed, i), and restore rolls the instance
 // back to the post-warmup capture, so the trial is bit-identical to one
@@ -556,14 +585,14 @@ func newSnapshotSession(sb apps.SnapshotBuilder, cfg CampaignConfig, golden []ui
 // ends after the address draw: nothing is injected and nothing served.
 // A non-nil log (explain's; a campaign passes nil) records the draw and
 // what the injected error met.
-func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile *monitor.Profile, i int, log *trialLog) (TrialResult, trialStats, error) {
+func (p *Prepared) runTrial(sess apps.SnapshotApp, cfg CampaignConfig, i int, log *trialLog) (TrialResult, trialStats, error) {
 	rng := rand.New(rand.NewSource(trialSeed(cfg.Seed, i)))
-	dirty, err := s.app.Reset()
+	dirty, err := sess.Reset()
 	if err != nil {
 		return TrialResult{}, trialStats{}, fmt.Errorf("restoring snapshot: %w", err)
 	}
 	// Fetched per trial: Reset may have swapped the instance.
-	as := s.app.Space()
+	as := sess.Space()
 
 	// Inject (Algorithm 1(a)): inject.Random's two halves, with the
 	// decision between them, so the generator stream is unchanged.
@@ -574,7 +603,8 @@ func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile 
 	if log != nil {
 		log.Addr = addr
 	}
-	if tr, ok := decide(profile, len(golden)-cfg.Warmup, addr, cfg.Spec); ok {
+	golden := p.golden
+	if tr, ok := decide(p.profile, len(golden)-cfg.Warmup, addr, cfg.Spec); ok {
 		return tr, trialStats{decided: true, dirtyPages: dirty}, nil
 	}
 	startFast := as.FastPathLoads()
@@ -604,7 +634,7 @@ func (s *snapshotSession) runTrial(cfg CampaignConfig, golden []uint64, profile 
 	// Run the client workload (Fig. 2 steps 3–5).
 	crashed := false
 	for q := cfg.Warmup; q < len(golden); q++ {
-		resp, serveErr := serveGuarded(s.app, q)
+		resp, serveErr := serveGuarded(sess, q)
 		if serveErr != nil {
 			if !apps.IsCrash(serveErr) {
 				return TrialResult{}, trialStats{}, fmt.Errorf("request %d: unexpected error: %w", q, serveErr)

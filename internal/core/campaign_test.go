@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,24 +139,32 @@ func TestCampaignRegionFilter(t *testing.T) {
 	}
 }
 
+// TestCampaignGoldenReuse: a supplied golden run that equals the one the
+// campaign records is accepted, and the campaign is the one it runs
+// without it.
 func TestCampaignGoldenReuse(t *testing.T) {
 	b := wsBuilder(t, 6)
 	golden, err := GoldenRun(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(CampaignConfig{
+	cfg := CampaignConfig{
 		Builder: b,
 		Spec:    faults.SingleBitSoft,
 		Trials:  10,
 		Seed:    1,
-		Golden:  golden,
-	})
+	}
+	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Golden) != len(golden) {
-		t.Error("golden not retained")
+	cfg.Golden = golden
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Trials, want.Trials) {
+		t.Error("a supplied golden run changed the trials")
 	}
 }
 
@@ -190,6 +202,80 @@ func TestCampaignValidation(t *testing.T) {
 	}
 	if _, err := Run(CampaignConfig{Builder: b, Spec: faults.SingleBitSoft, Trials: 1, Warmup: 10000}); err == nil {
 		t.Error("oversized warmup accepted")
+	}
+}
+
+// TestPreparedRunRefusals: Prepared.Run refuses a campaign that is not of
+// its build — another builder, even one of the same application, another
+// warm-up, or a supplied golden run the pass did not record — naming what
+// differs, and runs one that is.
+func TestPreparedRunRefusals(t *testing.T) {
+	b := kvBuilder(t, 8)
+	p, err := Prepare(b, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := p.Golden()
+	off := append([]uint64(nil), golden...)
+	off[7] ^= 1
+	base := CampaignConfig{Builder: b, Spec: faults.SingleBitSoft, Trials: 4, Warmup: 10}
+	for _, tc := range []struct {
+		name string
+		edit func(*CampaignConfig)
+		want string
+	}{
+		{"foreign-builder", func(c *CampaignConfig) { c.Builder = kvBuilder(t, 8) },
+			"core: the campaign's kvstore builder is not the one the build was prepared from"},
+		{"other-warmup", func(c *CampaignConfig) { c.Warmup = 11 },
+			"core: campaign warmup 11, but the build was prepared at warmup 10"},
+		{"mismatched-golden", func(c *CampaignConfig) { c.Golden = off },
+			"core: the supplied golden run differs from the recorded one at request 7"},
+		{"short-golden", func(c *CampaignConfig) { c.Golden = golden[:len(golden)-1] },
+			fmt.Sprintf("core: the supplied golden run differs from the recorded one at request %d", len(golden)-1)},
+	} {
+		cfg := base
+		tc.edit(&cfg)
+		if _, err := p.Run(context.Background(), cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	base.Golden = golden
+	if res, err := p.Run(context.Background(), base); err != nil || res.Completed() != 4 {
+		t.Fatalf("the prepared campaign: err = %v", err)
+	}
+}
+
+// TestPreparedConcurrentRuns: campaigns run at once on one Prepared share
+// its session pool, and each still equals its stand-alone campaign.
+func TestPreparedConcurrentRuns(t *testing.T) {
+	b := kvBuilder(t, 9)
+	p, err := Prepare(b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []faults.Spec{faults.SingleBitSoft, faults.SingleBitHard, faults.DoubleBitHard}
+	got := make([]*CampaignResult, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for k, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k], errs[k] = p.Run(context.Background(), CampaignConfig{Builder: b, Spec: spec, Trials: 16, Seed: 3, Parallelism: 2})
+		}()
+	}
+	wg.Wait()
+	for k, spec := range specs {
+		if errs[k] != nil {
+			t.Fatal(errs[k])
+		}
+		want, err := Run(CampaignConfig{Builder: b, Spec: spec, Trials: 16, Seed: 3, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[k].Trials, want.Trials) {
+			t.Errorf("%v: the concurrent cell diverged from its stand-alone campaign", spec)
+		}
 	}
 }
 

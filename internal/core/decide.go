@@ -1,13 +1,13 @@
 // Deciding a trial without simulating it (DESIGN.md §9).
 //
 // An injected error can change behaviour only through an access that
-// senses it. A campaign therefore serves its measured window once with no
-// fault under a monitor.Profile (faultFreePass, on the session worker 0
-// then uses), which records for every granule how the window first
+// senses it. A build's measured window is therefore served once with no
+// fault under a monitor.Profile (Prepare, on the instance that seeds the
+// session pool), which records for every granule how the window first
 // referenced it, and a trial whose drawn address falls in a granule the
 // window never references — or, for a soft error, first overwrites whole —
-// is classified from that one record, whichever worker runs it: its
-// execution is the fault-free pass.
+// is classified from that one record, whichever campaign and worker run
+// it: its execution is the fault-free pass.
 
 package core
 

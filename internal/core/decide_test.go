@@ -250,7 +250,8 @@ func TestDecidedCampaignMatchesBuildPerTrial(t *testing.T) {
 }
 
 // TestDecideFallbacks: each condition under which first-touch does not
-// settle a trial keeps the profile off, so nothing is decided.
+// settle a trial keeps the profile off, so nothing is decided; a golden
+// run the pass does not reproduce fails the campaign.
 func TestDecideFallbacks(t *testing.T) {
 	b := decideBuilders["websearch"](t, nil)
 	golden, err := GoldenRun(b)
@@ -286,17 +287,15 @@ func TestDecideFallbacks(t *testing.T) {
 		}
 	})
 	t.Run("wrong-golden", func(t *testing.T) {
-		// A window that does not reproduce golden is not the pass the
-		// trials replay: every trial must be served (and found incorrect).
+		// A supplied golden run only asserts: one the pass does not
+		// reproduce fails the campaign, naming the request.
 		cfg := base
 		cfg.Golden = append([]uint64(nil), golden...)
 		cfg.Golden[len(golden)-1] ^= 1
-		res, reg := runMetered(t, cfg)
-		if n := reg.Counters["campaign_trials_decided_total"]; n != 0 {
-			t.Errorf("%d trials decided against a golden run the window does not match", n)
-		}
-		if res.Count(OutcomeIncorrect)+res.Count(OutcomeCrash) != len(res.Trials) {
-			t.Errorf("outcomes %v, want every trial incorrect or crashed", res.counts)
+		_, err := Run(cfg)
+		want := fmt.Sprintf("core: the supplied golden run differs from the recorded one at request %d", len(golden)-1)
+		if err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
 		}
 	})
 }
@@ -454,8 +453,9 @@ func (a *countingApp) Reset() (int, error) {
 
 // TestOneFaultFreePass: a campaign builds one instance per worker and
 // serves each request of its measured window fault-free exactly once —
-// whether it records its golden run or is handed one, at any warm-up and
-// parallelism — and each warm-up request once per instance. What the
+// whether or not it is handed a golden run to assert, at any warm-up and
+// parallelism — and each warm-up request once per instance; a grid of
+// cells on one Prepared does the same in all (preparedCells). What the
 // trials serve is subtracted: a decided trial serves nothing, a simulated
 // one its Requests, plus the request it crashed in.
 func TestOneFaultFreePass(t *testing.T) {
@@ -514,6 +514,9 @@ func TestOneFaultFreePass(t *testing.T) {
 				}
 			}
 		}
+		t.Run(appName+"/prepared-cells", func(t *testing.T) {
+			preparedCells(t, b, n)
+		})
 		t.Run(appName+"/warmup-rejected", func(t *testing.T) {
 			cb := newCountingBuilder(b, 1, n)
 			_, err := Run(CampaignConfig{Builder: cb, Spec: faults.SingleBitSoft, Trials: 4, Warmup: n})
@@ -526,6 +529,93 @@ func TestOneFaultFreePass(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// preparedCells runs a grid of cells on one Prepared — three error types,
+// any region and stack only, the fixed and the adaptive plan, at
+// parallelism 4 and then 1, and one shard — and requires four builds in
+// all, one fault-free serve of each window request across every cell,
+// and each cell's trials equal to its stand-alone campaign's: the pooled
+// sessions carry nothing from one cell into the next.
+func preparedCells(t *testing.T, b apps.SnapshotBuilder, n int) {
+	const maxPar = 4
+	warmup := n / 4
+	cb := newCountingBuilder(b, maxPar, n)
+	p, err := Prepare(cb, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := CampaignConfig{Builder: cb, Trials: 24, Seed: 5, Warmup: warmup}
+	var cells []CampaignConfig
+	// Parallelism 4 first: the counting builder holds each instance's
+	// first trial until four instances have reached theirs.
+	for _, par := range []int{maxPar, 1} {
+		for _, spec := range []faults.Spec{faults.SingleBitSoft, faults.SingleBitHard, {Class: faults.Hard, Bits: 2}} {
+			for _, filter := range []func(*simmem.Region) bool{nil, inject.KindFilter(simmem.RegionStack)} {
+				for _, adaptive := range []bool{false, true} {
+					cfg := base
+					cfg.Spec, cfg.Filter, cfg.Parallelism = spec, filter, par
+					if adaptive {
+						cfg.Planner = NewAdaptivePlanner(testRule(0.2, 8, 24))
+					}
+					cells = append(cells, cfg)
+				}
+			}
+		}
+	}
+	shard := base
+	shard.Spec, shard.Parallelism, shard.Shard = faults.SingleBitHard, 2, &ShardSpec{Index: 1, Count: 2}
+	cells = append(cells, shard)
+
+	byTrials := make([]int64, n)
+	for k, cfg := range cells {
+		reg := obsv.NewRegistry()
+		cfg.Metrics = reg
+		got, err := p.Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("cell %d: %v", k, err)
+		}
+		alone := cfg
+		alone.Builder, alone.Metrics = b, nil
+		want, err := Run(alone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTrials(t, fmt.Sprintf("cell %d against its stand-alone campaign", k), want.Trials, got.Trials)
+		// Subtract what the trials served: a decided trial nothing, a
+		// crashed one up to its crash, any other the whole window.
+		served := -reg.Snapshot().Counters["campaign_trials_decided_total"]
+		for _, tr := range got.Trials {
+			if tr.Disposition != DispositionCompleted {
+				t.Fatalf("cell %d: trial %d aborted: %s", k, tr.Index, tr.AbortDetail)
+			}
+			if tr.Outcome != OutcomeCrash {
+				served++
+				continue
+			}
+			for q := warmup; q <= warmup+tr.Requests; q++ {
+				byTrials[q]++
+			}
+		}
+		for q := warmup; q < n; q++ {
+			byTrials[q] += served
+		}
+	}
+	builds := cb.builds.Load()
+	if builds != maxPar {
+		t.Errorf("%d instances built across %d cells, want %d", builds, len(cells), maxPar)
+	}
+	for q := range byTrials {
+		// Each instance serves the warm-up once; the pass serves the
+		// window once.
+		want := int64(1)
+		if q < warmup {
+			want = builds
+		}
+		if got := cb.serves[q].Load() - byTrials[q]; got != want {
+			t.Fatalf("request %d served fault-free %d times across %d cells, want %d", q, got, len(cells), want)
+		}
 	}
 }
 

@@ -5,24 +5,24 @@
 // probabilities (with 90% confidence intervals), incorrect-result rates
 // per billion queries, and time-to-outcome distributions.
 //
-// Every trial runs one way (campaign.go): a worker builds and warms up
-// one instance (apps.SnapshotBuilder), snapshots it, and then per trial
-// restores it, injects, serves the post-warmup workload and classifies —
-// snapshotSession.runTrial — after which supervisor.finished records the
-// trial's metrics straight onto the registry. The paper's literal
-// restart-per-trial loop lives on the test side, as the reference the
-// equivalence suites compare against.
+// Every trial runs one way (campaign.go): a session — an instance built,
+// warmed up and snapshotted (apps.SnapshotBuilder) — is restored,
+// injected, serves the post-warmup workload and is classified
+// (Prepared.runTrial); supervisor.finished records the trial's metrics.
+// The paper's literal restart-per-trial loop lives on the test side, as
+// the reference the equivalence suites compare against.
 //
-// A campaign serves its workload fault-free exactly once (faultFreePass),
-// on the instance that becomes worker 0's session: the warm-up prefix
-// records the golden digests (or checks supplied ones), and the measured
-// window records how each granule is first referenced (decide.go). The
-// other workers only warm up. A trial whose drawn address lies in a
-// granule that window never references — or, for a soft error, first
-// overwrites whole — is classified from that one read-only record right
-// after the address draw, without injecting or serving; its TrialResult
-// is the one the replay would have produced (DESIGN.md §9). GoldenRun,
-// the pass and every warm-up go through one serve loop, serveFaultFree.
+// Prepare serves a build's workload fault-free exactly once, recording
+// the golden digests and how the window first references each granule
+// (decide.go); its instance seeds the session pool. Prepared.Run runs one
+// campaign on the build, its workers taking pooled sessions or building
+// their own, so every cell of a grid over one build shares the one pass;
+// RunContext is Prepare plus one Run. A trial whose drawn address lies
+// in a granule the window never references — or, for a soft error, first
+// overwrites whole — is classified from that read-only record without
+// injecting or serving; its TrialResult is the one the replay would have
+// produced (DESIGN.md §9). GoldenRun, the pass and every warm-up go
+// through one serve loop, serveFaultFree.
 //
 // Campaign execution is a two-tier supervision hierarchy:
 //

@@ -54,32 +54,23 @@ type Explanation struct {
 }
 
 // ExplainTrial re-runs trial i of the campaign cfg describes the way the
-// campaign ran it: the one fault-free pass (faultFreePass), then runTrial
-// on the session it leaves, with a log attached. The log is observational,
-// so the result is the campaign's own for trial i.
+// campaign ran it: Prepare, then runTrial on the pass's session with a
+// log attached. The log is observational, so the result is the
+// campaign's own for trial i.
 func ExplainTrial(cfg CampaignConfig, i int) (*Explanation, error) {
-	sb, err := snapshotBuilder(cfg)
+	p, err := Prepare(cfg.Builder, cfg.Warmup)
 	if err != nil {
 		return nil, err
-	}
-	golden, profile, sess, err := faultFreePass(sb, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if sess == nil {
-		if sess, err = newSnapshotSession(sb, cfg, golden); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
 	}
 	ex := &Explanation{}
-	tr, ts, err := sess.runTrial(cfg, golden, profile, i, &ex.trialLog)
+	tr, ts, err := p.runTrial(p.take(), cfg, i, &ex.trialLog)
 	if err != nil {
 		return nil, fmt.Errorf("core: trial %d: %w", i, err)
 	}
 	tr.Index = i
 	ex.Result, ex.Decided = tr, ts.decided
 	if ex.Decided {
-		ex.Granule, _ = profile.At(ex.Addr)
+		ex.Granule, _ = p.profile.At(ex.Addr)
 	}
 	return ex, nil
 }

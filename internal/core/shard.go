@@ -236,10 +236,10 @@ func MergeShards(dir string) (finished []ShardJournal, merged map[int]TrialResul
 }
 
 // ResultFromTrials reconstructs a CampaignResult from journaled trial
-// records — the merge-side twin of the supervisor's result assembly, so
-// aggregates computed over a merged N-shard campaign go through exactly
-// the same code as a single-process run's. Interrupted is set when the
-// records do not cover every requested trial.
+// records. It folds them through the supervisor's own result assembly
+// (CampaignResult.fold), so aggregates computed over a merged N-shard
+// campaign go through exactly the same code as a single-process run's.
+// Interrupted is set when the records do not cover every requested trial.
 func ResultFromTrials(app string, spec faults.Spec, requested int, trials map[int]TrialResult) *CampaignResult {
 	res := &CampaignResult{
 		App:       app,
@@ -249,19 +249,11 @@ func ResultFromTrials(app string, spec faults.Spec, requested int, trials map[in
 		// are unsharded), so the merged plan is the fixed one.
 		Planned:   requested,
 		PlanFinal: true,
-		counts:    make(map[Outcome]int),
 	}
-	for i := 0; i < requested; i++ {
+	res.fold(requested, func(i int) (TrialResult, bool) {
 		tr, ok := trials[i]
-		if !ok {
-			continue
-		}
-		tr.Index = i
-		res.Trials = append(res.Trials, tr)
-		if tr.Disposition == DispositionCompleted {
-			res.counts[tr.Outcome]++
-		}
-	}
+		return tr, ok
+	})
 	res.Interrupted = len(res.Trials) < requested
 	return res
 }

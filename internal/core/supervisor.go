@@ -6,26 +6,23 @@ import (
 	"time"
 
 	"hrmsim/internal/apps"
-	"hrmsim/internal/monitor"
 	"hrmsim/internal/stats"
 )
 
 // supervisor drives one campaign's worker pool: context cancellation
 // with in-flight draining, journal appends, resume skipping, and the
 // abort of a trial whose infrastructure fails. The Fig. 2 trial loop
-// itself lives in campaign.go (snapshotSession.runTrial); the supervisor
+// itself lives in campaign.go (Prepared.runTrial); the supervisor
 // only decides which trials run and records what became of each. A
 // runaway request needs no per-trial watchdog: each app's per-request
 // apps.Budget ends it as a crash.
 type supervisor struct {
-	cfg    CampaignConfig
-	golden []uint64
-	// profile is the fault-free window's record every worker decides from
-	// (read-only; nil: every trial simulates).
-	profile *monitor.Profile
-	par     int
-	sb      apps.SnapshotBuilder
-	m       *campaignMetrics
+	cfg CampaignConfig
+	// prep is the build the campaign runs on: its golden run, its record
+	// and the session pool the workers draw from.
+	prep *Prepared
+	par  int
+	m    *campaignMetrics
 	// adaptive selects the adaptive plan, run under rule (clamped to
 	// the campaign size); otherwise the fixed plan runs.
 	adaptive bool
@@ -53,9 +50,10 @@ type supervisor struct {
 // index without a result to the pool, waits for the segment's trials,
 // and, on the adaptive plan, evaluates the rule over the complete
 // prefix to stop or open the next segment. Cancellation stops the
-// dispatch and drains the in-flight trials. Worker 0 starts on first,
-// the session the fault-free pass left ready (nil: it builds its own).
-func (s *supervisor) run(ctx context.Context, first *snapshotSession) (*CampaignResult, error) {
+// dispatch and drains the in-flight trials. Each worker takes a session
+// from the prepared build's pool, or builds one when the pool is empty,
+// and puts it back when the run ends.
+func (s *supervisor) run(ctx context.Context) *CampaignResult {
 	cfg := s.cfg
 	results := make([]TrialResult, cfg.Trials)
 	have := make([]bool, cfg.Trials)
@@ -94,14 +92,12 @@ func (s *supervisor) run(ctx context.Context, first *snapshotSession) (*Campaign
 	idxCh := make(chan int)
 	var wg, pending sync.WaitGroup
 	for w := 0; w < s.par; w++ {
-		// Each worker keeps one instance alive across all the trials it
-		// drains; the build + warmup cost is paid once per worker instead
-		// of once per trial.
-		sess := first
-		first = nil
+		// Each worker keeps one pooled session across all its trials.
+		sess := s.prep.take()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() { s.prep.put(sess) }()
 			for i := range idxCh {
 				start := time.Now()
 				var tr TrialResult
@@ -187,25 +183,15 @@ dispatch:
 	res := &CampaignResult{
 		App:         cfg.Builder.AppName(),
 		Spec:        cfg.Spec,
-		Golden:      s.golden,
 		Requested:   cfg.Trials,
 		Planned:     planned,
 		PlanFinal:   s.planFinal,
 		Resumed:     s.resumed,
 		Interrupted: interrupted,
 		Parallelism: s.par,
-		counts:      make(map[Outcome]int),
 	}
-	for i := 0; i < cfg.Trials; i++ {
-		if !have[i] {
-			continue
-		}
-		res.Trials = append(res.Trials, results[i])
-		if results[i].Disposition == DispositionCompleted {
-			res.counts[results[i].Outcome]++
-		}
-	}
-	return res, nil
+	res.fold(cfg.Trials, func(i int) (TrialResult, bool) { return results[i], have[i] })
+	return res
 }
 
 // runOne runs trial i once on the worker's session, building the
@@ -215,15 +201,15 @@ dispatch:
 // rebuilds its instance for its next trial. The trial gets no second
 // attempt, since building and restoring an instance are deterministic
 // and would fail the same way again.
-func (s *supervisor) runOne(sess *snapshotSession, i int) (TrialResult, trialStats, *snapshotSession) {
+func (s *supervisor) runOne(sess apps.SnapshotApp, i int) (TrialResult, trialStats, apps.SnapshotApp) {
 	var err error
 	if sess == nil {
-		sess, err = newSnapshotSession(s.sb, s.cfg, s.golden)
+		sess, err = s.prep.newSession()
 	}
 	if err == nil {
 		var tr TrialResult
 		var ts trialStats
-		if tr, ts, err = sess.runTrial(s.cfg, s.golden, s.profile, i, nil); err == nil {
+		if tr, ts, err = s.prep.runTrial(sess, s.cfg, i, nil); err == nil {
 			tr.Index = i
 			return tr, ts, sess
 		}

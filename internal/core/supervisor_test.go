@@ -314,25 +314,22 @@ func TestFailedTrialAbortsOnce(t *testing.T) {
 	checkMetricsMatchTrials(t, snap, res)
 }
 
-// TestRetryExhaustionAbortsTrial: a permanently failing worker aborts
-// every trial (reason "worker_error") on its one attempt without failing
-// the campaign.
-func TestRetryExhaustionAbortsTrial(t *testing.T) {
+// TestFailingWorkerAbortsEveryTrial: once the fault-free pass is done, a
+// builder that fails every build aborts every trial (reason
+// "worker_error") on its one attempt without failing the campaign.
+func TestFailingWorkerAbortsEveryTrial(t *testing.T) {
 	inner := kvBuilder(t, 5)
-	golden, err := GoldenRun(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every campaign build fails (the golden run above used the inner
-	// builder directly).
-	alwaysFail := &flakyBuilder{Builder: inner, failBuilds: map[int64]bool{}}
-	for i := int64(1); i <= 64; i++ {
-		alwaysFail.failBuilds[i] = true
+	// Builds 1 and 2 are the pass's instance and the Reset ending the
+	// pass (the build-per-trial reference rebuilds on every Reset); every
+	// later build fails, starting with trial 0's restore.
+	failing := &flakyBuilder{Builder: inner, failBuilds: map[int64]bool{}}
+	for i := int64(3); i <= 64; i++ {
+		failing.failBuilds[i] = true
 	}
 	reg := obsv.NewRegistry()
 	res, err := Run(CampaignConfig{
-		Builder: buildPerTrial{alwaysFail}, Spec: faults.SingleBitSoft,
-		Trials: 3, Seed: 4, Parallelism: 1, Golden: golden,
+		Builder: buildPerTrial{failing}, Spec: faults.SingleBitSoft,
+		Trials: 3, Seed: 4, Parallelism: 1,
 		RunOptions: RunOptions{Metrics: reg},
 	})
 	if err != nil {
@@ -354,9 +351,10 @@ func TestRetryExhaustionAbortsTrial(t *testing.T) {
 	if got := snap.Counters[`campaign_trials_aborted_total{reason="worker_error"}`]; got != 3 {
 		t.Errorf("aborted{worker_error} = %d, want 3", got)
 	}
-	// The fault-free pass's build, then one build per trial.
-	if got := alwaysFail.builds.Load(); got != 1+3 {
-		t.Errorf("%d builds, want 1+3 (one attempt per trial)", got)
+	// The pass's two builds, then one per trial: trial 0's restore, then
+	// a fresh session for each later trial.
+	if got := failing.builds.Load(); got != 2+3 {
+		t.Errorf("%d builds, want 2+3 (one attempt per trial)", got)
 	}
 }
 

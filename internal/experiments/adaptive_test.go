@@ -10,40 +10,56 @@ import (
 
 // TestAdaptiveCellMatchesSingleShot: a cell run through the suite's
 // cache is bit-identical to the same cell run as a stand-alone adaptive
-// campaign under the suite's stopping rule.
+// campaign under the suite's stopping rule — also when another cell of
+// the same application ran first on the suite's prepared build, so its
+// pooled sessions carry nothing from one cell into the next.
 func TestAdaptiveCellMatchesSingleShot(t *testing.T) {
-	s, err := NewSuite(Scale{Trials: 80, Fig5aTrials: 80, Watchpoints: 50, TargetCI: 0.15, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.campaign("kvstore", faults.SingleBitSoft, 0, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.PlanFinal {
-		t.Fatal("suite cached a non-final plan")
-	}
+	for _, tc := range []struct {
+		name       string
+		otherFirst bool
+	}{
+		{"first-cell", false},
+		{"after-another-cell", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSuite(Scale{Trials: 80, Fig5aTrials: 80, Watchpoints: 50, TargetCI: 0.15, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.otherFirst {
+				if _, err := s.campaign("kvstore", faults.SingleBitHard, 0, 80); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := s.campaign("kvstore", faults.SingleBitSoft, 0, 80)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.PlanFinal {
+				t.Fatal("suite cached a non-final plan")
+			}
 
-	entry, err := s.app("kvstore")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Run(core.CampaignConfig{
-		Builder: entry.builder,
-		Spec:    faults.SingleBitSoft,
-		Trials:  80,
-		Seed:    1,
-		Golden:  entry.golden,
-		Planner: core.NewAdaptivePlanner(s.cellRule(80)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Planned != want.Planned {
-		t.Errorf("suite cell stopped at %d trials, single shot at %d", got.Planned, want.Planned)
-	}
-	if !reflect.DeepEqual(got.Trials, want.Trials) {
-		t.Error("suite cell trials diverged from the single-shot campaign")
+			entry, err := s.app("kvstore")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Run(core.CampaignConfig{
+				Builder: entry.builder,
+				Spec:    faults.SingleBitSoft,
+				Trials:  80,
+				Seed:    1,
+				Planner: core.NewAdaptivePlanner(s.cellRule(80)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Planned != want.Planned {
+				t.Errorf("suite cell stopped at %d trials, single shot at %d", got.Planned, want.Planned)
+			}
+			if !reflect.DeepEqual(got.Trials, want.Trials) {
+				t.Error("suite cell trials diverged from the single-shot campaign")
+			}
+		})
 	}
 }
 

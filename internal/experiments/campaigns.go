@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hrmsim/internal/core"
@@ -34,7 +35,6 @@ func (s *Suite) campaign(app string, spec faults.Spec, kind simmem.RegionKind, t
 		Trials:      trials,
 		Seed:        s.scale.Seed,
 		Parallelism: s.scale.Parallelism,
-		Golden:      entry.golden,
 		RunOptions:  core.RunOptions{Progress: s.scale.Progress},
 	}
 	if kind != 0 {
@@ -43,7 +43,7 @@ func (s *Suite) campaign(app string, spec faults.Spec, kind simmem.RegionKind, t
 	if s.scale.TargetCI > 0 {
 		cfg.Planner = core.NewAdaptivePlanner(s.cellRule(trials))
 	}
-	res, err = core.Run(cfg)
+	res, err = entry.prepared.Run(context.Background(), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: campaign %s: %w", key, err)
 	}

@@ -81,7 +81,7 @@ type Comparison struct {
 	Note     string `json:"note,omitempty"`
 }
 
-// Suite lazily builds the three applications (with goldens) once and
+// Suite lazily prepares the three applications once (core.Prepare) and
 // shares them across experiments.
 type Suite struct {
 	scale Scale
@@ -92,10 +92,10 @@ type Suite struct {
 	window    *observedWindow
 }
 
-// appEntry caches a builder and its golden run.
+// appEntry caches a builder and its prepared build, which every cell runs on.
 type appEntry struct {
-	builder apps.Builder
-	golden  []uint64
+	builder  apps.Builder
+	prepared *core.Prepared
 }
 
 // NewSuite creates a suite at the given scale, filling in the defaults.
@@ -152,8 +152,8 @@ func NewBuilder(name string, size apps.Size, seed int64) (apps.Builder, error) {
 	}
 }
 
-// app returns the cached builder+golden for one of AppNames, built at
-// apps.SizeMedium.
+// app returns the cached builder and prepared build for one of AppNames,
+// built at apps.SizeMedium with no warm-up.
 func (s *Suite) app(name string) (*appEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -164,11 +164,11 @@ func (s *Suite) app(name string) (*appEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building %s: %w", name, err)
 	}
-	golden, err := core.GoldenRun(b)
+	prepared, err := core.Prepare(b, 0)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: golden run for %s: %w", name, err)
+		return nil, fmt.Errorf("experiments: preparing %s: %w", name, err)
 	}
-	e := &appEntry{builder: b, golden: golden}
+	e := &appEntry{builder: b, prepared: prepared}
 	s.apps[name] = e
 	return e, nil
 }

@@ -283,7 +283,7 @@ func (s *Suite) ExtCorrelated() (*Report, error) {
 					crashed = true
 					break
 				}
-				if resp.Digest != entry.golden[q] {
+				if resp.Digest != entry.prepared.Golden()[q] {
 					wrong = true
 				}
 			}

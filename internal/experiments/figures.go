@@ -185,7 +185,7 @@ func (s *Suite) Figure5a() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	horizon := float64(len(res.Golden)) * entry.builder.(*websearch.Builder).Config().RequestCost.Minutes()
+	horizon := float64(len(entry.prepared.Golden())) * entry.builder.(*websearch.Builder).Config().RequestCost.Minutes()
 
 	var b strings.Builder
 	renderDist := func(name string, xs []float64) error {

@@ -12,7 +12,10 @@
 #      worker 1 once its journal holds at least 20 records, let its loop's
 #      -resume attempt finish the shard, and merge,
 #   4. diff both merged -json results against their campaign's
-#      single-process baseline,
+#      single-process baseline, and after each merge `hrmsim explain` one
+#      trial from each shard's journal (for the killed worker, a trial
+#      its killed attempt recorded): each must exit 0 with the chain that
+#      ends "equals the journaled record",
 #   5. assert the one shard file: the shard directory holds only the two
 #      journals, each ending in its trailer, and `hrmsim status` reports
 #      the settled fleet view (all trials done, 0 running) that matches
@@ -77,6 +80,26 @@ done
 echo "shard_smoke: merging the shard directory" >&2
 "$BIN" merge -dir "$TMP/shards" -json >"$TMP/merged.json"
 
+# explain_first JOURNAL [SOURCE]: `hrmsim explain` the first trial SOURCE
+# (default JOURNAL) records, re-run from JOURNAL; it must exit 0 and print
+# the causal chain, which ends "equals the journaled record".
+explain_first() {
+    j="$1"; src="${2:-$1}"
+    trial="$(sed -n 2p "$src" | grep -o '^{"trial":[0-9]*' | cut -d: -f2)"
+    : >"$TMP/explain.txt"
+    if [ -z "$trial" ] || ! "$BIN" explain "$j" "$trial" >"$TMP/explain.txt" 2>&1 ||
+        ! grep -q 'equals the journaled record' "$TMP/explain.txt"; then
+        echo "shard_smoke: FAIL — hrmsim explain $j ${trial:-(no trial record)}:" >&2
+        cat "$TMP/explain.txt" >&2
+        exit 1
+    fi
+}
+
+echo "shard_smoke: explaining one trial of each shard journal" >&2
+for i in 0 1; do
+    explain_first "$TMP/shards/shard-000$i-of-0002.jsonl"
+done
+
 echo "shard_smoke: reading the journals back (hrmsim status)" >&2
 "$BIN" status -json "$TMP/shards" >"$TMP/fleet.json"
 "$BIN" status "$TMP/shards" >"$TMP/status.txt"
@@ -136,6 +159,10 @@ if [ ! -s "$killed" ]; then
     exit 1
 fi
 "$BIN" merge -dir "$TMP/killed" -json >"$TMP/killed-merged.json"
+
+echo "shard_smoke: explaining one trial of each killed-run shard, worker 1's recorded before the kill" >&2
+explain_first "$TMP/killed/shard-0000-of-0002.jsonl"
+explain_first "$TMP/killed/shard-0001-of-0002.jsonl" "$killed"
 
 echo "shard_smoke: comparing merged results to baseline" >&2
 python3 - "$TMP/baseline.json" "$TMP/merged.json" "$TMP/fleet.json" \
