@@ -51,6 +51,9 @@ func TestGoldenWireShape(t *testing.T) {
 		{"profile", []string{"profile", "-app", "kvstore", "-size", "small", "-watchpoints", "7", "-json"}},
 		// 59 heap ratios of mixed values, in sample-draw order.
 		{"profile-graphmine", profileGraphmine},
+		// WebSearch, whose window Fig. 5b and Table 5 also read: three
+		// regions at the default 300 watchpoints.
+		{"profile-websearch", []string{"profile", "-app", "websearch", "-size", "small", "-json"}},
 		{"designspace", []string{"designspace", "-json"}},
 		{"plan", []string{"plan", "-target", "0.999", "-json"}},
 		{"tables-table1", []string{"tables", "-t", "table1", "-trials", "10", "-json"}},
