@@ -3,6 +3,7 @@ package hrmsim
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 
 	"hrmsim/internal/apps"
@@ -576,9 +577,11 @@ type AccessProfileReport struct {
 	Regions []RegionProfile `json:"regions"`
 }
 
-// AccessProfile runs the application's full workload under the
-// access-monitoring framework and reports safe ratios and recoverability
-// per region (the paper's Sections III-B/III-C measurements).
+// AccessProfile prepares the application (core.Prepare at warm-up 0),
+// whose one fault-free pass records its full workload under the
+// access-monitoring framework, and reports safe ratios and recoverability
+// per region (the paper's Sections III-B/III-C measurements) from that
+// record.
 func AccessProfile(cfg AccessProfileConfig) (*AccessProfileReport, error) {
 	if cfg.App == "" {
 		return nil, fmt.Errorf("hrmsim: AccessProfileConfig.App is required")
@@ -596,20 +599,27 @@ func AccessProfile(cfg AccessProfileConfig) (*AccessProfileReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst, err := builder.Build()
-	if err != nil {
-		return nil, err
-	}
-	rec, sample, err := monitor.Observe(inst, cfg.Seed, cfg.Watchpoints)
+	prepared, err := core.Prepare(builder, 0)
 	if err != nil {
 		return nil, fmt.Errorf("hrmsim: profiling workload: %w", err)
 	}
+	rec := prepared.Profile()
+	if rec == nil {
+		return nil, fmt.Errorf("hrmsim: the prepared %s build kept no access profile", cfg.App)
+	}
+	var sample []simmem.Addr
+	if err := prepared.WithSession(func(sess apps.SnapshotApp) error {
+		sample = monitor.Sample(sess.Space(), rand.New(rand.NewSource(cfg.Seed)), cfg.Watchpoints)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 	rep := &AccessProfileReport{App: cfg.App, WindowMinutes: rec.Window().Minutes(), Regions: []RegionProfile{}}
-	for _, r := range inst.Space().Regions() {
-		ratios := rec.SafeRatios(sample, r.Kind())
+	for _, r := range rec.Regions() {
+		ratios := rec.SafeRatios(sample, r.Kind)
 		p := RegionProfile{
-			Region:      r.Kind().String(),
-			UsedBytes:   r.Used(),
+			Region:      r.Kind.String(),
+			UsedBytes:   r.Used,
 			Watchpoints: len(ratios),
 			SafeRatios:  ratios,
 		}
@@ -620,7 +630,7 @@ func AccessProfile(cfg AccessProfileConfig) (*AccessProfileReport, error) {
 		if len(ratios) > 0 {
 			p.MeanSafeRatio = sum / float64(len(ratios))
 		}
-		rv, err := rec.RecoverabilityOf(r)
+		rv, err := rec.RecoverabilityOf(r.Base)
 		if err != nil {
 			return nil, err
 		}

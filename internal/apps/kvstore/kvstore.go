@@ -149,7 +149,7 @@ type App struct {
 	// host-side mutable state — allocator bookkeeping (SET-miss inserts
 	// allocate) and stack depth.
 	snap      apps.Checkpoint
-	snapArena *simmem.ArenaMark
+	snapArena simmem.ArenaMark
 }
 
 var _ apps.SnapshotApp = (*App)(nil)
@@ -270,7 +270,7 @@ var _ apps.SnapshotBuilder = (*Builder)(nil)
 
 // Snapshot implements apps.SnapshotApp. Region used marks are restored
 // by the memory snapshot; the arena mark covers the allocator's
-// host-side free lists and size map.
+// host-side bump pointer.
 func (a *App) Snapshot() error {
 	a.snap.Capture(a.as, a.stack)
 	a.snapArena = a.arena.Mark()

@@ -237,10 +237,11 @@ type Prepared struct {
 
 // Prepare builds one instance and serves its workload fault-free once,
 // recording the golden digests: 0..warmup; Snapshot; the window under a
-// monitor.Profile; Reset, which leaves the instance as the pool's first
-// session. The profile is dropped when a fault can act other than through
-// the first access to its granule (CPU cache model on; observers the
-// snapshot retains) or when it missed an access the instance counted.
+// monitor.Profile, ended by Finish; Reset, which leaves the instance as
+// the pool's first session. The profile is dropped when a fault can act
+// other than through the first access to its granule (CPU cache model on;
+// observers the snapshot retains) or when it missed an access the
+// instance counted.
 func Prepare(b apps.Builder, warmup int) (*Prepared, error) {
 	sb, err := snapshotBuilder(b)
 	if err != nil {
@@ -278,7 +279,7 @@ func Prepare(b apps.Builder, warmup int) (*Prepared, error) {
 		return nil, goldenCrash(q, err)
 	}
 	if after := as.Counters(); prof != nil && prof.Accesses == (after.Loads-before.Loads)+(after.Stores-before.Stores) {
-		prof.End = as.Clock().Now()
+		prof.Finish(as)
 		p.profile = prof
 	}
 	if _, err := app.Reset(); err != nil {
@@ -290,6 +291,32 @@ func Prepare(b apps.Builder, warmup int) (*Prepared, error) {
 
 // Golden returns the golden run's digests; callers must not modify them.
 func (p *Prepared) Golden() []uint64 { return p.golden }
+
+// Profile returns the record of the fault-free window, or nil when a
+// fallback dropped it (see Prepare); callers must not modify it.
+func (p *Prepared) Profile() *monitor.Profile { return p.profile }
+
+// WithSession lends fn a pooled session reset to the start of the window
+// (the post-warmup snapshot), building one only when the pool is empty.
+// The session goes back to the pool when fn returns nil and is dropped
+// when it fails. fn must not keep the session.
+func (p *Prepared) WithSession(fn func(apps.SnapshotApp) error) error {
+	sess := p.take()
+	if sess == nil {
+		var err error
+		if sess, err = p.newSession(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	if _, err := sess.Reset(); err != nil {
+		return fmt.Errorf("core: restoring snapshot: %w", err)
+	}
+	if err := fn(sess); err != nil {
+		return err
+	}
+	p.put(sess)
+	return nil
+}
 
 // Run runs one campaign on the prepared build, under the same checks and
 // cancellation contract as RunContext. It refuses a cfg whose Builder or

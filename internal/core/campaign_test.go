@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -12,7 +14,9 @@ import (
 	"hrmsim/internal/apps"
 	"hrmsim/internal/apps/kvstore"
 	"hrmsim/internal/apps/websearch"
+	"hrmsim/internal/ecc"
 	"hrmsim/internal/faults"
+	"hrmsim/internal/monitor"
 	"hrmsim/internal/obsv"
 	"hrmsim/internal/simmem"
 )
@@ -246,7 +250,8 @@ func TestPreparedRunRefusals(t *testing.T) {
 }
 
 // TestPreparedConcurrentRuns: campaigns run at once on one Prepared share
-// its session pool, and each still equals its stand-alone campaign.
+// its session pool with a loan that serves the whole window, and each
+// still equals its stand-alone campaign; the loan serves the golden run.
 func TestPreparedConcurrentRuns(t *testing.T) {
 	b := kvBuilder(t, 9)
 	p, err := Prepare(b, 0)
@@ -264,7 +269,23 @@ func TestPreparedConcurrentRuns(t *testing.T) {
 			got[k], errs[k] = p.Run(context.Background(), CampaignConfig{Builder: b, Spec: spec, Trials: 16, Seed: 3, Parallelism: 2})
 		}()
 	}
+	var loanErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		loanErr = p.WithSession(func(sess apps.SnapshotApp) error {
+			for q, want := range p.Golden() {
+				if resp, err := sess.Serve(q); err != nil || resp.Digest != want {
+					return fmt.Errorf("request %d: digest %#x, error %v; golden %#x", q, resp.Digest, err, want)
+				}
+			}
+			return nil
+		})
+	}()
 	wg.Wait()
+	if loanErr != nil {
+		t.Fatal(loanErr)
+	}
 	for k, spec := range specs {
 		if errs[k] != nil {
 			t.Fatal(errs[k])
@@ -276,6 +297,83 @@ func TestPreparedConcurrentRuns(t *testing.T) {
 		if !reflect.DeepEqual(got[k].Trials, want.Trials) {
 			t.Errorf("%v: the concurrent cell diverged from its stand-alone campaign", spec)
 		}
+	}
+}
+
+// TestPreparedRecordMatchesFreshPass: the record a Prepared keeps equals
+// the one a fresh build makes under New, every request served and Finish,
+// and the Fig. 5b sample drawn on a lent session equals the one drawn on
+// that fresh build, also after a hard-error cell has run on the Prepared.
+// A lent session whose function fails is dropped.
+func TestPreparedRecordMatchesFreshPass(t *testing.T) {
+	cases := []struct {
+		name, app string
+		codec     simmem.Codec
+	}{
+		{"websearch", "websearch", nil},
+		{"websearch-secded", "websearch", ecc.NewSECDED()},
+		{"kvstore", "kvstore", nil},
+		{"graphmine", "graphmine", nil},
+	}
+	const seed, watchpoints = 5, 300
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := decideBuilders[tc.app](t, tc.codec)
+			p, err := Prepare(b, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			as := fresh.Space()
+			want := monitor.New(as)
+			as.AddAccessObserver(want)
+			wantSample := monitor.Sample(as, rand.New(rand.NewSource(seed)), watchpoints)
+			for q := 0; q < fresh.NumRequests(); q++ {
+				if _, err := fresh.Serve(q); err != nil {
+					t.Fatalf("request %d: %v", q, err)
+				}
+			}
+			want.Finish(as)
+			if got := p.Profile(); got == nil || !reflect.DeepEqual(got, want) {
+				t.Fatal("the prepared record differs from a fresh pass's")
+			}
+
+			lentSample := func() []simmem.Addr {
+				var got []simmem.Addr
+				if err := p.WithSession(func(sess apps.SnapshotApp) error {
+					if now := sess.Space().Clock().Now(); now != want.Start {
+						return fmt.Errorf("lent session's clock at %v, the window starts at %v", now, want.Start)
+					}
+					got = monitor.Sample(sess.Space(), rand.New(rand.NewSource(seed)), watchpoints)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return got
+			}
+			if len(wantSample) == 0 || !reflect.DeepEqual(lentSample(), wantSample) {
+				t.Fatal("the sample drawn on a lent session differs from a fresh build's")
+			}
+			cfg := CampaignConfig{Builder: b, Spec: faults.DoubleBitHard, Trials: 16, Seed: 3, Parallelism: 2}
+			if _, err := p.Run(context.Background(), cfg); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(lentSample(), wantSample) {
+				t.Fatal("after a hard-2bit cell, the sample drawn on a lent session differs from a fresh build's")
+			}
+
+			pooled := len(p.pool)
+			boom := errors.New("boom")
+			if err := p.WithSession(func(apps.SnapshotApp) error { return boom }); !errors.Is(err, boom) {
+				t.Fatalf("WithSession returned %v, want the function's error", err)
+			}
+			if len(p.pool) != pooled-1 {
+				t.Errorf("pool holds %d sessions after a failed loan, want %d", len(p.pool), pooled-1)
+			}
+		})
 	}
 }
 

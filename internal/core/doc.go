@@ -21,7 +21,10 @@
 // in a granule the window never references — or, for a soft error, first
 // overwrites whole — is classified from that read-only record without
 // injecting or serving; its TrialResult is the one the replay would have
-// produced (DESIGN.md §9). GoldenRun, the pass and every warm-up go
+// produced (DESIGN.md §9). The same record is the one the paper's figures
+// read (Prepared.Profile), and Prepared.WithSession lends a pooled session
+// reset to the start of the window to code that serves or samples the
+// build outside a campaign. GoldenRun, the pass and every warm-up go
 // through one serve loop, serveFaultFree.
 //
 // Campaign execution is a two-tier supervision hierarchy:

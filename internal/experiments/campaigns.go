@@ -69,17 +69,13 @@ func (s *Suite) cellRule(trials int) stats.SequentialStopping {
 
 // regionsOf lists the region kinds an application actually maps.
 func (s *Suite) regionsOf(app string) ([]simmem.RegionKind, error) {
-	entry, err := s.app(app)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := entry.builder.Build()
+	_, rec, err := s.profile(app)
 	if err != nil {
 		return nil, err
 	}
 	var kinds []simmem.RegionKind
-	for _, r := range inst.Space().Regions() {
-		kinds = append(kinds, r.Kind())
+	for _, r := range rec.Regions() {
+		kinds = append(kinds, r.Kind)
 	}
 	return kinds, nil
 }

@@ -17,7 +17,6 @@ import (
 	"hrmsim/internal/apps/websearch"
 	"hrmsim/internal/core"
 	"hrmsim/internal/monitor"
-	"hrmsim/internal/simmem"
 )
 
 // Scale controls how much work the campaign-backed experiments do. The
@@ -89,7 +88,6 @@ type Suite struct {
 	mu        sync.Mutex
 	apps      map[string]*appEntry
 	campaigns map[string]*core.CampaignResult
-	window    *observedWindow
 }
 
 // appEntry caches a builder and its prepared build, which every cell runs on.
@@ -173,40 +171,19 @@ func (s *Suite) app(name string) (*appEntry, error) {
 	return e, nil
 }
 
-// observedWindow is one fault-free pass of an application's whole
-// workload under a monitor.Profile, with the Fig. 5b address sample.
-type observedWindow struct {
-	inst   apps.App
-	rec    *monitor.Profile
-	sample []simmem.Addr
-}
-
-// websearchWindow runs (or returns the cached result of) the WebSearch
-// pass that Fig. 5b and Table 5 both read.
-func (s *Suite) websearchWindow() (*observedWindow, error) {
-	s.mu.Lock()
-	w := s.window
-	s.mu.Unlock()
-	if w != nil {
-		return w, nil
-	}
-	entry, err := s.app("websearch")
+// profile returns one application's prepared build and the record of its
+// fault-free window: the regions every experiment lists, and what Fig. 5b
+// and Table 5 measure.
+func (s *Suite) profile(name string) (*appEntry, *monitor.Profile, error) {
+	entry, err := s.app(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	inst, err := entry.builder.Build()
-	if err != nil {
-		return nil, err
+	rec := entry.prepared.Profile()
+	if rec == nil {
+		return nil, nil, fmt.Errorf("experiments: the prepared %s build kept no access profile", name)
 	}
-	rec, sample, err := monitor.Observe(inst, s.scale.Seed, s.scale.Watchpoints)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: websearch access profile: %w", err)
-	}
-	w = &observedWindow{inst: inst, rec: rec, sample: sample}
-	s.mu.Lock()
-	s.window = w
-	s.mu.Unlock()
-	return w, nil
+	return entry, rec, nil
 }
 
 // AppNames lists the case-study applications in paper order.

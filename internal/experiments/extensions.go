@@ -225,23 +225,6 @@ func (s *Suite) ExtCorrelated() (*Report, error) {
 	}
 	rng := rand.New(rand.NewSource(s.scale.Seed))
 
-	// Size a geometry to just cover the application's used bytes, so
-	// random fault domains land on application data.
-	inst0, err := entry.builder.Build()
-	if err != nil {
-		return nil, err
-	}
-	used := int64(0)
-	for _, r := range inst0.Space().Regions() {
-		used += int64(r.Used())
-	}
-	geom := dram.Geometry{Channels: 2, DIMMsPerChannel: 1, ChipsPerDIMM: 8, BanksPerDIMM: 4, LinesPerRow: 4}
-	per := int64(geom.Channels) * int64(geom.DIMMsPerChannel) * int64(geom.BanksPerDIMM) * int64(geom.LinesPerRow) * dram.LineBytes
-	geom.RowsPerBank = int(used/per) + 1
-	if err := geom.Validate(); err != nil {
-		return nil, err
-	}
-
 	var bars []textplot.Bar
 	var domains []domainCrash
 	rep := &Report{ID: "ext-correlated", Title: "Correlated device-structure faults (paper §VII)"}
@@ -254,55 +237,75 @@ func (s *Suite) ExtCorrelated() (*Report, error) {
 		return nil, err
 	}
 
-	for _, kind := range kinds {
-		crashes, incorrect := 0, 0
-		for trial := 0; trial < trials; trial++ {
-			inst, err := entry.builder.Build()
-			if err != nil {
-				return nil, err
-			}
-			layout, err := inject.NewPhysLayout(inst.Space(), geom)
-			if err != nil {
-				return nil, err
-			}
-			d := geom.RandomDomain(kind, rng)
-			inj, err := inject.Domain(layout, rng, d, faults.SingleBitHard, 128)
-			if err != nil {
-				return nil, err
-			}
-			if len(inj.Targets) == 0 {
-				continue // the failed structure held no application data
-			}
-			crashed, wrong := false, false
-			for q := 0; q < inst.NumRequests(); q++ {
-				resp, err := inst.Serve(q)
+	// Every trial runs on one session of the prepared build, restored to
+	// the start of the window before each.
+	err = entry.prepared.WithSession(func(sess apps.SnapshotApp) error {
+		// Size a geometry to just cover the application's used bytes, so
+		// random fault domains land on application data.
+		used := int64(0)
+		for _, r := range sess.Space().Regions() {
+			used += int64(r.Used())
+		}
+		geom := dram.Geometry{Channels: 2, DIMMsPerChannel: 1, ChipsPerDIMM: 8, BanksPerDIMM: 4, LinesPerRow: 4}
+		per := int64(geom.Channels) * int64(geom.DIMMsPerChannel) * int64(geom.BanksPerDIMM) * int64(geom.LinesPerRow) * dram.LineBytes
+		geom.RowsPerBank = int(used/per) + 1
+		if err := geom.Validate(); err != nil {
+			return err
+		}
+		golden := entry.prepared.Golden()
+		for _, kind := range kinds {
+			crashes, incorrect := 0, 0
+			for trial := 0; trial < trials; trial++ {
+				if _, err := sess.Reset(); err != nil {
+					return err
+				}
+				layout, err := inject.NewPhysLayout(sess.Space(), geom)
 				if err != nil {
-					if !apps.IsCrash(err) {
-						return nil, err
+					return err
+				}
+				d := geom.RandomDomain(kind, rng)
+				inj, err := inject.Domain(layout, rng, d, faults.SingleBitHard, 128)
+				if err != nil {
+					return err
+				}
+				if len(inj.Targets) == 0 {
+					continue // the failed structure held no application data
+				}
+				crashed, wrong := false, false
+				for q := range golden {
+					resp, err := sess.Serve(q)
+					if err != nil {
+						if !apps.IsCrash(err) {
+							return err
+						}
+						crashed = true
+						break
 					}
-					crashed = true
-					break
+					if resp.Digest != golden[q] {
+						wrong = true
+					}
 				}
-				if resp.Digest != entry.prepared.Golden()[q] {
-					wrong = true
+				if crashed {
+					crashes++
+				} else if wrong {
+					incorrect++
 				}
 			}
-			if crashed {
-				crashes++
-			} else if wrong {
-				incorrect++
+			p, err := stats.WilsonInterval(crashes, trials, 0.90)
+			if err != nil {
+				return err
 			}
+			domains = append(domains, domainCrash{kind.String(), p.P})
+			bars = append(bars, textplot.Bar{
+				Label: kind.String(),
+				Value: p.P * 100,
+				Note:  fmt.Sprintf("[%.0f%%, %.0f%%]; incorrect-only %.0f%%", p.Lo*100, p.Hi*100, float64(incorrect)/float64(trials)*100),
+			})
 		}
-		p, err := stats.WilsonInterval(crashes, trials, 0.90)
-		if err != nil {
-			return nil, err
-		}
-		domains = append(domains, domainCrash{kind.String(), p.P})
-		bars = append(bars, textplot.Bar{
-			Label: kind.String(),
-			Value: p.P * 100,
-			Note:  fmt.Sprintf("[%.0f%%, %.0f%%]; incorrect-only %.0f%%", p.Lo*100, p.Hi*100, float64(incorrect)/float64(trials)*100),
-		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	var b strings.Builder
 	b.WriteString(textplot.BarChart("Crash probability by failed structure [%]", bars, 40, false))

@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 
+	"hrmsim/internal/apps"
 	"hrmsim/internal/apps/websearch"
 	"hrmsim/internal/core"
 	"hrmsim/internal/faults"
+	"hrmsim/internal/monitor"
 	"hrmsim/internal/simmem"
 	"hrmsim/internal/stats"
 	"hrmsim/internal/textplot"
@@ -242,11 +245,18 @@ func (s *Suite) Figure5a() (*Report, error) {
 // Figure5b regenerates Fig. 5b: safe-ratio distributions per WebSearch
 // memory region, read at the sampled addresses of the fault-free window.
 func (s *Suite) Figure5b() (*Report, error) {
-	w, err := s.websearchWindow()
+	entry, prof, err := s.profile("websearch")
 	if err != nil {
 		return nil, err
 	}
-	if len(w.sample) == 0 {
+	var sample []simmem.Addr
+	if err := entry.prepared.WithSession(func(sess apps.SnapshotApp) error {
+		sample = monitor.Sample(sess.Space(), rand.New(rand.NewSource(s.scale.Seed)), s.scale.Watchpoints)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	if len(sample) == 0 {
 		return nil, fmt.Errorf("experiments: no watchpoints installed")
 	}
 
@@ -256,7 +266,7 @@ func (s *Suite) Figure5b() (*Report, error) {
 	var means []float64
 	var summary []string
 	for _, kind := range []simmem.RegionKind{simmem.RegionPrivate, simmem.RegionHeap, simmem.RegionStack} {
-		ratios := w.rec.SafeRatios(w.sample, kind)
+		ratios := prof.SafeRatios(sample, kind)
 		if len(ratios) == 0 {
 			summary = append(summary, fmt.Sprintf("%s: no accessed watchpoints", kind))
 			continue
@@ -285,7 +295,7 @@ func (s *Suite) Figure5b() (*Report, error) {
 	// Finding 4: the compiler-managed stack masks by overwrite far more
 	// than the programmer-managed read-mostly regions.
 	meanOf := func(kind simmem.RegionKind) float64 {
-		sum, err := stats.Summarize(w.rec.SafeRatios(w.sample, kind))
+		sum, err := stats.Summarize(prof.SafeRatios(sample, kind))
 		if err != nil {
 			return 0
 		}

@@ -92,7 +92,8 @@ var paperTable3 = map[string]map[string]string{
 }
 
 // Table3 regenerates Table 3: the size of each application's memory
-// regions (our scaled builds alongside the paper's production sizes).
+// regions (our scaled builds alongside the paper's production sizes), as
+// the fault-free window leaves them.
 func (s *Suite) Table3() (*Report, error) {
 	t := &textplot.Table{
 		Title:   "Table 3: Application memory regions (simulated build vs paper)",
@@ -100,19 +101,15 @@ func (s *Suite) Table3() (*Report, error) {
 	}
 	rep := &Report{ID: "table3", Title: "Region sizes (Table 3)"}
 	for _, name := range AppNames() {
-		entry, err := s.app(name)
-		if err != nil {
-			return nil, err
-		}
-		inst, err := entry.builder.Build()
+		_, rec, err := s.profile(name)
 		if err != nil {
 			return nil, err
 		}
 		sizes := map[string]int{}
 		total := 0
-		for _, r := range inst.Space().Regions() {
-			sizes[r.Kind().String()] += r.Used()
-			total += r.Used()
+		for _, r := range rec.Regions() {
+			sizes[r.Kind.String()] += r.Used
+			total += r.Used
 		}
 		p := paperTable3[name]
 		t.AddRow(paperAppLabel(name),
@@ -214,7 +211,7 @@ var paperTable5 = map[string][2]float64{
 // Table5 regenerates Table 5: implicitly/explicitly recoverable memory in
 // WebSearch, classified from the page writes of the fault-free window.
 func (s *Suite) Table5() (*Report, error) {
-	w, err := s.websearchWindow()
+	_, prof, err := s.profile("websearch")
 	if err != nil {
 		return nil, err
 	}
@@ -225,19 +222,19 @@ func (s *Suite) Table5() (*Report, error) {
 	}
 	rep := &Report{ID: "table5", Title: "Data recoverability (Table 5)"}
 	var wImp, wExp, wPages float64
-	for _, r := range w.inst.Space().Regions() {
-		rec, err := w.rec.RecoverabilityOf(r)
+	for _, r := range prof.Regions() {
+		rec, err := prof.RecoverabilityOf(r.Base)
 		if err != nil {
 			return nil, err
 		}
-		p := paperTable5[r.Kind().String()]
-		t.AddRow(r.Kind().String(),
+		p := paperTable5[r.Kind.String()]
+		t.AddRow(r.Kind.String(),
 			fmt.Sprintf("%.1f%%", rec.Implicit*100),
 			fmt.Sprintf("%.1f%%", rec.Explicit*100),
 			fmt.Sprintf("%.1f%%", p[0]),
 			fmt.Sprintf("%.1f%%", p[1]))
 		rep.Comparisons = append(rep.Comparisons, Comparison{
-			Metric: fmt.Sprintf("WebSearch %s recoverability (implicit/explicit)", r.Kind()),
+			Metric: fmt.Sprintf("WebSearch %s recoverability (implicit/explicit)", r.Kind),
 			Paper:  fmt.Sprintf("%.1f%% / %.1f%%", p[0], p[1]),
 			Measured: fmt.Sprintf("%.1f%% / %.1f%%",
 				rec.Implicit*100, rec.Explicit*100),
@@ -359,21 +356,17 @@ func (s *Suite) Table6() (*Report, error) {
 // fault provides (a single transient flip in this simulated WebSearch
 // almost never crashes it).
 func (s *Suite) MeasuredWebSearchInputs() ([]design.RegionInput, error) {
-	entry, err := s.app("websearch")
-	if err != nil {
-		return nil, err
-	}
-	inst, err := entry.builder.Build()
+	_, rec, err := s.profile("websearch")
 	if err != nil {
 		return nil, err
 	}
 	var inputs []design.RegionInput
 	total := 0
-	for _, r := range inst.Space().Regions() {
-		total += r.Used()
+	for _, r := range rec.Regions() {
+		total += r.Used
 	}
-	for _, r := range inst.Space().Regions() {
-		res, err := s.campaign("websearch", faults.SingleBitHard, r.Kind(), s.scale.Trials)
+	for _, r := range rec.Regions() {
+		res, err := s.campaign("websearch", faults.SingleBitHard, r.Kind, s.scale.Trials)
 		if err != nil {
 			return nil, err
 		}
@@ -383,8 +376,8 @@ func (s *Suite) MeasuredWebSearchInputs() ([]design.RegionInput, error) {
 		}
 		meanIncorrect, _ := res.IncorrectPerBillion()
 		inputs = append(inputs, design.RegionInput{
-			Name:  r.Kind().String(),
-			Share: float64(r.Used()) / float64(total),
+			Name:  r.Kind.String(),
+			Share: float64(r.Used) / float64(total),
 			// Guard against a zero point estimate at small trial
 			// counts: use the interval's midpoint floor.
 			CrashProb:       max(crash.P, crash.Lo),

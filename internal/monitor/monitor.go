@@ -3,8 +3,12 @@
 // sensing granule of every region, how the window first referenced it and
 // its safe and unsafe durations (Section III-B, Fig. 5b); per page, its
 // write count, the input to the implicit/explicit data recoverability
-// classification of Section III-C (Table 5). The campaign engine reads the
-// same record to decide trials without simulating them (DESIGN.md §9).
+// classification of Section III-C (Table 5). core.Prepare makes the record
+// on a build's one fault-free pass (New, the window, Finish), and every
+// reader shares it: the campaign engine decides trials from it without
+// simulating them (DESIGN.md §9), and Fig. 5b, Table 5 and `hrmsim
+// profile` read their safe ratios and recoverability from it. Sample draws
+// the Fig. 5b addresses on a session at the start of that window.
 //
 // Where the paper attaches x86 debug-register watchpoints to sampled
 // addresses through a debugger, this package observes every access of a
@@ -17,7 +21,6 @@ import (
 	"math/rand"
 	"time"
 
-	"hrmsim/internal/apps"
 	"hrmsim/internal/simmem"
 )
 
@@ -52,9 +55,10 @@ type cell struct {
 // address, not by *simmem.Region: a Reset may swap the instance (the
 // build-per-trial lifecycle does), and every build lays regions out alike.
 type regionRecord struct {
-	base simmem.Addr
-	name string
-	kind simmem.RegionKind
+	base   simmem.Addr
+	name   string
+	kind   simmem.RegionKind
+	backed bool
 	// granule is the unit a fault is sensed in: the codeword in a
 	// protected region (a decode covers all of it), one byte otherwise.
 	// It is not simmem's 64-byte taint granule, which only selects the
@@ -66,17 +70,20 @@ type regionRecord struct {
 	// pageWrites covers every page of the region: Table 5 classifies the
 	// pages in use after the window, which may be more.
 	pageWrites []uint64
+	// used is the bytes in use at the end of the window (Finish).
+	used int
 }
 
-// Profile is the record of one fault-free window of an address space.
-// Register it with simmem.AddressSpace.AddAccessObserver.
+// Profile is the record of one fault-free window of an address space:
+// New starts it, simmem.AddressSpace.AddAccessObserver registers it for
+// the window, and Finish ends it.
 type Profile struct {
 	regions  []regionRecord
 	pageSize int
 	// Accesses counts the events observed.
 	Accesses uint64
 	// Start and End are the virtual clock at both ends of the window. New
-	// sets Start; whoever ends the window sets End.
+	// sets Start and Finish sets End.
 	Start, End time.Duration
 }
 
@@ -87,7 +94,7 @@ var _ simmem.AccessObserver = (*Profile)(nil)
 func New(as *simmem.AddressSpace) *Profile {
 	p := &Profile{pageSize: as.PageSize(), Start: as.Clock().Now()}
 	for _, r := range as.Regions() {
-		rr := regionRecord{base: r.Base(), name: r.Name(), kind: r.Kind(), granule: 1}
+		rr := regionRecord{base: r.Base(), name: r.Name(), kind: r.Kind(), backed: r.Backed(), granule: 1}
 		if c := r.Codec(); c != nil {
 			rr.granule = c.WordBytes()
 		}
@@ -98,15 +105,32 @@ func New(as *simmem.AddressSpace) *Profile {
 	return p
 }
 
+// Finish ends the window at the clock's current time and records the
+// bytes each region of the record has in use at that moment.
+func (p *Profile) Finish(as *simmem.AddressSpace) {
+	p.End = as.Clock().Now()
+	for _, r := range as.Regions() {
+		if rr := p.region(r.Base()); rr != nil {
+			rr.used = r.Used()
+		}
+	}
+}
+
+// region returns the record of the region at base, or nil.
+func (p *Profile) region(base simmem.Addr) *regionRecord {
+	for i := range p.regions {
+		if p.regions[i].base == base {
+			return &p.regions[i]
+		}
+	}
+	return nil
+}
+
 // ObserveAccess implements simmem.AccessObserver.
 func (p *Profile) ObserveAccess(ev simmem.AccessEvent) {
 	p.Accesses++
-	base := ev.Region.Base()
-	for i := range p.regions {
-		if p.regions[i].base == base {
-			p.regions[i].observe(ev, p.pageSize)
-			return
-		}
+	if rr := p.region(ev.Region.Base()); rr != nil {
+		rr.observe(ev, p.pageSize)
 	}
 }
 
@@ -201,6 +225,24 @@ func (p *Profile) SafeRatios(sample []simmem.Addr, kind simmem.RegionKind) []flo
 // Window returns the length of the observation window.
 func (p *Profile) Window() time.Duration { return p.End - p.Start }
 
+// Region is one region of the record as the window left it.
+type Region struct {
+	Base simmem.Addr
+	Name string
+	Kind simmem.RegionKind
+	// Used is the bytes in use at the end of the window.
+	Used int
+}
+
+// Regions returns the record's regions in address-space order.
+func (p *Profile) Regions() []Region {
+	out := make([]Region, len(p.regions))
+	for i, rr := range p.regions {
+		out[i] = Region{Base: rr.base, Name: rr.name, Kind: rr.kind, Used: rr.used}
+	}
+	return out
+}
+
 // Recoverability is the Table 5 classification for one region: the
 // fraction of its used pages recoverable by each strategy. A page may be
 // both, so the fractions can sum to more than 1.
@@ -216,26 +258,23 @@ type Recoverability struct {
 	Pages int
 }
 
-// RecoverabilityOf classifies the pages r uses now over the window
-// [Start, End).
-func (p *Profile) RecoverabilityOf(r *simmem.Region) (Recoverability, error) {
-	var writes []uint64
-	for i := range p.regions {
-		if p.regions[i].base == r.Base() {
-			writes = p.regions[i].pageWrites
-		}
+// RecoverabilityOf classifies the pages the region at base had in use at
+// the end of the window, over the window [Start, End).
+func (p *Profile) RecoverabilityOf(base simmem.Addr) (Recoverability, error) {
+	rr := p.region(base)
+	if rr == nil {
+		return Recoverability{}, fmt.Errorf("monitor: no region at %#x in the record", uint64(base))
 	}
-	if writes == nil {
-		return Recoverability{}, fmt.Errorf("monitor: region %q is not in the record", r.Name())
-	}
-	usedPages := (r.Used() + p.pageSize - 1) / p.pageSize
+	usedPages := (rr.used + p.pageSize - 1) / p.pageSize
 	if usedPages == 0 {
 		return Recoverability{}, nil
 	}
 	span := p.Window()
 	var implicit, explicit int
-	for _, w := range writes[:usedPages] {
-		isImplicit := r.Backed() && (r.ReadOnly() || w == 0)
+	for _, w := range rr.pageWrites[:usedPages] {
+		// A read-only page is never written: simmem faults a store to it
+		// before any observer sees one.
+		isImplicit := rr.backed && w == 0
 		// Average write interval over the window; zero writes means
 		// an unbounded interval.
 		isExplicit := w == 0 || time.Duration(float64(span)/float64(w)) >= ExplicitThreshold
@@ -254,30 +293,13 @@ func (p *Profile) RecoverabilityOf(r *simmem.Region) (Recoverability, error) {
 	}, nil
 }
 
-// Observe runs inst's whole workload under a fresh record, after drawing
-// the Fig. 5b sample of watched addresses from a generator seeded with
-// seed. It returns the record and the sample in draw order.
-func Observe(inst apps.App, seed int64, watchpoints int) (*Profile, []simmem.Addr, error) {
-	as := inst.Space()
-	p := New(as)
-	as.AddAccessObserver(p)
-	sampled := sample(as, rand.New(rand.NewSource(seed)), watchpoints)
-	for i := 0; i < inst.NumRequests(); i++ {
-		if _, err := inst.Serve(i); err != nil {
-			return nil, nil, fmt.Errorf("monitor: request %d: %w", i, err)
-		}
-	}
-	p.End = as.Clock().Now()
-	return p, sampled, nil
-}
-
-// sample draws up to watchpoints distinct addresses as the paper's Fig.
+// Sample draws up to watchpoints distinct addresses as the paper's Fig.
 // 5b does: per region, a share proportional to its used bytes with a
 // floor of watchpoints/8 so a tiny region still yields a distribution,
 // each drawn uniformly from the used bytes of that region's kind. A
 // region's draws stop after 20n+100 attempts, so a share larger than the
 // bytes it can land on ends short.
-func sample(as *simmem.AddressSpace, rng *rand.Rand, watchpoints int) []simmem.Addr {
+func Sample(as *simmem.AddressSpace, rng *rand.Rand, watchpoints int) []simmem.Addr {
 	total := 0
 	for _, r := range as.Regions() {
 		total += r.Used()

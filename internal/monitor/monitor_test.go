@@ -65,7 +65,7 @@ func (e *env) load(t *testing.T, addr simmem.Addr, at time.Duration) {
 // end closes the window at the given time.
 func (e *env) end(at time.Duration) {
 	e.as.Clock().Set(at)
-	e.rec.End = at
+	e.rec.Finish(e.as)
 }
 
 func (e *env) at(t *testing.T, addr simmem.Addr) Granule {
@@ -227,13 +227,20 @@ func TestRegionSafeSummaryAndWindow(t *testing.T) {
 	if e.rec.Accesses != 4 {
 		t.Errorf("accesses = %d, want 4", e.rec.Accesses)
 	}
+	want := []Region{
+		{Base: e.priv.Base(), Name: "private", Kind: simmem.RegionPrivate, Used: 4096},
+		{Base: e.heap.Base(), Name: "heap", Kind: simmem.RegionHeap, Used: 4096},
+	}
+	if got := e.rec.Regions(); !reflect.DeepEqual(got, want) {
+		t.Errorf("regions = %+v, want %+v", got, want)
+	}
 }
 
 func TestWatchSampleProportional(t *testing.T) {
 	e := newEnv(t)
 	e.priv.SetUsed(3000)
 	e.heap.SetUsed(1000)
-	got := sample(e.as, rand.New(rand.NewSource(1)), 400)
+	got := Sample(e.as, rand.New(rand.NewSource(1)), 400)
 	var priv, heap int
 	for _, a := range got {
 		switch {
@@ -253,7 +260,7 @@ func TestWatchSampleProportional(t *testing.T) {
 	// A region too small for its floor (400/8 = 50) yields each of its
 	// bytes once, then gives up; nothing is drawn twice.
 	e.heap.SetUsed(10)
-	got = sample(e.as, rand.New(rand.NewSource(1)), 400)
+	got = Sample(e.as, rand.New(rand.NewSource(1)), 400)
 	seen := map[simmem.Addr]bool{}
 	heap = 0
 	for _, a := range got {
@@ -274,7 +281,7 @@ func TestWatchSampleNoUsedBytes(t *testing.T) {
 	e := newEnv(t)
 	e.priv.SetUsed(0)
 	e.heap.SetUsed(0)
-	if got := sample(e.as, rand.New(rand.NewSource(2)), 10); len(got) != 0 {
+	if got := Sample(e.as, rand.New(rand.NewSource(2)), 10); len(got) != 0 {
 		t.Errorf("sampled %d addresses with no used bytes", len(got))
 	}
 }
@@ -284,7 +291,7 @@ func TestRecoverabilityImplicit(t *testing.T) {
 	// Private region: read-only, backed — fully implicitly recoverable.
 	e.priv.SetUsed(1024) // 4 pages
 	e.end(time.Hour)
-	rec, err := e.rec.RecoverabilityOf(e.priv)
+	rec, err := e.rec.RecoverabilityOf(e.priv.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +324,7 @@ func TestRecoverabilityExplicitByWriteInterval(t *testing.T) {
 	e.store(t, e.heap.Base(), 2, time.Hour)
 	e.end(time.Hour)
 
-	got, err := rec.RecoverabilityOf(e.heap)
+	got, err := rec.RecoverabilityOf(e.heap.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +355,8 @@ func TestRecoverabilityBackedWrittenPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	as.Clock().Set(time.Hour)
-	rec.End = time.Hour
-	got, err := rec.RecoverabilityOf(r)
+	rec.Finish(as)
+	got, err := rec.RecoverabilityOf(r.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,11 +375,12 @@ func TestRecoverabilityErrorsAndEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.rec.RecoverabilityOf(late); err == nil {
+	e.heap.SetUsed(0)
+	e.end(0)
+	if _, err := e.rec.RecoverabilityOf(late.Base()); err == nil {
 		t.Error("a region mapped after the record was made was accepted")
 	}
-	e.heap.SetUsed(0)
-	rec, err := e.rec.RecoverabilityOf(e.heap)
+	rec, err := e.rec.RecoverabilityOf(e.heap.Base())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -192,8 +193,26 @@ func (a *growingApp) Serve(i int) (apps.Response, error) {
 	return apps.Response{Digest: v}, err
 }
 
-// TestProfileMatchesWatchpoints: on every application, the record Observe
-// returns agrees with the watchpoint reference, run on a second instance
+// observeWindow makes a record of inst's whole workload the way
+// core.Prepare does at warm-up 0 (New, every request served, Finish),
+// after drawing the Fig. 5b sample from a generator seeded with seed.
+func observeWindow(t *testing.T, inst apps.App, seed int64, watchpoints int) (*Profile, []simmem.Addr) {
+	t.Helper()
+	as := inst.Space()
+	p := New(as)
+	as.AddAccessObserver(p)
+	sampled := Sample(as, rand.New(rand.NewSource(seed)), watchpoints)
+	for i := 0; i < inst.NumRequests(); i++ {
+		if _, err := inst.Serve(i); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	p.Finish(as)
+	return p, sampled
+}
+
+// TestProfileMatchesWatchpoints: on every application, the record of its
+// window agrees with the watchpoint reference, run on a second instance
 // of the same build watching the same sample, on each sampled byte's
 // durations and safe ratio, each region's recoverability, and the window.
 func TestProfileMatchesWatchpoints(t *testing.T) {
@@ -203,10 +222,7 @@ func TestProfileMatchesWatchpoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, sampled, err := Observe(inst, 1, 300)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rec, sampled := observeWindow(t, inst, 1, 300)
 			ref, err := build()
 			if err != nil {
 				t.Fatal(err)
@@ -246,13 +262,13 @@ func TestProfileMatchesWatchpoints(t *testing.T) {
 			if rec.Window() != mon.window() || rec.Window() <= 0 {
 				t.Errorf("window %v, watchpoints saw %v", rec.Window(), mon.window())
 			}
-			for i, r := range inst.Space().Regions() {
-				got, err := rec.RecoverabilityOf(r)
+			for i, r := range rec.Regions() {
+				got, err := rec.RecoverabilityOf(r.Base)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want := mon.recoverabilityOf(as.Regions()[i]); got != want {
-					t.Errorf("%s: recoverability %+v, watchpoints %+v", r.Name(), got, want)
+					t.Errorf("%s: recoverability %+v, watchpoints %+v", r.Name, got, want)
 				}
 			}
 		})

@@ -385,25 +385,8 @@ func TestArena(t *testing.T) {
 	if uint64(p2-p1)%allocAlign != 0 {
 		t.Error("allocation not aligned")
 	}
-	if a.Live() != 2 {
-		t.Errorf("Live = %d, want 2", a.Live())
-	}
 	if heap.Used() < 20 {
 		t.Errorf("Used = %d, want >= 20", heap.Used())
-	}
-
-	if err := a.Free(p1); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Free(p1); err == nil {
-		t.Error("double free not rejected")
-	}
-	p3, err := a.Alloc(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 != p1 {
-		t.Errorf("freed block not reused: got %#x, want %#x", uint64(p3), uint64(p1))
 	}
 	if _, err := a.Alloc(0); err == nil {
 		t.Error("zero-size alloc not rejected")

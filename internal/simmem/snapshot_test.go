@@ -296,35 +296,28 @@ func TestArenaMarkRewind(t *testing.T) {
 	mark := a.Mark()
 	markUsed := r.Used()
 
-	// Disturb the allocator: allocate, free the original, free-list churn.
-	if _, err := a.Alloc(128); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Free(first); err != nil {
-		t.Fatal(err)
-	}
-	a.Rewind(mark)
-	r.SetUsed(markUsed)
-
-	if a.Live() != 1 {
-		t.Errorf("live = %d after rewind, want 1", a.Live())
-	}
-	// The original block is allocated again: freeing it must work, and
-	// the next alloc of its size must reuse it (free-list state rewound).
-	if err := a.Free(first); err != nil {
-		t.Fatalf("first block not live after rewind: %v", err)
-	}
-	got, err := a.Alloc(64)
+	// Disturb the allocator, then rewind: the next block lands where the
+	// discarded one did, right after the block allocated before the mark.
+	second, err := a.Alloc(128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != first {
-		t.Errorf("alloc after rewound free = %#x, want %#x", uint64(got), uint64(first))
+	if second != first+64 {
+		t.Fatalf("second block at %#x, want %#x", uint64(second), uint64(first+64))
+	}
+	a.Rewind(mark)
+	r.SetUsed(markUsed)
+	got, err := a.Alloc(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != second {
+		t.Errorf("alloc after rewind = %#x, want %#x", uint64(got), uint64(second))
 	}
 	// Rewinding twice from the same mark works.
 	a.Rewind(mark)
-	if a.Live() != 1 {
-		t.Errorf("live = %d after second rewind, want 1", a.Live())
+	if got, err := a.Alloc(16); err != nil || got != second {
+		t.Errorf("alloc after second rewind = %#x (%v), want %#x", uint64(got), err, uint64(second))
 	}
 }
 
