@@ -644,8 +644,7 @@ func (p *Prepared) runTrial(sess apps.SnapshotApp, cfg CampaignConfig, i int, lo
 	for k, t := range inj.Targets {
 		addrs[k] = t.Addr
 	}
-	tracker := newAccessTracker(addrs)
-	as.AddAccessObserver(tracker)
+	tracker := newAccessTracker(as, addrs)
 	if log != nil {
 		log.Injection = inj
 		as.AddAccessObserver(log)

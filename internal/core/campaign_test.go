@@ -16,6 +16,7 @@ import (
 	"hrmsim/internal/apps/websearch"
 	"hrmsim/internal/ecc"
 	"hrmsim/internal/faults"
+	"hrmsim/internal/inject"
 	"hrmsim/internal/monitor"
 	"hrmsim/internal/obsv"
 	"hrmsim/internal/simmem"
@@ -493,7 +494,11 @@ func TestClassify(t *testing.T) {
 }
 
 func TestAccessTracker(t *testing.T) {
-	tr := newAccessTracker([]simmem.Addr{100, 200})
+	as, err := simmem.New(simmem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newAccessTracker(as, []simmem.Addr{100, 200})
 	tr.ObserveAccess(simmem.AccessEvent{Addr: 50, Len: 10, Kind: simmem.Load})
 	if tr.first != firstNone {
 		t.Error("non-covering access recorded")
@@ -521,7 +526,7 @@ func TestAccessTrackerLoadDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as.AddAccessObserver(newAccessTracker([]simmem.Addr{r.Base() + 128}))
+	newAccessTracker(as, []simmem.Addr{r.Base() + 128})
 	buf := make([]byte, 8)
 	allocs := testing.AllocsPerRun(1000, func() {
 		if err := as.Load(r.Base()+64, buf); err != nil {
@@ -530,6 +535,101 @@ func TestAccessTrackerLoadDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Load with an accessTracker allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// countObserver counts the access events it is delivered.
+type countObserver struct{ n int }
+
+func (c *countObserver) ObserveAccess(simmem.AccessEvent) { c.n++ }
+
+// TestAccessTrackerDetaches: the tracker unregisters itself on its first
+// hit and not before, so a trial whose error is never referenced keeps it
+// to the end; observers registered after it — the explain log among them
+// — still get the hitting access and every later one; and in a campaign's
+// trials a masked-by-overwrite or -logic trial ends with no observer on
+// its session's space, a latent one with the tracker alone.
+func TestAccessTrackerDetaches(t *testing.T) {
+	newSpace := func() (*simmem.AddressSpace, simmem.Addr) {
+		as, err := simmem.New(simmem.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := as.AddRegion(simmem.RegionSpec{Name: "heap", Kind: simmem.RegionHeap, Size: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return as, r.Base()
+	}
+	buf := make([]byte, 8)
+
+	as, base := newSpace()
+	target := base + 128
+	tr := newAccessTracker(as, []simmem.Addr{target})
+	for i := 0; i < 3; i++ {
+		if err := as.Load(base+64, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.first != firstNone || !as.Observed() {
+		t.Fatalf("before a hit: first = %v, observed = %v; want none, true", tr.first, as.Observed())
+	}
+	if err := as.Store(target-4, buf); err != nil {
+		t.Fatal(err)
+	}
+	if tr.first != firstStore || as.Observed() {
+		t.Fatalf("after the hit: first = %v, observed = %v; want store, false", tr.first, as.Observed())
+	}
+
+	// Registered as runTrial registers them: the tracker, then the log.
+	as, base = newSpace()
+	target = base + 128
+	tr = newAccessTracker(as, []simmem.Addr{target})
+	log := &trialLog{Injection: inject.Injection{Targets: []inject.Target{{Addr: target}}}}
+	as.AddAccessObserver(log)
+	count := &countObserver{}
+	as.AddAccessObserver(count)
+	for _, addr := range []simmem.Addr{base, target, base + 64, target - 7, target} {
+		if err := as.Load(addr, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.first != firstLoad || len(log.Consumptions) != 3 || count.n != 5 {
+		t.Fatalf("first = %v, log consumptions = %d, events after the tracker = %d; want load, 3, 5",
+			tr.first, len(log.Consumptions), count.n)
+	}
+
+	b := wsBuilder(t, 3)
+	p, err := Prepare(b, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without the record every trial simulates, the never-referenced ones
+	// (which the record decides) among them.
+	p.profile = nil
+	cfg := CampaignConfig{Builder: b, Spec: faults.SingleBitSoft, Seed: 5, Warmup: 20}
+	sess := p.take()
+	seen := map[Outcome]int{}
+	for i := 0; i < 120; i++ {
+		res, _, err := p.runTrial(sess, cfg, i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bool
+		switch res.Outcome {
+		case OutcomeMaskedOverwrite, OutcomeMaskedLogic:
+		case OutcomeMaskedLatent:
+			want = true
+		default:
+			continue
+		}
+		seen[res.Outcome]++
+		if got := sess.Space().Observed(); got != want {
+			t.Errorf("trial %d (%v): observed at the end = %v, want %v", i, res.Outcome, got, want)
+		}
+	}
+	if seen[OutcomeMaskedLogic] == 0 || seen[OutcomeMaskedLatent] == 0 {
+		t.Fatalf("want masked-by-logic and latent trials, got %v", seen)
 	}
 }
 

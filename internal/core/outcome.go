@@ -89,11 +89,15 @@ const (
 
 // accessTracker watches the injected byte addresses and records the first
 // post-injection access kind, which separates masked-by-overwrite from
-// masked-by-logic. It observes every access of the trial, so the miss
-// path must be O(1): the handful of injected addresses are kept as a
-// sorted slice bounded by [min, max], and the overwhelming majority of
-// accesses are rejected by the two bound comparisons alone.
+// masked-by-logic. It observes the trial's accesses only until that
+// answer: on its first hit it unregisters itself, so the rest of the
+// trial runs without it. Until then its miss path must be O(1): the
+// handful of injected addresses are kept as a sorted slice bounded by
+// [min, max], and the overwhelming majority of accesses are rejected by
+// the two bound comparisons alone. A trial whose error is never
+// referenced keeps it to the end.
 type accessTracker struct {
+	as       *simmem.AddressSpace
 	targets  []simmem.Addr // sorted ascending
 	min, max simmem.Addr   // inclusive bounds of targets; min > max when empty
 	first    firstAccessKind
@@ -101,8 +105,10 @@ type accessTracker struct {
 
 var _ simmem.AccessObserver = (*accessTracker)(nil)
 
-func newAccessTracker(addrs []simmem.Addr) *accessTracker {
+// newAccessTracker registers a tracker for addrs on as.
+func newAccessTracker(as *simmem.AddressSpace, addrs []simmem.Addr) *accessTracker {
 	t := &accessTracker{
+		as:      as,
 		targets: append([]simmem.Addr(nil), addrs...),
 		min:     1,
 		max:     0,
@@ -112,6 +118,7 @@ func newAccessTracker(addrs []simmem.Addr) *accessTracker {
 		t.min = t.targets[0]
 		t.max = t.targets[n-1]
 	}
+	as.AddAccessObserver(t)
 	return t
 }
 
@@ -132,6 +139,7 @@ func (t *accessTracker) ObserveAccess(ev simmem.AccessEvent) {
 		} else {
 			t.first = firstLoad
 		}
+		t.as.RemoveAccessObserver(t)
 	}
 }
 

@@ -6,13 +6,17 @@
 // cache on the AddressSpace would thrash on every access. Each
 // Accessor instead carries its own one-entry cache: code that holds
 // one accessor per region stream (a frame accessor and a data
-// accessor, say) resolves findRegion + bounds once per consecutive
-// same-region run and then pays only a Contains check per access. The
-// span itself — however many pages and codewords it covers — is then
-// serviced in one walk against the per-word taint bitmap (loadSpan /
-// storeEncoded), bulk-copying clean granules and decoding only dirty
-// ones. The AddressSpace embeds one accessor as its own front end, so
-// as.Load and a.Load are the same code.
+// accessor, say) resolves findRegion once per consecutive same-region
+// run. Load and Store open with one fast check against that cache
+// (cleanSpan): a span the cached region holds whole, inside one
+// untainted page, with the fast path on and no cache model, is served
+// there — one copy (or, for the typed loads, one little-endian read)
+// and, for a store, the re-encode of whole codewords — with the same
+// counters and events as the full path. Any other access takes the full
+// path: locate, then one walk of the span against the per-word taint
+// bitmap (loadSpan / storeEncoded), bulk-copying clean granules and
+// decoding only dirty ones. The AddressSpace embeds one accessor as its
+// own front end, so as.Load and a.Load are the same code.
 //
 // Cache invalidation rule: there is none, deliberately. Regions are
 // append-only — they are never unmapped, moved, or resized after
@@ -79,53 +83,140 @@ func (a *Accessor) locate(addr Addr, n int) (*Region, error) {
 	return r, nil
 }
 
+// cleanSpan is the front end's fast check. It returns the region, the
+// region offset and the page frame of the n-byte access at addr when the
+// access needs neither the region lookup nor the span walk: the
+// accessor's cached region holds the whole span, the fast path is on, no
+// cache model is attached, and the span sits in one untainted page. Any
+// other access gets a nil page and takes the full path. The bound is
+// unsigned throughout: once n is at most a page (so at most r.size),
+// neither addr-r.base nor r.size-n can wrap, and a wild address — below
+// the base, past the end, near 2^64 — falls through to locate's fault.
+func (a *Accessor) cleanSpan(addr Addr, n int) (*Region, int, *page) {
+	r, as := a.last, a.as
+	if r == nil || !as.fastPath || as.cache != nil || uint(n-1) >= uint(as.pageSize) ||
+		addr < r.base || addr-r.base > Addr(r.size-n) {
+		return nil, 0, nil
+	}
+	off := int(addr - r.base)
+	pi := off >> as.pageShift
+	if (off+n-1)>>as.pageShift != pi || r.pages[pi].anyTaint {
+		return nil, 0, nil
+	}
+	return r, off, &r.pages[pi]
+}
+
 // Load reads len(buf) bytes at addr through the full memory path:
 // stuck-at faults are sensed, protected regions decode every covered
 // (tainted) codeword — possibly correcting, possibly raising a machine
-// check — and access observers are notified.
+// check — and access observers are notified. A span cleanSpan passes is
+// one copy: the taint invariant makes sensing and decoding it a no-op.
 func (a *Accessor) Load(addr Addr, buf []byte) error {
 	as := a.as
+	if r, off, p := a.cleanSpan(addr, len(buf)); p != nil {
+		copy(buf, p.data[off&(as.pageSize-1):])
+		as.cleanLoaded(r, addr, off, len(buf))
+		return nil
+	}
 	r, err := a.locate(addr, len(buf))
 	if err != nil {
 		return err
 	}
 	if as.cache != nil {
-		if err := as.cachedLoad(addr, buf); err != nil {
-			return err
-		}
-	} else if err := as.loadSpan(r, int(addr-r.base), buf); err != nil {
+		err = as.cachedLoad(addr, buf)
+	} else {
+		err = as.loadSpan(r, int(addr-r.base), buf)
+	}
+	if err != nil {
 		return err
 	}
 	as.counters.Loads++
-	as.notifyAccess(AccessEvent{Addr: addr, Len: len(buf), Kind: Load, Time: as.clock.Now(), Region: r})
+	if len(as.accessObs) > 0 {
+		as.notifyAccess(Load, r, addr, len(buf))
+	}
 	return nil
+}
+
+// loadScalar is Load in the fixed-size form the typed loads share: the
+// n-byte (1, 4 or 8) little-endian value at addr, zero-extended. A clean
+// access decodes the value straight out of the page frame, before the
+// observers run, as Load's copy does.
+func (a *Accessor) loadScalar(addr Addr, n int) (uint64, error) {
+	r, off, p := a.cleanSpan(addr, n)
+	if p == nil {
+		var b [8]byte
+		if err := a.Load(addr, b[:n]); err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint64(b[:]), nil
+	}
+	var v uint64
+	switch d := p.data[off&(a.as.pageSize-1):]; n {
+	case 8:
+		v = binary.LittleEndian.Uint64(d)
+	case 4:
+		v = uint64(binary.LittleEndian.Uint32(d))
+	default:
+		v = uint64(d[0])
+	}
+	a.as.cleanLoaded(r, addr, off, n)
+	return v, nil
+}
+
+// cleanLoaded accounts a load cleanSpan passed: one fast-path load over
+// the span's granules, then what every load counts and reports.
+func (as *AddressSpace) cleanLoaded(r *Region, addr Addr, off, n int) {
+	as.fastWords += r.spanWords(off, n)
+	as.fastLoads++
+	as.counters.Loads++
+	if len(as.accessObs) > 0 {
+		as.notifyAccess(Load, r, addr, n)
+	}
 }
 
 // Store writes data at addr through the full memory path. Stores to
 // read-only regions fault. In protected regions, partial codewords are
 // read-modify-written: the untouched bytes are decoded first (which can
-// itself raise a machine check), then the whole word is re-encoded.
+// itself raise a machine check), then the whole word is re-encoded. A
+// span cleanSpan passes, in a writable region, that is unprotected or
+// covers whole aligned codewords, is one copy plus the re-encode of its
+// words: no word needs a decode, and on an untainted page no taint bit
+// can change.
 func (a *Accessor) Store(addr Addr, data []byte) error {
 	as := a.as
-	r, err := a.locate(addr, len(data))
-	if err != nil {
-		return err
-	}
-	if r.readOnly {
-		return &Fault{Kind: FaultReadOnly, Addr: addr}
-	}
-	off := int(addr - r.base)
-	if as.cache != nil {
-		if err := as.cachedStore(addr, data); err != nil {
+	r, off, p := a.cleanSpan(addr, len(data))
+	if p != nil && !r.readOnly && (r.codec == nil || r.wholeWords(off, len(data))) {
+		in := off & (as.pageSize - 1)
+		r.markDirty(off >> as.pageShift)
+		copy(p.data[in:], data)
+		if r.codec != nil {
+			r.encodeWords(p, in, in+len(data))
+		}
+	} else {
+		var err error
+		if r, err = a.locate(addr, len(data)); err != nil {
 			return err
 		}
-	} else if r.codec == nil {
-		r.writeBytes(off, data)
-	} else if err := as.storeEncoded(r, off, data, false); err != nil {
-		return err
+		if r.readOnly {
+			return &Fault{Kind: FaultReadOnly, Addr: addr}
+		}
+		off = int(addr - r.base)
+		switch {
+		case as.cache != nil:
+			err = as.cachedStore(addr, data)
+		case r.codec == nil:
+			r.writeBytes(off, data)
+		default:
+			err = as.storeEncoded(r, off, data, false)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	as.counters.Stores++
-	as.notifyAccess(AccessEvent{Addr: addr, Len: len(data), Kind: Store, Time: as.clock.Now(), Region: r})
+	if len(as.accessObs) > 0 {
+		as.notifyAccess(Store, r, addr, len(data))
+	}
 	return nil
 }
 
@@ -133,11 +224,7 @@ func (a *Accessor) Store(addr Addr, data []byte) error {
 
 // LoadU64 loads a 64-bit value.
 func (a *Accessor) LoadU64(addr Addr) (uint64, error) {
-	var b [8]byte
-	if err := a.Load(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return a.loadScalar(addr, 8)
 }
 
 // StoreU64 stores a 64-bit value.
@@ -149,11 +236,8 @@ func (a *Accessor) StoreU64(addr Addr, v uint64) error {
 
 // LoadU32 loads a 32-bit value.
 func (a *Accessor) LoadU32(addr Addr) (uint32, error) {
-	var b [4]byte
-	if err := a.Load(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	v, err := a.loadScalar(addr, 4)
+	return uint32(v), err
 }
 
 // StoreU32 stores a 32-bit value.
@@ -165,11 +249,8 @@ func (a *Accessor) StoreU32(addr Addr, v uint32) error {
 
 // LoadU8 loads one byte.
 func (a *Accessor) LoadU8(addr Addr) (byte, error) {
-	var b [1]byte
-	if err := a.Load(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return b[0], nil
+	v, err := a.loadScalar(addr, 1)
+	return byte(v), err
 }
 
 // StoreU8 stores one byte.
@@ -180,11 +261,8 @@ func (a *Accessor) StoreU8(addr Addr, v byte) error {
 
 // LoadF64 loads a float64.
 func (a *Accessor) LoadF64(addr Addr) (float64, error) {
-	u, err := a.LoadU64(addr)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(u), nil
+	u, err := a.loadScalar(addr, 8)
+	return math.Float64frombits(u), err
 }
 
 // StoreF64 stores a float64.

@@ -9,7 +9,9 @@ package simmem_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -49,9 +51,12 @@ func (l *eqLog) ObserveECC(ev simmem.ECCEvent) {
 	l.entries = append(l.entries, fmt.Sprintf("ecc:%d:%#x@%d", ev.Kind, ev.Addr, ev.Time))
 }
 
-// eqSpace is one side of a differential pair.
+// eqSpace is one side of a differential pair. Typed ops go through acc,
+// a second accessor, so its one-entry region cache moves independently
+// of the space's own.
 type eqSpace struct {
 	as   *simmem.AddressSpace
+	acc  *simmem.Accessor
 	log  *eqLog
 	snap *simmem.Snapshot
 }
@@ -84,7 +89,7 @@ func newEqSpace(t *testing.T, codec simmem.Codec, cacheLines int, fast bool) *eq
 	l := &eqLog{}
 	as.AddAccessObserver(l)
 	as.AddECCObserver(l)
-	return &eqSpace{as: as, log: l}
+	return &eqSpace{as: as, acc: as.NewAccessor(), log: l}
 }
 
 // errString renders an error for comparison ("" for nil).
@@ -106,6 +111,7 @@ type eqOp struct {
 	bit    int
 	val    int  // stuck-at value
 	wb     bool // scrub write-back
+	float  bool // typed 8-byte op through LoadF64/StoreF64
 }
 
 type eqOpKind int
@@ -122,6 +128,10 @@ const (
 	opRestoreWord
 	opSnapshot
 	opRestore
+	// Typed 1/4/8-byte loads and stores through the second accessor;
+	// data holds the width (and a store's little-endian value).
+	opTypedLoad
+	opTypedStore
 )
 
 // eqResult is everything one op lets its caller observe. restored is the
@@ -220,6 +230,80 @@ func genCrossPageOps(regions []*simmem.Region, seed int64) []eqOp {
 	return ops
 }
 
+// withTypedOps interleaves typed loads and stores into ops, drawn from a
+// generator of their own so the ops genOps draws for a seed are
+// unchanged. Each typed op either stays in the region of the previous
+// one or moves to another, so the second accessor's cached region keeps
+// changing, and one in eight goes to a wild address: below a region's
+// base, one past its end, straddling its last bytes, or near 2^64.
+func withTypedOps(regions []*simmem.Region, seed int64, ops []eqOp) []eqOp {
+	rng := rand.New(rand.NewSource(seed ^ 0x7e9ed))
+	out := make([]eqOp, 0, len(ops)*5/4)
+	ri := 0
+	for _, op := range ops {
+		out = append(out, op)
+		if rng.Intn(4) != 0 {
+			continue
+		}
+		if rng.Intn(2) == 0 {
+			ri = rng.Intn(len(regions))
+		}
+		r := regions[ri]
+		n := []int{1, 4, 8}[rng.Intn(3)]
+		addr := r.Base() + simmem.Addr(rng.Intn(r.Size()-n+1))
+		if rng.Intn(8) == 0 {
+			end := r.Base() + simmem.Addr(r.Size())
+			addr = []simmem.Addr{
+				r.Base() - 1 - simmem.Addr(rng.Intn(16)),
+				end,
+				end - simmem.Addr(1+rng.Intn(7)),
+				^simmem.Addr(0) - simmem.Addr(rng.Intn(16)),
+			}[rng.Intn(4)]
+		}
+		typed := eqOp{kind: opTypedLoad, addr: addr, data: make([]byte, n), float: n == 8 && rng.Intn(2) == 0}
+		if rng.Intn(2) == 0 {
+			typed.kind = opTypedStore
+			rng.Read(typed.data)
+		}
+		out = append(out, typed)
+	}
+	return out
+}
+
+// typedLoad and typedStore run a typed op of len(op.data) bytes through
+// acc; the load renders the value zero-extended to 64 bits.
+func typedLoad(acc *simmem.Accessor, op eqOp) (uint64, error) {
+	switch len(op.data) {
+	case 1:
+		v, err := acc.LoadU8(op.addr)
+		return uint64(v), err
+	case 4:
+		v, err := acc.LoadU32(op.addr)
+		return uint64(v), err
+	}
+	if op.float {
+		v, err := acc.LoadF64(op.addr)
+		return math.Float64bits(v), err
+	}
+	return acc.LoadU64(op.addr)
+}
+
+func typedStore(acc *simmem.Accessor, op eqOp) error {
+	var b [8]byte
+	copy(b[:], op.data)
+	v := binary.LittleEndian.Uint64(b[:])
+	switch len(op.data) {
+	case 1:
+		return acc.StoreU8(op.addr, byte(v))
+	case 4:
+		return acc.StoreU32(op.addr, uint32(v))
+	}
+	if op.float {
+		return acc.StoreF64(op.addr, math.Float64frombits(v))
+	}
+	return acc.StoreU64(op.addr, v)
+}
+
 // apply runs one op against the space and renders what it observed.
 func (s *eqSpace) apply(op eqOp) eqResult {
 	as := s.as
@@ -251,6 +335,11 @@ func (s *eqSpace) apply(op eqOp) eqResult {
 	case opRestore:
 		n, err := s.snap.Restore()
 		return eqResult{out: errString(err), restored: n}
+	case opTypedLoad:
+		v, err := typedLoad(s.acc, op)
+		return eqResult{out: fmt.Sprintf("%x/%s", v, errString(err))}
+	case opTypedStore:
+		return eqResult{out: errString(typedStore(s.acc, op))}
 	}
 	panic("unknown op")
 }
@@ -270,7 +359,8 @@ func replayPair(t *testing.T, fastS, slowS *eqSpace, ops []eqOp) {
 // both spaces and fails on any observable divergence.
 func driveEquivalence(t *testing.T, fastS, slowS *eqSpace, seed int64, nOps int) {
 	t.Helper()
-	replayPair(t, fastS, slowS, genOps(fastS.as.Regions(), seed, nOps))
+	regions := fastS.as.Regions()
+	replayPair(t, fastS, slowS, withTypedOps(regions, seed, genOps(regions, seed, nOps)))
 	compareEqSpaces(t, fastS, slowS)
 }
 
@@ -376,8 +466,10 @@ func TestAccessPathEquivalence(t *testing.T) {
 // cross-page span prologue — one corrupted word next to a page boundary,
 // then streamed span reads across it — before the random op stream, so
 // the partially-tainted-page walk is exercised on every input, not only
-// when the rng happens to produce it. Uncached inputs also replay
-// against the naive oracle (oracle_test.go).
+// when the rng happens to produce it. The random stream carries the
+// typed ops withTypedOps interleaves, wild addresses among them, on
+// every input. Uncached inputs also replay against the naive oracle
+// (oracle_test.go).
 func FuzzAccessPathEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed%6), seed%2 == 0)
@@ -387,6 +479,11 @@ func FuzzAccessPathEquivalence(f *testing.F) {
 	for c := int64(0); c < 6; c++ {
 		f.Add(int64(0x9a9e)+c, uint8(c), false)
 		f.Add(int64(0x9a9e)+c, uint8(c), true)
+	}
+	// And for the typed ops over each codec, uncached so the oracle
+	// replays them too.
+	for c := int64(0); c < 6; c++ {
+		f.Add(int64(0x7e9ed)+c, uint8(c), false)
 	}
 	codecs := eqCodecs()
 	f.Fuzz(func(t *testing.T, seed int64, codecIdx uint8, cached bool) {
@@ -402,7 +499,7 @@ func FuzzAccessPathEquivalence(f *testing.F) {
 		if !cached {
 			// The oracle models no cache; same streams, engine-independent.
 			replayOracle(t, tc.codec, func(regions []*simmem.Region) []eqOp {
-				return append(genCrossPageOps(regions, seed), genOps(regions, seed, 400)...)
+				return append(genCrossPageOps(regions, seed), withTypedOps(regions, seed, genOps(regions, seed, 400))...)
 			})
 		}
 	})

@@ -142,3 +142,55 @@ func BenchmarkStorePartial(b *testing.B) {
 		}
 	}
 }
+
+// scalarAddr walks the region in 8-byte steps, one typed access per
+// step, so every op stays inside one page and one 8-byte-aligned slot.
+// The region size is a power of two (newBenchSpace), so the wrap is a
+// mask rather than a division.
+func scalarAddr(r *simmem.Region, i int) simmem.Addr {
+	return r.Base() + simmem.Addr(i*8&(r.Size()-1))
+}
+
+// BenchmarkLoadU64Clean is one typed 8-byte load from an untainted page
+// through a warm accessor: the front end's fast check, per codec.
+func BenchmarkLoadU64Clean(b *testing.B) {
+	for _, tc := range benchCodecs() {
+		b.Run(tc.name, func(b *testing.B) {
+			as, r := newBenchSpace(b, tc.codec)
+			acc := as.NewAccessor()
+			var sum uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, err := acc.LoadU64(scalarAddr(r, i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				sum += v
+			}
+			if sum == 0 || as.FastPathLoads() == 0 {
+				b.Fatalf("sum %d, fast-path loads %d", sum, as.FastPathLoads())
+			}
+		})
+	}
+}
+
+// BenchmarkStoreU64Clean is one typed 8-byte store to an untainted page
+// through a warm accessor, per codec: one whole codeword under the 8-byte
+// codecs, half of one under chipkill's 16-byte word, where the store is a
+// read-modify-write.
+func BenchmarkStoreU64Clean(b *testing.B) {
+	for _, tc := range benchCodecs() {
+		b.Run(tc.name, func(b *testing.B) {
+			as, r := newBenchSpace(b, tc.codec)
+			acc := as.NewAccessor()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := acc.StoreU64(scalarAddr(r, i), uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

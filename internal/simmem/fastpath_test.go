@@ -2,6 +2,7 @@ package simmem
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -354,7 +355,7 @@ func TestScratchReentrancy(t *testing.T) {
 // page-wide operations touch every word.
 func TestWordTaintBitmap(t *testing.T) {
 	as, r := newProtectedAS(t, replicaCodec{}, nil)
-	p := r.pages[0]
+	p := &r.pages[0]
 	if p.anyTaint {
 		t.Fatal("fresh page has its summary bit set")
 	}
@@ -384,7 +385,7 @@ func TestWordTaintBitmap(t *testing.T) {
 	}
 	// Page-wide set and clear.
 	r.taintPage(1)
-	p1 := r.pages[1]
+	p1 := &r.pages[1]
 	for wi := 0; wi < r.wordsPerPage; wi++ {
 		if !p1.wordTainted(wi) {
 			t.Fatalf("taintPage left word %d clean", wi)
@@ -461,7 +462,7 @@ func TestWordTaintSnapshotRestore(t *testing.T) {
 	if pg, w := as.TaintStats(); pg != 1 || w != 1 {
 		t.Fatalf("TaintStats = %d/%d after restore, want 1/1", pg, w)
 	}
-	p := r.pages[0]
+	p := &r.pages[0]
 	for k := 0; k < r.wordsPerPage; k++ {
 		if p.wordTainted(k) != (k == wi) {
 			t.Errorf("restored bitmap: word %d tainted=%v, want %v", k, p.wordTainted(k), k == wi)
@@ -505,4 +506,92 @@ func TestAccessorSpanZeroAlloc(t *testing.T) {
 	pin("LoadF64", func() error { _, err := acc.LoadF64(base + 264); return err })
 	pin("LoadU32", func() error { _, err := acc.LoadU32(base + 272); return err })
 	pin("LoadU8", func() error { _, err := acc.LoadU8(base + 276); return err })
+	// The space's other typed helpers, on the clean page (the front end's
+	// fast check) and on the tainted one (its fall-through to Load/Store).
+	for _, at := range []Addr{base + 256, base + 8} {
+		pin("AddressSpace.LoadU32", func() error { _, err := as.LoadU32(at + 4); return err })
+		pin("AddressSpace.LoadF64", func() error { _, err := as.LoadF64(at); return err })
+		pin("AddressSpace.StoreU64", func() error { return as.StoreU64(at, 0xfeedbeef) })
+		pin("AddressSpace.StoreU32", func() error { return as.StoreU32(at+4, 0xbeef) })
+	}
+}
+
+// TestWildAddressesFault drives every access entry point of a warm
+// accessor at addresses around and far from its cached region: below the
+// base, one past the end, straddling the last page, and near 2^64. Each
+// must return what the reference path (SetFastPath(false)) returns — the
+// same *Fault, kind and address, or the same value — and none may panic:
+// the front end's fast check bounds the span with unsigned arithmetic, so
+// a wild pointer cannot turn into a negative page index.
+func TestWildAddressesFault(t *testing.T) {
+	for _, codec := range []Codec{nil, replicaCodec{}} {
+		as, err := New(Config{PageSize: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"below", "warm", "above"} {
+			if _, err := as.AddRegion(RegionSpec{Name: name, Kind: RegionHeap, Size: 1024, Codec: codec}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := as.RegionByName("warm")
+		end := r.Base() + Addr(r.Size())
+		ops := []struct {
+			name string
+			do   func(a *Accessor, addr Addr) (string, error)
+		}{
+			{"LoadU64", func(a *Accessor, addr Addr) (string, error) { v, err := a.LoadU64(addr); return fmt.Sprint(v), err }},
+			{"LoadU32", func(a *Accessor, addr Addr) (string, error) { v, err := a.LoadU32(addr); return fmt.Sprint(v), err }},
+			{"LoadU8", func(a *Accessor, addr Addr) (string, error) { v, err := a.LoadU8(addr); return fmt.Sprint(v), err }},
+			{"LoadF64", func(a *Accessor, addr Addr) (string, error) { v, err := a.LoadF64(addr); return fmt.Sprint(v), err }},
+			{"Load", func(a *Accessor, addr Addr) (string, error) {
+				buf := make([]byte, 16)
+				err := a.Load(addr, buf)
+				return fmt.Sprintf("%x", buf), err
+			}},
+			{"StoreU64", func(a *Accessor, addr Addr) (string, error) { return "", a.StoreU64(addr, 0x0102030405060708) }},
+			{"StoreU32", func(a *Accessor, addr Addr) (string, error) { return "", a.StoreU32(addr, 0x0a0b0c0d) }},
+			{"StoreU8", func(a *Accessor, addr Addr) (string, error) { return "", a.StoreU8(addr, 0xee) }},
+			{"StoreF64", func(a *Accessor, addr Addr) (string, error) { return "", a.StoreF64(addr, 2.5) }},
+			{"Store", func(a *Accessor, addr Addr) (string, error) { return "", a.Store(addr, make([]byte, 16)) }},
+		}
+		addrs := []Addr{
+			r.Base() - 1, r.Base() - 8, r.Base() - Addr(r.Size()), 0, // below the base
+			end, end + 7, // one past the end
+			end - 1, end - 3, end - 7, end - 15, // straddling the last page's end
+			^Addr(0), ^Addr(0) - 3, ^Addr(0) - 7, ^Addr(0) - 15, 1 << 63, // near 2^64
+		}
+		// call runs op at addr on a fresh accessor warmed on r, so the fast
+		// check always starts from r in the cache.
+		call := func(op func(*Accessor, Addr) (string, error), addr Addr) (out string, err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("%#x: panic %v", uint64(addr), p)
+				}
+			}()
+			a := as.NewAccessor()
+			if _, err := a.LoadU8(r.Base()); err != nil {
+				t.Fatalf("warming: %v", err)
+			}
+			return op(a, addr)
+		}
+		for _, op := range ops {
+			for _, addr := range addrs {
+				as.SetFastPath(false)
+				wantOut, wantErr := call(op.do, addr)
+				as.SetFastPath(true)
+				gotOut, gotErr := call(op.do, addr)
+				if gotOut != wantOut || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Errorf("codec %v %s(%#x) = %q, %v; reference path %q, %v", codec, op.name, uint64(addr), gotOut, gotErr, wantOut, wantErr)
+				}
+				if wantErr != nil {
+					f, ok := AsFault(gotErr)
+					wf, _ := AsFault(wantErr)
+					if !ok || wf == nil || *f != *wf {
+						t.Errorf("codec %v %s(%#x): fault %#v, want %#v", codec, op.name, uint64(addr), gotErr, wantErr)
+					}
+				}
+			}
+		}
+	}
 }

@@ -79,7 +79,7 @@ func (as *AddressSpace) StickBit(addr Addr, bit, value int) error {
 	// granule leaves the fast path (in any region kind) until frame
 	// replacement discards the fault.
 	r.taintWord(pi, r.wordIndex(off))
-	p := r.pages[pi]
+	p := &r.pages[pi]
 	i := off % as.pageSize
 	mask := byte(1) << bit
 	if value == 1 {

@@ -50,7 +50,7 @@ func (as *AddressSpace) loadSpan(r *Region, off int, buf []byte) error {
 	for n := 0; n < len(buf); {
 		o := off + n
 		pi, inPage := o/ps, o%ps
-		p := r.pages[pi]
+		p := &r.pages[pi]
 		wi := inPage / g
 		lo := inPage - wi*g // first requested byte within the granule
 		dst := buf[n:min(n+g-lo, len(buf))]
@@ -117,7 +117,7 @@ func (r *Region) senseWord(p *page, wi int, word, check []byte) {
 // the fly: the erroneous cells keep their contents until overwritten or
 // scrubbed.
 func (as *AddressSpace) decodeWord(r *Region, pi, wi int, word, check []byte) error {
-	p := r.pages[pi]
+	p := &r.pages[pi]
 	r.senseWord(p, wi, word, check)
 	verdict := r.codec.Decode(word, check)
 	if verdict == VerdictUncorrectable {
@@ -147,7 +147,7 @@ func (as *AddressSpace) handleUncorrectable(r *Region, pi, wi int, word, check [
 		return VerdictUncorrectable, &Fault{Kind: FaultMachineCheck, Addr: addr}
 	}
 	// The handler claims to have repaired storage; retry once.
-	r.senseWord(r.pages[pi], wi, word, check)
+	r.senseWord(&r.pages[pi], wi, word, check)
 	v := r.codec.Decode(word, check)
 	if v == VerdictUncorrectable {
 		return v, &Fault{Kind: FaultMachineCheck, Addr: addr}

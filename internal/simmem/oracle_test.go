@@ -8,6 +8,7 @@ package simmem_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -85,6 +86,21 @@ func (m *oracleMem) find(addr simmem.Addr) (*oracleRegion, int) {
 	panic(fmt.Sprintf("oracle: %#x unmapped", uint64(addr)))
 }
 
+// locate is find for an n-byte application access: an address in no
+// region is unmapped, a span running past its region's end is out of
+// range. The arithmetic is unsigned, like the address space's.
+func (m *oracleMem) locate(addr simmem.Addr, n int) (*oracleRegion, int, error) {
+	for _, r := range m.regions {
+		if addr >= r.base && uint64(addr-r.base) < uint64(len(r.data)) {
+			if uint64(addr-r.base)+uint64(n) > uint64(len(r.data)) {
+				return nil, 0, &simmem.Fault{Kind: simmem.FaultOutOfRange, Addr: addr}
+			}
+			return r, int(addr - r.base), nil
+		}
+	}
+	return nil, 0, &simmem.Fault{Kind: simmem.FaultUnmapped, Addr: addr}
+}
+
 func (r *oracleRegion) sense(i int) byte { return r.data[i]&^r.stuckClr[i] | r.stuckSet[i] }
 
 func (r *oracleRegion) checkOf(wo int) []byte {
@@ -124,7 +140,10 @@ func (m *oracleMem) access(r *oracleRegion, wo int) ([]byte, error) {
 }
 
 func (m *oracleMem) load(addr simmem.Addr, buf []byte) error {
-	r, off := m.find(addr)
+	r, off, err := m.locate(addr, len(buf))
+	if err != nil {
+		return err
+	}
 	for i := range buf {
 		o := off + i
 		if r.codec == nil {
@@ -145,7 +164,10 @@ func (m *oracleMem) load(addr simmem.Addr, buf []byte) error {
 }
 
 func (m *oracleMem) store(addr simmem.Addr, data []byte) error {
-	r, off := m.find(addr)
+	r, off, err := m.locate(addr, len(data))
+	if err != nil {
+		return err
+	}
 	if r.codec == nil {
 		copy(r.data[off:], data)
 		m.counters.Stores++
@@ -213,8 +235,14 @@ func (m *oracleMem) apply(op eqOp) string {
 		buf := make([]byte, len(op.data))
 		err := m.load(op.addr, buf)
 		return fmt.Sprintf("%x/%s", buf, errString(err))
-	case opStore:
+	case opStore, opTypedStore:
 		return errString(m.store(op.addr, op.data))
+	case opTypedLoad:
+		var b [8]byte
+		if err := m.load(op.addr, b[:len(op.data)]); err != nil {
+			return "0/" + errString(err)
+		}
+		return fmt.Sprintf("%x/", binary.LittleEndian.Uint64(b[:]))
 	case opFlipBit:
 		r, off := m.find(op.addr)
 		r.data[off] ^= 1 << op.bit
@@ -291,14 +319,15 @@ func replayOracle(t *testing.T, codec func() simmem.Codec, gen func([]*simmem.Re
 
 // TestMemoryOracle replays the differential suite's streams — the
 // cross-page prologue, then the random stream, including Snapshot/
-// Restore and ReplaceFrame — against the oracle over every codec.
+// Restore and ReplaceFrame, with typed accesses (wild addresses among
+// them) interleaved — against the oracle over every codec.
 func TestMemoryOracle(t *testing.T) {
 	for _, tc := range eqCodecs() {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 4; seed++ {
 				replayOracle(t, tc.codec, func(regions []*simmem.Region) []eqOp {
-					return append(genCrossPageOps(regions, seed), genOps(regions, seed, 1500)...)
+					return append(genCrossPageOps(regions, seed), withTypedOps(regions, seed, genOps(regions, seed, 1500))...)
 				})
 			}
 		})

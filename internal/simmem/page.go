@@ -6,8 +6,13 @@ import "math/bits"
 
 // page is one physical page frame of a region.
 type page struct {
-	data  []byte
-	check []byte // nil when the region is unprotected
+	data []byte
+	// anyTaint is the taint bitmap's page-level summary (see taint): true
+	// iff any bit is set, so the all-clean fast test is one flag load per
+	// page. It sits next to data, so that flag and the bytes it guards
+	// are read from one cache line.
+	anyTaint bool
+	check    []byte // nil when the region is unprotected
 	// stuckSet forces bits to 1 on sensing; stuckClr forces bits to 0.
 	// Both are nil until the first hard error is installed.
 	stuckSet  []byte
@@ -24,10 +29,7 @@ type page struct {
 	// bits; only operations that re-establish the invariant verifiably
 	// clear them. The slice is allocated lazily on first taint (clean
 	// frames — the overwhelming majority — pay one nil pointer).
-	// anyTaint is the page-level summary: true iff any bit is set, so
-	// the all-clean fast test stays one flag load per page.
-	taint    []uint64
-	anyTaint bool
+	taint []uint64
 }
 
 // wordTainted reports whether granule wi of the page is tainted.
@@ -82,7 +84,8 @@ func (as *AddressSpace) TaintedPages() int {
 // TaintStats returns the tainted page and granule counts in one pass.
 func (as *AddressSpace) TaintStats() (pages, words int) {
 	for _, r := range as.regions {
-		for _, p := range r.pages {
+		for pi := range r.pages {
+			p := &r.pages[pi]
 			if !p.anyTaint {
 				continue
 			}
@@ -106,7 +109,7 @@ func (r *Region) wordIndex(off int) int {
 // back with the data.
 func (r *Region) taintWord(pi, wi int) {
 	r.markDirty(pi)
-	p := r.pages[pi]
+	p := &r.pages[pi]
 	if p.taint == nil {
 		p.taint = make([]uint64, r.taintLen)
 	}
@@ -118,7 +121,7 @@ func (r *Region) taintWord(pi, wi int) {
 // whole-page channel (frame replacement's swap window).
 func (r *Region) taintPage(pi int) {
 	r.markDirty(pi)
-	p := r.pages[pi]
+	p := &r.pages[pi]
 	if p.taint == nil {
 		p.taint = make([]uint64, r.taintLen)
 	}
@@ -139,7 +142,7 @@ func (r *Region) taintPage(pi int) {
 // taint state exactly; clearing an already-clean granule is a no-op
 // with no tracking cost.
 func (r *Region) clearWordTaint(pi, wi int) {
-	p := r.pages[pi]
+	p := &r.pages[pi]
 	if !p.anyTaint || p.taint[wi>>6]&(1<<(wi&63)) == 0 {
 		return
 	}
@@ -156,7 +159,7 @@ func (r *Region) clearWordTaint(pi, wi int) {
 
 // clearPageTaint marks every granule of page pi verifiably clean.
 func (r *Region) clearPageTaint(pi int) {
-	p := r.pages[pi]
+	p := &r.pages[pi]
 	if !p.anyTaint {
 		return
 	}
@@ -184,7 +187,7 @@ func (r *Region) cleanPages(p0, p1 int) bool {
 // ground truth; the access paths trust the bitmap instead of paying
 // for verification.
 func (r *Region) verifyWordClean(pi, wi int) bool {
-	p := r.pages[pi]
+	p := &r.pages[pi]
 	g := r.granule
 	if p.stuckInRange(wi*g, (wi+1)*g) {
 		return false

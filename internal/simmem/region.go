@@ -115,7 +115,7 @@ func (as *AddressSpace) AddRegion(spec RegionSpec) (*Region, error) {
 		readOnly: spec.ReadOnly,
 		codec:    spec.Codec,
 		mc:       spec.MC,
-		pages:    make([]*page, npages),
+		pages:    make([]page, npages),
 	}
 	// Unprotected regions have no codeword structure, so taint tracks
 	// fixed 64-byte chunks (or the whole page when pages are smaller) —
@@ -142,11 +142,11 @@ func (as *AddressSpace) AddRegion(spec RegionSpec) (*Region, error) {
 		checkPerPage = as.pageSize / spec.Codec.WordBytes() * spec.Codec.CheckBytes()
 	}
 	for i := range r.pages {
-		p := &page{data: make([]byte, as.pageSize)}
+		p := &r.pages[i]
+		p.data = make([]byte, as.pageSize)
 		if checkPerPage > 0 {
 			p.check = make([]byte, checkPerPage)
 		}
-		r.pages[i] = p
 	}
 	if spec.Backed {
 		r.backing = make([]byte, size)
@@ -165,7 +165,7 @@ type Region struct {
 	readOnly bool
 	codec    Codec
 	mc       MCHandler
-	pages    []*page
+	pages    []page
 	backing  []byte
 	used     int
 	// Taint-bitmap geometry: granule is the taint tracking unit in

@@ -18,7 +18,7 @@ func (r *Region) ReplaceFrame(pageIdx int) error {
 	// the incoming frame's contents come from outside the encoded
 	// store path, so the page is tainted for the duration of the swap …
 	r.taintPage(pageIdx)
-	p := r.pages[pageIdx]
+	p := &r.pages[pageIdx]
 	p.stuckSet = nil
 	p.stuckClr = nil
 	p.corrected = 0
@@ -129,7 +129,7 @@ func (r *Region) ScrubPage(i int, writeBack bool) (corrected, uncorrectable int,
 		// stuck-at state an unprotected granule trivially satisfies the
 		// taint invariant (sensing is a plain copy), so the scan
 		// re-admits every stuck-free granule to the fast path.
-		p := r.pages[i]
+		p := &r.pages[i]
 		if !p.hasStuck() {
 			r.clearPageTaint(i)
 		} else if p.anyTaint {
@@ -142,7 +142,7 @@ func (r *Region) ScrubPage(i int, writeBack bool) (corrected, uncorrectable int,
 		}
 		return 0, 0, nil
 	}
-	p := r.pages[i]
+	p := &r.pages[i]
 	w, c := r.granule, r.checkBytes
 	word, check, owned := r.as.acquireScratch(w, c)
 	defer r.as.releaseScratch(owned)

@@ -167,6 +167,28 @@ func (as *AddressSpace) AddAccessObserver(o AccessObserver) {
 	as.accessObs = append(as.accessObs, o)
 }
 
+// RemoveAccessObserver unregisters the last registration of o, which
+// must be comparable (observers are pointers); the others keep their
+// order. It is safe inside an ObserveAccess call: removal never writes to
+// the list a delivery is iterating (it reslices, or copies when o is not
+// last), so the event in flight still reaches every observer registered
+// when it started. An observer the active snapshot retains must not be
+// removed: Restore truncates the list to that retained prefix.
+func (as *AddressSpace) RemoveAccessObserver(o AccessObserver) {
+	obs := as.accessObs
+	for i := len(obs) - 1; i >= 0; i-- {
+		if obs[i] != o {
+			continue
+		}
+		if i == len(obs)-1 {
+			as.accessObs = obs[:i]
+		} else {
+			as.accessObs = append(append(make([]AccessObserver, 0, len(obs)-1), obs[:i]...), obs[i+1:]...)
+		}
+		return
+	}
+}
+
 // AddECCObserver registers an observer for detection/correction events.
 func (as *AddressSpace) AddECCObserver(o ECCObserver) {
 	as.eccObs = append(as.eccObs, o)
@@ -220,8 +242,11 @@ func (as *AddressSpace) releaseScratch(owned bool) {
 	}
 }
 
-// notifyAccess fans an access event out to the observers.
-func (as *AddressSpace) notifyAccess(ev AccessEvent) {
+// notifyAccess fans an access event out to the observers. The front end
+// calls it only when there are any, so an unobserved access never builds
+// the event.
+func (as *AddressSpace) notifyAccess(kind AccessKind, r *Region, addr Addr, n int) {
+	ev := AccessEvent{Addr: addr, Len: n, Kind: kind, Time: as.clock.Now(), Region: r}
 	for _, o := range as.accessObs {
 		o.ObserveAccess(ev)
 	}

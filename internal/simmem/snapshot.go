@@ -95,7 +95,8 @@ func (as *AddressSpace) Snapshot() *Snapshot {
 		if checkPerPage > 0 {
 			rs.check = make([]byte, len(r.pages)*checkPerPage)
 		}
-		for pi, p := range r.pages {
+		for pi := range r.pages {
+			p := &r.pages[pi]
 			copy(rs.data[pi*ps:], p.data)
 			if checkPerPage > 0 {
 				copy(rs.check[pi*checkPerPage:], p.check)
@@ -140,7 +141,7 @@ func (s *Snapshot) Restore() (int, error) {
 		rs := &s.regions[ri]
 		checkPerPage := r.checkPerPage()
 		for _, pi := range r.dirtyList {
-			p := r.pages[pi]
+			p := &r.pages[pi]
 			copy(p.data, rs.data[pi*ps:(pi+1)*ps])
 			if checkPerPage > 0 {
 				copy(p.check, rs.check[pi*checkPerPage:(pi+1)*checkPerPage])

@@ -9,7 +9,7 @@ func (r *Region) writeBytes(off int, data []byte) {
 	for len(data) > 0 {
 		pi := off / ps
 		r.markDirty(pi)
-		p := r.pages[pi]
+		p := &r.pages[pi]
 		inPage := off % ps
 		n := copy(p.data[inPage:], data)
 		data = data[n:]
@@ -43,7 +43,7 @@ func (as *AddressSpace) storeEncoded(r *Region, off int, data []byte, raw bool) 
 			pi, wi = pi+1, 0
 		}
 		r.markDirty(pi)
-		p := r.pages[pi]
+		p := &r.pages[pi]
 		d := p.data[wi*w : (wi+1)*w]
 		partial := wo < off || wo+w > end
 		if partial && !raw && (!as.fastPath || p.wordTainted(wi)) {
@@ -64,6 +64,21 @@ func (as *AddressSpace) storeEncoded(r *Region, off int, data []byte, raw bool) 
 		}
 	}
 	return nil
+}
+
+// wholeWords reports whether the n-byte span at region offset off covers
+// whole aligned codewords only, so storing it needs no decode.
+func (r *Region) wholeWords(off, n int) bool {
+	return r.granShift >= 0 && (off|n)&(r.granule-1) == 0
+}
+
+// encodeWords re-encodes the codewords covering page bytes [lo, hi) of
+// p, which must be word-aligned: the check bytes of a whole-word store.
+func (r *Region) encodeWords(p *page, lo, hi int) {
+	w, c := r.granule, r.checkBytes
+	for wo, co := lo, lo>>r.granShift*c; wo < hi; wo, co = wo+w, co+c {
+		r.codec.Encode(p.data[wo:wo+w], p.check[co:co+c])
+	}
 }
 
 // WriteRaw writes bytes at addr bypassing the read-only flag and access
