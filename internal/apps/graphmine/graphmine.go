@@ -86,13 +86,6 @@ type Config struct {
 	RequestCost time.Duration
 	// OpBudget caps simulated memory operations per request.
 	OpBudget int
-	// StackSize and PageSize optionally override region sizing.
-	StackSize int
-	PageSize  int
-	// CacheLines, when nonzero, enables the write-back CPU cache model
-	// in front of memory (the paper notes caches delay error visibility;
-	// the default off matches its conservative methodology).
-	CacheLines int
 	// HeapCodec / StackCodec optionally protect regions.
 	HeapCodec, StackCodec simmem.Codec
 	// HeapMC / StackMC install software responses.
@@ -229,14 +222,9 @@ func (b *Builder) BuildSnapshot() (apps.SnapshotApp, error) {
 	scoresBytes := n * 8
 	used := offsetsBytes + followersBytes + outdegBytes + 2*scoresBytes
 
-	as, err := simmem.New(simmem.Config{PageSize: cfg.PageSize})
+	as, err := simmem.New(simmem.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("graphmine: creating address space: %w", err)
-	}
-	if cfg.CacheLines > 0 {
-		if err := as.EnableCache(cfg.CacheLines); err != nil {
-			return nil, err
-		}
 	}
 	heap, err := as.AddRegion(simmem.RegionSpec{
 		Name: "heap", Kind: simmem.RegionHeap, Size: used + 4096,
@@ -245,12 +233,8 @@ func (b *Builder) BuildSnapshot() (apps.SnapshotApp, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graphmine: mapping heap: %w", err)
 	}
-	stackSize := cfg.StackSize
-	if stackSize == 0 {
-		stackSize = 16 << 10
-	}
 	stackRegion, err := as.AddRegion(simmem.RegionSpec{
-		Name: "stack", Kind: simmem.RegionStack, Size: stackSize,
+		Name: "stack", Kind: simmem.RegionStack, Size: 16 << 10,
 		Codec: cfg.StackCodec, MC: cfg.StackMC,
 	})
 	if err != nil {

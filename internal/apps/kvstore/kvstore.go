@@ -46,13 +46,6 @@ type Config struct {
 	RequestCost time.Duration
 	// OpBudget caps simulated memory operations per request.
 	OpBudget int
-	// StackSize and PageSize optionally override region sizing.
-	StackSize int
-	PageSize  int
-	// CacheLines, when nonzero, enables the write-back CPU cache model
-	// in front of memory (the paper notes caches delay error visibility;
-	// the default off matches its conservative methodology).
-	CacheLines int
 	// HeapBacked gives the heap a persistent-storage shadow copy
 	// (synchronized to the pre-populated store at build time), enabling
 	// Par+R-style software recovery of store data. The live server uses
@@ -162,14 +155,9 @@ func (b *Builder) BuildSnapshot() (apps.SnapshotApp, error) {
 	// duplicates (none today, entries are updated in place) + rounding.
 	heapSize := cfg.Buckets*8 + cfg.Keys*(entrySize+16) + 16384
 
-	as, err := simmem.New(simmem.Config{PageSize: cfg.PageSize})
+	as, err := simmem.New(simmem.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: creating address space: %w", err)
-	}
-	if cfg.CacheLines > 0 {
-		if err := as.EnableCache(cfg.CacheLines); err != nil {
-			return nil, err
-		}
 	}
 	heap, err := as.AddRegion(simmem.RegionSpec{
 		Name: "heap", Kind: simmem.RegionHeap, Size: heapSize,
@@ -178,12 +166,8 @@ func (b *Builder) BuildSnapshot() (apps.SnapshotApp, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: mapping heap: %w", err)
 	}
-	stackSize := cfg.StackSize
-	if stackSize == 0 {
-		stackSize = 16 << 10
-	}
 	stackRegion, err := as.AddRegion(simmem.RegionSpec{
-		Name: "stack", Kind: simmem.RegionStack, Size: stackSize,
+		Name: "stack", Kind: simmem.RegionStack, Size: 16 << 10,
 		Codec: cfg.StackCodec, MC: cfg.StackMC,
 	})
 	if err != nil {

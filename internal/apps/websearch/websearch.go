@@ -61,13 +61,6 @@ type Config struct {
 	RequestCost time.Duration
 	// OpBudget caps simulated memory operations per query (watchdog).
 	OpBudget int
-	// StackSize, HeapSize, PageSize optionally override region sizing.
-	StackSize, HeapSize int
-	PageSize            int
-	// CacheLines, when nonzero, enables the write-back CPU cache model
-	// in front of memory (the paper notes caches delay error visibility;
-	// the default off matches its conservative methodology).
-	CacheLines int
 	// PrivateCodec etc. optionally protect regions (HRM experiments).
 	PrivateCodec, HeapCodec, StackCodec simmem.Codec
 	// PrivateMC etc. install software responses for uncorrectable errors.
@@ -213,23 +206,10 @@ func (b *Builder) BuildSnapshot() (apps.SnapshotApp, error) {
 	snippetsBytes := cfg.Docs * cfg.SnippetLen
 	cacheBytes := cfg.CacheSlots * cacheEntryBytes
 	heapUsed := snippetsBytes + cacheBytes
-	heapSize := cfg.HeapSize
-	if heapSize == 0 {
-		heapSize = heapUsed + 4096
-	}
-	stackSize := cfg.StackSize
-	if stackSize == 0 {
-		stackSize = 64 << 10
-	}
 
-	as, err := simmem.New(simmem.Config{PageSize: cfg.PageSize})
+	as, err := simmem.New(simmem.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("websearch: creating address space: %w", err)
-	}
-	if cfg.CacheLines > 0 {
-		if err := as.EnableCache(cfg.CacheLines); err != nil {
-			return nil, err
-		}
 	}
 	private, err := as.AddRegion(simmem.RegionSpec{
 		Name: "private", Kind: simmem.RegionPrivate, Size: privateUsed + 4096,
@@ -239,14 +219,14 @@ func (b *Builder) BuildSnapshot() (apps.SnapshotApp, error) {
 		return nil, fmt.Errorf("websearch: mapping private region: %w", err)
 	}
 	heap, err := as.AddRegion(simmem.RegionSpec{
-		Name: "heap", Kind: simmem.RegionHeap, Size: heapSize,
+		Name: "heap", Kind: simmem.RegionHeap, Size: heapUsed + 4096,
 		Codec: cfg.HeapCodec, MC: cfg.HeapMC,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("websearch: mapping heap region: %w", err)
 	}
 	stackRegion, err := as.AddRegion(simmem.RegionSpec{
-		Name: "stack", Kind: simmem.RegionStack, Size: stackSize,
+		Name: "stack", Kind: simmem.RegionStack, Size: 64 << 10,
 		Codec: cfg.StackCodec, MC: cfg.StackMC,
 	})
 	if err != nil {

@@ -1,10 +1,6 @@
 package websearch
 
-import (
-	"testing"
-
-	"hrmsim/internal/simmem"
-)
+import "testing"
 
 func TestServeWithResultsMatchesServe(t *testing.T) {
 	cfg := smallConfig(30)
@@ -78,25 +74,4 @@ func TestQuerySeedSharesQueryStream(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestCacheModelConfig(t *testing.T) {
-	cfg := smallConfig(33)
-	cfg.CacheLines = 128
-	ref := golden(t, build(t, smallConfig(33)))
-	app := build(t, cfg)
-	for i := 0; i < app.NumRequests(); i++ {
-		resp, err := app.Serve(i)
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		if resp.Digest != ref[i] {
-			t.Fatalf("request %d digest differs with cache model enabled", i)
-		}
-	}
-	h, m, _ := app.Space().CacheStats()
-	if h == 0 || m == 0 {
-		t.Errorf("cache stats: hits=%d misses=%d", h, m)
-	}
-	_ = simmem.CacheLineBytes
 }

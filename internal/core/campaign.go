@@ -239,9 +239,8 @@ type Prepared struct {
 // recording the golden digests: 0..warmup; Snapshot; the window under a
 // monitor.Profile, ended by Finish; Reset, which leaves the instance as
 // the pool's first session. The profile is dropped when a fault can act
-// other than through the first access to its granule (CPU cache model on;
-// observers the snapshot retains) or when it missed an access the
-// instance counted.
+// other than through the first access to its granule (observers the
+// snapshot retains) or when it missed an access the instance counted.
 func Prepare(b apps.Builder, warmup int) (*Prepared, error) {
 	sb, err := snapshotBuilder(b)
 	if err != nil {
@@ -270,7 +269,7 @@ func Prepare(b apps.Builder, warmup int) (*Prepared, error) {
 		return nil, fmt.Errorf("core: snapshotting golden instance: %w", err)
 	}
 	var prof *monitor.Profile
-	if !as.CacheEnabled() && !as.Observed() {
+	if !as.Observed() {
 		prof = monitor.New(as)
 		as.AddAccessObserver(prof)
 	}

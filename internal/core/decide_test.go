@@ -249,9 +249,13 @@ func TestDecidedCampaignMatchesBuildPerTrial(t *testing.T) {
 	}
 }
 
-// TestDecideFallbacks: each condition under which first-touch does not
-// settle a trial keeps the profile off, so nothing is decided; a golden
-// run the pass does not reproduce fails the campaign.
+// TestDecideFallbacks: a golden run the fault-free pass does not
+// reproduce fails the campaign. The fallbacks that keep the profile off,
+// so that nothing is decided, are pinned elsewhere: observers the
+// snapshot retains by replayAll, whose every campaign requireSameRegistry
+// holds at zero decided trials; a profile that missed an access the
+// instance counted by no test, because every access reaches the
+// observers through the one front end that counts it.
 func TestDecideFallbacks(t *testing.T) {
 	b := decideBuilders["websearch"](t, nil)
 	golden, err := GoldenRun(b)
@@ -262,30 +266,6 @@ func TestDecideFallbacks(t *testing.T) {
 		Builder: b, Spec: faults.SingleBitSoft, Trials: 30, Seed: 12, Parallelism: 2,
 		Warmup: len(golden) / 4, Golden: golden,
 	}
-	_, plainReg := runMetered(t, base)
-	if plainReg.Counters["campaign_trials_decided_total"] == 0 {
-		t.Fatal("the unencumbered campaign decided nothing; the fallbacks below would prove nothing")
-	}
-
-	t.Run("cpu-cache", func(t *testing.T) {
-		cfg := websearch.DefaultConfig(17)
-		cfg.Docs, cfg.Vocab, cfg.MinTerms, cfg.MaxTerms = 256, 128, 4, 12
-		cfg.Queries, cfg.CacheSlots, cfg.CacheLines = 40, 32, 64
-		cached, err := websearch.NewBuilder(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		golden, err := GoldenRun(cached)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := base
-		c.Builder, c.Golden, c.Warmup = cached, golden, len(golden)/4
-		_, reg := runMetered(t, c)
-		if n := reg.Counters["campaign_trials_decided_total"]; n != 0 {
-			t.Errorf("%d trials decided with the CPU cache model on", n)
-		}
-	})
 	t.Run("wrong-golden", func(t *testing.T) {
 		// A supplied golden run only asserts: one the pass does not
 		// reproduce fails the campaign, naming the request.

@@ -7,7 +7,6 @@ import (
 
 	"hrmsim/internal/apps"
 	"hrmsim/internal/apps/graphmine"
-	"hrmsim/internal/apps/websearch"
 	"hrmsim/internal/faults"
 	"hrmsim/internal/obsv"
 )
@@ -138,34 +137,6 @@ func TestSnapshotLifecycleMatchesFreshBuild(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestSnapshotLifecycleMatchesFreshWithCPUCache exercises the cache
-// model across restores: residency and stats must roll back with
-// memory, or error visibility (and therefore outcomes) would drift
-// from the build-per-trial reference.
-func TestSnapshotLifecycleMatchesFreshWithCPUCache(t *testing.T) {
-	cfg := websearch.DefaultConfig(9)
-	cfg.Docs = 256
-	cfg.Vocab = 128
-	cfg.MinTerms = 4
-	cfg.MaxTerms = 12
-	cfg.Queries = 40
-	cfg.CacheSlots = 32
-	cfg.CacheLines = 64
-	b, err := websearch.NewBuilder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := GoldenRun(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := runLifecycle(t, buildPerTrial{b}, faults.SingleBitSoft, golden, 1, 10)
-	snap := runLifecycle(t, b, faults.SingleBitSoft, golden, 3, 10)
-	if !reflect.DeepEqual(fresh.Trials, snap.Trials) {
-		t.Fatal("cached-app snapshot campaign diverged from fresh builds")
 	}
 }
 

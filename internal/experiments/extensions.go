@@ -9,7 +9,6 @@ import (
 
 	"hrmsim/internal/apps"
 	"hrmsim/internal/apps/websearch"
-	"hrmsim/internal/core"
 	"hrmsim/internal/design"
 	"hrmsim/internal/dram"
 	"hrmsim/internal/ecc"
@@ -17,7 +16,6 @@ import (
 	"hrmsim/internal/inject"
 	"hrmsim/internal/lifetime"
 	"hrmsim/internal/recovery"
-	"hrmsim/internal/simmem"
 	"hrmsim/internal/stats"
 	"hrmsim/internal/textplot"
 )
@@ -26,7 +24,7 @@ import (
 // evaluation: its §V-B aggregation discussion, its §VII future work
 // (correlated faults), and ablations of the software-response machinery.
 func ExtensionIDs() []string {
-	return []string{"ext-aggregation", "ext-correlated", "ext-scrub", "ext-retire", "ext-cache"}
+	return []string{"ext-aggregation", "ext-correlated", "ext-scrub", "ext-retire"}
 }
 
 // runExtension dispatches extension experiments (called from Run).
@@ -40,8 +38,6 @@ func (s *Suite) runExtension(id string) (*Report, error) {
 		return s.ExtScrubbing()
 	case "ext-retire":
 		return s.ExtRetirement()
-	case "ext-cache":
-		return s.ExtCacheMasking()
 	default:
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v + %v)", id, IDs(), ExtensionIDs())
 	}
@@ -476,75 +472,6 @@ func (s *Suite) ExtRetirement() (*Report, error) {
 		Metric:   "Retirement clears recurring hard faults before they accumulate",
 		Paper:    "OS page retirement eliminates up to 96.8% of detected errors (§II / [15,22,38])",
 		Measured: fmt.Sprintf("crashes over 12h: %d (off) -> %d (threshold 8) -> %d (threshold 2)", crashesByCase[0], crashesByCase[1], crashesByCase[2]),
-	})
-	return rep, nil
-}
-
-// ExtCacheMasking ablates the CPU cache model: the paper notes its
-// debugger-based injection is conservative because real processor caches
-// delay error visibility. With the write-back cache model enabled, errors
-// under hot cached lines are served clean (and dirty write-backs
-// overwrite them), so measured vulnerability drops.
-func (s *Suite) ExtCacheMasking() (*Report, error) {
-	trials := s.scale.Trials
-	run := func(cacheLines int, spec faults.Spec, kind simmem.RegionKind) (*core.CampaignResult, error) {
-		cfg := s.extWSConfig(s.scale.Seed + 2)
-		cfg.CacheLines = cacheLines
-		b, err := websearch.NewBuilder(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ccfg := core.CampaignConfig{
-			Builder: b, Spec: spec, Trials: trials, Seed: s.scale.Seed,
-			Parallelism: s.scale.Parallelism,
-			RunOptions:  core.RunOptions{Progress: s.scale.Progress},
-			// Inject mid-run: caches only shield errors that arrive
-			// under already-hot lines, which is the realistic case for
-			// a continuously serving node.
-			Warmup: b.Config().Queries / 2,
-		}
-		if kind != 0 {
-			ccfg.Filter = inject.KindFilter(kind)
-		}
-		return core.Run(ccfg)
-	}
-
-	t := &textplot.Table{
-		Title:   fmt.Sprintf("Extension: CPU-cache masking ablation (WebSearch, hard stack errors, %d trials)", trials),
-		Headers: []string{"Cache model", "Crash prob", "Tolerated", "Incorrect/B"},
-	}
-	var crashOff, crashOn float64
-	for _, cacheLines := range []int{0, 64} {
-		res, err := run(cacheLines, faults.SingleBitHard, simmem.RegionStack)
-		if err != nil {
-			return nil, err
-		}
-		crash, err := res.CrashProbability(0.90)
-		if err != nil {
-			return nil, err
-		}
-		tol, err := res.ToleratedProbability(0.90)
-		if err != nil {
-			return nil, err
-		}
-		mean, _ := res.IncorrectPerBillion()
-		label := "off (paper's conservative setting)"
-		if cacheLines > 0 {
-			label = fmt.Sprintf("%d-line write-back", cacheLines)
-			crashOn = crash.P
-		} else {
-			crashOff = crash.P
-		}
-		t.AddRow(label,
-			fmt.Sprintf("%.1f%%", crash.P*100),
-			fmt.Sprintf("%.1f%%", tol.P*100),
-			fmt.Sprintf("%.3g", mean))
-	}
-	rep := &Report{ID: "ext-cache", Title: "CPU-cache masking ablation", Text: t.Render()}
-	rep.Comparisons = append(rep.Comparisons, Comparison{
-		Metric:   "Injection without a cache model is conservative",
-		Paper:    "\"our methodology provides a more conservative estimate of application memory error tolerance\" (§IV-A)",
-		Measured: fmt.Sprintf("stack hard-error crash prob %.1f%% without cache vs %.1f%% with a write-back cache", crashOff*100, crashOn*100),
 	})
 	return rep, nil
 }

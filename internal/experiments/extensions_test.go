@@ -1,19 +1,24 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
 func TestExtensionIDsDispatch(t *testing.T) {
+	want := []string{"ext-aggregation", "ext-correlated", "ext-scrub", "ext-retire"}
+	if got := ExtensionIDs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ExtensionIDs() = %q, want %q", got, want)
+	}
+	// ext-cache is retired: an old script asking for it gets the
+	// unknown-experiment refusal, not a silent substitute.
 	s := getSuite(t)
-	if _, err := s.Run("ext-nope"); err == nil {
-		t.Error("unknown extension accepted")
+	for _, id := range []string{"ext-nope", "ext-cache"} {
+		if _, err := s.Run(id); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("Run(%q) err = %v, want an unknown experiment error", id, err)
+		}
 	}
-	if len(ExtensionIDs()) != 5 {
-		t.Errorf("got %d extension IDs", len(ExtensionIDs()))
-	}
-	_ = s
 }
 
 func TestExtAggregationReducesExposure(t *testing.T) {

@@ -9,13 +9,13 @@
 // accessor, say) resolves findRegion once per consecutive same-region
 // run. Load and Store open with one fast check against that cache
 // (cleanSpan): a span the cached region holds whole, inside one
-// untainted page, with the fast path on and no cache model, is served
-// there — one copy (or, for the typed loads, one little-endian read)
-// and, for a store, the re-encode of whole codewords — with the same
-// counters and events as the full path. Any other access takes the full
-// path: locate, then one walk of the span against the per-word taint
-// bitmap (loadSpan / storeEncoded), bulk-copying clean granules and
-// decoding only dirty ones. The AddressSpace embeds one accessor as its
+// untainted page, with the fast path on, is served there — one copy
+// (or, for the typed loads, one little-endian read) and, for a store,
+// the re-encode of whole codewords — with the same counters and events
+// as the full path. Any other access takes the full path: locate, then
+// one walk of the span against the per-word taint bitmap (loadSpan /
+// storeEncoded), bulk-copying clean granules and decoding only dirty
+// ones. The AddressSpace embeds one accessor as its
 // own front end, so as.Load and a.Load are the same code.
 //
 // Cache invalidation rule: there is none, deliberately. Regions are
@@ -86,15 +86,15 @@ func (a *Accessor) locate(addr Addr, n int) (*Region, error) {
 // cleanSpan is the front end's fast check. It returns the region, the
 // region offset and the page frame of the n-byte access at addr when the
 // access needs neither the region lookup nor the span walk: the
-// accessor's cached region holds the whole span, the fast path is on, no
-// cache model is attached, and the span sits in one untainted page. Any
-// other access gets a nil page and takes the full path. The bound is
-// unsigned throughout: once n is at most a page (so at most r.size),
-// neither addr-r.base nor r.size-n can wrap, and a wild address — below
-// the base, past the end, near 2^64 — falls through to locate's fault.
+// accessor's cached region holds the whole span, the fast path is on,
+// and the span sits in one untainted page. Any other access gets a nil
+// page and takes the full path. The bound is unsigned throughout: once
+// n is at most a page (so at most r.size), neither addr-r.base nor
+// r.size-n can wrap, and a wild address — below the base, past the end,
+// near 2^64 — falls through to locate's fault.
 func (a *Accessor) cleanSpan(addr Addr, n int) (*Region, int, *page) {
 	r, as := a.last, a.as
-	if r == nil || !as.fastPath || as.cache != nil || uint(n-1) >= uint(as.pageSize) ||
+	if r == nil || !as.fastPath || uint(n-1) >= uint(as.pageSize) ||
 		addr < r.base || addr-r.base > Addr(r.size-n) {
 		return nil, 0, nil
 	}
@@ -122,12 +122,7 @@ func (a *Accessor) Load(addr Addr, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	if as.cache != nil {
-		err = as.cachedLoad(addr, buf)
-	} else {
-		err = as.loadSpan(r, int(addr-r.base), buf)
-	}
-	if err != nil {
+	if err = as.loadSpan(r, int(addr-r.base), buf); err != nil {
 		return err
 	}
 	as.counters.Loads++
@@ -201,15 +196,9 @@ func (a *Accessor) Store(addr Addr, data []byte) error {
 			return &Fault{Kind: FaultReadOnly, Addr: addr}
 		}
 		off = int(addr - r.base)
-		switch {
-		case as.cache != nil:
-			err = as.cachedStore(addr, data)
-		case r.codec == nil:
+		if r.codec == nil {
 			r.writeBytes(off, data)
-		default:
-			err = as.storeEncoded(r, off, data, false)
-		}
-		if err != nil {
+		} else if err = as.storeEncoded(r, off, data, false); err != nil {
 			return err
 		}
 	}

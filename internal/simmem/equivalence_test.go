@@ -64,7 +64,7 @@ type eqSpace struct {
 // newEqSpace builds one side: a backed protected region, an unbacked
 // protected region, and an unprotected region, matching the application
 // layout (private/heap/stack).
-func newEqSpace(t *testing.T, codec simmem.Codec, cacheLines int, fast bool) *eqSpace {
+func newEqSpace(t *testing.T, codec simmem.Codec, fast bool) *eqSpace {
 	t.Helper()
 	as, err := simmem.New(simmem.Config{PageSize: 256})
 	if err != nil {
@@ -78,11 +78,6 @@ func newEqSpace(t *testing.T, codec simmem.Codec, cacheLines int, fast bool) *eq
 	}
 	for _, s := range specs {
 		if _, err := as.AddRegion(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cacheLines > 0 {
-		if err := as.EnableCache(cacheLines); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,11 +365,6 @@ func compareEqSpaces(t *testing.T, fastS, slowS *eqSpace) {
 	if f, s := fastS.as.Counters(), slowS.as.Counters(); f != s {
 		t.Errorf("counters diverged: fast=%+v slow=%+v", f, s)
 	}
-	fh, fm, fw := fastS.as.CacheStats()
-	sh, sm, sw := slowS.as.CacheStats()
-	if fh != sh || fm != sm || fw != sw {
-		t.Errorf("cache stats diverged: fast=%d/%d/%d slow=%d/%d/%d", fh, fm, fw, sh, sm, sw)
-	}
 	if f, s := fastS.as.TaintedPages(), slowS.as.TaintedPages(); f != s {
 		t.Errorf("tainted pages diverged: fast=%d slow=%d", f, s)
 	}
@@ -434,8 +424,8 @@ func TestPartialTaintSpanAcrossPages(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(0); seed < 4; seed++ {
-				fastS := newEqSpace(t, tc.codec(), 0, true)
-				slowS := newEqSpace(t, tc.codec(), 0, false)
+				fastS := newEqSpace(t, tc.codec(), true)
+				slowS := newEqSpace(t, tc.codec(), false)
 				driveCrossPageSpan(t, fastS, slowS, seed)
 				compareEqSpaces(t, fastS, slowS)
 			}
@@ -445,62 +435,50 @@ func TestPartialTaintSpanAcrossPages(t *testing.T) {
 
 func TestAccessPathEquivalence(t *testing.T) {
 	for _, tc := range eqCodecs() {
-		for _, cached := range []struct {
-			name  string
-			lines int
-		}{{"uncached", 0}, {"cached", 8}} {
-			t.Run(tc.name+"/"+cached.name, func(t *testing.T) {
-				t.Parallel()
-				for seed := int64(1); seed <= 4; seed++ {
-					fastS := newEqSpace(t, tc.codec(), cached.lines, true)
-					slowS := newEqSpace(t, tc.codec(), cached.lines, false)
-					driveEquivalence(t, fastS, slowS, seed, 1500)
-				}
-			})
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(1); seed <= 4; seed++ {
+				fastS := newEqSpace(t, tc.codec(), true)
+				slowS := newEqSpace(t, tc.codec(), false)
+				driveEquivalence(t, fastS, slowS, seed, 1500)
+			}
+		})
 	}
 }
 
 // FuzzAccessPathEquivalence fuzzes the operation stream (via the rng
-// seed) across the codec and cache matrix. Every execution opens with the
+// seed) across the codec matrix. Every execution opens with the
 // cross-page span prologue — one corrupted word next to a page boundary,
 // then streamed span reads across it — before the random op stream, so
 // the partially-tainted-page walk is exercised on every input, not only
 // when the rng happens to produce it. The random stream carries the
 // typed ops withTypedOps interleaves, wild addresses among them, on
-// every input. Uncached inputs also replay against the naive oracle
+// every input, and every input also replays against the naive oracle
 // (oracle_test.go).
 func FuzzAccessPathEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
-		f.Add(seed, uint8(seed%6), seed%2 == 0)
+		f.Add(seed, uint8(seed%6))
 	}
 	// Dedicated corpus seeds for the cross-page prologue over each codec,
-	// with and without the cache in front.
+	// in the backed region and in the unbacked one (genCrossPageOps picks
+	// by the seed's low bit).
 	for c := int64(0); c < 6; c++ {
-		f.Add(int64(0x9a9e)+c, uint8(c), false)
-		f.Add(int64(0x9a9e)+c, uint8(c), true)
+		f.Add(int64(0x9a9e)+c, uint8(c))
+		f.Add(int64(0x9a9e)+c+1, uint8(c))
 	}
-	// And for the typed ops over each codec, uncached so the oracle
-	// replays them too.
+	// And for the typed ops over each codec.
 	for c := int64(0); c < 6; c++ {
-		f.Add(int64(0x7e9ed)+c, uint8(c), false)
+		f.Add(int64(0x7e9ed)+c, uint8(c))
 	}
 	codecs := eqCodecs()
-	f.Fuzz(func(t *testing.T, seed int64, codecIdx uint8, cached bool) {
+	f.Fuzz(func(t *testing.T, seed int64, codecIdx uint8) {
 		tc := codecs[int(codecIdx)%len(codecs)]
-		lines := 0
-		if cached {
-			lines = 8
-		}
-		fastS := newEqSpace(t, tc.codec(), lines, true)
-		slowS := newEqSpace(t, tc.codec(), lines, false)
+		fastS := newEqSpace(t, tc.codec(), true)
+		slowS := newEqSpace(t, tc.codec(), false)
 		driveCrossPageSpan(t, fastS, slowS, seed)
 		driveEquivalence(t, fastS, slowS, seed, 400)
-		if !cached {
-			// The oracle models no cache; same streams, engine-independent.
-			replayOracle(t, tc.codec, func(regions []*simmem.Region) []eqOp {
-				return append(genCrossPageOps(regions, seed), withTypedOps(regions, seed, genOps(regions, seed, 400))...)
-			})
-		}
+		replayOracle(t, tc.codec, func(regions []*simmem.Region) []eqOp {
+			return append(genCrossPageOps(regions, seed), withTypedOps(regions, seed, genOps(regions, seed, 400))...)
+		})
 	})
 }

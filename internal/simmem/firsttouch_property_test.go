@@ -77,7 +77,7 @@ func accessScript(regions []*simmem.Region, seed int64) (warm, window []eqOp) {
 // and ECC event stream, and the stored bytes at the end.
 func replay(t *testing.T, codec simmem.Codec, warm, fault, window []eqOp) (outs, events []string, stored [][]byte) {
 	t.Helper()
-	sp := newEqSpace(t, codec, 0, true)
+	sp := newEqSpace(t, codec, true)
 	for _, op := range warm {
 		if out := sp.apply(op).out; out != "" {
 			t.Fatalf("warm-up op %+v: %s", op, out)
@@ -115,7 +115,7 @@ func TestFirstTouchDecidesFault(t *testing.T) {
 			t.Parallel()
 			decided := map[firstTouch]int{}
 			for seed := int64(1); seed <= 3; seed++ {
-				layout := newEqSpace(t, tc.codec(), 0, true).as.Regions()
+				layout := newEqSpace(t, tc.codec(), true).as.Regions()
 				warm, window := accessScript(layout, seed)
 				wantOuts, wantEvents, wantStored := replay(t, tc.codec(), warm, nil, window)
 
@@ -193,7 +193,7 @@ func firstDiff(a, b []string) int {
 // classifier must call the first sensed and only the second overwritten.
 func TestPartialStoreFirstTouchIsNotDecidable(t *testing.T) {
 	codec := ecc.NewSECDED()
-	layout := newEqSpace(t, codec, 0, true).as.Regions()
+	layout := newEqSpace(t, codec, true).as.Regions()
 	heap := layout[1]
 	word := heap.Base() + 64
 	warm := []eqOp{{kind: opStore, addr: heap.Base(), data: bytes.Repeat([]byte{0xa5}, 128)}}

@@ -8,7 +8,8 @@ package simmem
 // device and controller would return them: stuck-at faults are sensed
 // and, in protected regions, every covered codeword is decoded (possibly
 // correcting, possibly raising a machine check). It is the only load
-// path; Accessor.Load and cache-line fills both end here.
+// path: every Accessor.Load that the front end's fast check does not
+// serve ends here.
 //
 // On the fast path untainted granules skip all of that. The taint
 // invariant guarantees each would sense as its stored bytes and decode

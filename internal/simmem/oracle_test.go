@@ -290,7 +290,7 @@ func (m *oracleMem) apply(op eqOp) string {
 // and per-frame counters.
 func replayOracle(t *testing.T, codec func() simmem.Codec, gen func([]*simmem.Region) []eqOp) {
 	t.Helper()
-	sp := newEqSpace(t, codec(), 0, true)
+	sp := newEqSpace(t, codec(), true)
 	oracle := newOracle(sp.as)
 	for i, op := range gen(sp.as.Regions()) {
 		if got, want := sp.apply(op).out, oracle.apply(op); got != want {

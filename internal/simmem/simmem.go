@@ -23,7 +23,6 @@
 //	store.go     byte writes, the encoded read-modify-write, raw writes
 //	inject.go    soft and hard error injection (Algorithm 1(a))
 //	repair.go    frame replacement, backing-store restore, scrubbing
-//	cache.go     the optional write-back CPU cache model
 //	snapshot.go  capture/restore over dirty-page tracking
 //	alloc.go, codec.go, events.go, fault.go, clock.go, gate.go: the
 //	allocator, the Codec/MCHandler hooks, observer events, fault values,
@@ -65,12 +64,9 @@ type Counters struct {
 // trial goroutine.
 type AddressSpace struct {
 	// accessor is the default access front end: the space's own Load,
-	// Store and typed helpers are its promoted methods. fillAcc serves
-	// cache-line fills so fill lookups never thrash an application
-	// accessor's one-entry region cache. Additional independent
-	// accessors come from NewAccessor.
+	// Store and typed helpers are its promoted methods. Additional
+	// independent accessors come from NewAccessor.
 	accessor
-	fillAcc Accessor
 
 	pageSize  int
 	pageShift int // log2(pageSize); page size is a validated power of two
@@ -79,15 +75,14 @@ type AddressSpace struct {
 	accessObs []AccessObserver
 	eccObs    []ECCObserver
 	counters  Counters
-	cache     *cache    // nil unless EnableCache was called
 	snap      *Snapshot // active capture (snapshot.go), nil until Snapshot
 	// fastPath gates the clean-word fast path (on unless SetFastPath
-	// turned it off); fastLoads counts load operations (Load calls and
-	// cache-line fills) it served without decoding a word or sensing a
-	// byte, and fastWords counts the individual granules bulk-copied
-	// that way (partially-fast loads advance fastWords but not
-	// fastLoads). Both counters are monotonic across snapshot restores:
-	// they are observability, not simulated state.
+	// turned it off); fastLoads counts the Load calls it served without
+	// decoding a word or sensing a byte, and fastWords counts the
+	// individual granules bulk-copied that way (partially-fast loads
+	// advance fastWords but not fastLoads). Both counters are monotonic
+	// across snapshot restores: they are observability, not simulated
+	// state.
 	fastPath  bool
 	fastLoads uint64
 	fastWords uint64
@@ -125,7 +120,6 @@ func New(cfg Config) (*AddressSpace, error) {
 		fastPath:  true,
 	}
 	as.accessor.as = as
-	as.fillAcc.as = as
 	return as, nil
 }
 
@@ -141,10 +135,10 @@ func (as *AddressSpace) SetFastPath(on bool) bool {
 	return prev
 }
 
-// FastPathLoads returns the number of load operations (Load calls and
-// cache-line fills) served entirely from untainted granules — bulk
-// copies with no per-byte sensing and no codeword decoding. The counter
-// is monotonic: snapshot restores do not roll it back.
+// FastPathLoads returns the number of Load calls served entirely from
+// untainted granules — bulk copies with no per-byte sensing and no
+// codeword decoding. The counter is monotonic: snapshot restores do not
+// roll it back.
 func (as *AddressSpace) FastPathLoads() uint64 { return as.fastLoads }
 
 // FastPathWords returns the number of individual granules (codewords in

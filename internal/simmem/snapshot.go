@@ -11,11 +11,9 @@
 // page data and check storage, stuck-at masks, per-frame corrected /
 // replaced counters and taint bitmaps (taint selects between the fast
 // and slow access paths, which are bit-identical, but the bitmap still
-// rolls back so per-word state never drifts from the data under it), backing
-// stores, allocator high-water marks, the cache model (residency changes
-// error visibility, so lines are restored verbatim, never flushed), the
-// virtual clock, the aggregate counters, and the observer registration
-// lists.
+// rolls back so per-word state never drifts from the data under it),
+// backing stores, allocator high-water marks, the virtual clock, the
+// aggregate counters, and the observer registration lists.
 
 package simmem
 
@@ -64,7 +62,6 @@ type Snapshot struct {
 	counters Counters
 	nAccess  int // observer-list lengths at capture; Restore truncates
 	nECC     int
-	cache    *cache // deep copy (nil when the cache model is off)
 	regions  []regionState
 }
 
@@ -78,12 +75,6 @@ func (as *AddressSpace) Snapshot() *Snapshot {
 		nAccess:  len(as.accessObs),
 		nECC:     len(as.eccObs),
 		regions:  make([]regionState, len(as.regions)),
-	}
-	if as.cache != nil {
-		cp := *as.cache
-		cp.lines = make([]cacheLine, len(as.cache.lines))
-		copy(cp.lines, as.cache.lines)
-		s.cache = &cp
 	}
 	ps := as.pageSize
 	for ri, r := range as.regions {
@@ -182,12 +173,6 @@ func (s *Snapshot) Restore() (int, error) {
 	// trace adapters) are dropped; retained ones get a trial reset.
 	as.accessObs = as.accessObs[:s.nAccess]
 	as.eccObs = as.eccObs[:s.nECC]
-	if s.cache != nil && as.cache != nil {
-		copy(as.cache.lines, s.cache.lines)
-		as.cache.hits = s.cache.hits
-		as.cache.misses = s.cache.misses
-		as.cache.writeBacks = s.cache.writeBacks
-	}
 	for _, o := range as.accessObs {
 		if tr, ok := o.(TrialResetter); ok {
 			tr.ResetTrial()

@@ -171,54 +171,6 @@ func TestSnapshotRestoreLoadsMatchFreshBuild(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoresCacheState(t *testing.T) {
-	as, err := New(Config{PageSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := as.EnableCache(4); err != nil {
-		t.Fatal(err)
-	}
-	r, err := as.AddRegion(RegionSpec{Name: "heap", Kind: RegionHeap, Size: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.SetUsed(1024)
-	// Make a line resident and dirty, then snapshot.
-	if err := as.Store(r.Base(), []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	wantHits, wantMisses, wantWB := as.CacheStats()
-	snap := as.Snapshot()
-
-	// Corrupt memory under the resident line, then touch other lines to
-	// churn residency.
-	if err := as.FlipBit(r.Base(), 0); err != nil {
-		t.Fatal(err)
-	}
-	var buf [4]byte
-	for off := 0; off < 1024; off += 64 {
-		if err := as.Load(r.Base()+Addr(off), buf[:]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := snap.Restore(); err != nil {
-		t.Fatal(err)
-	}
-	h, m, wb := as.CacheStats()
-	if h != wantHits || m != wantMisses || wb != wantWB {
-		t.Errorf("cache stats (%d,%d,%d) != snapshot (%d,%d,%d)", h, m, wb, wantHits, wantMisses, wantWB)
-	}
-	// The line is resident again: this load must hit, not miss.
-	if err := as.Load(r.Base(), buf[:]); err != nil {
-		t.Fatal(err)
-	}
-	h2, m2, _ := as.CacheStats()
-	if h2 != wantHits+1 || m2 != wantMisses {
-		t.Errorf("restored line not resident: hits %d→%d misses %d→%d", wantHits, h2, wantMisses, m2)
-	}
-}
-
 func TestSnapshotTruncatesObserversAndResetsTrialState(t *testing.T) {
 	as, _, plain := snapSpace(t)
 	retained := &resettingObserver{}
